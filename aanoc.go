@@ -278,8 +278,8 @@ type Config struct {
 	// Spec, when set, supplies the platform and workload from a
 	// declarative scenario instead of a builtin application model; its
 	// embedded run block (if any) provides defaults the explicit Config
-	// fields override, field by field. Mutually exclusive with
-	// Model/App (Validate wraps ErrBadSpec otherwise).
+	// fields override, field by field. Mutually exclusive with Model
+	// (Validate wraps ErrBadSpec otherwise).
 	Spec *Spec
 	// Model is the application model. Empty defaults to AppBluRay —
 	// explicitly: the zero Config must be runnable, and the Blu-ray SoC
@@ -287,12 +287,6 @@ type Config struct {
 	// rejected by Validate (wrapping ErrUnknownApp) before anything
 	// runs.
 	Model App
-	// App is the application name as a bare string.
-	//
-	// Deprecated: set Model (or use ParseApp). App is read only when
-	// Model is empty and keeps pre-v2 configs and callers compiling
-	// unchanged; it carries the same default and validation.
-	App string
 	// Generation is the DDR generation, 1-5 (0 defaults to 2, the
 	// paper's primary evaluation generation): 1-3 are the paper's DDR
 	// I/II/III, 4 is DDR4 (bank groups, long/short tCCD/tRRD pairs), 5
@@ -358,13 +352,10 @@ type Config struct {
 // internal/system.
 type Result = system.Result
 
-// model resolves the typed/deprecated-string/default application name.
+// model resolves the application name, defaulting the empty Model.
 func (c Config) model() string {
-	switch {
-	case c.Model != "":
+	if c.Model != "" {
 		return string(c.Model)
-	case c.App != "":
-		return c.App
 	}
 	return string(AppBluRay)
 }
@@ -400,8 +391,8 @@ func (c Config) toInternal() (system.Config, error) {
 	specHash := ""
 	var app appmodel.App
 	if c.Spec != nil {
-		if c.Model != "" || c.App != "" {
-			return system.Config{}, fmt.Errorf("aanoc: %w: Config.Spec is mutually exclusive with Model/App", ErrBadSpec)
+		if c.Model != "" {
+			return system.Config{}, fmt.Errorf("aanoc: %w: Config.Spec is mutually exclusive with Model", ErrBadSpec)
 		}
 		a, err := c.Spec.App()
 		if err != nil {

@@ -16,7 +16,7 @@ func TestRunDefaults(t *testing.T) {
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := Run(Config{App: "nope", Cycles: 1000}); err == nil {
+	if _, err := Run(Config{Model: "nope", Cycles: 1000}); err == nil {
 		t.Error("unknown app accepted")
 	}
 	if _, err := Run(Config{Generation: 9, Cycles: 1000}); err == nil {

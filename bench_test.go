@@ -326,87 +326,6 @@ func BenchmarkTableIParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkTableLowUtil measures the simulation kernel's activity-driven
-// idle-skip in the regime it targets: the low-utilization standby model,
-// where most cycles have no flit in flight and no bank open. Each design
-// runs twice — idle-skip on (the default) and forced off — over the same
-// workload, so the cycles/s ratio between the skip and noskip variants
-// is the kernel's wall-clock win (CI records it in BENCH_kernel.json).
-// The saturated Table I–III grids bound the overhead instead: with work
-// on every cycle there is nothing to skip.
-func BenchmarkTableLowUtil(b *testing.B) {
-	for _, d := range []system.Design{system.SDRAMAware, system.GSS, system.GSSSAGM} {
-		for _, skip := range []bool{true, false} {
-			name := fmt.Sprintf("%s/skip", d)
-			if !skip {
-				name = fmt.Sprintf("%s/noskip", d)
-			}
-			d := d
-			skip := skip
-			b.Run(name, func(b *testing.B) {
-				cfg := system.Config{
-					App: appmodel.LowUtil(), Gen: dram.DDR2, Design: d,
-					PriorityDemand: true, Cycles: benchCycles,
-				}
-				var last system.Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cfg.Seed = uint64(i + 1)
-					r, err := system.New(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					r.SetIdleSkip(skip)
-					r.RunTo(cfg.Cycles)
-					last = r.Finish()
-				}
-				b.ReportMetric(float64(benchCycles*int64(b.N))/b.Elapsed().Seconds(), "cycles/s")
-				b.ReportMetric(last.Utilization, "util")
-				b.ReportMetric(last.LatAll, "lat-all")
-			})
-		}
-	}
-}
-
-// BenchmarkHotPath is the CI perf gate's measurement pair: the two most
-// saturated Table I points, reported as cycles/s so the committed
-// BENCH_hotpath.json baseline and scripts/perf_gate.sh can hold the
-// flattened hot path (SoA router state, packet/flit pooling, the
-// event-queue controller) to its throughput. Unlike the low-util
-// benchmarks, these runs have work on nearly every cycle, so idle-skip
-// cannot hide a regression on the per-flit path.
-func BenchmarkHotPath(b *testing.B) {
-	cases := []struct {
-		name string
-		cfg  system.Config
-	}{
-		// The slowest Table I point: the dual-DTV app saturates the mesh
-		// and keeps the GSS allocators' candidate sets full.
-		{"ddtv/DDR3/GSS+SAGM", system.Config{
-			App: appmodel.DualDTV(), Gen: dram.DDR3, Design: system.GSSSAGM,
-		}},
-		// The conventional design on the same workload: exercises the
-		// MemMax controller path instead of Simple+GSS.
-		{"ddtv/DDR3/CONV", system.Config{
-			App: appmodel.DualDTV(), Gen: dram.DDR3, Design: system.Conv,
-		}},
-	}
-	for _, c := range cases {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			c.cfg.Cycles = benchCycles
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.cfg.Seed = uint64(i + 1)
-				if _, err := system.Run(c.cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(benchCycles*int64(b.N))/b.Elapsed().Seconds(), "cycles/s")
-		})
-	}
-}
-
 // BenchmarkSimulatorThroughput measures raw simulator speed (cycles per
 // second) on the largest configuration — a capacity check, not a paper
 // figure.

@@ -21,6 +21,7 @@ import (
 	"os/signal"
 
 	"aanoc/internal/appmodel"
+	"aanoc/internal/dram"
 	"aanoc/internal/obs"
 	"aanoc/internal/prof"
 	"aanoc/internal/scenario"
@@ -130,6 +131,14 @@ func main() {
 	base.GSSRouters = *gssN
 	base.Checked = *checked
 	base.WorkloadStats = *workload
+	// Mutation knob for the CLI-level fault-injection tests: arm one
+	// device fault so an end-to-end run can prove checked mode turns the
+	// breach into a non-zero exit. Deliberately not a flag.
+	if f := os.Getenv("AANOC_INJECT_FAULT"); f != "" {
+		if base.Fault, err = dram.ParseFault(f); err != nil {
+			fatal(fmt.Errorf("AANOC_INJECT_FAULT: %w", err))
+		}
+	}
 	designs := []system.Design{}
 	if *all {
 		designs = system.Designs()

@@ -9,7 +9,7 @@ import (
 // The basic workflow: run one design point and read the paper's metrics.
 func ExampleRun() {
 	res, err := aanoc.Run(aanoc.Config{
-		App:        "bluray",
+		Model:      aanoc.AppBluRay,
 		Generation: 2, // DDR2 at the application's paper clock (266 MHz)
 		Design:     aanoc.GSSSAGM,
 		Cycles:     30_000,

@@ -24,7 +24,7 @@ func main() {
 	fmt.Printf("%4s %8s %10s %12s %12s\n", "PCT", "util", "lat(all)", "lat(priority)", "lat(best)")
 	for pct := 1; pct <= 5; pct++ {
 		res, err := aanoc.Run(aanoc.Config{
-			App:            "bluray",
+			Model:          aanoc.AppBluRay,
 			Generation:     2,
 			Design:         aanoc.GSS,
 			PCT:            pct,

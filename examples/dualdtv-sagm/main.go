@@ -25,7 +25,7 @@ func main() {
 		var lat [2]float64
 		for i, d := range []aanoc.Design{aanoc.GSS, aanoc.GSSSAGM} {
 			res, err := aanoc.Run(aanoc.Config{
-				App:            "ddtv",
+				Model:          aanoc.AppDDTV,
 				Generation:     gen,
 				Design:         d,
 				PriorityDemand: true,

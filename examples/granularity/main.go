@@ -23,7 +23,7 @@ func main() {
 	fmt.Printf("%-10s %8s %9s %9s %10s %9s\n", "design", "util", "useful", "waste", "lat(all)", "served")
 	for _, d := range []aanoc.Design{aanoc.GSS, aanoc.GSSSAGM} {
 		res, err := aanoc.Run(aanoc.Config{
-			App:        "sdtv",
+			Model:      aanoc.AppSDTV,
 			Generation: 2,
 			Design:     d,
 			Cycles:     exutil.Cycles(),

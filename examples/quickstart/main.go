@@ -30,7 +30,7 @@ func main() {
 	var base aanoc.Result
 	for i, d := range designs {
 		res, err := aanoc.Run(aanoc.Config{
-			App:            "bluray",
+			Model:          aanoc.AppBluRay,
 			Generation:     2,
 			Design:         d,
 			PriorityDemand: true,

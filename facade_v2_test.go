@@ -38,7 +38,6 @@ func TestValidateSentinels(t *testing.T) {
 		want error
 	}{
 		{"unknown model", Config{Model: "vax"}, ErrUnknownApp},
-		{"unknown legacy app", Config{App: "vax"}, ErrUnknownApp},
 		{"bad generation", Config{Generation: 9}, ErrBadGeneration},
 		{"negative generation", Config{Generation: -1}, ErrBadGeneration},
 		{"negative channels", Config{Channels: -1}, ErrBadChannels},
@@ -65,7 +64,7 @@ func TestValidateAcceptsRunnableConfigs(t *testing.T) {
 		{Model: AppDDTV, Generation: 3, Design: GSSSAGMSTI},
 		{Model: AppBluRay2, Channels: 2, Checked: true},
 		{Model: AppDDTV4, Channels: 4, ChannelScheme: ChannelThenBankXOR},
-		{App: "sdtv", Generation: 1},
+		{Model: AppSDTV, Generation: 1},
 		{Scheduler: SchedulerDPQ, Checked: true},
 		{Scheduler: "default"},
 	} {
@@ -119,23 +118,24 @@ func TestEmptyAppDefaultsToBluRay(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAppAliasEquivalence: the string field must keep pre-v2
-// callers running identically, and Model wins when both are set.
+// TestDeprecatedAppAliasEquivalence: the retired Config.App string
+// migrates to Model through ParseApp — a pre-v2 caller's name string and
+// the typed constant must run identically.
 func TestDeprecatedAppAliasEquivalence(t *testing.T) {
 	byModel, err := Run(Config{Model: AppSDTV, Generation: 1, Design: GSSSAGM, Cycles: 15_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byString, err := Run(Config{App: "sdtv", Generation: 1, Design: GSSSAGM, Cycles: 15_000})
+	parsed, err := ParseApp("sdtv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byString, err := Run(Config{Model: parsed, Generation: 1, Design: GSSSAGM, Cycles: 15_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(byModel, byString) {
-		t.Fatal("Model and deprecated App spellings diverge")
-	}
-	both := Config{Model: AppSDTV, App: "ddtv"}
-	if got := both.model(); got != "sdtv" {
-		t.Fatalf("Model should take precedence over App, resolved %q", got)
+		t.Fatal("Model constant and ParseApp spellings diverge")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 type shadowBank struct {
 	state dram.BankState
 
-	openRow      int   // row the buffer holds while active (subarray tracking)
+	openRow      int   // row the buffer holds while active (CAS row match)
 	actAt        int64 // cycle of the last ACTIVATE
 	readyAt      int64 // precharge/refresh completion (ACT legal after)
 	casAllowedAt int64 // tRCD horizon
@@ -53,10 +53,7 @@ const farPast = -(1 << 30)
 
 // NewDRAMMonitor builds a monitor for one device's command stream.
 func NewDRAMMonitor(c *Checker, t dram.Timing) *DRAMMonitor {
-	subs := t.Subarrays
-	if subs < 1 {
-		subs = 1
-	}
+	subs := t.RowBuffers()
 	m := &DRAMMonitor{
 		c: c, t: t,
 		lastCmdAt:   -1,
@@ -200,8 +197,8 @@ func (m *DRAMMonitor) checkColumn(cmd dram.Command, now int64, w dram.DataWindow
 	b := m.shadowOf(cmd.Bank, cmd.Row)
 	if b.state != dram.BankActive {
 		report("CAS-state", "%s to %s bank %d", cmd.Kind, b.state, cmd.Bank)
-	} else if m.subarrays > 1 && b.openRow != cmd.Row {
-		report("subarray-row", "%s to bank %d row %d but its subarray holds row %d",
+	} else if b.openRow != cmd.Row {
+		report("subarray-row", "%s to bank %d row %d but its row buffer holds row %d",
 			cmd.Kind, cmd.Bank, cmd.Row, b.openRow)
 	}
 	if b.apPending {

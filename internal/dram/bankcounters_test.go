@@ -15,20 +15,20 @@ func TestBankCountersBreakdown(t *testing.T) {
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 0, Row: 3}, now)
 	now += tm.TRCD
 	for i := 0; i < 3; i++ {
-		issueAt(t, d, Command{Kind: CmdRead, Bank: 0, Col: i * 8, BL: 8}, now)
+		issueAt(t, d, Command{Kind: CmdRead, Bank: 0, Row: 3, Col: i * 8, BL: 8}, now)
 		now += BurstCycles(8)
 	}
 	if now < tm.TRAS {
 		now = tm.TRAS
 	}
 	now += tm.TRTP + BurstCycles(8) // clear of tRAS and read-to-precharge
-	issueAt(t, d, Command{Kind: CmdPrecharge, Bank: 0}, now)
+	issueAt(t, d, Command{Kind: CmdPrecharge, Bank: 0, Row: 3}, now)
 
 	// Bank 1: ACT, one write with auto-precharge (no hit).
 	now += tm.TRP
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 1, Row: 9}, now)
 	now += tm.TRCD
-	issueAt(t, d, Command{Kind: CmdWrite, Bank: 1, Col: 0, BL: 8, AutoPrecharge: true}, now)
+	issueAt(t, d, Command{Kind: CmdWrite, Bank: 1, Row: 9, Col: 0, BL: 8, AutoPrecharge: true}, now)
 	d.Sync(now + 1000) // retire the auto-precharge
 
 	pb := d.BankCounters()

@@ -42,8 +42,12 @@ func (k CmdKind) String() string {
 type Command struct {
 	Kind CmdKind
 	Bank int
-	Row  int // used by CmdActivate
-	Col  int // used by CmdRead/CmdWrite
+	// Row addresses the row buffer on every per-bank command: ACT opens
+	// the row; RD/WR must name the row their buffer holds (a mismatch is
+	// refused); PRE closes the buffer the row maps to, whichever row it
+	// holds. Ignored by CmdRefresh.
+	Row int
+	Col int // used by CmdRead/CmdWrite
 
 	// BL is the burst length of a read or write. For non-OTF devices it
 	// must equal the mode-register DeviceBL. For DDR3 OTF devices it may

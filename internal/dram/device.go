@@ -39,17 +39,17 @@ type BankCounters struct {
 //
 // The zero value is not usable; construct with NewDevice.
 type Device struct {
-	t     Timing
-	banks []bank
+	t Timing
 
-	// subs holds the per-subarray row buffers when t.Subarrays > 1
-	// (MASA-lite): bank b, subarray s live at subs[b*t.Subarrays+s] and
-	// the banks slice is unused. Empty in the classic one-buffer mode.
-	subs []bank
+	// bufs holds every row buffer: bank b owns the bufsPerBank entries
+	// from bufs[b*bufsPerBank], and buf picks the one a row lives in. The
+	// classic device has one buffer per bank; with Timing.Subarrays > 1
+	// (SALP/MASA-lite) each subarray of a bank has its own.
+	bufs        []bank
+	bufsPerBank int
 
 	now          int64
 	lastCmdCycle int64
-	lastWindow   DataWindow
 	lastCAS      int64
 	lastCASBank  int // bank of the last CAS (-1: none); group-aware tCCD
 	lastActAny   int64
@@ -99,6 +99,20 @@ const (
 // request behind the first blows through its WCET deadline.
 const SlowCASGap = 2048
 
+// ParseFault maps a fault's command-line name (slow-cas, skip-trcd,
+// skip-tfaw) to its value.
+func ParseFault(name string) (Fault, error) {
+	switch name {
+	case "slow-cas":
+		return FaultSlowCAS, nil
+	case "skip-trcd":
+		return FaultSkipTRCD, nil
+	case "skip-tfaw":
+		return FaultSkipTFAW, nil
+	}
+	return FaultNone, fmt.Errorf("dram: unknown fault %q", name)
+}
+
 // InjectFault arms one legality-rule fault. Test-only: it exists so the
 // mutation smoke test can prove the conformance monitor has teeth.
 func (d *Device) InjectFault(f Fault) { d.fault = f }
@@ -110,7 +124,8 @@ func NewDevice(t Timing) (*Device, error) {
 	}
 	d := &Device{
 		t:            t,
-		banks:        make([]bank, t.Banks),
+		bufs:         make([]bank, t.Banks*t.RowBuffers()),
+		bufsPerBank:  t.RowBuffers(),
 		perBank:      make([]BankCounters, t.Banks),
 		lastCmdCycle: -1,
 		lastCAS:      -(1 << 30),
@@ -118,14 +133,8 @@ func NewDevice(t Timing) (*Device, error) {
 		lastActAny:   -(1 << 30),
 		lastActBank:  -1,
 	}
-	for i := range d.banks {
-		d.banks[i].actTime = -(1 << 30)
-	}
-	if t.Subarrays > 1 {
-		d.subs = make([]bank, t.Banks*t.Subarrays)
-		for i := range d.subs {
-			d.subs[i].actTime = -(1 << 30)
-		}
+	for i := range d.bufs {
+		d.bufs[i].actTime = -(1 << 30)
 	}
 	for i := range d.actTimes {
 		d.actTimes[i] = -(1 << 30)
@@ -133,13 +142,15 @@ func NewDevice(t Timing) (*Device, error) {
 	return d, nil
 }
 
-// salp reports whether the device runs with per-subarray row buffers.
-func (d *Device) salp() bool { return len(d.subs) > 0 }
-
-// subOf returns the subarray row buffer a row of a bank maps to; only
-// valid in salp mode.
-func (d *Device) subOf(bankIdx, row int) *bank {
-	return &d.subs[bankIdx*d.t.Subarrays+row%d.t.Subarrays]
+// buf returns the row buffer a row of a bank lives in — the one place
+// that knows where buffers are stored. The one-buffer case skips the
+// row%n divide: profiled on a saturated memctrl.MemMax it was 22% of
+// controller time (7% with the skip), +5% per request end to end.
+func (d *Device) buf(bankIdx, row int) *bank {
+	if d.bufsPerBank == 1 {
+		return &d.bufs[bankIdx]
+	}
+	return &d.bufs[bankIdx*d.bufsPerBank+row%d.bufsPerBank]
 }
 
 // ccdFor returns the CAS-to-CAS spacing a column command to the bank
@@ -210,8 +221,8 @@ func (d *Device) Utilization(totalCycles int64) float64 {
 // Repeated calls within one cycle are no-ops: commands issued at now only
 // schedule state changes strictly after now (tRP, tRFC and auto-precharge
 // start times are all positive offsets), so the first call per cycle does
-// all the settling and the hot paths that re-query state (OpenRow,
-// CanIssue) skip the per-bank walk.
+// all the settling and the hot paths that re-query state (RowOpen,
+// CanIssue) skip the per-buffer walk.
 func (d *Device) advance(now int64) {
 	if now == d.now {
 		return
@@ -220,28 +231,14 @@ func (d *Device) advance(now int64) {
 		panic(fmt.Sprintf("dram: time went backwards (%d < %d)", now, d.now))
 	}
 	d.now = now
-	if d.salp() {
-		for i := range d.subs {
-			b := &d.subs[i]
-			if b.apPending && now >= b.apStartAt {
-				b.apPending = false
-				b.state = BankPrecharging
-				b.readyAt = b.apStartAt + d.t.TRP
-				d.stats.AutoPre++
-				d.perBank[i/d.t.Subarrays].AutoPre++
-			}
-			b.settle(now)
-		}
-		return
-	}
-	for i := range d.banks {
-		b := &d.banks[i]
+	for i := range d.bufs {
+		b := &d.bufs[i]
 		if b.apPending && now >= b.apStartAt {
 			b.apPending = false
 			b.state = BankPrecharging
 			b.readyAt = b.apStartAt + d.t.TRP
 			d.stats.AutoPre++
-			d.perBank[i].AutoPre++
+			d.perBank[i/d.bufsPerBank].AutoPre++
 		}
 		b.settle(now)
 	}
@@ -252,467 +249,282 @@ func (d *Device) advance(now int64) {
 // once per cycle so device-internal events fire even on idle cycles.
 func (d *Device) Sync(now int64) { d.advance(now) }
 
-// OpenRow reports the open row of a bank, if any, at cycle now. A bank
-// with a pending auto-precharge whose start time has passed reports
-// closed. In salp mode several subarrays of a bank can hold open rows;
-// the lowest-indexed open subarray's row is reported (the refresh drain
-// closes them one per cycle through this view).
+// OpenRow reports an open row of a bank, if any, at cycle now: the
+// bank-aggregate view the refresh drain walks to close every buffer, one
+// per cycle. With several buffers per bank the lowest-indexed open one is
+// reported. A buffer with a pending auto-precharge whose start time has
+// passed reports closed.
 func (d *Device) OpenRow(bankIdx int, now int64) (row int, open bool) {
 	d.advance(now)
-	if d.salp() {
-		base := bankIdx * d.t.Subarrays
-		for s := 0; s < d.t.Subarrays; s++ {
-			if b := &d.subs[base+s]; b.state == BankActive {
-				return b.openRow, true
-			}
+	base := bankIdx * d.bufsPerBank
+	for i := base; i < base+d.bufsPerBank; i++ {
+		if b := &d.bufs[i]; b.state == BankActive {
+			return b.openRow, true
 		}
-		return 0, false
-	}
-	b := &d.banks[bankIdx]
-	if b.state == BankActive {
-		return b.openRow, true
 	}
 	return 0, false
 }
 
 // RowOpen reports whether the specific row of a bank is open in its row
-// buffer at cycle now. With one buffer per bank this is OpenRow equality;
-// in salp mode it consults the subarray the row maps to, so rows open in
-// sibling subarrays of the same bank are visible simultaneously.
+// buffer at cycle now. Rows open in sibling subarrays of the same bank
+// are visible simultaneously.
 func (d *Device) RowOpen(bankIdx, row int, now int64) bool {
 	d.advance(now)
-	b := &d.banks[bankIdx]
-	if d.salp() {
-		b = d.subOf(bankIdx, row)
-	}
+	b := d.buf(bankIdx, row)
 	return b.state == BankActive && b.openRow == row
 }
 
 // BlockingRow reports the row currently occupying the row buffer that
 // the given row needs, when it is a different row — the precharge target
-// of a row conflict. In salp mode only the owning subarray can block;
-// rows open in sibling subarrays do not conflict.
+// of a row conflict. Only the row's own buffer can block; rows open in
+// sibling subarrays do not conflict.
 func (d *Device) BlockingRow(bankIdx, row int, now int64) (openRow int, blocked bool) {
 	d.advance(now)
-	b := &d.banks[bankIdx]
-	if d.salp() {
-		b = d.subOf(bankIdx, row)
-	}
+	b := d.buf(bankIdx, row)
 	if b.state == BankActive && b.openRow != row {
 		return b.openRow, true
 	}
 	return 0, false
 }
 
-// BankState reports the externally visible state of a bank at cycle now.
-// In salp mode the bank reads active while any subarray holds an open
-// row, precharging while any subarray is precharging, idle otherwise.
-func (d *Device) BankState(bankIdx int, now int64) BankState {
-	d.advance(now)
-	if d.salp() {
-		st := BankIdle
-		base := bankIdx * d.t.Subarrays
-		for s := 0; s < d.t.Subarrays; s++ {
-			switch d.subs[base+s].state {
-			case BankActive:
-				return BankActive
-			case BankPrecharging:
-				st = BankPrecharging
-			}
-		}
-		return st
-	}
-	return d.banks[bankIdx].state
-}
-
-// bufferReadyAt computes the earliest ACTIVATE a single row buffer
-// (bank, or subarray in salp mode) could accept, considering only its
-// own constraints (precharge completion and tRC).
-func (d *Device) bufferReadyAt(b *bank, now int64) int64 {
-	ready := b.actTime + d.t.TRC
-	switch b.state {
-	case BankActive:
-		// Would need a precharge first: earliest PRE then tRP.
-		pre := b.preAllowedAt
-		if b.apPending {
-			pre = b.apStartAt
-		}
-		if pre < now {
-			pre = now
-		}
-		if pre+d.t.TRP > ready {
-			ready = pre + d.t.TRP
-		}
-	case BankPrecharging:
-		if b.readyAt > ready {
-			ready = b.readyAt
-		}
-	case BankIdle:
-		if b.readyAt > ready {
-			ready = b.readyAt
-		}
-	}
-	if ready < now {
-		ready = now
-	}
-	return ready
-}
-
-// BankReadyAt returns the earliest cycle an ACTIVATE could be accepted by
-// the bank, considering only same-bank constraints (precharge completion
-// and tRC). Used by look-ahead controllers and by the short turn-around
-// interleaving (STI) estimate. In salp mode it reports the readiest
-// subarray (an ACT can target whichever subarray is free soonest).
-func (d *Device) BankReadyAt(bankIdx int, now int64) int64 {
-	d.advance(now)
-	if d.salp() {
-		base := bankIdx * d.t.Subarrays
-		ready := d.bufferReadyAt(&d.subs[base], now)
-		for s := 1; s < d.t.Subarrays; s++ {
-			if r := d.bufferReadyAt(&d.subs[base+s], now); r < ready {
-				ready = r
-			}
-		}
-		return ready
-	}
-	return d.bufferReadyAt(&d.banks[bankIdx], now)
-}
-
-// AutoPrechargePending reports whether the bank has an auto-precharge
-// scheduled but not yet fired at cycle now. In salp mode it reports
-// whether any subarray of the bank does.
-func (d *Device) AutoPrechargePending(bankIdx int, now int64) bool {
-	d.advance(now)
-	if d.salp() {
-		base := bankIdx * d.t.Subarrays
-		for s := 0; s < d.t.Subarrays; s++ {
-			if d.subs[base+s].apPending {
-				return true
-			}
-		}
-		return false
-	}
-	return d.banks[bankIdx].apPending
-}
-
 // RowAutoPrechargePending reports whether the row buffer serving the
 // given row has an auto-precharge scheduled but not yet fired.
 func (d *Device) RowAutoPrechargePending(bankIdx, row int, now int64) bool {
 	d.advance(now)
-	if d.salp() {
-		return d.subOf(bankIdx, row).apPending
-	}
-	return d.banks[bankIdx].apPending
+	return d.buf(bankIdx, row).apPending
 }
 
-// ActivateReadyAt returns a conservative lower bound on the earliest
-// cycle an ACTIVATE to the bank could be legal, folding the same-bank
-// constraints of BankReadyAt together with the cross-bank tRRD and tFAW
-// windows. "Conservative" means never later than the true earliest legal
-// cycle: event-queue controllers may wake at the returned cycle and find
-// the command still refused (a harmless no-op probe), but never sleep
-// through a cycle where it would have been accepted.
-func (d *Device) ActivateReadyAt(bankIdx int, now int64) int64 {
-	ready := d.BankReadyAt(bankIdx, now)
-	if r := d.lastActAny + d.rrdFor(bankIdx); r > ready {
-		ready = r
-	}
-	if d.t.TFAW > 0 && d.fault != FaultSkipTFAW {
-		if r := d.actTimes[0] + d.t.TFAW; r > ready {
-			ready = r
-		}
-	}
-	return ready
-}
-
-// RowActivateReadyAt is ActivateReadyAt for a specific row: in salp mode
-// the same-bank constraints come from the subarray the row maps to, not
-// from the readiest subarray of the bank.
+// RowActivateReadyAt returns a conservative lower bound on the earliest
+// cycle an ACTIVATE of the row could be legal: its buffer's own
+// constraints (precharge completion, tRC, and the precharge an open row
+// or pending auto-precharge still needs) folded with the cross-bank tRRD
+// and tFAW windows. "Conservative" means never later than the true
+// earliest legal cycle: event-queue controllers may wake at the returned
+// cycle and find the command still refused (a harmless no-op probe), but
+// never sleep through a cycle where it would have been accepted.
 func (d *Device) RowActivateReadyAt(bankIdx, row int, now int64) int64 {
-	if !d.salp() {
-		return d.ActivateReadyAt(bankIdx, now)
-	}
 	d.advance(now)
-	ready := d.bufferReadyAt(d.subOf(bankIdx, row), now)
-	if r := d.lastActAny + d.rrdFor(bankIdx); r > ready {
-		ready = r
-	}
-	if d.t.TFAW > 0 && d.fault != FaultSkipTFAW {
-		if r := d.actTimes[0] + d.t.TFAW; r > ready {
-			ready = r
+	b := d.buf(bankIdx, row)
+	ready := max(now, b.actTime+d.t.TRC, b.readyAt)
+	if b.state == BankActive {
+		// Needs a precharge first: the earliest PRE, then tRP.
+		pre := b.preAllowedAt
+		if b.apPending {
+			pre = b.apStartAt
 		}
+		ready = max(ready, max(pre, now)+d.t.TRP)
+	}
+	ready = max(ready, d.lastActAny+d.rrdFor(bankIdx))
+	if d.t.TFAW > 0 && d.fault != FaultSkipTFAW {
+		ready = max(ready, d.actTimes[0]+d.t.TFAW)
 	}
 	return ready
 }
 
-// ColumnReadyAt returns a conservative lower bound on the earliest cycle
-// a READ or WRITE to the bank could be legal, assuming the bank is (or
-// will be) active with the wanted row open. Same contract as
-// ActivateReadyAt: never later than the true earliest legal cycle.
-func (d *Device) ColumnReadyAt(bankIdx int, kind CmdKind, now int64) int64 {
-	return d.RowColumnReadyAt(bankIdx, -1, kind, now)
-}
-
-// RowColumnReadyAt is ColumnReadyAt for a specific row; in salp mode the
-// tRCD floor comes from the subarray the row maps to. A negative row
-// selects the bank-level buffer (only meaningful outside salp mode).
+// RowColumnReadyAt returns a conservative lower bound on the earliest
+// cycle a READ or WRITE to the row could be legal, assuming its buffer
+// holds (or will hold) the row. Same contract as RowActivateReadyAt:
+// never later than the true earliest legal cycle.
 func (d *Device) RowColumnReadyAt(bankIdx, row int, kind CmdKind, now int64) int64 {
 	d.advance(now)
-	b := &d.banks[bankIdx]
-	if d.salp() && row >= 0 {
-		b = d.subOf(bankIdx, row)
-	}
-	ready := now
-	if d.fault != FaultSkipTRCD && b.casAllowedAt > ready {
-		ready = b.casAllowedAt
-	}
-	if r := d.lastCAS + d.ccdFor(bankIdx); r > ready {
-		ready = r
+	ready := max(now, d.lastCAS+d.ccdFor(bankIdx))
+	if d.fault != FaultSkipTRCD {
+		ready = max(ready, d.buf(bankIdx, row).casAllowedAt)
 	}
 	if kind == CmdRead {
-		if r := d.writeDataEnd + d.t.TWTR; r > ready {
-			ready = r
-		}
-		if r := d.busBusyUntil - d.t.CL; r > ready {
-			ready = r
-		}
-	} else {
-		if r := d.busBusyUntil - d.t.CWL; r > ready {
-			ready = r
-		}
-		if r := d.readDataEnd + d.t.TRTW - d.t.CWL; r > ready {
-			ready = r
-		}
+		return max(ready, d.writeDataEnd+d.t.TWTR, d.busBusyUntil-d.t.CL)
 	}
-	return ready
+	return max(ready, d.busBusyUntil-d.t.CWL, d.readDataEnd+d.t.TRTW-d.t.CWL)
 }
 
-// PrechargeReadyAt returns a conservative lower bound on the earliest
-// cycle an explicit PRECHARGE to the bank could be legal (tRAS/tWR/tRTP
-// floors). Same contract as ActivateReadyAt.
-func (d *Device) PrechargeReadyAt(bankIdx int, now int64) int64 {
-	return d.RowPrechargeReadyAt(bankIdx, -1, now)
-}
-
-// RowPrechargeReadyAt is PrechargeReadyAt for a specific row's buffer; a
-// negative row selects the bank-level buffer (outside salp mode).
+// RowPrechargeReadyAt returns a conservative lower bound on the earliest
+// cycle an explicit PRECHARGE of the row's buffer could be legal
+// (tRAS/tWR/tRTP floors). Same contract as RowActivateReadyAt.
 func (d *Device) RowPrechargeReadyAt(bankIdx, row int, now int64) int64 {
 	d.advance(now)
-	b := &d.banks[bankIdx]
-	if d.salp() && row >= 0 {
-		b = d.subOf(bankIdx, row)
-	}
-	if b.preAllowedAt > now {
-		return b.preAllowedAt
-	}
-	return now
+	return max(now, d.buf(bankIdx, row).preAllowedAt)
 }
 
-// checkBL validates the burst length of a column command against the
-// device mode.
-func (d *Device) checkBL(bl int) error {
+// refusal names the legality rule that refuses a command. checkIssue
+// returns one so the hot CanIssue path allocates nothing; Issue's cold
+// path turns it into the descriptive error.
+type refusal uint8
+
+const (
+	refNone refusal = iota
+	refBusBusy
+	refBankRange
+	refActState
+	refActNotReady
+	refActTRC
+	refActTRRD
+	refActTFAW
+	refBurstLength
+	refCASRow
+	refCASState
+	refCASAutoPre
+	refCASTRCD
+	refCASTCCD
+	refCASSlowFault
+	refReadTWTR
+	refReadBus
+	refWriteBus
+	refWriteTRTW
+	refPreState
+	refPreAutoPre
+	refPreEarly
+	refRefreshBusy
+	refRefreshAutoPre
+	refUnknownKind
+)
+
+// blLegal reports whether the device mode accepts the burst length.
+func (d *Device) blLegal(bl int) bool {
 	if d.t.OTF {
-		if bl != 4 && bl != 8 {
-			return fmt.Errorf("dram: OTF device accepts BL 4 or 8, got %d", bl)
-		}
-		return nil
+		return bl == 4 || bl == 8
 	}
-	if bl != d.t.DeviceBL {
-		return fmt.Errorf("dram: device is in BL%d mode, got BL%d", d.t.DeviceBL, bl)
-	}
-	return nil
+	return bl == d.t.DeviceBL
 }
 
-// refuse is a sentinel-style helper building legality errors.
-func refuse(format string, args ...any) error { return fmt.Errorf("dram: "+format, args...) }
-
-// errRefused is the allocation-free sentinel the CanIssue fast path
-// returns: controllers probe legality millions of times per run and only
-// care about the boolean, so the descriptive fmt.Errorf message is built
-// exclusively on the (cold) Issue failure path via explain.
-var errRefused = fmt.Errorf("dram: command refused")
-
-// checkIssue reports why cmd cannot be issued at now, or nil if it can.
-// It does not mutate timing state beyond advancing auto-precharges. With
-// explain false, every refusal returns the shared errRefused sentinel
-// instead of formatting a message — the hot path allocates nothing.
-func (d *Device) checkIssue(cmd Command, now int64, explain bool) error {
+// checkIssue reports which rule refuses cmd at now (refNone if it is
+// legal) and the bank the verdict is about — cmd.Bank, or the first
+// non-idle bank for a refused REFRESH. It does not mutate timing state
+// beyond advancing auto-precharges.
+func (d *Device) checkIssue(cmd Command, now int64) (refusal, int) {
 	d.advance(now)
 	if now == d.lastCmdCycle {
-		if !explain {
-			return errRefused
-		}
-		return refuse("command bus busy at cycle %d", now)
+		return refBusBusy, cmd.Bank
 	}
 	if cmd.Bank < 0 || (cmd.Kind != CmdRefresh && cmd.Bank >= d.t.Banks) {
-		if !explain {
-			return errRefused
-		}
-		return refuse("bank %d out of range", cmd.Bank)
+		return refBankRange, cmd.Bank
 	}
+	why := refNone
 	switch cmd.Kind {
 	case CmdActivate:
-		b := &d.banks[cmd.Bank]
-		if d.salp() {
-			// MASA-lite: the ACT needs only its own subarray idle; sibling
-			// subarrays of the bank may stay open (activation overlap).
-			b = d.subOf(cmd.Bank, cmd.Row)
-		}
+		// The ACT needs only the row's own buffer idle; sibling subarrays
+		// of the bank may stay open (MASA-lite activation overlap).
+		b := d.buf(cmd.Bank, cmd.Row)
 		switch {
 		case b.state != BankIdle:
-			if !explain {
-				return errRefused
-			}
-			return refuse("ACT to %s bank %d", b.state, cmd.Bank)
+			why = refActState
 		case now < b.readyAt:
-			if !explain {
-				return errRefused
-			}
-			return refuse("ACT before precharge/refresh completion of bank %d (ready at %d)", cmd.Bank, b.readyAt)
+			why = refActNotReady
 		case now < b.actTime+d.t.TRC:
-			if !explain {
-				return errRefused
-			}
-			return refuse("ACT violates tRC on bank %d", cmd.Bank)
+			why = refActTRC
 		case now < d.lastActAny+d.rrdFor(cmd.Bank):
-			if !explain {
-				return errRefused
-			}
-			return refuse("ACT violates tRRD")
+			why = refActTRRD
 		case d.t.TFAW > 0 && now < d.actTimes[0]+d.t.TFAW && d.fault != FaultSkipTFAW:
-			if !explain {
-				return errRefused
-			}
-			return refuse("ACT violates tFAW (four-activate window)")
+			why = refActTFAW
 		}
 	case CmdRead, CmdWrite:
-		if err := d.checkBL(cmd.BL); err != nil {
-			return err
-		}
-		b := &d.banks[cmd.Bank]
-		if d.salp() {
-			b = d.subOf(cmd.Bank, cmd.Row)
-			if b.state == BankActive && b.openRow != cmd.Row {
-				if !explain {
-					return errRefused
-				}
-				return refuse("%s to bank %d row %d but subarray holds row %d", cmd.Kind, cmd.Bank, cmd.Row, b.openRow)
-			}
-		}
+		b := d.buf(cmd.Bank, cmd.Row)
 		switch {
+		case !d.blLegal(cmd.BL):
+			why = refBurstLength
+		case b.state == BankActive && b.openRow != cmd.Row:
+			why = refCASRow
 		case b.state != BankActive:
-			if !explain {
-				return errRefused
-			}
-			return refuse("%s to %s bank %d", cmd.Kind, b.state, cmd.Bank)
+			why = refCASState
 		case b.apPending:
-			if !explain {
-				return errRefused
-			}
-			return refuse("%s to bank %d with pending auto-precharge", cmd.Kind, cmd.Bank)
+			why = refCASAutoPre
 		case now < b.casAllowedAt && d.fault != FaultSkipTRCD:
-			if !explain {
-				return errRefused
-			}
-			return refuse("%s violates tRCD on bank %d", cmd.Kind, cmd.Bank)
+			why = refCASTRCD
 		case now < d.lastCAS+d.ccdFor(cmd.Bank):
-			if !explain {
-				return errRefused
-			}
-			return refuse("%s violates tCCD", cmd.Kind)
+			why = refCASTCCD
 		case d.fault == FaultSlowCAS && now < d.lastCAS+SlowCASGap:
-			if !explain {
-				return errRefused
-			}
-			return refuse("%s delayed by injected slow-CAS fault", cmd.Kind)
-		}
-		if cmd.Kind == CmdRead {
-			switch {
-			case now < d.writeDataEnd+d.t.TWTR:
-				if !explain {
-					return errRefused
-				}
-				return refuse("RD violates tWTR")
-			case now+d.t.CL < d.busBusyUntil:
-				if !explain {
-					return errRefused
-				}
-				return refuse("RD data would collide on the bus")
-			}
-		} else {
-			start := now + d.t.CWL
-			switch {
-			case start < d.busBusyUntil:
-				if !explain {
-					return errRefused
-				}
-				return refuse("WR data would collide on the bus")
-			case start < d.readDataEnd+d.t.TRTW:
-				if !explain {
-					return errRefused
-				}
-				return refuse("WR violates read-to-write turnaround")
-			}
+			why = refCASSlowFault
+		case cmd.Kind == CmdRead && now < d.writeDataEnd+d.t.TWTR:
+			why = refReadTWTR
+		case cmd.Kind == CmdRead && now+d.t.CL < d.busBusyUntil:
+			why = refReadBus
+		case cmd.Kind == CmdWrite && now+d.t.CWL < d.busBusyUntil:
+			why = refWriteBus
+		case cmd.Kind == CmdWrite && now+d.t.CWL < d.readDataEnd+d.t.TRTW:
+			why = refWriteTRTW
 		}
 	case CmdPrecharge:
-		b := &d.banks[cmd.Bank]
-		if d.salp() {
-			// The Row field selects the subarray to close.
-			b = d.subOf(cmd.Bank, cmd.Row)
-		}
+		// The Row field selects the buffer to close.
+		b := d.buf(cmd.Bank, cmd.Row)
 		switch {
 		case b.state != BankActive:
-			if !explain {
-				return errRefused
-			}
-			return refuse("PRE to %s bank %d", b.state, cmd.Bank)
+			why = refPreState
 		case b.apPending:
-			if !explain {
-				return errRefused
-			}
-			return refuse("PRE to bank %d with pending auto-precharge", cmd.Bank)
+			why = refPreAutoPre
 		case now < b.preAllowedAt:
-			if !explain {
-				return errRefused
-			}
-			return refuse("PRE violates tRAS/tWR/tRTP on bank %d (allowed at %d)", cmd.Bank, b.preAllowedAt)
+			why = refPreEarly
 		}
 	case CmdRefresh:
-		buffers := d.banks
-		if d.salp() {
-			buffers = d.subs
-		}
-		for i := range buffers {
-			b := &buffers[i]
-			idx := i
-			if d.salp() {
-				idx = i / d.t.Subarrays
-			}
+		for i := range d.bufs {
+			b := &d.bufs[i]
 			if b.state != BankIdle || now < b.readyAt {
-				if !explain {
-					return errRefused
-				}
-				return refuse("REF with bank %d not idle", idx)
+				return refRefreshBusy, i / d.bufsPerBank
 			}
 			if b.apPending {
-				if !explain {
-					return errRefused
-				}
-				return refuse("REF with pending auto-precharge on bank %d", idx)
+				return refRefreshAutoPre, i / d.bufsPerBank
 			}
 		}
 	default:
-		if !explain {
-			return errRefused
-		}
-		return refuse("unknown command kind %d", cmd.Kind)
+		why = refUnknownKind
 	}
-	return nil
+	return why, cmd.Bank
+}
+
+// refusalErr formats the error for a refusal checkIssue returned.
+func (d *Device) refusalErr(why refusal, bankIdx int, cmd Command) error {
+	msg := ""
+	switch why {
+	case refBusBusy:
+		msg = fmt.Sprintf("command bus busy at cycle %d", d.now)
+	case refBankRange:
+		msg = fmt.Sprintf("bank %d out of range", bankIdx)
+	case refActState, refCASState, refPreState:
+		msg = fmt.Sprintf("%s to %s bank %d", cmd.Kind, d.buf(bankIdx, cmd.Row).state, bankIdx)
+	case refActNotReady:
+		msg = fmt.Sprintf("ACT before precharge/refresh completion of bank %d (ready at %d)", bankIdx, d.buf(bankIdx, cmd.Row).readyAt)
+	case refActTRC:
+		msg = fmt.Sprintf("ACT violates tRC on bank %d", bankIdx)
+	case refActTRRD:
+		msg = "ACT violates tRRD"
+	case refActTFAW:
+		msg = "ACT violates tFAW (four-activate window)"
+	case refBurstLength:
+		if d.t.OTF {
+			msg = fmt.Sprintf("OTF device accepts BL 4 or 8, got %d", cmd.BL)
+		} else {
+			msg = fmt.Sprintf("device is in BL%d mode, got BL%d", d.t.DeviceBL, cmd.BL)
+		}
+	case refCASRow:
+		msg = fmt.Sprintf("%s to bank %d row %d but its row buffer holds row %d", cmd.Kind, bankIdx, cmd.Row, d.buf(bankIdx, cmd.Row).openRow)
+	case refCASAutoPre, refPreAutoPre:
+		msg = fmt.Sprintf("%s to bank %d with pending auto-precharge", cmd.Kind, bankIdx)
+	case refCASTRCD:
+		msg = fmt.Sprintf("%s violates tRCD on bank %d", cmd.Kind, bankIdx)
+	case refCASTCCD:
+		msg = fmt.Sprintf("%s violates tCCD", cmd.Kind)
+	case refCASSlowFault:
+		msg = fmt.Sprintf("%s delayed by injected slow-CAS fault", cmd.Kind)
+	case refReadTWTR:
+		msg = "RD violates tWTR"
+	case refReadBus, refWriteBus:
+		msg = fmt.Sprintf("%s data would collide on the bus", cmd.Kind)
+	case refWriteTRTW:
+		msg = "WR violates read-to-write turnaround"
+	case refPreEarly:
+		msg = fmt.Sprintf("PRE violates tRAS/tWR/tRTP on bank %d (allowed at %d)", bankIdx, d.buf(bankIdx, cmd.Row).preAllowedAt)
+	case refRefreshBusy:
+		msg = fmt.Sprintf("REF with bank %d not idle", bankIdx)
+	case refRefreshAutoPre:
+		msg = fmt.Sprintf("REF with pending auto-precharge on bank %d", bankIdx)
+	default:
+		msg = fmt.Sprintf("unknown command kind %d", cmd.Kind)
+	}
+	return fmt.Errorf("dram: %s", msg)
 }
 
 // CanIssue reports whether cmd is legal at cycle now.
 func (d *Device) CanIssue(cmd Command, now int64) bool {
-	return d.checkIssue(cmd, now, false) == nil
+	why, _ := d.checkIssue(cmd, now)
+	return why == refNone
 }
 
 // Issue presents cmd on the command bus at cycle now. For column commands
@@ -721,108 +533,71 @@ func (d *Device) CanIssue(cmd Command, now int64) bool {
 // changes no state) if the command violates any timing constraint — the
 // device doubles as a protocol checker for the whole stack's tests.
 func (d *Device) Issue(cmd Command, now int64) (DataWindow, error) {
-	if d.checkIssue(cmd, now, false) != nil {
-		// Cold path: re-run with explain to build the descriptive error.
-		return DataWindow{}, d.checkIssue(cmd, now, true)
+	if why, bankIdx := d.checkIssue(cmd, now); why != refNone {
+		return DataWindow{}, d.refusalErr(why, bankIdx, cmd)
 	}
 	d.lastCmdCycle = now
-	defer func() {
-		if d.Observer != nil {
-			d.Observer(now, cmd, d.lastWindow)
-		}
-		d.lastWindow = DataWindow{}
-	}()
+	var w DataWindow
 	switch cmd.Kind {
 	case CmdActivate:
-		b := &d.banks[cmd.Bank]
-		if d.salp() {
-			b = d.subOf(cmd.Bank, cmd.Row)
-		}
+		b := d.buf(cmd.Bank, cmd.Row)
 		b.state = BankActive
 		b.openRow = cmd.Row
 		b.actTime = now
 		b.casAllowedAt = now + d.t.TRCD
 		b.preAllowedAt = now + d.t.TRAS
+		b.casSinceAct = false
 		d.lastActAny = now
 		d.lastActBank = cmd.Bank
 		copy(d.actTimes[:], d.actTimes[1:])
 		d.actTimes[3] = now
-		b.casSinceAct = false
 		d.stats.Activates++
 		d.perBank[cmd.Bank].Activates++
-	case CmdRead:
-		b := &d.banks[cmd.Bank]
-		if d.salp() {
-			b = d.subOf(cmd.Bank, cmd.Row)
+	case CmdRead, CmdWrite:
+		b := d.buf(cmd.Bank, cmd.Row)
+		burst := BurstCycles(cmd.BL)
+		var pre int64 // earliest precharge this access allows
+		if cmd.Kind == CmdRead {
+			w = DataWindow{Start: now + d.t.CL, End: now + d.t.CL + burst}
+			d.readDataEnd = w.End
+			d.stats.Reads++
+			d.perBank[cmd.Bank].Reads++
+			pre = now + d.t.TRTP + burst
+		} else {
+			w = DataWindow{Start: now + d.t.CWL, End: now + d.t.CWL + burst}
+			d.writeDataEnd = w.End
+			d.stats.Writes++
+			d.perBank[cmd.Bank].Writes++
+			pre = w.End + d.t.TWR
 		}
-		w := DataWindow{Start: now + d.t.CL, End: now + d.t.CL + BurstCycles(cmd.BL)}
 		d.lastCAS = now
 		d.lastCASBank = cmd.Bank
 		d.busBusyUntil = w.End
-		d.readDataEnd = w.End
-		d.stats.Reads++
-		d.perBank[cmd.Bank].Reads++
 		if b.casSinceAct {
 			d.perBank[cmd.Bank].RowHits++
 		}
 		b.casSinceAct = true
 		d.stats.DataCycles += w.Cycles()
 		d.stats.BurstsBL += int64(cmd.BL)
-		d.lastWindow = w
-		pre := now + d.t.TRTP + BurstCycles(cmd.BL)
-		if pre > b.preAllowedAt {
-			b.preAllowedAt = pre
-		}
+		b.preAllowedAt = max(b.preAllowedAt, pre)
 		if cmd.AutoPrecharge {
 			b.apPending = true
 			b.apStartAt = b.preAllowedAt
 		}
-		return w, nil
-	case CmdWrite:
-		b := &d.banks[cmd.Bank]
-		if d.salp() {
-			b = d.subOf(cmd.Bank, cmd.Row)
-		}
-		w := DataWindow{Start: now + d.t.CWL, End: now + d.t.CWL + BurstCycles(cmd.BL)}
-		d.lastCAS = now
-		d.lastCASBank = cmd.Bank
-		d.busBusyUntil = w.End
-		d.writeDataEnd = w.End
-		d.stats.Writes++
-		d.perBank[cmd.Bank].Writes++
-		if b.casSinceAct {
-			d.perBank[cmd.Bank].RowHits++
-		}
-		b.casSinceAct = true
-		d.stats.DataCycles += w.Cycles()
-		d.stats.BurstsBL += int64(cmd.BL)
-		d.lastWindow = w
-		pre := w.End + d.t.TWR
-		if pre > b.preAllowedAt {
-			b.preAllowedAt = pre
-		}
-		if cmd.AutoPrecharge {
-			b.apPending = true
-			b.apStartAt = b.preAllowedAt
-		}
-		return w, nil
 	case CmdPrecharge:
-		b := &d.banks[cmd.Bank]
-		if d.salp() {
-			b = d.subOf(cmd.Bank, cmd.Row)
-		}
+		b := d.buf(cmd.Bank, cmd.Row)
 		b.state = BankPrecharging
 		b.readyAt = now + d.t.TRP
 		d.stats.Precharges++
 		d.perBank[cmd.Bank].Precharges++
 	case CmdRefresh:
-		for i := range d.banks {
-			d.banks[i].readyAt = now + d.t.TRFC
-		}
-		for i := range d.subs {
-			d.subs[i].readyAt = now + d.t.TRFC
+		for i := range d.bufs {
+			d.bufs[i].readyAt = now + d.t.TRFC
 		}
 		d.stats.Refreshes++
 	}
-	return DataWindow{}, nil
+	if d.Observer != nil {
+		d.Observer(now, cmd, w)
+	}
+	return w, nil
 }

@@ -30,7 +30,7 @@ func TestActivateThenReadRespectsTRCD(t *testing.T) {
 	tm := MustSpeed(DDR2, 333)
 	d := MustNewDevice(tm)
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 0, Row: 7}, 0)
-	rd := Command{Kind: CmdRead, Bank: 0, Col: 0, BL: 8}
+	rd := Command{Kind: CmdRead, Bank: 0, Row: 7, Col: 0, BL: 8}
 	wantRefused(t, d, rd, tm.TRCD-1)
 	w := issueAt(t, d, rd, tm.TRCD)
 	if w.Start != tm.TRCD+tm.CL {
@@ -66,8 +66,8 @@ func TestPrechargeRespectsTRASAndTRP(t *testing.T) {
 	tm := MustSpeed(DDR2, 400)
 	d := MustNewDevice(tm)
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 2, Row: 3}, 0)
-	wantRefused(t, d, Command{Kind: CmdPrecharge, Bank: 2}, tm.TRAS-1)
-	issueAt(t, d, Command{Kind: CmdPrecharge, Bank: 2}, tm.TRAS)
+	wantRefused(t, d, Command{Kind: CmdPrecharge, Bank: 2, Row: 3}, tm.TRAS-1)
+	issueAt(t, d, Command{Kind: CmdPrecharge, Bank: 2, Row: 3}, tm.TRAS)
 	act := Command{Kind: CmdActivate, Bank: 2, Row: 9}
 	wantRefused(t, d, act, tm.TRAS+tm.TRP-1)
 	// tRC may extend past tRAS+tRP.
@@ -82,49 +82,49 @@ func TestWriteRecoveryDelaysPrecharge(t *testing.T) {
 	tm := MustSpeed(DDR3, 800)
 	d := MustNewDevice(tm)
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 0, Row: 1}, 0)
-	w := issueAt(t, d, Command{Kind: CmdWrite, Bank: 0, BL: 8}, tm.TRCD)
+	w := issueAt(t, d, Command{Kind: CmdWrite, Bank: 0, Row: 1, BL: 8}, tm.TRCD)
 	preOK := w.End + tm.TWR
-	wantRefused(t, d, Command{Kind: CmdPrecharge, Bank: 0}, preOK-1)
-	issueAt(t, d, Command{Kind: CmdPrecharge, Bank: 0}, preOK)
+	wantRefused(t, d, Command{Kind: CmdPrecharge, Bank: 0, Row: 1}, preOK-1)
+	issueAt(t, d, Command{Kind: CmdPrecharge, Bank: 0, Row: 1}, preOK)
 }
 
 func TestTCCDBetweenColumnCommands(t *testing.T) {
 	tm := MustSpeed(DDR3, 667) // tCCD = 4
 	d := MustNewDevice(tm)
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 0, Row: 1}, 0)
-	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, BL: 8}, tm.TRCD)
-	wantRefused(t, d, Command{Kind: CmdRead, Bank: 0, BL: 8}, tm.TRCD+tm.TCCD-1)
-	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, BL: 8}, tm.TRCD+tm.TCCD)
+	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, Row: 1, BL: 8}, tm.TRCD)
+	wantRefused(t, d, Command{Kind: CmdRead, Bank: 0, Row: 1, BL: 8}, tm.TRCD+tm.TCCD-1)
+	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, Row: 1, BL: 8}, tm.TRCD+tm.TCCD)
 }
 
 func TestWriteToReadTurnaround(t *testing.T) {
 	tm := MustSpeed(DDR2, 333)
 	d := MustNewDevice(tm)
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 0, Row: 1}, 0)
-	w := issueAt(t, d, Command{Kind: CmdWrite, Bank: 0, BL: 8}, tm.TRCD)
+	w := issueAt(t, d, Command{Kind: CmdWrite, Bank: 0, Row: 1, BL: 8}, tm.TRCD)
 	rdOK := w.End + tm.TWTR
-	wantRefused(t, d, Command{Kind: CmdRead, Bank: 0, BL: 8}, rdOK-1)
-	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, BL: 8}, rdOK)
+	wantRefused(t, d, Command{Kind: CmdRead, Bank: 0, Row: 1, BL: 8}, rdOK-1)
+	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, Row: 1, BL: 8}, rdOK)
 }
 
 func TestReadToWriteBusTurnaround(t *testing.T) {
 	tm := MustSpeed(DDR2, 400)
 	d := MustNewDevice(tm)
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 0, Row: 1}, 0)
-	w := issueAt(t, d, Command{Kind: CmdRead, Bank: 0, BL: 8}, tm.TRCD)
+	w := issueAt(t, d, Command{Kind: CmdRead, Bank: 0, Row: 1, BL: 8}, tm.TRCD)
 	// Write data may start no earlier than read data end + tRTW.
 	earliest := w.End + tm.TRTW - tm.CWL
-	wantRefused(t, d, Command{Kind: CmdWrite, Bank: 0, BL: 8}, earliest-1)
-	issueAt(t, d, Command{Kind: CmdWrite, Bank: 0, BL: 8}, earliest)
+	wantRefused(t, d, Command{Kind: CmdWrite, Bank: 0, Row: 1, BL: 8}, earliest-1)
+	issueAt(t, d, Command{Kind: CmdWrite, Bank: 0, Row: 1, BL: 8}, earliest)
 }
 
 func TestAutoPrechargeClosesBank(t *testing.T) {
 	tm := MustSpeed(DDR2, 333)
 	d := MustNewDevice(tm)
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 1, Row: 5}, 0)
-	issueAt(t, d, Command{Kind: CmdRead, Bank: 1, BL: 8, AutoPrecharge: true}, tm.TRCD)
+	issueAt(t, d, Command{Kind: CmdRead, Bank: 1, Row: 5, BL: 8, AutoPrecharge: true}, tm.TRCD)
 	// Further CAS to the bank must be refused (AP pending).
-	wantRefused(t, d, Command{Kind: CmdRead, Bank: 1, BL: 8}, tm.TRCD+tm.TCCD)
+	wantRefused(t, d, Command{Kind: CmdRead, Bank: 1, Row: 5, BL: 8}, tm.TRCD+tm.TCCD)
 	// The AP fires at preAllowedAt = max(tRAS after ACT, CAS+tRTP+burst);
 	// after +tRP the bank accepts a new ACTIVATE.
 	apStart := tm.TRCD + tm.TRTP + BurstCycles(8)
@@ -147,7 +147,7 @@ func TestAutoPrechargeAfterWriteUsesWriteRecovery(t *testing.T) {
 	tm := MustSpeed(DDR3, 800)
 	d := MustNewDevice(tm)
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 0, Row: 1}, 0)
-	w := issueAt(t, d, Command{Kind: CmdWrite, Bank: 0, BL: 8, AutoPrecharge: true}, tm.TRCD)
+	w := issueAt(t, d, Command{Kind: CmdWrite, Bank: 0, Row: 1, BL: 8, AutoPrecharge: true}, tm.TRCD)
 	// The paper: tWR+tRP = 23 cycles at 800 MHz to deactivate after write.
 	ready := w.End + tm.TWR + tm.TRP
 	act := Command{Kind: CmdActivate, Bank: 0, Row: 2}
@@ -160,7 +160,7 @@ func TestRefreshRequiresAllBanksIdle(t *testing.T) {
 	d := MustNewDevice(tm)
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 0, Row: 1}, 0)
 	wantRefused(t, d, Command{Kind: CmdRefresh}, tm.TRAS)
-	issueAt(t, d, Command{Kind: CmdPrecharge, Bank: 0}, tm.TRAS)
+	issueAt(t, d, Command{Kind: CmdPrecharge, Bank: 0, Row: 1}, tm.TRAS)
 	ref := tm.TRAS + tm.TRP
 	issueAt(t, d, Command{Kind: CmdRefresh}, ref)
 	act := Command{Kind: CmdActivate, Bank: 0, Row: 1}
@@ -175,25 +175,25 @@ func TestBLModeEnforcement(t *testing.T) {
 	tm := MustSpeed(DDR2, 333).WithDeviceBL(4)
 	d := MustNewDevice(tm)
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 0, Row: 1}, 0)
-	wantRefused(t, d, Command{Kind: CmdRead, Bank: 0, BL: 8}, tm.TRCD)
-	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, BL: 4}, tm.TRCD)
+	wantRefused(t, d, Command{Kind: CmdRead, Bank: 0, Row: 1, BL: 8}, tm.TRCD)
+	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, Row: 1, BL: 4}, tm.TRCD)
 }
 
 func TestOTFAcceptsBL4AndBL8(t *testing.T) {
 	tm := MustSpeed(DDR3, 667)
 	d := MustNewDevice(tm)
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 0, Row: 1}, 0)
-	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, BL: 4}, tm.TRCD)
-	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, BL: 8}, tm.TRCD+tm.TCCD)
-	wantRefused(t, d, Command{Kind: CmdRead, Bank: 0, BL: 2}, tm.TRCD+2*tm.TCCD)
+	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, Row: 1, BL: 4}, tm.TRCD)
+	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, Row: 1, BL: 8}, tm.TRCD+tm.TCCD)
+	wantRefused(t, d, Command{Kind: CmdRead, Bank: 0, Row: 1, BL: 2}, tm.TRCD+2*tm.TCCD)
 }
 
 func TestUtilizationAccounting(t *testing.T) {
 	tm := MustSpeed(DDR1, 200)
 	d := MustNewDevice(tm)
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 0, Row: 1}, 0)
-	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, BL: 8}, tm.TRCD)
-	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, BL: 8}, tm.TRCD+BurstCycles(8))
+	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, Row: 1, BL: 8}, tm.TRCD)
+	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, Row: 1, BL: 8}, tm.TRCD+BurstCycles(8))
 	want := float64(2*BurstCycles(8)) / 100.0
 	if got := d.Utilization(100); got != want {
 		t.Errorf("Utilization = %v, want %v", got, want)
@@ -213,27 +213,35 @@ func TestOpenRowTracking(t *testing.T) {
 	if row, open := d.OpenRow(0, 1); !open || row != 42 {
 		t.Fatalf("OpenRow = (%d,%v), want (42,true)", row, open)
 	}
-	issueAt(t, d, Command{Kind: CmdPrecharge, Bank: 0}, tm.TRAS)
+	issueAt(t, d, Command{Kind: CmdPrecharge, Bank: 0, Row: 42}, tm.TRAS)
 	if _, open := d.OpenRow(0, tm.TRAS+1); open {
 		t.Fatal("bank 0 should be closed after PRE")
 	}
-	if st := d.BankState(0, tm.TRAS+tm.TRP); st != BankIdle {
-		t.Fatalf("BankState = %v, want idle", st)
+	if _, blocked := d.BlockingRow(0, 43, tm.TRAS+tm.TRP); blocked {
+		t.Fatal("precharged row buffer still blocks another row")
 	}
 }
 
-func TestBankReadyAtEstimates(t *testing.T) {
+func TestRowActivateReadyAtEstimates(t *testing.T) {
 	tm := MustSpeed(DDR3, 800)
 	d := MustNewDevice(tm)
-	if got := d.BankReadyAt(0, 5); got != 5 {
-		t.Fatalf("idle BankReadyAt = %d, want now", got)
+	if got := d.RowActivateReadyAt(0, 1, 5); got != 5 {
+		t.Fatalf("idle RowActivateReadyAt = %d, want now", got)
 	}
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 0, Row: 1}, 10)
-	// Active bank: needs PRE at earliest tRAS, then tRP.
-	want := 10 + tm.TRAS + tm.TRP
-	if got := d.BankReadyAt(0, 11); got != want {
-		t.Fatalf("active BankReadyAt = %d, want %d", got, want)
+	// Active buffer: needs PRE at earliest tRAS, then tRP, and tRC.
+	want := 10 + max(tm.TRAS+tm.TRP, tm.TRC)
+	if got := d.RowActivateReadyAt(0, 2, 11); got != want {
+		t.Fatalf("active RowActivateReadyAt = %d, want %d", got, want)
 	}
+	// The hints are conservative bounds on the real gates: the PRE and the
+	// re-ACT are refused one cycle before them and legal at them.
+	pre := d.RowPrechargeReadyAt(0, 2, 11)
+	wantRefused(t, d, Command{Kind: CmdPrecharge, Bank: 0, Row: 2}, pre-1)
+	issueAt(t, d, Command{Kind: CmdPrecharge, Bank: 0, Row: 2}, pre)
+	act := Command{Kind: CmdActivate, Bank: 0, Row: 2}
+	wantRefused(t, d, act, want-1)
+	issueAt(t, d, act, want)
 }
 
 func TestTimeMonotonicPanics(t *testing.T) {
@@ -282,9 +290,9 @@ func TestPropertyGreedySchedulerNeverViolates(t *testing.T) {
 				var cmd Command
 				switch {
 				case isOpen && open == row:
-					cmd = Command{Kind: kind, Bank: b, BL: 8}
+					cmd = Command{Kind: kind, Bank: b, Row: row, BL: 8}
 				case isOpen:
-					cmd = Command{Kind: CmdPrecharge, Bank: b}
+					cmd = Command{Kind: CmdPrecharge, Bank: b, Row: row}
 				default:
 					cmd = Command{Kind: CmdActivate, Bank: b, Row: row}
 				}

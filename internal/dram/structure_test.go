@@ -27,13 +27,13 @@ func TestBankGroupCCDSelectsLongShort(t *testing.T) {
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 1, Row: 1}, tm.TRRDS)
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 4, Row: 1}, tm.TRRDS*2)
 	base := int64(40) // all three banks past tRCD, command bus idle
-	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, Col: 0, BL: 8}, base)
+	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, Row: 1, Col: 0, BL: 8}, base)
 	// Bank 4 shares bank 0's group: tCCD_S is not enough, tCCD_L is.
-	sameGroup := Command{Kind: CmdRead, Bank: 4, Col: 0, BL: 8}
+	sameGroup := Command{Kind: CmdRead, Bank: 4, Row: 1, Col: 0, BL: 8}
 	wantRefused(t, d, sameGroup, base+tm.TCCDS)
 	issueAt(t, d, sameGroup, base+tm.TCCDL)
 	// Bank 1 is in another group than the last CAS (bank 4): tCCD_S works.
-	issueAt(t, d, Command{Kind: CmdRead, Bank: 1, Col: 0, BL: 8}, base+tm.TCCDL+tm.TCCDS)
+	issueAt(t, d, Command{Kind: CmdRead, Bank: 1, Row: 1, Col: 0, BL: 8}, base+tm.TCCDL+tm.TCCDS)
 }
 
 func TestSubarrayActivationOverlap(t *testing.T) {
@@ -91,6 +91,14 @@ func TestSubarrayOffIsClassicBank(t *testing.T) {
 		d := MustNewDevice(MustSpeed(DDR2, 333).WithSubarrays(subs))
 		issueAt(t, d, Command{Kind: CmdActivate, Bank: 0, Row: 0}, 0)
 		wantRefused(t, d, Command{Kind: CmdActivate, Bank: 0, Row: 1}, 10)
+		// The row-addressed rules hold with one buffer too: a column
+		// command must name the row the bank holds, and every row of the
+		// bank is blocked by it.
+		wantRefused(t, d, Command{Kind: CmdRead, Bank: 0, Row: 1, BL: 8}, 10)
+		issueAt(t, d, Command{Kind: CmdRead, Bank: 0, Row: 0, BL: 8}, 10)
+		if open, blocked := d.BlockingRow(0, 5, 11); !blocked || open != 0 {
+			t.Fatalf("subs=%d: BlockingRow(0, 5) = (%d, %t), want (0, true)", subs, open, blocked)
+		}
 	}
 }
 

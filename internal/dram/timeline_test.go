@@ -11,7 +11,7 @@ func TestTimelineRecordsCommands(t *testing.T) {
 	var tl Timeline
 	tl.Attach(d)
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 0, Row: 1}, 0)
-	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, BL: 8}, tm.TRCD)
+	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, Row: 1, BL: 8}, tm.TRCD)
 	if tl.Events() != 2 {
 		t.Fatalf("events = %d, want 2", tl.Events())
 	}
@@ -34,8 +34,8 @@ func TestTimelineRenderFig5Style(t *testing.T) {
 	// the data bus: bank 1's CAS must clear its own tRCD (after the tRRD
 	// spaced ACT), and bank 0's CAS goes tCCD earlier.
 	second := tm.TRRD + tm.TRCD
-	issueAt(t, d, Command{Kind: CmdWrite, Bank: 0, BL: 4, AutoPrecharge: true}, second-tm.TCCD)
-	issueAt(t, d, Command{Kind: CmdWrite, Bank: 1, BL: 4, AutoPrecharge: true}, second)
+	issueAt(t, d, Command{Kind: CmdWrite, Bank: 0, Row: 1, BL: 4, AutoPrecharge: true}, second-tm.TCCD)
+	issueAt(t, d, Command{Kind: CmdWrite, Bank: 1, Row: 2, BL: 4, AutoPrecharge: true}, second)
 	out := tl.Render(0, 24)
 	// Lanes exist.
 	for _, lane := range []string{"cycle", "cmd", "data", "bank 0", "bank 1"} {

@@ -122,14 +122,15 @@ func (t *Timing) GroupOf(bank int) int {
 	return bank % t.BankGroups
 }
 
-// SubarrayOf returns the subarray index a row maps to (0 when subarrays
-// are disabled).
-func (t *Timing) SubarrayOf(row int) int {
-	if t.Subarrays <= 1 {
-		return 0
-	}
-	return row % t.Subarrays
-}
+// RowBuffers returns the row buffers each bank holds: Subarrays, with the
+// 0 that means "classic device" normalised to 1. Every layer that indexes
+// per-buffer state (device, controller, monitor, structure map) sizes it
+// from here.
+func (t *Timing) RowBuffers() int { return max(t.Subarrays, 1) }
+
+// SubarrayOf returns the subarray (row buffer) index a row maps to — 0
+// on the classic one-buffer bank.
+func (t *Timing) SubarrayOf(row int) int { return row % t.RowBuffers() }
 
 // Validate reports whether the timing set is internally consistent.
 func (t *Timing) Validate() error {

@@ -78,10 +78,6 @@ func NewStructMap(cm ChannelMap, t dram.Timing, scheme Interleave, rows, rowByte
 	if groups < 1 {
 		groups = 1
 	}
-	subs := t.Subarrays
-	if subs < 1 {
-		subs = 1
-	}
 	switch {
 	case cm.BanksPerChannel != t.Banks:
 		return StructMap{}, fmt.Errorf("mapping: channel map carries %d banks/channel but the device has %d", cm.BanksPerChannel, t.Banks)
@@ -93,7 +89,7 @@ func NewStructMap(cm ChannelMap, t dram.Timing, scheme Interleave, rows, rowByte
 		return StructMap{}, fmt.Errorf("mapping: rowBytes %d not a power of two", rowBytes)
 	}
 	return StructMap{
-		Channels: cm, Groups: groups, Subarrays: subs,
+		Channels: cm, Groups: groups, Subarrays: t.RowBuffers(),
 		Rows: rows, RowBytes: rowBytes, Scheme: scheme,
 	}, nil
 }

@@ -88,14 +88,6 @@ type engine struct {
 	// controller keeps strict arrival order.
 	ooo bool
 
-	// salp marks a subarray-parallel device (Timing.Subarrays > 1): bank
-	// hazards narrow to the owning subarray, CAS/PRE commands carry the
-	// row so the device can select its buffer, and the ready-at hints use
-	// the Row-resolved variants. With one buffer per bank every salp
-	// branch below degenerates to the classic path.
-	salp bool
-	subs int // row buffers per bank (>= 1)
-
 	inflight []*reqState
 	draining []*reqState // all CAS issued; awaiting data-window end
 	lastKind noc.Kind    // direction of the most recent column command
@@ -117,17 +109,11 @@ type engine struct {
 
 func newEngine(dev *dram.Device, policy PagePolicy, depth int, onDone func(Completion)) *engine {
 	t := dev.Timing()
-	subs := t.Subarrays
-	if subs < 1 {
-		subs = 1
-	}
 	return &engine{
 		dev:          dev,
 		t:            t,
 		policy:       policy,
 		depth:        depth,
-		salp:         subs > 1,
-		subs:         subs,
 		refreshEvery: t.TREFI,
 		nextRefresh:  t.TREFI,
 		onDone:       onDone,
@@ -254,14 +240,11 @@ func (e *engine) maybeRefresh(now int64) bool {
 		e.refreshIssueBlocked(now)
 		return true
 	}
-	// Precharge any open bank, one per cycle (in salp mode OpenRow walks
-	// the subarrays lowest-first, so open siblings close one at a time).
+	// Precharge any open row buffer, one per cycle (OpenRow walks a bank's
+	// buffers lowest-first, so open subarray siblings close one at a time).
 	for b := 0; b < e.t.Banks; b++ {
 		if row, open := e.dev.OpenRow(b, now); open {
-			cmd := dram.Command{Kind: dram.CmdPrecharge, Bank: b}
-			if e.salp {
-				cmd.Row = row
-			}
+			cmd := dram.Command{Kind: dram.CmdPrecharge, Bank: b, Row: row}
 			if e.dev.CanIssue(cmd, now) {
 				e.mustIssue(cmd, now)
 			}
@@ -302,7 +285,7 @@ func (e *engine) tryCAS(now int64) bool {
 			if pass == 0 && r.pkt.Kind != e.lastKind {
 				continue
 			}
-			if e.olderSameBank(i) {
+			if e.olderSameBuffer(i) {
 				continue
 			}
 			if e.issueCASFor(r, i, now) {
@@ -313,20 +296,24 @@ func (e *engine) tryCAS(now int64) bool {
 	return false
 }
 
-// olderSameBank reports whether an older inflight request targets the
-// same bank as inflight[i] (reordering across it would break the page
-// ownership order). In salp mode ownership is per row buffer, so older
-// requests bound for sibling subarrays of the same bank do not block.
-func (e *engine) olderSameBank(i int) bool {
-	r := e.inflight[i]
+// sameBuffer reports whether two requests need the same row buffer: the
+// same bank and rows mapping to the same subarray. Page ownership is per
+// row buffer, so this is the contention test behind every order hazard;
+// on the classic device it is true of every same-bank pair.
+func (e *engine) sameBuffer(a, b *reqState) bool {
+	return a.pkt.Addr.Bank == b.pkt.Addr.Bank &&
+		e.t.SubarrayOf(a.pkt.Addr.Row) == e.t.SubarrayOf(b.pkt.Addr.Row)
+}
+
+// olderSameBuffer reports whether an older inflight request needs the
+// same row buffer as inflight[i] (reordering across it would break the
+// page ownership order). Older requests bound for sibling subarrays of
+// the bank do not block.
+func (e *engine) olderSameBuffer(i int) bool {
 	for _, o := range e.inflight[:i] {
-		if o.pkt.Addr.Bank != r.pkt.Addr.Bank {
-			continue
+		if e.sameBuffer(o, e.inflight[i]) {
+			return true
 		}
-		if e.salp && o.pkt.Addr.Row%e.subs != r.pkt.Addr.Row%e.subs {
-			continue
-		}
-		return true
 	}
 	return false
 }
@@ -334,11 +321,7 @@ func (e *engine) olderSameBank(i int) bool {
 // issueCASFor issues the next column command of inflight[i] if its row is
 // open and the command is legal, retiring the request on its last burst.
 func (e *engine) issueCASFor(r *reqState, i int, now int64) bool {
-	if e.salp {
-		if !e.dev.RowOpen(r.pkt.Addr.Bank, r.pkt.Addr.Row, now) {
-			return false
-		}
-	} else if row, open := e.dev.OpenRow(r.pkt.Addr.Bank, now); !open || row != r.pkt.Addr.Row {
+	if !e.dev.RowOpen(r.pkt.Addr.Bank, r.pkt.Addr.Row, now) {
 		return false
 	}
 	remaining := r.pkt.Beats - r.beatsDone
@@ -349,11 +332,8 @@ func (e *engine) issueCASFor(r *reqState, i int, now int64) bool {
 		kind = dram.CmdWrite
 	}
 	cmd := dram.Command{
-		Kind: kind, Bank: r.pkt.Addr.Bank, Col: r.pkt.Addr.Col + r.beatsDone,
+		Kind: kind, Bank: r.pkt.Addr.Bank, Row: r.pkt.Addr.Row, Col: r.pkt.Addr.Col + r.beatsDone,
 		BL: bl, AutoPrecharge: e.useAP(r, last),
-	}
-	if e.salp {
-		cmd.Row = r.pkt.Addr.Row
 	}
 	if !e.dev.CanIssue(cmd, now) {
 		return false
@@ -373,21 +353,16 @@ func (e *engine) issueCASFor(r *reqState, i int, now int64) bool {
 	return true
 }
 
-// actTarget finds the first request, in order, whose bank is closed and
-// that no older un-CAS'd request contends with (order hazard: an older
-// request to the same bank must own the row first).
+// actTarget finds the first request, in order, whose row buffer is closed
+// and that no older un-CAS'd request contends with (order hazard: an
+// older request to the same buffer must own the row first). An open hit
+// is the CAS buffer's job, a conflicting occupant the PRE buffer's.
 func (e *engine) actTarget(now int64) *reqState {
 	for i, r := range e.inflight {
-		if e.salp {
-			// ACT only when the row's own subarray is free: an open hit is
-			// the CAS buffer's job, a conflicting occupant the PRE buffer's.
-			if e.dev.RowOpen(r.pkt.Addr.Bank, r.pkt.Addr.Row, now) {
-				continue
-			}
-			if _, blocked := e.dev.BlockingRow(r.pkt.Addr.Bank, r.pkt.Addr.Row, now); blocked {
-				continue
-			}
-		} else if _, open := e.dev.OpenRow(r.pkt.Addr.Bank, now); open {
+		if e.dev.RowOpen(r.pkt.Addr.Bank, r.pkt.Addr.Row, now) {
+			continue
+		}
+		if _, blocked := e.dev.BlockingRow(r.pkt.Addr.Bank, r.pkt.Addr.Row, now); blocked {
 			continue
 		}
 		if e.olderHazard(i) {
@@ -398,17 +373,13 @@ func (e *engine) actTarget(now int64) *reqState {
 	return nil
 }
 
-// olderHazard reports whether any older inflight request uses the same
-// bank as inflight[i] with a different row. In salp mode only rows
-// sharing a subarray contend for the row buffer, so different rows in
+// olderHazard reports whether any older inflight request needs the same
+// row buffer as inflight[i] for a different row. Different rows in
 // sibling subarrays coexist without a hazard.
 func (e *engine) olderHazard(i int) bool {
 	r := e.inflight[i]
 	for _, o := range e.inflight[:i] {
-		if o.pkt.Addr.Bank == r.pkt.Addr.Bank && o.pkt.Addr.Row != r.pkt.Addr.Row {
-			if e.salp && o.pkt.Addr.Row%e.subs != r.pkt.Addr.Row%e.subs {
-				continue
-			}
+		if o.pkt.Addr.Row != r.pkt.Addr.Row && e.sameBuffer(o, r) {
 			return true
 		}
 	}
@@ -429,24 +400,18 @@ func (e *engine) tryACT(now int64) bool {
 	return true
 }
 
-// tryPRE serves the PRE buffer: close a bank whose open row mismatches the
-// first request that needs it (bank conflict), respecting order hazards.
+// tryPRE serves the PRE buffer: close a row buffer whose open row
+// mismatches the first request that needs it (row conflict), respecting
+// order hazards.
 func (e *engine) tryPRE(now int64) bool {
 	for i, r := range e.inflight {
-		if e.salp {
-			if _, blocked := e.dev.BlockingRow(r.pkt.Addr.Bank, r.pkt.Addr.Row, now); !blocked {
-				continue
-			}
-		} else if row, open := e.dev.OpenRow(r.pkt.Addr.Bank, now); !open || row == r.pkt.Addr.Row {
+		if _, blocked := e.dev.BlockingRow(r.pkt.Addr.Bank, r.pkt.Addr.Row, now); !blocked {
 			continue
 		}
 		if e.olderHazard(i) {
 			continue
 		}
-		cmd := dram.Command{Kind: dram.CmdPrecharge, Bank: r.pkt.Addr.Bank}
-		if e.salp {
-			cmd.Row = r.pkt.Addr.Row
-		}
+		cmd := dram.Command{Kind: dram.CmdPrecharge, Bank: r.pkt.Addr.Bank, Row: r.pkt.Addr.Row}
 		if e.dev.CanIssue(cmd, now) {
 			e.mustIssue(cmd, now)
 			return true
@@ -479,13 +444,13 @@ func (e *engine) busy() bool { return len(e.inflight) > 0 || len(e.draining) > 0
 //
 // The per-request bounds are sound because, while the engine sleeps, no
 // command is issued, so the device state a bound was computed from can
-// only change by an auto-precharge firing — and a bank with a pending
-// auto-precharge is bounded through ActivateReadyAt, which accounts for
-// it. Bounds may be early (the request might still be blocked by an
-// order hazard or lose the single command slot), never late: waking
-// early is a harmless no-op tick, identical byte-for-byte to the
-// always-ticking schedule. An idle, refresh-free engine sleeps until
-// the next admission wakes it.
+// only change by an auto-precharge firing — and a row buffer with a
+// pending auto-precharge is bounded through RowActivateReadyAt, which
+// accounts for it. Bounds may be early (the request might still be
+// blocked by an order hazard or lose the single command slot), never
+// late: waking early is a harmless no-op tick, identical byte-for-byte
+// to the always-ticking schedule. An idle, refresh-free engine sleeps
+// until the next admission wakes it.
 func (e *engine) nextEvent(now int64) int64 {
 	if e.refreshing {
 		return now + 1
@@ -511,47 +476,27 @@ func (e *engine) nextEvent(now int64) int64 {
 }
 
 // reqReadyAt bounds the earliest cycle an inflight request's next
-// command could issue, from the device's conservative timing hints.
+// command could issue, from the device's conservative timing hints. It
+// judges the row's own buffer: a sibling subarray's open row neither
+// serves nor blocks the request.
 func (e *engine) reqReadyAt(r *reqState, now int64) int64 {
-	bank := r.pkt.Addr.Bank
-	if e.salp {
-		// Judge readiness against the row's own subarray, not the bank
-		// aggregate — a sibling's open row neither serves nor blocks us.
-		want := r.pkt.Addr.Row
-		switch {
-		case e.dev.RowOpen(bank, want, now):
-			if e.dev.RowAutoPrechargePending(bank, want, now) {
-				return e.dev.RowActivateReadyAt(bank, want, now)
-			}
-			kind := dram.CmdRead
-			if r.pkt.Kind == noc.Write {
-				kind = dram.CmdWrite
-			}
-			return e.dev.RowColumnReadyAt(bank, want, kind, now)
-		default:
-			if _, blocked := e.dev.BlockingRow(bank, want, now); blocked {
-				return e.dev.RowPrechargeReadyAt(bank, want, now)
-			}
-			return e.dev.RowActivateReadyAt(bank, want, now)
-		}
-	}
-	row, open := e.dev.OpenRow(bank, now)
+	bank, row := r.pkt.Addr.Bank, r.pkt.Addr.Row
 	switch {
-	case open && e.dev.AutoPrechargePending(bank, now):
-		// The row will close on its own; the next step is a re-activate.
-		return e.dev.ActivateReadyAt(bank, now)
-	case open && row == r.pkt.Addr.Row:
+	case e.dev.RowAutoPrechargePending(bank, row, now):
+		// The buffer will close on its own; the next step is a re-activate.
+		return e.dev.RowActivateReadyAt(bank, row, now)
+	case e.dev.RowOpen(bank, row, now):
 		kind := dram.CmdRead
 		if r.pkt.Kind == noc.Write {
 			kind = dram.CmdWrite
 		}
-		return e.dev.ColumnReadyAt(bank, kind, now)
-	case open:
-		// Conflicting row: precharge first.
-		return e.dev.PrechargeReadyAt(bank, now)
-	default:
-		return e.dev.ActivateReadyAt(bank, now)
+		return e.dev.RowColumnReadyAt(bank, row, kind, now)
 	}
+	if _, blocked := e.dev.BlockingRow(bank, row, now); blocked {
+		// Conflicting row: precharge first.
+		return e.dev.RowPrechargeReadyAt(bank, row, now)
+	}
+	return e.dev.RowActivateReadyAt(bank, row, now)
 }
 
 // admitBlocked reports that a refresh is pending and admission should

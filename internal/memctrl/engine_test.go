@@ -147,3 +147,73 @@ func TestClosedPagePolicyAPsEverything(t *testing.T) {
 		t.Fatalf("closed page: ap=%d pre=%d, want 2/0", st.AutoPre, st.Precharges)
 	}
 }
+
+// TestEngineStampsRequestRowOnEveryCommand: the device is row-addressed
+// in every mode, so each ACT/RD/WR/PRE the engine issues must carry the
+// row of the request it serves — on the classic DDR3 bank as on DDR4
+// with four subarray row buffers. Refresh is pushed out of the run so
+// every command belongs to a request.
+func TestEngineStampsRequestRowOnEveryCommand(t *testing.T) {
+	for _, tm := range []dram.Timing{
+		dram.MustSpeed(dram.DDR3, 800),
+		dram.MustSpeed(dram.DDR4, dram.DefaultClock(dram.DDR4)).WithSubarrays(4),
+	} {
+		tm.TREFI = 1 << 40
+		dev := dram.MustNewDevice(tm)
+		// rows[bank] is the set of rows some request addresses in the bank.
+		rows := map[int]map[int]bool{}
+		var pkts []*noc.Packet
+		for i := 0; i < 48; i++ {
+			bank, row := i%3, (i*7)%5 // conflicts, hits and subarray siblings
+			kind := noc.Read
+			if i%4 == 0 {
+				kind = noc.Write
+			}
+			pkts = append(pkts, req(int64(i+1), bank, row, 8*(i%4), kind, 16, i%5 == 0))
+			if rows[bank] == nil {
+				rows[bank] = map[int]bool{}
+			}
+			rows[bank][row] = true
+		}
+		seen := map[dram.CmdKind]int{}
+		open := map[[2]int]bool{} // (bank, row) pairs activated and not yet closed
+		dev.Observer = func(now int64, cmd dram.Command, _ dram.DataWindow) {
+			seen[cmd.Kind]++
+			if !rows[cmd.Bank][cmd.Row] {
+				t.Errorf("%s cycle %d: %s names bank %d row %d, which no request addresses",
+					tm.Generation, now, cmd.Kind, cmd.Bank, cmd.Row)
+			}
+			switch cmd.Kind {
+			case dram.CmdActivate:
+				open[[2]int{cmd.Bank, cmd.Row}] = true
+			case dram.CmdRead, dram.CmdWrite:
+				if !open[[2]int{cmd.Bank, cmd.Row}] {
+					t.Errorf("%s cycle %d: %s to bank %d row %d, which is not the activated row",
+						tm.Generation, now, cmd.Kind, cmd.Bank, cmd.Row)
+				}
+				if cmd.AutoPrecharge {
+					delete(open, [2]int{cmd.Bank, cmd.Row})
+				}
+			case dram.CmdPrecharge:
+				// PRE names the row that needs the buffer; it closes whichever
+				// row shares that buffer.
+				for k := range open {
+					if k[0] == cmd.Bank && k[1]%tm.RowBuffers() == cmd.Row%tm.RowBuffers() {
+						delete(open, k)
+					}
+				}
+			}
+		}
+		var done []Completion
+		s := NewSimple(dev, PartialOpenPage, 8, func(c Completion) { done = append(done, c) })
+		drive(t, s, pkts, &done, 20_000)
+		if len(done) != len(pkts) {
+			t.Fatalf("%s: %d/%d requests completed", tm.Generation, len(done), len(pkts))
+		}
+		for _, k := range []dram.CmdKind{dram.CmdActivate, dram.CmdRead, dram.CmdWrite, dram.CmdPrecharge} {
+			if seen[k] == 0 {
+				t.Errorf("%s: no %s issued; the stream does not cover it (%v)", tm.Generation, k, seen)
+			}
+		}
+	}
+}

@@ -34,13 +34,13 @@ func TestWriteJSONParseRoundTrip(t *testing.T) {
 		{Cycle: 200, Utilization: 0.6, Outstanding: 2, QueueFlits: 4, MemReady: 0},
 	}
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := EncodeJSON(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.HasSuffix(buf.Bytes(), []byte("\n")) {
-		t.Error("WriteJSON output not newline-terminated")
+		t.Error("EncodeJSON output not newline-terminated")
 	}
-	back, err := Parse(buf.Bytes())
+	back, err := DecodeJSON(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestWriteJSONParseRoundTrip(t *testing.T) {
 
 func TestOmitEmptySampling(t *testing.T) {
 	var buf bytes.Buffer
-	if err := valid().WriteJSON(&buf); err != nil {
+	if err := EncodeJSON(&buf, valid()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -78,13 +78,13 @@ func TestImbalanceBalancedSerialized(t *testing.T) {
 		}
 		r.Memory.Imbalance = &imb
 		var buf bytes.Buffer
-		if err := r.WriteJSON(&buf); err != nil {
+		if err := EncodeJSON(&buf, r); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(buf.String(), `"imbalance"`) {
 			t.Errorf("imbalance %v dropped from the multi-channel JSON", imb)
 		}
-		back, err := Parse(buf.Bytes())
+		back, err := DecodeJSON(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,11 +190,11 @@ func TestSchemaVersion(t *testing.T) {
 }
 
 func TestParseRejectsGarbage(t *testing.T) {
-	if _, err := Parse([]byte("{not json")); err == nil {
-		t.Error("Parse accepted malformed JSON")
+	if _, err := DecodeJSON([]byte("{not json")); err == nil {
+		t.Error("DecodeJSON accepted malformed JSON")
 	}
 	// Structurally valid JSON that no finished run could have produced.
-	if _, err := Parse([]byte(`{"design":"GSS","app":"x","cycles":0}`)); err == nil {
-		t.Error("Parse accepted an empty-run report")
+	if _, err := DecodeJSON([]byte(`{"design":"GSS","app":"x","cycles":0}`)); err == nil {
+		t.Error("DecodeJSON accepted an empty-run report")
 	}
 }

@@ -17,9 +17,11 @@ import (
 //
 // A config carrying a trace-capture Writer is not cacheable: capture is
 // a side effect that must happen per run (and the writer is identity,
-// not value). Everything else in system.Config is pure input.
+// not value). Neither is one with an injected device fault: its results
+// are wrong on purpose and must never be persisted or served in place of
+// a clean run's. Everything else in system.Config is pure input.
 func Fingerprint(cfg system.Config) (string, bool) {
-	if cfg.Trace != nil {
+	if cfg.Trace != nil || cfg.Fault != dram.FaultNone {
 		return "", false
 	}
 	c := cfg.Resolved()

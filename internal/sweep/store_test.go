@@ -5,6 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"aanoc/internal/appmodel"
+	"aanoc/internal/dram"
+	"aanoc/internal/memctrl"
 	"aanoc/internal/system"
 	"aanoc/internal/trace"
 )
@@ -161,6 +164,45 @@ func TestUncacheableBypassesStore(t *testing.T) {
 	}
 	if results[0].Fingerprint != "" {
 		t.Errorf("uncacheable point carries fingerprint %q", results[0].Fingerprint)
+	}
+}
+
+// TestFaultedSweepNeverTouchesStore is the store-poisoning regression:
+// an injected device fault changes results, so a faulted point must be
+// neither persisted under a clean config's key nor served from one. Real
+// runs, twice over the same store: the fault has to be live both times
+// (a clean grid fills the store first, so a wrongly shared key would be
+// served as a hit).
+func TestFaultedSweepNeverTouchesStore(t *testing.T) {
+	store := newFakeStore()
+	clean := []system.Config{{
+		App: appmodel.BluRay(), Gen: dram.DDR2, Design: system.Conv,
+		Scheduler: memctrl.SchedDPQ, PriorityDemand: true, Checked: true,
+		Cycles: 20_000,
+	}}
+	if _, st := Run(clean, Options{Store: store}); st.Runs != 1 || len(store.entries) != 1 {
+		t.Fatalf("clean sweep did not populate the store: stats %+v, entries %d", st, len(store.entries))
+	}
+	before := store.touched()
+	faulted := []system.Config{clean[0]}
+	faulted[0].Fault = dram.FaultSlowCAS
+	for pass := 0; pass < 2; pass++ {
+		results, st := Run(faulted, Options{Store: store})
+		if err := FirstErr(results); err != nil {
+			t.Fatal(err)
+		}
+		if st.Runs != 1 || st.StoreHits != 0 || st.CacheHits != 0 {
+			t.Fatalf("pass %d: faulted point not simulated afresh: %+v", pass, st)
+		}
+		if len(results[0].Res.Obs.Violations) == 0 {
+			t.Fatalf("pass %d: the fault was not live (a clean result was served)", pass)
+		}
+		if results[0].Fingerprint != "" || results[0].Stored {
+			t.Fatalf("pass %d: faulted point carries fingerprint %q stored=%t", pass, results[0].Fingerprint, results[0].Stored)
+		}
+	}
+	if store.touched() != before || len(store.entries) != 1 {
+		t.Fatalf("faulted sweep touched the store: %d accesses, %d entries", store.touched()-before, len(store.entries))
 	}
 }
 

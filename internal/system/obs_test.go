@@ -195,10 +195,10 @@ func TestObservabilityReport(t *testing.T) {
 
 	// The JSON round trip the sidecars rely on.
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := obs.EncodeJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
-	back, err := obs.Parse(buf.Bytes())
+	back, err := obs.DecodeJSON(buf.Bytes())
 	if err != nil {
 		t.Fatalf("serialized report does not parse back: %v", err)
 	}

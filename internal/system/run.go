@@ -149,6 +149,12 @@ type Config struct {
 	// instead of accumulating — the mode the test harnesses run under, so
 	// a breach pinpoints its cycle. Implies Checked.
 	CheckedPanic bool
+	// Fault arms one deliberately broken device rule on every channel —
+	// the mutation knob that lets an end-to-end run prove checked mode
+	// turns the breach into violations. Unlike every other field it makes
+	// results wrong on purpose, so sweep.Fingerprint refuses to cache a
+	// faulted config. Only cmd/aanoc-sim sets it (AANOC_INJECT_FAULT).
+	Fault dram.Fault
 
 	// TagEveryRequest reverts to the paper's literal partially-open-page
 	// policy: every logical request's last split carries the AP tag, so
@@ -288,7 +294,7 @@ type logical struct {
 // index, and completion trims the dead head so the window tracks the
 // outstanding range. IDs that were never parents leave nil gap slots;
 // the map hashing this replaces was a top bucket on the saturated-load
-// profile (delta recorded in BENCH_trajectory.jsonl).
+// profile.
 type parentTable struct {
 	base  int64      // ID of slots[0]
 	slots []*logical // nil: completed, or an ID that was never a parent
@@ -473,9 +479,7 @@ func New(cfg Config) (*Runner, error) {
 	if cfg.Subarrays < 0 {
 		return nil, fmt.Errorf("system: negative subarray count %d", cfg.Subarrays)
 	}
-	if cfg.Subarrays > 1 {
-		timing = timing.WithSubarrays(cfg.Subarrays)
-	}
+	timing = timing.WithSubarrays(cfg.Subarrays)
 	allPorts := cfg.App.Ports()
 	if cfg.Channels < 1 {
 		return nil, fmt.Errorf("system: channels must be at least 1, got %d", cfg.Channels)
@@ -624,24 +628,8 @@ func New(cfg Config) (*Runner, error) {
 		// when every component sleeps. Results are identical either way.
 		r.kern.SetIdleSkip(false)
 	}
-	if f := os.Getenv("AANOC_INJECT_FAULT"); f != "" {
-		// Mutation knob for the CLI-level fault-injection tests: arm one
-		// device fault on every channel so an end-to-end run can prove
-		// checked mode turns the breach into a non-zero exit.
-		var fault dram.Fault
-		switch f {
-		case "slow-cas":
-			fault = dram.FaultSlowCAS
-		case "skip-trcd":
-			fault = dram.FaultSkipTRCD
-		case "skip-tfaw":
-			fault = dram.FaultSkipTFAW
-		default:
-			return nil, fmt.Errorf("system: unknown AANOC_INJECT_FAULT %q", f)
-		}
-		for _, d := range r.devs {
-			d.InjectFault(fault)
-		}
+	for _, d := range r.devs {
+		d.InjectFault(cfg.Fault)
 	}
 	return r, nil
 }

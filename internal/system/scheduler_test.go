@@ -187,29 +187,36 @@ func TestRegulatorMutationDetected(t *testing.T) {
 	}
 }
 
-// TestSchedulerInjectFaultKnob: the AANOC_INJECT_FAULT environment knob
-// arms a device fault at construction — the CLI-level exit-code test
-// rides on it, so its plumbing is pinned here.
+// TestSchedulerInjectFaultKnob: Config.Fault arms a device fault at
+// construction — the CLI-level exit-code test rides on it (aanoc-sim
+// sets it from AANOC_INJECT_FAULT), so its plumbing is pinned here,
+// along with the environment no longer reaching system.New on its own.
 func TestSchedulerInjectFaultKnob(t *testing.T) {
-	t.Setenv("AANOC_INJECT_FAULT", "slow-cas")
-	r, err := New(Config{
+	cfg := Config{
 		App: appmodel.BluRay(), Gen: dram.DDR2, Design: Conv,
 		Scheduler: memctrl.SchedDPQ, Cycles: 20_000, PriorityDemand: true,
 		Checked: true,
-	})
+	}
+	t.Setenv("AANOC_INJECT_FAULT", "slow-cas")
+	clean, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < 20_000; i++ {
-		r.Step()
+	if len(clean.Obs.Violations) != 0 {
+		t.Fatalf("the environment variable alone faulted the run: %v", clean.Obs.Violations)
 	}
-	res := r.Finish()
-	if len(res.Obs.Violations) == 0 {
+	cfg.Fault = dram.FaultSlowCAS
+	faulted, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(faulted.Obs.Violations) == 0 {
 		t.Fatal("injected fault produced no violations")
 	}
-
-	t.Setenv("AANOC_INJECT_FAULT", "nonsense")
-	if _, err := New(Config{App: appmodel.BluRay(), Gen: dram.DDR2}); err == nil {
+	if _, err := dram.ParseFault("nonsense"); err == nil {
 		t.Fatal("unknown fault name accepted")
+	}
+	if f, err := dram.ParseFault("slow-cas"); err != nil || f != dram.FaultSlowCAS {
+		t.Fatalf("ParseFault(slow-cas) = %v, %v", f, err)
 	}
 }
