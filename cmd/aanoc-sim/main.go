@@ -20,7 +20,6 @@ import (
 	"os"
 	"os/signal"
 
-	"aanoc/internal/appmodel"
 	"aanoc/internal/dram"
 	"aanoc/internal/obs"
 	"aanoc/internal/prof"
@@ -64,68 +63,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	over := scenario.Run{
+	// Everything funnels through scenario.Resolve — the same validation
+	// path the facade uses — whether the platform comes from a builtin
+	// application model or a spec file.
+	base, err := scenario.ResolveFlags(flag.CommandLine, *specPath, *appName, scenario.Run{
 		Generation: *gen, ClockMHz: *clock, Channels: *channels,
 		Scheme: *scheme, Scheduler: *schedFlg, PriorityDemand: *priority,
 		Cycles: *cycles, Seed: *seed, SampleEvery: *sample,
 		Subarrays: *subarr,
-	}
-	// Everything funnels through scenario.Resolve — the same validation
-	// path the facade uses — whether the platform comes from a builtin
-	// application model or a spec file.
-	var base system.Config
-	if *specPath != "" {
-		if set["app"] {
-			fatal(fmt.Errorf("-spec and -app are mutually exclusive"))
-		}
-		sp, err := scenario.Load(*specPath)
-		if err != nil {
-			fatal(err)
-		}
-		// Only explicitly set flags override the spec's run block; flag
-		// defaults do not.
-		if !set["gen"] {
-			over.Generation = 0
-		}
-		if !set["clock"] {
-			over.ClockMHz = 0
-		}
-		if !set["channels"] {
-			over.Channels = 0
-		}
-		if !set["chan-scheme"] {
-			over.Scheme = ""
-		}
-		if !set["scheduler"] {
-			over.Scheduler = ""
-		}
-		if !set["cycles"] {
-			over.Cycles = 0
-		}
-		if !set["seed"] {
-			over.Seed = 0
-		}
-		if !set["sample-every"] {
-			over.SampleEvery = 0
-		}
-		if !set["subarrays"] {
-			over.Subarrays = 0
-		}
-		base, err = sp.SystemConfig(over)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		app, err := appmodel.ByName(*appName)
-		if err != nil {
-			fatal(err)
-		}
-		base, err = scenario.Resolve(app, over)
-		if err != nil {
-			fatal(err)
-		}
+	})
+	if err != nil {
+		fatal(err)
 	}
 	base.PCT = *pct
 	base.GSSRouters = *gssN

@@ -31,7 +31,6 @@ import (
 	"runtime"
 	"strconv"
 
-	"aanoc/internal/appmodel"
 	"aanoc/internal/memctrl"
 	"aanoc/internal/obs"
 	"aanoc/internal/scenario"
@@ -63,66 +62,16 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	over := scenario.Run{
-		Generation: *gen, Channels: *channels, Scheme: *scheme,
-		Cycles: *cycles, Seed: *seed, PriorityDemand: *priority,
-	}
 	// Both entry points funnel through scenario.Resolve, the same
 	// validation path the facade uses.
-	var (
-		app  appmodel.App
-		base system.Config
-	)
-	if *specPath != "" {
-		if set["app"] {
-			fatal(fmt.Errorf("-spec and -app are mutually exclusive"))
-		}
-		sp, err := scenario.Load(*specPath)
-		if err != nil {
-			fatal(err)
-		}
-		// Only explicitly set flags override the spec's run block. With
-		// OR-merge semantics, -priority can be granted but not revoked; a
-		// spec that wants priority demand declares it in its run block.
-		if !set["gen"] {
-			over.Generation = 0
-		}
-		if !set["channels"] {
-			over.Channels = 0
-		}
-		if !set["chan-scheme"] {
-			over.Scheme = ""
-		}
-		if !set["cycles"] {
-			over.Cycles = 0
-		}
-		if !set["seed"] {
-			over.Seed = 0
-		}
-		if !set["priority"] {
-			over.PriorityDemand = false
-		}
-		app, err = sp.App()
-		if err != nil {
-			fatal(err)
-		}
-		base, err = sp.SystemConfig(over)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		var err error
-		app, err = appmodel.ByName(*appName)
-		if err != nil {
-			fatal(err)
-		}
-		base, err = scenario.Resolve(app, over)
-		if err != nil {
-			fatal(err)
-		}
+	base, err := scenario.ResolveFlags(flag.CommandLine, *specPath, *appName, scenario.Run{
+		Generation: *gen, Channels: *channels, Scheme: *scheme,
+		Cycles: *cycles, Seed: *seed, PriorityDemand: *priority,
+	})
+	if err != nil {
+		fatal(err)
 	}
+	app := base.App
 	base.Checked = *checked
 
 	// Build the grid: one label + config per point, in emission order.

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 
-	"aanoc/internal/appmodel"
 	"aanoc/internal/obs"
 	"aanoc/internal/scenario"
 	"aanoc/internal/system"
@@ -39,49 +38,14 @@ func main() {
 	if (*record == "") == (*replay == "") {
 		fatal(fmt.Errorf("exactly one of -record or -replay is required"))
 	}
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	over := scenario.Run{
-		Generation: *gen, Cycles: *cycles, Seed: *seed,
-		PriorityDemand: *priority,
-	}
 	// Both entry points funnel through scenario.Resolve, the same
 	// validation path the facade uses.
-	var base system.Config
-	if *specPath != "" {
-		if set["app"] {
-			fatal(fmt.Errorf("-spec and -app are mutually exclusive"))
-		}
-		sp, err := scenario.Load(*specPath)
-		if err != nil {
-			fatal(err)
-		}
-		// Only explicitly set flags override the spec's run block.
-		if !set["gen"] {
-			over.Generation = 0
-		}
-		if !set["cycles"] {
-			over.Cycles = 0
-		}
-		if !set["seed"] {
-			over.Seed = 0
-		}
-		if !set["priority"] {
-			over.PriorityDemand = false
-		}
-		base, err = sp.SystemConfig(over)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		app, err := appmodel.ByName(*appName)
-		if err != nil {
-			fatal(err)
-		}
-		base, err = scenario.Resolve(app, over)
-		if err != nil {
-			fatal(err)
-		}
+	base, err := scenario.ResolveFlags(flag.CommandLine, *specPath, *appName, scenario.Run{
+		Generation: *gen, Cycles: *cycles, Seed: *seed,
+		PriorityDemand: *priority,
+	})
+	if err != nil {
+		fatal(err)
 	}
 	base.Checked = *checked
 

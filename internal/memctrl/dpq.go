@@ -19,9 +19,6 @@ type DPQConfig struct {
 // DefaultDPQConfig mirrors the MemMax sizing: enough queues for the
 // paper's core counts and the same 32-entry buffers.
 func DefaultDPQConfig(requestors int) DPQConfig {
-	if requestors < 1 {
-		requestors = 1
-	}
 	return DPQConfig{Requestors: requestors, QueueDepth: 32}
 }
 
@@ -36,9 +33,8 @@ func DefaultDPQConfig(requestors int) DPQConfig {
 // bound's inputs are reported through OnAdmit; checked mode compares
 // every completion against the derived deadline.
 type DPQ struct {
-	cfg    DPQConfig
-	eng    *engine
-	queues [][]*noc.Packet
+	queued
+	cfg DPQConfig
 	// order is the rotation list: queues are scanned in this order and a
 	// served requestor moves to the tail.
 	order []int
@@ -64,48 +60,30 @@ type DPQ struct {
 // NewDPQ builds the arbiter. The pipeline is fixed at depth 1 with the
 // closed-page policy — both are load-bearing for the analytic bound.
 func NewDPQ(dev *dram.Device, cfg DPQConfig, onDone func(Completion)) *DPQ {
-	if cfg.Requestors < 1 {
-		cfg.Requestors = 1
-	}
-	if cfg.QueueDepth < 1 {
-		cfg.QueueDepth = 1
-	}
-	d := &DPQ{
-		cfg:    cfg,
-		queues: make([][]*noc.Packet, cfg.Requestors),
-		order:  make([]int, cfg.Requestors),
-	}
+	atLeastOne(&cfg.Requestors, &cfg.QueueDepth)
+	d := &DPQ{cfg: cfg, order: make([]int, cfg.Requestors)}
 	for i := range d.order {
 		d.order[i] = i
 	}
-	d.eng = newEngine(dev, ClosedPage, 1, func(c Completion) {
+	d.queued = newQueued(dev, ClosedPage, cfg.Requestors, cfg.QueueDepth, 1, func(c Completion) {
 		if d.OnComplete != nil {
 			d.OnComplete(c.Pkt.ID, c.At)
 		}
 		onDone(c)
 	})
+	d.pick, d.granted = d.pickQueue, d.grant
 	return d
-}
-
-// queueOf maps a packet to its requestor queue.
-func (d *DPQ) queueOf(p *noc.Packet) int {
-	q := p.SrcCore % d.cfg.Requestors
-	if q < 0 {
-		q = 0
-	}
-	return q
 }
 
 // Offer implements Controller: enqueue into the requestor's FIFO,
 // refusing when it is full. Acceptance starts the request's WCET clock.
 func (d *DPQ) Offer(p *noc.Packet, now int64) bool {
-	q := d.queueOf(p)
-	if len(d.queues[q]) >= d.cfg.QueueDepth {
+	q := d.slotOf(p)
+	if !d.enqueue(q, p) {
 		return false
 	}
-	d.queues[q] = append(d.queues[q], p)
-	if n := d.Backlog(); n > d.Stats.MaxBacklog {
-		d.Stats.MaxBacklog = n
+	if d.backlog > d.Stats.MaxBacklog {
+		d.Stats.MaxBacklog = d.backlog
 	}
 	if d.OnAdmit != nil {
 		occ := len(d.eng.inflight) + len(d.eng.draining)
@@ -114,56 +92,28 @@ func (d *DPQ) Offer(p *noc.Packet, now int64) bool {
 	return true
 }
 
-// Tick implements Controller: grant the highest-priority backlogged
-// requestor into the (depth-1) pipeline, rotate it to the tail, then
-// drive the pipeline.
-func (d *DPQ) Tick(now int64) {
-	for !d.eng.admitBlocked() && d.eng.canAdmit() {
-		gi := -1
-		for i, q := range d.order {
-			if len(d.queues[q]) > 0 {
-				gi = i
-				break
-			}
+// pickQueue returns the highest-priority backlogged requestor: the first
+// one in the rotation list.
+func (d *DPQ) pickQueue() int {
+	for _, q := range d.order {
+		if len(d.queues[q]) > 0 {
+			return q
 		}
-		if gi < 0 {
-			break
-		}
-		q := d.order[gi]
-		p := d.queues[q][0]
-		d.queues[q] = d.queues[q][1:]
-		d.eng.admit(p)
-		d.Stats.Grants++
-		// Rotate: the served requestor becomes lowest priority.
-		copy(d.order[gi:], d.order[gi+1:])
-		d.order[len(d.order)-1] = q
 	}
-	d.eng.tick(now)
+	return -1
 }
 
-// Busy implements Controller.
-func (d *DPQ) Busy() bool { return d.eng.busy() || d.Backlog() > 0 }
-
-// NextEvent implements Controller: backlogged queues keep the arbiter
-// granting every cycle; otherwise the pipeline decides.
-func (d *DPQ) NextEvent(now int64) int64 {
-	if d.Backlog() > 0 {
-		return now + 1
+// grant rotates the served requestor to the list's tail, making it the
+// lowest priority.
+func (d *DPQ) grant(q int, _ *noc.Packet, _ int64) {
+	d.Stats.Grants++
+	gi := 0
+	for d.order[gi] != q {
+		gi++
 	}
-	return d.eng.nextEvent(now)
+	copy(d.order[gi:], d.order[gi+1:])
+	d.order[len(d.order)-1] = q
 }
-
-// Backlog reports the total queued requests across requestors.
-func (d *DPQ) Backlog() int {
-	n := 0
-	for _, q := range d.queues {
-		n += len(q)
-	}
-	return n
-}
-
-// CmdCycles exposes command-bus activity for the power model.
-func (d *DPQ) CmdCycles() int64 { return d.eng.CmdCycles }
 
 // Config returns the resolved (clamped) configuration — the WCET bound
 // monitor derives its requestor count from it, so the two cannot drift.

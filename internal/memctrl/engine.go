@@ -1,23 +1,26 @@
-// Package memctrl implements the two memory subsystems the paper
-// evaluates:
+// Package memctrl implements the memory subsystems between a noc.Sink
+// (request arrivals) and a dram.Device. All of them drive one command
+// pipeline (engine: the paper's Fig. 6 PRE/RAS/CAS buffers) and hand
+// completions back through a callback: read completions become response
+// packets on the response mesh, write completions are final at the
+// device.
 //
-//   - Simple — the paper's lightweight SDRAM controller for SDRAM-aware
-//     and GSS NoCs: requests are served in arrival order (the network
-//     already scheduled them) through a small PRE/RAS/CAS buffer pipeline
-//     with a round-robin command scheduler, a partially-open-page policy
-//     driven by SAGM auto-precharge tags, and no reorder buffers.
+//   - Simple — the paper's lightweight controller for SDRAM-aware and GSS
+//     NoCs: the network already scheduled the stream, so requests enter
+//     the pipeline in arrival order, with a partially-open-page policy
+//     driven by SAGM auto-precharge tags and no reorder buffers.
 //
-//   - MemMax — the conventional subsystem (Sonics MemMax scheduler +
-//     Denali Databahn controller): per-thread request queues with QoS
-//     arbitration that reorders across threads to avoid bank conflict and
-//     data contention, feeding the same command pipeline (whose ability to
-//     prepare pages behind the active data transfer models Databahn's
-//     command look-ahead).
-//
-// Both sit between a noc.Sink (request arrivals) and a dram.Device, and
-// hand completions back through callbacks: read completions become
-// response packets on the response mesh, write completions are final at
-// the device.
+//   - The queued front-ends — bounded per-slot FIFOs and one grant loop
+//     (queued) ahead of the pipeline; each adds only its slot mapping and
+//     admission rule (Offer), its pick rule and what a grant updates.
+//     MemMax is the paper's conventional subsystem (Sonics MemMax +
+//     Denali Databahn): QoS threads by traffic class, least-served thread
+//     first unless its head conflicts with the last grant. DPQ serves
+//     requestors from a rotating priority list over a depth-1 closed-page
+//     pipeline, which bounds every request's latency in closed form.
+//     Regulator serves cores round-robin but skips a head that would
+//     exceed its (core, bank) beat budget for the current window. Staged
+//     serves cores round-robin, those with few requests outstanding first.
 package memctrl
 
 import (
@@ -83,9 +86,12 @@ type engine struct {
 	t      dram.Timing // cached dev.Timing(): immutable after construction
 	policy PagePolicy
 	depth  int // command-pipeline window (paper: few small buffers)
-	// ooo allows column commands to issue out of order within the window
-	// (Databahn-style look-ahead for MemMax); the paper's lightweight
-	// controller keeps strict arrival order.
+	// ooo makes the pipeline stage-skipping as in the paper's Fig. 6: a
+	// column command may overtake an older request still in the PRE/RAS
+	// stages (never one bound for the same row buffer). Simple, Staged
+	// and Regulator set it; MemMax and DPQ leave it off, so their column
+	// commands issue strictly in grant order — MemMax reorders in its
+	// thread arbiter instead, and DPQ's bound needs the fixed order.
 	ooo bool
 
 	inflight []*reqState
@@ -93,30 +99,25 @@ type engine struct {
 	lastKind noc.Kind    // direction of the most recent column command
 
 	// refresh bookkeeping
-	refreshEvery int64
-	nextRefresh  int64
-	refreshing   bool
+	nextRefresh int64
+	refreshing  bool
 
 	onDone func(Completion)
 
 	// free recycles reqState records: one is leased per admitted request
 	// and returned at retirement, so the steady state allocates none.
 	free []*reqState
-
-	// CmdCycles counts cycles a command was driven (power model).
-	CmdCycles int64
 }
 
 func newEngine(dev *dram.Device, policy PagePolicy, depth int, onDone func(Completion)) *engine {
 	t := dev.Timing()
 	return &engine{
-		dev:          dev,
-		t:            t,
-		policy:       policy,
-		depth:        depth,
-		refreshEvery: t.TREFI,
-		nextRefresh:  t.TREFI,
-		onDone:       onDone,
+		dev:         dev,
+		t:           t,
+		policy:      policy,
+		depth:       depth,
+		nextRefresh: t.TREFI,
+		onDone:      onDone,
 	}
 }
 
@@ -139,8 +140,9 @@ func (e *engine) releaseReq(r *reqState) {
 	e.free = append(e.free, r)
 }
 
-// canAdmit reports whether the pipeline window has room.
-func (e *engine) canAdmit() bool { return len(e.inflight) < e.depth }
+// canAdmit reports whether the pipeline window has room and no pending
+// refresh is draining it.
+func (e *engine) canAdmit() bool { return !e.refreshing && len(e.inflight) < e.depth }
 
 // admit appends a request to the pipeline in service order.
 func (e *engine) admit(p *noc.Packet) {
@@ -148,18 +150,6 @@ func (e *engine) admit(p *noc.Packet) {
 		panic("memctrl: admit past window depth")
 	}
 	e.inflight = append(e.inflight, e.leaseReq(p))
-}
-
-// pendingFor reports how many inflight (not yet fully CAS'd) requests
-// target the given bank — used by admission policies.
-func (e *engine) pendingFor(bank int) int {
-	n := 0
-	for _, r := range e.inflight {
-		if r.pkt.Addr.Bank == bank {
-			n++
-		}
-	}
-	return n
 }
 
 // blFor picks the burst length of the next CAS for a request: the device
@@ -217,15 +207,15 @@ func (e *engine) tick(now int64) {
 // Starvation is impossible: a request whose CAS keeps winning eventually
 // drains from the window.
 func (e *engine) issueOne(now int64) {
-	if e.tryCAS(now) || e.tryACT(now) || e.tryPRE(now) {
-		e.CmdCycles++
+	if !e.tryCAS(now) && !e.tryACT(now) {
+		e.tryPRE(now)
 	}
 }
 
 // maybeRefresh interposes periodic refresh: once due, it drains the
 // pipeline, precharges every open bank and issues REF.
 func (e *engine) maybeRefresh(now int64) bool {
-	if e.refreshEvery <= 0 {
+	if e.t.TREFI <= 0 {
 		return false
 	}
 	if !e.refreshing {
@@ -236,8 +226,9 @@ func (e *engine) maybeRefresh(now int64) bool {
 	}
 	// Wait for outstanding column traffic to finish.
 	if len(e.inflight) > 0 || len(e.draining) > 0 {
-		// Let normal command flow continue draining the pipeline.
-		e.refreshIssueBlocked(now)
+		// Let normal command flow continue draining the pipeline;
+		// canAdmit keeps new work out meanwhile.
+		e.issueOne(now)
 		return true
 	}
 	// Precharge any open row buffer, one per cycle (OpenRow walks a bank's
@@ -255,15 +246,9 @@ func (e *engine) maybeRefresh(now int64) bool {
 	if e.dev.CanIssue(cmd, now) {
 		e.mustIssue(cmd, now)
 		e.refreshing = false
-		e.nextRefresh = now + e.refreshEvery
+		e.nextRefresh = now + e.t.TREFI
 	}
 	return true
-}
-
-// refreshIssueBlocked keeps serving the pipeline while a refresh is
-// pending; stopping the admission of new work is the caller's job.
-func (e *engine) refreshIssueBlocked(now int64) {
-	e.issueOne(now)
 }
 
 // tryCAS serves the CAS buffer. The in-order engine only considers the
@@ -466,7 +451,7 @@ func (e *engine) nextEvent(now int64) int64 {
 			next = r.lastEnd
 		}
 	}
-	if e.refreshEvery > 0 && e.nextRefresh < next {
+	if e.t.TREFI > 0 && e.nextRefresh < next {
 		next = e.nextRefresh
 	}
 	if next <= now {
@@ -498,7 +483,3 @@ func (e *engine) reqReadyAt(r *reqState, now int64) int64 {
 	}
 	return e.dev.RowActivateReadyAt(bank, row, now)
 }
-
-// admitBlocked reports that a refresh is pending and admission should
-// pause until it completes.
-func (e *engine) admitBlocked() bool { return e.refreshing }

@@ -60,7 +60,7 @@ func TestEngineBlocksAdmissionDuringRefresh(t *testing.T) {
 	for now := int64(0); now < tm.TREFI+2; now++ {
 		s.Tick(now)
 	}
-	if !s.eng.admitBlocked() && dev.Stats().Refreshes == 0 {
+	if !s.eng.refreshing && dev.Stats().Refreshes == 0 {
 		t.Fatal("refresh neither pending nor performed at the deadline")
 	}
 	// Within a handful of cycles the refresh completes and admission
@@ -68,11 +68,11 @@ func TestEngineBlocksAdmissionDuringRefresh(t *testing.T) {
 	now := tm.TREFI + 2
 	for ; now < tm.TREFI+200; now++ {
 		s.Tick(now)
-		if !s.eng.admitBlocked() {
+		if !s.eng.refreshing {
 			break
 		}
 	}
-	if s.eng.admitBlocked() {
+	if s.eng.refreshing {
 		t.Fatal("admission never reopened after refresh")
 	}
 	if dev.Stats().Refreshes != 1 {
@@ -105,30 +105,6 @@ func TestMemMaxDataBufferBound(t *testing.T) {
 	short.Class = noc.ClassDemand
 	if !m.Offer(short, 0) {
 		t.Fatal("other threads must be unaffected")
-	}
-}
-
-func TestPendingForCountsInflight(t *testing.T) {
-	tm := dram.MustSpeed(dram.DDR2, 333)
-	dev := dram.MustNewDevice(tm)
-	e := newEngine(dev, OpenPage, 4, func(Completion) {})
-	e.admit(req(1, 2, 1, 0, noc.Read, 8, false))
-	e.admit(req(2, 2, 1, 8, noc.Read, 8, false))
-	e.admit(req(3, 3, 1, 0, noc.Read, 8, false))
-	if e.pendingFor(2) != 2 || e.pendingFor(3) != 1 || e.pendingFor(0) != 0 {
-		t.Fatalf("pendingFor wrong: %d %d %d", e.pendingFor(2), e.pendingFor(3), e.pendingFor(0))
-	}
-}
-
-func TestCmdCyclesCountsCommands(t *testing.T) {
-	tm := dram.MustSpeed(dram.DDR2, 333)
-	dev := dram.MustNewDevice(tm)
-	var done []Completion
-	s := NewSimple(dev, OpenPage, 4, func(c Completion) { done = append(done, c) })
-	drive(t, s, []*noc.Packet{req(1, 0, 1, 0, noc.Read, 8, false)}, &done, 500)
-	// ACT + RD = two command cycles.
-	if s.CmdCycles() != 2 {
-		t.Fatalf("CmdCycles = %d, want 2", s.CmdCycles())
 	}
 }
 

@@ -2,24 +2,51 @@ package memctrl
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"aanoc/internal/dram"
 	"aanoc/internal/noc"
 )
 
-// TestNextEventEquivalence is the event-queue soundness gate: driving the
-// controller only at the cycles NextEvent names must produce the exact
-// completion stream of ticking every cycle. A bound that is ever late
-// (past a cycle where Tick would have acted) shows up as a diverging
-// completion time.
+// TestNextEventEquivalence is the event-queue soundness gate, for every
+// controller: driving it only at the cycles NextEvent names must produce
+// the exact completion stream of ticking every cycle. A bound that is
+// ever late (past a cycle where Tick would have acted) shows up as a
+// diverging completion time.
 func TestNextEventEquivalence(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR3, 667)
-	mk := func() ([]*noc.Packet, *Simple, *[]Completion) {
-		s, _, done := mkSimple(t, tm, PartialOpenPage)
-		var pkts []*noc.Packet
+	// A tight regulator: two requests per (core, bank) and window, so heads
+	// wait for window rolls with the pipeline empty.
+	regulated := RegulatorConfig{
+		Cores: 3, QueueDepth: 32, Window: 256, Budget: 16, MinBudget: 8,
+		PipelineDepth: 4, Policy: OpenPage,
+	}
+	ctrls := map[string]func(*dram.Device, func(Completion)) Controller{
+		"simple": func(d *dram.Device, done func(Completion)) Controller {
+			return NewSimple(d, PartialOpenPage, 4, done)
+		},
+		"memmax": func(d *dram.Device, done func(Completion)) Controller {
+			return NewMemMax(d, DefaultMemMaxConfig(), done)
+		},
+		"dpq": func(d *dram.Device, done func(Completion)) Controller {
+			return NewDPQ(d, DefaultDPQConfig(3), done)
+		},
+		"staged": func(d *dram.Device, done func(Completion)) Controller {
+			return NewStaged(d, DefaultStagedConfig(3), done)
+		},
+		"regulated": func(d *dram.Device, done func(Completion)) Controller {
+			return NewRegulator(d, regulated, done)
+		},
+	}
+	type completion struct{ id, at int64 }
+	run := func(t *testing.T, mk func(*dram.Device, func(Completion)) Controller, eventDriven bool) []completion {
+		var done []completion
+		s := mk(dram.MustNewDevice(tm), func(c Completion) { done = append(done, completion{c.Pkt.ID, c.At}) })
 		// A mix of row hits, bank interleaves, conflicts, read/write
-		// turnarounds, and AP tags — every branch of reqReadyAt.
+		// turnarounds, and AP tags — every branch of reqReadyAt — from
+		// three cores and classes, so every front-end arbitrates.
+		var pkts []*noc.Packet
 		for i := int64(0); i < 24; i++ {
 			kind := noc.Read
 			if i%3 == 1 {
@@ -27,13 +54,11 @@ func TestNextEventEquivalence(t *testing.T) {
 			}
 			bank := int(i) % 3
 			row := int(i/6) % 2
-			pkts = append(pkts, req(i+1, bank, row, int(i)*8, kind, 8, i%4 == 3))
+			p := req(i+1, bank, row, int(i)*8, kind, 8, i%4 == 3)
+			p.SrcCore = int(i/2) % 3
+			p.Class = []noc.Class{noc.ClassDemand, noc.ClassPrefetch, noc.ClassMedia}[i%3]
+			pkts = append(pkts, p)
 		}
-		return pkts, s, done
-	}
-
-	run := func(eventDriven bool) []Completion {
-		pkts, s, done := mk()
 		i := 0
 		now := int64(0)
 		for now < 20000 {
@@ -57,18 +82,19 @@ func TestNextEventEquivalence(t *testing.T) {
 				now++
 			}
 		}
-		return *done
-	}
-
-	ref, ev := run(false), run(true)
-	if len(ref) != len(ev) {
-		t.Fatalf("event-driven run completed %d requests, reference %d", len(ev), len(ref))
-	}
-	for i := range ref {
-		if ref[i].Pkt.ID != ev[i].Pkt.ID || ref[i].At != ev[i].At {
-			t.Fatalf("completion %d diverged: reference %d@%d, event-driven %d@%d",
-				i, ref[i].Pkt.ID, ref[i].At, ev[i].Pkt.ID, ev[i].At)
+		if len(done) != len(pkts) {
+			t.Fatalf("completed %d of %d requests (event-driven: %v)", len(done), len(pkts), eventDriven)
 		}
+		return done
+	}
+	for name, mk := range ctrls {
+		mk := mk
+		t.Run(name, func(t *testing.T) {
+			ref, ev := run(t, mk, false), run(t, mk, true)
+			if !reflect.DeepEqual(ref, ev) {
+				t.Fatalf("event-driven completions diverge from per-cycle:\nper-cycle:    %v\nevent-driven: %v", ref, ev)
+			}
+		})
 	}
 }
 

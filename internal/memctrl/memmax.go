@@ -37,11 +37,9 @@ func DefaultMemMaxConfig() MemMaxConfig {
 // among threads. The shared command pipeline prepares pages ahead of the
 // active data transfer (command look-ahead).
 type MemMax struct {
+	queued
 	cfg    MemMaxConfig
-	eng    *engine
-	queues [][]*noc.Packet
 	served []int64 // beats admitted per thread (bandwidth QoS accounting)
-	rotate int
 	// last is a value copy of the packet most recently admitted into the
 	// pipeline (see Simple.last: the original may be recycled through
 	// the system's packet pool once it completes).
@@ -51,24 +49,16 @@ type MemMax struct {
 
 // NewMemMax builds the conventional subsystem over a device.
 func NewMemMax(dev *dram.Device, cfg MemMaxConfig, onDone func(Completion)) *MemMax {
-	if cfg.Threads < 1 {
-		cfg.Threads = 1
-	}
-	if cfg.QueueDepth < 1 {
-		cfg.QueueDepth = 1
-	}
-	if cfg.PipelineDepth < 1 {
-		cfg.PipelineDepth = 1
-	}
+	atLeastOne(&cfg.Threads, &cfg.QueueDepth, &cfg.PipelineDepth)
 	if cfg.DataFlits < 1 {
 		cfg.DataFlits = cfg.QueueDepth
 	}
 	m := &MemMax{
+		queued: newQueued(dev, OpenPage, cfg.Threads, cfg.QueueDepth, cfg.PipelineDepth, onDone),
 		cfg:    cfg,
-		eng:    newEngine(dev, OpenPage, cfg.PipelineDepth, onDone),
-		queues: make([][]*noc.Packet, cfg.Threads),
 		served: make([]int64, cfg.Threads),
 	}
+	m.pick, m.granted = m.pickThread, m.grant
 	return m
 }
 
@@ -76,9 +66,6 @@ func NewMemMax(dev *dram.Device, cfg MemMaxConfig, onDone func(Completion)) *Mem
 // thread so the priority-first variant can serve it first; the remaining
 // classes spread across the other threads.
 func (m *MemMax) threadOf(p *noc.Packet) int {
-	if m.cfg.Threads == 1 {
-		return 0
-	}
 	switch p.Class {
 	case noc.ClassDemand:
 		return 0
@@ -99,14 +86,10 @@ func (m *MemMax) threadOf(p *noc.Packet) int {
 // thread's data buffer cannot hold the payload.
 func (m *MemMax) Offer(p *noc.Packet, now int64) bool {
 	th := m.threadOf(p)
-	if len(m.queues[th]) >= m.cfg.QueueDepth {
+	if len(m.queues[th]) > 0 && m.dataOccupancy(th)+p.Flits > m.cfg.DataFlits {
 		return false
 	}
-	if occ := m.dataOccupancy(th); len(m.queues[th]) > 0 && occ+p.Flits > m.cfg.DataFlits {
-		return false
-	}
-	m.queues[th] = append(m.queues[th], p)
-	return true
+	return m.enqueue(th, p)
 }
 
 // dataOccupancy sums the buffered payload flits of a thread's queue.
@@ -118,23 +101,12 @@ func (m *MemMax) dataOccupancy(th int) int {
 	return n
 }
 
-// Tick implements Controller: arbitrate thread heads into the command
-// pipeline, then drive the pipeline.
-func (m *MemMax) Tick(now int64) {
-	for !m.eng.admitBlocked() && m.eng.canAdmit() {
-		th := m.pickThread(now)
-		if th < 0 {
-			break
-		}
-		p := m.queues[th][0]
-		m.queues[th] = m.queues[th][1:]
-		m.eng.admit(p)
-		m.served[th] += int64(p.Beats)
-		m.last = *p
-		m.hasLast = true
-		m.rotate = (th + 1) % m.cfg.Threads
-	}
-	m.eng.tick(now)
+// grant charges the granted thread's bandwidth account and remembers the
+// request for the next pairwise score.
+func (m *MemMax) grant(th int, p *noc.Packet, now int64) {
+	m.served[th] += int64(p.Beats)
+	m.last = *p
+	m.hasLast = true
 }
 
 // pickThread implements the QoS arbitration: threads share the SDRAM
@@ -145,7 +117,7 @@ func (m *MemMax) Tick(now int64) {
 // other backlogged head would not, in which case the scheduler skips
 // ahead once ("prevents bank conflict and data contention").
 // Priority-first configurations serve a priority head unconditionally.
-func (m *MemMax) pickThread(now int64) int {
+func (m *MemMax) pickThread() int {
 	best := -1
 	for th := 0; th < m.cfg.Threads; th++ {
 		if len(m.queues[th]) == 0 {
@@ -161,7 +133,7 @@ func (m *MemMax) pickThread(now int64) int {
 	if best < 0 {
 		return -1
 	}
-	if m.score(m.queues[best][0], now) >= 4 {
+	if m.score(m.queues[best][0]) >= 4 {
 		return best
 	}
 	// The deficit choice is SDRAM-unfriendly; take the cleanest other
@@ -173,7 +145,7 @@ func (m *MemMax) pickThread(now int64) int {
 		if th == best || len(m.queues[th]) == 0 {
 			continue
 		}
-		if m.score(m.queues[th][0], now) >= 4 && (alt < 0 || m.served[th] < m.served[alt]) {
+		if m.score(m.queues[th][0]) >= 4 && (alt < 0 || m.served[th] < m.served[alt]) {
 			alt = th
 		}
 	}
@@ -189,7 +161,7 @@ func (m *MemMax) pickThread(now int64) int {
 // can only judge the paper's pairwise conditions: row hit with the
 // previous request > bank interleave > same-bank-new-row (conflict), with
 // a penalty for turning the data bus around.
-func (m *MemMax) score(p *noc.Packet, now int64) int {
+func (m *MemMax) score(p *noc.Packet) int {
 	if !m.hasLast {
 		return 0
 	}
@@ -207,40 +179,3 @@ func (m *MemMax) score(p *noc.Packet, now int64) int {
 	}
 	return s
 }
-
-// Busy implements Controller.
-func (m *MemMax) Busy() bool {
-	if m.eng.busy() {
-		return true
-	}
-	for _, q := range m.queues {
-		if len(q) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// NextEvent implements Controller: thread queues holding requests keep
-// the scheduler arbitrating every cycle; otherwise the engine decides.
-func (m *MemMax) NextEvent(now int64) int64 {
-	for _, q := range m.queues {
-		if len(q) > 0 {
-			return now + 1
-		}
-	}
-	return m.eng.nextEvent(now)
-}
-
-// Backlog reports the total queued requests across threads (tests and
-// stats).
-func (m *MemMax) Backlog() int {
-	n := 0
-	for _, q := range m.queues {
-		n += len(q)
-	}
-	return n
-}
-
-// CmdCycles exposes command-bus activity for the power model.
-func (m *MemMax) CmdCycles() int64 { return m.eng.CmdCycles }

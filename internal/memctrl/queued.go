@@ -1,0 +1,100 @@
+package memctrl
+
+import (
+	"aanoc/internal/dram"
+	"aanoc/internal/noc"
+)
+
+// queued is the front-end every scheduling controller shares: bounded
+// per-slot FIFOs in front of the command pipeline, and the grant loop
+// that moves one head at a time into the pipeline while it has room.
+// What makes each embedder a scheduler stays with it: its Offer (which
+// slot a packet joins and its own admission rule), pick and granted.
+type queued struct {
+	eng     *engine
+	queues  [][]*noc.Packet
+	depth   int // per-slot FIFO capacity
+	backlog int // requests queued across all slots
+
+	// pick names the slot whose head is granted next, or -1 when no head
+	// is eligible this cycle (it runs only while something is queued);
+	// granted records the decision once that head is in the pipeline.
+	// The embedder's constructor binds both, as method values, so the
+	// per-tick path allocates nothing.
+	pick    func() int
+	granted func(slot int, p *noc.Packet, now int64)
+}
+
+// newQueued builds the shared front-end; slots, depth and pipeline are
+// already clamped by the caller (atLeastOne), whose Config() reports them.
+func newQueued(dev *dram.Device, policy PagePolicy, slots, depth, pipeline int, onDone func(Completion)) queued {
+	return queued{
+		eng:    newEngine(dev, policy, pipeline, onDone),
+		queues: make([][]*noc.Packet, slots),
+		depth:  depth,
+	}
+}
+
+// atLeastOne raises every sizing below 1 to 1, in place, so a front-end's
+// stored configuration is the one that runs.
+func atLeastOne[T int | int64](sizes ...*T) {
+	for _, s := range sizes {
+		if *s < 1 {
+			*s = 1
+		}
+	}
+}
+
+// slotOf folds a packet's source core onto the slots.
+func (q *queued) slotOf(p *noc.Packet) int {
+	s := p.SrcCore % len(q.queues)
+	if s < 0 {
+		s = 0
+	}
+	return s
+}
+
+// enqueue appends p to a slot's FIFO, refusing when the slot is full
+// (the refusal backpressures the network).
+func (q *queued) enqueue(slot int, p *noc.Packet) bool {
+	if len(q.queues[slot]) >= q.depth {
+		return false
+	}
+	q.queues[slot] = append(q.queues[slot], p)
+	q.backlog++
+	return true
+}
+
+// Tick implements Controller: grant picked heads into the command
+// pipeline while it admits, then drive the pipeline.
+func (q *queued) Tick(now int64) {
+	for q.backlog > 0 && q.eng.canAdmit() {
+		slot := q.pick()
+		if slot < 0 {
+			break
+		}
+		p := q.queues[slot][0]
+		q.queues[slot] = q.queues[slot][1:]
+		q.backlog--
+		q.eng.admit(p)
+		q.granted(slot, p, now)
+	}
+	q.eng.tick(now)
+}
+
+// Busy implements Controller.
+func (q *queued) Busy() bool { return q.backlog > 0 || q.eng.busy() }
+
+// NextEvent implements Controller: queued requests keep the scheduler
+// arbitrating every cycle (a head refused now — pipeline full, refresh
+// draining, budget spent — may be granted next cycle); otherwise the
+// pipeline decides.
+func (q *queued) NextEvent(now int64) int64 {
+	if q.backlog > 0 {
+		return now + 1
+	}
+	return q.eng.nextEvent(now)
+}
+
+// Backlog reports the total queued requests across slots.
+func (q *queued) Backlog() int { return q.backlog }

@@ -39,9 +39,6 @@ type RegulatorConfig struct {
 // DefaultRegulatorConfig mirrors the MemMax buffer sizing with a
 // regulation window long enough to amortize a refresh.
 func DefaultRegulatorConfig(cores int) RegulatorConfig {
-	if cores < 1 {
-		cores = 1
-	}
 	return RegulatorConfig{
 		Cores: cores, QueueDepth: 32,
 		Window: 1024, Budget: 256, MinBudget: 1,
@@ -59,9 +56,8 @@ func DefaultRegulatorConfig(cores int) RegulatorConfig {
 // window) is reported through OnAdmit and shadow-audited by checked mode
 // (check.RegulatorMonitor).
 type Regulator struct {
-	cfg    RegulatorConfig
-	eng    *engine
-	queues [][]*noc.Packet
+	queued
+	cfg RegulatorConfig
 	// usage[core][bank] counts beats charged in the current window.
 	usage     [][]int64
 	curWindow int64
@@ -74,78 +70,57 @@ type Regulator struct {
 	// Stats counts scheduler decisions for the observability report.
 	Stats struct {
 		Grants int64
-		// Throttled counts grant opportunities lost to regulation: cycles
-		// in which at least one head was backlogged but every backlogged
-		// head was over budget.
-		Throttled   int64
-		WindowRolls int64
+		// Throttled counts grant opportunities lost to regulation: ticks
+		// with a head backlogged and every backlogged head over budget.
+		// It advances only while backlog keeps the controller awake every
+		// cycle (NextEvent is now+1), so no wake schedule can skip one.
+		Throttled int64
 	}
 }
 
 // NewRegulator builds the regulator over a device. Budget is clamped to
 // MinBudget (and both to 1) so admission can always make progress.
 func NewRegulator(dev *dram.Device, cfg RegulatorConfig, onDone func(Completion)) *Regulator {
-	if cfg.Cores < 1 {
-		cfg.Cores = 1
-	}
-	if cfg.QueueDepth < 1 {
-		cfg.QueueDepth = 1
-	}
-	if cfg.Window < 1 {
-		cfg.Window = 1
-	}
-	if cfg.MinBudget < 1 {
-		cfg.MinBudget = 1
-	}
-	if cfg.Budget < cfg.MinBudget {
-		cfg.Budget = cfg.MinBudget
-	}
-	if cfg.PipelineDepth < 1 {
-		cfg.PipelineDepth = 1
-	}
+	atLeastOne(&cfg.Cores, &cfg.QueueDepth, &cfg.PipelineDepth)
+	atLeastOne(&cfg.Window, &cfg.MinBudget)
+	cfg.Budget = max(cfg.Budget, cfg.MinBudget)
 	r := &Regulator{
+		queued: newQueued(dev, cfg.Policy, cfg.Cores, cfg.QueueDepth, cfg.PipelineDepth, onDone),
 		cfg:    cfg,
-		eng:    newEngine(dev, cfg.Policy, cfg.PipelineDepth, onDone),
-		queues: make([][]*noc.Packet, cfg.Cores),
 		usage:  make([][]int64, cfg.Cores),
 	}
 	r.eng.ooo = true
-	banks := r.eng.t.Banks
 	for i := range r.usage {
-		r.usage[i] = make([]int64, banks)
+		r.usage[i] = make([]int64, r.eng.t.Banks)
 	}
+	r.pick, r.granted = r.pickCore, r.grant
 	return r
-}
-
-// coreOf maps a packet to its regulator slot.
-func (r *Regulator) coreOf(p *noc.Packet) int {
-	c := p.SrcCore % r.cfg.Cores
-	if c < 0 {
-		c = 0
-	}
-	return c
 }
 
 // Offer implements Controller: enqueue into the core's FIFO, refusing
 // when it is full. Regulation happens at grant time, not admission — a
 // queued request holds no budget until granted.
 func (r *Regulator) Offer(p *noc.Packet, now int64) bool {
-	c := r.coreOf(p)
-	if len(r.queues[c]) >= r.cfg.QueueDepth {
-		return false
-	}
-	r.queues[c] = append(r.queues[c], p)
-	return true
+	return r.enqueue(r.slotOf(p), p)
 }
 
-// rollWindow clears per-(core,bank) usage at window boundaries.
+// Tick implements Controller: roll the regulation window, then grant
+// eligible heads round-robin and drive the pipeline.
+func (r *Regulator) Tick(now int64) {
+	r.rollWindow(now)
+	r.queued.Tick(now)
+}
+
+// rollWindow clears per-(core,bank) usage at window boundaries. The
+// number of windows a run opened is a function of its length and Window
+// alone, so the report derives it; counting here would count only the
+// boundaries the kernel happened to tick the controller across.
 func (r *Regulator) rollWindow(now int64) {
 	w := now / r.cfg.Window
 	if w == r.curWindow {
 		return
 	}
 	r.curWindow = w
-	r.Stats.WindowRolls++
 	for _, u := range r.usage {
 		for b := range u {
 			u[b] = 0
@@ -153,77 +128,35 @@ func (r *Regulator) rollWindow(now int64) {
 	}
 }
 
-// eligible reports whether granting p for core c fits the core's
-// per-bank budget in the current window.
-func (r *Regulator) eligible(c int, p *noc.Packet) bool {
-	if r.cfg.DisableGate {
-		return true
-	}
-	return r.usage[c][p.Addr.Bank]+int64(p.Beats) <= r.cfg.Budget
-}
-
-// Tick implements Controller: roll the regulation window, grant eligible
-// heads round-robin into the pipeline, then drive the pipeline.
-func (r *Regulator) Tick(now int64) {
-	r.rollWindow(now)
-	for !r.eng.admitBlocked() && r.eng.canAdmit() {
-		granted, backlogged := false, false
-		for i := 0; i < r.cfg.Cores; i++ {
-			c := (r.rotate + i) % r.cfg.Cores
-			if len(r.queues[c]) == 0 {
-				continue
-			}
-			backlogged = true
-			p := r.queues[c][0]
-			if !r.eligible(c, p) {
-				continue
-			}
-			r.queues[c] = r.queues[c][1:]
-			r.usage[c][p.Addr.Bank] += int64(p.Beats)
-			if r.OnAdmit != nil {
-				r.OnAdmit(c, p.Addr.Bank, p.Beats, now)
-			}
-			r.eng.admit(p)
-			r.Stats.Grants++
-			r.rotate = (c + 1) % r.cfg.Cores
-			granted = true
-			break
+// pickCore returns the next backlogged core in round-robin order whose
+// head fits its per-bank budget in the current window (DisableGate skips
+// the budget test). Something is queued whenever it runs, so finding no
+// such core means every backlogged head is over budget.
+func (r *Regulator) pickCore() int {
+	for i := 0; i < r.cfg.Cores; i++ {
+		c := (r.rotate + i) % r.cfg.Cores
+		if len(r.queues[c]) == 0 {
+			continue
 		}
-		if !granted {
-			if backlogged {
-				r.Stats.Throttled++
-			}
-			break
+		p := r.queues[c][0]
+		if r.cfg.DisableGate || r.usage[c][p.Addr.Bank]+int64(p.Beats) <= r.cfg.Budget {
+			return c
 		}
 	}
-	r.eng.tick(now)
+	r.Stats.Throttled++
+	return -1
 }
 
-// Busy implements Controller.
-func (r *Regulator) Busy() bool { return r.eng.busy() || r.Backlog() > 0 }
-
-// NextEvent implements Controller: backlogged queues keep the regulator
-// arbitrating every cycle (a throttled head becomes eligible at the next
-// window roll, which now+1 stepping reaches conservatively); otherwise
-// the pipeline decides.
-func (r *Regulator) NextEvent(now int64) int64 {
-	if r.Backlog() > 0 {
-		return now + 1
+// grant charges the request to its (core, bank) budget and moves the
+// round-robin pointer past the core.
+func (r *Regulator) grant(c int, p *noc.Packet, now int64) {
+	r.usage[c][p.Addr.Bank] += int64(p.Beats)
+	if r.OnAdmit != nil {
+		r.OnAdmit(c, p.Addr.Bank, p.Beats, now)
 	}
-	return r.eng.nextEvent(now)
+	r.Stats.Grants++
+	r.rotate = (c + 1) % r.cfg.Cores
 }
-
-// Backlog reports the total queued requests across cores.
-func (r *Regulator) Backlog() int {
-	n := 0
-	for _, q := range r.queues {
-		n += len(q)
-	}
-	return n
-}
-
-// CmdCycles exposes command-bus activity for the power model.
-func (r *Regulator) CmdCycles() int64 { return r.eng.CmdCycles }
 
 // Config returns the resolved (clamped) configuration — the regulation
 // monitor derives its window and budget from it, so the two cannot

@@ -5,25 +5,9 @@ import "fmt"
 // Scheduler selects the memory-scheduler family a channel's controller
 // uses. The zero value keeps the paper's pairing (MemMax for the
 // conventional designs, the lightweight Simple controller for the
-// SDRAM-aware ones); the non-default members are the related-work
-// schedulers ROADMAP item 2 names, each with a runtime-verifiable
-// guarantee:
-//
-//   - SchedDPQ — a Dynamic-Priority-Queue arbiter in the spirit of Shah
-//     et al.: per-requestor FIFO queues served by a rotating round-robin
-//     list over a depth-1 closed-page pipeline, giving every request a
-//     closed-form worst-case completion bound that checked mode asserts
-//     per request (see internal/check.DPQBound).
-//
-//   - SchedRegulated — per-bank bandwidth regulation after Sullivan et
-//     al.: each core carries a per-bank beat budget per fixed window,
-//     charged at admission; an over-budget head is ineligible until the
-//     window rolls. Checked mode shadow-audits the regulation invariant.
-//
-//   - SchedStaged — a staged heterogeneous scheduler in the spirit of
-//     SMS (Ausavarungnirun et al.): requestors are classified by
-//     outstanding-request intensity, and light (latency-sensitive) cores
-//     are granted ahead of heavy (bandwidth-intensive) ones.
+// SDRAM-aware ones); the other members are the related-work schedulers
+// DPQ, Regulator and Staged (see their type comments; checked mode
+// verifies the first two's guarantees at run time).
 type Scheduler int
 
 const (

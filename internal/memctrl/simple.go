@@ -64,7 +64,7 @@ func NewSimple(dev *dram.Device, policy PagePolicy, depth int, onDone func(Compl
 // Offer implements Controller: admit in order while the pipeline has room
 // and no refresh is draining it.
 func (s *Simple) Offer(p *noc.Packet, now int64) bool {
-	if s.eng.admitBlocked() || !s.eng.canAdmit() {
+	if !s.eng.canAdmit() {
 		return false
 	}
 	if s.hasLast {
@@ -94,6 +94,3 @@ func (s *Simple) Busy() bool { return s.eng.busy() }
 
 // NextEvent implements Controller.
 func (s *Simple) NextEvent(now int64) int64 { return s.eng.nextEvent(now) }
-
-// CmdCycles exposes command-bus activity for the power model.
-func (s *Simple) CmdCycles() int64 { return s.eng.CmdCycles }

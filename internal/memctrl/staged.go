@@ -25,9 +25,6 @@ type StagedConfig struct {
 // DefaultStagedConfig mirrors the MemMax buffer sizing with the SMS-style
 // intensity threshold.
 func DefaultStagedConfig(cores int) StagedConfig {
-	if cores < 1 {
-		cores = 1
-	}
 	return StagedConfig{
 		Cores: cores, QueueDepth: 32, Threshold: 4,
 		PipelineDepth: 4, Policy: OpenPage,
@@ -43,9 +40,8 @@ func DefaultStagedConfig(cores int) StagedConfig {
 // among themselves, so classification shifts latency, not liveness: a
 // heavy core's backlog completing moves it back to the light class.
 type Staged struct {
-	cfg    StagedConfig
-	eng    *engine
-	queues [][]*noc.Packet
+	queued
+	cfg StagedConfig
 	// outstanding[c] counts core c's requests admitted but not completed.
 	outstanding []int
 	heavy       []bool
@@ -61,28 +57,16 @@ type Staged struct {
 
 // NewStaged builds the staged scheduler over a device.
 func NewStaged(dev *dram.Device, cfg StagedConfig, onDone func(Completion)) *Staged {
-	if cfg.Cores < 1 {
-		cfg.Cores = 1
-	}
-	if cfg.QueueDepth < 1 {
-		cfg.QueueDepth = 1
-	}
-	if cfg.Threshold < 1 {
-		cfg.Threshold = 1
-	}
-	if cfg.PipelineDepth < 1 {
-		cfg.PipelineDepth = 1
-	}
+	atLeastOne(&cfg.Cores, &cfg.QueueDepth, &cfg.Threshold, &cfg.PipelineDepth)
 	s := &Staged{
 		cfg:         cfg,
-		queues:      make([][]*noc.Packet, cfg.Cores),
 		outstanding: make([]int, cfg.Cores),
 		heavy:       make([]bool, cfg.Cores),
 	}
-	s.eng = newEngine(dev, cfg.Policy, cfg.PipelineDepth, func(c Completion) {
+	s.queued = newQueued(dev, cfg.Policy, cfg.Cores, cfg.QueueDepth, cfg.PipelineDepth, func(c Completion) {
 		// The packet is still valid here; the downstream callback may
 		// recycle it.
-		core := s.coreOf(c.Pkt)
+		core := s.slotOf(c.Pkt)
 		if s.outstanding[core] > 0 {
 			s.outstanding[core]--
 		}
@@ -90,16 +74,8 @@ func NewStaged(dev *dram.Device, cfg StagedConfig, onDone func(Completion)) *Sta
 		onDone(c)
 	})
 	s.eng.ooo = true
+	s.pick, s.granted = s.pickCore, s.grant
 	return s
-}
-
-// coreOf maps a packet to its classification slot.
-func (s *Staged) coreOf(p *noc.Packet) int {
-	c := p.SrcCore % s.cfg.Cores
-	if c < 0 {
-		c = 0
-	}
-	return c
 }
 
 // reclassify re-derives a core's intensity class from its outstanding
@@ -116,74 +92,41 @@ func (s *Staged) reclassify(c int) {
 // when it is full; admission raises the core's outstanding count (and
 // possibly its class).
 func (s *Staged) Offer(p *noc.Packet, now int64) bool {
-	c := s.coreOf(p)
-	if len(s.queues[c]) >= s.cfg.QueueDepth {
+	c := s.slotOf(p)
+	if !s.enqueue(c, p) {
 		return false
 	}
-	s.queues[c] = append(s.queues[c], p)
 	s.outstanding[c]++
 	s.reclassify(c)
 	return true
 }
 
-// Tick implements Controller: grant light heads round-robin, then heavy
-// heads, then drive the pipeline.
-func (s *Staged) Tick(now int64) {
-	for !s.eng.admitBlocked() && s.eng.canAdmit() {
-		c := s.pick(false)
-		light := true
-		if c < 0 {
-			c = s.pick(true)
-			light = false
-		}
-		if c < 0 {
-			break
-		}
-		p := s.queues[c][0]
-		s.queues[c] = s.queues[c][1:]
-		s.eng.admit(p)
-		if light {
-			s.Stats.LightGrants++
-		} else {
-			s.Stats.HeavyGrants++
-		}
-		s.rotate = (c + 1) % s.cfg.Cores
-	}
-	s.eng.tick(now)
-}
-
-// pick returns the next backlogged core of the wanted class in
-// round-robin order, or -1.
-func (s *Staged) pick(wantHeavy bool) int {
+// pickCore returns the next backlogged light core in round-robin order,
+// or failing that the next backlogged heavy one, or -1.
+func (s *Staged) pickCore() int {
+	heavy := -1
 	for i := 0; i < s.cfg.Cores; i++ {
 		c := (s.rotate + i) % s.cfg.Cores
-		if len(s.queues[c]) > 0 && s.heavy[c] == wantHeavy {
+		if len(s.queues[c]) == 0 {
+			continue
+		}
+		if !s.heavy[c] {
 			return c
 		}
+		if heavy < 0 {
+			heavy = c
+		}
 	}
-	return -1
+	return heavy
 }
 
-// Busy implements Controller.
-func (s *Staged) Busy() bool { return s.eng.busy() || s.Backlog() > 0 }
-
-// NextEvent implements Controller: backlogged queues keep the grant
-// stage arbitrating every cycle; otherwise the pipeline decides.
-func (s *Staged) NextEvent(now int64) int64 {
-	if s.Backlog() > 0 {
-		return now + 1
+// grant counts the decision by the granted core's class and moves the
+// round-robin pointer past it.
+func (s *Staged) grant(c int, _ *noc.Packet, _ int64) {
+	if s.heavy[c] {
+		s.Stats.HeavyGrants++
+	} else {
+		s.Stats.LightGrants++
 	}
-	return s.eng.nextEvent(now)
+	s.rotate = (c + 1) % s.cfg.Cores
 }
-
-// Backlog reports the total queued requests across cores.
-func (s *Staged) Backlog() int {
-	n := 0
-	for _, q := range s.queues {
-		n += len(q)
-	}
-	return n
-}
-
-// CmdCycles exposes command-bus activity for the power model.
-func (s *Staged) CmdCycles() int64 { return s.eng.CmdCycles }

@@ -291,7 +291,8 @@ type SchedulerStat struct {
 	// bound (checked runs only).
 	WCETChecked int64 `json:"wcetChecked,omitempty"`
 	// Throttled counts regulator grant opportunities lost to an exhausted
-	// budget; WindowRolls the regulation windows opened.
+	// budget; WindowRolls the regulation windows opened after the first,
+	// (cycles-1)/Window per channel whatever cycles the controller slept.
 	Throttled   int64 `json:"throttled,omitempty"`
 	WindowRolls int64 `json:"windowRolls,omitempty"`
 	// LightGrants/HeavyGrants/Reclassifications are the staged

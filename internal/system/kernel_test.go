@@ -6,6 +6,8 @@ import (
 
 	"aanoc/internal/appmodel"
 	"aanoc/internal/dram"
+	"aanoc/internal/memctrl"
+	"aanoc/internal/trace"
 )
 
 // runSkip executes one configuration with idle-skip forced on or off and
@@ -49,8 +51,12 @@ func TestIdleSkipEquivalence(t *testing.T) {
 
 // TestIdleSkipEquivalenceVariants covers the wake paths the design grid
 // leaves out: multiple virtual channels, adaptive routing, a different
-// application and generation, and an explicitly low-utilization app
-// where idle-skip actually skips.
+// application and generation, an explicitly low-utilization app where
+// idle-skip actually skips, and every memory scheduler saturated, at low
+// utilization and under a sparse replay — four requests 9,000 cycles
+// apart, so the controller sleeps across whole regulation windows and
+// anything it counts per tick (the regulator's window rolls did) shows
+// the kernel's wake schedule in the report.
 func TestIdleSkipEquivalenceVariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-system equivalence runs")
@@ -68,6 +74,23 @@ func TestIdleSkipEquivalenceVariants(t *testing.T) {
 			App: appmodel.LowUtil(), Gen: dram.DDR2, Design: GSSSAGM,
 			Cycles: 20_000, PriorityDemand: true, SampleEvery: 1000,
 		},
+	}
+	sparse := make([]trace.Record, 4)
+	for i := range sparse {
+		sparse[i] = trace.Record{
+			Cycle: int64(i) * 9_000, Core: appmodel.BluRay().Cores[0].Name,
+			Kind: "R", Class: "media", Bank: i, Row: i, Beats: 8,
+		}
+	}
+	for _, sc := range memctrl.Schedulers() {
+		base := Config{Gen: dram.DDR2, Design: GSSSAGM, PriorityDemand: true, Scheduler: sc}
+		sat, low, rep := base, base, base
+		sat.App, sat.Cycles = appmodel.BluRay(), 6_000
+		low.App, low.Cycles = appmodel.LowUtil(), 20_000
+		rep.App, rep.Cycles, rep.Replay = appmodel.BluRay(), 40_000, sparse
+		cfgs[sc.String()+"-saturated"] = sat
+		cfgs[sc.String()+"-low-util"] = low
+		cfgs[sc.String()+"-sparse-replay"] = rep
 	}
 	for name, cfg := range cfgs {
 		cfg := cfg
