@@ -135,14 +135,11 @@ func (m ChannelMap) Invert(ch int, local dram.Address) dram.Address {
 }
 
 // RoutersByPortDistance orders all mesh coordinates by hop distance to
-// the nearest memory port (then row-major) — the multi-channel
-// generalisation of RoutersByDistance: the Fig. 8 experiment replaces
-// conventional routers with GSS routers from the memory side outward,
-// and with several channels "the memory side" is the set of ports.
+// the nearest memory port (then row-major): the Fig. 8 experiment
+// replaces conventional routers with GSS routers from the memory side
+// outward, and with several channels "the memory side" is the set of
+// ports.
 func RoutersByPortDistance(width, height int, ports []noc.Coord) []noc.Coord {
-	if len(ports) == 1 {
-		return RoutersByDistance(width, height, ports[0])
-	}
 	dist := func(c noc.Coord) int {
 		best := noc.HopDistance(c, ports[0])
 		for _, p := range ports[1:] {

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"reflect"
 	"testing"
 
 	"aanoc/internal/dram"
@@ -135,17 +136,19 @@ func TestParseChannelSchemeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRoutersByPortDistanceMatchesSinglePort(t *testing.T) {
-	mem := noc.Coord{X: 0, Y: 0}
-	a := RoutersByDistance(4, 4, mem)
-	b := RoutersByPortDistance(4, 4, []noc.Coord{mem})
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
+// TestRoutersByPortDistanceSinglePort pins the single-memory ordering of
+// the Fig. 8 sweep: nearest first, ties broken row-major.
+func TestRoutersByPortDistanceSinglePort(t *testing.T) {
+	order := RoutersByPortDistance(3, 3, []noc.Coord{{X: 0, Y: 0}})
+	want := []noc.Coord{
+		{X: 0, Y: 0},
+		{X: 1, Y: 0}, {X: 0, Y: 1},
+		{X: 2, Y: 0}, {X: 1, Y: 1}, {X: 0, Y: 2},
+		{X: 2, Y: 1}, {X: 1, Y: 2},
+		{X: 2, Y: 2},
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("order diverges at %d: %+v vs %+v", i, a[i], b[i])
-		}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 }
 

@@ -161,27 +161,3 @@ func (p *Problem) totalWeight(i int) float64 {
 	}
 	return w
 }
-
-// RoutersByDistance returns all mesh coordinates ordered by hop distance
-// from the memory node (nearest first, then row-major) — the order in
-// which the Fig. 8 experiment replaces conventional routers with GSS
-// routers.
-func RoutersByDistance(width, height int, mem noc.Coord) []noc.Coord {
-	var out []noc.Coord
-	for y := 0; y < height; y++ {
-		for x := 0; x < width; x++ {
-			out = append(out, noc.Coord{X: x, Y: y})
-		}
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		da, db := noc.HopDistance(out[a], mem), noc.HopDistance(out[b], mem)
-		if da != db {
-			return da < db
-		}
-		if out[a].Y != out[b].Y {
-			return out[a].Y < out[b].Y
-		}
-		return out[a].X < out[b].X
-	})
-	return out
-}

@@ -124,18 +124,3 @@ func TestPropertySolveProducesValidPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRoutersByDistance(t *testing.T) {
-	order := RoutersByDistance(3, 3, noc.Coord{X: 0, Y: 0})
-	if len(order) != 9 {
-		t.Fatalf("got %d routers", len(order))
-	}
-	if order[0] != (noc.Coord{X: 0, Y: 0}) {
-		t.Errorf("first router should be the memory node, got %v", order[0])
-	}
-	for i := 1; i < len(order); i++ {
-		if noc.HopDistance(order[i-1], noc.Coord{X: 0, Y: 0}) > noc.HopDistance(order[i], noc.Coord{X: 0, Y: 0}) {
-			t.Fatal("order not sorted by distance")
-		}
-	}
-}

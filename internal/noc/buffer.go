@@ -43,12 +43,6 @@ func (b *InputBuffer) init(vc, capacity int) {
 	b.lastForwardCycle = -1
 }
 
-func newInputBuffer(vc, capacity int) *InputBuffer {
-	b := &InputBuffer{}
-	b.init(vc, capacity)
-	return b
-}
-
 // inputPort groups the virtual-channel buffers of one physical input.
 // The buffers are a value slice allocated once at construction and never
 // resized, so &bufs[vc] pointers taken by links stay valid.

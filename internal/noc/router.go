@@ -122,12 +122,6 @@ func (r *Router) init(pos Coord, vcs, bufFlits int) {
 	}
 }
 
-func newRouter(pos Coord, vcs, bufFlits int) *Router {
-	r := &Router{}
-	r.init(pos, vcs, bufFlits)
-	return r
-}
-
 // onNewPacket registers a packet whose head flit just arrived: pin its
 // route, bump the desire counter of that output, and introduce it to the
 // output's flow-control policy.

@@ -19,7 +19,9 @@ import (
 // a side effect that must happen per run (and the writer is identity,
 // not value). Neither is one with an injected device fault: its results
 // are wrong on purpose and must never be persisted or served in place of
-// a clean run's. Everything else in system.Config is pure input.
+// a clean run's. NoIdleSkip is left out of the hash: results are
+// identical with it on or off, so it must not split cache entries.
+// Everything else in system.Config is pure input.
 func Fingerprint(cfg system.Config) (string, bool) {
 	if cfg.Trace != nil || cfg.Fault != dram.FaultNone {
 		return "", false

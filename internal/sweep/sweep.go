@@ -31,11 +31,11 @@ type Options struct {
 	// serial in-order execution (no goroutines are spawned).
 	Workers int
 
-	// Context, when non-nil, cancels the grid: points not yet started
-	// settle with the context's error, and the default run function
-	// becomes system.RunContext so in-flight simulations abandon within
-	// one kernel epoch. A nil Context never cancels. (An explicit
-	// RunFunc is responsible for its own cancellation.)
+	// Context cancels the grid: points not yet started settle with the
+	// context's error, and the default run function (system.RunContext)
+	// abandons in-flight simulations within one kernel epoch. Nil means
+	// context.Background(). (An explicit RunFunc is responsible for its
+	// own cancellation.)
 	Context context.Context
 
 	// DisableCache turns off config-fingerprint deduplication, forcing
@@ -50,7 +50,8 @@ type Options struct {
 	OnProgress func(done, total int)
 
 	// RunFunc replaces the simulation entry point; nil selects
-	// system.Run. Tests and dry-run tooling substitute fakes here.
+	// system.RunContext under Context. Tests and dry-run tooling
+	// substitute fakes here.
 	RunFunc func(system.Config) (system.Result, error)
 
 	// Store, when non-nil, extends the fingerprint cache to disk:
@@ -141,13 +142,13 @@ func Run(cfgs []system.Config, o Options) ([]Result, Stats) {
 		return results, st
 	}
 	ctx := o.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	run := o.RunFunc
 	if run == nil {
-		run = system.Run
-		if ctx != nil {
-			run = func(cfg system.Config) (system.Result, error) {
-				return system.RunContext(ctx, cfg)
-			}
+		run = func(cfg system.Config) (system.Result, error) {
+			return system.RunContext(ctx, cfg)
 		}
 	}
 
@@ -185,7 +186,7 @@ func Run(cfgs []system.Config, o Options) ([]Result, Stats) {
 				return
 			}
 			cfg := cfgs[i]
-			if ctx != nil && ctx.Err() != nil {
+			if ctx.Err() != nil {
 				// Cancelled: unstarted points settle immediately instead of
 				// simulating; their Result.Err carries the context error.
 				settle(i, Result{Err: ctx.Err()}, false)

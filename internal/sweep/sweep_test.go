@@ -303,6 +303,13 @@ func TestFingerprintCanonicalises(t *testing.T) {
 	if fs, _ := Fingerprint(spelled); fs != fa {
 		t.Fatal("explicit default warmup fingerprints differently from implicit")
 	}
+	// NoIdleSkip changes how the kernel walks the cycles, never a result:
+	// both settings must share one cache entry.
+	ticked := implicit
+	ticked.NoIdleSkip = true
+	if ft, ok := Fingerprint(ticked); !ok || ft != fa {
+		t.Fatal("NoIdleSkip split the fingerprint")
+	}
 }
 
 func TestFingerprintTraceCaptureNotCacheable(t *testing.T) {

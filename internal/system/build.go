@@ -1,0 +1,387 @@
+package system
+
+import (
+	"fmt"
+
+	"aanoc/internal/appmodel"
+	"aanoc/internal/check"
+	"aanoc/internal/core"
+	"aanoc/internal/dram"
+	"aanoc/internal/mapping"
+	"aanoc/internal/memctrl"
+	"aanoc/internal/noc"
+	"aanoc/internal/obs"
+	"aanoc/internal/router"
+	"aanoc/internal/sim"
+	"aanoc/internal/stats"
+	"aanoc/internal/trace"
+	"aanoc/internal/traffic"
+)
+
+// channel is one SDRAM channel: a controller/device pair behind its own
+// mesh ejection port, with the counters and wake handles that belong to
+// it. A single-channel run is the one-element case of the same wiring.
+type channel struct {
+	port    noc.Coord
+	dev     *dram.Device
+	ctrl    memctrl.Controller
+	sink    *noc.Sink     // request-mesh ejection at port
+	respInj *noc.Injector // response-mesh injection at port
+
+	// sent/done count split packets routed to and completed by the
+	// channel — the conservation ledger (checked mode) and the report's
+	// per-channel Splits/Completions.
+	sent, done int64
+
+	// Wake targets: an admission wakes the controller, a read completion
+	// the response injector.
+	hMem, hRespInj *sim.Handle
+
+	// dpqMon is the DPQ WCET monitor (checked runs under SchedDPQ only).
+	dpqMon *check.DPQMonitor
+}
+
+// coreNI is one core's network interface: traffic generators, request
+// injector and response sink, with the core's own counters.
+type coreNI struct {
+	idx  int // position in Runner.cores; a packet's SrcCore
+	spec appmodel.Core
+	gens []traffic.Source
+	inj  *noc.Injector
+	sink *noc.Sink
+
+	stats     CoreStats
+	stalls    int64 // cycles the generators lost to injection backpressure
+	generated int64 // logical requests generated (the per-core ledger)
+
+	// hInject is woken when a completion refills a closed-loop window.
+	hInject *sim.Handle
+}
+
+// Runner is a fully wired simulation; Step advances it cycle by cycle.
+// Most callers use Run; Runner is exported for examples and tests that
+// want mid-run visibility.
+type Runner struct {
+	cfg    Config
+	timing dram.Timing
+
+	// The three kinds of thing the system is made of: memory channels
+	// (chmap owns the global-bank interleaving across them), cores behind
+	// network interfaces, and the two meshes between them.
+	chans             []channel
+	chmap             mapping.ChannelMap
+	cores             []*coreNI
+	reqMesh, respMesh *noc.Mesh
+
+	// The simulation kernel owns the clock.
+	kern *sim.Kernel
+
+	parents parentTable
+	split   *core.Splitter // nil when the design does not split
+	nextID  int64
+
+	// Free-lists for the per-request allocations on the saturated hot
+	// path: packets cycle core→mesh→controller→(response mesh)→core and
+	// are recycled at their completion points, so steady state allocates
+	// nothing per request. Everything downstream that outlives a packet
+	// (controller `last` state, GSS history) holds value copies, never
+	// pointers, so recycling is safe.
+	pktFree []*noc.Packet
+	logFree []*logical
+
+	met stats.Metrics
+
+	// The collected time series and the data-cycle watermark of the last
+	// sample window.
+	samples     []obs.Sample
+	lastSampleD int64
+
+	gssAllocs []*core.GSS
+
+	// chk is nil unless Config.Checked.
+	chk *check.Checker
+
+	// maxBeats is the largest single-request beat count the resolved
+	// workload can present — the interference unit of the DPQ WCET bound
+	// and the regulator's budget floor.
+	maxBeats int
+}
+
+// New wires a simulation for the configuration.
+func New(cfg Config) (*Runner, error) {
+	cfg = cfg.Resolved()
+	timing, err := cfg.deviceTiming()
+	if err != nil {
+		return nil, err
+	}
+	ports := cfg.App.Ports()
+	if cfg.Channels < 1 {
+		return nil, fmt.Errorf("system: channels must be at least 1, got %d", cfg.Channels)
+	}
+	if cfg.Channels > len(ports) {
+		return nil, fmt.Errorf("system: app %s exposes %d memory port(s) but the config asks for %d channels",
+			cfg.App.Name, len(ports), cfg.Channels)
+	}
+	ports = ports[:cfg.Channels]
+	chmap, err := mapping.NewChannelMap(cfg.Scheme, cfg.Channels, timing.Banks)
+	if err != nil {
+		return nil, err
+	}
+	r := &Runner{cfg: cfg, timing: timing, chmap: chmap, maxBeats: maxRequestBeats(cfg)}
+	if r.reqMesh, err = noc.NewMeshVC(cfg.App.Width, cfg.App.Height, cfg.BufFlits, cfg.VirtualChannels); err != nil {
+		return nil, err
+	}
+	if r.respMesh, err = noc.NewMeshVC(cfg.App.Width, cfg.App.Height, cfg.BufFlits, cfg.VirtualChannels); err != nil {
+		return nil, err
+	}
+	if cfg.AdaptiveRouting {
+		r.reqMesh.SetRouting(noc.RoutingWestFirst)
+		r.respMesh.SetRouting(noc.RoutingWestFirst)
+	}
+	r.installAllocators(ports)
+	if err := r.buildMemory(ports); err != nil {
+		return nil, err
+	}
+	if cfg.Design.usesSAGM() {
+		g := cfg.SplitGranularity
+		if g == 0 {
+			g = core.SplitGranularity(int(cfg.Gen))
+		}
+		r.split = &core.Splitter{GranularityBeats: g, Alloc: r.allocPkt}
+	}
+	if err := r.buildCores(); err != nil {
+		return nil, err
+	}
+	if cfg.Checked {
+		r.installChecks()
+	}
+	r.buildKernel()
+	r.kern.SetIdleSkip(!cfg.NoIdleSkip)
+	return r, nil
+}
+
+// deviceTiming validates the run's scalar inputs and resolves the device
+// timing every channel shares.
+func (c Config) deviceTiming() (dram.Timing, error) {
+	if err := c.App.Validate(); err != nil {
+		return dram.Timing{}, err
+	}
+	if c.SampleEvery < 0 {
+		// The facade rejects this with ErrBadSampleEvery; rejecting it
+		// here too keeps direct system.Config users (aanoc-sim and the
+		// other CLIs) on the same validation surface.
+		return dram.Timing{}, fmt.Errorf("system: negative sampling interval %d", c.SampleEvery)
+	}
+	timing, err := dram.Speed(c.Gen, c.ClockMHz)
+	if err != nil {
+		return dram.Timing{}, err
+	}
+	if c.Design.usesSAGM() && !timing.OTF {
+		// SAGM matches the access granularity with BL4 bursts; devices
+		// with on-the-fly burst chop (DDR3/DDR4) stay in BL8 mode and chop
+		// per command instead.
+		timing = timing.WithDeviceBL(4)
+	}
+	if c.Subarrays < 0 {
+		return dram.Timing{}, fmt.Errorf("system: negative subarray count %d", c.Subarrays)
+	}
+	return timing.WithSubarrays(c.Subarrays), nil
+}
+
+// buildMemory attaches one controller/device pair behind each channel's
+// ejection port.
+func (r *Runner) buildMemory(ports []noc.Coord) error {
+	cfg := r.cfg
+	if !cfg.Scheduler.Valid() {
+		return fmt.Errorf("system: unknown scheduler %d", int(cfg.Scheduler))
+	}
+	// The design's page policy (zoo schedulers that keep a windowed
+	// pipeline inherit it; DPQ is structurally closed-page).
+	policy := memctrl.OpenPage
+	if cfg.Design.usesSAGM() {
+		policy = memctrl.PartialOpenPage
+	}
+	if cfg.PagePolicy != nil {
+		policy = *cfg.PagePolicy
+	}
+	memReady := 4
+	if cfg.Design.usesMemMax() || cfg.Scheduler != memctrl.SchedDefault {
+		memReady = 8
+	}
+	// Sized once: completions and kernel components hold &r.chans[i].
+	r.chans = make([]channel, len(ports))
+	for i, port := range ports {
+		c := &r.chans[i]
+		dev, err := dram.NewDevice(r.timing)
+		if err != nil {
+			return err
+		}
+		dev.InjectFault(cfg.Fault)
+		*c = channel{
+			port: port, dev: dev,
+			sink:    r.reqMesh.AttachSink(port, 2*cfg.BufFlits, memReady),
+			respInj: r.respMesh.AttachInjector(port),
+		}
+		c.ctrl = r.newController(dev, policy, func(cm memctrl.Completion) { r.onMemDone(c, cm) })
+	}
+	return nil
+}
+
+// newController builds one channel's memory scheduler: the configured
+// zoo member, or the paper's pairing of MemMax for conventional designs
+// and the lightweight controller otherwise.
+func (r *Runner) newController(dev *dram.Device, policy memctrl.PagePolicy, onDone func(memctrl.Completion)) memctrl.Controller {
+	cfg := r.cfg
+	switch cfg.Scheduler {
+	case memctrl.SchedDPQ:
+		return memctrl.NewDPQ(dev, memctrl.DefaultDPQConfig(len(cfg.App.Cores)), onDone)
+	case memctrl.SchedRegulated:
+		rc := memctrl.DefaultRegulatorConfig(len(cfg.App.Cores))
+		rc.MinBudget = int64(r.maxBeats)
+		rc.PipelineDepth = cfg.MemPipeline
+		rc.Policy = policy
+		return memctrl.NewRegulator(dev, rc, onDone)
+	case memctrl.SchedStaged:
+		sc := memctrl.DefaultStagedConfig(len(cfg.App.Cores))
+		sc.PipelineDepth = cfg.MemPipeline
+		sc.Policy = policy
+		return memctrl.NewStaged(dev, sc, onDone)
+	}
+	if cfg.Design.usesMemMax() {
+		mm := memctrl.DefaultMemMaxConfig()
+		mm.PriorityFirst = cfg.Design == ConvPFS
+		// The bus-level scheduler hands one transaction at a time to the
+		// controller, whose command look-ahead prepares the next page
+		// while the current data transfers (a window of two).
+		mm.PipelineDepth = 2
+		return memctrl.NewMemMax(dev, mm, onDone)
+	}
+	return memctrl.NewSimple(dev, policy, cfg.MemPipeline, onDone)
+}
+
+// buildCores attaches every core's traffic sources and network
+// interface. In replay mode the recorded requests replace the synthetic
+// generators.
+func (r *Runner) buildCores() error {
+	cfg := r.cfg
+	rng := sim.NewRNG(cfg.Seed)
+	var replay map[string][]trace.Record
+	if len(cfg.Replay) > 0 {
+		replay = trace.SplitByCore(cfg.Replay)
+	}
+	onFirstFlit := func(p *noc.Packet, now int64) {
+		if l := r.parents.get(p.ParentID); l != nil && l.entry < 0 {
+			l.entry = now
+		}
+	}
+	r.cores = make([]*coreNI, len(cfg.App.Cores))
+	for i, spec := range cfg.App.Cores {
+		ni := &coreNI{
+			idx: i, spec: spec, stats: CoreStats{Name: spec.Name},
+			inj:  r.reqMesh.AttachInjector(spec.Pos),
+			sink: r.respMesh.AttachSink(spec.Pos, 2*cfg.BufFlits, 16),
+		}
+		ni.inj.OnFirstFlit = onFirstFlit
+		if replay != nil {
+			ni.gens = append(ni.gens, trace.NewReplayer(replay[spec.Name]))
+		} else {
+			for _, s := range spec.Streams {
+				// Generators walk the global bank space: with C channels of
+				// B banks each, banks [0, C*B) spread the streams across
+				// every channel; C=1 is exactly the single-device walk.
+				g, err := traffic.NewGen(s, cfg.Channels*r.timing.Banks, appmodel.RowBeats, cfg.PriorityDemand, sim.NewRNG(rng.Uint64()))
+				if err != nil {
+					return err
+				}
+				ni.gens = append(ni.gens, g)
+			}
+		}
+		r.cores[i] = ni
+	}
+	return nil
+}
+
+// maxRequestBeats returns the largest single-request beat count the
+// resolved workload can present: the max over the replay records in
+// replay mode, over every stream's burst-size menu otherwise. It feeds
+// the DPQ WCET bound (the worst-case interference unit) and the
+// regulator's budget floor.
+func maxRequestBeats(cfg Config) int {
+	m := 1
+	if len(cfg.Replay) > 0 {
+		for _, rec := range cfg.Replay {
+			if rec.Beats > m {
+				m = rec.Beats
+			}
+		}
+		return m
+	}
+	for _, c := range cfg.App.Cores {
+		for _, s := range c.Streams {
+			for _, b := range s.Beats {
+				if b > m {
+					m = b
+				}
+			}
+		}
+	}
+	return m
+}
+
+// installAllocators sets every router output's flow-control policy
+// according to the design and the Fig. 8 GSS-router count; the GSS
+// routers are the ones nearest the memory ports.
+func (r *Runner) installAllocators(ports []noc.Coord) {
+	cfg := r.cfg
+	priorityFirst := func(int) noc.Allocator {
+		return &router.PriorityFirst{Inner: &router.RoundRobin{}}
+	}
+	// Response mesh: priority-first round-robin everywhere — without
+	// priority flags (Table I runs, CONV/[4] baselines) this is plain
+	// round-robin; with them, read data for priority requests overtakes
+	// best-effort responses at every merge, the return half of the
+	// guaranteed service.
+	for _, rt := range r.respMesh.Routers {
+		rt.SetAllAllocators(priorityFirst)
+	}
+	gssSet := map[noc.Coord]bool{}
+	if cfg.Design.usesGSSEngine() {
+		order := mapping.RoutersByPortDistance(cfg.App.Width, cfg.App.Height, ports)
+		n := cfg.GSSRouters
+		switch {
+		case n == 0 || n > len(order):
+			n = len(order)
+		case n < 0:
+			n = 0
+		}
+		for _, c := range order[:n] {
+			gssSet[c] = true
+		}
+	}
+	sti := core.STIParams{}
+	if cfg.Design.usesSTI() {
+		sti = core.STIParams{
+			Enabled:   true,
+			WriteIdle: r.timing.TWR + r.timing.TRP,
+			ReadIdle:  r.timing.TRP,
+		}
+	}
+	gssCfg := core.Config{Banks: r.timing.Banks, Subarrays: r.timing.Subarrays, STI: sti}
+	gssCfg.PCT = cfg.Design.pctFor(cfg.PCT, gssCfg.MaxTokens())
+	for _, rt := range r.reqMesh.Routers {
+		switch {
+		case gssSet[rt.Pos]:
+			rt.SetAllAllocators(func(int) noc.Allocator {
+				g := core.MustNew(gssCfg)
+				r.gssAllocs = append(r.gssAllocs, g)
+				return g
+			})
+		case cfg.Design.priorityFirstNet() || cfg.Design.usesGSSEngine():
+			// Non-GSS routers in a priority design (and the Fig. 8
+			// baseline remainder) are priority-first round-robin.
+			rt.SetAllAllocators(priorityFirst)
+		default:
+			rt.SetAllAllocators(func(int) noc.Allocator { return &router.RoundRobin{} })
+		}
+	}
+}

@@ -1,12 +1,14 @@
 package system
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"aanoc/internal/appmodel"
 	"aanoc/internal/dram"
 	"aanoc/internal/mapping"
+	"aanoc/internal/obs"
 )
 
 // TestChannelsOneIsSeedEquivalent is the multi-channel refactor's
@@ -135,5 +137,76 @@ func TestMultiChannelDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two identical multi-channel runs diverged")
+	}
+}
+
+// TestMemoryAggregateIsFoldOfChannels checks the report's flat memory
+// fields against its own per-channel breakdown on unchecked runs (checked
+// mode compares both against the devices, never against each other):
+// each bank index sums over the channels, the sink high-water mark is
+// the worst channel's, the stream classification sums — and a
+// one-channel report, whose aggregate is its single device, serialises
+// neither `channels` nor `imbalance`.
+func TestMemoryAggregateIsFoldOfChannels(t *testing.T) {
+	for _, cfg := range []Config{
+		{App: appmodel.BluRay(), Gen: dram.DDR2, Design: GSSSAGM},
+		{App: appmodel.BluRay2(), Gen: dram.DDR2, Design: GSSSAGM, Channels: 2},
+		{App: appmodel.QuadDTV(), Gen: dram.DDR4, Design: GSSSAGM, Channels: 4, Subarrays: 4, Scheme: mapping.ChannelThenBankXOR},
+	} {
+		cfg.Cycles, cfg.PriorityDemand = 20_000, true
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.RunTo(cfg.Cycles)
+		mem := r.Finish().Obs.Memory
+		if cfg.Channels <= 1 {
+			var buf bytes.Buffer
+			if err := obs.EncodeJSON(&buf, &obs.Report{Memory: mem}); err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Contains(buf.Bytes(), []byte(`"channels"`)) || bytes.Contains(buf.Bytes(), []byte(`"imbalance"`)) {
+				t.Errorf("%s: one-channel report serialises multi-channel fields", cfg.App.Name)
+			}
+			for i, b := range r.Device().BankCounters() {
+				want := obs.BankStat{Bank: i, Activates: b.Activates, Reads: b.Reads, Writes: b.Writes,
+					RowHits: b.RowHits, Precharges: b.Precharges, AutoPre: b.AutoPre}
+				if mem.Banks[i] != want {
+					t.Errorf("%s bank %d: report %+v, device %+v", cfg.App.Name, i, mem.Banks[i], want)
+				}
+			}
+			continue
+		}
+		if len(mem.Channels) != cfg.Channels || mem.Imbalance == nil {
+			t.Fatalf("%s: %d channel entries, imbalance %v", cfg.App.Name, len(mem.Channels), mem.Imbalance)
+		}
+		banks := make([]obs.BankStat, len(mem.Banks))
+		var stream obs.StreamQuality
+		hwm := 0
+		for _, cs := range mem.Channels {
+			for i, b := range cs.Banks {
+				banks[i].Bank = i
+				banks[i].Activates += b.Activates
+				banks[i].Reads += b.Reads
+				banks[i].Writes += b.Writes
+				banks[i].RowHits += b.RowHits
+				banks[i].Precharges += b.Precharges
+				banks[i].AutoPre += b.AutoPre
+			}
+			stream.RowHits += cs.Stream.RowHits
+			stream.Interleaves += cs.Stream.Interleaves
+			stream.Conflicts += cs.Stream.Conflicts
+			stream.Contentions += cs.Stream.Contentions
+			hwm = max(hwm, cs.SinkReadyHWM)
+		}
+		if !reflect.DeepEqual(mem.Banks, banks) {
+			t.Errorf("%s: Banks %+v is not the per-channel sum %+v", cfg.App.Name, mem.Banks, banks)
+		}
+		if *mem.Stream != stream || stream.RowHits == 0 {
+			t.Errorf("%s: Stream %+v, per-channel sum %+v", cfg.App.Name, *mem.Stream, stream)
+		}
+		if mem.SinkReadyHWM != hwm || hwm == 0 {
+			t.Errorf("%s: SinkReadyHWM %d, worst channel %d", cfg.App.Name, mem.SinkReadyHWM, hwm)
+		}
 	}
 }

@@ -28,35 +28,25 @@ import (
 // Config.Checked is set.
 func (r *Runner) installChecks() {
 	r.chk = &check.Checker{Panic: r.cfg.CheckedPanic}
-	r.genPerCore = make([]int64, len(r.cores))
-	// One protocol monitor per channel: each device's command stream is
-	// validated against its own shadow timing state.
-	for _, d := range r.devs {
-		mon := check.NewDRAMMonitor(r.chk, r.timing)
-		d.Observer = mon.Observe
-	}
-	// Scheduler-guarantee monitors, one per channel: the DPQ analytic
-	// WCET bound asserted per completion, or the per-bank regulation
-	// invariant shadow-audited per grant. The monitors consume the
-	// controllers' fact-reporting hooks; the bound arithmetic and ledger
-	// live entirely in internal/check.
-	for ch, ctrl := range r.ctrls {
-		name := ""
-		if len(r.ctrls) > 1 {
-			name = fmt.Sprintf("/ch%d", ch)
-		}
-		switch c := ctrl.(type) {
+	for i := range r.chans {
+		ch, name := &r.chans[i], r.chSuffix(i)
+		// One protocol monitor per channel: each device's command stream
+		// is validated against its own shadow timing state.
+		ch.dev.Observer = check.NewDRAMMonitor(r.chk, r.timing).Observe
+		// Scheduler-guarantee monitors, one per channel: the DPQ analytic
+		// WCET bound asserted per completion, or the per-bank regulation
+		// invariant shadow-audited per grant. The monitors consume the
+		// controllers' fact-reporting hooks; the bound arithmetic and
+		// ledger live entirely in internal/check.
+		switch c := ch.ctrl.(type) {
 		case *memctrl.DPQ:
 			b := check.NewDPQBound(r.timing, c.Config().Requestors, r.maxBeats)
-			mon := check.NewDPQMonitor(r.chk, b, "memctrl/dpq"+name)
-			c.OnAdmit = mon.Admit
-			c.OnComplete = mon.Complete
-			r.dpqMons = append(r.dpqMons, mon)
+			ch.dpqMon = check.NewDPQMonitor(r.chk, b, "memctrl/dpq"+name)
+			c.OnAdmit = ch.dpqMon.Admit
+			c.OnComplete = ch.dpqMon.Complete
 		case *memctrl.Regulator:
 			rc := c.Config()
-			mon := check.NewRegulatorMonitor(r.chk, rc.Window, rc.Budget, "memctrl/regulator"+name)
-			c.OnAdmit = mon.Admit
-			r.regMons = append(r.regMons, mon)
+			c.OnAdmit = check.NewRegulatorMonitor(r.chk, rc.Window, rc.Budget, "memctrl/regulator"+name).Admit
 		}
 	}
 }
@@ -74,7 +64,7 @@ func (r *Runner) auditMeshes(now int64) {
 
 // finalChecks performs the end-of-run accounting and attaches the
 // collected violations to the report. Cycle -1 marks whole-run checks.
-func (r *Runner) finalChecks(rep *obs.Report) {
+func (r *Runner) finalChecks(rep *obs.Report, devices dram.Stats) {
 	c := r.chk
 	r.auditMeshes(r.kern.Now())
 
@@ -93,25 +83,23 @@ func (r *Runner) finalChecks(rep *obs.Report) {
 			c.Reportf(-1, "runner", "split-accounting",
 				"outstanding request %d has %d pending splits", id, l.pending)
 		}
-		if l.core >= 0 && l.core < len(perCore) {
-			perCore[l.core]++
-		}
+		perCore[l.core]++
 	})
-	for i := range r.cores {
-		if r.genPerCore[i] != r.coreStats[i].Completed+perCore[i] {
+	for i, ni := range r.cores {
+		if ni.generated != ni.stats.Completed+perCore[i] {
 			c.Reportf(-1, "runner", "request-accounting",
 				"core %s generated %d != completed %d + outstanding %d",
-				r.cores[i].spec.Name, r.genPerCore[i], r.coreStats[i].Completed, perCore[i])
+				ni.spec.Name, ni.generated, ni.stats.Completed, perCore[i])
 		}
 	}
 	// Per-channel split conservation: a channel cannot complete more
 	// splits than the interleaving policy routed to it, and every split
 	// was routed to exactly one channel.
-	for ch := range r.chSent {
-		if r.chDone[ch] > r.chSent[ch] {
+	for i := range r.chans {
+		if ch := &r.chans[i]; ch.done > ch.sent {
 			c.Reportf(-1, "runner", "channel-accounting",
 				"channel %d completed %d splits but only %d were routed to it",
-				ch, r.chDone[ch], r.chSent[ch])
+				i, ch.done, ch.sent)
 		}
 	}
 	// GSS token tables.
@@ -123,18 +111,20 @@ func (r *Runner) finalChecks(rep *obs.Report) {
 	// DPQ WCET stragglers: a request still outstanding past its analytic
 	// deadline at end of run missed its bound just as surely as a late
 	// completion.
-	for _, m := range r.dpqMons {
-		m.Flush(r.kern.Now())
+	for i := range r.chans {
+		if m := r.chans[i].dpqMon; m != nil {
+			m.Flush(r.kern.Now())
+		}
 	}
-	r.checkReport(rep)
+	r.checkReport(rep, devices)
 
 	rep.Checked = true
 	rep.Violations = c.Violations()
 }
 
 // checkReport cross-checks the assembled observability report against
-// the device counters it claims to summarise.
-func (r *Runner) checkReport(rep *obs.Report) {
+// the device counters it claims to summarise (devices: their sum).
+func (r *Runner) checkReport(rep *obs.Report, devices dram.Stats) {
 	c := r.chk
 	if rep.Utilization < 0 || rep.Utilization > 1 {
 		c.Reportf(-1, "obs", "utilization-bound", "utilization %v outside [0,1]", rep.Utilization)
@@ -143,28 +133,31 @@ func (r *Runner) checkReport(rep *obs.Report) {
 		c.Reportf(-1, "obs", "request-accounting",
 			"report completed %d exceeds generated %d", rep.Completed, rep.Generated)
 	}
-	for name, ms := range map[string]obs.MeshStats{
-		"request": rep.Network.Request, "response": rep.Network.Response,
-	} {
-		for _, l := range ms.Links {
+	// A fixed order, request mesh first: which violations survive the
+	// checker's limit, and in what sequence, must not vary between runs.
+	for _, m := range []struct {
+		name  string
+		links []obs.LinkStat
+	}{{"request", rep.Network.Request.Links}, {"response", rep.Network.Response.Links}} {
+		for _, l := range m.links {
 			if l.BusyCycles < 0 || l.BusyCycles > rep.Cycles {
 				c.Reportf(-1, "obs", "link-busy-bound",
 					"%s mesh %s %s busy %d cycles of a %d-cycle run",
-					name, l.Router, l.Port, l.BusyCycles, rep.Cycles)
+					m.name, l.Router, l.Port, l.BusyCycles, rep.Cycles)
 			}
 			if l.Grants < 0 || l.Grants > l.BusyCycles {
 				c.Reportf(-1, "obs", "link-grant-bound",
 					"%s mesh %s %s granted %d packets over %d busy cycles",
-					name, l.Router, l.Port, l.Grants, l.BusyCycles)
+					m.name, l.Router, l.Port, l.Grants, l.BusyCycles)
 			}
 		}
 	}
 	// The per-bank breakdown must sum to the devices' command totals
 	// (every channel's device in aggregate).
-	r.checkBankBreakdown(rep.Memory.Banks, r.aggStats(), "aggregate")
+	r.checkBankBreakdown(rep.Memory.Banks, devices, "aggregate")
 	// And each channel's own breakdown must sum to its own device.
 	for _, cs := range rep.Memory.Channels {
-		r.checkBankBreakdown(cs.Banks, r.devs[cs.Channel].Stats(),
+		r.checkBankBreakdown(cs.Banks, r.chans[cs.Channel].dev.Stats(),
 			fmt.Sprintf("channel %d", cs.Channel))
 	}
 }

@@ -3,11 +3,14 @@ package system
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"aanoc/internal/appmodel"
+	"aanoc/internal/check"
 	"aanoc/internal/dram"
 	"aanoc/internal/memctrl"
+	"aanoc/internal/obs"
 )
 
 // TestCheckedCleanAcrossDesigns runs every design point under the full
@@ -132,5 +135,43 @@ func TestCheckedMutationCatchesSkippedTRCD(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("monitor missed the injected tRCD bug; violations: %v", res.Obs.Violations)
+	}
+}
+
+// TestCheckReportViolationOrderIsStable: with out-of-bound links in both
+// meshes, the sequence of violations — and so which ones survive the
+// checker's limit — must not depend on map iteration order. The request
+// mesh reports first, then the response mesh, every time.
+func TestCheckReportViolationOrderIsStable(t *testing.T) {
+	r, err := New(Config{App: appmodel.BluRay(), Gen: dram.DDR2, Design: GSS, Cycles: 500, Checked: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.RunTo(500)
+	res := r.Finish()
+	rep := res.Obs
+	if len(rep.Violations) != 0 {
+		t.Fatalf("clean run violated: %v", rep.Violations)
+	}
+	for _, links := range [][]obs.LinkStat{rep.Network.Request.Links, rep.Network.Response.Links} {
+		for i := range links {
+			links[i].BusyCycles = rep.Cycles + 1
+		}
+	}
+	var first []obs.Violation
+	for i := 0; i < 64; i++ {
+		// A limit below one mesh's link count: a response-first walk would
+		// fill it with different violations, not merely reorder them.
+		r.chk = &check.Checker{Limit: 8}
+		r.checkReport(rep, res.Device)
+		got := r.chk.Violations()
+		if i == 0 {
+			first = got
+			if len(first) != 8 || !strings.HasPrefix(first[0].Detail, "request mesh") {
+				t.Fatalf("fabricated report produced %v", first)
+			}
+		} else if !reflect.DeepEqual(got, first) {
+			t.Fatalf("repetition %d: violations %v, first run had %v", i, got, first)
+		}
 	}
 }

@@ -68,20 +68,14 @@ func (r *Runner) buildKernel() {
 	regMesh("req", r.reqMesh)
 	regMesh("resp", r.respMesh)
 
-	// chName suffixes a component name with its channel on multi-channel
-	// runs only, so single-channel kernels keep the seed's exact names.
-	chName := func(base string, ch int) string {
-		if len(r.devs) == 1 {
-			return base
-		}
-		return fmt.Sprintf("%s/ch%d", base, ch)
-	}
-
-	for ch := range r.devs {
-		ch := ch
-		sink, ctrl := r.memSinks[ch], r.ctrls[ch]
+	// A channel's three components. Registering every channel before any
+	// core keeps the response injectors ahead of the cores' injection in
+	// the Inject phase.
+	for i := range r.chans {
+		c, sfx := &r.chans[i], r.chSuffix(i)
+		sink, ctrl := c.sink, c.ctrl
 		hAdmit := k.Register(&comp{
-			name: chName("mem-admit", ch), phase: sim.PhaseAdmit,
+			name: "mem-admit" + sfx, phase: sim.PhaseAdmit,
 			tick: func(now int64) {
 				sink.Step(now)
 				for {
@@ -94,28 +88,30 @@ func (r *Runner) buildKernel() {
 					// refused Offer needs no wake: every refusal reason —
 					// refresh drain, a full window, a backlogged thread
 					// queue — implies the controller is already awake.)
-					r.hMems[ch].Wake(now)
+					c.hMem.Wake(now)
 				}
 			},
+			next: sinkNext(sink),
+		})
+		sink.OnArrival = func(now int64) { hAdmit.Wake(now) }
+		c.hMem = k.Register(&comp{
+			name: "memctrl" + sfx, phase: sim.PhaseMemTick,
+			tick: ctrl.Tick,
+			next: ctrl.NextEvent,
+		})
+		c.hRespInj = k.Register(&comp{
+			name: "resp-inject" + sfx, phase: sim.PhaseInject,
+			tick: c.respInj.Step,
 			next: func(now int64) int64 {
-				if sink.Occupied() > 0 || sink.Ready() > 0 {
+				if c.respInj.QueueLen() > 0 {
 					return now + 1
 				}
 				return sim.Never
 			},
 		})
-		sink.OnArrival = func(now int64) { hAdmit.Wake(now) }
 	}
 
-	for ch := range r.devs {
-		ctrl := r.ctrls[ch]
-		r.hMems = append(r.hMems, k.Register(&comp{
-			name: chName("memctrl", ch), phase: sim.PhaseMemTick,
-			tick: func(now int64) { ctrl.Tick(now) },
-			next: ctrl.NextEvent,
-		}))
-	}
-
+	// A core's two: response completion, then generation and injection.
 	for _, c := range r.cores {
 		c := c
 		hc := k.Register(&comp{
@@ -132,33 +128,10 @@ func (r *Runner) buildKernel() {
 					r.freePkt(p)
 				}
 			},
-			next: func(now int64) int64 {
-				if c.sink.Occupied() > 0 || c.sink.Ready() > 0 {
-					return now + 1
-				}
-				return sim.Never
-			},
+			next: sinkNext(c.sink),
 		})
 		c.sink.OnArrival = func(now int64) { hc.Wake(now) }
-	}
-
-	for ch := range r.devs {
-		inj := r.respInjs[ch]
-		r.hRespInjs = append(r.hRespInjs, k.Register(&comp{
-			name: chName("resp-inject", ch), phase: sim.PhaseInject,
-			tick: func(now int64) { inj.Step(now) },
-			next: func(now int64) int64 {
-				if inj.QueueLen() > 0 {
-					return now + 1
-				}
-				return sim.Never
-			},
-		}))
-	}
-
-	for i, c := range r.cores {
-		i, c := i, c
-		h := k.Register(&comp{
+		c.hInject = k.Register(&comp{
 			name: "core-inject/" + c.spec.Name, phase: sim.PhaseInject,
 			tick: func(now int64) {
 				blocked := c.inj.QueueFlits() >= r.cfg.InjectCap
@@ -168,7 +141,7 @@ func (r *Runner) buildKernel() {
 					// cycle — a backlogged injector keeps the component
 					// awake, so no stall cycle is skipped.
 					r.met.Stalled++
-					r.stalls[i]++
+					c.stalls++
 				}
 				for _, g := range c.gens {
 					req := g.Tick(now, blocked)
@@ -192,7 +165,6 @@ func (r *Runner) buildKernel() {
 				return next
 			},
 		})
-		r.hInject = append(r.hInject, h)
 	}
 
 	if se := r.cfg.SampleEvery; se > 0 {
@@ -221,4 +193,24 @@ func (r *Runner) buildKernel() {
 			next: func(now int64) int64 { return now + 1 },
 		})
 	}
+}
+
+// sinkNext keeps a sink's drain component awake while flits or
+// reassembled packets remain in it.
+func sinkNext(s *noc.Sink) func(now int64) int64 {
+	return func(now int64) int64 {
+		if s.Occupied() > 0 || s.Ready() > 0 {
+			return now + 1
+		}
+		return sim.Never
+	}
+}
+
+// chSuffix names a channel's components and monitors: empty on a
+// single-channel run, so those keep the seed's exact names.
+func (r *Runner) chSuffix(ch int) string {
+	if len(r.chans) == 1 {
+		return ""
+	}
+	return fmt.Sprintf("/ch%d", ch)
 }

@@ -1,0 +1,283 @@
+package system
+
+import (
+	"aanoc/internal/appmodel"
+	"aanoc/internal/dram"
+	"aanoc/internal/mapping"
+	"aanoc/internal/memctrl"
+	"aanoc/internal/obs"
+	"aanoc/internal/trace"
+)
+
+// Config specifies one simulation run.
+type Config struct {
+	App      appmodel.App
+	Gen      dram.Generation
+	ClockMHz int // 0: the application's clock for Gen
+	Design   Design
+
+	// Subarrays enables MASA-style subarray-level parallelism: each bank
+	// carries this many independent row buffers (rows map to buffers by
+	// row mod Subarrays), so same-bank accesses to different subarrays
+	// proceed without a precharge/activate cycle. 0 or 1 is the classic
+	// one-buffer bank, byte-identical to runs predating the knob. The
+	// structure is plumbed end to end: device timing, controller hazards,
+	// GSS conflict filters and the checked-mode shadow monitor all see it.
+	Subarrays int
+
+	// Channels is the number of independent SDRAM channels (default 1).
+	// Each channel is its own controller/device pair behind its own mesh
+	// ejection port (App.MemPorts); a request's owning channel is a pure
+	// function of its address under the Scheme interleaving policy.
+	// Channels must not exceed the application model's port count.
+	// Channels=1 reproduces the single-SDRAM system exactly.
+	Channels int
+	// Scheme selects the channel-interleaving policy (default
+	// mapping.BankThenChannel; the XOR scheme needs a power-of-two
+	// channel count). Irrelevant single-channel.
+	Scheme mapping.ChannelScheme
+
+	// Scheduler overrides the memory scheduler on every channel
+	// (default memctrl.SchedDefault: the paper's pairing of MemMax for
+	// conventional designs and the lightweight controller otherwise).
+	// The zoo members — SchedDPQ, SchedRegulated, SchedStaged — replace
+	// the controller while keeping the design's network unchanged, so a
+	// sweep isolates the scheduler axis. Checked runs additionally arm
+	// the scheduler's guarantee monitor: the DPQ analytic WCET bound per
+	// request, or the per-bank regulation-window invariant.
+	Scheduler memctrl.Scheduler
+
+	// PCT is the hybrid priority control token for GSS designs
+	// (default 3; [4] and [4]+PFS override it).
+	PCT int
+	// GSSRouters limits how many routers (nearest the memory first) run
+	// the GSS engine: 0 (the default) means all of them, -1 means none
+	// (the Fig. 8 baseline), and a positive k replaces exactly the k
+	// routers closest to the memory subsystem (the Fig. 8 sweep).
+	GSSRouters int
+
+	// PriorityDemand marks CPU demand requests as priority packets
+	// (Table II); Table I runs with it off.
+	PriorityDemand bool
+
+	Cycles int64
+	// Warmup is the cycle latency samples start after (default Cycles/10).
+	// Zero selects the default; an explicit no-warmup run is requested
+	// with the sentinel -1, since the zero value cannot express it. The
+	// sentinel survives Resolved (it normalises any negative value to -1,
+	// keeping resolution idempotent) and samples from cycle 0.
+	Warmup int64
+	// Seed seeds the deterministic RNG. Zero selects the fixed default
+	// seed 0xA11CE — the zero value must be runnable and deterministic —
+	// so "seed zero" itself is not expressible; every run is seeded.
+	Seed uint64
+
+	// BufFlits sizes router input buffers (default 8 flits per virtual
+	// channel).
+	BufFlits int
+	// VirtualChannels selects the buffer organisation of both meshes:
+	// 1 (default) is the paper's wormhole implementation; 2 adds a
+	// priority virtual channel so priority packets overtake long
+	// best-effort transfers at flit granularity — the alternative
+	// blocking remedy the paper contrasts SAGM splitting with.
+	VirtualChannels int
+	// AdaptiveRouting switches both meshes from the paper's XY routing to
+	// the west-first adaptive turn model: packets with several minimal
+	// paths take the least congested one (the paper's output-scheduler
+	// discussion for adaptive routers).
+	AdaptiveRouting bool
+	// InjectCap is the NI injection backlog in flits beyond which the
+	// traffic source stalls (default 64).
+	InjectCap int
+	// MemPipeline is the command pipeline depth of the lightweight
+	// controller (default 8, pinned by TestWithDefaultsPinned — the
+	// sweep fingerprint cache keys on the resolved value, so the default
+	// must not drift silently).
+	MemPipeline int
+	// SplitGranularity overrides the SAGM split size in beats (ablation);
+	// 0 uses the paper's per-generation value.
+	SplitGranularity int
+	// Trace, when set, records every generated logical request (capture
+	// mode); Replay, when non-empty, replaces the application's synthetic
+	// generators with the recorded requests (replay mode) — identical
+	// workloads across designs.
+	Trace  *trace.Writer
+	Replay []trace.Record
+
+	// SampleEvery, when positive, collects an observability time-series
+	// sample every SampleEvery cycles into the run report (Result.Obs):
+	// windowed data-bus utilization, outstanding logical requests and
+	// queue occupancies. Zero disables sampling; the rest of the report
+	// is collected either way. Sampling never feeds back into the
+	// simulation, so it cannot perturb results.
+	SampleEvery int64
+
+	// SpecHash identifies the scenario spec the configuration was
+	// resolved from (scenario.Spec.Hash; empty for builtin app models).
+	// It never perturbs the simulation, but the sweep fingerprint keys
+	// on it so two spec-driven runs with different workload content
+	// never share a cache entry even if their resolved app models
+	// coincide by name.
+	SpecHash string
+	// WorkloadStats includes the per-stream production breakdown
+	// (obs.Report.Workload: read/write split, burst-size histogram,
+	// blocked cycles) in the run report — the input of the scenario
+	// calibration layer. Off by default so default sidecars stay
+	// byte-identical; the counters themselves are always maintained.
+	WorkloadStats bool
+
+	// Checked enables the internal/check invariant layer: a DRAM protocol
+	// conformance monitor on the device's command stream, per-cycle
+	// credit/flit conservation audits over both meshes, and end-of-run
+	// request/token/report accounting. Costs nothing when off (one nil
+	// check per cycle); when on, violations accumulate into
+	// Result.Obs.Violations. Checked runs produce the same simulation
+	// results as unchecked runs — the monitors only observe.
+	Checked bool
+	// CheckedPanic makes the first violation panic at its detection point
+	// instead of accumulating — the mode the test harnesses run under, so
+	// a breach pinpoints its cycle. Implies Checked.
+	CheckedPanic bool
+	// Fault arms one deliberately broken device rule on every channel —
+	// the mutation knob that lets an end-to-end run prove checked mode
+	// turns the breach into violations. Unlike every other field it makes
+	// results wrong on purpose, so sweep.Fingerprint refuses to cache a
+	// faulted config. Only cmd/aanoc-sim sets it (AANOC_INJECT_FAULT).
+	Fault dram.Fault
+	// NoIdleSkip makes the kernel tick every cycle even when every
+	// component sleeps — the reference loop the equivalence gates compare
+	// against. Results are identical either way, so sweep.Fingerprint
+	// leaves it out. Only cmd/aanoc-sim sets it (AANOC_NO_IDLE_SKIP).
+	NoIdleSkip bool
+
+	// TagEveryRequest reverts to the paper's literal partially-open-page
+	// policy: every logical request's last split carries the AP tag, so
+	// the bank closes after every request. The default tags only the
+	// stream's final access to a row (the network interface knows its
+	// address walk), keeping rows open for known upcoming hits. The
+	// paper-literal mode is where the short turn-around interleaving
+	// (STI) counters matter: at high DDR3 clocks a closed bank needs
+	// tWR+tRP+tRCD cycles before it can serve the next same-row request,
+	// and the Fig. 4(b) filters steer other banks' traffic in between.
+	TagEveryRequest bool
+	// PagePolicy overrides the memory page policy (ablation); nil uses
+	// the design's policy.
+	PagePolicy *memctrl.PagePolicy
+}
+
+// Result carries one run's measurements.
+type Result struct {
+	Design   Design
+	App      string
+	Gen      dram.Generation
+	ClockMHz int
+	Cycles   int64
+	// Scheduler is the memory scheduler the run used; Channels its SDRAM
+	// channel count (both resolved, so table rows can carry them).
+	Scheduler memctrl.Scheduler
+	Channels  int
+
+	Utilization float64
+	LatAll      float64
+	LatDemand   float64
+	LatPriority float64
+	LatBest     float64
+	P95All      int64
+
+	Generated int64
+	Completed int64
+
+	Device dram.Stats
+	// WasteFrac is the fraction of transferred beats the requester never
+	// asked for (access granularity mismatch, Fig. 2).
+	WasteFrac float64
+
+	// NetBusyCycles sums flit transfers over all request-mesh outputs;
+	// GSSGrants counts GSS channel allocations; CmdCycles counts
+	// command-bus activity — inputs to the Table V power model.
+	NetBusyCycles int64
+	GSSGrants     int64
+	CmdCycles     int64
+
+	// PerCore breaks service down by requesting core; Fairness is Jain's
+	// index over per-core served beats (1 = perfectly proportional
+	// service, 1/n = one core monopolises the memory).
+	PerCore  []CoreStats
+	Fairness float64
+
+	// Obs is the run-level observability report: per-link utilization
+	// and grants, per-NI backlog high-water marks and stall cycles, the
+	// per-bank DRAM breakdown, and (when Config.SampleEvery is set) the
+	// time series. Always populated by Finish; serialized by the CLI
+	// JSON sidecars.
+	Obs *obs.Report
+}
+
+// Resolved returns the configuration with every defaulted field filled
+// in — the exact parameters a run would execute. Sweep fingerprinting
+// keys on the resolved form so distinct spellings of the same run (a
+// zero field versus its default written out) share one cache entry.
+func (c Config) Resolved() Config {
+	if c.ClockMHz == 0 {
+		c.ClockMHz = c.App.Clocks[c.Gen]
+	}
+	if c.ClockMHz == 0 {
+		// Application models predating a generation (the builtin media
+		// platforms carry DDR1-3 clocks only) default to its fastest
+		// standard speed grade.
+		c.ClockMHz = dram.DefaultClock(c.Gen)
+	}
+	if c.PCT == 0 {
+		c.PCT = 3
+	}
+	if c.Cycles == 0 {
+		c.Cycles = 200_000
+	}
+	if c.Warmup == 0 {
+		c.Warmup = c.Cycles / 10
+	} else if c.Warmup < 0 {
+		// The -1 sentinel (an explicit no-warmup run) must not resolve to
+		// 0: re-resolving would re-fill the default, and two configs that
+		// run identically would fingerprint apart. Generation cycles are
+		// never negative, so "gen >= -1" samples everything.
+		c.Warmup = -1
+	}
+	if c.Seed == 0 {
+		c.Seed = 0xA11CE
+	}
+	if c.BufFlits == 0 {
+		c.BufFlits = 8
+	}
+	if c.VirtualChannels == 0 {
+		c.VirtualChannels = 1
+	}
+	if c.InjectCap == 0 {
+		c.InjectCap = 64
+	}
+	if c.MemPipeline == 0 {
+		c.MemPipeline = 8
+	}
+	if c.Channels == 0 {
+		c.Channels = 1
+	}
+	if c.CheckedPanic {
+		c.Checked = true
+	}
+	return c
+}
+
+// CoreStats is the per-core service breakdown of one run.
+type CoreStats struct {
+	Name       string
+	Completed  int64
+	Beats      int64 // useful beats served
+	LatencySum int64 // generation-to-completion, summed
+}
+
+// MeanLatency returns the core's average request latency.
+func (c CoreStats) MeanLatency() float64 {
+	if c.Completed == 0 {
+		return 0
+	}
+	return float64(c.LatencySum) / float64(c.Completed)
+}

@@ -69,8 +69,8 @@ func TestDrainToQuiescence(t *testing.T) {
 			if !r.respMesh.Quiescent() {
 				t.Error("response mesh not quiescent after drain")
 			}
-			for ch, ctrl := range r.ctrls {
-				if ctrl.Busy() {
+			for ch := range r.chans {
+				if r.chans[ch].ctrl.Busy() {
 					t.Errorf("memory controller %d busy after drain", ch)
 				}
 			}

@@ -1,12 +1,14 @@
 package system
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"aanoc/internal/appmodel"
 	"aanoc/internal/dram"
 	"aanoc/internal/memctrl"
+	"aanoc/internal/obs"
 	"aanoc/internal/trace"
 )
 
@@ -56,7 +58,9 @@ func TestIdleSkipEquivalence(t *testing.T) {
 // utilization and under a sparse replay — four requests 9,000 cycles
 // apart, so the controller sleeps across whole regulation windows and
 // anything it counts per tick (the regulator's window rolls did) shows
-// the kernel's wake schedule in the report.
+// the kernel's wake schedule in the report. The paper's Table I–III grid
+// at 10,000 cycles rides along, compared as canonical report bytes: the
+// in-process form of the `aanoc-tables -table all` on/off CI leg.
 func TestIdleSkipEquivalenceVariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-system equivalence runs")
@@ -101,5 +105,97 @@ func TestIdleSkipEquivalenceVariants(t *testing.T) {
 				t.Fatalf("idle-skip on and off diverge:\n on: %+v\noff: %+v", on, off)
 			}
 		})
+	}
+	t.Run("tables", func(t *testing.T) {
+		encoded := func(cfg Config, skip bool) []byte {
+			var buf bytes.Buffer
+			if err := obs.EncodeJSON(&buf, runSkip(t, cfg, skip).Obs); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		for _, cfg := range paperGrid(10_000) {
+			if !bytes.Equal(encoded(cfg, true), encoded(cfg, false)) {
+				t.Errorf("%s %s %s priority=%t: report bytes differ between idle-skip on and off",
+					cfg.App.Name, cfg.Gen, cfg.Design, cfg.PriorityDemand)
+			}
+		}
+	})
+}
+
+// paperGrid is the 78-point grid behind Tables I–III (the root package's
+// TableI/II/III builders, which this package cannot import).
+func paperGrid(cycles int64) []Config {
+	var cfgs []Config
+	for _, tbl := range []struct {
+		designs  []Design
+		priority bool
+	}{
+		{[]Design{Conv, SDRAMAware, GSS, GSSSAGM}, false},
+		{[]Design{ConvPFS, SDRAMAwarePFS, GSS, GSSSAGM}, true},
+	} {
+		for _, app := range appmodel.Apps() {
+			for _, gen := range []dram.Generation{dram.DDR1, dram.DDR2, dram.DDR3} {
+				for _, d := range tbl.designs {
+					cfgs = append(cfgs, Config{App: app, Gen: gen, Design: d, PriorityDemand: tbl.priority, Cycles: cycles})
+				}
+			}
+		}
+	}
+	for _, app := range appmodel.Apps() {
+		for _, d := range []Design{GSSSAGM, GSSSAGMSTI} {
+			cfgs = append(cfgs, Config{
+				App: app, Gen: dram.DDR3, Design: d, PriorityDemand: true,
+				TagEveryRequest: true, Cycles: cycles,
+			})
+		}
+	}
+	return cfgs
+}
+
+// TestConfigNoIdleSkip: the Config field reaches the kernel (a low-
+// utilization run then executes every cycle) and changes no result.
+func TestConfigNoIdleSkip(t *testing.T) {
+	cfg := Config{App: appmodel.LowUtil(), Gen: dram.DDR2, Design: GSSSAGM, Cycles: 20_000}
+	var res [2]Result
+	var steps [2]int64
+	for i, off := range []bool{false, true} {
+		cfg.NoIdleSkip = off
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.RunTo(cfg.Cycles)
+		res[i], steps[i] = r.Finish(), r.kern.Steps()
+	}
+	if steps[1] != cfg.Cycles || steps[0] >= steps[1] {
+		t.Fatalf("steps: %d with idle-skip, %d with NoIdleSkip over %d cycles", steps[0], steps[1], cfg.Cycles)
+	}
+	if !reflect.DeepEqual(res[0], res[1]) {
+		t.Fatal("NoIdleSkip changed the result")
+	}
+}
+
+// TestChunkedRunToEqualsSingle pins the property RunContext's epochs (and
+// every caller that advances a Runner piecewise) rely on: RunTo in
+// uneven chunks lands in exactly the state one RunTo reaches.
+func TestChunkedRunToEqualsSingle(t *testing.T) {
+	for _, app := range []appmodel.App{appmodel.BluRay(), appmodel.LowUtil()} {
+		cfg := Config{App: app, Gen: dram.DDR2, Design: GSSSAGM, Cycles: 20_000, PriorityDemand: true, SampleEvery: 1000}
+		whole, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole.RunTo(cfg.Cycles)
+		chunked, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, end := range []int64{1, 777, 778, 9_000, 16_384, cfg.Cycles} {
+			chunked.RunTo(end)
+		}
+		if a, b := whole.Finish(), chunked.Finish(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: chunked RunTo diverges:\nwhole:   %+v\nchunked: %+v", app.Name, a, b)
+		}
 	}
 }

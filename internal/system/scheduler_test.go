@@ -160,9 +160,9 @@ func TestRegulatorMutationDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, ok := r.ctrls[0].(*memctrl.Regulator)
+	reg, ok := r.chans[0].ctrl.(*memctrl.Regulator)
 	if !ok {
-		t.Fatalf("regulated config built %T", r.ctrls[0])
+		t.Fatalf("regulated config built %T", r.chans[0].ctrl)
 	}
 	if reg.OnAdmit == nil {
 		t.Fatal("checked mode left the regulator's admission hook unwired")
