@@ -284,8 +284,9 @@ func (g *GSS) Select(cands []noc.Candidate, now int64) int {
 		return -1
 	}
 	if cap(g.excluded) < len(cands) {
-		g.excluded = make([]bool, len(cands))
-		g.eidx = make([]int, len(cands))
+		n := max(len(cands), noc.NumPorts) // a full router at once, not one candidate count at a time
+		g.excluded = make([]bool, n)
+		g.eidx = make([]int, n)
 	}
 	// Robustness: adopt candidates the allocator was not told about
 	// (e.g. after reconfiguration). eidx caches each candidate's entry

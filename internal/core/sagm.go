@@ -16,6 +16,11 @@ import (
 // The granularity is chosen per DDR generation as in the paper: DDR I/II
 // devices are run in BL4 mode (4 beats per column command), DDR III in
 // BL8 mode with on-the-fly BC4 chop (8 beats, choppable to 4).
+//
+// Ownership: Split appends into a list the caller owns and reuses (the
+// system keeps one, valid until its next request is packetised), and
+// draws the packets themselves from Alloc — nothing here allocates per
+// request once both are warm.
 type Splitter struct {
 	// GranularityBeats is the maximum payload of one split packet.
 	GranularityBeats int
@@ -37,20 +42,23 @@ func SplitGranularity(gen int) int {
 }
 
 // Split cuts the logical request p into packets of at most
-// GranularityBeats beats. Consecutive splits address consecutive columns
+// GranularityBeats beats and appends them to dst, returning the extended
+// slice: the caller owns the list and reuses its backing array from one
+// request to the next, so splitting allocates nothing once dst has grown
+// to the longest chain. Consecutive splits address consecutive columns
 // of the same row (so their pairwise relation is a row-buffer hit and the
 // GSS T(0) path schedules them back to back); the final split carries the
 // AP tag that drives the memory subsystem's partially-open-page policy —
 // the caller sets p.APTag to indicate whether this request is the
 // application's last access to the row (tag it) or more row hits follow
 // (leave the row open). newID allocates packet IDs. A request that
-// already fits returns a single packet.
-func (s Splitter) Split(p *noc.Packet, newID func() int64) ([]*noc.Packet, error) {
+// already fits appends a single packet; on error dst is returned as given.
+func (s Splitter) Split(dst []*noc.Packet, p *noc.Packet, newID func() int64) ([]*noc.Packet, error) {
 	if s.GranularityBeats < 1 {
-		return nil, fmt.Errorf("core: invalid split granularity %d", s.GranularityBeats)
+		return dst, fmt.Errorf("core: invalid split granularity %d", s.GranularityBeats)
 	}
 	if p.Beats < 1 {
-		return nil, fmt.Errorf("core: packet %v has no payload", p)
+		return dst, fmt.Errorf("core: packet %v has no payload", p)
 	}
 	if p.Kind == noc.Read {
 		// A read request is a single command flit whatever its burst
@@ -61,10 +69,9 @@ func (s Splitter) Split(p *noc.Packet, newID func() int64) ([]*noc.Packet, error
 		p.ParentID = p.ID
 		p.Splits = 1
 		p.Flits = 1
-		return []*noc.Packet{p}, nil
+		return append(dst, p), nil
 	}
 	n := (p.Beats + s.GranularityBeats - 1) / s.GranularityBeats
-	out := make([]*noc.Packet, 0, n)
 	remaining := p.Beats
 	col := p.Addr.Col
 	for i := 0; i < n; i++ {
@@ -81,11 +88,11 @@ func (s Splitter) Split(p *noc.Packet, newID func() int64) ([]*noc.Packet, error
 		sp.Splits = n
 		sp.APTag = p.APTag && i == n-1
 		sp.Flits = noc.FlitsForBeats(beats)
-		out = append(out, sp)
+		dst = append(dst, sp)
 		remaining -= beats
 		col += beats
 	}
-	return out, nil
+	return dst, nil
 }
 
 // allocPkt draws from the configured pool, or the heap without one.
@@ -96,11 +103,11 @@ func (s Splitter) allocPkt() *noc.Packet {
 	return new(noc.Packet)
 }
 
-// NoSplit wraps an unsplit request for designs without SAGM: the packet
-// keeps its identity, is its own parent, and carries no AP tag (the
-// memory subsystem runs a plain open-page policy with explicit
-// precharges).
-func NoSplit(p *noc.Packet) []*noc.Packet {
+// NoSplit prepares an unsplit request, in place, for designs without
+// SAGM: the packet keeps its identity, is its own parent, and carries no
+// AP tag (the memory subsystem runs a plain open-page policy with
+// explicit precharges). The request's packet list is p alone.
+func NoSplit(p *noc.Packet) {
 	p.ParentID = p.ID
 	p.Splits = 1
 	p.APTag = false
@@ -109,5 +116,4 @@ func NoSplit(p *noc.Packet) []*noc.Packet {
 	} else {
 		p.Flits = 1
 	}
-	return []*noc.Packet{p}
 }

@@ -40,7 +40,7 @@ func TestSplitPaperExample(t *testing.T) {
 	// splitting into 4,4,4,4,2 beats (five packets) at granularity 4 and
 	// 8,8,2 (three packets) at granularity 8.
 	p := logical(18, noc.Write)
-	five, err := Splitter{GranularityBeats: 4}.Split(p, idGen())
+	five, err := Splitter{GranularityBeats: 4}.Split(nil, p, idGen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestSplitPaperExample(t *testing.T) {
 			t.Errorf("split %d beats = %d, want %d", i, sp.Beats, wantBeats[i])
 		}
 	}
-	three, err := Splitter{GranularityBeats: 8}.Split(p, idGen())
+	three, err := Splitter{GranularityBeats: 8}.Split(nil, p, idGen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestSplitPaperExample(t *testing.T) {
 
 func TestSplitInvariants(t *testing.T) {
 	p := logical(18, noc.Write)
-	splits, err := Splitter{GranularityBeats: 4}.Split(p, idGen())
+	splits, err := Splitter{GranularityBeats: 4}.Split(nil, p, idGen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSplitReadTravelsUnsplit(t *testing.T) {
 	// flit regardless of burst length), so SAGM leaves it unsplit and the
 	// memory subsystem applies the granularity matching.
 	p := logical(18, noc.Read)
-	splits, err := Splitter{GranularityBeats: 8}.Split(p, idGen())
+	splits, err := Splitter{GranularityBeats: 8}.Split(nil, p, idGen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestSplitReadTravelsUnsplit(t *testing.T) {
 
 func TestSplitSmallRequestSingleTagged(t *testing.T) {
 	p := logical(2, noc.Write)
-	splits, err := Splitter{GranularityBeats: 4}.Split(p, idGen())
+	splits, err := Splitter{GranularityBeats: 4}.Split(nil, p, idGen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSplitRowContinuationStaysUntagged(t *testing.T) {
 	// that follow.
 	p := logical(18, noc.Write)
 	p.APTag = false
-	splits, err := Splitter{GranularityBeats: 4}.Split(p, idGen())
+	splits, err := Splitter{GranularityBeats: 4}.Split(nil, p, idGen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,21 +141,58 @@ func TestSplitRowContinuationStaysUntagged(t *testing.T) {
 	}
 }
 
+// TestSplitAppendsIntoCallerScratch pins the split list's ownership
+// contract: Split appends to dst (a non-empty dst keeps its prefix, on
+// the read path too) and allocates nothing once cap(dst) covers the
+// chain and the packets come from a pool.
+func TestSplitAppendsIntoCallerScratch(t *testing.T) {
+	sentinel := &noc.Packet{ID: 77}
+	for _, kind := range []noc.Kind{noc.Write, noc.Read} {
+		out, err := Splitter{GranularityBeats: 4}.Split([]*noc.Packet{sentinel}, logical(18, kind), idGen())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1 + 5
+		if kind == noc.Read {
+			want = 1 + 1
+		}
+		if len(out) != want || out[0] != sentinel {
+			t.Fatalf("%v: appended list has %d packets (want %d), prefix kept: %v", kind, len(out), want, out[0] == sentinel)
+		}
+		if out[1].ParentID != 1 {
+			t.Errorf("%v: first appended packet has parent %d, want 1", kind, out[1].ParentID)
+		}
+	}
+
+	pool := make([]noc.Packet, 5)
+	next := 0
+	s := Splitter{GranularityBeats: 4, Alloc: func() *noc.Packet { next++; return &pool[next-1] }}
+	p, newID := logical(18, noc.Write), idGen()
+	dst := make([]*noc.Packet, 0, 5)
+	avg := testing.AllocsPerRun(100, func() {
+		next = 0
+		out, err := s.Split(dst[:0], p, newID)
+		if err != nil || len(out) != 5 || &out[0] != &dst[:1][0] {
+			t.Fatalf("split into scratch: %d packets, err %v (or the backing array was not reused)", len(out), err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("Split allocates %.2f per request with cap(dst) sufficient, want 0", avg)
+	}
+}
+
 func TestSplitErrors(t *testing.T) {
-	if _, err := (Splitter{GranularityBeats: 0}).Split(logical(8, noc.Write), idGen()); err == nil {
+	if _, err := (Splitter{GranularityBeats: 0}).Split(nil, logical(8, noc.Write), idGen()); err == nil {
 		t.Error("zero granularity should error")
 	}
-	if _, err := (Splitter{GranularityBeats: 4}).Split(logical(0, noc.Write), idGen()); err == nil {
+	if _, err := (Splitter{GranularityBeats: 4}).Split(nil, logical(0, noc.Write), idGen()); err == nil {
 		t.Error("empty payload should error")
 	}
 }
 
 func TestNoSplit(t *testing.T) {
 	p := logical(18, noc.Write)
-	out := NoSplit(p)
-	if len(out) != 1 || out[0] != p {
-		t.Fatal("NoSplit should return the packet itself")
-	}
+	NoSplit(p)
 	if p.APTag || p.Splits != 1 || p.ParentID != p.ID {
 		t.Fatalf("NoSplit bookkeeping wrong: %+v", p)
 	}
@@ -177,7 +214,7 @@ func TestPropertySplitConservesBeats(t *testing.T) {
 			kind = noc.Write
 		}
 		p := logical(b, kind)
-		splits, err := Splitter{GranularityBeats: g}.Split(p, idGen())
+		splits, err := Splitter{GranularityBeats: g}.Split(nil, p, idGen())
 		if err != nil {
 			return false
 		}

@@ -28,6 +28,7 @@ import (
 
 	"aanoc/internal/dram"
 	"aanoc/internal/noc"
+	"aanoc/internal/sim"
 )
 
 // PagePolicy selects what happens to a row after a column access.
@@ -104,9 +105,10 @@ type engine struct {
 
 	onDone func(Completion)
 
-	// free recycles reqState records: one is leased per admitted request
-	// and returned at retirement, so the steady state allocates none.
-	free []*reqState
+	// reqs recycles reqState records: one is leased per admitted request
+	// and returned (zeroed, so the pool cannot leak a stale packet
+	// pointer) at retirement, so the steady state allocates none.
+	reqs sim.Pool[reqState]
 }
 
 func newEngine(dev *dram.Device, policy PagePolicy, depth int, onDone func(Completion)) *engine {
@@ -121,25 +123,6 @@ func newEngine(dev *dram.Device, policy PagePolicy, depth int, onDone func(Compl
 	}
 }
 
-// leaseReq takes a reqState from the free-list, allocating on cold start.
-func (e *engine) leaseReq(p *noc.Packet) *reqState {
-	if n := len(e.free); n > 0 {
-		r := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		r.pkt = p
-		return r
-	}
-	return &reqState{pkt: p}
-}
-
-// releaseReq returns a retired reqState to the free-list, zeroed so the
-// pool cannot leak a stale packet pointer.
-func (e *engine) releaseReq(r *reqState) {
-	*r = reqState{}
-	e.free = append(e.free, r)
-}
-
 // canAdmit reports whether the pipeline window has room and no pending
 // refresh is draining it.
 func (e *engine) canAdmit() bool { return !e.refreshing && len(e.inflight) < e.depth }
@@ -149,7 +132,9 @@ func (e *engine) admit(p *noc.Packet) {
 	if !e.canAdmit() {
 		panic("memctrl: admit past window depth")
 	}
-	e.inflight = append(e.inflight, e.leaseReq(p))
+	r := e.reqs.Get()
+	r.pkt = p
+	e.inflight = append(e.inflight, r)
 }
 
 // blFor picks the burst length of the next CAS for a request: the device
@@ -189,7 +174,7 @@ func (e *engine) tick(now int64) {
 		if now >= r.lastEnd {
 			e.draining = append(e.draining[:i], e.draining[i+1:]...)
 			e.onDone(Completion{Pkt: r.pkt, At: r.lastEnd})
-			e.releaseReq(r)
+			e.reqs.Put(r)
 			continue
 		}
 		i++

@@ -189,31 +189,86 @@ func TestNextEventRearmAfterBurst(t *testing.T) {
 }
 
 // TestEngineSteadyStateAllocs pins the controller hot path at zero
-// allocations per request once the pipeline free-list is warm: admit,
-// issue (CanIssue probing included), retire.
+// allocations per request once warm, for the bare pipeline (Simple) and
+// every queued front-end: offer (the slot FIFO keeps its fixed buffer),
+// grant, issue (CanIssue probing included), retire. Three source cores,
+// so more than one slot cycles.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR3, 667)
 	tm.TREFI = 0
-	dev := dram.MustNewDevice(tm)
-	completions := 0
-	s := NewSimple(dev, OpenPage, 4, func(Completion) { completions++ })
-
-	p := req(1, 0, 5, 0, noc.Read, 8, false)
-	now := int64(0)
-	runOne := func() {
-		for !s.Offer(p, now) {
-			s.Tick(now)
-			now++
-		}
-		want := completions + 1
-		for completions < want {
-			s.Tick(now)
-			now++
-		}
+	ctrls := map[string]func(*dram.Device, func(Completion)) Controller{
+		"simple": func(d *dram.Device, done func(Completion)) Controller {
+			return NewSimple(d, OpenPage, 4, done)
+		},
+		"memmax": func(d *dram.Device, done func(Completion)) Controller {
+			return NewMemMax(d, DefaultMemMaxConfig(), done)
+		},
+		"dpq": func(d *dram.Device, done func(Completion)) Controller {
+			return NewDPQ(d, DefaultDPQConfig(3), done)
+		},
+		"staged": func(d *dram.Device, done func(Completion)) Controller {
+			return NewStaged(d, DefaultStagedConfig(3), done)
+		},
+		"regulated": func(d *dram.Device, done func(Completion)) Controller {
+			return NewRegulator(d, DefaultRegulatorConfig(3), done)
+		},
 	}
-	runOne() // warm the reqState free-list
+	for name, mk := range ctrls {
+		mk := mk
+		t.Run(name, func(t *testing.T) {
+			completions := 0
+			s := mk(dram.MustNewDevice(tm), func(Completion) { completions++ })
+			p := req(1, 0, 5, 0, noc.Read, 8, false)
+			now := int64(0)
+			runOne := func() {
+				p.SrcCore = (p.SrcCore + 1) % 3
+				p.Class = noc.Class(p.SrcCore) // MemMax maps classes, not cores, to threads
+				for !s.Offer(p, now) {
+					s.Tick(now)
+					now++
+				}
+				want := completions + 1
+				for completions < want {
+					s.Tick(now)
+					now++
+				}
+			}
+			for i := 0; i < 3; i++ {
+				runOne() // warm the reqState free-list
+			}
+			if avg := testing.AllocsPerRun(200, runOne); avg != 0 {
+				t.Errorf("controller steady state allocates %.2f per request, want 0", avg)
+			}
+		})
+	}
+}
 
-	if avg := testing.AllocsPerRun(200, runOne); avg != 0 {
-		t.Errorf("controller steady state allocates %.2f per request, want 0", avg)
+// TestQueuedPopClearsVacatedEntry: a granted packet goes back to the
+// system's pool at completion, so nothing downstream of that release may
+// still hold its pointer — including the slot FIFO's backing array past
+// its length, where a re-slice pop used to leave it.
+func TestQueuedPopClearsVacatedEntry(t *testing.T) {
+	tm := dram.MustSpeed(dram.DDR3, 667)
+	var done []Completion
+	m := NewMemMax(dram.MustNewDevice(tm), DefaultMemMaxConfig(), func(c Completion) { done = append(done, c) })
+	var pkts []*noc.Packet
+	for i := int64(0); i < 12; i++ {
+		p := req(i+1, int(i)%4, 5, int(i)*8, noc.Read, 8, false)
+		p.Class = noc.Class(i % 3)
+		pkts = append(pkts, p)
+	}
+	drive(t, m, pkts, &done, 5000)
+	if len(done) != len(pkts) || m.Backlog() != 0 {
+		t.Fatalf("completed %d of %d, backlog %d", len(done), len(pkts), m.Backlog())
+	}
+	for slot, fifo := range m.queues {
+		if cap(fifo) != m.depth {
+			t.Errorf("slot %d: FIFO capacity %d, want the fixed depth %d", slot, cap(fifo), m.depth)
+		}
+		for i, p := range fifo[:cap(fifo)] {
+			if p != nil {
+				t.Errorf("slot %d entry %d still points at drained packet %v", slot, i, p)
+			}
+		}
 	}
 }

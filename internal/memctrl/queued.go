@@ -8,6 +8,9 @@ import (
 // queued is the front-end every scheduling controller shares: bounded
 // per-slot FIFOs in front of the command pipeline, and the grant loop
 // that moves one head at a time into the pipeline while it has room.
+// Each FIFO is a fixed buffer of depth entries, carved at construction
+// and never reallocated: enqueue refuses past depth and the grant pops
+// by copy-shift, so the backing array does not creep.
 // What makes each embedder a scheduler stays with it: its Offer (which
 // slot a packet joins and its own admission rule), pick and granted.
 type queued struct {
@@ -28,11 +31,16 @@ type queued struct {
 // newQueued builds the shared front-end; slots, depth and pipeline are
 // already clamped by the caller (atLeastOne), whose Config() reports them.
 func newQueued(dev *dram.Device, policy PagePolicy, slots, depth, pipeline int, onDone func(Completion)) queued {
-	return queued{
+	q := queued{
 		eng:    newEngine(dev, policy, pipeline, onDone),
 		queues: make([][]*noc.Packet, slots),
 		depth:  depth,
 	}
+	buf := make([]*noc.Packet, slots*depth)
+	for i := range q.queues {
+		q.queues[i] = buf[i*depth : i*depth : (i+1)*depth]
+	}
+	return q
 }
 
 // atLeastOne raises every sizing below 1 to 1, in place, so a front-end's
@@ -73,8 +81,13 @@ func (q *queued) Tick(now int64) {
 		if slot < 0 {
 			break
 		}
-		p := q.queues[slot][0]
-		q.queues[slot] = q.queues[slot][1:]
+		// Copy-shift pop: the slot keeps its buffer, and the vacated entry
+		// is cleared so no pointer to a packet the system recycles lingers.
+		fifo := q.queues[slot]
+		p := fifo[0]
+		copy(fifo, fifo[1:])
+		fifo[len(fifo)-1] = nil
+		q.queues[slot] = fifo[:len(fifo)-1]
 		q.backlog--
 		q.eng.admit(p)
 		q.granted(slot, p, now)

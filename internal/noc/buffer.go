@@ -37,9 +37,14 @@ type InputBuffer struct {
 	lastForwardCycle int64 // at most one flit leaves the buffer per cycle
 }
 
-func (b *InputBuffer) init(vc, capacity int) {
+// init sizes the buffer. fifo (empty, capacity entries) backs the packet
+// FIFO for good: two or more queued packets each hold a flit slot (only
+// a lone, partly arrived head can have forwarded everything it has), so
+// the FIFO never outgrows the buffer.
+func (b *InputBuffer) init(vc, capacity int, fifo []*PacketProgress) {
 	b.vc = vc
 	b.capacity = capacity
+	b.packets = fifo
 	b.lastForwardCycle = -1
 }
 
@@ -50,16 +55,18 @@ type inputPort struct {
 	bufs []InputBuffer
 }
 
-func (p *inputPort) init(vcs, capacity int) {
+// init builds the port's VC buffers over fifos, vcs*capacity entries of
+// packet-FIFO backing the caller allocated (one slice per mesh).
+func (p *inputPort) init(vcs, capacity int, fifos []*PacketProgress) {
 	p.bufs = make([]InputBuffer, vcs)
 	for v := range p.bufs {
-		p.bufs[v].init(v, capacity)
+		p.bufs[v].init(v, capacity, fifos[v*capacity:v*capacity:(v+1)*capacity])
 	}
 }
 
 func newInputPort(vcs, capacity int) *inputPort {
 	p := &inputPort{}
-	p.init(vcs, capacity)
+	p.init(vcs, capacity, make([]*PacketProgress, vcs*capacity))
 	return p
 }
 
@@ -92,7 +99,7 @@ func (b *InputBuffer) Occupied() int { return b.occupied }
 // buffer is wired to one (standalone buffers in unit tests are not).
 func (b *InputBuffer) leaseProgress() *PacketProgress {
 	if b.feed != nil {
-		return b.feed.m.getProgress()
+		return b.feed.m.progress.Get()
 	}
 	return &PacketProgress{}
 }
@@ -100,7 +107,7 @@ func (b *InputBuffer) leaseProgress() *PacketProgress {
 // releaseProgress returns a fully forwarded PacketProgress to the pool.
 func (b *InputBuffer) releaseProgress(pp *PacketProgress) {
 	if b.feed != nil {
-		b.feed.m.putProgress(pp)
+		b.feed.m.progress.Put(pp)
 	}
 }
 

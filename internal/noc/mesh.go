@@ -1,6 +1,10 @@
 package noc
 
-import "fmt"
+import (
+	"fmt"
+
+	"aanoc/internal/sim"
+)
 
 // Coord is a router position on the mesh. X grows eastward, Y southward.
 type Coord struct{ X, Y int }
@@ -78,12 +82,13 @@ type Mesh struct {
 	injectors []*Injector
 	sinks     []*Sink
 
-	// ppFree is the mesh's PacketProgress free-list: entries are leased
-	// as head flits arrive and returned as tail flits leave, so the
-	// steady state recycles a small working set instead of allocating
-	// one per packet-hop. Per-mesh (not global) so concurrent sweeps
-	// stay race-free.
-	ppFree []*PacketProgress
+	// progress is the mesh's PacketProgress free-list: entries are leased
+	// as head flits arrive and returned (zeroed, so a stale *Packet cannot
+	// leak through the pool) as tail flits leave, so the steady state
+	// recycles a small working set instead of allocating one per
+	// packet-hop. Per-mesh (not global) so concurrent sweeps stay
+	// race-free.
+	progress sim.Pool[PacketProgress]
 
 	// work is the mesh's activity ledger: flits in flight on links, flits
 	// resident in router input buffers, and credits awaiting delivery.
@@ -128,10 +133,17 @@ func NewMeshVC(width, height, bufFlits, vcs int) (*Mesh, error) {
 	// into the arena are stable (the backing slice is never resized).
 	arena := make([]Router, width*height)
 	m.Routers = make([]*Router, width*height)
+	// Likewise one backing slice each for every port's per-VC credits,
+	// transfer slots and packet FIFOs; a router carves its share.
+	per := NumPorts * vcs
+	credits := make([]int, len(arena)*per)
+	active := make([]activeXfer, len(arena)*per)
+	fifos := make([]*PacketProgress, len(arena)*per*bufFlits)
 	for y := 0; y < height; y++ {
 		for x := 0; x < width; x++ {
 			i := m.index(Coord{x, y})
-			arena[i].init(Coord{x, y}, vcs, bufFlits)
+			lo, hi := i*per, (i+1)*per
+			arena[i].init(Coord{x, y}, vcs, bufFlits, credits[lo:hi], active[lo:hi], fifos[lo*bufFlits:hi*bufFlits])
 			m.Routers[i] = &arena[i]
 		}
 	}
@@ -262,26 +274,6 @@ func (m *Mesh) workAdd(d int64) {
 	if idle && m.work > 0 && m.OnWake != nil {
 		m.OnWake()
 	}
-}
-
-// getProgress leases a PacketProgress from the free-list (or allocates
-// when the list is dry — cold start only, in steady state the pool
-// recycles).
-func (m *Mesh) getProgress() *PacketProgress {
-	if n := len(m.ppFree); n > 0 {
-		pp := m.ppFree[n-1]
-		m.ppFree[n-1] = nil
-		m.ppFree = m.ppFree[:n-1]
-		return pp
-	}
-	return &PacketProgress{}
-}
-
-// putProgress returns a retired PacketProgress to the free-list, zeroed
-// so a stale *Packet cannot leak through the pool.
-func (m *Mesh) putProgress(pp *PacketProgress) {
-	*pp = PacketProgress{}
-	m.ppFree = append(m.ppFree, pp)
 }
 
 // Quiescent reports whether no packet occupies any buffer or link in the

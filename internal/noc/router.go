@@ -107,17 +107,22 @@ type Router struct {
 	candBufs [NumPorts]*InputBuffer
 }
 
-func (r *Router) init(pos Coord, vcs, bufFlits int) {
+// init wires one router of a mesh. credits, active and fifos are its
+// share of the mesh-wide backing slices (NumPorts*vcs entries; bufFlits
+// times that for fifos), carved here into one run per port.
+func (r *Router) init(pos Coord, vcs, bufFlits int, credits []int, active []activeXfer, fifos []*PacketProgress) {
 	r.Pos = pos
 	r.vcs = vcs
+	onNewPacket := r.onNewPacket // bound once: every VC buffer shares the method value
 	for p := 0; p < NumPorts; p++ {
-		r.In[p].init(vcs, bufFlits)
+		lo, hi := p*vcs, (p+1)*vcs
+		r.In[p].init(vcs, bufFlits, fifos[lo*bufFlits:hi*bufFlits])
 		o := &r.Out[p]
 		o.alloc = fifoAllocator{}
-		o.credits = make([]int, vcs)
-		o.active = make([]activeXfer, vcs)
+		o.credits = credits[lo:hi:hi]
+		o.active = active[lo:hi:hi]
 		for v := range r.In[p].bufs {
-			r.In[p].bufs[v].onNewPacket = r.onNewPacket
+			r.In[p].bufs[v].onNewPacket = onNewPacket
 		}
 	}
 }

@@ -68,8 +68,9 @@ func (p *PriorityFirst) OnPacketArrival(pkt *noc.Packet, now int64) {
 // present, then delegates.
 func (p *PriorityFirst) Select(cands []noc.Candidate, now int64) int {
 	if cap(p.pri) < len(cands) {
-		p.pri = make([]noc.Candidate, len(cands))
-		p.idx = make([]int, len(cands))
+		n := max(len(cands), noc.NumPorts) // a full router at once, not one candidate count at a time
+		p.pri = make([]noc.Candidate, n)
+		p.idx = make([]int, n)
 	}
 	pri, idx := p.pri[:len(cands)], p.idx[:len(cands)]
 	n := 0

@@ -78,16 +78,20 @@ type Runner struct {
 
 	parents parentTable
 	split   *core.Splitter // nil when the design does not split
+	splits  []*noc.Packet  // injectLogical's split list, reused per request
 	nextID  int64
+	newID   func() int64 // draws the next packet ID (bound once, for Split)
 
-	// Free-lists for the per-request allocations on the saturated hot
-	// path: packets cycle core→mesh→controller→(response mesh)→core and
-	// are recycled at their completion points, so steady state allocates
-	// nothing per request. Everything downstream that outlives a packet
-	// (controller `last` state, GSS history) holds value copies, never
-	// pointers, so recycling is safe.
-	pktFree []*noc.Packet
-	logFree []*logical
+	// Free-lists for the per-request objects: packets cycle
+	// core→mesh→controller→(response mesh)→core and are recycled at their
+	// completion points (the caller asserts nothing holds the pointer any
+	// more), split-chain records at the logical completion, so steady
+	// state allocates nothing per request. Everything downstream that
+	// outlives a packet (controller `last` state, GSS history) holds value
+	// copies, never pointers, so recycling is safe. A leased object is
+	// overwritten whole by its taker.
+	pkts sim.Pool[noc.Packet]
+	logs sim.Pool[logical]
 
 	met stats.Metrics
 
@@ -128,6 +132,7 @@ func New(cfg Config) (*Runner, error) {
 		return nil, err
 	}
 	r := &Runner{cfg: cfg, timing: timing, chmap: chmap, maxBeats: maxRequestBeats(cfg)}
+	r.newID = func() int64 { r.nextID++; return r.nextID }
 	if r.reqMesh, err = noc.NewMeshVC(cfg.App.Width, cfg.App.Height, cfg.BufFlits, cfg.VirtualChannels); err != nil {
 		return nil, err
 	}
@@ -147,7 +152,11 @@ func New(cfg Config) (*Runner, error) {
 		if g == 0 {
 			g = core.SplitGranularity(int(cfg.Gen))
 		}
-		r.split = &core.Splitter{GranularityBeats: g, Alloc: r.allocPkt}
+		if g < 1 {
+			return nil, fmt.Errorf("system: split granularity must be at least 1 beat, got %d", g)
+		}
+		r.split = &core.Splitter{GranularityBeats: g, Alloc: r.pkts.Get}
+		r.splits = make([]*noc.Packet, 0, (r.maxBeats+g-1)/g) // the longest chain
 	}
 	if err := r.buildCores(); err != nil {
 		return nil, err

@@ -125,7 +125,7 @@ func (r *Runner) buildKernel() {
 					}
 					r.completeSplit(p, now)
 					// The response packet's journey ends here; recycle it.
-					r.freePkt(p)
+					r.pkts.Put(p)
 				}
 			},
 			next: sinkNext(c.sink),

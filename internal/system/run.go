@@ -28,35 +28,54 @@ type logical struct {
 
 // parentTable maps logical-request parent IDs to their records without
 // hashing. Parent IDs are monotonic packet IDs, so the live IDs occupy a
-// window [base, base+len(slots)): lookup is a bounds check plus an
-// index, and completion trims the dead head so the window tracks the
-// outstanding range. IDs that were never parents leave nil gap slots;
-// the map hashing this replaces was a top bucket on the saturated-load
-// profile.
+// window [base, base+n) laid over a power-of-two ring: lookup is a bounds
+// check plus a masked index, completion advances the window past its dead
+// head, and the ring grows (re-laid in ID order) only when the window
+// outgrows it — a fixed table of outstanding requests, as in hardware.
+// IDs that were never parents leave nil gap slots, and every slot outside
+// the window is nil.
 type parentTable struct {
-	base  int64      // ID of slots[0]
+	base  int64      // ID of the window's first slot
+	head  int        // ring index of base
+	n     int        // window length in slots
 	slots []*logical // nil: completed, or an ID that was never a parent
 	live  int
 }
 
+// slot returns the ring index of window offset i.
+func (t *parentTable) slot(i int64) int { return (t.head + int(i)) & (len(t.slots) - 1) }
+
 // get returns the record for an ID, or nil.
 func (t *parentTable) get(id int64) *logical {
 	i := id - t.base
-	if i < 0 || i >= int64(len(t.slots)) {
+	if i < 0 || i >= int64(t.n) {
 		return nil
 	}
-	return t.slots[i]
+	return t.slots[t.slot(i)]
 }
 
 // put registers a record under a fresh ID (IDs only grow).
 func (t *parentTable) put(id int64, l *logical) {
-	if len(t.slots) == 0 {
+	if t.n == 0 {
 		t.base = id
 	}
-	for id-t.base >= int64(len(t.slots)) {
-		t.slots = append(t.slots, nil)
+	i := id - t.base
+	if i < int64(t.n) {
+		panic(fmt.Sprintf("system: parent ID %d is not fresh (window %d+%d)", id, t.base, t.n))
 	}
-	t.slots[id-t.base] = l
+	if i >= int64(len(t.slots)) {
+		size := max(len(t.slots), 64)
+		for int64(size) <= i {
+			size *= 2
+		}
+		grown := make([]*logical, size)
+		for j := 0; j < t.n; j++ {
+			grown[j] = t.slots[t.slot(int64(j))]
+		}
+		t.slots, t.head = grown, 0
+	}
+	t.slots[t.slot(i)] = l
+	t.n = int(i) + 1
 	t.live++
 }
 
@@ -64,18 +83,15 @@ func (t *parentTable) put(id int64, l *logical) {
 // Each slot is trimmed exactly once, so deletion is amortised O(1).
 func (t *parentTable) del(id int64) {
 	i := id - t.base
-	if i < 0 || i >= int64(len(t.slots)) || t.slots[i] == nil {
+	if i < 0 || i >= int64(t.n) || t.slots[t.slot(i)] == nil {
 		return
 	}
-	t.slots[i] = nil
+	t.slots[t.slot(i)] = nil
 	t.live--
-	n := 0
-	for n < len(t.slots) && t.slots[n] == nil {
-		n++
-	}
-	if n > 0 {
-		t.slots = t.slots[n:]
-		t.base += int64(n)
+	for t.n > 0 && t.slots[t.head] == nil {
+		t.head = (t.head + 1) & (len(t.slots) - 1)
+		t.base++
+		t.n--
 	}
 }
 
@@ -84,47 +100,11 @@ func (t *parentTable) Len() int { return t.live }
 
 // each visits every live record in ID order.
 func (t *parentTable) each(fn func(id int64, l *logical)) {
-	for i, l := range t.slots {
-		if l != nil {
-			fn(t.base+int64(i), l)
+	for i := int64(0); i < int64(t.n); i++ {
+		if l := t.slots[t.slot(i)]; l != nil {
+			fn(t.base+i, l)
 		}
 	}
-}
-
-// allocPkt leases a packet from the free-list (or allocates the pool's
-// first copies). Callers overwrite every field, so no zeroing on lease.
-func (r *Runner) allocPkt() *noc.Packet {
-	if n := len(r.pktFree); n > 0 {
-		p := r.pktFree[n-1]
-		r.pktFree = r.pktFree[:n-1]
-		return p
-	}
-	return new(noc.Packet)
-}
-
-// freePkt returns a packet to the free-list. The caller asserts nothing
-// holds the pointer any more: the packet has left both meshes and the
-// controller, and all retained history (controller `last`, GSS state) is
-// by value. Zeroed so a stale read after recycling is loud, not subtle.
-func (r *Runner) freePkt(p *noc.Packet) {
-	*p = noc.Packet{}
-	r.pktFree = append(r.pktFree, p)
-}
-
-// allocLogical / freeLogical pool the split-chain bookkeeping records the
-// same way (one per logical request, recycled at completion).
-func (r *Runner) allocLogical() *logical {
-	if n := len(r.logFree); n > 0 {
-		l := r.logFree[n-1]
-		r.logFree = r.logFree[:n-1]
-		return l
-	}
-	return new(logical)
-}
-
-func (r *Runner) freeLogical(l *logical) {
-	*l = logical{}
-	r.logFree = append(r.logFree, l)
 }
 
 // onMemDone handles a controller completion on one channel: writes
@@ -136,11 +116,11 @@ func (r *Runner) onMemDone(c *channel, done memctrl.Completion) {
 	p := done.Pkt
 	if p.Kind == noc.Write {
 		r.completeSplit(p, done.At)
-		r.freePkt(p)
+		r.pkts.Put(p)
 		return
 	}
 	r.nextID++
-	resp := r.allocPkt()
+	resp := r.pkts.Get()
 	*resp = noc.Packet{
 		ID: r.nextID, ParentID: p.ParentID,
 		SrcCore: p.SrcCore, Src: c.port, Dst: p.Src,
@@ -149,7 +129,7 @@ func (r *Runner) onMemDone(c *channel, done memctrl.Completion) {
 		Flits: noc.FlitsForBeats(p.Beats), Splits: p.Splits,
 		Gen: p.Gen, Response: true,
 	}
-	r.freePkt(p)
+	r.pkts.Put(p)
 	c.respInj.Enqueue(resp)
 	// Completions fire in the MemTick phase; the response injector's
 	// Inject slot is later this same cycle, as in the monolithic step.
@@ -188,7 +168,7 @@ func (r *Runner) completeSplit(p *noc.Packet, at int64) {
 	// so wake the core's injection component then and let its NextWake
 	// refine the estimate.
 	c.hInject.Wake(r.kern.Now() + 1)
-	r.freeLogical(l)
+	r.logs.Put(l)
 }
 
 // Step advances the whole system one memory clock cycle: every awake
@@ -219,7 +199,7 @@ func (r *Runner) injectLogical(c *coreNI, g traffic.Source, req *traffic.Request
 	// owning device decodes. Single-channel routing is the identity.
 	ch, local := r.chmap.Route(req.Addr)
 	r.nextID++
-	base := r.allocPkt()
+	base := r.pkts.Get()
 	*base = noc.Packet{
 		ID: r.nextID, ParentID: r.nextID,
 		SrcCore: c.idx, Src: c.spec.Pos, Dst: r.chans[ch].port,
@@ -227,17 +207,20 @@ func (r *Runner) injectLogical(c *coreNI, g traffic.Source, req *traffic.Request
 		Addr: local, Beats: req.Beats, Gen: now,
 		APTag: req.EndOfRow || r.cfg.TagEveryRequest,
 	}
-	var pkts []*noc.Packet
+	// The split list is scratch: rebuilt here for every request, and
+	// nothing keeps it past the Enqueue loop below.
+	pkts := r.splits[:0]
 	if r.split != nil {
 		var err error
-		pkts, err = r.split.Split(base, func() int64 { r.nextID++; return r.nextID })
-		if err != nil {
+		if pkts, err = r.split.Split(pkts, base, r.newID); err != nil {
 			panic(fmt.Sprintf("system: split failed: %v", err))
 		}
 	} else {
-		pkts = core.NoSplit(base)
+		core.NoSplit(base)
+		pkts = append(pkts, base)
 	}
-	l := r.allocLogical()
+	r.splits = pkts
+	l := r.logs.Get()
 	*l = logical{
 		gen: now, entry: -1, stream: g, class: req.Class, priority: req.Priority,
 		read: req.Kind == noc.Read, pending: len(pkts),
@@ -251,7 +234,7 @@ func (r *Runner) injectLogical(c *coreNI, g traffic.Source, req *traffic.Request
 	// copies; the base itself never enters the mesh, so recycle it now
 	// (its ID lives on as the chain's ParentID key, which is by value).
 	if len(pkts) > 0 && pkts[0] != base {
-		r.freePkt(base)
+		r.pkts.Put(base)
 	}
 	for _, p := range pkts {
 		c.inj.Enqueue(p)

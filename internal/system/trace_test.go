@@ -12,11 +12,16 @@ import (
 // captureTrace records a short run and returns the parsed records.
 func captureTrace(t *testing.T, d Design) []trace.Record {
 	t.Helper()
+	return captureTraceCycles(t, d, 30_000)
+}
+
+func captureTraceCycles(t *testing.T, d Design, cycles int64) []trace.Record {
+	t.Helper()
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
 	cfg := Config{
 		App: appmodel.BluRay(), Gen: dram.DDR2, Design: d,
-		Cycles: 30_000, Seed: 11, PriorityDemand: true, Trace: w,
+		Cycles: cycles, Seed: 11, PriorityDemand: true, Trace: w,
 	}
 	res, err := Run(cfg)
 	if err != nil {

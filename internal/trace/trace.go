@@ -83,12 +83,12 @@ func FromRequest(cycle int64, core string, req *traffic.Request) Record {
 }
 
 // toRequest converts a record back into a logical request.
-func (r *Record) toRequest() *traffic.Request {
+func (r *Record) toRequest() traffic.Request {
 	kind := noc.Read
 	if r.Kind == "W" {
 		kind = noc.Write
 	}
-	return &traffic.Request{
+	return traffic.Request{
 		Kind:     kind,
 		Class:    classFromString(r.Class),
 		Priority: r.Priority,
@@ -166,6 +166,7 @@ func Read(r io.Reader) ([]Record, error) {
 type Replayer struct {
 	records []Record
 	next    int
+	req     traffic.Request // the request Tick returns (valid until the next issue)
 
 	// Issued counts replayed requests; Outstanding tracks completions
 	// for closed-loop accounting (purely informational on replay).
@@ -191,7 +192,8 @@ func (rp *Replayer) Tick(now int64, blocked bool) *traffic.Request {
 	rp.next++
 	rp.Issued++
 	rp.Outstanding++
-	return rec.toRequest()
+	rp.req = rec.toRequest()
+	return &rp.req
 }
 
 // OnComplete implements traffic.Source.

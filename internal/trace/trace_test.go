@@ -123,6 +123,32 @@ func TestReplayerTiming(t *testing.T) {
 	}
 }
 
+// TestReplayerOwnsReturnedRequest pins the traffic.Source ownership
+// contract on Replayer: Tick hands out the replayer's one Request, the
+// next issue overwrites it, and a nil Tick leaves it untouched.
+func TestReplayerOwnsReturnedRequest(t *testing.T) {
+	rp := NewReplayer([]Record{rec(5, "a", 8), rec(10, "a", 24)})
+	first := rp.Tick(5, false)
+	if first == nil || first.Beats != 8 {
+		t.Fatalf("first replay = %+v", first)
+	}
+	held := *first
+	if rp.Tick(6, false) != nil || rp.Tick(10, true) != nil {
+		t.Fatal("expected idle ticks")
+	}
+	if *first != held {
+		t.Fatalf("a nil Tick changed the returned request: %+v -> %+v", held, *first)
+	}
+	second := rp.Tick(10, false)
+	if second != first || first.Beats != 24 {
+		t.Fatalf("second replay should overwrite the first in place: %p %+v, then %p %+v", first, held, second, second)
+	}
+	rp = NewReplayer(make([]Record, 101))
+	if avg := testing.AllocsPerRun(100, func() { rp.Tick(0, false) }); avg != 0 || rp.Issued != 101 {
+		t.Errorf("Tick allocates %.2f per replayed request (%d issued), want 0", avg, rp.Issued)
+	}
+}
+
 func TestPropertyRoundTrip(t *testing.T) {
 	f := func(cycles []uint16, beats uint8) bool {
 		var buf bytes.Buffer

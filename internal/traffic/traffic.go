@@ -96,7 +96,10 @@ func (s *Stream) Validate() error {
 // recorded workloads back into the system.
 type Source interface {
 	// Tick returns the request issued this cycle, or nil. blocked
-	// reports network-interface backpressure.
+	// reports network-interface backpressure. The source owns the
+	// Request: it is valid until this source's next Tick that issues one
+	// (a nil return leaves it untouched), so a caller keeps what it needs
+	// by value, never the pointer.
 	Tick(now int64, blocked bool) *Request
 	// OnComplete notifies the source that one of its logical requests
 	// finished (closed-loop pacing).
@@ -140,6 +143,8 @@ type Gen struct {
 	bank, row, colBeat int
 
 	priority bool // demand requests flagged priority this run
+
+	req Request // the request Tick returns, refilled by every issue
 
 	// Produced counts generated requests; Blocked counts generation
 	// opportunities lost to backpressure.
@@ -282,7 +287,8 @@ func (g *Gen) window() int {
 	return g.Spec.MaxOutstanding
 }
 
-// makeRequest draws size, direction and address.
+// makeRequest draws size, direction and address into the generator's one
+// Request (the Source contract: valid until the next issue).
 func (g *Gen) makeRequest() *Request {
 	beats := sim.Pick(g.rng, g.Spec.Beats)
 	kind := noc.Write
@@ -335,7 +341,7 @@ func (g *Gen) makeRequest() *Request {
 		}
 		endOfRow = g.colBeat+minBeats > g.rowBeats
 	}
-	return &Request{
+	g.req = Request{
 		Stream:   g,
 		Kind:     kind,
 		Class:    g.Spec.Class,
@@ -344,6 +350,7 @@ func (g *Gen) makeRequest() *Request {
 		Beats:    beats,
 		EndOfRow: endOfRow,
 	}
+	return &g.req
 }
 
 func maxInt(a, b int) int {

@@ -126,10 +126,10 @@ func TestStreamingAddressesAreSequentialRowHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reqs []*Request
+	var reqs []Request // by value: the generator reuses what Tick returns
 	for now := int64(0); len(reqs) < 40 && now < 100000; now++ {
 		if r := g.Tick(now, false); r != nil {
-			reqs = append(reqs, r)
+			reqs = append(reqs, *r)
 		}
 	}
 	if len(reqs) < 40 {
@@ -215,5 +215,48 @@ func TestReadFractionRespected(t *testing.T) {
 	frac := float64(reads) / float64(total)
 	if frac < 0.74 || frac > 0.86 {
 		t.Errorf("read fraction = %v, want ~0.8", frac)
+	}
+}
+
+// TestTickReturnsGeneratorOwnedRequest pins the Source ownership
+// contract on Gen: the returned Request is the generator's own, the next
+// issue overwrites it, and a Tick that issues nothing leaves it alone.
+func TestTickReturnsGeneratorOwnedRequest(t *testing.T) {
+	s := spec()
+	s.Beats = []int{16}
+	s.LoadFrac = 0.9
+	g, err := NewGen(s, 4, 64, false, sim.NewRNG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	issue := func(now int64) (*Request, int64) {
+		for ; now < 100000; now++ {
+			if r := g.Tick(now, false); r != nil {
+				return r, now + 1
+			}
+		}
+		t.Fatal("no request generated")
+		return nil, 0
+	}
+	first, now := issue(0)
+	held := *first
+	// The cycle after an issue is inside the inter-arrival gap, and a
+	// blocked cycle issues nothing either: both return nil and leave the
+	// request untouched.
+	if g.Tick(now, false) != nil || g.Tick(g.NextArrival(), true) != nil {
+		t.Fatal("expected idle ticks")
+	}
+	if *first != held {
+		t.Fatalf("a nil Tick changed the returned request: %+v -> %+v", held, *first)
+	}
+	second, now := issue(now)
+	if second != first {
+		t.Fatal("Gen should hand out its one Request, not a fresh allocation")
+	}
+	if *first == held || first.Addr.Col != held.Addr.Col+16 {
+		t.Fatalf("second issue did not overwrite the first: %+v then %+v", held, *first)
+	}
+	if avg := testing.AllocsPerRun(100, func() { _, now = issue(now) }); avg != 0 {
+		t.Errorf("Tick allocates %.2f per request, want 0", avg)
 	}
 }
