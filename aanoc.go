@@ -220,7 +220,7 @@ var (
 // Spec is a declarative workload/platform scenario: mesh dimensions,
 // memory ports, cores with their request streams, and optional run
 // parameters. Load one with LoadSpec/ParseSpec, set it on Config.Spec,
-// or generate one with the aanoc-gen tool. See internal/scenario for
+// or generate one with the aanoc gen tool. See internal/scenario for
 // the schema and DESIGN.md "Scenario platform" for the contract.
 type Spec = scenario.Spec
 

@@ -38,6 +38,33 @@ func TestAppsAndDesigns(t *testing.T) {
 	}
 }
 
+// TestTableDriversRejectNegativeCycles: a negative cycle count fails
+// every grid driver before anything simulates — no all-zero rows, and
+// nothing for a store to persist. Cycles: 0 keeps meaning 200,000.
+func TestTableDriversRejectNegativeCycles(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := TableOptions{Cycles: -5, Store: st}
+	for name, drive := range map[string]func() error{
+		"TableI":          func() error { _, err := TableI(o); return err },
+		"TableII":         func() error { _, err := TableII(o); return err },
+		"TableIII":        func() error { _, err := TableIII(o); return err },
+		"TableSchedulers": func() error { _, err := TableSchedulers(o); return err },
+		"Fig8":            func() error { _, err := Fig8("bluray", 2, 333, o); return err },
+		"TableV":          func() error { _, err := TableV(o); return err },
+	} {
+		if err := drive(); err == nil {
+			t.Errorf("%s accepted Cycles: -5", name)
+		}
+	}
+	if n := st.Stats().Entries; n != 0 {
+		t.Errorf("rejected grids left %d store entries", n)
+	}
+}
+
 func TestTableDriversSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table drivers are long")

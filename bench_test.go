@@ -8,7 +8,7 @@ package aanoc
 //	go test -bench=. -benchmem
 //
 // regenerates the quantities behind every published number (at
-// benchmark-sized cycle counts; use cmd/aanoc-tables for full runs).
+// benchmark-sized cycle counts; use aanoc tables for full runs).
 
 import (
 	"fmt"

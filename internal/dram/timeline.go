@@ -8,7 +8,7 @@ import (
 // Timeline records accepted commands and their data windows and renders
 // them as a textual timing diagram in the style of the paper's Fig. 5 —
 // one lane for the command bus, one for the data bus, one per bank. It is
-// both a debugging aid (cmd/aanoc-timing) and a documentation device: the
+// both a debugging aid (aanoc timing) and a documentation device: the
 // package tests render the paper's auto-precharge scenario as a golden
 // diagram.
 type Timeline struct {

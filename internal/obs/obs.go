@@ -38,8 +38,8 @@ import (
 const Schema = 2
 
 // Report is one run's observability export. Serialized as JSON by the
-// CLI sidecars (aanoc-sim -json, aanoc-tables -json, ...) and the
-// aanoc-serve results endpoint, always through EncodeJSON.
+// CLI sidecars (aanoc sim -json, aanoc tables -json, ...) and the
+// aanoc serve results endpoint, always through EncodeJSON.
 type Report struct {
 	// SchemaVersion is the report schema the writer produced (Schema at
 	// the time of writing); zero marks a legacy pre-versioned sidecar.
@@ -343,8 +343,8 @@ type Sample struct {
 // EncodeJSON writes the canonical serialization of one report: two-space
 // indented JSON, newline terminated, SchemaVersion stamped to Schema when
 // the report predates stamping. Every producer in the repository — the
-// five CLI sidecar writers, the golden corpus, the result store, the
-// aanoc-serve results endpoint — goes through this function, so a report
+// command line's sidecar writer, the golden corpus, the result store, the
+// aanoc serve results endpoint — goes through this function, so a report
 // has exactly one byte representation and byte-level comparisons (golden
 // tests, store round-trips, cache-parity CI) are meaningful.
 func EncodeJSON(w io.Writer, r *Report) error {
@@ -380,7 +380,7 @@ func DecodeJSON(data []byte) (*Report, error) {
 }
 
 // EncodeSidecar renders a report-bearing aggregate — a list of reports
-// (aanoc-sim -all), a table/point sidecar — in the same canonical form
+// (aanoc sim -all), a table/point sidecar — in the same canonical form
 // EncodeJSON uses for a single report, so every JSON artifact the CLIs
 // emit shares one encoding discipline.
 func EncodeSidecar(v any) ([]byte, error) {

@@ -1,7 +1,7 @@
 // Package paperdata records the published numbers of the paper's
 // evaluation section (Tables I-V and the Fig. 8 endpoints) as typed data.
 // The reproduction uses them in two ways: the report generator
-// (cmd/aanoc-report) prints paper-vs-measured comparisons for
+// (aanoc report) prints paper-vs-measured comparisons for
 // EXPERIMENTS.md, and shape tests assert that the reproduction preserves
 // the orderings and approximate ratios the paper claims — without
 // expecting absolute cycle counts to match (our substrate is a calibrated

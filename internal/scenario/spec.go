@@ -21,7 +21,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -363,7 +362,7 @@ func (s *Spec) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// WriteJSON serialises the spec, indented, to w — the aanoc-gen output
+// WriteJSON serialises the spec, indented, to w — the aanoc gen output
 // format, accepted back by Parse.
 func (s *Spec) WriteJSON(w io.Writer) error {
 	data, err := json.MarshalIndent(s, "", "  ")
@@ -499,52 +498,6 @@ func (s *Spec) SystemConfig(over Run) (system.Config, error) {
 	}
 	cfg.SpecHash = s.Hash()
 	return cfg, nil
-}
-
-// runFlags is the one table from a CLI flag name to the Run field it
-// feeds, as the function that clears the field.
-var runFlags = map[string]func(*Run){
-	"gen":          func(r *Run) { r.Generation = 0 },
-	"clock":        func(r *Run) { r.ClockMHz = 0 },
-	"channels":     func(r *Run) { r.Channels = 0 },
-	"chan-scheme":  func(r *Run) { r.Scheme = "" },
-	"scheduler":    func(r *Run) { r.Scheduler = "" },
-	"priority":     func(r *Run) { r.PriorityDemand = false },
-	"cycles":       func(r *Run) { r.Cycles = 0 },
-	"seed":         func(r *Run) { r.Seed = 0 },
-	"sample-every": func(r *Run) { r.SampleEvery = 0 },
-	"subarrays":    func(r *Run) { r.Subarrays = 0 },
-}
-
-// ResolveFlags is Resolve for a command line whose platform comes from
-// either a -spec file or a builtin -app model (naming both is an error).
-// over holds the value of every run flag the command defines. With -app
-// it is used whole; with -spec only the flags given explicitly in fs
-// override the spec's run block — a flag's default does not. Since
-// PriorityDemand ORs in Merge, -priority can grant but not revoke it.
-func ResolveFlags(fs *flag.FlagSet, specPath, appName string, over Run) (system.Config, error) {
-	if specPath == "" {
-		app, err := appmodel.ByName(appName)
-		if err != nil {
-			return system.Config{}, err
-		}
-		return Resolve(app, over)
-	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["app"] {
-		return system.Config{}, fmt.Errorf("-spec and -app are mutually exclusive")
-	}
-	sp, err := Load(specPath)
-	if err != nil {
-		return system.Config{}, err
-	}
-	for name, zero := range runFlags {
-		if !set[name] {
-			zero(&over)
-		}
-	}
-	return sp.SystemConfig(over)
 }
 
 // parseClass resolves a traffic-class name.

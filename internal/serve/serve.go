@@ -1,4 +1,4 @@
-// Package serve implements the aanoc-serve HTTP API: sweep-as-a-
+// Package serve implements the aanoc serve HTTP API: sweep-as-a-
 // service over the typed facade. A client POSTs a grid of simulation
 // points; the server fans it across the bounded worker pool (deduped
 // in-process by configuration fingerprint and, when a result store is

@@ -163,7 +163,7 @@ func (s *Store) path(fp string) (string, error) {
 
 // validFingerprint accepts exactly the hex sha256 sweep.Fingerprint
 // emits — the check is also what keeps externally supplied fingerprints
-// (the aanoc-serve results endpoint) from escaping the store directory.
+// (the aanoc serve results endpoint) from escaping the store directory.
 func validFingerprint(fp string) bool {
 	if len(fp) != 64 {
 		return false
@@ -249,16 +249,23 @@ func (s *Store) discardCorrupt(path string, size int) {
 // to a temp file in the namespace, fsync-free rename into place. A
 // result that cannot serialize (a NaN metric, say) returns an error and
 // leaves the store unchanged — the caller keeps its in-memory result
-// and simply loses persistence for that point.
+// and simply loses persistence for that point. Every failure counts
+// once, here, as a PutError.
 func (s *Store) Put(fp string, res system.Result) error {
-	path, err := s.path(fp)
+	err := s.put(fp, res)
 	if err != nil {
 		s.count(func(st *Stats) { st.PutErrors++ })
+	}
+	return err
+}
+
+func (s *Store) put(fp string, res system.Result) (err error) {
+	path, err := s.path(fp)
+	if err != nil {
 		return err
 	}
 	payload, err := json.Marshal(res)
 	if err != nil {
-		s.count(func(st *Stats) { st.PutErrors++ })
 		return fmt.Errorf("store: result for %s is not serializable: %w", fp, err)
 	}
 	sum := sha256.Sum256(payload)
@@ -269,33 +276,29 @@ func (s *Store) Put(fp string, res system.Result) error {
 		Result:      payload,
 	})
 	if err != nil {
-		s.count(func(st *Stats) { st.PutErrors++ })
 		return fmt.Errorf("store: %w", err)
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		s.count(func(st *Stats) { st.PutErrors++ })
 		return fmt.Errorf("store: %w", err)
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
-		s.count(func(st *Stats) { st.PutErrors++ })
 		return fmt.Errorf("store: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.count(func(st *Stats) { st.PutErrors++ })
-		return fmt.Errorf("store: %w", err)
+	// Every failure from here on removes the temp file.
+	defer func() {
+		if err != nil {
+			os.Remove(tmp.Name())
+		}
+	}()
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644)
 	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.count(func(st *Stats) { st.PutErrors++ })
-		return fmt.Errorf("store: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		s.count(func(st *Stats) { st.PutErrors++ })
+	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	prior := int64(0)
@@ -303,8 +306,6 @@ func (s *Store) Put(fp string, res system.Result) error {
 		prior = fi.Size()
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		s.count(func(st *Stats) { st.PutErrors++ })
 		return fmt.Errorf("store: %w", err)
 	}
 	s.mu.Lock()

@@ -300,24 +300,67 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestUnserializableResultDegrades: a Result carrying NaN cannot be
-// JSON-marshalled; Put must fail cleanly (counted, store untouched)
-// rather than write a broken entry — the sweep integration turns this
-// into "keep the in-memory result, lose persistence for the point".
+// TestUnserializableResultDegrades: every way Put can fail — a Result
+// carrying NaN (not JSON-marshallable), a malformed fingerprint, a
+// filesystem that refuses the shard directory, a rename that cannot
+// land — must fail cleanly: counted exactly once, no entry, no temp
+// file left behind. The sweep integration turns this into "keep the
+// in-memory result, lose persistence for the point".
 func TestUnserializableResultDegrades(t *testing.T) {
-	s := open(t, Options{})
-	fp, res := fabricated(0)
-	res.Utilization = math.NaN()
-	err := s.Put(fp, res)
-	if err == nil {
-		t.Fatal("Put accepted a NaN result")
-	}
-	if _, ok, _ := s.Get(fp); ok {
-		t.Error("failed Put left a readable entry")
-	}
-	st := s.Stats()
-	if st.PutErrors != 1 || st.Puts != 0 || st.Entries != 0 {
-		t.Errorf("degrade accounting: %+v", st)
+	for _, tc := range []struct {
+		name string
+		// arm breaks one step of Put and returns the inputs to Put.
+		arm func(t *testing.T, s *Store) (string, system.Result)
+	}{
+		{"nan", func(t *testing.T, s *Store) (string, system.Result) {
+			fp, res := fabricated(0)
+			res.Utilization = math.NaN()
+			return fp, res
+		}},
+		{"malformed-fingerprint", func(t *testing.T, s *Store) (string, system.Result) {
+			_, res := fabricated(0)
+			return "../escape", res
+		}},
+		{"shard-parent-is-a-file", func(t *testing.T, s *Store) (string, system.Result) {
+			if err := os.Remove(s.dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(s.dir, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return fabricated(0)
+		}},
+		{"entry-path-is-a-directory", func(t *testing.T, s *Store) (string, system.Result) {
+			// Past CreateTemp: the rename fails, so the deferred
+			// cleanup is what removes the temp file.
+			fp, res := fabricated(0)
+			path, _ := s.path(fp)
+			if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return fp, res
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := open(t, Options{})
+			fp, res := tc.arm(t, s)
+			if err := s.Put(fp, res); err == nil {
+				t.Fatal("Put succeeded")
+			}
+			if _, ok, _ := s.Get(fp); ok {
+				t.Error("failed Put left a readable entry")
+			}
+			st := s.Stats()
+			if st.PutErrors != 1 || st.Puts != 0 || st.Entries != 0 {
+				t.Errorf("degrade accounting: %+v", st)
+			}
+			_ = filepath.WalkDir(filepath.Dir(s.dir), func(path string, d os.DirEntry, err error) error {
+				if err == nil && strings.HasPrefix(d.Name(), ".tmp-") {
+					t.Errorf("temp file left behind: %s", path)
+				}
+				return nil
+			})
+		})
 	}
 }
 

@@ -175,10 +175,13 @@ func (c Config) deviceTiming() (dram.Timing, error) {
 	if err := c.App.Validate(); err != nil {
 		return dram.Timing{}, err
 	}
+	// scenario.Resolve rejects these with its sentinels; rejecting them
+	// here too keeps direct system.Config users (the table drivers, the
+	// sweep service, bench) on the same validation surface.
+	if c.Cycles < 0 {
+		return dram.Timing{}, fmt.Errorf("system: negative cycle count %d", c.Cycles)
+	}
 	if c.SampleEvery < 0 {
-		// The facade rejects this with ErrBadSampleEvery; rejecting it
-		// here too keeps direct system.Config users (aanoc-sim and the
-		// other CLIs) on the same validation surface.
 		return dram.Timing{}, fmt.Errorf("system: negative sampling interval %d", c.SampleEvery)
 	}
 	timing, err := dram.Speed(c.Gen, c.ClockMHz)

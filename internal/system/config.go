@@ -142,12 +142,12 @@ type Config struct {
 	// the mutation knob that lets an end-to-end run prove checked mode
 	// turns the breach into violations. Unlike every other field it makes
 	// results wrong on purpose, so sweep.Fingerprint refuses to cache a
-	// faulted config. Only cmd/aanoc-sim sets it (AANOC_INJECT_FAULT).
+	// faulted config. Only aanoc sim sets it (-inject-fault).
 	Fault dram.Fault
 	// NoIdleSkip makes the kernel tick every cycle even when every
 	// component sleeps — the reference loop the equivalence gates compare
 	// against. Results are identical either way, so sweep.Fingerprint
-	// leaves it out. Only cmd/aanoc-sim sets it (AANOC_NO_IDLE_SKIP).
+	// leaves it out. Only aanoc sim sets it (-no-idle-skip).
 	NoIdleSkip bool
 
 	// TagEveryRequest reverts to the paper's literal partially-open-page

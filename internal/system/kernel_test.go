@@ -60,7 +60,7 @@ func TestIdleSkipEquivalence(t *testing.T) {
 // anything it counts per tick (the regulator's window rolls did) shows
 // the kernel's wake schedule in the report. The paper's Table I–III grid
 // at 10,000 cycles rides along, compared as canonical report bytes: the
-// in-process form of the `aanoc-tables -table all` on/off CI leg.
+// in-process form of the `aanoc tables -table all` on/off CI leg.
 func TestIdleSkipEquivalenceVariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-system equivalence runs")

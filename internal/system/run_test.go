@@ -44,6 +44,26 @@ func smokeCfg(d Design) Config {
 	}
 }
 
+// TestNewRejectsNegativeScalars: the scalar inputs scenario.Resolve
+// rejects are rejected by New too, so a direct Config user (a table
+// driver, the sweep service) fails before anything simulates.
+func TestNewRejectsNegativeScalars(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"cycles", func(c *Config) { c.Cycles = -5 }},
+		{"sample-every", func(c *Config) { c.SampleEvery = -1 }},
+		{"subarrays", func(c *Config) { c.Subarrays = -1 }},
+	} {
+		cfg := smokeCfg(GSS)
+		tc.set(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: negative value accepted", tc.name)
+		}
+	}
+}
+
 func TestSmokeAllDesigns(t *testing.T) {
 	for _, d := range Designs() {
 		d := d

@@ -13,7 +13,7 @@ import (
 // This file is the typed sweep facade: grids of Configs executed
 // across the bounded worker pool with fingerprint deduplication and an
 // optional persistent result store — the programmatic surface
-// aanoc-serve (and any other embedding service) builds on, so servers
+// aanoc serve (and any other embedding service) builds on, so servers
 // never reach into the internal packages.
 
 // Sweep-facade sentinels; test with errors.Is.

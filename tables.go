@@ -16,7 +16,7 @@ import (
 
 // Row is one cell group of Tables I-III: an application at one clock
 // point, measured under one design. JSON tags serve the machine-readable
-// sidecars (aanoc-tables -json, aanoc-report -json); the human-readable
+// sidecars (aanoc tables -json, aanoc report -json); the human-readable
 // text tables ignore Obs entirely, so sidecar support cannot move a byte
 // of the default output.
 type Row struct {

@@ -4,7 +4,7 @@ package aanoc
 // formatted output — the artifact the paper comparison rests on — must
 // be byte-identical whether a grid runs on one worker or many. The CI
 // determinism job checks the same property end-to-end through the
-// aanoc-tables binary.
+// aanoc tables binary.
 
 import (
 	"os"
