@@ -197,23 +197,27 @@ func Schedulers() []Scheduler {
 	return []Scheduler{SchedulerDefault, SchedulerDPQ, SchedulerRegulated, SchedulerStaged}
 }
 
-// Sentinel errors Config.Validate wraps; test with errors.Is.
+// Sentinel errors Config.Validate wraps; test with errors.Is. The field
+// sentinels are internal/system's own values (internal/scenario exports
+// the same ones), so an error matches under any of the three spellings.
 var (
 	// ErrUnknownApp reports an application name AllApps does not list.
 	ErrUnknownApp = errors.New("unknown application")
 	// ErrBadGeneration reports a DDR generation outside 1-5.
-	ErrBadGeneration = errors.New("invalid DDR generation")
+	ErrBadGeneration = system.ErrBadGeneration
 	// ErrBadChannels reports a channel count the application model's
 	// memory ports (or the interleaving scheme) cannot support.
-	ErrBadChannels = errors.New("invalid channel count")
+	ErrBadChannels = system.ErrBadChannels
 	// ErrUnknownScheduler reports a scheduler name Schedulers does not
 	// list.
-	ErrUnknownScheduler = errors.New("unknown scheduler")
+	ErrUnknownScheduler = system.ErrUnknownScheduler
 	// ErrBadSampleEvery reports a negative observability sampling period.
-	ErrBadSampleEvery = errors.New("invalid sampling period")
-	// ErrBadSpec reports a scenario spec that cannot run: malformed
-	// JSON, an invalid platform/workload description, or Config.Spec
-	// combined with Model/App.
+	ErrBadSampleEvery = system.ErrBadSampleEvery
+	// ErrBadSpec reports a scenario spec that cannot run — malformed
+	// JSON, an invalid platform/workload description, Config.Spec
+	// combined with Model/App — and any Config value the sentinels above
+	// do not name: a clock that is no speed grade of the generation, an
+	// unknown design, a negative length, a size out of range.
 	ErrBadSpec = errors.New("invalid scenario spec")
 )
 
@@ -234,39 +238,23 @@ type SpecRun = scenario.Run
 // ErrBadSampleEvery) for errors.Is dispatch.
 func ParseSpec(data []byte) (*Spec, error) {
 	s, err := scenario.Parse(data)
-	if err != nil {
-		return nil, specErr(err)
-	}
-	return s, nil
+	return s, specErr(err)
 }
 
 // LoadSpec reads and validates a scenario spec file.
 func LoadSpec(path string) (*Spec, error) {
 	s, err := scenario.Load(path)
-	if err != nil {
-		return nil, specErr(err)
-	}
-	return s, nil
+	return s, specErr(err)
 }
 
-// specErr translates scenario sentinels into the facade's, so callers
-// dispatch on one sentinel set regardless of whether a value came from
-// a typed Config field or a spec file.
+// specErr marks the errors no field sentinel names — malformed input, an
+// impossible configuration, an unknown scheme name — as ErrBadSpec; the
+// field sentinels are the facade's own values and pass through.
 func specErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, scenario.ErrBadGeneration):
-		return fmt.Errorf("aanoc: %w: %v", ErrBadGeneration, err)
-	case errors.Is(err, scenario.ErrBadChannels):
-		return fmt.Errorf("aanoc: %w: %v", ErrBadChannels, err)
-	case errors.Is(err, scenario.ErrUnknownScheduler):
-		return fmt.Errorf("aanoc: %w: %v", ErrUnknownScheduler, err)
-	case errors.Is(err, scenario.ErrBadSampleEvery):
-		return fmt.Errorf("aanoc: %w: %v", ErrBadSampleEvery, err)
-	default:
-		return fmt.Errorf("aanoc: %w: %v", ErrBadSpec, err)
+	if errors.Is(err, scenario.ErrParse) || errors.Is(err, scenario.ErrSpec) || errors.Is(err, scenario.ErrBadScheme) {
+		return fmt.Errorf("aanoc: %w: %w", ErrBadSpec, err)
 	}
+	return err
 }
 
 // Config selects one simulation run.
@@ -361,20 +349,21 @@ func (c Config) model() string {
 }
 
 // Validate reports whether the configuration can run, without running
-// it. Field errors wrap the package sentinels (ErrUnknownApp,
-// ErrBadGeneration, ErrBadChannels, ErrUnknownScheduler,
-// ErrBadSampleEvery) for errors.Is dispatch.
+// it: it returns nil exactly when Run would not reject the configuration,
+// and otherwise the error Run would return. Errors wrap the package
+// sentinels (ErrUnknownApp, ErrBadGeneration, ErrBadChannels,
+// ErrUnknownScheduler, ErrBadSampleEvery, ErrBadSpec) for errors.Is
+// dispatch.
 func (c Config) Validate() error {
 	_, err := c.toInternal()
 	return err
 }
 
 // toInternal resolves the public config into the system configuration.
-// All shared-field validation goes through scenario.Resolve — the same
-// path the CLIs' -spec handling uses — so the facade and the CLIs
-// reject the same inputs with the same sentinels; the facade-only knobs
-// (Design, PCT, GSSRouters, virtual channels, adaptive routing,
-// checked mode) are applied on top.
+// The facade owns only the Model/Spec exclusivity and the application
+// lookup; names, rules and defaults are scenario.Resolve's single pass
+// (system.Config.Validate and Resolved) — the path the command line
+// uses — over the run block and the knobs a run block has no field for.
 func (c Config) toInternal() (system.Config, error) {
 	over := scenario.Run{
 		Generation: c.Generation, ClockMHz: c.ClockMHz,
@@ -386,43 +375,29 @@ func (c Config) toInternal() (system.Config, error) {
 	if c.ChannelScheme != BankThenChannel {
 		over.Scheme = c.ChannelScheme.String()
 	}
-	// Negative values are meaningful overrides the zero-value merge
-	// would treat as unset; Resolve rejects them, and it must see them.
-	specHash := ""
+	knobs := system.Config{
+		Design: c.Design, PCT: c.PCT, GSSRouters: c.GSSRouters,
+		VirtualChannels: c.VirtualChannels, AdaptiveRouting: c.AdaptiveRouting,
+		Checked: c.Checked,
+	}
 	var app appmodel.App
+	var err error
 	if c.Spec != nil {
 		if c.Model != "" {
 			return system.Config{}, fmt.Errorf("aanoc: %w: Config.Spec is mutually exclusive with Model", ErrBadSpec)
 		}
-		a, err := c.Spec.App()
-		if err != nil {
+		if app, err = c.Spec.App(); err != nil {
 			return system.Config{}, specErr(err)
 		}
-		app = a
-		specHash = c.Spec.Hash()
+		knobs.SpecHash = c.Spec.Hash()
 		if c.Spec.Run != nil {
 			over = over.Merge(*c.Spec.Run)
 		}
-	} else {
-		name := c.model()
-		a, err := appmodel.ByName(name)
-		if err != nil {
-			return system.Config{}, fmt.Errorf("aanoc: %w %q", ErrUnknownApp, name)
-		}
-		app = a
+	} else if app, err = appmodel.ByName(c.model()); err != nil {
+		return system.Config{}, fmt.Errorf("aanoc: %w %q", ErrUnknownApp, c.model())
 	}
-	cfg, err := scenario.Resolve(app, over)
-	if err != nil {
-		return system.Config{}, specErr(err)
-	}
-	cfg.Design = c.Design
-	cfg.PCT = c.PCT
-	cfg.GSSRouters = c.GSSRouters
-	cfg.VirtualChannels = c.VirtualChannels
-	cfg.AdaptiveRouting = c.AdaptiveRouting
-	cfg.Checked = c.Checked
-	cfg.SpecHash = specHash
-	return cfg, nil
+	cfg, err := scenario.Resolve(app, over, knobs)
+	return cfg, specErr(err)
 }
 
 // Run executes one simulation and returns the paper's metrics. It is

@@ -1,14 +1,10 @@
 package aanoc
 
-// The benchmark harness: one benchmark per table and figure of the
-// paper's evaluation, plus the ablation benches DESIGN.md calls out.
-// Each benchmark runs complete simulations and reports the paper's
-// metrics through b.ReportMetric, so
-//
-//	go test -bench=. -benchmem
-//
-// regenerates the quantities behind every published number (at
-// benchmark-sized cycle counts; use aanoc tables for full runs).
+// The in-package benchmarks DESIGN.md's per-experiment index cites:
+// Fig. 8, Tables IV and V, and the ablation benches. Each runs complete
+// simulations and reports the paper's metrics through b.ReportMetric
+// (go test -bench=. -benchmem). Tables I-III and raw simulator throughput
+// are bench/'s workloads: go run ./bench -workload tables-cold|sat-gss.
 
 import (
 	"fmt"
@@ -46,53 +42,6 @@ func reportRun(b *testing.B, cfg system.Config) {
 		b.ReportMetric(last.LatPriority, "lat-priority")
 	}
 	b.ReportMetric(100*last.WasteFrac, "waste-%")
-}
-
-// tableDesigns maps the benchmark name fragments to design/priority mode.
-func benchMatrix(b *testing.B, designs []system.Design, priority bool) {
-	for _, app := range appmodel.Apps() {
-		for _, gen := range []dram.Generation{dram.DDR1, dram.DDR2, dram.DDR3} {
-			for _, d := range designs {
-				name := fmt.Sprintf("%s/DDR%d/%s", app.Name, gen, d)
-				app := app
-				gen := gen
-				d := d
-				b.Run(name, func(b *testing.B) {
-					reportRun(b, system.Config{
-						App: app, Gen: gen, Design: d, PriorityDemand: priority,
-					})
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkTableI regenerates Table I: CONV, [4], GSS and GSS+SAGM on
-// the three applications and DDR generations, no priority requests.
-func BenchmarkTableI(b *testing.B) {
-	benchMatrix(b, []system.Design{system.Conv, system.SDRAMAware, system.GSS, system.GSSSAGM}, false)
-}
-
-// BenchmarkTableII regenerates Table II: the priority-serving designs.
-func BenchmarkTableII(b *testing.B) {
-	benchMatrix(b, []system.Design{system.ConvPFS, system.SDRAMAwarePFS, system.GSS, system.GSSSAGM}, true)
-}
-
-// BenchmarkTableIII regenerates Table III: STI on high-clock DDR3 under
-// the paper-literal tag-every-request page policy.
-func BenchmarkTableIII(b *testing.B) {
-	for _, app := range appmodel.Apps() {
-		for _, d := range []system.Design{system.GSSSAGM, system.GSSSAGMSTI} {
-			app := app
-			d := d
-			b.Run(fmt.Sprintf("%s/%s", app.Name, d), func(b *testing.B) {
-				reportRun(b, system.Config{
-					App: app, Gen: dram.DDR3, Design: d,
-					PriorityDemand: true, TagEveryRequest: true,
-				})
-			})
-		}
-	}
 }
 
 // BenchmarkFig8 regenerates the Fig. 8 sweep: memory performance versus
@@ -290,56 +239,4 @@ func BenchmarkAblationRouting(b *testing.B) {
 			})
 		})
 	}
-}
-
-// BenchmarkFormatRows measures table rendering at report scale (every
-// driver's rows in one call). The strings.Builder implementation is
-// linear; the CI bench smoke step keeps it from regressing to the old
-// quadratic concatenation.
-func BenchmarkFormatRows(b *testing.B) {
-	rows := make([]Row, 1024)
-	for i := range rows {
-		rows[i] = Row{
-			App: "bluray", Gen: 2, ClockMHz: 333, Design: GSSSAGM,
-			Utilization: 0.85, UsefulUtilization: 0.78,
-			LatencyAll: 500, LatencyDemand: 300, LatencyPriority: 120,
-			Completed: int64(i), WasteFrac: 0.08,
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = FormatRows(rows)
-	}
-	b.ReportMetric(float64(len(out)), "bytes")
-}
-
-// BenchmarkTableIParallel measures the Table I grid through the sweep
-// executor at full parallelism against the serial baseline
-// (BenchmarkTableI covers per-point cost; this covers the fan-out).
-func BenchmarkTableIParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := TableI(TableOptions{Cycles: benchCycles / 4, Seed: uint64(i + 1)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulatorThroughput measures raw simulator speed (cycles per
-// second) on the largest configuration — a capacity check, not a paper
-// figure.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	cfg := system.Config{
-		App: appmodel.DualDTV(), Gen: dram.DDR3,
-		Design: system.GSSSAGMSTI, PriorityDemand: true, Cycles: benchCycles,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		if _, err := system.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(benchCycles*int64(b.N))/b.Elapsed().Seconds(), "cycles/s")
 }

@@ -138,8 +138,10 @@ func (f *flags) explicit() (over scenario.Run, appSet bool) {
 }
 
 // resolve turns the parsed flags into a runnable configuration through
-// scenario.Resolve — the validation path the facade uses. With -app the
-// flag values are used whole and sp is nil. With -spec (naming both is an
+// scenario.Resolve — the path the facade uses, ending in the one rule
+// list (system.Config.Validate) — so a subcommand that resolves before it
+// prints rejects a bad flag with empty stdout. With -app the flag values
+// are used whole and sp is nil. With -spec (naming both is an
 // error) only the flags given explicitly override the spec's run block —
 // a flag's default does not — and since PriorityDemand ORs in Run.Merge,
 // -priority can grant but not revoke it.
@@ -161,6 +163,13 @@ func (f *flags) resolve() (sp *scenario.Spec, cfg system.Config, err error) {
 	}
 	cfg, err = sp.SystemConfig(over)
 	return sp, cfg, err
+}
+
+// cycles is the cycle count every run of a grid executes: -cycles through
+// the one defaults table, so a header never names a count the rows did
+// not run.
+func (f *flags) cycles() int64 {
+	return system.Config{Cycles: f.run.Cycles}.Resolved().Cycles
 }
 
 // openStore opens the -store directory; nil without one.

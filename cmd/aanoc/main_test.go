@@ -46,8 +46,10 @@ type leg struct {
 	// and "-" appends -json - (the report owns stdout); the bytes must
 	// hash to the <golden>.json line of testdata/json.sha256.
 	json string
-	// stdout and stderr, when set, must appear on that stream.
+	// stdout and stderr, when set, must appear on that stream; a quiet
+	// leg must leave stdout empty.
 	stdout, stderr string
+	quiet          bool
 }
 
 // corpus pins stdout and -json of every subcommand on a short run.
@@ -119,6 +121,12 @@ var exits = []leg{
 	{name: "fig8-negative-cycles", args: "fig8 -cycles -5", code: 1, stderr: "negative cycle count"},
 	{name: "report-negative-cycles", args: "report -cycles -5", code: 1, stderr: "negative cycle count"},
 	{name: "area-negative-cycles", args: "area -table 5 -cycles -5", code: 1, stderr: "negative cycle count"},
+	// A clock that is no speed grade of the generation is rejected when
+	// the flags resolve, before the table header.
+	{name: "sim-bad-clock", args: "sim -clock 123", code: 1, stderr: "no predefined timing", quiet: true},
+	{name: "sim-bad-clock-for-gen", args: "sim -gen 4 -clock 266", code: 1, stderr: "no predefined timing", quiet: true},
+	// A header names the cycle count the rows ran, not the raw flag.
+	{name: "tables-default-cycles", args: "tables -table 3 -cycles 0", stdout: "(200000 cycles/run)"},
 	{name: "fig8-spec-bad-gen", args: "fig8 -spec $SPECS/ddtv4.json -gen 9", code: 1, stderr: "invalid DDR generation"},
 	{name: "fig8-gen-without-spec", args: "fig8 -gen 3", code: 1, stderr: "-spec"},
 	// Selectors name their menu instead of printing nothing.
@@ -197,6 +205,9 @@ func runLegs(t *testing.T, legs []leg) {
 			}
 			if l.stderr != "" && !strings.Contains(stderr.String(), l.stderr) {
 				t.Errorf("stderr does not mention %q:\n%s", l.stderr, stderr.String())
+			}
+			if l.quiet && stdout.Len() > 0 {
+				t.Errorf("stdout not empty:\n%s", stdout.String())
 			}
 			if l.stdout != "" && !strings.Contains(stdout.String(), l.stdout) {
 				t.Errorf("stdout does not mention %q:\n%s", l.stdout, stdout.String())

@@ -33,7 +33,7 @@ func reportCmd(_ context.Context, args []string, w, stderr io.Writer) error {
 		return err
 	}
 
-	fmt.Fprintf(w, "# Paper vs. measured (%d cycles per run)\n\n", f.run.Cycles)
+	fmt.Fprintf(w, "# Paper vs. measured (%d cycles per run)\n\n", f.cycles())
 	fmt.Fprintln(w, "Latencies are in memory-clock cycles. `paper` columns are the")
 	fmt.Fprintln(w, "published values; `ours` columns are this reproduction. Our latency")
 	fmt.Fprintln(w, "is measured from network entry to completion under a saturated")

@@ -59,7 +59,7 @@ func tablesCmd(_ context.Context, args []string, stdout, stderr io.Writer) (err 
 		if *table != d.key && (*table != "all" || d.key == "sched") {
 			continue
 		}
-		fmt.Fprintf(stdout, "=== %s — %s (%d cycles/run) ===\n", d.name, d.note, f.run.Cycles)
+		fmt.Fprintf(stdout, "=== %s — %s (%d cycles/run) ===\n", d.name, d.note, f.cycles())
 		rows, err := d.run(o)
 		if err != nil {
 			return err

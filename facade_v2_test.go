@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"aanoc/internal/appmodel"
+	"aanoc/internal/scenario"
 )
 
 // The v2 facade contract: typed App, sentinel-wrapped validation, the
@@ -58,6 +62,68 @@ func TestValidateSentinels(t *testing.T) {
 	}
 }
 
+// TestValidateIsWhatRunRejects: the configurations Validate once accepted
+// and Run then rejected (or, for Design(99), ran). Validate, Run and
+// Sweep must return the same error, it must match under the facade's and
+// internal/scenario's spelling of its sentinel, and no sentinel's text
+// may appear in it twice.
+func TestValidateIsWhatRunRejects(t *testing.T) {
+	sentinels := []error{ErrUnknownApp, ErrBadGeneration, ErrBadChannels, ErrUnknownScheduler,
+		ErrBadSampleEvery, ErrBadSpec, ErrBadGrid, scenario.ErrSpec, scenario.ErrParse, scenario.ErrBadScheme}
+	for _, tc := range []struct {
+		name             string
+		cfg              Config
+		facade, scenario error
+	}{
+		{"virtual channels", Config{VirtualChannels: 9}, ErrBadSpec, scenario.ErrSpec},
+		{"clock no grade", Config{ClockMHz: 123}, ErrBadSpec, scenario.ErrSpec},
+		{"clock of another generation", Config{Generation: 4, ClockMHz: 266}, ErrBadSpec, scenario.ErrSpec},
+		{"design", Config{Design: Design(99)}, ErrBadSpec, scenario.ErrSpec},
+		{"channels", Config{Channels: 3}, ErrBadChannels, scenario.ErrBadChannels},
+		{"cycles", Config{Cycles: -5}, ErrBadSpec, scenario.ErrSpec},
+		{"sample period", Config{SampleEvery: -1}, ErrBadSampleEvery, scenario.ErrBadSampleEvery},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cfg.Validate()
+			if !errors.Is(err, tc.facade) || !errors.Is(err, tc.scenario) {
+				t.Fatalf("Validate = %v, want %v and %v", err, tc.facade, tc.scenario)
+			}
+			if _, runErr := Run(tc.cfg); runErr == nil || runErr.Error() != err.Error() {
+				t.Errorf("Run = %v, want Validate's %v", runErr, err)
+			}
+			_, stats, gridErr := Sweep(SweepGrid{Points: []Config{{Cycles: 2000}, tc.cfg}}, SweepOptions{})
+			if !errors.Is(gridErr, ErrBadGrid) || !errors.Is(gridErr, tc.facade) || stats.Runs != 0 {
+				t.Errorf("Sweep = %v after %d runs, want the grid rejected before anything simulates", gridErr, stats.Runs)
+			}
+			for _, s := range sentinels {
+				if n := strings.Count(gridErr.Error(), s.Error()); n > 1 {
+					t.Errorf("message carries %q %d times: %s", s, n, gridErr)
+				}
+			}
+		})
+	}
+}
+
+// TestTableDriversRejectBadSpecScheme: a spec built in Go (ParseSpec
+// would have rejected it) whose run block names no known channel scheme
+// fails the table drivers instead of running bank-chan without a word.
+func TestTableDriversRejectBadSpecScheme(t *testing.T) {
+	sp := scenario.FromApp(appmodel.BluRay())
+	sp.Run = &SpecRun{Scheme: "bogus"}
+	o := TableOptions{Spec: sp, Cycles: 2000}
+	for name, run := range map[string]func() error{
+		"TableI":          func() error { _, err := TableI(o); return err },
+		"TableII":         func() error { _, err := TableII(o); return err },
+		"TableIII":        func() error { _, err := TableIII(o); return err },
+		"TableSchedulers": func() error { _, err := TableSchedulers(o); return err },
+		"Fig8Spec":        func() error { _, err := Fig8Spec(sp, 2, 0, TableOptions{Cycles: 2000}); return err },
+	} {
+		if err := run(); !errors.Is(err, ErrBadSpec) || !errors.Is(err, scenario.ErrBadScheme) {
+			t.Errorf("%s = %v, want ErrBadSpec wrapping the unknown scheme", name, err)
+		}
+	}
+}
+
 func TestValidateAcceptsRunnableConfigs(t *testing.T) {
 	for _, cfg := range []Config{
 		{}, // the zero config is runnable by contract
@@ -70,6 +136,11 @@ func TestValidateAcceptsRunnableConfigs(t *testing.T) {
 	} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v", cfg, err)
+		}
+		// What Validate accepts, Run runs.
+		cfg.Cycles = 2000
+		if _, err := Run(cfg); err != nil {
+			t.Errorf("Run(%+v) = %v after Validate accepted it", cfg, err)
 		}
 	}
 }

@@ -1,3 +1,7 @@
+// Package mapping decides where a memory request goes: the multi-channel
+// interleaving policy (ChannelMap), the structural address map over the
+// full SDRAM topology (StructMap), and the order in which routers become
+// GSS routers, nearest the memory ports first (RoutersByPortDistance).
 package mapping
 
 import (

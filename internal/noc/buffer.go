@@ -89,12 +89,6 @@ func (p *inputPort) empty() bool {
 	return true
 }
 
-// Capacity returns the buffer size in flits.
-func (b *InputBuffer) Capacity() int { return b.capacity }
-
-// Occupied returns the number of flits currently held.
-func (b *InputBuffer) Occupied() int { return b.occupied }
-
 // leaseProgress allocates a PacketProgress, from the mesh pool when the
 // buffer is wired to one (standalone buffers in unit tests are not).
 func (b *InputBuffer) leaseProgress() *PacketProgress {

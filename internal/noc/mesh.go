@@ -195,7 +195,7 @@ func (m *Mesh) connect(src *Router, srcPort int, dst *Router, dstPort int) {
 // local input port of the router at c and returns the injection handle.
 func (m *Mesh) AttachInjector(c Coord) *Injector {
 	r := m.RouterAt(c)
-	inj := newInjector(c, m.vcs)
+	inj := newInjector(m.vcs)
 	in := &r.In[PortLocal]
 	for vc := range in.bufs {
 		inj.credits[vc] = in.bufs[vc].capacity

@@ -6,7 +6,6 @@ package noc
 // is injected on the priority VC and its flits take the local link ahead
 // of any best-effort packet mid-transfer.
 type Injector struct {
-	at      Coord
 	link    *Link
 	credits []int
 
@@ -22,9 +21,8 @@ type Injector struct {
 	OnFirstFlit func(p *Packet, now int64)
 }
 
-func newInjector(at Coord, vcs int) *Injector {
+func newInjector(vcs int) *Injector {
 	return &Injector{
-		at:      at,
 		credits: make([]int, vcs),
 		queues:  make([][]*Packet, vcs),
 		sent:    make([]int, vcs),
@@ -39,9 +37,6 @@ func (inj *Injector) creditBalance(vc int) int { return inj.credits[vc] }
 // launched into the mesh — one side of the audit's flit-conservation
 // ledger.
 func (inj *Injector) LaunchedFlits() int64 { return inj.launched }
-
-// At returns the mesh coordinate the injector is attached to.
-func (inj *Injector) At() Coord { return inj.at }
 
 // Enqueue appends a packet to the injection queue of its virtual channel.
 func (inj *Injector) Enqueue(p *Packet) {

@@ -138,9 +138,6 @@ func (r *Router) onNewPacket(pp *PacketProgress, now int64) {
 	r.Out[out].alloc.OnPacketArrival(pp.Pkt, now)
 }
 
-// SetAllocator installs a flow-control policy on one output port.
-func (r *Router) SetAllocator(port int, a Allocator) { r.Out[port].alloc = a }
-
 // SetAllAllocators installs policies produced by mk on every output port.
 func (r *Router) SetAllAllocators(mk func(port int) Allocator) {
 	for p := 0; p < NumPorts; p++ {

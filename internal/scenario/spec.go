@@ -6,13 +6,13 @@
 // -spec, the facade embeds one in Config.Spec, and the seeded generator
 // (Generate) mass-produces valid ones from tunable distributions.
 //
-// The package owns the single validation path shared by the facade and
-// the CLIs: Resolve turns an application model plus a Run block into a
-// system.Config, rejecting bad generations, channel counts, schedulers
-// and sampling periods with the same sentinel errors everywhere. Parse
-// never panics on malformed input — it returns errors wrapping ErrParse
-// (not JSON) or ErrSpec (valid JSON, invalid scenario), the contract the
-// FuzzSpecParse target enforces.
+// The package owns names and the spec shape: Resolve parses a Run
+// block's scheme and scheduler names, maps it onto a system.Config and
+// hands that to system.Config.Validate — the one rule list, whose
+// sentinels this package exports under its own names. Parse never panics
+// on malformed input — it returns errors wrapping ErrParse (not JSON) or
+// ErrSpec (valid JSON, invalid scenario), the contract the FuzzSpecParse
+// target enforces.
 package scenario
 
 import (
@@ -35,26 +35,21 @@ import (
 )
 
 // Sentinel errors; test with errors.Is. Parse wraps exactly one of
-// ErrParse or ErrSpec; Resolve wraps the field-specific sentinels so the
-// facade and the CLIs reject the same inputs for the same reasons.
+// ErrParse or ErrSpec. Every other name is system's sentinel itself, by
+// assignment, so an error matches under either spelling and carries the
+// sentinel's text once.
 var (
 	// ErrParse reports input that is not the spec's JSON shape at all:
 	// a syntax error, an unknown field, a type mismatch, trailing data.
 	ErrParse = errors.New("malformed scenario spec")
 	// ErrSpec reports well-formed JSON describing an impossible scenario
 	// (overlapping cores, empty stream menus, bad clock grades, ...).
-	ErrSpec = errors.New("invalid scenario spec")
-	// ErrBadGeneration reports a DDR generation outside 1-5.
-	ErrBadGeneration = errors.New("invalid DDR generation")
-	// ErrBadChannels reports a channel count the memory ports (or the
-	// interleaving scheme) cannot support.
-	ErrBadChannels = errors.New("invalid channel count")
-	// ErrBadScheme reports an unknown channel-interleaving scheme name.
-	ErrBadScheme = errors.New("unknown channel scheme")
-	// ErrUnknownScheduler reports an unknown memory-scheduler name.
-	ErrUnknownScheduler = errors.New("unknown scheduler")
-	// ErrBadSampleEvery reports a negative observability sampling period.
-	ErrBadSampleEvery = errors.New("invalid sampling period")
+	ErrSpec             = system.ErrInvalid
+	ErrBadGeneration    = system.ErrBadGeneration
+	ErrBadChannels      = system.ErrBadChannels
+	ErrBadScheme        = system.ErrBadScheme
+	ErrUnknownScheduler = system.ErrUnknownScheduler
+	ErrBadSampleEvery   = system.ErrBadSampleEvery
 )
 
 // Coord is a mesh coordinate.
@@ -413,71 +408,42 @@ func (r Run) Merge(def Run) Run {
 	return r
 }
 
-// Resolve is the one shared validation path from (application model,
-// run parameters) to a runnable system configuration. The facade's
-// Config.Validate and every CLI -spec path go through it, so they
-// reject the same inputs with the same sentinels: ErrBadGeneration,
-// ErrBadChannels, ErrBadScheme, ErrUnknownScheduler, ErrBadSampleEvery,
-// ErrSpec.
-func Resolve(app appmodel.App, r Run) (system.Config, error) {
-	if err := app.Validate(); err != nil {
-		return system.Config{}, fmt.Errorf("scenario: %w: %v", ErrSpec, err)
+// Resolve maps (application model, run parameters) onto a system
+// configuration — parsing the scheme and scheduler names (ErrBadScheme,
+// ErrUnknownScheduler) — and returns it validated and resolved, its
+// generation and every other default filled. base, when given, supplies
+// the fields a Run has no name for (design, PCT, virtual channels, ...),
+// so they pass through the same single Validate call.
+func Resolve(app appmodel.App, r Run, base ...system.Config) (system.Config, error) {
+	var cfg system.Config
+	if len(base) > 0 {
+		cfg = base[0]
 	}
-	gen := dram.Generation(r.Generation)
-	if r.Generation == 0 {
-		gen = dram.DDR2
-	}
-	if gen < dram.DDR1 || gen > dram.LPDDR3 {
-		return system.Config{}, fmt.Errorf("scenario: %w %d (want 1-5)", ErrBadGeneration, r.Generation)
-	}
-	if r.Channels < 0 {
-		return system.Config{}, fmt.Errorf("scenario: %w %d", ErrBadChannels, r.Channels)
-	}
-	channels := r.Channels
-	if channels == 0 {
-		channels = 1
-	}
-	if ports := len(app.Ports()); channels > ports {
-		return system.Config{}, fmt.Errorf("scenario: %w %d (app %s has %d memory port(s))",
-			ErrBadChannels, r.Channels, app.Name, ports)
-	}
-	scheme := mapping.BankThenChannel
+	cfg.App = app
+	cfg.Gen = dram.Generation(r.Generation)
+	cfg.ClockMHz = r.ClockMHz
+	cfg.Channels = r.Channels
+	cfg.PriorityDemand = r.PriorityDemand
+	cfg.Cycles = r.Cycles
+	cfg.Warmup = r.Warmup
+	cfg.Seed = r.Seed
+	cfg.SampleEvery = r.SampleEvery
+	cfg.Subarrays = r.Subarrays
+	var err error
 	if r.Scheme != "" {
-		var err error
-		scheme, err = mapping.ParseChannelScheme(r.Scheme)
-		if err != nil {
+		if cfg.Scheme, err = mapping.ParseChannelScheme(r.Scheme); err != nil {
 			return system.Config{}, fmt.Errorf("scenario: %w %q", ErrBadScheme, r.Scheme)
 		}
 	}
-	if scheme == mapping.ChannelThenBankXOR && channels&(channels-1) != 0 {
-		return system.Config{}, fmt.Errorf("scenario: %w %d (%s needs a power of two)",
-			ErrBadChannels, r.Channels, scheme)
-	}
-	sched := memctrl.SchedDefault
 	if r.Scheduler != "" {
-		var err error
-		sched, err = memctrl.ParseScheduler(r.Scheduler)
-		if err != nil {
+		if cfg.Scheduler, err = memctrl.ParseScheduler(r.Scheduler); err != nil {
 			return system.Config{}, fmt.Errorf("scenario: %w %q", ErrUnknownScheduler, r.Scheduler)
 		}
 	}
-	if r.Cycles < 0 {
-		return system.Config{}, fmt.Errorf("scenario: %w: negative cycle count %d", ErrSpec, r.Cycles)
+	if err = cfg.Validate(); err != nil {
+		return system.Config{}, err
 	}
-	if r.SampleEvery < 0 {
-		return system.Config{}, fmt.Errorf("scenario: %w %d", ErrBadSampleEvery, r.SampleEvery)
-	}
-	if r.Subarrays < 0 {
-		return system.Config{}, fmt.Errorf("scenario: %w: negative subarray count %d", ErrSpec, r.Subarrays)
-	}
-	return system.Config{
-		App: app, Gen: gen, ClockMHz: r.ClockMHz,
-		Channels: channels, Scheme: scheme, Scheduler: sched,
-		PriorityDemand: r.PriorityDemand,
-		Cycles:         r.Cycles, Warmup: r.Warmup, Seed: r.Seed,
-		SampleEvery: r.SampleEvery,
-		Subarrays:   r.Subarrays,
-	}, nil
+	return cfg.Resolved(), nil
 }
 
 // SystemConfig resolves the spec plus an override block into a runnable
@@ -492,12 +458,7 @@ func (s *Spec) SystemConfig(over Run) (system.Config, error) {
 	if s.Run != nil {
 		base = *s.Run
 	}
-	cfg, err := Resolve(app, over.Merge(base))
-	if err != nil {
-		return system.Config{}, err
-	}
-	cfg.SpecHash = s.Hash()
-	return cfg, nil
+	return Resolve(app, over.Merge(base), system.Config{SpecHash: s.Hash()})
 }
 
 // parseClass resolves a traffic-class name.

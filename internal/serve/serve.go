@@ -18,7 +18,13 @@
 // The server is a thin adapter: all semantics — validation sentinels,
 // fingerprinting, store versioning, cache bypass rules — live in the
 // aanoc facade, so anything the HTTP surface can do a Go embedder can
-// do with the same guarantees.
+// do with the same guarantees. A grid is checked in two places: a name
+// the facade parsers do not know (model, design, scheme, scheduler) is a
+// 400 at POST; a value out of range (generation 9, three channels on one
+// port, a clock that is no speed grade, nine virtual channels, negative
+// cycles) is accepted with 202 and rejected by aanoc.Sweep's one
+// validation pass before anything simulates — the run's single event is
+// a "done" carrying the grid error, with no stats and nothing counted.
 package serve
 
 import (
@@ -154,8 +160,8 @@ type Point struct {
 }
 
 // config resolves the wire point into a facade Config, going through
-// the facade parsers so the service rejects exactly what the library
-// rejects.
+// the facade parsers: it rejects unknown names only. Ranges and
+// cross-field rules are Config.Validate's, which aanoc.Sweep applies.
 func (p Point) config() (aanoc.Config, error) {
 	var c aanoc.Config
 	if p.Model != "" {
@@ -366,9 +372,9 @@ func (s *Server) execute(r *run, grid aanoc.SweepGrid, opts aanoc.SweepOptions) 
 	defer r.cancel()
 	results, stats, err := s.sweepFn(grid, opts)
 	if err != nil {
-		// Grid validation failed after admission (only possible through
-		// the raw facade path; the wire decoder pre-validates) — surface
-		// it as the run's terminal event.
+		// Grid validation failed after admission: the wire decoder checks
+		// names only, so an out-of-range value surfaces here, as the run's
+		// terminal (and only) event.
 		r.append(Event{Type: "done", Error: err.Error()})
 		return
 	}

@@ -191,6 +191,37 @@ func TestSweepRejectsBadInput(t *testing.T) {
 			}
 		})
 	}
+
+	// The wire decoder checks names only: a value out of range is admitted
+	// and rejected by aanoc.Sweep's validation pass, before anything
+	// simulates — the run's one event carries the grid error and no stats.
+	for _, body := range []string{
+		`{"points":[{"generation":9}]}`,
+		`{"points":[{"channels":3}]}`,
+		`{"points":[{"cycles":-5}]}`,
+		`{"points":[{"virtualChannels":9}]}`,
+		`{"points":[{"clockMHz":123}]}`,
+	} {
+		t.Run(body, func(t *testing.T) {
+			events := stream(t, ts, post(t, ts, body).ID)
+			fin := last(t, events)
+			if len(events) != 1 || fin.Stats != nil || !strings.Contains(fin.Error, "invalid sweep grid: point 0") {
+				t.Errorf("events %+v, want one done event with the grid error and no stats", events)
+			}
+		})
+	}
+	resp, err := http.Get(ts.URL + "/v1/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st statsz
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Runs != 0 {
+		t.Errorf("statsz counts %d runs for grids that never built", st.Runs)
+	}
 }
 
 func TestEmptyGridRejectedBeforeAdmission(t *testing.T) {

@@ -91,9 +91,6 @@ type Handle struct {
 	wakeAt int64
 }
 
-// Component returns the registered component.
-func (h *Handle) Component() Component { return h.c }
-
 // Wake schedules the component to tick at cycle at (clamped to the
 // current cycle: waking into the past means "as soon as possible", and
 // a component whose phase already ran this cycle ticks next cycle).

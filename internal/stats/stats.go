@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 )
@@ -94,11 +93,6 @@ func (l *Latency) Merge(other *Latency) {
 	for i := range l.buckets {
 		l.buckets[i] += other.buckets[i]
 	}
-}
-
-// String renders a compact summary.
-func (l *Latency) String() string {
-	return fmt.Sprintf("n=%d mean=%.1f p95<=%d max=%d", l.Count, l.Mean(), l.Percentile(95), l.Max)
 }
 
 // Summary is the serialisable digest of one Latency accumulator: the

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -309,6 +310,65 @@ func TestFingerprintCanonicalises(t *testing.T) {
 	ticked.NoIdleSkip = true
 	if ft, ok := Fingerprint(ticked); !ok || ft != fa {
 		t.Fatal("NoIdleSkip split the fingerprint")
+	}
+}
+
+// perturb changes v to a different value of its type, reporting false
+// for a kind it does not know — a new kind of Config field must be taught
+// here before TestFingerprintCoversEveryField can vouch for it.
+func perturb(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Slice:
+		v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+	case reflect.Ptr:
+		v.Set(reflect.New(v.Type().Elem())) // nil in the base config
+	case reflect.Struct:
+		return perturb(v.Field(0)) // App: its name
+	default:
+		return false
+	}
+	return true
+}
+
+// TestFingerprintCoversEveryField makes the cache key's coverage
+// structural: changing any one field of system.Config must change the
+// fingerprint or make the config uncacheable, unless the field is listed
+// here with the reason it may share an entry. A field added to Config
+// and not to Fingerprint's format string would otherwise make the store
+// serve one run's row for another's.
+func TestFingerprintCoversEveryField(t *testing.T) {
+	exempt := map[string]string{
+		"NoIdleSkip": "changes how the kernel walks the cycles, never a result (TestIdleSkipEquivalence)",
+	}
+	base := grid(1)[0].Resolved()
+	want, ok := Fingerprint(base)
+	if !ok {
+		t.Fatal("base config not cacheable")
+	}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		cfg := base
+		if !perturb(reflect.ValueOf(&cfg).Elem().Field(i)) {
+			t.Errorf("%s: perturb does not handle kind %s", name, typ.Field(i).Type.Kind())
+			continue
+		}
+		got, ok := Fingerprint(cfg)
+		_, listed := exempt[name]
+		switch changed := !ok || got != want; {
+		case !changed && !listed:
+			t.Errorf("changing %s leaves the fingerprint unchanged: add it to Fingerprint, or to exempt with the reason", name)
+		case changed && listed:
+			t.Errorf("%s is exempt (%s) but changes the fingerprint", name, exempt[name])
+		}
 	}
 }
 

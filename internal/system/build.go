@@ -1,8 +1,6 @@
 package system
 
 import (
-	"fmt"
-
 	"aanoc/internal/appmodel"
 	"aanoc/internal/check"
 	"aanoc/internal/core"
@@ -111,22 +109,19 @@ type Runner struct {
 	maxBeats int
 }
 
-// New wires a simulation for the configuration.
+// New wires a simulation for the configuration. Config.Validate decides
+// whether it can run; the errors handled below it are the substrate
+// constructors' own checks, which a validated configuration passes.
 func New(cfg Config) (*Runner, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.Resolved()
 	timing, err := cfg.deviceTiming()
 	if err != nil {
 		return nil, err
 	}
-	ports := cfg.App.Ports()
-	if cfg.Channels < 1 {
-		return nil, fmt.Errorf("system: channels must be at least 1, got %d", cfg.Channels)
-	}
-	if cfg.Channels > len(ports) {
-		return nil, fmt.Errorf("system: app %s exposes %d memory port(s) but the config asks for %d channels",
-			cfg.App.Name, len(ports), cfg.Channels)
-	}
-	ports = ports[:cfg.Channels]
+	ports := cfg.App.Ports()[:cfg.Channels]
 	chmap, err := mapping.NewChannelMap(cfg.Scheme, cfg.Channels, timing.Banks)
 	if err != nil {
 		return nil, err
@@ -152,9 +147,6 @@ func New(cfg Config) (*Runner, error) {
 		if g == 0 {
 			g = core.SplitGranularity(int(cfg.Gen))
 		}
-		if g < 1 {
-			return nil, fmt.Errorf("system: split granularity must be at least 1 beat, got %d", g)
-		}
 		r.split = &core.Splitter{GranularityBeats: g, Alloc: r.pkts.Get}
 		r.splits = make([]*noc.Packet, 0, (r.maxBeats+g-1)/g) // the longest chain
 	}
@@ -169,21 +161,8 @@ func New(cfg Config) (*Runner, error) {
 	return r, nil
 }
 
-// deviceTiming validates the run's scalar inputs and resolves the device
-// timing every channel shares.
+// deviceTiming resolves the device timing every channel shares.
 func (c Config) deviceTiming() (dram.Timing, error) {
-	if err := c.App.Validate(); err != nil {
-		return dram.Timing{}, err
-	}
-	// scenario.Resolve rejects these with its sentinels; rejecting them
-	// here too keeps direct system.Config users (the table drivers, the
-	// sweep service, bench) on the same validation surface.
-	if c.Cycles < 0 {
-		return dram.Timing{}, fmt.Errorf("system: negative cycle count %d", c.Cycles)
-	}
-	if c.SampleEvery < 0 {
-		return dram.Timing{}, fmt.Errorf("system: negative sampling interval %d", c.SampleEvery)
-	}
 	timing, err := dram.Speed(c.Gen, c.ClockMHz)
 	if err != nil {
 		return dram.Timing{}, err
@@ -194,9 +173,6 @@ func (c Config) deviceTiming() (dram.Timing, error) {
 		// per command instead.
 		timing = timing.WithDeviceBL(4)
 	}
-	if c.Subarrays < 0 {
-		return dram.Timing{}, fmt.Errorf("system: negative subarray count %d", c.Subarrays)
-	}
 	return timing.WithSubarrays(c.Subarrays), nil
 }
 
@@ -204,9 +180,6 @@ func (c Config) deviceTiming() (dram.Timing, error) {
 // ejection port.
 func (r *Runner) buildMemory(ports []noc.Coord) error {
 	cfg := r.cfg
-	if !cfg.Scheduler.Valid() {
-		return fmt.Errorf("system: unknown scheduler %d", int(cfg.Scheduler))
-	}
 	// The design's page policy (zoo schedulers that keep a windowed
 	// pipeline inherit it; DPQ is structurally closed-page).
 	policy := memctrl.OpenPage

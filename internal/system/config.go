@@ -1,6 +1,9 @@
 package system
 
 import (
+	"errors"
+	"fmt"
+
 	"aanoc/internal/appmodel"
 	"aanoc/internal/dram"
 	"aanoc/internal/mapping"
@@ -12,8 +15,8 @@ import (
 // Config specifies one simulation run.
 type Config struct {
 	App      appmodel.App
-	Gen      dram.Generation
-	ClockMHz int // 0: the application's clock for Gen
+	Gen      dram.Generation // 0: DDR2
+	ClockMHz int             // 0: the application's clock for Gen
 	Design   Design
 
 	// Subarrays enables MASA-style subarray-level parallelism: each bank
@@ -214,10 +217,14 @@ type Result struct {
 }
 
 // Resolved returns the configuration with every defaulted field filled
-// in — the exact parameters a run would execute. Sweep fingerprinting
-// keys on the resolved form so distinct spellings of the same run (a
-// zero field versus its default written out) share one cache entry.
+// in — the exact parameters a run would execute, and the repository's one
+// defaults table. Sweep fingerprinting keys on the resolved form so
+// distinct spellings of the same run (a zero field versus its default
+// written out) share one cache entry.
 func (c Config) Resolved() Config {
+	if c.Gen == 0 {
+		c.Gen = dram.DDR2 // the paper's primary evaluation generation
+	}
 	if c.ClockMHz == 0 {
 		c.ClockMHz = c.App.Clocks[c.Gen]
 	}
@@ -264,6 +271,77 @@ func (c Config) Resolved() Config {
 		c.Checked = true
 	}
 	return c
+}
+
+// Sentinel errors Validate wraps; test with errors.Is. They are declared
+// here once: scenario and the aanoc facade export these same values under
+// their own names.
+var (
+	// ErrInvalid reports a configuration that cannot run for a reason no
+	// sentinel below names: an inconsistent application model, an unknown
+	// design or clock grade, a negative length, a size out of range.
+	ErrInvalid = errors.New("invalid configuration")
+	// ErrBadGeneration reports a DDR generation outside 1-5.
+	ErrBadGeneration = errors.New("invalid DDR generation")
+	// ErrBadChannels reports a channel count the application's memory
+	// ports (or the interleaving scheme) cannot support.
+	ErrBadChannels = errors.New("invalid channel count")
+	// ErrBadScheme reports an unknown channel-interleaving scheme.
+	ErrBadScheme = errors.New("unknown channel scheme")
+	// ErrUnknownScheduler reports an unknown memory scheduler.
+	ErrUnknownScheduler = errors.New("unknown scheduler")
+	// ErrBadSampleEvery reports a negative observability sampling period.
+	ErrBadSampleEvery = errors.New("invalid sampling period")
+)
+
+// Validate reports whether the configuration can run: it returns nil
+// exactly when New would build it. It is the repository's one rule list —
+// every range and cross-field rule, checked on the resolved form so a
+// defaulted field and its default written out fare alike. New calls it
+// first; scenario.Resolve, and through it the facade, the command line
+// and the server, call nothing else. The rules are comparisons: an
+// accepted configuration costs App.Validate and no allocation beyond it.
+func (c Config) Validate() error {
+	c = c.Resolved()
+	if err := c.App.Validate(); err != nil {
+		return fmt.Errorf("system: %w: %v", ErrInvalid, err)
+	}
+	if c.Gen < dram.DDR1 || c.Gen > dram.LPDDR3 {
+		return fmt.Errorf("system: %w %d (want 1-5)", ErrBadGeneration, int(c.Gen))
+	}
+	if _, err := dram.Speed(c.Gen, c.ClockMHz); err != nil {
+		return fmt.Errorf("system: %w: %v", ErrInvalid, err)
+	}
+	ports := len(c.App.Ports())
+	switch {
+	case c.Design < Conv || c.Design > GSSSAGMSTI:
+		return fmt.Errorf("system: %w: unknown design %d", ErrInvalid, int(c.Design))
+	case c.Channels < 1 || c.Channels > ports:
+		return fmt.Errorf("system: %w %d (app %s has %d memory port(s))", ErrBadChannels, c.Channels, c.App.Name, ports)
+	case c.Scheme != mapping.BankThenChannel && c.Scheme != mapping.ChannelThenBankXOR:
+		return fmt.Errorf("system: %w %d", ErrBadScheme, int(c.Scheme))
+	case c.Scheme == mapping.ChannelThenBankXOR && c.Channels&(c.Channels-1) != 0:
+		return fmt.Errorf("system: %w %d (%s needs a power of two)", ErrBadChannels, c.Channels, c.Scheme)
+	case !c.Scheduler.Valid():
+		return fmt.Errorf("system: %w %d", ErrUnknownScheduler, int(c.Scheduler))
+	case c.VirtualChannels < 1 || c.VirtualChannels > 4:
+		return fmt.Errorf("system: %w: virtual channels must be 1..4, got %d", ErrInvalid, c.VirtualChannels)
+	case c.BufFlits < 1:
+		return fmt.Errorf("system: %w: router buffers need at least 1 flit, got %d", ErrInvalid, c.BufFlits)
+	case c.InjectCap < 1:
+		return fmt.Errorf("system: %w: injection cap must be at least 1 flit, got %d", ErrInvalid, c.InjectCap)
+	case c.MemPipeline < 1:
+		return fmt.Errorf("system: %w: memory pipeline depth must be at least 1, got %d", ErrInvalid, c.MemPipeline)
+	case c.Cycles < 0:
+		return fmt.Errorf("system: %w: negative cycle count %d", ErrInvalid, c.Cycles)
+	case c.SampleEvery < 0:
+		return fmt.Errorf("system: %w %d", ErrBadSampleEvery, c.SampleEvery)
+	case c.Subarrays < 0:
+		return fmt.Errorf("system: %w: negative subarray count %d", ErrInvalid, c.Subarrays)
+	case c.SplitGranularity < 0:
+		return fmt.Errorf("system: %w: negative split granularity %d", ErrInvalid, c.SplitGranularity)
+	}
+	return nil
 }
 
 // CoreStats is the per-core service breakdown of one run.

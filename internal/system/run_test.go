@@ -44,9 +44,9 @@ func smokeCfg(d Design) Config {
 	}
 }
 
-// TestNewRejectsNegativeScalars: the scalar inputs scenario.Resolve
-// rejects are rejected by New too, so a direct Config user (a table
-// driver, the sweep service) fails before anything simulates.
+// TestNewRejectsNegativeScalars: New runs Config.Validate first, so a
+// direct Config user (a table driver, the sweep service) fails before
+// anything simulates.
 func TestNewRejectsNegativeScalars(t *testing.T) {
 	for _, tc := range []struct {
 		name string

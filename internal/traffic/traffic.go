@@ -214,15 +214,6 @@ func sortInts(xs []int) {
 	}
 }
 
-// meanBeats returns the average burst size of the stream.
-func (g *Gen) meanBeats() float64 {
-	sum := 0
-	for _, b := range g.Spec.Beats {
-		sum += b
-	}
-	return float64(sum) / float64(len(g.Spec.Beats))
-}
-
 // Tick returns the logical request the stream issues this cycle, or nil.
 // blocked reports whether the network interface refuses new work. A
 // blocked open-loop stream skips the request (a stalled media pipeline

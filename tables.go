@@ -10,6 +10,7 @@ import (
 	"aanoc/internal/mapping"
 	"aanoc/internal/memctrl"
 	"aanoc/internal/obs"
+	"aanoc/internal/scenario"
 	"aanoc/internal/sweep"
 	"aanoc/internal/system"
 )
@@ -113,28 +114,29 @@ func (o TableOptions) apps() ([]appmodel.App, error) {
 }
 
 // decorate attaches the spec identity (content hash) and its platform
-// channel configuration to one grid point of a spec-driven table.
-func (o TableOptions) decorate(cfg system.Config) system.Config {
+// channel configuration to every point of a spec-driven grid.
+func (o TableOptions) decorate(cfgs []system.Config) ([]system.Config, error) {
 	if o.Spec == nil {
-		return cfg
+		return cfgs, nil
 	}
-	cfg.SpecHash = o.Spec.Hash()
-	if r := o.Spec.Run; r != nil {
-		cfg.Channels = r.Channels
-		if r.Scheme != "" {
-			if sch, err := mapping.ParseChannelScheme(r.Scheme); err == nil {
-				cfg.Scheme = sch
-			}
+	hash := o.Spec.Hash()
+	run := SpecRun{}
+	if o.Spec.Run != nil {
+		run = *o.Spec.Run
+	}
+	scheme := BankThenChannel
+	if run.Scheme != "" {
+		var err error
+		if scheme, err = mapping.ParseChannelScheme(run.Scheme); err != nil {
+			return nil, specErr(fmt.Errorf("%w %q", scenario.ErrBadScheme, run.Scheme))
 		}
 	}
-	return cfg
-}
-
-func (o TableOptions) cycles() int64 {
-	if o.Cycles == 0 {
-		return 200_000
+	for i := range cfgs {
+		cfgs[i].SpecHash = hash
+		cfgs[i].Channels = run.Channels
+		cfgs[i].Scheme = scheme
 	}
-	return o.Cycles
+	return cfgs, nil
 }
 
 // sweepOptions maps the table knobs onto the executor's. For grids of
@@ -178,6 +180,10 @@ func CheckedViolations(rows []Row) int {
 // runGrid fans the configurations across the sweep executor and maps
 // the results, in submission order, to table rows.
 func runGrid(cfgs []system.Config, o TableOptions) ([]Row, error) {
+	cfgs, err := o.decorate(cfgs)
+	if err != nil {
+		return nil, err
+	}
 	results, err := sweep.Collect(o.applyChecked(cfgs), o.sweepOptions())
 	if err != nil {
 		return nil, err
@@ -200,11 +206,11 @@ func runMatrix(designs []Design, priority bool, o TableOptions) ([]Row, error) {
 	for _, app := range apps {
 		for _, gen := range []dram.Generation{dram.DDR1, dram.DDR2, dram.DDR3} {
 			for _, d := range designs {
-				cfgs = append(cfgs, o.decorate(system.Config{
+				cfgs = append(cfgs, system.Config{
 					App: app, Gen: gen, Design: d,
 					PriorityDemand: priority,
-					Cycles:         o.cycles(), Seed: o.Seed,
-				}))
+					Cycles:         o.Cycles, Seed: o.Seed,
+				})
 			}
 		}
 	}
@@ -235,15 +241,15 @@ func TableIII(o TableOptions) ([]Row, error) {
 	var cfgs []system.Config
 	for _, app := range apps {
 		for _, d := range []Design{GSSSAGM, GSSSAGMSTI} {
-			cfgs = append(cfgs, o.decorate(system.Config{
+			cfgs = append(cfgs, system.Config{
 				App: app, Gen: dram.DDR3, Design: d,
 				PriorityDemand: true,
 				// The paper-literal partially-open-page policy (AP tag on
 				// every request) is the regime where short turn-around
 				// interleaving hurts and the STI filters help.
 				TagEveryRequest: true,
-				Cycles:          o.cycles(), Seed: o.Seed,
-			}))
+				Cycles:          o.Cycles, Seed: o.Seed,
+			})
 		}
 	}
 	return runGrid(cfgs, o)
@@ -268,11 +274,11 @@ func TableSchedulers(o TableOptions) ([]Row, error) {
 	for _, app := range apps {
 		for _, gen := range []dram.Generation{dram.DDR2, dram.DDR4, dram.LPDDR3} {
 			for _, s := range memctrl.Schedulers() {
-				cfgs = append(cfgs, o.decorate(system.Config{
+				cfgs = append(cfgs, system.Config{
 					App: app, Gen: gen, Design: GSSSAGM, Scheduler: s,
 					PriorityDemand: true,
-					Cycles:         o.cycles(), Seed: o.Seed,
-				}))
+					Cycles:         o.Cycles, Seed: o.Seed,
+				})
 			}
 		}
 	}
@@ -319,12 +325,16 @@ func fig8(app appmodel.App, gen, clockMHz int, o TableOptions) ([]Fig8Point, err
 		if k == 0 {
 			n = -1 // zero GSS routers (0 in Config means "all")
 		}
-		cfgs = append(cfgs, o.decorate(system.Config{
+		cfgs = append(cfgs, system.Config{
 			App: app, Gen: dram.Generation(gen), ClockMHz: clockMHz,
 			Design: GSSSAGM, GSSRouters: n,
 			PriorityDemand: true,
-			Cycles:         o.cycles(), Seed: o.Seed,
-		}))
+			Cycles:         o.Cycles, Seed: o.Seed,
+		})
+	}
+	cfgs, err := o.decorate(cfgs)
+	if err != nil {
+		return nil, err
 	}
 	results, err := sweep.Collect(o.applyChecked(cfgs), o.sweepOptions())
 	if err != nil {
@@ -401,7 +411,7 @@ func TableV(o TableOptions) ([]PowerRow, error) {
 			cfgs = append(cfgs, system.Config{
 				App: app, Gen: dram.Generation(c.gen), ClockMHz: c.clock,
 				Design: ds.d, PriorityDemand: true,
-				Cycles: o.cycles(), Seed: o.Seed,
+				Cycles: o.Cycles, Seed: o.Seed,
 			})
 			meta = append(meta, powerMeta{
 				app: app, clock: c.clock,
