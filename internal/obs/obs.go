@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 
 	"aanoc/internal/stats"
 )
@@ -351,12 +352,17 @@ func EncodeJSON(w io.Writer, r *Report) error {
 	if r.SchemaVersion == 0 {
 		r.SchemaVersion = Schema
 	}
-	data, err := json.MarshalIndent(r, "", "  ")
+	// A bytes.Buffer or bufio.Writer lends its spare capacity, so encoding
+	// into a reused buffer allocates nothing.
+	var data []byte
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		data = ab.AvailableBuffer()
+	}
+	data, err := appendValue(data, reflect.ValueOf(r).Elem(), 0)
 	if err != nil {
 		return fmt.Errorf("obs: encode: %w", err)
 	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
+	_, err = w.Write(append(data, '\n'))
 	return err
 }
 
