@@ -298,10 +298,12 @@ type Config struct {
 	// Unknown names are rejected by Validate (wrapping
 	// ErrUnknownScheduler).
 	Scheduler Scheduler
-	// PCT is the priority control token of the GSS hybrid (default 3).
+	// PCT is the priority control token of the GSS hybrid, 1-6 (default
+	// 3); Validate rejects anything else (wrapping ErrBadSpec).
 	PCT int
 	// GSSRouters is the Fig. 8 knob: 0 = all routers run the GSS engine,
-	// -1 = none, k>0 = the k routers nearest the memory.
+	// -1 = none, k>0 = the k routers nearest the memory; Validate
+	// rejects anything below -1 (wrapping ErrBadSpec).
 	GSSRouters int
 	// PriorityDemand serves CPU demand requests as priority packets
 	// (Table II); off reproduces Table I.
@@ -386,9 +388,7 @@ func (c Config) toInternal() (system.Config, error) {
 		if c.Model != "" {
 			return system.Config{}, fmt.Errorf("aanoc: %w: Config.Spec is mutually exclusive with Model", ErrBadSpec)
 		}
-		if app, err = c.Spec.App(); err != nil {
-			return system.Config{}, specErr(err)
-		}
+		app = c.Spec.App
 		knobs.SpecHash = c.Spec.Hash()
 		if c.Spec.Run != nil {
 			over = over.Merge(*c.Spec.Run)

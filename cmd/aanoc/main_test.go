@@ -125,6 +125,11 @@ var exits = []leg{
 	// the flags resolve, before the table header.
 	{name: "sim-bad-clock", args: "sim -clock 123", code: 1, stderr: "no predefined timing", quiet: true},
 	{name: "sim-bad-clock-for-gen", args: "sim -gen 4 -clock 266", code: 1, stderr: "no predefined timing", quiet: true},
+	// So are the two GSS knobs outside their ranges: they used to run as
+	// pct 5, pct 3 and "no GSS routers" under a cache key of their own.
+	{name: "sim-pct-high", args: "sim -pct 9", code: 1, stderr: "PCT must be 1..6", quiet: true},
+	{name: "sim-pct-negative", args: "sim -pct -2", code: 1, stderr: "PCT must be 1..6", quiet: true},
+	{name: "sim-gss-routers-negative", args: "sim -gss-routers -7", code: 1, stderr: "GSS router count -7", quiet: true},
 	// A header names the cycle count the rows ran, not the raw flag.
 	{name: "tables-default-cycles", args: "tables -table 3 -cycles 0", stdout: "(200000 cycles/run)"},
 	{name: "fig8-spec-bad-gen", args: "fig8 -spec $SPECS/ddtv4.json -gen 9", code: 1, stderr: "invalid DDR generation"},
@@ -135,6 +140,9 @@ var exits = []leg{
 	{name: "tables-unknown-table", args: "tables -table 9", code: 1, stderr: "1, 2, 3, sched, all"},
 	{name: "sweep-unknown-sweep", args: "sweep -sweep bogus", code: 1, stderr: "pct, granularity"},
 	{name: "trace-neither-mode", args: "trace", code: 1, stderr: "exactly one of -record or -replay"},
+	// A trace record of a class nobody defined is an error naming its
+	// line; it used to replay, exit 0, as media traffic.
+	{name: "trace-unknown-class", args: "trace -replay $TMP/bulk.jsonl -cycles 2000", code: 1, stderr: `line 2: trace: noc: invalid syntax: unknown class "bulk"`, quiet: true},
 }
 
 func TestCorpus(t *testing.T) {
@@ -148,13 +156,20 @@ func TestExitCodes(t *testing.T) {
 	runLegs(t, exits)
 }
 
-// specFixtures writes the specs the flag-rule legs load — one whose run
-// block asks for five channels, one whose run block selects DDR3 — into
-// a fresh directory, bypassing Validate: the command under test is the
-// one that must reject.
+// specFixtures writes the files the flag-rule legs load — a spec whose
+// run block asks for five channels, one whose run block selects DDR3, a
+// trace whose second record has a class nobody defined — into a fresh
+// directory, bypassing Validate: the command under test is the one that
+// must reject.
 func specFixtures(t *testing.T) string {
 	t.Helper()
 	tmp := t.TempDir()
+	bulk := `{"cycle":0,"core":"cpu","kind":"R","class":"demand","bank":0,"row":0,"col":0,"beats":8}
+{"cycle":4,"core":"cpu","kind":"R","class":"bulk","bank":0,"row":0,"col":0,"beats":8}
+`
+	if err := os.WriteFile(filepath.Join(tmp, "bulk.jsonl"), []byte(bulk), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for name, fix := range map[string]struct {
 		base string
 		run  scenario.Run

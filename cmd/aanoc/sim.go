@@ -35,7 +35,7 @@ func simCmd(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	var (
 		design   = f.String("design", "GSS", designUsage)
 		all      = f.Bool("all", false, "run every design on the selected app/generation")
-		pct      = f.Int("pct", 3, "priority control token for GSS designs")
+		pct      = f.Int("pct", 3, "priority control token for GSS designs, 1-6")
 		gssN     = f.Int("gss-routers", 0, "GSS routers nearest memory (0: all, -1: none)")
 		perCore  = f.Bool("percore", false, "print the per-core service breakdown and Jain fairness index")
 		workload = f.Bool("workload", false, "include the per-stream workload (calibration) breakdown in the report")
@@ -66,6 +66,11 @@ func simCmd(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 	}
 	ds, err := designs(*design, *all)
 	if err != nil {
+		return err
+	}
+	// -pct and -gss-routers were set after resolve; they meet the rule
+	// list here, before the header prints.
+	if err := base.Validate(); err != nil {
 		return err
 	}
 	// With -json -, the report owns stdout and the human table is

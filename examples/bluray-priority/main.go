@@ -8,7 +8,7 @@
 // latency. This example sweeps PCT on the Blu-ray model and prints the
 // trade-off curve (the ablation behind the paper's Fig. 1(d)).
 //
-//	go run ./examples/bluray-priority
+//	go run ./examples/bluray-priority [-cycles N]
 package main
 
 import (
@@ -20,6 +20,7 @@ import (
 )
 
 func main() {
+	cycles := exutil.Cycles()
 	fmt.Println("PCT sweep: Blu-ray on DDR2, demand requests as priority packets")
 	fmt.Printf("%4s %8s %10s %12s %12s\n", "PCT", "util", "lat(all)", "lat(priority)", "lat(best)")
 	for pct := 1; pct <= 5; pct++ {
@@ -29,7 +30,7 @@ func main() {
 			Design:         aanoc.GSS,
 			PCT:            pct,
 			PriorityDemand: true,
-			Cycles:         exutil.Cycles(),
+			Cycles:         cycles,
 		})
 		if err != nil {
 			log.Fatal(err)

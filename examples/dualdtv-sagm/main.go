@@ -7,7 +7,7 @@
 // plus auto-precharge) much more than DDR3, whose tCCD=4 makes the device
 // behave like BL8 regardless.
 //
-//	go run ./examples/dualdtv-sagm
+//	go run ./examples/dualdtv-sagm [-cycles N]
 package main
 
 import (
@@ -19,6 +19,7 @@ import (
 )
 
 func main() {
+	cycles := exutil.Cycles()
 	fmt.Println("Dual DTV model (4x4 mesh, 15 cores) across DDR generations")
 	fmt.Printf("%-5s %5s  %-10s %8s %9s %10s %12s\n", "gen", "MHz", "design", "util", "waste", "lat(all)", "lat(priority)")
 	for gen := 1; gen <= 3; gen++ {
@@ -29,7 +30,7 @@ func main() {
 				Generation:     gen,
 				Design:         d,
 				PriorityDemand: true,
-				Cycles:         exutil.Cycles(),
+				Cycles:         cycles,
 			})
 			if err != nil {
 				log.Fatal(err)

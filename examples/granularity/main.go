@@ -7,7 +7,7 @@
 // auto-precharge, split packets) and reports how many of the transferred
 // beats each design threw away, plus what that does to latency.
 //
-//	go run ./examples/granularity
+//	go run ./examples/granularity [-cycles N]
 package main
 
 import (
@@ -19,6 +19,7 @@ import (
 )
 
 func main() {
+	cycles := exutil.Cycles()
 	fmt.Println("Access granularity mismatch (paper Fig. 2): single DTV on DDR2")
 	fmt.Printf("%-10s %8s %9s %9s %10s %9s\n", "design", "util", "useful", "waste", "lat(all)", "served")
 	for _, d := range []aanoc.Design{aanoc.GSS, aanoc.GSSSAGM} {
@@ -26,7 +27,7 @@ func main() {
 			Model:      aanoc.AppSDTV,
 			Generation: 2,
 			Design:     d,
-			Cycles:     exutil.Cycles(),
+			Cycles:     cycles,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -2,19 +2,13 @@
 // so each main.go stays focused on the experiment it demonstrates.
 package exutil
 
-import (
-	"os"
-	"strconv"
-)
+import "flag"
 
-// Cycles is the per-run simulation budget for the examples: 150,000 by
-// default, or AANOC_EXAMPLE_CYCLES when set (the test harness shortens
-// the runs this way).
+// Cycles parses the example's command line and returns its per-run
+// simulation budget: -cycles, 150,000 by default (the test harness
+// shortens the runs with it). Call it once, first thing in main.
 func Cycles() int64 {
-	if s := os.Getenv("AANOC_EXAMPLE_CYCLES"); s != "" {
-		if n, err := strconv.ParseInt(s, 10, 64); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 150_000
+	n := flag.Int64("cycles", 150_000, "simulated cycles per run")
+	flag.Parse()
+	return *n
 }

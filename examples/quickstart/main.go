@@ -7,7 +7,7 @@
 // latency of all packets and average latency of the priority (demand)
 // packets.
 //
-//	go run ./examples/quickstart
+//	go run ./examples/quickstart [-cycles N]
 package main
 
 import (
@@ -19,6 +19,7 @@ import (
 )
 
 func main() {
+	cycles := exutil.Cycles()
 	designs := []aanoc.Design{
 		aanoc.ConvPFS,       // conventional NoC + MemMax, priority-first
 		aanoc.SDRAMAwarePFS, // SDRAM-aware NoC [4], priority-first
@@ -34,7 +35,7 @@ func main() {
 			Generation:     2,
 			Design:         d,
 			PriorityDemand: true,
-			Cycles:         exutil.Cycles(),
+			Cycles:         cycles,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -1,12 +1,11 @@
 package aanoc
 
 // Examples smoke: every program under examples/ must build and run to
-// completion. AANOC_EXAMPLE_CYCLES shortens the simulations so the
-// whole sweep stays test-suite friendly; the programs' structure and
+// completion. -cycles shortens the simulations so the whole sweep stays
+// test-suite friendly; the programs' structure and
 // output shape are exercised exactly as a user would see them.
 
 import (
-	"os"
 	"os/exec"
 	"strings"
 	"testing"
@@ -31,8 +30,7 @@ func TestExamplesRun(t *testing.T) {
 		ex := ex
 		t.Run(ex.dir, func(t *testing.T) {
 			t.Parallel()
-			cmd := exec.Command("go", "run", "./examples/"+ex.dir)
-			cmd.Env = append(os.Environ(), "AANOC_EXAMPLE_CYCLES=2000")
+			cmd := exec.Command("go", "run", "./examples/"+ex.dir, "-cycles", "2000")
 			out, err := cmd.CombinedOutput()
 			if err != nil {
 				t.Fatalf("example failed: %v\n%s", err, out)

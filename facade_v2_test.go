@@ -76,6 +76,9 @@ func TestValidateIsWhatRunRejects(t *testing.T) {
 		facade, scenario error
 	}{
 		{"virtual channels", Config{VirtualChannels: 9}, ErrBadSpec, scenario.ErrSpec},
+		{"pct high", Config{Design: GSS, PCT: 9}, ErrBadSpec, scenario.ErrSpec},
+		{"pct negative", Config{Design: GSS, PCT: -2}, ErrBadSpec, scenario.ErrSpec},
+		{"gss routers", Config{Design: GSS, GSSRouters: -7}, ErrBadSpec, scenario.ErrSpec},
 		{"clock no grade", Config{ClockMHz: 123}, ErrBadSpec, scenario.ErrSpec},
 		{"clock of another generation", Config{Generation: 4, ClockMHz: 266}, ErrBadSpec, scenario.ErrSpec},
 		{"design", Config{Design: Design(99)}, ErrBadSpec, scenario.ErrSpec},

@@ -31,46 +31,78 @@ const RowBeats = 512
 
 // Core is one IP block: a mesh position and its request streams.
 type Core struct {
-	Name    string
-	Pos     noc.Coord
-	Streams []traffic.Stream
+	Name    string           `json:"name"`
+	Pos     noc.Coord        `json:"at"`
+	Streams []traffic.Stream `json:"streams"`
 }
 
-// App is a complete application model.
-type App struct {
-	Name          string
-	Width, Height int
-	MemAt         noc.Coord
-	// MemPorts lists the mesh ejection ports of the memory subsystem's
-	// SDRAM channels, in channel order. Empty means the single port
-	// MemAt (the paper's system); when set, MemPorts[0] must equal MemAt
-	// so single-channel runs of a scaled model keep the canonical port.
-	MemPorts []noc.Coord
-	Cores    []Core
-	// Clocks lists the paper's memory clock per DDR generation for this
-	// application (Table I rows).
-	Clocks map[dram.Generation]int
+// Mesh is the platform's mesh dimensions.
+type Mesh struct {
+	Width  int `json:"width"`
+	Height int `json:"height"`
 }
 
-// Ports returns the memory channel ports, falling back to the single
-// MemAt port for the paper's one-channel models.
-func (a *App) Ports() []noc.Coord {
-	if len(a.MemPorts) == 0 {
-		return []noc.Coord{a.MemAt}
+// Clocks lists the memory clock per DDR generation, in MHz (the paper's
+// Table I rows for the builtin models). Zero means unset: a run on that
+// generation defaults to its fastest standard grade (dram.DefaultClock).
+// The builtin media platforms carry the classic three only.
+type Clocks struct {
+	DDR1   int `json:"ddr1"`
+	DDR2   int `json:"ddr2"`
+	DDR3   int `json:"ddr3"`
+	DDR4   int `json:"ddr4,omitempty"`
+	LPDDR3 int `json:"lpddr3,omitempty"`
+}
+
+// At returns the clock for a generation, 0 when unset or unknown.
+func (c Clocks) At(gen dram.Generation) int {
+	switch gen {
+	case dram.DDR1:
+		return c.DDR1
+	case dram.DDR2:
+		return c.DDR2
+	case dram.DDR3:
+		return c.DDR3
+	case dram.DDR4:
+		return c.DDR4
+	case dram.LPDDR3:
+		return c.LPDDR3
 	}
-	return a.MemPorts
+	return 0
 }
 
-// Validate checks positions and stream specifications.
+// App is a complete application model, and — through its json tags — the
+// platform half of a scenario spec file: scenario.Spec embeds it.
+type App struct {
+	Name string `json:"name"`
+	Mesh `json:"mesh"`
+	// MemPorts lists the mesh ejection ports of the memory subsystem's
+	// SDRAM channels, in channel order; MemPorts[0] is the canonical
+	// single-channel port (the paper's system has just that one).
+	MemPorts []noc.Coord `json:"memPorts"`
+	Clocks   Clocks      `json:"clocks"`
+	Cores    []Core      `json:"cores"`
+}
+
+// Ports returns the memory channel ports, in channel order.
+func (a *App) Ports() []noc.Coord { return a.MemPorts }
+
+// Validate checks the platform's structure — a name, a mesh, at least
+// one memory port, named cores with at least one stream each, every
+// position on the mesh and used once — and every stream specification.
 func (a *App) Validate() error {
-	if len(a.Cores) == 0 {
+	switch {
+	case a.Name == "":
+		return fmt.Errorf("appmodel: application has no name")
+	case a.Width < 1 || a.Height < 1:
+		return fmt.Errorf("appmodel: %s mesh %dx%d", a.Name, a.Width, a.Height)
+	case len(a.MemPorts) == 0:
+		return fmt.Errorf("appmodel: %s has no memory ports", a.Name)
+	case len(a.Cores) == 0:
 		return fmt.Errorf("appmodel: %s has no cores", a.Name)
 	}
-	if len(a.MemPorts) > 0 && a.MemPorts[0] != a.MemAt {
-		return fmt.Errorf("appmodel: %s MemPorts[0] %v differs from MemAt %v", a.Name, a.MemPorts[0], a.MemAt)
-	}
 	seen := map[noc.Coord]string{}
-	for i, p := range a.Ports() {
+	for i, p := range a.MemPorts {
 		if p.X < 0 || p.X >= a.Width || p.Y < 0 || p.Y >= a.Height {
 			return fmt.Errorf("appmodel: %s memory port %d at %v outside %dx%d", a.Name, i, p, a.Width, a.Height)
 		}
@@ -80,6 +112,12 @@ func (a *App) Validate() error {
 		seen[p] = fmt.Sprintf("memory port %d", i)
 	}
 	for _, c := range a.Cores {
+		if c.Name == "" {
+			return fmt.Errorf("appmodel: %s has an unnamed core", a.Name)
+		}
+		if len(c.Streams) == 0 {
+			return fmt.Errorf("appmodel: %s core %s has no streams", a.Name, c.Name)
+		}
 		if c.Pos.X < 0 || c.Pos.X >= a.Width || c.Pos.Y < 0 || c.Pos.Y >= a.Height {
 			return fmt.Errorf("appmodel: %s core %s at %v outside %dx%d", a.Name, c.Name, c.Pos, a.Width, a.Height)
 		}
@@ -115,9 +153,14 @@ func (a *App) TotalLoad() float64 {
 // a real frame-buffer layout).
 func rowRegion(i int) (base, size int) { return (i * 256) % 4096, 256 }
 
-// cpu builds the microprocessor core: a closed-loop demand stream (the
+// The four archetypes below are the core vocabulary of every platform in
+// the repository: the builtin models list them, and the scenario
+// generator draws their parameters. region picks the core's row region
+// and rotates its bank walk.
+
+// CPU builds the microprocessor core: a closed-loop demand stream (the
 // paper's priority candidate) plus an open-loop prefetcher.
-func cpu(name string, pos noc.Coord, region int, think int64, prefetchLoad float64) Core {
+func CPU(name string, pos noc.Coord, region int, think int64, prefetchLoad float64) Core {
 	base, size := rowRegion(region)
 	return Core{
 		Name: name, Pos: pos,
@@ -137,9 +180,9 @@ func cpu(name string, pos noc.Coord, region int, think int64, prefetchLoad float
 	}
 }
 
-// codec builds a video decoder/encoder: short scattered motion
+// Codec builds a video decoder/encoder: short scattered motion
 // compensation reads plus streaming frame writeback.
-func codec(name string, pos noc.Coord, region int, mcLoad, wbLoad float64) Core {
+func Codec(name string, pos noc.Coord, region int, mcLoad, wbLoad float64) Core {
 	base, size := rowRegion(region)
 	return Core{
 		Name: name, Pos: pos,
@@ -162,9 +205,9 @@ func codec(name string, pos noc.Coord, region int, mcLoad, wbLoad float64) Core 
 	}
 }
 
-// streamer builds a long-packet streaming core (video enhancer, format
+// Streamer builds a long-packet streaming core (video enhancer, format
 // converter, scaler, disc I/O): the paper's 64-BL packets.
-func streamer(name string, pos noc.Coord, region int, beats []int, load, readFrac float64) Core {
+func Streamer(name string, pos noc.Coord, region int, beats []int, load, readFrac float64) Core {
 	base, size := rowRegion(region)
 	return Core{
 		Name: name, Pos: pos,
@@ -178,8 +221,8 @@ func streamer(name string, pos noc.Coord, region int, beats []int, load, readFra
 	}
 }
 
-// background builds a low-rate core (audio DSP, OSD, peripherals).
-func background(name string, pos noc.Coord, region int, beats []int, load, readFrac float64, pat traffic.Pattern) Core {
+// Background builds a low-rate core (audio DSP, OSD, peripherals).
+func Background(name string, pos noc.Coord, region int, beats []int, load, readFrac float64, pat traffic.Pattern) Core {
 	base, size := rowRegion(region)
 	return Core{
 		Name: name, Pos: pos,
@@ -197,18 +240,18 @@ func background(name string, pos noc.Coord, region int, beats []int, load, readF
 // the upper-left corner).
 func BluRay() App {
 	a := App{
-		Name: "bluray", Width: 3, Height: 3, MemAt: noc.Coord{X: 0, Y: 0},
-		Clocks: map[dram.Generation]int{dram.DDR1: 133, dram.DDR2: 266, dram.DDR3: 533},
+		Name: "bluray", Mesh: Mesh{Width: 3, Height: 3}, MemPorts: []noc.Coord{{X: 0, Y: 0}},
+		Clocks: Clocks{DDR1: 133, DDR2: 266, DDR3: 533},
 		Cores: []Core{
 			// Bandwidth-hungry cores adjacent to the memory (A3MAP-style).
-			streamer("enhancer", noc.Coord{X: 1, Y: 0}, 1, []int{96, 128}, 0.30, 0.5),
-			streamer("formatconv", noc.Coord{X: 0, Y: 1}, 2, []int{64, 96}, 0.20, 0.5),
-			codec("h264", noc.Coord{X: 1, Y: 1}, 3, 0.10, 0.06),
-			cpu("cpu", noc.Coord{X: 2, Y: 0}, 4, 40, 0.04),
-			streamer("discio", noc.Coord{X: 0, Y: 2}, 5, []int{64}, 0.10, 0.3),
-			background("gfx", noc.Coord{X: 2, Y: 1}, 6, []int{36}, 0.08, 0.6, traffic.Streaming),
-			background("audio", noc.Coord{X: 1, Y: 2}, 7, []int{4, 12}, 0.03, 0.6, traffic.Streaming),
-			background("periph", noc.Coord{X: 2, Y: 2}, 8, []int{2, 4}, 0.03, 0.5, traffic.Random),
+			Streamer("enhancer", noc.Coord{X: 1, Y: 0}, 1, []int{96, 128}, 0.30, 0.5),
+			Streamer("formatconv", noc.Coord{X: 0, Y: 1}, 2, []int{64, 96}, 0.20, 0.5),
+			Codec("h264", noc.Coord{X: 1, Y: 1}, 3, 0.10, 0.06),
+			CPU("cpu", noc.Coord{X: 2, Y: 0}, 4, 40, 0.04),
+			Streamer("discio", noc.Coord{X: 0, Y: 2}, 5, []int{64}, 0.10, 0.3),
+			Background("gfx", noc.Coord{X: 2, Y: 1}, 6, []int{36}, 0.08, 0.6, traffic.Streaming),
+			Background("audio", noc.Coord{X: 1, Y: 2}, 7, []int{4, 12}, 0.03, 0.6, traffic.Streaming),
+			Background("periph", noc.Coord{X: 2, Y: 2}, 8, []int{2, 4}, 0.03, 0.5, traffic.Random),
 		},
 	}
 	return a
@@ -218,17 +261,17 @@ func BluRay() App {
 // mesh.
 func SingleDTV() App {
 	return App{
-		Name: "sdtv", Width: 3, Height: 3, MemAt: noc.Coord{X: 0, Y: 0},
-		Clocks: map[dram.Generation]int{dram.DDR1: 166, dram.DDR2: 333, dram.DDR3: 667},
+		Name: "sdtv", Mesh: Mesh{Width: 3, Height: 3}, MemPorts: []noc.Coord{{X: 0, Y: 0}},
+		Clocks: Clocks{DDR1: 166, DDR2: 333, DDR3: 667},
 		Cores: []Core{
-			streamer("enhancer", noc.Coord{X: 1, Y: 0}, 1, []int{128}, 0.28, 0.5),
-			streamer("scaler", noc.Coord{X: 0, Y: 1}, 2, []int{64}, 0.16, 0.5),
-			codec("vdec", noc.Coord{X: 1, Y: 1}, 3, 0.10, 0.06),
-			cpu("cpu", noc.Coord{X: 2, Y: 0}, 4, 40, 0.04),
-			streamer("demux", noc.Coord{X: 0, Y: 2}, 5, []int{20, 36}, 0.06, 0.4),
-			background("osd", noc.Coord{X: 2, Y: 1}, 6, []int{36}, 0.06, 0.6, traffic.Streaming),
-			background("audio", noc.Coord{X: 1, Y: 2}, 7, []int{4, 12}, 0.03, 0.6, traffic.Streaming),
-			background("periph", noc.Coord{X: 2, Y: 2}, 8, []int{2, 4}, 0.03, 0.5, traffic.Random),
+			Streamer("enhancer", noc.Coord{X: 1, Y: 0}, 1, []int{128}, 0.28, 0.5),
+			Streamer("scaler", noc.Coord{X: 0, Y: 1}, 2, []int{64}, 0.16, 0.5),
+			Codec("vdec", noc.Coord{X: 1, Y: 1}, 3, 0.10, 0.06),
+			CPU("cpu", noc.Coord{X: 2, Y: 0}, 4, 40, 0.04),
+			Streamer("demux", noc.Coord{X: 0, Y: 2}, 5, []int{20, 36}, 0.06, 0.4),
+			Background("osd", noc.Coord{X: 2, Y: 1}, 6, []int{36}, 0.06, 0.6, traffic.Streaming),
+			Background("audio", noc.Coord{X: 1, Y: 2}, 7, []int{4, 12}, 0.03, 0.6, traffic.Streaming),
+			Background("periph", noc.Coord{X: 2, Y: 2}, 8, []int{2, 4}, 0.03, 0.5, traffic.Random),
 		},
 	}
 }
@@ -237,24 +280,24 @@ func SingleDTV() App {
 // two full video pipelines plus shared infrastructure.
 func DualDTV() App {
 	return App{
-		Name: "ddtv", Width: 4, Height: 4, MemAt: noc.Coord{X: 0, Y: 0},
-		Clocks: map[dram.Generation]int{dram.DDR1: 200, dram.DDR2: 400, dram.DDR3: 800},
+		Name: "ddtv", Mesh: Mesh{Width: 4, Height: 4}, MemPorts: []noc.Coord{{X: 0, Y: 0}},
+		Clocks: Clocks{DDR1: 200, DDR2: 400, DDR3: 800},
 		Cores: []Core{
-			streamer("enhancer0", noc.Coord{X: 1, Y: 0}, 1, []int{128}, 0.20, 0.5),
-			streamer("enhancer1", noc.Coord{X: 0, Y: 1}, 2, []int{128}, 0.20, 0.5),
-			codec("vdec0", noc.Coord{X: 1, Y: 1}, 3, 0.08, 0.05),
-			codec("vdec1", noc.Coord{X: 2, Y: 0}, 4, 0.08, 0.05),
-			streamer("scaler0", noc.Coord{X: 0, Y: 2}, 5, []int{64}, 0.12, 0.5),
-			streamer("scaler1", noc.Coord{X: 2, Y: 1}, 6, []int{64}, 0.12, 0.5),
-			cpu("cpu", noc.Coord{X: 3, Y: 0}, 7, 40, 0.04),
-			streamer("demux0", noc.Coord{X: 1, Y: 2}, 8, []int{20, 36}, 0.05, 0.4),
-			streamer("demux1", noc.Coord{X: 3, Y: 1}, 9, []int{20, 36}, 0.05, 0.4),
-			background("gfx", noc.Coord{X: 2, Y: 2}, 10, []int{36}, 0.06, 0.6, traffic.Streaming),
-			background("audio0", noc.Coord{X: 0, Y: 3}, 11, []int{4, 12}, 0.02, 0.6, traffic.Streaming),
-			background("audio1", noc.Coord{X: 1, Y: 3}, 12, []int{4, 12}, 0.02, 0.6, traffic.Streaming),
-			background("netio", noc.Coord{X: 3, Y: 2}, 13, []int{64}, 0.05, 0.4, traffic.Streaming),
-			background("periph0", noc.Coord{X: 2, Y: 3}, 14, []int{2, 4}, 0.02, 0.5, traffic.Random),
-			background("periph1", noc.Coord{X: 3, Y: 3}, 15, []int{2, 4}, 0.02, 0.5, traffic.Random),
+			Streamer("enhancer0", noc.Coord{X: 1, Y: 0}, 1, []int{128}, 0.20, 0.5),
+			Streamer("enhancer1", noc.Coord{X: 0, Y: 1}, 2, []int{128}, 0.20, 0.5),
+			Codec("vdec0", noc.Coord{X: 1, Y: 1}, 3, 0.08, 0.05),
+			Codec("vdec1", noc.Coord{X: 2, Y: 0}, 4, 0.08, 0.05),
+			Streamer("scaler0", noc.Coord{X: 0, Y: 2}, 5, []int{64}, 0.12, 0.5),
+			Streamer("scaler1", noc.Coord{X: 2, Y: 1}, 6, []int{64}, 0.12, 0.5),
+			CPU("cpu", noc.Coord{X: 3, Y: 0}, 7, 40, 0.04),
+			Streamer("demux0", noc.Coord{X: 1, Y: 2}, 8, []int{20, 36}, 0.05, 0.4),
+			Streamer("demux1", noc.Coord{X: 3, Y: 1}, 9, []int{20, 36}, 0.05, 0.4),
+			Background("gfx", noc.Coord{X: 2, Y: 2}, 10, []int{36}, 0.06, 0.6, traffic.Streaming),
+			Background("audio0", noc.Coord{X: 0, Y: 3}, 11, []int{4, 12}, 0.02, 0.6, traffic.Streaming),
+			Background("audio1", noc.Coord{X: 1, Y: 3}, 12, []int{4, 12}, 0.02, 0.6, traffic.Streaming),
+			Background("netio", noc.Coord{X: 3, Y: 2}, 13, []int{64}, 0.05, 0.4, traffic.Streaming),
+			Background("periph0", noc.Coord{X: 2, Y: 3}, 14, []int{2, 4}, 0.02, 0.5, traffic.Random),
+			Background("periph1", noc.Coord{X: 3, Y: 3}, 15, []int{2, 4}, 0.02, 0.5, traffic.Random),
 		},
 	}
 }
@@ -268,27 +311,26 @@ func DualDTV() App {
 // system behind the canonical corner port.
 func BluRay2() App {
 	return App{
-		Name: "bluray2", Width: 4, Height: 4,
-		MemAt:    noc.Coord{X: 0, Y: 0},
+		Name: "bluray2", Mesh: Mesh{Width: 4, Height: 4},
 		MemPorts: []noc.Coord{{X: 0, Y: 0}, {X: 3, Y: 3}},
-		Clocks:   map[dram.Generation]int{dram.DDR1: 133, dram.DDR2: 266, dram.DDR3: 533},
+		Clocks:   Clocks{DDR1: 133, DDR2: 266, DDR3: 533},
 		Cores: []Core{
 			// Pipeline 0 around the (0,0) port.
-			streamer("enhancer0", noc.Coord{X: 1, Y: 0}, 1, []int{96, 128}, 0.30, 0.5),
-			streamer("formatconv0", noc.Coord{X: 0, Y: 1}, 2, []int{64, 96}, 0.20, 0.5),
-			codec("codec0", noc.Coord{X: 1, Y: 1}, 3, 0.10, 0.06),
-			cpu("cpu0", noc.Coord{X: 2, Y: 0}, 4, 40, 0.04),
-			streamer("discio0", noc.Coord{X: 0, Y: 2}, 5, []int{64}, 0.10, 0.3),
-			background("gfx0", noc.Coord{X: 2, Y: 1}, 6, []int{36}, 0.08, 0.6, traffic.Streaming),
-			background("audio0", noc.Coord{X: 0, Y: 3}, 7, []int{4, 12}, 0.03, 0.6, traffic.Streaming),
+			Streamer("enhancer0", noc.Coord{X: 1, Y: 0}, 1, []int{96, 128}, 0.30, 0.5),
+			Streamer("formatconv0", noc.Coord{X: 0, Y: 1}, 2, []int{64, 96}, 0.20, 0.5),
+			Codec("codec0", noc.Coord{X: 1, Y: 1}, 3, 0.10, 0.06),
+			CPU("cpu0", noc.Coord{X: 2, Y: 0}, 4, 40, 0.04),
+			Streamer("discio0", noc.Coord{X: 0, Y: 2}, 5, []int{64}, 0.10, 0.3),
+			Background("gfx0", noc.Coord{X: 2, Y: 1}, 6, []int{36}, 0.08, 0.6, traffic.Streaming),
+			Background("audio0", noc.Coord{X: 0, Y: 3}, 7, []int{4, 12}, 0.03, 0.6, traffic.Streaming),
 			// Pipeline 1 mirrored around the (3,3) port.
-			streamer("enhancer1", noc.Coord{X: 2, Y: 3}, 8, []int{96, 128}, 0.30, 0.5),
-			streamer("formatconv1", noc.Coord{X: 3, Y: 2}, 9, []int{64, 96}, 0.20, 0.5),
-			codec("codec1", noc.Coord{X: 2, Y: 2}, 10, 0.10, 0.06),
-			cpu("cpu1", noc.Coord{X: 1, Y: 3}, 11, 40, 0.04),
-			streamer("discio1", noc.Coord{X: 3, Y: 1}, 12, []int{64}, 0.10, 0.3),
-			background("gfx1", noc.Coord{X: 1, Y: 2}, 13, []int{36}, 0.08, 0.6, traffic.Streaming),
-			background("audio1", noc.Coord{X: 3, Y: 0}, 14, []int{4, 12}, 0.03, 0.6, traffic.Streaming),
+			Streamer("enhancer1", noc.Coord{X: 2, Y: 3}, 8, []int{96, 128}, 0.30, 0.5),
+			Streamer("formatconv1", noc.Coord{X: 3, Y: 2}, 9, []int{64, 96}, 0.20, 0.5),
+			Codec("codec1", noc.Coord{X: 2, Y: 2}, 10, 0.10, 0.06),
+			CPU("cpu1", noc.Coord{X: 1, Y: 3}, 11, 40, 0.04),
+			Streamer("discio1", noc.Coord{X: 3, Y: 1}, 12, []int{64}, 0.10, 0.3),
+			Background("gfx1", noc.Coord{X: 1, Y: 2}, 13, []int{36}, 0.08, 0.6, traffic.Streaming),
+			Background("audio1", noc.Coord{X: 3, Y: 0}, 14, []int{4, 12}, 0.03, 0.6, traffic.Streaming),
 		},
 	}
 }
@@ -303,14 +345,14 @@ func dtvQuadrant(q int, corner noc.Coord, sx, sy int) []Core {
 	sfx := fmt.Sprintf("%d", q)
 	r := q * 4
 	return []Core{
-		streamer("enhancer"+sfx, at(1, 0), r+1, []int{128}, 0.28, 0.5),
-		streamer("scaler"+sfx, at(0, 1), r+2, []int{64}, 0.16, 0.5),
-		codec("vdec"+sfx, at(1, 1), r+3, 0.10, 0.06),
-		cpu("cpu"+sfx, at(2, 0), r+4, 40, 0.04),
-		streamer("demux"+sfx, at(0, 2), r+5, []int{20, 36}, 0.06, 0.4),
-		background("osd"+sfx, at(2, 1), r+6, []int{36}, 0.06, 0.6, traffic.Streaming),
-		background("audio"+sfx, at(1, 2), r+7, []int{4, 12}, 0.03, 0.6, traffic.Streaming),
-		background("periph"+sfx, at(2, 2), r+8, []int{2, 4}, 0.03, 0.5, traffic.Random),
+		Streamer("enhancer"+sfx, at(1, 0), r+1, []int{128}, 0.28, 0.5),
+		Streamer("scaler"+sfx, at(0, 1), r+2, []int{64}, 0.16, 0.5),
+		Codec("vdec"+sfx, at(1, 1), r+3, 0.10, 0.06),
+		CPU("cpu"+sfx, at(2, 0), r+4, 40, 0.04),
+		Streamer("demux"+sfx, at(0, 2), r+5, []int{20, 36}, 0.06, 0.4),
+		Background("osd"+sfx, at(2, 1), r+6, []int{36}, 0.06, 0.6, traffic.Streaming),
+		Background("audio"+sfx, at(1, 2), r+7, []int{4, 12}, 0.03, 0.6, traffic.Streaming),
+		Background("periph"+sfx, at(2, 2), r+8, []int{2, 4}, 0.03, 0.5, traffic.Random),
 	}
 }
 
@@ -322,12 +364,11 @@ func dtvQuadrant(q int, corner noc.Coord, sx, sy int) []Core {
 // channels.
 func QuadDTV() App {
 	a := App{
-		Name: "ddtv4", Width: 6, Height: 6,
-		MemAt: noc.Coord{X: 0, Y: 0},
+		Name: "ddtv4", Mesh: Mesh{Width: 6, Height: 6},
 		MemPorts: []noc.Coord{
 			{X: 0, Y: 0}, {X: 5, Y: 0}, {X: 0, Y: 5}, {X: 5, Y: 5},
 		},
-		Clocks: map[dram.Generation]int{dram.DDR1: 200, dram.DDR2: 400, dram.DDR3: 800},
+		Clocks: Clocks{DDR1: 200, DDR2: 400, DDR3: 800},
 	}
 	a.Cores = append(a.Cores, dtvQuadrant(0, noc.Coord{X: 0, Y: 0}, 1, 1)...)
 	a.Cores = append(a.Cores, dtvQuadrant(1, noc.Coord{X: 5, Y: 0}, -1, 1)...)
@@ -345,12 +386,12 @@ func QuadDTV() App {
 // of Apps(): the paper's tables evaluate the saturated models only.
 func LowUtil() App {
 	return App{
-		Name: "lowutil", Width: 3, Height: 3, MemAt: noc.Coord{X: 0, Y: 0},
-		Clocks: map[dram.Generation]int{dram.DDR1: 133, dram.DDR2: 266, dram.DDR3: 533},
+		Name: "lowutil", Mesh: Mesh{Width: 3, Height: 3}, MemPorts: []noc.Coord{{X: 0, Y: 0}},
+		Clocks: Clocks{DDR1: 133, DDR2: 266, DDR3: 533},
 		Cores: []Core{
-			cpu("cpu", noc.Coord{X: 1, Y: 0}, 1, 400, 0.005),
-			background("osd", noc.Coord{X: 0, Y: 1}, 2, []int{4, 12}, 0.004, 0.6, traffic.Streaming),
-			background("periph", noc.Coord{X: 1, Y: 1}, 3, []int{2, 4}, 0.003, 0.5, traffic.Random),
+			CPU("cpu", noc.Coord{X: 1, Y: 0}, 1, 400, 0.005),
+			Background("osd", noc.Coord{X: 0, Y: 1}, 2, []int{4, 12}, 0.004, 0.6, traffic.Streaming),
+			Background("periph", noc.Coord{X: 1, Y: 1}, 3, []int{2, 4}, 0.003, 0.5, traffic.Random),
 		},
 	}
 }

@@ -34,7 +34,7 @@ func TestCoreCountsMatchPaper(t *testing.T) {
 		if c.app.Width != c.w || c.app.Height != c.h {
 			t.Errorf("%s: mesh %dx%d, want %dx%d", c.app.Name, c.app.Width, c.app.Height, c.w, c.h)
 		}
-		if c.app.MemAt != (noc.Coord{X: 0, Y: 0}) {
+		if len(c.app.MemPorts) != 1 || c.app.MemPorts[0] != (noc.Coord{X: 0, Y: 0}) {
 			t.Errorf("%s: memory subsystem must sit in the corner", c.app.Name)
 		}
 	}
@@ -48,8 +48,8 @@ func TestClockPointsMatchPaper(t *testing.T) {
 	}
 	for _, a := range Apps() {
 		for gen, mhz := range want[a.Name] {
-			if a.Clocks[gen] != mhz {
-				t.Errorf("%s %s: clock %d, want %d", a.Name, gen, a.Clocks[gen], mhz)
+			if a.Clocks.At(gen) != mhz {
+				t.Errorf("%s %s: clock %d, want %d", a.Name, gen, a.Clocks.At(gen), mhz)
 			}
 			if _, err := dram.Speed(gen, mhz); err != nil {
 				t.Errorf("%s: no timing grade: %v", a.Name, err)
@@ -131,7 +131,7 @@ func TestHeavyCoresAdjacentToMemory(t *testing.T) {
 				load, heaviest = l, c
 			}
 		}
-		if d := noc.HopDistance(heaviest.Pos, a.MemAt); d != 1 {
+		if d := noc.HopDistance(heaviest.Pos, a.MemPorts[0]); d != 1 {
 			t.Errorf("%s: heaviest core %s at distance %d, want 1", a.Name, heaviest.Name, d)
 		}
 	}
@@ -155,15 +155,16 @@ func TestScaledAppGeometry(t *testing.T) {
 		t.Errorf("ddtv4 geometry: %d ports, %d cores, %dx%d", len(q4.Ports()), len(q4.Cores), q4.Width, q4.Height)
 	}
 	// Paper apps stay single-port, and every scaled app's port 0 is the
-	// canonical MemAt corner.
+	// canonical corner.
+	corner := noc.Coord{X: 0, Y: 0}
 	for _, a := range Apps() {
-		if len(a.Ports()) != 1 || a.Ports()[0] != a.MemAt {
-			t.Errorf("%s: paper app should have the single MemAt port", a.Name)
+		if len(a.Ports()) != 1 {
+			t.Errorf("%s: paper app should have a single port", a.Name)
 		}
 	}
 	for _, a := range Scaled() {
-		if a.Ports()[0] != a.MemAt {
-			t.Errorf("%s: MemPorts[0] %v != MemAt %v", a.Name, a.Ports()[0], a.MemAt)
+		if a.Ports()[0] != corner {
+			t.Errorf("%s: MemPorts[0] %v, want %v", a.Name, a.Ports()[0], corner)
 		}
 	}
 }
@@ -192,24 +193,20 @@ func TestByNameFindsScaled(t *testing.T) {
 }
 
 func TestValidateRejectsBadPorts(t *testing.T) {
-	a := BluRay2()
-	a.MemPorts = []noc.Coord{{X: 3, Y: 3}, {X: 0, Y: 0}} // port 0 != MemAt
-	if err := a.Validate(); err == nil {
-		t.Error("accepted MemPorts[0] != MemAt")
-	}
-	b := BluRay2()
-	b.MemPorts = []noc.Coord{{X: 0, Y: 0}, {X: 9, Y: 9}}
-	if err := b.Validate(); err == nil {
-		t.Error("accepted out-of-mesh memory port")
-	}
-	c := BluRay2()
-	c.MemPorts = []noc.Coord{{X: 0, Y: 0}, {X: 0, Y: 0}}
-	if err := c.Validate(); err == nil {
-		t.Error("accepted duplicate memory ports")
-	}
-	d := BluRay2()
-	d.MemPorts = []noc.Coord{{X: 0, Y: 0}, d.Cores[0].Pos}
-	if err := d.Validate(); err == nil {
-		t.Error("accepted a memory port on a core position")
+	for name, edit := range map[string]func(*App){
+		"no memory ports":         func(a *App) { a.MemPorts = nil },
+		"out-of-mesh memory port": func(a *App) { a.MemPorts = []noc.Coord{{X: 0, Y: 0}, {X: 9, Y: 9}} },
+		"duplicate memory ports":  func(a *App) { a.MemPorts = []noc.Coord{{X: 0, Y: 0}, {X: 0, Y: 0}} },
+		"memory port on a core":   func(a *App) { a.MemPorts = []noc.Coord{{X: 0, Y: 0}, a.Cores[0].Pos} },
+		"no name":                 func(a *App) { a.Name = "" },
+		"empty mesh":              func(a *App) { a.Mesh = Mesh{} },
+		"unnamed core":            func(a *App) { a.Cores[1].Name = "" },
+		"core without streams":    func(a *App) { a.Cores[1].Streams = nil },
+	} {
+		a := BluRay2()
+		edit(&a)
+		if err := a.Validate(); err == nil {
+			t.Errorf("accepted %s", name)
+		}
 	}
 }

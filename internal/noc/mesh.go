@@ -7,7 +7,10 @@ import (
 )
 
 // Coord is a router position on the mesh. X grows eastward, Y southward.
-type Coord struct{ X, Y int }
+type Coord struct {
+	X int `json:"x"`
+	Y int `json:"y"`
+}
 
 // String renders the coordinate as (x,y).
 func (c Coord) String() string { return fmt.Sprintf("(%d,%d)", c.X, c.Y) }

@@ -21,6 +21,8 @@ package noc
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"aanoc/internal/dram"
 )
@@ -60,20 +62,40 @@ const (
 	ClassPeripheral
 )
 
+// classNames is the one name table of the traffic classes: String, the
+// spec files and the trace records all spell a class through it.
+var classNames = [...]string{
+	ClassDemand:     "demand",
+	ClassPrefetch:   "prefetch",
+	ClassMedia:      "media",
+	ClassPeripheral: "peripheral",
+}
+
 // String returns a short class name.
 func (c Class) String() string {
-	switch c {
-	case ClassDemand:
-		return "demand"
-	case ClassPrefetch:
-		return "prefetch"
-	case ClassMedia:
-		return "media"
-	case ClassPeripheral:
-		return "peripheral"
-	default:
+	if c < 0 || int(c) >= len(classNames) {
 		return fmt.Sprintf("Class(%d)", int(c))
 	}
+	return classNames[c]
+}
+
+// MarshalText spells the class by name (encoding.TextMarshaler). It
+// never fails: a value outside the table is written in its String form,
+// which UnmarshalText rejects.
+func (c Class) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+// UnmarshalText resolves a class name (encoding.TextUnmarshaler). A name
+// outside the table is an error wrapping strconv.ErrSyntax, so a typo in
+// a spec or a trace file fails instead of running as another class.
+func (c *Class) UnmarshalText(text []byte) error {
+	for i, name := range classNames {
+		if name == string(text) {
+			*c = Class(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("noc: %w: unknown class %q (want %s)",
+		strconv.ErrSyntax, string(text), strings.Join(classNames[:], ", "))
 }
 
 // Packet is a memory request or response travelling on one mesh. The

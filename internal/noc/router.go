@@ -66,9 +66,6 @@ func (o *OutputPort) creditBalance(vc int) int { return o.credits[vc] }
 // the mesh are left unwired unless a sink is attached).
 func (o *OutputPort) Connected() bool { return o.link != nil }
 
-// vcCount returns the number of virtual channels on the port.
-func (o *OutputPort) vcCount() int { return len(o.active) }
-
 // Router is a 5-port wormhole mesh router. Routing is XY; each output
 // port carries its own allocator so that, as in the paper, only channels
 // on paths toward the memory subsystem need the (more expensive) GSS flow

@@ -343,11 +343,13 @@ type Sample struct {
 
 // EncodeJSON writes the canonical serialization of one report: two-space
 // indented JSON, newline terminated, SchemaVersion stamped to Schema when
-// the report predates stamping. Every producer in the repository — the
-// command line's sidecar writer, the golden corpus, the result store, the
-// aanoc serve results endpoint — goes through this function, so a report
-// has exactly one byte representation and byte-level comparisons (golden
-// tests, store round-trips, cache-parity CI) are meaningful.
+// the report predates stamping. Every producer of a report file — the
+// command line's sidecar writer, the golden corpus, the aanoc serve
+// results endpoint — goes through this function, so a report has exactly
+// one byte representation and byte-level comparisons (golden tests,
+// cache-parity CI) are meaningful. The result store is not one of them:
+// it marshals a whole system.Result with encoding/json into its own
+// checksummed envelope, and a report read back from it is re-encoded here.
 func EncodeJSON(w io.Writer, r *Report) error {
 	if r.SchemaVersion == 0 {
 		r.SchemaVersion = Schema

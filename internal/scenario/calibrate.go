@@ -3,9 +3,11 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"aanoc/internal/dram"
 	"aanoc/internal/obs"
+	"aanoc/internal/traffic"
 )
 
 // Tolerance bounds the statistical-calibration checks. The defaults are
@@ -83,7 +85,9 @@ func (m Miss) String() string {
 // sample size and any backpressure level. The injection-rate check is
 // skipped for streams with visible backpressure — a saturated open-loop
 // stream legitimately produces less than its offered load, which is
-// deficit, not drift.
+// deficit, not drift. Misses come out in a fixed order — streams as the
+// spec lists them, burst sizes ascending — so a run's stderr and the
+// returned slice repeat per seed.
 func Calibrate(s *Spec, rep *obs.Report, tol Tolerance) []Miss {
 	tol = tol.withDefaults()
 	var misses []Miss
@@ -98,6 +102,7 @@ func Calibrate(s *Spec, rep *obs.Report, tol Tolerance) []Miss {
 	var totN, totReads, expReads, readVar float64
 	expBeats := map[int]float64{}
 	gotBeats := map[int]float64{}
+	var allSizes []int
 
 	for _, c := range s.Cores {
 		for _, st := range c.Streams {
@@ -111,9 +116,10 @@ func Calibrate(s *Spec, rep *obs.Report, tol Tolerance) []Miss {
 			totReads += float64(w.Reads)
 			expReads += n * st.ReadFrac
 			readVar += n * st.ReadFrac * (1 - st.ReadFrac)
-			menu := menuShares(st.Beats)
-			for b, share := range menu {
-				expBeats[b] += n * share
+			sizes, menu := menuShares(st.Beats)
+			allSizes = append(allSizes, sizes...)
+			for _, b := range sizes {
+				expBeats[b] += n * menu[b]
 			}
 			for _, bin := range w.Beats {
 				gotBeats[bin.Beats] += float64(bin.Count)
@@ -141,8 +147,9 @@ func Calibrate(s *Spec, rep *obs.Report, tol Tolerance) []Miss {
 		if math.Abs(got-want) > band {
 			misses = append(misses, Miss{Metric: "read-frac", Want: want, Got: got, Tol: band})
 		}
-		for b, exp := range expBeats {
-			want := exp / totN
+		slices.Sort(allSizes)
+		for _, b := range slices.Compact(allSizes) {
+			want := expBeats[b] / totN
 			got := gotBeats[b] / totN
 			band := tol.Sigma*math.Sqrt(want*(1-want)/totN) + tol.FracSlack
 			if math.Abs(got-want) > band {
@@ -157,7 +164,7 @@ func Calibrate(s *Spec, rep *obs.Report, tol Tolerance) []Miss {
 }
 
 // checkStream runs the per-stream checks for one calibrated stream.
-func checkStream(core string, st StreamSpec, w obs.StreamWorkload, cycles int64, tol Tolerance) []Miss {
+func checkStream(core string, st traffic.Stream, w obs.StreamWorkload, cycles int64, tol Tolerance) []Miss {
 	var misses []Miss
 	n := float64(w.Produced)
 
@@ -172,7 +179,9 @@ func checkStream(core string, st StreamSpec, w obs.StreamWorkload, cycles int64,
 	for _, bin := range w.Beats {
 		obsShare[bin.Beats] = float64(bin.Count) / n
 	}
-	for b, share := range menuShares(st.Beats) {
+	sizes, shares := menuShares(st.Beats)
+	for _, b := range sizes {
+		share := shares[b]
 		got := obsShare[b]
 		band := tol.Sigma*math.Sqrt(share*(1-share)/n) + tol.FracSlack
 		if math.Abs(got-share) > band {
@@ -199,18 +208,18 @@ func checkStream(core string, st StreamSpec, w obs.StreamWorkload, cycles int64,
 	return misses
 }
 
-// menuShares returns each distinct burst size's draw probability under
-// the uniform-with-repeats menu semantics.
-func menuShares(beats []int) map[int]float64 {
+// menuShares returns the menu's distinct burst sizes in ascending order
+// and each one's draw probability under the uniform-with-repeats menu
+// semantics.
+func menuShares(beats []int) ([]int, map[int]float64) {
 	shares := map[int]float64{}
-	if len(beats) == 0 {
-		return shares
-	}
 	p := 1 / float64(len(beats))
 	for _, b := range beats {
 		shares[b] += p
 	}
-	return shares
+	sizes := slices.Clone(beats)
+	slices.Sort(sizes)
+	return slices.Compact(sizes), shares
 }
 
 // expectedInterarrival returns the mean open-loop request interval in

@@ -3,8 +3,11 @@ package scenario
 import (
 	"fmt"
 
+	"aanoc/internal/appmodel"
 	"aanoc/internal/dram"
+	"aanoc/internal/noc"
 	"aanoc/internal/sim"
+	"aanoc/internal/traffic"
 )
 
 // GenOptions tunes the scenario generator's distributions. The zero
@@ -53,10 +56,6 @@ func (o GenOptions) withDefaults() GenOptions {
 	return o
 }
 
-// rowRegion hands out disjoint 256-row regions by core index, mirroring
-// the appmodel layout (cross-stream conflicts come from bank sharing).
-func rowRegion(i int) (base, size int) { return (i * 256) % 4096, 256 }
-
 // Generate builds one valid scenario from the seed: a pure function of
 // (seed, options), so the same inputs always return a deeply-equal spec
 // — the determinism contract the property tests pin. Every generated
@@ -73,7 +72,7 @@ func Generate(seed uint64, o GenOptions) *Spec {
 
 	// Memory ports sit in mesh corners, the canonical (0,0) first — the
 	// paper's placement, scaled the way the bluray2/ddtv4 models scale.
-	corners := []Coord{{0, 0}, {w - 1, h - 1}, {0, h - 1}, {w - 1, 0}}
+	corners := []noc.Coord{{X: 0, Y: 0}, {X: w - 1, Y: h - 1}, {X: 0, Y: h - 1}, {X: w - 1, Y: 0}}
 	nPorts := sim.Pick(rng, []int{1, 1, 2, 2, 4})
 	if nPorts > o.MaxPorts {
 		nPorts = o.MaxPorts
@@ -91,15 +90,17 @@ func Generate(seed uint64, o GenOptions) *Spec {
 	sched := sim.Pick(rng, []string{"", "", "", "", "dpq", "regulated", "staged"})
 
 	s := &Spec{
-		Name:     fmt.Sprintf("scn-%x", seed),
-		Mesh:     Mesh{Width: w, Height: h},
-		MemPorts: append([]Coord(nil), ports...),
-		Clocks: Clocks{
-			DDR1:   sim.Pick(rng, dram.Speeds(dram.DDR1)),
-			DDR2:   sim.Pick(rng, dram.Speeds(dram.DDR2)),
-			DDR3:   sim.Pick(rng, dram.Speeds(dram.DDR3)),
-			DDR4:   sim.Pick(rng, dram.Speeds(dram.DDR4)),
-			LPDDR3: sim.Pick(rng, dram.Speeds(dram.LPDDR3)),
+		App: appmodel.App{
+			Name:     fmt.Sprintf("scn-%x", seed),
+			Mesh:     appmodel.Mesh{Width: w, Height: h},
+			MemPorts: ports,
+			Clocks: appmodel.Clocks{
+				DDR1:   sim.Pick(rng, dram.Speeds(dram.DDR1)),
+				DDR2:   sim.Pick(rng, dram.Speeds(dram.DDR2)),
+				DDR3:   sim.Pick(rng, dram.Speeds(dram.DDR3)),
+				DDR4:   sim.Pick(rng, dram.Speeds(dram.DDR4)),
+				LPDDR3: sim.Pick(rng, dram.Speeds(dram.LPDDR3)),
+			},
 		},
 		Run: &Run{
 			Generation:     1 + rng.Intn(int(dram.LPDDR3)),
@@ -115,14 +116,14 @@ func Generate(seed uint64, o GenOptions) *Spec {
 	}
 
 	// Free tiles, shuffled; the first nCores get cores.
-	used := map[Coord]bool{}
+	used := map[noc.Coord]bool{}
 	for _, p := range ports {
 		used[p] = true
 	}
-	var free []Coord
+	var free []noc.Coord
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			if c := (Coord{x, y}); !used[c] {
+			if c := (noc.Coord{X: x, Y: y}); !used[c] {
 				free = append(free, c)
 			}
 		}
@@ -140,25 +141,37 @@ func Generate(seed uint64, o GenOptions) *Spec {
 		nCores = len(free)
 	}
 
-	// Build cores from templates; open-loop loads carry raw weights first
-	// and are normalised to the aggregate target afterwards.
+	// Build cores from the appmodel archetypes with drawn parameters.
+	// Open-loop loads start at zero with a raw weight each (ws, parallel
+	// to the core's streams) and are normalised to the aggregate target
+	// afterwards.
 	type loaded struct{ core, stream int }
 	var open []loaded
 	var weights []float64
 	target := (o.LoadMin + (o.LoadMax-o.LoadMin)*rng.Float64()) * float64(channels)
 	for i := 0; i < nCores; i++ {
 		at := free[i]
-		var core CoreSpec
+		var core appmodel.Core
 		var ws []float64
 		switch kind := rng.Intn(100); {
 		case kind < 35:
-			core, ws = genStreamer(rng, i, at)
+			beats := sim.Pick(rng, [][]int{{64}, {128}, {96, 128}, {64, 96}, {20, 36}, {32, 64}})
+			readFrac := sim.Pick(rng, []float64{0.3, 0.4, 0.5, 0.6})
+			core = appmodel.Streamer(fmt.Sprintf("streamer%d", i), at, i, beats, 0, readFrac)
+			ws = []float64{2 + 2*rng.Float64()}
 		case kind < 60:
-			core, ws = genCodec(rng, i, at)
+			core = appmodel.Codec(fmt.Sprintf("codec%d", i), at, i, 0, 0)
+			ws = []float64{0.8 + 0.6*rng.Float64(), 0.5 + 0.4*rng.Float64()}
 		case kind < 75:
-			core, ws = genCPU(rng, i, at)
+			core = appmodel.CPU(fmt.Sprintf("cpu%d", i), at, i, int64(20+rng.Intn(100)), 0)
+			core.Streams[0].MaxOutstanding = 2 + rng.Intn(4)
+			ws = []float64{0, 0.2 + 0.2*rng.Float64()}
 		default:
-			core, ws = genBackground(rng, i, at)
+			pat := sim.Pick(rng, []traffic.Pattern{traffic.Streaming, traffic.Random})
+			readFrac := sim.Pick(rng, []float64{0.5, 0.6})
+			beats := sim.Pick(rng, [][]int{{2, 4}, {4, 12}, {36}})
+			core = appmodel.Background(fmt.Sprintf("bg%d", i), at, i, beats, 0, readFrac, pat)
+			ws = []float64{0.15 + 0.2*rng.Float64()}
 		}
 		for si := range core.Streams {
 			if !core.Streams[si].ClosedLoop {
@@ -183,82 +196,4 @@ func Generate(seed uint64, o GenOptions) *Spec {
 		s.Cores[at.core].Streams[at.stream].LoadFrac = load
 	}
 	return s
-}
-
-// genStreamer builds a long-packet streaming core (enhancer/scaler/IO
-// class). The returned weights parallel the streams.
-func genStreamer(rng *sim.RNG, i int, at Coord) (CoreSpec, []float64) {
-	base, size := rowRegion(i)
-	beats := sim.Pick(rng, [][]int{{64}, {128}, {96, 128}, {64, 96}, {20, 36}, {32, 64}})
-	return CoreSpec{
-		Name: fmt.Sprintf("streamer%d", i), At: at,
-		Streams: []StreamSpec{{
-			Name: fmt.Sprintf("streamer%d.stream", i), Class: "media",
-			ReadFrac: sim.Pick(rng, []float64{0.3, 0.4, 0.5, 0.6}),
-			Beats:    append([]int(nil), beats...),
-			Pattern:  "streaming", BankOffset: i, RowBase: base, RowRange: size,
-		}},
-	}, []float64{2 + 2*rng.Float64()}
-}
-
-// genCodec builds a decoder/encoder: short scattered motion-compensation
-// reads plus streaming writeback.
-func genCodec(rng *sim.RNG, i int, at Coord) (CoreSpec, []float64) {
-	base, size := rowRegion(i)
-	name := fmt.Sprintf("codec%d", i)
-	return CoreSpec{
-		Name: name, At: at,
-		Streams: []StreamSpec{
-			{
-				Name: name + ".mc", Class: "media",
-				ReadFrac: 1.0, Beats: []int{2, 4, 4, 8, 12},
-				Pattern: "random", BankOffset: i, RowBase: base, RowRange: size,
-			},
-			{
-				Name: name + ".wb", Class: "media",
-				ReadFrac: 0.0, Beats: []int{12, 20},
-				Pattern: "streaming", BankOffset: i + 2, RowBase: base + 128, RowRange: size / 2,
-			},
-		},
-	}, []float64{0.8 + 0.6*rng.Float64(), 0.5 + 0.4*rng.Float64()}
-}
-
-// genCPU builds a microprocessor: a closed-loop demand stream plus an
-// open-loop prefetcher.
-func genCPU(rng *sim.RNG, i int, at Coord) (CoreSpec, []float64) {
-	base, size := rowRegion(i)
-	name := fmt.Sprintf("cpu%d", i)
-	return CoreSpec{
-		Name: name, At: at,
-		Streams: []StreamSpec{
-			{
-				Name: name + ".demand", Class: "demand",
-				ReadFrac: 0.8, Beats: []int{8}, ClosedLoop: true,
-				ThinkTime:      int64(20 + rng.Intn(100)),
-				MaxOutstanding: 2 + rng.Intn(4),
-				Pattern:        "random", BankOffset: i, RowBase: base, RowRange: size,
-			},
-			{
-				Name: name + ".prefetch", Class: "prefetch",
-				ReadFrac: 1.0, Beats: []int{8, 16},
-				Pattern: "streaming", BankOffset: i + 1, RowBase: base, RowRange: size,
-			},
-		},
-	}, []float64{0, 0.2 + 0.2*rng.Float64()}
-}
-
-// genBackground builds a low-rate core (audio/OSD/peripheral class).
-func genBackground(rng *sim.RNG, i int, at Coord) (CoreSpec, []float64) {
-	base, size := rowRegion(i)
-	name := fmt.Sprintf("bg%d", i)
-	pat := sim.Pick(rng, []string{"streaming", "random"})
-	return CoreSpec{
-		Name: name, At: at,
-		Streams: []StreamSpec{{
-			Name: name + ".bg", Class: "peripheral",
-			ReadFrac: sim.Pick(rng, []float64{0.5, 0.6}),
-			Beats:    append([]int(nil), sim.Pick(rng, [][]int{{2, 4}, {4, 12}, {36}})...),
-			Pattern:  pat, BankOffset: i, RowBase: base, RowRange: size,
-		}},
-	}, []float64{0.15 + 0.2*rng.Float64()}
 }

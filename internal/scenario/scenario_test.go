@@ -2,13 +2,20 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"aanoc/internal/appmodel"
+	"aanoc/internal/obs"
 	"aanoc/internal/sweep"
 	"aanoc/internal/system"
+	"aanoc/internal/traffic"
 )
 
 func builtins() []appmodel.App {
@@ -42,6 +49,35 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if reflect.DeepEqual(Generate(1, GenOptions{}), Generate(2, GenOptions{})) {
 		t.Fatal("different seeds generated identical specs")
+	}
+}
+
+// TestHashesPinned holds the content hashes — the spec half of every
+// store key — still across refactors of the model: the literals are the
+// parent build's (PR 24 replaced the mirrored spec types with the tagged
+// application model). all is sha256 over the hex hashes of seeds 1-200.
+func TestHashesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec *Spec
+		want string
+	}{
+		{"bluray", FromApp(appmodel.BluRay()), "2bfa06692e000f5ee031080fb6e8a7239034fda8f7ca38618b69588ee9a65542"},
+		{"ddtv4", FromApp(appmodel.QuadDTV()), "06f400a8d9c92bd15b46bd89c691cf523d0fb4caa3c0570470bc533802f1ef09"},
+		{"seed 1", Generate(1, GenOptions{}), "b4d4608081cb7cb12cbe041c6d6d871b2a3066b90acf0e9afbe6f049ef455bc3"},
+		{"seed 200", Generate(200, GenOptions{}), "5be931d6b502a05400ea99f130d75ece247838cc7a878d657c5cb0a1f32d59e7"},
+	} {
+		if got := tc.spec.Hash(); got != tc.want {
+			t.Errorf("%s: hash %s, want %s", tc.name, got, tc.want)
+		}
+	}
+	all := sha256.New()
+	for seed := uint64(1); seed <= 200; seed++ {
+		fmt.Fprintf(all, "%s\n", Generate(seed, GenOptions{}).Hash())
+	}
+	const want = "dadcb954bf1983e3f61e11fc335673708c63e3b3aeab99725c9a9337f878a093"
+	if got := hex.EncodeToString(all.Sum(nil)); got != want {
+		t.Errorf("seeds 1-200: digest of hashes %s, want %s", got, want)
 	}
 }
 
@@ -80,21 +116,22 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFromAppRoundTrip: every builtin application model survives the
-// trip to spec form and back deeply equal — the exactness the golden
-// spec corpus (testdata/specs in the root package) relies on.
+// TestFromAppRoundTrip: every builtin application model is a valid spec
+// as it stands and survives the trip through the spec file format deeply
+// equal — the exactness the golden spec corpus (testdata/specs in the
+// root package) relies on.
 func TestFromAppRoundTrip(t *testing.T) {
 	for _, a := range builtins() {
 		s := FromApp(a)
 		if err := s.Validate(); err != nil {
 			t.Fatalf("%s: FromApp spec invalid: %v", a.Name, err)
 		}
-		back, err := s.App()
+		back, err := Parse(mustJSON(t, s))
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
 		}
-		if !reflect.DeepEqual(a, back) {
-			t.Fatalf("%s: FromApp(a).App() != a", a.Name)
+		if !reflect.DeepEqual(a, back.App) {
+			t.Fatalf("%s: the model changed across WriteJSON/Parse", a.Name)
 		}
 	}
 }
@@ -104,29 +141,40 @@ func TestFromAppRoundTrip(t *testing.T) {
 // ErrSpec or a field sentinel — and nothing panics.
 func TestParseErrors(t *testing.T) {
 	valid := func() *Spec { return FromApp(appmodel.BluRay()) }
+	// respell rewrites the first occurrence of one JSON member of the
+	// valid spec: a name no Go value can hold has to be typed into the file.
+	respell := func(from, to string) []byte {
+		data := mustJSON(t, valid())
+		if !bytes.Contains(data, []byte(from)) {
+			t.Fatalf("valid spec has no %s", from)
+		}
+		return bytes.Replace(data, []byte(from), []byte(to), 1)
+	}
 	cases := []struct {
 		name string
 		data []byte
 		want error
+		msg  string // must appear in the error text
 	}{
-		{"syntax", []byte(`{"name":`), ErrParse},
-		{"empty", nil, ErrParse},
-		{"unknown-field", []byte(`{"name":"x","bogus":1}`), ErrParse},
-		{"type-mismatch", []byte(`{"name":3}`), ErrParse},
-		{"trailing-data", append(mustJSON(t, valid()), []byte("{}")...), ErrParse},
-		{"no-name", []byte(`{"mesh":{"width":3,"height":3},"memPorts":[{"x":0,"y":0}]}`), ErrSpec},
-		{"no-ports", []byte(`{"name":"x","mesh":{"width":3,"height":3}}`), ErrSpec},
-		{"bad-class", mutate(t, valid(), func(s *Spec) { s.Cores[0].Streams[0].Class = "bulk" }), ErrSpec},
-		{"bad-pattern", mutate(t, valid(), func(s *Spec) { s.Cores[0].Streams[0].Pattern = "zigzag" }), ErrSpec},
-		{"bad-clock", mutate(t, valid(), func(s *Spec) { s.Clocks.DDR2 = 250 }), ErrSpec},
-		{"missing-clock", mutate(t, valid(), func(s *Spec) { s.Clocks.DDR1 = 0 }), ErrSpec},
-		{"core-on-port", mutate(t, valid(), func(s *Spec) { s.Cores[0].At = s.MemPorts[0] }), ErrSpec},
-		{"bad-generation", mutate(t, valid(), func(s *Spec) { s.Run = &Run{Generation: 9} }), ErrBadGeneration},
-		{"bad-channels", mutate(t, valid(), func(s *Spec) { s.Run = &Run{Channels: 2} }), ErrBadChannels},
-		{"bad-scheme", mutate(t, valid(), func(s *Spec) { s.Run = &Run{Scheme: "stripe"} }), ErrBadScheme},
-		{"bad-scheduler", mutate(t, valid(), func(s *Spec) { s.Run = &Run{Scheduler: "fcfs"} }), ErrUnknownScheduler},
-		{"bad-sample-every", mutate(t, valid(), func(s *Spec) { s.Run = &Run{SampleEvery: -1} }), ErrBadSampleEvery},
-		{"bad-cycles", mutate(t, valid(), func(s *Spec) { s.Run = &Run{Cycles: -5} }), ErrSpec},
+		{"syntax", []byte(`{"name":`), ErrParse, ""},
+		{"empty", nil, ErrParse, ""},
+		{"unknown-field", []byte(`{"name":"x","bogus":1}`), ErrParse, ""},
+		{"type-mismatch", []byte(`{"name":3}`), ErrParse, ""},
+		{"class-not-a-string", respell(`"class": "media"`, `"class": 2`), ErrParse, ""},
+		{"trailing-data", append(mustJSON(t, valid()), []byte("{}")...), ErrParse, ""},
+		{"no-name", []byte(`{"mesh":{"width":3,"height":3},"memPorts":[{"x":0,"y":0}]}`), ErrSpec, "no name"},
+		{"no-ports", []byte(`{"name":"x","mesh":{"width":3,"height":3}}`), ErrSpec, "no memory ports"},
+		{"bad-class", respell(`"class": "media"`, `"class": "bulk"`), ErrSpec, `"bulk"`},
+		{"bad-pattern", respell(`"pattern": "streaming"`, `"pattern": "zigzag"`), ErrSpec, `"zigzag"`},
+		{"bad-clock", mutate(t, valid(), func(s *Spec) { s.Clocks.DDR2 = 250 }), ErrSpec, ""},
+		{"missing-clock", mutate(t, valid(), func(s *Spec) { s.Clocks.DDR1 = 0 }), ErrSpec, "missing clock"},
+		{"core-on-port", mutate(t, valid(), func(s *Spec) { s.Cores[0].Pos = s.MemPorts[0] }), ErrSpec, "share"},
+		{"bad-generation", mutate(t, valid(), func(s *Spec) { s.Run = &Run{Generation: 9} }), ErrBadGeneration, ""},
+		{"bad-channels", mutate(t, valid(), func(s *Spec) { s.Run = &Run{Channels: 2} }), ErrBadChannels, ""},
+		{"bad-scheme", mutate(t, valid(), func(s *Spec) { s.Run = &Run{Scheme: "stripe"} }), ErrBadScheme, ""},
+		{"bad-scheduler", mutate(t, valid(), func(s *Spec) { s.Run = &Run{Scheduler: "fcfs"} }), ErrUnknownScheduler, ""},
+		{"bad-sample-every", mutate(t, valid(), func(s *Spec) { s.Run = &Run{SampleEvery: -1} }), ErrBadSampleEvery, ""},
+		{"bad-cycles", mutate(t, valid(), func(s *Spec) { s.Run = &Run{Cycles: -5} }), ErrSpec, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,7 +182,28 @@ func TestParseErrors(t *testing.T) {
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("Parse error %v, want %v", err, tc.want)
 			}
+			if !strings.Contains(err.Error(), tc.msg) {
+				t.Fatalf("Parse error %q does not mention %s", err, tc.msg)
+			}
 		})
+	}
+}
+
+// TestOmittedPatternIsStreaming: a hand-written stream that leaves
+// "pattern" out, or spells it "", is the "streaming" spec — one parsed
+// value, one content hash.
+func TestOmittedPatternIsStreaming(t *testing.T) {
+	want := FromApp(appmodel.BluRay())
+	member := regexp.MustCompile(`"pattern": "streaming",`)
+	for _, to := range []string{"", `"pattern": "",`} {
+		data := member.ReplaceAll(mustJSON(t, want), []byte(to))
+		got, err := Parse(data)
+		if err != nil {
+			t.Fatalf("pattern spelled %q: %v", to, err)
+		}
+		if !reflect.DeepEqual(got, want) || got.Hash() != want.Hash() {
+			t.Errorf("pattern spelled %q: not the \"streaming\" spec", to)
+		}
 	}
 }
 
@@ -265,7 +334,7 @@ func TestCalibrateDetectsDrift(t *testing.T) {
 		}
 	}
 	busiest := res.Obs.Workload[bi]
-	locate := func(sp *Spec) *StreamSpec {
+	locate := func(sp *Spec) *traffic.Stream {
 		for ci := range sp.Cores {
 			if sp.Cores[ci].Name != busiest.Core {
 				continue
@@ -315,5 +384,70 @@ func TestCalibrateDetectsDrift(t *testing.T) {
 				t.Fatal("tampered spec calibrated clean — the check is vacuous")
 			}
 		})
+	}
+}
+
+// TestCalibrateMissOrder: the misses of one report come out in one order
+// — burst sizes ascending, per stream and in the aggregate — so aanoc gen
+// -run prints the same stderr run after run. The report is drifted on
+// purpose: every request of a seven-size menu landed in the smallest bin.
+func TestCalibrateMissOrder(t *testing.T) {
+	menu := []int{14, 2, 10, 6, 12, 4, 8}
+	sp := FromApp(appmodel.App{
+		Name: "drift",
+		Cores: []appmodel.Core{{Name: "c", Streams: []traffic.Stream{
+			{Name: "s", ReadFrac: 0.5, Beats: menu, ClosedLoop: true},
+		}}},
+	})
+	rep := &obs.Report{Workload: []obs.StreamWorkload{{
+		Core: "c", Stream: "s", Produced: 7000, Reads: 3500, Writes: 3500,
+		Beats: []obs.BeatBin{{Beats: 2, Count: 7000}},
+	}}}
+	want := []string{}
+	for range 2 { // the stream's checks, then the aggregate's
+		for _, b := range []int{2, 4, 6, 8, 10, 12, 14} {
+			want = append(want, fmt.Sprintf("beats-share[%d]", b))
+		}
+	}
+	for run := 0; run < 20; run++ {
+		var got []string
+		for _, m := range Calibrate(sp, rep, Tolerance{}) {
+			got = append(got, m.Metric)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: misses %v, want %v", run, got, want)
+		}
+	}
+}
+
+// TestSpecFieldsTagged: the spec file format is the struct tags of Spec
+// and everything reachable from it (appmodel, traffic, noc), so an
+// exported field without a json tag would enter the format under its Go
+// name by accident. Only an embedded struct may go untagged: it flattens.
+func TestSpecFieldsTagged(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice {
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name == "" && !f.Anonymous {
+				t.Errorf("%s.%s has no json name", typ, f.Name)
+			}
+			walk(f.Type)
+		}
+	}
+	walk(reflect.TypeOf(Spec{}))
+	if len(seen) < 8 { // Spec, Run, App, Mesh, Clocks, Core, Stream, Coord
+		t.Errorf("walked %d struct types; the spec reaches eight", len(seen))
 	}
 }

@@ -1,18 +1,19 @@
-// Package scenario defines the declarative workload/platform spec: a
-// JSON description of a mesh, its memory ports, its cores and their
-// request streams, plus optional run parameters — everything an
-// application model hard-codes, as data. Specs are the repository's
-// "as many scenarios as you can imagine" axis: every CLI loads one with
-// -spec, the facade embeds one in Config.Spec, and the seeded generator
-// (Generate) mass-produces valid ones from tunable distributions.
+// Package scenario defines the declarative workload/platform spec: an
+// application model (appmodel.App — a mesh, its memory ports, its cores
+// and their request streams) as JSON, plus optional run parameters.
+// Specs are the repository's "as many scenarios as you can imagine"
+// axis: every CLI loads one with -spec, the facade embeds one in
+// Config.Spec, and the seeded generator (Generate) mass-produces valid
+// ones from tunable distributions.
 //
-// The package owns names and the spec shape: Resolve parses a Run
-// block's scheme and scheduler names, maps it onto a system.Config and
-// hands that to system.Config.Validate — the one rule list, whose
-// sentinels this package exports under its own names. Parse never panics
-// on malformed input — it returns errors wrapping ErrParse (not JSON) or
-// ErrSpec (valid JSON, invalid scenario), the contract the FuzzSpecParse
-// target enforces.
+// The platform half of the file format is appmodel's, traffic's and
+// noc's struct tags and name tables; this package owns the Run block:
+// Resolve parses its scheme and scheduler names, maps it onto a
+// system.Config and hands that to system.Config.Validate — the one rule
+// list, whose sentinels this package exports under its own names. Parse
+// never panics on malformed input — it returns errors wrapping ErrParse
+// (not JSON) or ErrSpec (valid JSON, invalid scenario), the contract the
+// FuzzSpecParse target enforces.
 package scenario
 
 import (
@@ -24,14 +25,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	"aanoc/internal/appmodel"
 	"aanoc/internal/dram"
 	"aanoc/internal/mapping"
 	"aanoc/internal/memctrl"
-	"aanoc/internal/noc"
 	"aanoc/internal/system"
-	"aanoc/internal/traffic"
 )
 
 // Sentinel errors; test with errors.Is. Parse wraps exactly one of
@@ -51,70 +51,6 @@ var (
 	ErrUnknownScheduler = system.ErrUnknownScheduler
 	ErrBadSampleEvery   = system.ErrBadSampleEvery
 )
-
-// Coord is a mesh coordinate.
-type Coord struct {
-	X int `json:"x"`
-	Y int `json:"y"`
-}
-
-// Mesh is the platform's mesh dimensions.
-type Mesh struct {
-	Width  int `json:"width"`
-	Height int `json:"height"`
-}
-
-// Clocks lists the memory clock per DDR generation, in MHz. Every clock
-// must be one of the generation's predefined speed grades
-// (dram.Speeds); the classic three must be set so generation sweeps
-// (the table drivers) work on any spec. The DDR4 and LPDDR3 clocks are
-// optional: a run on those generations defaults to the fastest standard
-// grade when the spec carries none, so every pre-existing spec keeps
-// parsing, hashing and running byte-identically.
-type Clocks struct {
-	DDR1   int `json:"ddr1"`
-	DDR2   int `json:"ddr2"`
-	DDR3   int `json:"ddr3"`
-	DDR4   int `json:"ddr4,omitempty"`
-	LPDDR3 int `json:"lpddr3,omitempty"`
-}
-
-// StreamSpec is the declarative form of one request stream — the same
-// fields as traffic.Stream with the enums spelled out as strings.
-type StreamSpec struct {
-	Name string `json:"name"`
-	// Class is the traffic class: "demand", "prefetch", "media" or
-	// "peripheral".
-	Class string `json:"class"`
-	// ReadFrac is the probability a request is a read.
-	ReadFrac float64 `json:"readFrac"`
-	// Beats lists the burst sizes (in data beats) the stream draws from
-	// uniformly; repeat an entry to weight it.
-	Beats []int `json:"beats"`
-	// LoadFrac is the offered load as a fraction of the DRAM data-bus
-	// bandwidth (open-loop streams only).
-	LoadFrac float64 `json:"loadFrac,omitempty"`
-	// ClosedLoop streams bound their outstanding requests and think for
-	// ThinkTime cycles after each completion.
-	ClosedLoop     bool  `json:"closedLoop,omitempty"`
-	ThinkTime      int64 `json:"thinkTime,omitempty"`
-	MaxOutstanding int   `json:"maxOutstanding,omitempty"`
-	// Pattern is the address walk: "streaming" (default), "random" or
-	// "strided".
-	Pattern string `json:"pattern,omitempty"`
-	// BankOffset rotates the stream's bank walk; RowBase/RowRange bound
-	// its private row region.
-	BankOffset int `json:"bankOffset,omitempty"`
-	RowBase    int `json:"rowBase,omitempty"`
-	RowRange   int `json:"rowRange"`
-}
-
-// CoreSpec is one IP block: a mesh position and its request streams.
-type CoreSpec struct {
-	Name    string       `json:"name"`
-	At      Coord        `json:"at"`
-	Streams []StreamSpec `json:"streams"`
-}
 
 // Run is a spec's optional run-parameter block, and the override shape
 // the CLIs and the facade merge on top of it. Zero fields mean "use the
@@ -150,17 +86,11 @@ type Run struct {
 	Subarrays int `json:"subarrays,omitempty"`
 }
 
-// Spec is one complete scenario: the platform, the workload, and
+// Spec is one complete scenario: the application model — the platform
+// and its workload, whose json tags are the file format — and
 // (optionally) how to run it.
 type Spec struct {
-	Name string `json:"name"`
-	Mesh Mesh   `json:"mesh"`
-	// MemPorts lists the mesh ejection ports of the memory subsystem's
-	// SDRAM channels, in channel order; MemPorts[0] is the canonical
-	// single-channel port.
-	MemPorts []Coord    `json:"memPorts"`
-	Clocks   Clocks     `json:"clocks"`
-	Cores    []CoreSpec `json:"cores"`
+	appmodel.App
 	// Run carries the spec's own run parameters; CLI flags and facade
 	// fields override it field by field.
 	Run *Run `json:"run,omitempty"`
@@ -175,6 +105,12 @@ func Parse(data []byte) (*Spec, error) {
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
+		// encoding/json hands an UnmarshalText error back unwrapped: a
+		// class or pattern name the model does not know is well-formed
+		// JSON describing an invalid scenario.
+		if errors.Is(err, strconv.ErrSyntax) {
+			return nil, fmt.Errorf("scenario: %w: %v", ErrSpec, err)
+		}
 		return nil, fmt.Errorf("scenario: %w: %v", ErrParse, err)
 	}
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
@@ -199,149 +135,39 @@ func Load(path string) (*Spec, error) {
 	return s, nil
 }
 
-// Validate checks the whole scenario: the platform and workload (via the
-// application-model conversion) and, when present, the embedded run
-// block (via Resolve, so a spec that validates here is exactly a spec
-// every CLI and the facade will accept).
+// Validate checks the whole scenario. The platform's structure and the
+// run block go through Resolve — appmodel.App.Validate and
+// system.Config.Validate, so a spec that validates here is exactly a
+// spec every CLI and the facade will accept. The one spec-only rule
+// follows: every clock is one of its generation's speed grades
+// (dram.Speeds), and the classic three are set so generation sweeps (the
+// table drivers) work on any spec. The DDR4 and LPDDR3 clocks are
+// optional; a run on those generations defaults to the fastest grade.
 func (s *Spec) Validate() error {
-	app, err := s.App()
-	if err != nil {
+	run := Run{}
+	if s.Run != nil {
+		run = *s.Run
+	}
+	if _, err := Resolve(s.App, run); err != nil {
 		return err
 	}
-	for gen := dram.DDR1; gen <= dram.DDR3; gen++ {
-		clk := app.Clocks[gen]
+	for gen := dram.DDR1; gen <= dram.LPDDR3; gen++ {
+		clk := s.Clocks.At(gen)
 		if clk == 0 {
-			return fmt.Errorf("scenario: %w: %s missing clock for DDR%d", ErrSpec, s.Name, gen)
-		}
-		if _, err := dram.Speed(gen, clk); err != nil {
-			return fmt.Errorf("scenario: %w: %s DDR%d clock %d: %v", ErrSpec, s.Name, gen, clk, err)
-		}
-	}
-	for _, gen := range []dram.Generation{dram.DDR4, dram.LPDDR3} {
-		clk := app.Clocks[gen]
-		if clk == 0 {
-			continue // optional: the run layer defaults to the fastest grade
+			if gen <= dram.DDR3 {
+				return fmt.Errorf("scenario: %w: %s missing clock for %s", ErrSpec, s.Name, gen)
+			}
+			continue
 		}
 		if _, err := dram.Speed(gen, clk); err != nil {
 			return fmt.Errorf("scenario: %w: %s %s clock %d: %v", ErrSpec, s.Name, gen, clk, err)
 		}
 	}
-	run := Run{}
-	if s.Run != nil {
-		run = *s.Run
-	}
-	if _, err := Resolve(app, run); err != nil {
-		return err
-	}
 	return nil
 }
 
-// App converts the spec into the application model the system simulator
-// runs. A single memory port folds to the nil-MemPorts form, so a spec
-// written from a builtin app (FromApp) converts back to a deeply-equal
-// model and runs byte-identically.
-func (s *Spec) App() (appmodel.App, error) {
-	if s.Name == "" {
-		return appmodel.App{}, fmt.Errorf("scenario: %w: spec has no name", ErrSpec)
-	}
-	if s.Mesh.Width < 1 || s.Mesh.Height < 1 {
-		return appmodel.App{}, fmt.Errorf("scenario: %w: %s mesh %dx%d", ErrSpec, s.Name, s.Mesh.Width, s.Mesh.Height)
-	}
-	if len(s.MemPorts) == 0 {
-		return appmodel.App{}, fmt.Errorf("scenario: %w: %s has no memory ports", ErrSpec, s.Name)
-	}
-	app := appmodel.App{
-		Name:   s.Name,
-		Width:  s.Mesh.Width,
-		Height: s.Mesh.Height,
-		MemAt:  noc.Coord{X: s.MemPorts[0].X, Y: s.MemPorts[0].Y},
-		Clocks: map[dram.Generation]int{
-			dram.DDR1: s.Clocks.DDR1,
-			dram.DDR2: s.Clocks.DDR2,
-			dram.DDR3: s.Clocks.DDR3,
-		},
-	}
-	// The optional generations enter the clock map only when set, so a
-	// spec round-tripped from a DDR1-3 model stays deeply equal to it.
-	if s.Clocks.DDR4 != 0 {
-		app.Clocks[dram.DDR4] = s.Clocks.DDR4
-	}
-	if s.Clocks.LPDDR3 != 0 {
-		app.Clocks[dram.LPDDR3] = s.Clocks.LPDDR3
-	}
-	if len(s.MemPorts) > 1 {
-		for _, p := range s.MemPorts {
-			app.MemPorts = append(app.MemPorts, noc.Coord{X: p.X, Y: p.Y})
-		}
-	}
-	for _, c := range s.Cores {
-		core := appmodel.Core{Name: c.Name, Pos: noc.Coord{X: c.At.X, Y: c.At.Y}}
-		if core.Name == "" {
-			return appmodel.App{}, fmt.Errorf("scenario: %w: %s has an unnamed core", ErrSpec, s.Name)
-		}
-		if len(c.Streams) == 0 {
-			return appmodel.App{}, fmt.Errorf("scenario: %w: %s core %s has no streams", ErrSpec, s.Name, c.Name)
-		}
-		for _, st := range c.Streams {
-			class, err := parseClass(st.Class)
-			if err != nil {
-				return appmodel.App{}, fmt.Errorf("scenario: %w: %s core %s stream %s: %v", ErrSpec, s.Name, c.Name, st.Name, err)
-			}
-			pat, err := parsePattern(st.Pattern)
-			if err != nil {
-				return appmodel.App{}, fmt.Errorf("scenario: %w: %s core %s stream %s: %v", ErrSpec, s.Name, c.Name, st.Name, err)
-			}
-			core.Streams = append(core.Streams, traffic.Stream{
-				Name: st.Name, Class: class,
-				ReadFrac: st.ReadFrac, Beats: st.Beats, LoadFrac: st.LoadFrac,
-				ClosedLoop: st.ClosedLoop, ThinkTime: st.ThinkTime,
-				MaxOutstanding: st.MaxOutstanding,
-				Pattern:        pat, BankOffset: st.BankOffset,
-				RowBase: st.RowBase, RowRange: st.RowRange,
-			})
-		}
-		app.Cores = append(app.Cores, core)
-	}
-	if err := app.Validate(); err != nil {
-		return appmodel.App{}, fmt.Errorf("scenario: %w: %v", ErrSpec, err)
-	}
-	return app, nil
-}
-
-// FromApp expresses an application model as a spec — the inverse of App,
-// exact down to the single-port fold, so FromApp(a).App() is deeply
-// equal to a for every valid model.
-func FromApp(a appmodel.App) *Spec {
-	s := &Spec{
-		Name: a.Name,
-		Mesh: Mesh{Width: a.Width, Height: a.Height},
-		Clocks: Clocks{
-			DDR1:   a.Clocks[dram.DDR1],
-			DDR2:   a.Clocks[dram.DDR2],
-			DDR3:   a.Clocks[dram.DDR3],
-			DDR4:   a.Clocks[dram.DDR4],
-			LPDDR3: a.Clocks[dram.LPDDR3],
-		},
-	}
-	for _, p := range a.Ports() {
-		s.MemPorts = append(s.MemPorts, Coord{X: p.X, Y: p.Y})
-	}
-	for _, c := range a.Cores {
-		cs := CoreSpec{Name: c.Name, At: Coord{X: c.Pos.X, Y: c.Pos.Y}}
-		for _, st := range c.Streams {
-			cs.Streams = append(cs.Streams, StreamSpec{
-				Name: st.Name, Class: st.Class.String(),
-				ReadFrac: st.ReadFrac, Beats: st.Beats, LoadFrac: st.LoadFrac,
-				ClosedLoop: st.ClosedLoop, ThinkTime: st.ThinkTime,
-				MaxOutstanding: st.MaxOutstanding,
-				Pattern:        patternName(st.Pattern), BankOffset: st.BankOffset,
-				RowBase: st.RowBase, RowRange: st.RowRange,
-			})
-		}
-		s.Cores = append(s.Cores, cs)
-	}
-	return s
-}
+// FromApp wraps an application model as a spec with no run block.
+func FromApp(a appmodel.App) *Spec { return &Spec{App: a} }
 
 // Hash returns the canonical content hash of the spec: sha256 over its
 // JSON marshalling (deterministic — struct field order, no maps). Two
@@ -350,7 +176,8 @@ func FromApp(a appmodel.App) *Spec {
 func (s *Spec) Hash() string {
 	data, err := json.Marshal(s)
 	if err != nil {
-		// A Spec is plain data; Marshal cannot fail on one.
+		// A Spec is plain data and its enums' MarshalText never fails;
+		// Marshal cannot fail on one.
 		panic(fmt.Sprintf("scenario: hash marshal: %v", err))
 	}
 	sum := sha256.Sum256(data)
@@ -450,48 +277,9 @@ func Resolve(app appmodel.App, r Run, base ...system.Config) (system.Config, err
 // system configuration, with the spec's content hash attached so the
 // sweep fingerprint distinguishes spec-driven runs by workload content.
 func (s *Spec) SystemConfig(over Run) (system.Config, error) {
-	app, err := s.App()
-	if err != nil {
-		return system.Config{}, err
-	}
 	base := Run{}
 	if s.Run != nil {
 		base = *s.Run
 	}
-	return Resolve(app, over.Merge(base), system.Config{SpecHash: s.Hash()})
-}
-
-// parseClass resolves a traffic-class name.
-func parseClass(s string) (noc.Class, error) {
-	for c := noc.ClassDemand; c <= noc.ClassPeripheral; c++ {
-		if c.String() == s {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown class %q (want demand, prefetch, media or peripheral)", s)
-}
-
-// parsePattern resolves an address-walk name; empty selects streaming.
-func parsePattern(s string) (traffic.Pattern, error) {
-	switch s {
-	case "", "streaming":
-		return traffic.Streaming, nil
-	case "random":
-		return traffic.Random, nil
-	case "strided":
-		return traffic.Strided, nil
-	}
-	return 0, fmt.Errorf("unknown pattern %q (want streaming, random or strided)", s)
-}
-
-// patternName inverts parsePattern.
-func patternName(p traffic.Pattern) string {
-	switch p {
-	case traffic.Random:
-		return "random"
-	case traffic.Strided:
-		return "strided"
-	default:
-		return "streaming"
-	}
+	return Resolve(s.App, over.Merge(base), system.Config{SpecHash: s.Hash()})
 }

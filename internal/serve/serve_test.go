@@ -201,6 +201,8 @@ func TestSweepRejectsBadInput(t *testing.T) {
 		`{"points":[{"cycles":-5}]}`,
 		`{"points":[{"virtualChannels":9}]}`,
 		`{"points":[{"clockMHz":123}]}`,
+		`{"points":[{"pct":9}]}`,
+		`{"points":[{"gssRouters":-7}]}`,
 	} {
 		t.Run(body, func(t *testing.T) {
 			events := stream(t, ts, post(t, ts, body).ID)

@@ -28,19 +28,20 @@ func Fingerprint(cfg system.Config) (string, bool) {
 	}
 	c := cfg.Resolved()
 	h := sha256.New()
-	// The application model: maps iterate in random order, so Clocks is
-	// walked by generation; cores and streams are slices and keep their
-	// declaration order.
-	fmt.Fprintf(h, "app=%s/%dx%d/mem%+v|", c.App.Name, c.App.Width, c.App.Height, c.App.MemAt)
-	// The memory-port list and the channel axes: Ports() folds the
-	// single-port default, so an explicit one-element MemPorts and an
-	// empty one hash alike, exactly as they run alike.
-	for _, p := range c.App.Ports() {
+	// The application model, in declaration order. Port 0 is written
+	// twice, after "mem" and again in the port list: the bytes every
+	// stored entry is keyed on. (A model with no ports hashes without
+	// panicking; it fails Validate, so nothing is stored under it.)
+	fmt.Fprintf(h, "app=%s/%dx%d/mem", c.App.Name, c.App.Width, c.App.Height)
+	for i, p := range c.App.Ports() {
+		if i == 0 {
+			fmt.Fprintf(h, "%+v|", p)
+		}
 		fmt.Fprintf(h, "port=%+v|", p)
 	}
 	fmt.Fprintf(h, "chan=%d scheme=%d|", c.Channels, c.Scheme)
 	for gen := dram.DDR1; gen <= dram.LPDDR3; gen++ {
-		fmt.Fprintf(h, "clk%d=%d|", gen, c.App.Clocks[gen])
+		fmt.Fprintf(h, "clk%d=%d|", gen, c.App.Clocks.At(gen))
 	}
 	for _, core := range c.App.Cores {
 		fmt.Fprintf(h, "core=%s@%+v|", core.Name, core.Pos)

@@ -255,6 +255,22 @@ func TestProgressSerialisedAndComplete(t *testing.T) {
 	}
 }
 
+// TestFingerprintPinned holds the store's key bytes still across
+// refactors of the application model: the literal is the parent build's
+// fingerprint of a Table I point (PR 24 replaced App.MemAt and the Clocks
+// map; every populated store stayed warm). A model with no memory ports
+// must hash, not panic — the executor fingerprints before it validates.
+func TestFingerprintPinned(t *testing.T) {
+	cfg := system.Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: system.GSSSAGM, Cycles: 5000}
+	const want = "f1d076b8a284bda75d4f3b7e074997d5adde242b584579db804d5a4704ba8748"
+	if got, _ := Fingerprint(cfg); got != want {
+		t.Errorf("Table I ddtv/DDR3/GSS+SAGM fingerprint %s, want %s", got, want)
+	}
+	if _, ok := Fingerprint(system.Config{}); !ok {
+		t.Error("the zero config did not fingerprint")
+	}
+}
+
 func TestFingerprintCanonicalises(t *testing.T) {
 	implicit := system.Config{App: appmodel.BluRay(), Gen: dram.DDR2, Design: system.GSSSAGM}
 	explicit := implicit

@@ -50,8 +50,9 @@ type Config struct {
 	// request, or the per-bank regulation-window invariant.
 	Scheduler memctrl.Scheduler
 
-	// PCT is the hybrid priority control token for GSS designs
-	// (default 3; [4] and [4]+PFS override it).
+	// PCT is the hybrid priority control token for GSS designs, 1-6
+	// (default 3; [4] and [4]+PFS override it, and a design without the
+	// STI filter tree runs 6 as its deepest tier, 5).
 	PCT int
 	// GSSRouters limits how many routers (nearest the memory first) run
 	// the GSS engine: 0 (the default) means all of them, -1 means none
@@ -226,7 +227,7 @@ func (c Config) Resolved() Config {
 		c.Gen = dram.DDR2 // the paper's primary evaluation generation
 	}
 	if c.ClockMHz == 0 {
-		c.ClockMHz = c.App.Clocks[c.Gen]
+		c.ClockMHz = c.App.Clocks.At(c.Gen)
 	}
 	if c.ClockMHz == 0 {
 		// Application models predating a generation (the builtin media
@@ -324,6 +325,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("system: %w %d (%s needs a power of two)", ErrBadChannels, c.Channels, c.Scheme)
 	case !c.Scheduler.Valid():
 		return fmt.Errorf("system: %w %d", ErrUnknownScheduler, int(c.Scheduler))
+	case c.PCT < 1 || c.PCT > 6:
+		return fmt.Errorf("system: %w: PCT must be 1..6, got %d", ErrInvalid, c.PCT)
+	case c.GSSRouters < -1:
+		return fmt.Errorf("system: %w: GSS router count %d (want -1 for none, 0 for all, or a count)", ErrInvalid, c.GSSRouters)
 	case c.VirtualChannels < 1 || c.VirtualChannels > 4:
 		return fmt.Errorf("system: %w: virtual channels must be 1..4, got %d", ErrInvalid, c.VirtualChannels)
 	case c.BufFlits < 1:

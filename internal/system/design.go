@@ -107,7 +107,7 @@ func (d Design) priorityFirstNet() bool { return d == ConvPFS }
 
 // pctFor returns the engine's priority control token for this design:
 // priority-equal for [4], priority-first for [4]+PFS, the configured
-// hybrid otherwise.
+// hybrid (validated 1-6, capped at the design's deepest tier) otherwise.
 func (d Design) pctFor(hybrid, max int) int {
 	switch d {
 	case SDRAMAware:
@@ -115,12 +115,6 @@ func (d Design) pctFor(hybrid, max int) int {
 	case SDRAMAwarePFS:
 		return max
 	default:
-		if hybrid < 1 {
-			return 3
-		}
-		if hybrid > max {
-			return max
-		}
-		return hybrid
+		return min(hybrid, max)
 	}
 }

@@ -22,7 +22,7 @@ func TestWithDefaultsPinned(t *testing.T) {
 		got  int64
 		want int64
 	}{
-		{"ClockMHz", int64(c.ClockMHz), int64(app.Clocks[dram.DDR2])},
+		{"ClockMHz", int64(c.ClockMHz), int64(app.Clocks.At(dram.DDR2))},
 		{"PCT", int64(c.PCT), 3},
 		{"Cycles", c.Cycles, 200_000},
 		{"Warmup", c.Warmup, 20_000}, // Cycles/10

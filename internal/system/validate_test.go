@@ -41,6 +41,9 @@ func TestValidateRules(t *testing.T) {
 		}, ErrBadChannels},
 		{"scheme", func(c *Config) { c.Scheme = 7 }, ErrBadScheme},
 		{"scheduler", func(c *Config) { c.Scheduler = memctrl.Scheduler(99) }, ErrUnknownScheduler},
+		{"pct-high", func(c *Config) { c.PCT = 9 }, ErrInvalid},
+		{"pct-negative", func(c *Config) { c.PCT = -2 }, ErrInvalid},
+		{"gss-routers", func(c *Config) { c.GSSRouters = -7 }, ErrInvalid},
 		{"virtual-channels-high", func(c *Config) { c.VirtualChannels = 9 }, ErrInvalid},
 		{"virtual-channels-negative", func(c *Config) { c.VirtualChannels = -1 }, ErrInvalid},
 		{"buf-flits", func(c *Config) { c.BufFlits = -1 }, ErrInvalid},
@@ -72,7 +75,7 @@ func TestValidateRules(t *testing.T) {
 	if err := zero.Validate(); err != nil {
 		t.Fatalf("zero config plus an app rejected: %v", err)
 	}
-	if r := zero.Resolved(); r.Gen != dram.DDR2 || r.ClockMHz != zero.App.Clocks[dram.DDR2] || r.Cycles != 200_000 {
+	if r := zero.Resolved(); r.Gen != dram.DDR2 || r.ClockMHz != zero.App.Clocks.DDR2 || r.Cycles != 200_000 {
 		t.Errorf("zero config resolved to gen=%d clock=%d cycles=%d", r.Gen, r.ClockMHz, r.Cycles)
 	}
 }
@@ -115,8 +118,8 @@ func drawConfig(r *rand.Rand) Config {
 	cfg.Channels = pick([]int{0, 1, ports}, []int{-1, ports + 1})
 	cfg.Scheme = mapping.ChannelScheme(pick([]int{0, 0, 1}, []int{-1, 2}))
 	cfg.Scheduler = memctrl.Scheduler(pick([]int{0, 1, 2, 3}, []int{-1, 4, 99}))
-	cfg.PCT = r.Intn(11) - 2
-	cfg.GSSRouters = r.Intn(40) - 2
+	cfg.PCT = pick([]int{0, 1, 3, 5, 6}, []int{-2, 7, 9})
+	cfg.GSSRouters = pick([]int{-1, 0, 1, 4, 37}, []int{-2, -7})
 	cfg.PriorityDemand = r.Intn(2) == 0
 	cfg.Cycles = int64(pick([]int{0, 1, 5000}, []int{-1, -5}))
 	cfg.Warmup = int64(r.Intn(100) - 10)

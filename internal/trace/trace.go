@@ -22,8 +22,8 @@ import (
 type Record struct {
 	Cycle    int64  `json:"cycle"`
 	Core     string `json:"core"`
-	Kind     string `json:"kind"` // "R" or "W"
-	Class    string `json:"class"`
+	Kind     string `json:"kind"`  // "R" or "W"
+	Class    string `json:"class"` // a noc.Class name
 	Priority bool   `json:"priority,omitempty"`
 	Bank     int    `json:"bank"`
 	Row      int    `json:"row"`
@@ -43,6 +43,9 @@ func (r *Record) Validate() error {
 	if r.Kind != "R" && r.Kind != "W" {
 		return fmt.Errorf("trace: kind %q (want R or W)", r.Kind)
 	}
+	if _, err := r.class(); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
 	if r.Beats < 1 {
 		return fmt.Errorf("trace: %d beats", r.Beats)
 	}
@@ -52,18 +55,12 @@ func (r *Record) Validate() error {
 	return nil
 }
 
-// classFromString parses the Class field, defaulting to media.
-func classFromString(s string) noc.Class {
-	switch s {
-	case "demand":
-		return noc.ClassDemand
-	case "prefetch":
-		return noc.ClassPrefetch
-	case "peripheral":
-		return noc.ClassPeripheral
-	default:
-		return noc.ClassMedia
-	}
+// class parses the Class field through noc's name table; an unknown
+// name is an error, never another class.
+func (r *Record) class() (noc.Class, error) {
+	var c noc.Class
+	err := c.UnmarshalText([]byte(r.Class))
+	return c, err
 }
 
 // FromRequest converts a generated request into a trace record.
@@ -82,15 +79,16 @@ func FromRequest(cycle int64, core string, req *traffic.Request) Record {
 	}
 }
 
-// toRequest converts a record back into a logical request.
+// toRequest converts a validated record back into a logical request.
 func (r *Record) toRequest() traffic.Request {
 	kind := noc.Read
 	if r.Kind == "W" {
 		kind = noc.Write
 	}
+	class, _ := r.class() // Validate has checked the name
 	return traffic.Request{
 		Kind:     kind,
-		Class:    classFromString(r.Class),
+		Class:    class,
 		Priority: r.Priority,
 		Addr:     dram.Address{Bank: r.Bank, Row: r.Row, Col: r.Col},
 		Beats:    r.Beats,

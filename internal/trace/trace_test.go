@@ -46,11 +46,13 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestValidateRejects(t *testing.T) {
 	bad := []Record{
-		{Cycle: -1, Core: "a", Kind: "R", Beats: 1},
-		{Cycle: 0, Core: "", Kind: "R", Beats: 1},
-		{Cycle: 0, Core: "a", Kind: "X", Beats: 1},
-		{Cycle: 0, Core: "a", Kind: "R", Beats: 0},
-		{Cycle: 0, Core: "a", Kind: "R", Beats: 1, Bank: -1},
+		{Cycle: -1, Core: "a", Kind: "R", Class: "media", Beats: 1},
+		{Cycle: 0, Core: "", Kind: "R", Class: "media", Beats: 1},
+		{Cycle: 0, Core: "a", Kind: "X", Class: "media", Beats: 1},
+		{Cycle: 0, Core: "a", Kind: "R", Class: "media", Beats: 0},
+		{Cycle: 0, Core: "a", Kind: "R", Class: "media", Beats: 1, Bank: -1},
+		{Cycle: 0, Core: "a", Kind: "R", Class: "bulk", Beats: 1},
+		{Cycle: 0, Core: "a", Kind: "R", Beats: 1}, // no class at all
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {
@@ -64,6 +66,17 @@ func TestReadRejectsDecreasingCycles(t *testing.T) {
 {"cycle":3,"core":"a","kind":"R","class":"media","bank":0,"row":0,"col":0,"beats":8}`
 	if _, err := Read(strings.NewReader(in)); err == nil {
 		t.Fatal("decreasing cycles accepted")
+	}
+}
+
+// TestReadRejectsUnknownClass: a class noc's name table does not carry
+// is an error naming the line, not a record replayed as media traffic.
+func TestReadRejectsUnknownClass(t *testing.T) {
+	in := `{"cycle":3,"core":"a","kind":"R","class":"media","bank":0,"row":0,"col":0,"beats":8}
+{"cycle":5,"core":"a","kind":"R","class":"bulk","bank":0,"row":0,"col":0,"beats":8}`
+	_, err := Read(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), `"bulk"`) {
+		t.Fatalf("Read = %v, want an error naming line 2 and the class", err)
 	}
 }
 
@@ -143,7 +156,11 @@ func TestReplayerOwnsReturnedRequest(t *testing.T) {
 	if second != first || first.Beats != 24 {
 		t.Fatalf("second replay should overwrite the first in place: %p %+v, then %p %+v", first, held, second, second)
 	}
-	rp = NewReplayer(make([]Record, 101))
+	many := make([]Record, 101)
+	for i := range many {
+		many[i] = rec(0, "a", 8)
+	}
+	rp = NewReplayer(many)
 	if avg := testing.AllocsPerRun(100, func() { rp.Tick(0, false) }); avg != 0 || rp.Issued != 101 {
 		t.Errorf("Tick allocates %.2f per replayed request (%d issued), want 0", avg, rp.Issued)
 	}

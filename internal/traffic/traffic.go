@@ -13,6 +13,9 @@ package traffic
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"aanoc/internal/dram"
 	"aanoc/internal/noc"
@@ -36,37 +39,80 @@ const (
 	Strided
 )
 
-// Stream describes one request stream of a core.
+// patternText is the one name table of the address patterns. Pattern
+// deliberately has no String method: the sweep fingerprint prints
+// streams with %+v and must keep seeing the number.
+var patternText = [...]string{
+	Streaming: "streaming",
+	Random:    "random",
+	Strided:   "strided",
+}
+
+// MarshalText spells the pattern by name (encoding.TextMarshaler). It
+// never fails: a value outside the table is written as Pattern(n), which
+// UnmarshalText rejects.
+func (p Pattern) MarshalText() ([]byte, error) {
+	if p < 0 || int(p) >= len(patternText) {
+		return fmt.Appendf(nil, "Pattern(%d)", int(p)), nil
+	}
+	return []byte(patternText[p]), nil
+}
+
+// UnmarshalText resolves a pattern name (encoding.TextUnmarshaler); the
+// empty name selects Streaming, like an omitted field. A name outside
+// the table is an error wrapping strconv.ErrSyntax.
+func (p *Pattern) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		*p = Streaming
+		return nil
+	}
+	for i, name := range patternText {
+		if name == string(text) {
+			*p = Pattern(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("traffic: %w: unknown pattern %q (want %s)",
+		strconv.ErrSyntax, string(text), strings.Join(patternText[:], ", "))
+}
+
+// Stream describes one request stream of a core. The json tags are the
+// scenario spec's wire format: a spec file's stream object is this
+// struct.
 type Stream struct {
-	Name  string
-	Class noc.Class
+	Name string `json:"name"`
+	// Class is the traffic class, on the wire by its noc.Class name.
+	Class noc.Class `json:"class"`
 
 	// ReadFrac is the probability a request is a read.
-	ReadFrac float64
+	ReadFrac float64 `json:"readFrac"`
 	// Beats lists the burst sizes (in data beats) the stream draws from,
 	// uniformly; repeat an entry to weight it.
-	Beats []int
+	Beats []int `json:"beats"`
 	// LoadFrac is the offered load as a fraction of the DRAM data-bus
 	// bandwidth (open-loop streams). A request of b beats occupies b/2
 	// bus cycles, so the mean inter-arrival time is (b/2)/LoadFrac.
-	LoadFrac float64
+	LoadFrac float64 `json:"loadFrac,omitempty"`
 
 	// ClosedLoop streams (CPU demand) bound their outstanding requests
 	// and think for ThinkTime cycles after each completion.
-	ClosedLoop bool
-	ThinkTime  int64
+	ClosedLoop bool  `json:"closedLoop,omitempty"`
+	ThinkTime  int64 `json:"thinkTime,omitempty"`
 	// MaxOutstanding is the closed-loop window (default 1). A superscalar
 	// core with several misses in flight issues bursts of demand requests
 	// — the paper's Fig. 1 scenario where two priority packets to the
 	// same bank compete.
-	MaxOutstanding int
+	MaxOutstanding int `json:"maxOutstanding,omitempty"`
 
-	Pattern Pattern
+	// Pattern is the address walk, on the wire by name and always
+	// written out.
+	Pattern Pattern `json:"pattern"`
 	// BankOffset rotates the stream's bank walk so different cores start
 	// on different banks.
-	BankOffset int
+	BankOffset int `json:"bankOffset,omitempty"`
 	// RowBase/RowRange bound the stream's private row region.
-	RowBase, RowRange int
+	RowBase  int `json:"rowBase,omitempty"`
+	RowRange int `json:"rowRange"`
 }
 
 // Validate reports specification errors.
@@ -183,11 +229,11 @@ func NewGen(spec Stream, banks, rowBeats int, priority bool, rng *sim.RNG) (*Gen
 	// Desynchronise stream start times.
 	g.nextAt = int64(rng.Intn(64))
 	for _, b := range spec.Beats {
-		if !containsInt(g.beatMenu, b) {
+		if !slices.Contains(g.beatMenu, b) {
 			g.beatMenu = append(g.beatMenu, b)
 		}
 	}
-	sortInts(g.beatMenu)
+	slices.Sort(g.beatMenu)
 	g.beatCounts = make([]int64, len(g.beatMenu))
 	return g, nil
 }
@@ -195,24 +241,6 @@ func NewGen(spec Stream, banks, rowBeats int, priority bool, rng *sim.RNG) (*Gen
 // BeatHistogram returns the produced burst-size histogram: the menu's
 // distinct sizes in ascending order and the parallel production counts.
 func (g *Gen) BeatHistogram() ([]int, []int64) { return g.beatMenu, g.beatCounts }
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// sortInts insertion-sorts the (tiny) menu in place.
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
 
 // Tick returns the logical request the stream issues this cycle, or nil.
 // blocked reports whether the network interface refuses new work. A
@@ -302,15 +330,15 @@ func (g *Gen) makeRequest() *Request {
 		addr = dram.Address{
 			Bank: g.rng.Intn(g.banks),
 			Row:  g.Spec.RowBase + g.rng.Intn(g.Spec.RowRange),
-			Col:  g.rng.Intn(maxInt(1, g.rowBeats-beats)+1) / 8 * 8,
+			Col:  g.rng.Intn(max(1, g.rowBeats-beats)+1) / 8 * 8,
 		}
 	case Strided:
-		half := maxInt(1, g.Spec.RowRange/2)
+		half := max(1, g.Spec.RowRange/2)
 		region := g.rng.Intn(2) * half
 		addr = dram.Address{
 			Bank: (g.Spec.BankOffset + g.rng.Intn(2)) % g.banks,
 			Row:  g.Spec.RowBase + region + g.rng.Intn(half),
-			Col:  g.rng.Intn(maxInt(1, g.rowBeats-beats)+1) / 8 * 8,
+			Col:  g.rng.Intn(max(1, g.rowBeats-beats)+1) / 8 * 8,
 		}
 	default: // Streaming
 		if g.colBeat+beats > g.rowBeats {
@@ -342,11 +370,4 @@ func (g *Gen) makeRequest() *Request {
 		EndOfRow: endOfRow,
 	}
 	return &g.req
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"strings"
 	"testing"
 
 	"aanoc/internal/noc"
@@ -258,5 +259,35 @@ func TestTickReturnsGeneratorOwnedRequest(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, func() { _, now = issue(now) }); avg != 0 {
 		t.Errorf("Tick allocates %.2f per request, want 0", avg)
+	}
+}
+
+// TestPatternText: every pattern round-trips through MarshalText /
+// UnmarshalText, the empty name is Streaming (an omitted spec field), and
+// a name outside the table is an error that quotes it.
+func TestPatternText(t *testing.T) {
+	for p := Streaming; p <= Strided; p++ {
+		text, err := p.MarshalText()
+		if err != nil || len(text) == 0 {
+			t.Fatalf("%d: MarshalText = %q, %v", int(p), text, err)
+		}
+		back := Pattern(-1)
+		if err := back.UnmarshalText(text); err != nil || back != p {
+			t.Errorf("%s: UnmarshalText = %d, %v", text, int(back), err)
+		}
+	}
+	p := Strided
+	if err := p.UnmarshalText(nil); err != nil || p != Streaming {
+		t.Errorf("the empty name decoded to %d, %v; want Streaming", int(p), err)
+	}
+	for _, name := range []string{"zigzag", "Random", "Pattern(1)"} {
+		p := Random
+		err := p.UnmarshalText([]byte(name))
+		if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Errorf("UnmarshalText(%q) = %v, want an error naming it", name, err)
+		}
+		if p != Random {
+			t.Errorf("UnmarshalText(%q) failed but stored %d", name, int(p))
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"aanoc/internal/appmodel"
@@ -62,12 +63,8 @@ func TestSpecFilesPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			back, err := sp.App()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := back.Validate(); err != nil {
-				t.Fatal(err)
+			if !reflect.DeepEqual(sp.App, app) {
+				t.Errorf("%s does not parse back to the builtin model", path)
 			}
 		})
 	}

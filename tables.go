@@ -106,11 +106,18 @@ func (o TableOptions) apps() ([]appmodel.App, error) {
 	if o.Spec == nil {
 		return appmodel.Apps(), nil
 	}
-	app, err := o.Spec.App()
-	if err != nil {
-		return nil, specErr(err)
+	app, err := checkedApp(o.Spec)
+	return []appmodel.App{app}, err
+}
+
+// checkedApp returns a spec's application model once its structure
+// validates: a spec built in Go has not been through ParseSpec, and the
+// drivers size their grids from it.
+func checkedApp(s *Spec) (appmodel.App, error) {
+	if err := s.App.Validate(); err != nil {
+		return appmodel.App{}, specErr(fmt.Errorf("%w: %v", scenario.ErrSpec, err))
 	}
-	return []appmodel.App{app}, nil
+	return s.App, nil
 }
 
 // decorate attaches the spec identity (content hash) and its platform
@@ -310,9 +317,9 @@ func Fig8(appName string, gen, clockMHz int, o TableOptions) ([]Fig8Point, error
 // Fig. 8 curve for a declarative scenario instead of a named builtin.
 // clockMHz 0 selects the spec's clock for the generation.
 func Fig8Spec(spec *Spec, gen, clockMHz int, o TableOptions) ([]Fig8Point, error) {
-	app, err := spec.App()
+	app, err := checkedApp(spec)
 	if err != nil {
-		return nil, specErr(err)
+		return nil, err
 	}
 	o.Spec = spec
 	return fig8(app, gen, clockMHz, o)
