@@ -151,7 +151,7 @@ func (f *flags) resolve() (sp *scenario.Spec, cfg system.Config, err error) {
 		if err != nil {
 			return nil, cfg, err
 		}
-		cfg, err = scenario.Resolve(app, f.run)
+		cfg, err = scenario.Resolve(app, f.run, system.Config{})
 		return nil, cfg, err
 	}
 	over, appSet := f.explicit()

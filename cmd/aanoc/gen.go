@@ -72,7 +72,7 @@ func genCmd(_ context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", sp.Name, err)
 		}
-		misses := scenario.Calibrate(sp, res.Obs, scenario.Tolerance{})
+		misses := scenario.Calibrate(sp, res.Obs)
 		fmt.Fprintf(stdout, "%-14s %dx%d cores=%-3d ports=%d chan=%d gen=%d sched=%-9s util=%.3f done=%-7d misses=%d\n",
 			sp.Name, sp.Mesh.Width, sp.Mesh.Height, len(sp.Cores), len(sp.MemPorts),
 			cfg.Channels, cfg.Gen, cfg.Scheduler, res.Utilization, res.Completed, len(misses))

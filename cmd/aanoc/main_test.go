@@ -68,6 +68,10 @@ var corpus = []leg{
 	{name: "sim-json-stdout", args: "sim -cycles 20000", golden: "sim-json-stdout", json: "-"},
 	{name: "tables-all-serial", args: "tables -table all -cycles 20000 -parallel 1", golden: "tables-all", json: "file"},
 	{name: "tables-all", args: "tables -table all -cycles 20000", golden: "tables-all", json: "file"},
+	// The facade's TableOptions.Store path: a table regenerated against a
+	// populated store prints, and reports, what a fresh one does.
+	{name: "tables-store-cold", args: "tables -table all -cycles 20000 -store $TMP/tstore", golden: "tables-all", json: "file"},
+	{name: "tables-store-warm", args: "tables -table all -cycles 20000 -store $TMP/tstore", golden: "tables-all", json: "file"},
 	{name: "tables-sched-serial", args: "tables -table sched -cycles 20000 -parallel 1", golden: "tables-sched", json: "file"},
 	{name: "tables-sched", args: "tables -table sched -cycles 20000", golden: "tables-sched", json: "file"},
 	{name: "sweep-pct", args: "sweep -sweep pct -cycles 20000", golden: "sweep-pct", json: "file"},
@@ -147,7 +151,7 @@ var exits = []leg{
 
 func TestCorpus(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every subcommand, the full Table I-III grid four times over")
+		t.Skip("runs every subcommand, the full Table I-III grid five times over")
 	}
 	runLegs(t, corpus)
 }

@@ -343,12 +343,14 @@ type Sample struct {
 
 // EncodeJSON writes the canonical serialization of one report: two-space
 // indented JSON, newline terminated, SchemaVersion stamped to Schema when
-// the report predates stamping. Every producer of a report file — the
-// command line's sidecar writer, the golden corpus, the aanoc serve
-// results endpoint — goes through this function, so a report has exactly
-// one byte representation and byte-level comparisons (golden tests,
-// cache-parity CI) are meaningful. The result store is not one of them:
-// it marshals a whole system.Result with encoding/json into its own
+// the report predates stamping. The aanoc serve results endpoint, the
+// golden corpus and the benchmark's digests go through this function;
+// the command line's sidecar writer goes through EncodeSidecar
+// (json.MarshalIndent), whose bytes for a report are these by
+// TestEncodeJSONMatchesStdlib — so a report has exactly one byte
+// representation and byte-level comparisons (golden tests, cache-parity
+// tests) are meaningful. The result store is not one of them: it
+// marshals a whole system.Result with encoding/json into its own
 // checksummed envelope, and a report read back from it is re-encoded here.
 func EncodeJSON(w io.Writer, r *Report) error {
 	if r.SchemaVersion == 0 {

@@ -10,43 +10,25 @@ import (
 	"aanoc/internal/traffic"
 )
 
-// Tolerance bounds the statistical-calibration checks. The defaults are
-// seeded-run tolerances: wide enough that a correct generator passes
-// every seed (the checks are deterministic for a given seed), tight
-// enough that a drifted distribution — a wrong read mix, a missing
-// burst-size bin, a mis-scaled load — fails (the mutation tests pin
-// this non-vacuously).
-type Tolerance struct {
-	// MinSamples is the per-stream sample floor below which the
-	// per-stream checks are skipped (default 64); the aggregate mixture
-	// checks run at any size.
-	MinSamples int64
-	// Sigma scales the binomial/renewal standard-error term (default 5).
-	Sigma float64
-	// FracSlack is the absolute slack added to every fraction check
-	// (default 0.02).
-	FracSlack float64
-	// RateSlack is the relative slack on the injection-rate check
-	// (default 0.12, covering the ±40% arrival jitter's small-sample
-	// bias and the start-time desynchronisation).
-	RateSlack float64
-}
-
-func (t Tolerance) withDefaults() Tolerance {
-	if t.MinSamples == 0 {
-		t.MinSamples = 64
-	}
-	if t.Sigma == 0 {
-		t.Sigma = 5
-	}
-	if t.FracSlack == 0 {
-		t.FracSlack = 0.02
-	}
-	if t.RateSlack == 0 {
-		t.RateSlack = 0.12
-	}
-	return t
-}
+// The statistical-calibration tolerances. They are seeded-run
+// tolerances: wide enough that a correct generator passes every seed
+// (the checks are deterministic for a given seed), tight enough that a
+// drifted distribution — a wrong read mix, a missing burst-size bin, a
+// mis-scaled load — fails (the mutation tests pin this non-vacuously).
+const (
+	// minSamples is the per-stream sample floor below which the
+	// per-stream checks are skipped; the aggregate mixture checks run at
+	// any size.
+	minSamples = 64
+	// sigma scales the binomial/renewal standard-error term.
+	sigma = 5.0
+	// fracSlack is the absolute slack added to every fraction check.
+	fracSlack = 0.02
+	// rateSlack is the relative slack on the injection-rate check,
+	// covering the ±40% arrival jitter's small-sample bias and the
+	// start-time desynchronisation.
+	rateSlack = 0.12
+)
 
 // Miss is one calibration failure: an observed statistic outside its
 // tolerance band around the spec's declared value. Core/Stream are
@@ -79,7 +61,7 @@ func (m Miss) String() string {
 // no workload entry is itself a miss.
 //
 // Per-stream checks (read fraction, burst-size histogram, open-loop
-// injection rate) run above the MinSamples floor; the aggregate mixture
+// injection rate) run above the minSamples floor; the aggregate mixture
 // checks weight each stream's declared distribution by its observed
 // request count, so they are exact conditional expectations at any
 // sample size and any backpressure level. The injection-rate check is
@@ -88,8 +70,7 @@ func (m Miss) String() string {
 // deficit, not drift. Misses come out in a fixed order — streams as the
 // spec lists them, burst sizes ascending — so a run's stderr and the
 // returned slice repeat per seed.
-func Calibrate(s *Spec, rep *obs.Report, tol Tolerance) []Miss {
-	tol = tol.withDefaults()
+func Calibrate(s *Spec, rep *obs.Report) []Miss {
 	var misses []Miss
 
 	byKey := map[string]obs.StreamWorkload{}
@@ -133,8 +114,8 @@ func Calibrate(s *Spec, rep *obs.Report, tol Tolerance) []Miss {
 					})
 				}
 			}
-			if w.Produced >= tol.MinSamples {
-				misses = append(misses, checkStream(c.Name, st, w, rep.Cycles, tol)...)
+			if w.Produced >= minSamples {
+				misses = append(misses, checkStream(c.Name, st, w, rep.Cycles)...)
 			}
 		}
 	}
@@ -143,7 +124,7 @@ func Calibrate(s *Spec, rep *obs.Report, tol Tolerance) []Miss {
 	if totN > 0 {
 		want := expReads / totN
 		got := totReads / totN
-		band := tol.Sigma*math.Sqrt(readVar)/totN + tol.FracSlack
+		band := sigma*math.Sqrt(readVar)/totN + fracSlack
 		if math.Abs(got-want) > band {
 			misses = append(misses, Miss{Metric: "read-frac", Want: want, Got: got, Tol: band})
 		}
@@ -151,7 +132,7 @@ func Calibrate(s *Spec, rep *obs.Report, tol Tolerance) []Miss {
 		for _, b := range slices.Compact(allSizes) {
 			want := expBeats[b] / totN
 			got := gotBeats[b] / totN
-			band := tol.Sigma*math.Sqrt(want*(1-want)/totN) + tol.FracSlack
+			band := sigma*math.Sqrt(want*(1-want)/totN) + fracSlack
 			if math.Abs(got-want) > band {
 				misses = append(misses, Miss{
 					Metric: fmt.Sprintf("beats-share[%d]", b),
@@ -164,13 +145,13 @@ func Calibrate(s *Spec, rep *obs.Report, tol Tolerance) []Miss {
 }
 
 // checkStream runs the per-stream checks for one calibrated stream.
-func checkStream(core string, st traffic.Stream, w obs.StreamWorkload, cycles int64, tol Tolerance) []Miss {
+func checkStream(core string, st traffic.Stream, w obs.StreamWorkload, cycles int64) []Miss {
 	var misses []Miss
 	n := float64(w.Produced)
 
 	want := st.ReadFrac
 	got := float64(w.Reads) / n
-	band := tol.Sigma*math.Sqrt(want*(1-want)/n) + tol.FracSlack
+	band := sigma*math.Sqrt(want*(1-want)/n) + fracSlack
 	if math.Abs(got-want) > band {
 		misses = append(misses, Miss{Core: core, Stream: st.Name, Metric: "read-frac", Want: want, Got: got, Tol: band})
 	}
@@ -183,7 +164,7 @@ func checkStream(core string, st traffic.Stream, w obs.StreamWorkload, cycles in
 	for _, b := range sizes {
 		share := shares[b]
 		got := obsShare[b]
-		band := tol.Sigma*math.Sqrt(share*(1-share)/n) + tol.FracSlack
+		band := sigma*math.Sqrt(share*(1-share)/n) + fracSlack
 		if math.Abs(got-share) > band {
 			misses = append(misses, Miss{
 				Core: core, Stream: st.Name,
@@ -198,8 +179,8 @@ func checkStream(core string, st traffic.Stream, w obs.StreamWorkload, cycles in
 		// Visible backpressure means the stream could not realise its
 		// offered load; the production count is then a deficit report,
 		// not a generator statistic.
-		if float64(w.BlockedCycles) <= 0.02*exp && exp >= float64(tol.MinSamples) {
-			band := tol.RateSlack*exp + tol.Sigma*math.Sqrt(exp)
+		if float64(w.BlockedCycles) <= 0.02*exp && exp >= minSamples {
+			band := rateSlack*exp + sigma*math.Sqrt(exp)
 			if math.Abs(n-exp) > band {
 				misses = append(misses, Miss{Core: core, Stream: st.Name, Metric: "rate", Want: exp, Got: n, Tol: band})
 			}

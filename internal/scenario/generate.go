@@ -19,16 +19,19 @@ type GenOptions struct {
 	// MaxPorts caps the memory-port count (default 4, the corner
 	// placement's maximum).
 	MaxPorts int
-	// LoadMin/LoadMax bound the aggregate open-loop offered load as a
-	// fraction of one channel's data-bus bandwidth (defaults 0.35 and
-	// 0.65), scaled by the drawn channel count. Below saturation the
-	// calibration layer can check per-stream injection rates; the
-	// saturated paper regime is the builtin apps' job.
-	LoadMin, LoadMax float64
-	// CoreFracMin/CoreFracMax bound the fraction of non-port mesh tiles
-	// populated with cores (defaults 0.5 and 0.9).
-	CoreFracMin, CoreFracMax float64
 }
+
+const (
+	// loadMin/loadMax bound the aggregate open-loop offered load as a
+	// fraction of one channel's data-bus bandwidth, scaled by the drawn
+	// channel count. Below saturation the calibration layer can check
+	// per-stream injection rates; the saturated paper regime is the
+	// builtin apps' job.
+	loadMin, loadMax = 0.35, 0.65
+	// coreFracMin/coreFracMax bound the fraction of non-port mesh tiles
+	// populated with cores.
+	coreFracMin, coreFracMax = 0.5, 0.9
+)
 
 // withDefaults fills zero fields.
 func (o GenOptions) withDefaults() GenOptions {
@@ -41,20 +44,13 @@ func (o GenOptions) withDefaults() GenOptions {
 	if o.MaxPorts == 0 {
 		o.MaxPorts = 4
 	}
-	if o.LoadMin == 0 {
-		o.LoadMin = 0.35
-	}
-	if o.LoadMax == 0 {
-		o.LoadMax = 0.65
-	}
-	if o.CoreFracMin == 0 {
-		o.CoreFracMin = 0.5
-	}
-	if o.CoreFracMax == 0 {
-		o.CoreFracMax = 0.9
-	}
 	return o
 }
+
+// uniform draws from [lo, hi). The span is float64 arithmetic on the
+// bounds, not a constant expression: the pinned Generate hashes hold the
+// rounding of the former.
+func uniform(rng *sim.RNG, lo, hi float64) float64 { return lo + (hi-lo)*rng.Float64() }
 
 // Generate builds one valid scenario from the seed: a pure function of
 // (seed, options), so the same inputs always return a deeply-equal spec
@@ -76,9 +72,6 @@ func Generate(seed uint64, o GenOptions) *Spec {
 	nPorts := sim.Pick(rng, []int{1, 1, 2, 2, 4})
 	if nPorts > o.MaxPorts {
 		nPorts = o.MaxPorts
-	}
-	if nPorts > len(corners) {
-		nPorts = len(corners)
 	}
 	ports := corners[:nPorts]
 
@@ -132,7 +125,7 @@ func Generate(seed uint64, o GenOptions) *Spec {
 		j := rng.Intn(i + 1)
 		free[i], free[j] = free[j], free[i]
 	}
-	frac := o.CoreFracMin + (o.CoreFracMax-o.CoreFracMin)*rng.Float64()
+	frac := uniform(rng, coreFracMin, coreFracMax)
 	nCores := int(frac*float64(len(free)) + 0.5)
 	if nCores < 1 {
 		nCores = 1
@@ -148,7 +141,7 @@ func Generate(seed uint64, o GenOptions) *Spec {
 	type loaded struct{ core, stream int }
 	var open []loaded
 	var weights []float64
-	target := (o.LoadMin + (o.LoadMax-o.LoadMin)*rng.Float64()) * float64(channels)
+	target := uniform(rng, loadMin, loadMax) * float64(channels)
 	for i := 0; i < nCores; i++ {
 		at := free[i]
 		var core appmodel.Core

@@ -249,13 +249,13 @@ func TestResolveSentinels(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Resolve(tc.app, tc.run); !errors.Is(err, tc.want) {
+			if _, err := Resolve(tc.app, tc.run, system.Config{}); !errors.Is(err, tc.want) {
 				t.Fatalf("Resolve error %v, want %v", err, tc.want)
 			}
 		})
 	}
 	// The happy path resolves the documented defaults.
-	cfg, err := Resolve(app, Run{})
+	cfg, err := Resolve(app, Run{}, system.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestCalibrateClean(t *testing.T) {
 	}
 	for _, seed := range []uint64{7, 11, 23} {
 		s, res := runWorkload(t, seed, 20_000)
-		if misses := Calibrate(s, res.Obs, Tolerance{}); len(misses) > 0 {
+		if misses := Calibrate(s, res.Obs); len(misses) > 0 {
 			for _, m := range misses {
 				t.Errorf("seed %d: %s", seed, m)
 			}
@@ -380,7 +380,7 @@ func TestCalibrateDetectsDrift(t *testing.T) {
 		t.Run(mu.name, func(t *testing.T) {
 			sp := copySpec()
 			mu.tamper(sp)
-			if misses := Calibrate(sp, res.Obs, Tolerance{}); len(misses) == 0 {
+			if misses := Calibrate(sp, res.Obs); len(misses) == 0 {
 				t.Fatal("tampered spec calibrated clean — the check is vacuous")
 			}
 		})
@@ -411,7 +411,7 @@ func TestCalibrateMissOrder(t *testing.T) {
 	}
 	for run := 0; run < 20; run++ {
 		var got []string
-		for _, m := range Calibrate(sp, rep, Tolerance{}) {
+		for _, m := range Calibrate(sp, rep) {
 			got = append(got, m.Metric)
 		}
 		if !reflect.DeepEqual(got, want) {

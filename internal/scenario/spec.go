@@ -18,6 +18,7 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -148,7 +149,7 @@ func (s *Spec) Validate() error {
 	if s.Run != nil {
 		run = *s.Run
 	}
-	if _, err := Resolve(s.App, run); err != nil {
+	if _, err := Resolve(s.App, run, system.Config{}); err != nil {
 		return err
 	}
 	for gen := dram.DDR1; gen <= dram.LPDDR3; gen++ {
@@ -201,51 +202,28 @@ func (s *Spec) WriteJSON(w io.Writer) error {
 // a bool and ORs — an override cannot switch a spec's priority off, the
 // same zero-value limitation every optional bool in the repo carries.
 func (r Run) Merge(def Run) Run {
-	if r.Generation == 0 {
-		r.Generation = def.Generation
-	}
-	if r.ClockMHz == 0 {
-		r.ClockMHz = def.ClockMHz
-	}
-	if r.Channels == 0 {
-		r.Channels = def.Channels
-	}
-	if r.Scheme == "" {
-		r.Scheme = def.Scheme
-	}
-	if r.Scheduler == "" {
-		r.Scheduler = def.Scheduler
-	}
+	r.Generation = cmp.Or(r.Generation, def.Generation)
+	r.ClockMHz = cmp.Or(r.ClockMHz, def.ClockMHz)
+	r.Channels = cmp.Or(r.Channels, def.Channels)
+	r.Scheme = cmp.Or(r.Scheme, def.Scheme)
+	r.Scheduler = cmp.Or(r.Scheduler, def.Scheduler)
 	r.PriorityDemand = r.PriorityDemand || def.PriorityDemand
-	if r.Cycles == 0 {
-		r.Cycles = def.Cycles
-	}
-	if r.Warmup == 0 {
-		r.Warmup = def.Warmup
-	}
-	if r.Seed == 0 {
-		r.Seed = def.Seed
-	}
-	if r.SampleEvery == 0 {
-		r.SampleEvery = def.SampleEvery
-	}
-	if r.Subarrays == 0 {
-		r.Subarrays = def.Subarrays
-	}
+	r.Cycles = cmp.Or(r.Cycles, def.Cycles)
+	r.Warmup = cmp.Or(r.Warmup, def.Warmup)
+	r.Seed = cmp.Or(r.Seed, def.Seed)
+	r.SampleEvery = cmp.Or(r.SampleEvery, def.SampleEvery)
+	r.Subarrays = cmp.Or(r.Subarrays, def.Subarrays)
 	return r
 }
 
 // Resolve maps (application model, run parameters) onto a system
 // configuration — parsing the scheme and scheduler names (ErrBadScheme,
 // ErrUnknownScheduler) — and returns it validated and resolved, its
-// generation and every other default filled. base, when given, supplies
-// the fields a Run has no name for (design, PCT, virtual channels, ...),
-// so they pass through the same single Validate call.
-func Resolve(app appmodel.App, r Run, base ...system.Config) (system.Config, error) {
-	var cfg system.Config
-	if len(base) > 0 {
-		cfg = base[0]
-	}
+// generation and every other default filled. base supplies the fields a
+// Run has no name for (design, PCT, virtual channels, ...), so they pass
+// through the same single Validate call.
+func Resolve(app appmodel.App, r Run, base system.Config) (system.Config, error) {
+	cfg := base
 	cfg.App = app
 	cfg.Gen = dram.Generation(r.Generation)
 	cfg.ClockMHz = r.ClockMHz

@@ -18,9 +18,11 @@
 // The server is a thin adapter: all semantics — validation sentinels,
 // fingerprinting, store versioning, cache bypass rules — live in the
 // aanoc facade, so anything the HTTP surface can do a Go embedder can
-// do with the same guarantees. A grid is checked in two places: a name
-// the facade parsers do not know (model, design, scheme, scheduler) is a
-// 400 at POST; a value out of range (generation 9, three channels on one
+// do with the same guarantees. A grid is checked in two places: a body
+// that is not exactly one JSON value of the request's shape (an unknown
+// or misspelt key, trailing data) or a name the facade parsers do not
+// know (model, design, scheme, scheduler) is a 400 at POST; a value out
+// of range (generation 9, three channels on one
 // port, a clock that is no speed grade, nine virtual channels, negative
 // cycles) is accepted with 202 and rejected by aanoc.Sweep's one
 // validation pass before anything simulates — the run's single event is
@@ -32,9 +34,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"aanoc"
@@ -58,31 +61,29 @@ type Options struct {
 	// are CPU-bound, so an unbounded grid is a denial of service on the
 	// worker pool.
 	MaxPoints int
-	// MaxBodyBytes bounds the request body (default 8 MiB).
-	MaxBodyBytes int64
 }
 
-// counters aggregate across the server's lifetime; all accessed
-// atomically.
-type counters struct {
-	requests  atomic.Int64
-	sweeps    atomic.Int64
-	runs      atomic.Int64
-	cacheHits atomic.Int64
-	storeHits atomic.Int64
-	cancels   atomic.Int64
-}
+const (
+	// maxBodyBytes bounds the request body.
+	maxBodyBytes = 8 << 20
+	// keepFinished is how many finished runs stay answerable: when a run
+	// finishes, the one that finished keepFinished runs before it is
+	// forgotten (its id answers 404 from then on). Active runs are never
+	// forgotten.
+	keepFinished = 256
+)
 
 // Server carries the run registry and the (optional) result store. Use
 // New + Handler; the zero value is not usable.
 type Server struct {
 	opts Options
-	ctr  counters
 
-	mu     sync.Mutex
-	runs   map[string]*run
-	nextID int64
-	closed bool
+	mu       sync.Mutex
+	stats    statsz          // the lifetime totals and the active-run count
+	runs     map[string]*run // every active run and the last keepFinished to finish
+	finished []*run          // the latter, oldest first
+	nextID   int64
+	closed   bool
 
 	// sweepFn is the sweep entry point — aanoc.Sweep in production,
 	// replaced by tests that need a slow or failing grid without burning
@@ -95,28 +96,17 @@ func New(o Options) *Server {
 	if o.MaxPoints <= 0 {
 		o.MaxPoints = 4096
 	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 8 << 20
-	}
-	return &Server{
-		opts:    o,
-		runs:    map[string]*run{},
-		sweepFn: aanoc.Sweep,
-	}
+	return &Server{opts: o, runs: map[string]*run{}, sweepFn: aanoc.Sweep}
 }
 
 // Close cancels every active run. In-flight simulations abandon within
 // one kernel epoch; streams drain their final line and end.
 func (s *Server) Close() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.closed = true
-	var cancels []context.CancelFunc
 	for _, r := range s.runs {
-		cancels = append(cancels, r.cancel)
-	}
-	s.mu.Unlock()
-	for _, c := range cancels {
-		c()
+		r.cancel()
 	}
 }
 
@@ -130,7 +120,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/statsz", s.handleStatsz)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.ctr.requests.Add(1)
+		s.mu.Lock()
+		s.stats.Requests++
+		s.mu.Unlock()
 		mux.ServeHTTP(w, r)
 	})
 }
@@ -162,49 +154,36 @@ type Point struct {
 // config resolves the wire point into a facade Config, going through
 // the facade parsers: it rejects unknown names only. Ranges and
 // cross-field rules are Config.Validate's, which aanoc.Sweep applies.
-func (p Point) config() (aanoc.Config, error) {
-	var c aanoc.Config
+func (p Point) config() (c aanoc.Config, err error) {
+	c = aanoc.Config{
+		Generation:      p.Generation,
+		ClockMHz:        p.ClockMHz,
+		Channels:        p.Channels,
+		PCT:             p.PCT,
+		GSSRouters:      p.GSSRouters,
+		PriorityDemand:  p.PriorityDemand,
+		VirtualChannels: p.VirtualChannels,
+		AdaptiveRouting: p.AdaptiveRouting,
+		Cycles:          p.Cycles,
+		Warmup:          p.Warmup,
+		Seed:            p.Seed,
+		SampleEvery:     p.SampleEvery,
+		Subarrays:       p.Subarrays,
+		Checked:         p.Checked,
+	}
 	if p.Model != "" {
-		m, err := aanoc.ParseApp(p.Model)
-		if err != nil {
-			return c, err
-		}
-		c.Model = m
+		c.Model, err = aanoc.ParseApp(p.Model)
 	}
-	if p.Design != "" {
-		d, err := aanoc.ParseDesign(p.Design)
-		if err != nil {
-			return c, err
-		}
-		c.Design = d
+	if err == nil && p.Design != "" {
+		c.Design, err = aanoc.ParseDesign(p.Design)
 	}
-	if p.ChannelScheme != "" {
-		sch, err := aanoc.ParseChannelScheme(p.ChannelScheme)
-		if err != nil {
-			return c, err
-		}
-		c.ChannelScheme = sch
+	if err == nil && p.ChannelScheme != "" {
+		c.ChannelScheme, err = aanoc.ParseChannelScheme(p.ChannelScheme)
 	}
-	sched, err := aanoc.ParseScheduler(p.Scheduler)
-	if err != nil {
-		return c, err
+	if err == nil {
+		c.Scheduler, err = aanoc.ParseScheduler(p.Scheduler)
 	}
-	c.Scheduler = sched
-	c.Generation = p.Generation
-	c.ClockMHz = p.ClockMHz
-	c.Channels = p.Channels
-	c.PCT = p.PCT
-	c.GSSRouters = p.GSSRouters
-	c.PriorityDemand = p.PriorityDemand
-	c.VirtualChannels = p.VirtualChannels
-	c.AdaptiveRouting = p.AdaptiveRouting
-	c.Cycles = p.Cycles
-	c.Warmup = p.Warmup
-	c.Seed = p.Seed
-	c.SampleEvery = p.SampleEvery
-	c.Subarrays = p.Subarrays
-	c.Checked = p.Checked
-	return c, nil
+	return c, err
 }
 
 // SweepRequest is the POST /v1/sweep body.
@@ -257,52 +236,33 @@ type PointState struct {
 	Error       string  `json:"error,omitempty"`
 }
 
-// run is one sweep's lifecycle: an append-only event log consumed by
-// any number of stream readers, plus the cancel handle.
+// run is one sweep's record: how many points have settled, the terminal
+// event once there is one, and the cancel handle. Nothing is logged:
+// stream readers wait on changed, so one that falls behind, or connects
+// late, is told the latest count rather than replayed every one.
 type run struct {
 	id     string
 	total  int
 	cancel context.CancelFunc
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	events []Event
-	final  bool
-}
-
-func newRun(id string, total int, cancel context.CancelFunc) *run {
-	r := &run{id: id, total: total, cancel: cancel}
-	r.cond = sync.NewCond(&r.mu)
-	return r
-}
-
-// append publishes one event to every stream reader.
-func (r *run) append(e Event) {
-	r.mu.Lock()
-	r.events = append(r.events, e)
-	if e.Type == "done" {
-		r.final = true
-	}
-	r.mu.Unlock()
-	r.cond.Broadcast()
-}
-
-// eventsFrom blocks until events past index i exist (or the run is
-// final, or ctx ends) and returns them plus whether the log is
-// complete.
-func (r *run) eventsFrom(ctx context.Context, i int) ([]Event, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for len(r.events) <= i && !r.final && ctx.Err() == nil {
-		r.cond.Wait()
-	}
-	return r.events[i:], r.final
+	// Under Server.mu, which changed waits on.
+	changed *sync.Cond
+	settled int
+	final   *Event
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
-	req.Body = http.MaxBytesReader(w, req.Body, s.opts.MaxBodyBytes)
+	// The body is exactly one JSON value of the request's shape: a
+	// misspelt key silently dropped would run a different grid than the
+	// client wrote.
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
 	var body SweepRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
+	err := dec.Decode(&body)
+	if err == nil && dec.Decode(new(json.RawMessage)) != io.EOF {
+		err = errors.New("trailing data after the grid")
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("malformed request: %v", err))
 		return
 	}
@@ -346,18 +306,24 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 	}
 	s.nextID++
 	id := fmt.Sprintf("run-%d", s.nextID)
-	r := newRun(id, len(grid.Points), cancel)
+	r := &run{id: id, total: len(grid.Points), cancel: cancel, changed: sync.NewCond(&s.mu)}
 	s.runs[id] = r
+	s.stats.Sweeps++
+	s.stats.ActiveRuns++
 	s.mu.Unlock()
-	s.ctr.sweeps.Add(1)
 
 	opts := aanoc.SweepOptions{
 		Context:      ctx,
 		Workers:      s.opts.Workers,
 		DisableCache: body.DisableCache,
 		Store:        s.opts.Store,
-		OnProgress: func(done, total int) {
-			r.append(Event{Type: "progress", Done: done, Total: total})
+		// The executor serialises these calls without ordering them, so
+		// the count only rises.
+		OnProgress: func(done, _ int) {
+			s.mu.Lock()
+			r.settled = max(r.settled, done)
+			s.mu.Unlock()
+			r.changed.Broadcast()
 		},
 	}
 	go s.execute(r, grid, opts)
@@ -367,7 +333,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 	_ = json.NewEncoder(w).Encode(SweepAccepted{ID: id, Total: len(grid.Points)})
 }
 
-// execute runs one sweep to completion and publishes the done event.
+// execute runs one sweep to completion and finishes the run with its
+// done event.
 func (s *Server) execute(r *run, grid aanoc.SweepGrid, opts aanoc.SweepOptions) {
 	defer r.cancel()
 	results, stats, err := s.sweepFn(grid, opts)
@@ -375,12 +342,9 @@ func (s *Server) execute(r *run, grid aanoc.SweepGrid, opts aanoc.SweepOptions) 
 		// Grid validation failed after admission: the wire decoder checks
 		// names only, so an out-of-range value surfaces here, as the run's
 		// terminal (and only) event.
-		r.append(Event{Type: "done", Error: err.Error()})
+		s.finish(r, Event{Type: "done", Error: err.Error()})
 		return
 	}
-	s.ctr.runs.Add(int64(stats.Runs))
-	s.ctr.cacheHits.Add(int64(stats.CacheHits))
-	s.ctr.storeHits.Add(int64(stats.StoreHits))
 	states := make([]PointState, len(results))
 	for i, res := range results {
 		st := PointState{
@@ -398,17 +362,34 @@ func (s *Server) execute(r *run, grid aanoc.SweepGrid, opts aanoc.SweepOptions) 
 		}
 		states[i] = st
 	}
-	r.append(Event{
-		Type:  "done",
-		Total: r.total,
-		Stats: &SweepStats{
-			Runs: stats.Runs, CacheHits: stats.CacheHits,
-			StoreHits: stats.StoreHits, Workers: stats.Workers,
-		},
-		Results: states,
-	})
+	wire := SweepStats(stats)
+	s.finish(r, Event{Type: "done", Total: r.total, Stats: &wire, Results: states})
 }
 
+// finish folds the run's stats into the server totals, publishes its
+// terminal event to every stream reader and forgets the oldest finished
+// run beyond keepFinished. The totals move before the event is visible,
+// so a client that has read "done" reads them updated.
+func (s *Server) finish(r *run, done Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if done.Stats != nil {
+		s.stats.Runs += int64(done.Stats.Runs)
+		s.stats.CacheHits += int64(done.Stats.CacheHits)
+		s.stats.StoreHits += int64(done.Stats.StoreHits)
+	}
+	s.stats.ActiveRuns--
+	r.final = &done
+	r.changed.Broadcast()
+
+	s.finished = append(s.finished, r)
+	if len(s.finished) > keepFinished {
+		delete(s.runs, s.finished[0].id)
+		s.finished = slices.Delete(s.finished, 0, 1)
+	}
+}
+
+// getRun returns nil for an id never admitted, or since forgotten.
 func (s *Server) getRun(id string) *run {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -423,29 +404,41 @@ func (s *Server) handleRunStream(w http.ResponseWriter, req *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	flush := http.NewResponseController(w).Flush
 	enc := json.NewEncoder(w)
 
-	// A disconnecting client must unblock the cond wait.
+	// A disconnecting client must unblock the wait. Broadcasting under
+	// the lock cannot fall between a reader's check of its context and the
+	// start of its wait.
 	ctx := req.Context()
-	stop := context.AfterFunc(ctx, r.cond.Broadcast)
+	stop := context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		r.changed.Broadcast()
+		s.mu.Unlock()
+	})
 	defer stop()
 
-	i := 0
-	for {
-		evs, final := r.eventsFrom(ctx, i)
-		for _, e := range evs {
-			if err := enc.Encode(e); err != nil {
+	// One progress line whenever the count has moved since the last one,
+	// then the done line: counts never decrease and done is last.
+	sent := 0
+	for ctx.Err() == nil {
+		s.mu.Lock()
+		for r.settled <= sent && r.final == nil && ctx.Err() == nil {
+			r.changed.Wait()
+		}
+		settled, final := r.settled, r.final
+		s.mu.Unlock()
+		if settled > sent {
+			sent = settled
+			if enc.Encode(Event{Type: "progress", Done: settled, Total: r.total}) != nil {
 				return
 			}
 		}
-		i += len(evs)
-		if flusher != nil {
-			flusher.Flush()
+		if final != nil {
+			_ = enc.Encode(final)
 		}
-		// The done event is always the log's last entry, so once the
-		// batch containing it is written the stream is complete.
-		if final || ctx.Err() != nil {
+		_ = flush() // a writer that cannot flush still gets every line
+		if final != nil {
 			return
 		}
 	}
@@ -457,7 +450,9 @@ func (s *Server) handleRunCancel(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown run")
 		return
 	}
-	s.ctr.cancels.Add(1)
+	s.mu.Lock()
+	s.stats.Cancels++
+	s.mu.Unlock()
 	r.cancel()
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -493,7 +488,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, `{"ok":true}`)
 }
 
-// statsz is the /v1/statsz payload.
+// statsz is the /v1/statsz payload, and the server's one copy of its
+// totals (Server.stats, under Server.mu; the store fields are filled in
+// per request).
 type statsz struct {
 	Requests     int64             `json:"requests"`
 	Sweeps       int64             `json:"sweeps"`
@@ -508,24 +505,8 @@ type statsz struct {
 
 func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	active := 0
-	for _, r := range s.runs {
-		r.mu.Lock()
-		if !r.final {
-			active++
-		}
-		r.mu.Unlock()
-	}
+	out := s.stats
 	s.mu.Unlock()
-	out := statsz{
-		Requests:   s.ctr.requests.Load(),
-		Sweeps:     s.ctr.sweeps.Load(),
-		Runs:       s.ctr.runs.Load(),
-		CacheHits:  s.ctr.cacheHits.Load(),
-		StoreHits:  s.ctr.storeHits.Load(),
-		Cancels:    s.ctr.cancels.Load(),
-		ActiveRuns: active,
-	}
 	if s.opts.Store != nil {
 		st := s.opts.Store.Stats()
 		out.Store = &st

@@ -38,16 +38,25 @@ func post(t *testing.T, ts *httptest.Server, body string) SweepAccepted {
 // stream reads a run's NDJSON to completion and returns the events.
 func stream(t *testing.T, ts *httptest.Server, id string) []Event {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/runs/" + id)
+	events, err := readStream(ts, id)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return events
+}
+
+// readStream is stream for use off the test's goroutine.
+func readStream(ts *httptest.Server, id string) ([]Event, error) {
+	resp, err := http.Get(ts.URL + "/v1/runs/" + id)
+	if err != nil {
+		return nil, err
+	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/runs/%s = %d", id, resp.StatusCode)
+		return nil, fmt.Errorf("GET /v1/runs/%s = %d", id, resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("stream content type %q", ct)
+		return nil, fmt.Errorf("stream content type %q", ct)
 	}
 	var events []Event
 	sc := bufio.NewScanner(resp.Body)
@@ -55,14 +64,11 @@ func stream(t *testing.T, ts *httptest.Server, id string) []Event {
 	for sc.Scan() {
 		var e Event
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+			return nil, fmt.Errorf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
 		events = append(events, e)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return events
+	return events, sc.Err()
 }
 
 // last returns the stream's terminal event, asserting there is exactly
@@ -167,17 +173,33 @@ func TestSweepLifecycle(t *testing.T) {
 	}
 }
 
+// strictBodies are sweep bodies that are not exactly one request: a
+// misspelt point key, a misspelt top-level key, trailing garbage and a
+// second value. Each must be refused whole — the first three used to run
+// the grid with the unknown part dropped.
+var strictBodies = []string{
+	`{"points":[{"desing":"gss"}]}`,
+	`{"pionts":[{"design":"gss"}]}`,
+	`{"points":[{"design":"gss"}]} x`,
+	`{"points":[{"design":"gss"}]}{"points":[{"design":"gss"}]}`,
+}
+
 func TestSweepRejectsBadInput(t *testing.T) {
 	_, ts := fastServer(t, Options{})
 	cases := []struct {
 		name, body string
 		status     int
+		says       string // a fragment of the error message
 	}{
-		{"malformed json", `{"points":`, http.StatusBadRequest},
-		{"empty grid", `{"points":[]}`, http.StatusBadRequest},
-		{"unknown design", `{"points":[{"design":"warp-drive"}]}`, http.StatusBadRequest},
-		{"unknown model", `{"points":[{"model":"quake"}]}`, http.StatusBadRequest},
-		{"bad scheduler", `{"points":[{"scheduler":"fifo9000"}]}`, http.StatusBadRequest},
+		{"malformed json", `{"points":`, http.StatusBadRequest, "malformed request"},
+		{"empty grid", `{"points":[]}`, http.StatusBadRequest, "empty grid"},
+		{"unknown design", `{"points":[{"design":"warp-drive"}]}`, http.StatusBadRequest, "warp-drive"},
+		{"unknown model", `{"points":[{"model":"quake"}]}`, http.StatusBadRequest, "quake"},
+		{"bad scheduler", `{"points":[{"scheduler":"fifo9000"}]}`, http.StatusBadRequest, "fifo9000"},
+		{"misspelt point key", strictBodies[0], http.StatusBadRequest, `unknown field "desing"`},
+		{"misspelt top-level key", strictBodies[1], http.StatusBadRequest, `unknown field "pionts"`},
+		{"trailing garbage", strictBodies[2], http.StatusBadRequest, "trailing data"},
+		{"second value", strictBodies[3], http.StatusBadRequest, "trailing data"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -185,11 +207,17 @@ func TestSweepRejectsBadInput(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp.Body.Close()
-			if resp.StatusCode != tc.status {
-				t.Errorf("status %d, want %d", resp.StatusCode, tc.status)
+			defer resp.Body.Close()
+			var e map[string]string
+			_ = json.NewDecoder(resp.Body).Decode(&e)
+			if resp.StatusCode != tc.status || !strings.Contains(e["error"], tc.says) {
+				t.Errorf("status %d (%q), want %d naming %q", resp.StatusCode, e["error"], tc.status, tc.says)
 			}
 		})
+	}
+	// Nothing above was admitted.
+	if st := getStatsz(t, ts); st.Sweeps != 0 || st.ActiveRuns != 0 {
+		t.Errorf("statsz %+v after refused bodies only, want no sweeps", st)
 	}
 
 	// The wire decoder checks names only: a value out of range is admitted
@@ -212,6 +240,14 @@ func TestSweepRejectsBadInput(t *testing.T) {
 			}
 		})
 	}
+	if st := getStatsz(t, ts); st.Runs != 0 {
+		t.Errorf("statsz counts %d runs for grids that never built", st.Runs)
+	}
+}
+
+// getStatsz reads /v1/statsz.
+func getStatsz(t *testing.T, ts *httptest.Server) statsz {
+	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/statsz")
 	if err != nil {
 		t.Fatal(err)
@@ -221,9 +257,7 @@ func TestSweepRejectsBadInput(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Runs != 0 {
-		t.Errorf("statsz counts %d runs for grids that never built", st.Runs)
-	}
+	return st
 }
 
 func TestEmptyGridRejectedBeforeAdmission(t *testing.T) {
@@ -459,5 +493,122 @@ func TestEmptyGridFacadeErrorSurfaces(t *testing.T) {
 	fin := last(t, stream(t, ts, acc.ID))
 	if fin.Error == "" || !strings.Contains(fin.Error, "invalid sweep grid") {
 		t.Fatalf("facade error lost: %+v", fin)
+	}
+}
+
+// stubSweep settles every point at once, reporting progress per point;
+// a grid whose first point has seed 99 first waits for hold to close.
+func stubSweep(hold <-chan struct{}) func(aanoc.SweepGrid, aanoc.SweepOptions) ([]aanoc.SweepResult, aanoc.SweepStats, error) {
+	return func(g aanoc.SweepGrid, o aanoc.SweepOptions) ([]aanoc.SweepResult, aanoc.SweepStats, error) {
+		if g.Points[0].Seed == 99 {
+			<-hold
+		}
+		results := make([]aanoc.SweepResult, len(g.Points))
+		for i := range results {
+			results[i] = aanoc.SweepResult{Index: i}
+			o.OnProgress(i+1, len(g.Points))
+		}
+		return results, aanoc.SweepStats{Runs: len(g.Points), Workers: 1}, nil
+	}
+}
+
+// TestRunRegistryBounded: the registry holds every active run and the
+// last keepFinished to finish.
+func TestRunRegistryBounded(t *testing.T) {
+	s, ts := fastServer(t, Options{})
+	hold := make(chan struct{})
+	s.sweepFn = stubSweep(hold)
+	registered := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.runs)
+	}
+
+	held := post(t, ts, `{"points":[{"seed":99}]}`).ID
+	const n = keepFinished + 44
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = post(t, ts, `{"points":[{"seed":1}]}`).ID
+		last(t, stream(t, ts, ids[i]))
+	}
+	if got := registered(); got != keepFinished+1 {
+		t.Errorf("%d runs registered after %d finished beside one active, want %d", got, n, keepFinished+1)
+	}
+	for _, method := range []string{http.MethodGet, http.MethodDelete} {
+		req, _ := http.NewRequest(method, ts.URL+"/v1/runs/"+ids[0], nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s on the oldest finished run = %d, want 404", method, resp.StatusCode)
+		}
+	}
+	if fin := last(t, stream(t, ts, ids[n-1])); fin.Stats == nil || fin.Stats.Runs != 1 {
+		t.Errorf("newest finished run's done line %+v", fin)
+	}
+
+	// The run admitted before all of them is still executing, so it was
+	// never a candidate; once it finishes it is the newest finished.
+	if s.getRun(held) == nil {
+		t.Fatal("an active run was forgotten")
+	}
+	if st := getStatsz(t, ts); st.ActiveRuns != 1 || st.Sweeps != n+1 || st.Runs != n {
+		t.Errorf("statsz %+v, want 1 active of %d sweeps", st, n+1)
+	}
+	close(hold)
+	last(t, stream(t, ts, held))
+	if got := registered(); got != keepFinished {
+		t.Errorf("%d runs registered with none active, want %d", got, keepFinished)
+	}
+}
+
+// TestLateReaderCoalesces: a reader is told the latest count, not every
+// count. One that connects after completion gets at most one progress
+// line; concurrent readers each see non-decreasing counts and end on
+// the one done line.
+func TestLateReaderCoalesces(t *testing.T) {
+	s, ts := fastServer(t, Options{})
+	hold := make(chan struct{})
+	s.sweepFn = stubSweep(hold)
+	body := `{"points":[{"seed":99}` + strings.Repeat(`,{"seed":1}`, 9) + `]}`
+
+	acc := post(t, ts, body)
+	type read struct {
+		events []Event
+		err    error
+	}
+	readers := make(chan read, 2)
+	for range 2 {
+		go func() {
+			events, err := readStream(ts, acc.ID)
+			readers <- read{events, err}
+		}()
+	}
+	close(hold)
+	for range 2 {
+		r := <-readers
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		events := r.events
+		fin := last(t, events)
+		if fin.Total != 10 || len(fin.Results) != 10 {
+			t.Errorf("done line %+v, want 10 results", fin)
+		}
+		seen := 0
+		for _, e := range events[:len(events)-1] {
+			if e.Type != "progress" || e.Done <= seen || e.Done > 10 || e.Total != 10 {
+				t.Errorf("progress line %+v after done=%d", e, seen)
+			}
+			seen = e.Done
+		}
+	}
+
+	late := stream(t, ts, acc.ID)
+	last(t, late)
+	if len(late) != 2 || late[0].Type != "progress" || late[0].Done != 10 {
+		t.Errorf("late reader got %+v, want one progress line at 10 and the done line", late)
 	}
 }

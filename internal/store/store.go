@@ -106,9 +106,8 @@ type Store struct {
 	version string
 	max     int64
 
-	mu   sync.Mutex
-	size int64 // bytes across entries in the namespace
-	st   Stats
+	mu sync.Mutex
+	st Stats
 }
 
 // Version is the namespace entries are read and written under:
@@ -138,7 +137,7 @@ func Open(dir string, o Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.st.Entries, s.size = len(entries), size
+	s.st.Entries, s.st.SizeBytes = len(entries), size
 	return s, nil
 }
 
@@ -232,17 +231,14 @@ func (s *Store) decode(fp string, data []byte) (system.Result, error) {
 // discardCorrupt removes a failed entry so the next writer repairs the
 // store instead of tripping on it forever.
 func (s *Store) discardCorrupt(path string, size int) {
-	if os.Remove(path) == nil {
-		s.count(func(st *Stats) {
+	removed := os.Remove(path) == nil
+	s.count(func(st *Stats) {
+		st.Corrupt++
+		if removed {
 			st.Entries--
-			st.Corrupt++
-		})
-		s.mu.Lock()
-		s.size -= int64(size)
-		s.mu.Unlock()
-		return
-	}
-	s.count(func(st *Stats) { st.Corrupt++ })
+			st.SizeBytes -= int64(size)
+		}
+	})
 }
 
 // Put persists one result under its fingerprint: serialize, hash, write
@@ -309,12 +305,12 @@ func (s *Store) put(fp string, res system.Result) (err error) {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.mu.Lock()
-	s.size += int64(len(data)) - prior
+	s.st.SizeBytes += int64(len(data)) - prior
 	if prior == 0 {
 		s.st.Entries++
 	}
 	s.st.Puts++
-	over := s.size > s.max
+	over := s.st.SizeBytes > s.max
 	s.mu.Unlock()
 	if over {
 		s.evict(path)
@@ -326,40 +322,26 @@ func (s *Store) put(fp string, res system.Result) (err error) {
 // the cap, sparing the entry just written (evicting your own write
 // would make an over-cap store refuse every new point).
 func (s *Store) evict(keep string) {
-	type aged struct {
-		path string
-		size int64
-		mod  time.Time
-	}
-	entries, _, err := s.scan()
+	entries, total, err := s.scan()
 	if err != nil {
 		return
 	}
-	var all []aged
-	var total int64
+	sort.Slice(entries, func(i, j int) bool { return entries[i].mod.Before(entries[j].mod) })
+	evicted := 0
 	for _, e := range entries {
-		all = append(all, aged{e.path, e.size, e.mod})
-		total += e.size
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].mod.Before(all[j].mod) })
-	for _, e := range all {
 		if total <= s.max {
 			break
 		}
-		if e.path == keep {
-			continue
-		}
-		if os.Remove(e.path) == nil {
+		if e.path != keep && os.Remove(e.path) == nil {
 			total -= e.size
-			s.count(func(st *Stats) {
-				st.Entries--
-				st.Evictions++
-			})
+			evicted++
 		}
 	}
-	s.mu.Lock()
-	s.size = total
-	s.mu.Unlock()
+	s.count(func(st *Stats) {
+		st.Entries -= evicted
+		st.Evictions += int64(evicted)
+		st.SizeBytes = total
+	})
 }
 
 type scanned struct {
@@ -401,9 +383,7 @@ func (s *Store) count(f func(*Stats)) {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.st
-	st.SizeBytes = s.size
-	return st
+	return s.st
 }
 
 // Dir returns the namespace directory entries live in (root joined

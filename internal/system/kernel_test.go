@@ -54,7 +54,8 @@ func TestIdleSkipEquivalence(t *testing.T) {
 // TestIdleSkipEquivalenceVariants covers the wake paths the design grid
 // leaves out: multiple virtual channels, adaptive routing, a different
 // application and generation, an explicitly low-utilization app where
-// idle-skip actually skips, and every memory scheduler saturated, at low
+// idle-skip actually skips, a two-channel scaled app, every design on
+// DDR4 with subarrays and on LPDDR3, and every memory scheduler saturated, at low
 // utilization and under a sparse replay — four requests 9,000 cycles
 // apart, so the controller sleeps across whole regulation windows and
 // anything it counts per tick (the regulator's window rolls did) shows
@@ -78,6 +79,21 @@ func TestIdleSkipEquivalenceVariants(t *testing.T) {
 			App: appmodel.LowUtil(), Gen: dram.DDR2, Design: GSSSAGM,
 			Cycles: 20_000, PriorityDemand: true, SampleEvery: 1000,
 		},
+		"bluray2-2ch": {
+			App: appmodel.BluRay2(), Gen: dram.DDR2, Design: GSSSAGM, Channels: 2,
+			Cycles: 6_000, PriorityDemand: true, SampleEvery: 1000,
+		},
+	}
+	// Every design on the structured-timing devices: DDR4 with four
+	// subarrays per bank (bank groups and the Row* subarray path) and
+	// LPDDR3 (wide tFAW windows).
+	for _, d := range Designs() {
+		base := Config{App: appmodel.BluRay(), Design: d, Cycles: 6_000, PriorityDemand: true, SampleEvery: 1000}
+		ddr4, lp := base, base
+		ddr4.Gen, ddr4.Subarrays = dram.DDR4, 4
+		lp.Gen = dram.LPDDR3
+		cfgs["ddr4-subarrays-"+d.String()] = ddr4
+		cfgs["lpddr3-"+d.String()] = lp
 	}
 	sparse := make([]trace.Record, 4)
 	for i := range sparse {

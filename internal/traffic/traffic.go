@@ -161,7 +161,6 @@ type Source interface {
 // Request is a logical memory request produced by a stream, before SAGM
 // splitting and packetisation.
 type Request struct {
-	Stream   *Gen
 	Kind     noc.Kind
 	Class    noc.Class
 	Priority bool
@@ -361,7 +360,6 @@ func (g *Gen) makeRequest() *Request {
 		endOfRow = g.colBeat+minBeats > g.rowBeats
 	}
 	g.req = Request{
-		Stream:   g,
 		Kind:     kind,
 		Class:    g.Spec.Class,
 		Priority: g.priority,

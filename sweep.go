@@ -89,6 +89,22 @@ type SweepOptions struct {
 	OnProgress func(done, total int)
 }
 
+// internal maps the options onto the executor's — the one place the
+// facade hands a store to it: a nil *Store assigned to the executor's
+// interface field would read as a store that is set.
+func (o SweepOptions) internal() sweep.Options {
+	opts := sweep.Options{
+		Workers:      o.Workers,
+		Context:      o.Context,
+		DisableCache: o.DisableCache,
+		OnProgress:   o.OnProgress,
+	}
+	if o.Store != nil {
+		opts.Store = o.Store
+	}
+	return opts
+}
+
 // SweepResult is one grid point's outcome, at its submission index.
 type SweepResult struct {
 	Index int
@@ -141,16 +157,7 @@ func Sweep(g SweepGrid, o SweepOptions) ([]SweepResult, SweepStats, error) {
 		}
 		cfgs[i] = cfg
 	}
-	opts := sweep.Options{
-		Workers:      o.Workers,
-		Context:      o.Context,
-		DisableCache: o.DisableCache,
-		OnProgress:   o.OnProgress,
-	}
-	if o.Store != nil {
-		opts.Store = o.Store
-	}
-	results, st := sweep.Run(cfgs, opts)
+	results, st := sweep.Run(cfgs, o.internal())
 	out := make([]SweepResult, len(results))
 	for i, r := range results {
 		out[i] = SweepResult{

@@ -120,55 +120,37 @@ func checkedApp(s *Spec) (appmodel.App, error) {
 	return s.App, nil
 }
 
-// decorate attaches the spec identity (content hash) and its platform
-// channel configuration to every point of a spec-driven grid.
-func (o TableOptions) decorate(cfgs []system.Config) ([]system.Config, error) {
-	if o.Spec == nil {
-		return cfgs, nil
-	}
-	hash := o.Spec.Hash()
-	run := SpecRun{}
-	if o.Spec.Run != nil {
-		run = *o.Spec.Run
-	}
+// collect is the one path from a grid to its results: it attaches the
+// spec identity (content hash) and its platform channel configuration to
+// every point of a spec-driven grid, arms the invariant layer when the
+// options ask for it, and fans the points across the sweep executor,
+// returning the results in submission order. For grids of your own
+// construction, prefer the typed sweep facade (SweepGrid / SweepOptions
+// / Sweep): it subsumes Parallel, Progress and Store for arbitrary point
+// lists and additionally exposes cancellation and per-point cache
+// provenance — TableOptions keeps these fields only for the fixed
+// paper-table drivers.
+func (o TableOptions) collect(cfgs []system.Config) ([]Result, error) {
+	var hash string
+	var run SpecRun
 	scheme := BankThenChannel
-	if run.Scheme != "" {
-		var err error
-		if scheme, err = mapping.ParseChannelScheme(run.Scheme); err != nil {
-			return nil, specErr(fmt.Errorf("%w %q", scenario.ErrBadScheme, run.Scheme))
+	if o.Spec != nil {
+		hash = o.Spec.Hash()
+		if o.Spec.Run != nil {
+			run = *o.Spec.Run
+		}
+		if run.Scheme != "" {
+			var err error
+			if scheme, err = mapping.ParseChannelScheme(run.Scheme); err != nil {
+				return nil, specErr(fmt.Errorf("%w %q", scenario.ErrBadScheme, run.Scheme))
+			}
 		}
 	}
 	for i := range cfgs {
-		cfgs[i].SpecHash = hash
-		cfgs[i].Channels = run.Channels
-		cfgs[i].Scheme = scheme
+		cfgs[i].SpecHash, cfgs[i].Channels, cfgs[i].Scheme = hash, run.Channels, scheme
+		cfgs[i].Checked = o.Checked
 	}
-	return cfgs, nil
-}
-
-// sweepOptions maps the table knobs onto the executor's. For grids of
-// your own construction, prefer the typed sweep facade (SweepGrid /
-// SweepOptions / Sweep): it subsumes Parallel, Progress and Store for
-// arbitrary point lists and additionally exposes cancellation and
-// per-point cache provenance — TableOptions keeps these fields only
-// for the fixed paper-table drivers.
-func (o TableOptions) sweepOptions() sweep.Options {
-	opts := sweep.Options{Workers: o.Parallel, OnProgress: o.Progress}
-	if o.Store != nil {
-		opts.Store = o.Store
-	}
-	return opts
-}
-
-// applyChecked arms the invariant layer on every grid point when the
-// options ask for it.
-func (o TableOptions) applyChecked(cfgs []system.Config) []system.Config {
-	if o.Checked {
-		for i := range cfgs {
-			cfgs[i].Checked = true
-		}
-	}
-	return cfgs
+	return sweep.Collect(cfgs, SweepOptions{Workers: o.Parallel, OnProgress: o.Progress, Store: o.Store}.internal())
 }
 
 // CheckedViolations counts the invariant violations recorded across the
@@ -184,14 +166,29 @@ func CheckedViolations(rows []Row) int {
 	return n
 }
 
-// runGrid fans the configurations across the sweep executor and maps
-// the results, in submission order, to table rows.
-func runGrid(cfgs []system.Config, o TableOptions) ([]Row, error) {
-	cfgs, err := o.decorate(cfgs)
+// matrix is the one grid loop behind Tables I-III and the scheduler
+// table: every application under generation x design x scheduler, in
+// that nesting order (a driver holds the axes it does not vary to one
+// value, which leaves the order of the others as written), with set
+// applying the driver's fixed knobs to each point. The results map, in
+// submission order, to table rows.
+func matrix(o TableOptions, gens []dram.Generation, designs []Design, scheds []memctrl.Scheduler, set func(*system.Config)) ([]Row, error) {
+	apps, err := o.apps()
 	if err != nil {
 		return nil, err
 	}
-	results, err := sweep.Collect(o.applyChecked(cfgs), o.sweepOptions())
+	cfgs := make([]system.Config, 0, len(apps)*len(gens)*len(designs)*len(scheds))
+	for _, app := range apps {
+		for _, gen := range gens {
+			for _, d := range designs {
+				for _, s := range scheds {
+					cfgs = append(cfgs, system.Config{App: app, Gen: gen, Design: d, Scheduler: s, Cycles: o.Cycles, Seed: o.Seed})
+					set(&cfgs[len(cfgs)-1])
+				}
+			}
+		}
+	}
+	results, err := o.collect(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -202,64 +199,36 @@ func runGrid(cfgs []system.Config, o TableOptions) ([]Row, error) {
 	return rows, nil
 }
 
-// runMatrix evaluates the given designs over every application and DDR
-// generation at the paper's clock points.
-func runMatrix(designs []Design, priority bool, o TableOptions) ([]Row, error) {
-	apps, err := o.apps()
-	if err != nil {
-		return nil, err
-	}
-	var cfgs []system.Config
-	for _, app := range apps {
-		for _, gen := range []dram.Generation{dram.DDR1, dram.DDR2, dram.DDR3} {
-			for _, d := range designs {
-				cfgs = append(cfgs, system.Config{
-					App: app, Gen: gen, Design: d,
-					PriorityDemand: priority,
-					Cycles:         o.Cycles, Seed: o.Seed,
-				})
-			}
-		}
-	}
-	return runGrid(cfgs, o)
-}
+// The axes and knobs the paper's matrices share.
+var (
+	paperGens    = []dram.Generation{dram.DDR1, dram.DDR2, dram.DDR3}
+	ownScheduler = []memctrl.Scheduler{memctrl.SchedDefault}
+)
+
+func noPriority(*system.Config)       {}
+func priority(c *system.Config)       { c.PriorityDemand = true }
+func priorityTagged(c *system.Config) { c.PriorityDemand, c.TagEveryRequest = true, true }
 
 // TableI reproduces the paper's Table I: CONV, [4], GSS and GSS+SAGM on
 // the three applications and three DDR generations, with no priority
 // memory requests.
 func TableI(o TableOptions) ([]Row, error) {
-	return runMatrix([]Design{Conv, SDRAMAware, GSS, GSSSAGM}, false, o)
+	return matrix(o, paperGens, []Design{Conv, SDRAMAware, GSS, GSSSAGM}, ownScheduler, noPriority)
 }
 
 // TableII reproduces Table II: CONV+PFS, [4]+PFS, GSS and GSS+SAGM with
 // demand requests served as priority packets.
 func TableII(o TableOptions) ([]Row, error) {
-	return runMatrix([]Design{ConvPFS, SDRAMAwarePFS, GSS, GSSSAGM}, true, o)
+	return matrix(o, paperGens, []Design{ConvPFS, SDRAMAwarePFS, GSS, GSSSAGM}, ownScheduler, priority)
 }
 
 // TableIII reproduces Table III: GSS+SAGM+STI against GSS+SAGM on DDR III
 // at the three high clock points, where short turn-around bank
-// interleaving matters.
+// interleaving matters. Every request carries the AP tag: the
+// paper-literal partially-open-page policy is the regime where short
+// turn-around interleaving hurts and the STI filters help.
 func TableIII(o TableOptions) ([]Row, error) {
-	apps, err := o.apps()
-	if err != nil {
-		return nil, err
-	}
-	var cfgs []system.Config
-	for _, app := range apps {
-		for _, d := range []Design{GSSSAGM, GSSSAGMSTI} {
-			cfgs = append(cfgs, system.Config{
-				App: app, Gen: dram.DDR3, Design: d,
-				PriorityDemand: true,
-				// The paper-literal partially-open-page policy (AP tag on
-				// every request) is the regime where short turn-around
-				// interleaving hurts and the STI filters help.
-				TagEveryRequest: true,
-				Cycles:          o.Cycles, Seed: o.Seed,
-			})
-		}
-	}
-	return runGrid(cfgs, o)
+	return matrix(o, []dram.Generation{dram.DDR3}, []Design{GSSSAGM, GSSSAGMSTI}, ownScheduler, priorityTagged)
 }
 
 // TableSchedulers evaluates the memory-scheduler zoo against the
@@ -273,23 +242,7 @@ func TableIII(o TableOptions) ([]Row, error) {
 // isolation, both at a utilization cost the rows quantify — and the
 // generation column shows how the structured-timing devices move it.
 func TableSchedulers(o TableOptions) ([]Row, error) {
-	apps, err := o.apps()
-	if err != nil {
-		return nil, err
-	}
-	var cfgs []system.Config
-	for _, app := range apps {
-		for _, gen := range []dram.Generation{dram.DDR2, dram.DDR4, dram.LPDDR3} {
-			for _, s := range memctrl.Schedulers() {
-				cfgs = append(cfgs, system.Config{
-					App: app, Gen: gen, Design: GSSSAGM, Scheduler: s,
-					PriorityDemand: true,
-					Cycles:         o.Cycles, Seed: o.Seed,
-				})
-			}
-		}
-	}
-	return runGrid(cfgs, o)
+	return matrix(o, []dram.Generation{dram.DDR2, dram.DDR4, dram.LPDDR3}, []Design{GSSSAGM}, memctrl.Schedulers(), priority)
 }
 
 // Fig8Point is one point of the Fig. 8 sweep: k GSS routers substituted
@@ -339,11 +292,7 @@ func fig8(app appmodel.App, gen, clockMHz int, o TableOptions) ([]Fig8Point, err
 			Cycles:         o.Cycles, Seed: o.Seed,
 		})
 	}
-	cfgs, err := o.decorate(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	results, err := sweep.Collect(o.applyChecked(cfgs), o.sweepOptions())
+	results, err := o.collect(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -377,7 +326,8 @@ type PowerRow struct {
 // TableV reproduces the paper's power comparison: CONV, [4] and
 // GSS+SAGM+STI running single DTV at 200 MHz, Blu-ray at 400 MHz and dual
 // DTV at 800 MHz. Gate counts come from the Table IV model scaled to each
-// mesh; activity comes from simulation.
+// mesh; activity comes from simulation. The three cases are the paper's
+// fixed application/clock pairs, so TableOptions.Spec is ignored.
 func TableV(o TableOptions) ([]PowerRow, error) {
 	cases := []struct {
 		app   string
@@ -426,7 +376,8 @@ func TableV(o TableOptions) ([]PowerRow, error) {
 			})
 		}
 	}
-	results, err := sweep.Collect(o.applyChecked(cfgs), o.sweepOptions())
+	o.Spec = nil
+	results, err := o.collect(cfgs)
 	if err != nil {
 		return nil, err
 	}
