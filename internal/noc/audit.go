@@ -21,8 +21,8 @@ package noc
 // Violations are reported through the closure so the package stays free
 // of checker dependencies; callers bind it to their Checker.
 func (m *Mesh) Audit(report func(kind, format string, args ...any)) {
-	for i, l := range m.links {
-		m.auditLink(i, l, report)
+	for i := range m.links {
+		m.auditLink(i, &m.links[i], report)
 	}
 	for _, r := range m.Routers {
 		for port := range r.In {
@@ -65,8 +65,8 @@ func (m *Mesh) Audit(report func(kind, format string, args ...any)) {
 		resident += int64(s.port.occupied())
 	}
 	var inFlight, launched, drained int64
-	for _, l := range m.links {
-		if l.flitPkt != nil {
+	for i := range m.links {
+		if m.links[i].flitPkt != nil {
 			inFlight++
 		}
 	}
@@ -84,29 +84,39 @@ func (m *Mesh) Audit(report func(kind, format string, args ...any)) {
 	m.auditActivity(report)
 }
 
-// auditActivity recomputes the incremental activity ledger (the
-// idle-skip condition) from the live structures: flits on links, flits
-// in router input buffers, and credits in flight. An imbalance means the
-// mesh could sleep while work remains — a timing bug idle-skip would
-// silently introduce. The per-router pending and want counters (the
-// router-skip and port-skip conditions) are recomputed the same way.
+// auditActivity recomputes the incremental activity state (the
+// idle-skip and sleep conditions) from the live structures. The ledger:
+// flits on links, flits in router input buffers, and credits in flight.
+// The link set: a link's busy bit is set exactly when it holds a flit or
+// a pending credit. The router set: a router whose awake bit is clear
+// has nothing its step could do — no free output VC with a matching
+// buffer head, no transfer with both a credit and an arrived unsent
+// flit. An imbalance means part of the mesh could sleep while work
+// remains — a timing bug the skipping would silently introduce. The
+// per-router pending and want counters (the port-skip conditions) are
+// recomputed the same way.
 func (m *Mesh) auditActivity(report func(kind, format string, args ...any)) {
 	var scan int64
-	for i, l := range m.links {
+	for i := range m.links {
+		l := &m.links[i]
 		if l.flitPkt != nil {
 			scan++
 		}
 		pend := 0
-		for _, n := range l.pendingCredits {
-			pend += n
+		for _, n := range l.pendingCredits() {
+			pend += int(n)
 		}
-		if pend != l.credPending {
+		if pend != int(l.credPending) {
 			report("activity-ledger", "link %d: %d pending credits but credPending %d",
 				i, pend, l.credPending)
 		}
 		scan += int64(pend)
+		holds := l.flitPkt != nil || pend > 0
+		if marked := m.linkBusy.has(i); marked != holds {
+			report("activity-ledger", "link %d: busy bit %t but holds work %t", i, marked, holds)
+		}
 	}
-	for _, r := range m.Routers {
+	for i, r := range m.Routers {
 		resident := 0
 		var want [NumPorts]int32
 		for port := range r.In {
@@ -127,9 +137,40 @@ func (m *Mesh) auditActivity(report func(kind, format string, args ...any)) {
 			report("activity-ledger", "router %v: resident routes %v but want %v",
 				r.Pos, want, r.want)
 		}
+		if !m.routerAwake.has(i) {
+			r.auditAsleep(report)
+		}
 	}
 	if scan != m.work {
 		report("activity-ledger", "mesh holds %d work items but ledger reads %d", scan, m.work)
+	}
+}
+
+// auditAsleep checks that a router outside the awake set really has
+// nothing to do: step would find no channel to allocate and no flit to
+// send.
+func (r *Router) auditAsleep(report func(kind, format string, args ...any)) {
+	for out := range r.Out {
+		o := &r.Out[out]
+		if o.link == nil {
+			continue
+		}
+		for vc := range o.active {
+			a := &o.active[vc]
+			if a.pp != nil {
+				if o.credits[vc] > 0 && a.pp.Arrived > a.pp.Sent {
+					report("activity-ledger", "router %v asleep with a sendable flit on out %s vc %d",
+						r.Pos, PortName(out), vc)
+				}
+				continue
+			}
+			for in := range r.In {
+				if pp := r.In[in].bufs[vc].head(); pp != nil && int(pp.route) == out {
+					report("activity-ledger", "router %v asleep with out %s vc %d free and in %s requesting it",
+						r.Pos, PortName(out), vc, PortName(in))
+				}
+			}
+		}
 	}
 }
 
@@ -138,11 +179,11 @@ func (m *Mesh) auditActivity(report func(kind, format string, args ...any)) {
 // buffer, and the partition always sums to the buffer capacity.
 func (l *Link) auditCounts(vc int) (balance, inFlight, occupied, pending, capacity int) {
 	balance = l.creditTo.creditBalance(vc)
-	if l.flitPkt != nil && l.flitVC == vc {
+	if l.flitPkt != nil && int(l.flitVC) == vc {
 		inFlight = 1
 	}
 	b := &l.dst.bufs[vc]
-	return balance, inFlight, b.occupied, l.pendingCredits[vc], b.capacity
+	return balance, inFlight, b.occupied, int(l.pendingCredits()[vc]), b.capacity
 }
 
 func (m *Mesh) auditLink(idx int, l *Link, report func(kind, format string, args ...any)) {

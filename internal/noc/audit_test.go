@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -150,5 +151,132 @@ func TestAuditCatchesWormholeReorder(t *testing.T) {
 	})
 	if !found {
 		t.Fatal("forwarded non-head packet not flagged as wormhole-order")
+	}
+}
+
+// activityViolations filters the audit's reports down to the
+// activity-ledger kind the two active sets are checked under.
+func activityViolations(m *Mesh) []string {
+	var out []string
+	for _, v := range collectViolations(m) {
+		if strings.HasPrefix(v, "activity-ledger: ") {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// TestAuditCatchesClearedLinkBit drops a link holding a flit out of the
+// busy set — Deliver would never visit it and the flit would sit on the
+// wire forever.
+func TestAuditCatchesClearedLinkBit(t *testing.T) {
+	m, _ := NewMesh(2, 2, 4)
+	src, dst := Coord{1, 1}, Coord{0, 0}
+	inj := m.AttachInjector(src)
+	m.AttachSink(dst, 8, 4)
+	inj.Enqueue(mkPacket(1, src, dst, 4))
+	inj.Step(0)
+	if vs := collectViolations(m); len(vs) != 0 {
+		t.Fatalf("mesh with a flit in flight not clean: %v", vs)
+	}
+	m.linkBusy.clear(int(inj.link.idx))
+	if vs := activityViolations(m); len(vs) != 1 || !strings.Contains(vs[0], "busy bit") {
+		t.Fatalf("link holding a flit outside the busy set reported as %v, want one activity-ledger", vs)
+	}
+}
+
+// TestAuditCatchesSleepingRouter puts a router to sleep while it holds a
+// head packet, a free output channel for it and the credits to send —
+// Arbitrate would pass it over until some unrelated delivery.
+func TestAuditCatchesSleepingRouter(t *testing.T) {
+	m, _ := NewMesh(2, 2, 4)
+	src, dst := Coord{1, 1}, Coord{0, 0}
+	inj := m.AttachInjector(src)
+	m.AttachSink(dst, 8, 4)
+	inj.Enqueue(mkPacket(1, src, dst, 4))
+	inj.Step(0)
+	m.Deliver(1) // the head flit lands in (1,1)'s local input; no Arbitrate yet
+	r := m.index(src)
+	if !m.routerAwake.has(r) {
+		t.Fatal("delivery did not wake the receiving router")
+	}
+	if vs := collectViolations(m); len(vs) != 0 {
+		t.Fatalf("mesh with a freshly arrived head not clean: %v", vs)
+	}
+	m.routerAwake.clear(r)
+	if vs := activityViolations(m); len(vs) != 1 || !strings.Contains(vs[0], "asleep") {
+		t.Fatalf("router asleep on an allocatable head reported as %v, want one activity-ledger", vs)
+	}
+}
+
+// TestAuditActiveSetsCleanWhenBlockedAndDrained is the other half: the
+// sets a correct mesh keeps are never flagged, in the two states the
+// sleep rules exist for. Saturated — the sink's consumer never pops, so
+// backpressure fills every buffer on the path and each router, holding
+// packets it cannot move, goes to sleep; and drained — the consumer
+// catches up and both sets empty out.
+func TestAuditActiveSetsCleanWhenBlockedAndDrained(t *testing.T) {
+	m, _ := NewMesh(3, 3, 4)
+	dst := Coord{0, 0}
+	sink := m.AttachSink(dst, 8, 2)
+	var injs []*Injector
+	id := int64(0)
+	for _, c := range []Coord{{2, 2}, {2, 0}, {0, 2}, {1, 1}} {
+		inj := m.AttachInjector(c)
+		for k := 0; k < 6; k++ {
+			id++
+			inj.Enqueue(mkPacket(id, c, dst, 5))
+		}
+		injs = append(injs, inj)
+	}
+	now := int64(0)
+	cycle := func(pop bool) {
+		m.Cycle(now)
+		for _, inj := range injs {
+			inj.Step(now)
+		}
+		sink.Step(now)
+		for pop && sink.Pop(now) != nil {
+		}
+		if vs := collectViolations(m); len(vs) != 0 {
+			t.Fatalf("cycle %d: audit flagged a healthy mesh: %v", now, vs)
+		}
+		now++
+	}
+	anySet := func(words bitset) bool {
+		for _, w := range words {
+			if w != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for now < 200 {
+		cycle(false)
+	}
+	_, _, stepsBlocked := m.WorkCounts()
+	for now < 300 {
+		cycle(false)
+	}
+	if _, _, steps := m.WorkCounts(); steps != stepsBlocked {
+		t.Errorf("a fully blocked mesh stepped routers %d times over 100 cycles, want 0", steps-stepsBlocked)
+	}
+	if m.Activity() == 0 || anySet(m.linkBusy) || anySet(m.routerAwake) {
+		t.Fatalf("blocked mesh: activity %d, busy links %v, awake routers %v; want packets resident and both sets empty",
+			m.Activity(), m.linkBusy, m.routerAwake)
+	}
+	for now < 900 {
+		cycle(true)
+	}
+	if !m.Quiescent() || m.Activity() != 0 || anySet(m.linkBusy) || anySet(m.routerAwake) {
+		t.Fatalf("drained mesh: activity %d, busy links %v, awake routers %v; want all clear",
+			m.Activity(), m.linkBusy, m.routerAwake)
+	}
+	var launched int64
+	for _, inj := range injs {
+		launched += inj.LaunchedFlits()
+	}
+	if launched != id*5 || launched != sink.DrainedFlits() {
+		t.Fatalf("launched %d flits of %d, drained %d", launched, id*5, sink.DrainedFlits())
 	}
 }

@@ -55,19 +55,14 @@ type inputPort struct {
 	bufs []InputBuffer
 }
 
-// init builds the port's VC buffers over fifos, vcs*capacity entries of
-// packet-FIFO backing the caller allocated (one slice per mesh).
-func (p *inputPort) init(vcs, capacity int, fifos []*PacketProgress) {
-	p.bufs = make([]InputBuffer, vcs)
+// init builds the port's VC buffers in bufs over fifos, one buffer and
+// capacity entries of packet-FIFO backing per VC, both carved by the
+// caller from slices it allocated once (per mesh, for router ports).
+func (p *inputPort) init(bufs []InputBuffer, capacity int, fifos []*PacketProgress) {
+	p.bufs = bufs
 	for v := range p.bufs {
 		p.bufs[v].init(v, capacity, fifos[v*capacity:v*capacity:(v+1)*capacity])
 	}
-}
-
-func newInputPort(vcs, capacity int) *inputPort {
-	p := &inputPort{}
-	p.init(vcs, capacity, make([]*PacketProgress, vcs*capacity))
-	return p
 }
 
 // occupied sums flits held across the port's VCs.

@@ -22,18 +22,45 @@ type Link struct {
 	creditTo creditReceiver
 	sink     *Sink // non-nil when dst is a sink's credit buffer
 
-	flitPkt  *Packet
-	flitHead bool
-	flitVC   int
+	flitPkt *Packet
 
-	pendingCredits []int // per VC
-	credPending    int   // total queued credits across VCs
+	// idx is the link's position in the mesh's link arena, its bit in
+	// Mesh.linkBusy and (times the VC count) the offset of its pending
+	// credits in Mesh.linkCredits. dstRouter/srcRouter are the arena
+	// indices of the router owning the destination input port and of the
+	// one owning the credited output port (-1 for a sink and an
+	// injector): the routers a delivery on this link gives something to
+	// do. The narrow types keep the arena at 72 bytes a link.
+	idx                  int32
+	dstRouter, srcRouter int32
+	credPending          int32 // total queued credits across VCs
+	flitVC               int8
+	flitHead             bool
 }
 
-func newLink(m *Mesh, dst *inputPort, creditTo creditReceiver) *Link {
-	l := &Link{m: m, dst: dst, creditTo: creditTo, pendingCredits: make([]int, len(dst.bufs))}
-	for i := range dst.bufs {
-		dst.bufs[i].feed = l
+// pendingCredits returns the link's queued credit counts, per VC.
+func (l *Link) pendingCredits() []int32 {
+	vcs := l.m.vcs
+	return l.m.linkCredits[int(l.idx)*vcs:][:vcs]
+}
+
+// newLink carves the next link out of the mesh's arena. The arena was
+// sized at construction and is never regrown, so the returned pointer
+// (held by out.link, buf.feed and the NIs) stays valid; a node takes at
+// most one injector and one sink.
+func (m *Mesh) newLink(dst *inputPort, creditTo creditReceiver, dstRouter, srcRouter int) *Link {
+	i := len(m.links)
+	if i == cap(m.links) {
+		panic("noc: more than one injector and one sink attached per node")
+	}
+	m.links = m.links[:i+1]
+	l := &m.links[i]
+	*l = Link{
+		m: m, dst: dst, creditTo: creditTo,
+		idx: int32(i), dstRouter: int32(dstRouter), srcRouter: int32(srcRouter),
+	}
+	for v := range dst.bufs {
+		dst.bufs[v].feed = l
 	}
 	return l
 }
@@ -45,15 +72,17 @@ func (l *Link) launch(p *Packet, head bool, vc int) {
 	if l.flitPkt != nil {
 		panic("noc: two flits launched on one link in one cycle")
 	}
-	l.flitPkt, l.flitHead, l.flitVC = p, head, vc
+	l.flitPkt, l.flitHead, l.flitVC = p, head, int8(vc)
+	l.m.linkBusy.set(int(l.idx))
 	l.m.workAdd(1)
 }
 
 // returnCredit queues a credit for the upstream sender's given VC; it is
 // applied on the next deliver phase.
 func (l *Link) returnCredit(vc int) {
-	l.pendingCredits[vc]++
+	l.pendingCredits()[vc]++
 	l.credPending++
+	l.m.linkBusy.set(int(l.idx))
 	l.m.workAdd(1)
 }
 
@@ -61,28 +90,40 @@ func (l *Link) returnCredit(vc int) {
 // applies queued credits upstream. A flit landing in a router buffer
 // stays on the mesh's activity ledger (the router must forward it); one
 // landing in a sink's credit buffer leaves it — the sink's consumer is
-// woken to drain it instead.
+// woken to drain it instead. Either half hands a router something its
+// step can act on — a flit to forward, a credit to spend — so deliver
+// is the one place a router's awake bit is set.
 func (l *Link) deliver(now int64) {
+	m := l.m
+	if l.flitPkt != nil || l.credPending > 0 {
+		m.linkDeliveries++
+	}
 	if l.flitPkt != nil {
-		pkt, head, vc := l.flitPkt, l.flitHead, l.flitVC
+		pkt, head, vc := l.flitPkt, l.flitHead, int(l.flitVC)
 		l.flitPkt = nil
 		l.dst.bufs[vc].acceptFlit(pkt, head, now)
 		if l.sink != nil {
-			l.m.workAdd(-1)
+			m.workAdd(-1)
 			if l.sink.OnArrival != nil {
 				l.sink.OnArrival(now)
 			}
+		} else {
+			m.routerAwake.set(int(l.dstRouter))
 		}
 	}
-	if l.credPending > 0 && l.creditTo != nil {
-		for vc, n := range l.pendingCredits {
+	if l.credPending > 0 {
+		pending := l.pendingCredits()
+		for vc, n := range pending {
 			if n > 0 {
-				l.creditTo.addCredits(vc, n)
-				l.pendingCredits[vc] = 0
+				l.creditTo.addCredits(vc, int(n))
+				pending[vc] = 0
 			}
 		}
-		l.m.workAdd(-int64(l.credPending))
+		m.workAdd(-int64(l.credPending))
 		l.credPending = 0
+		if l.srcRouter >= 0 {
+			m.routerAwake.set(int(l.srcRouter))
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"aanoc/internal/sim"
 )
@@ -74,6 +75,17 @@ func HopDistance(a, b Coord) int {
 	return dx + dy
 }
 
+// bitset is a fixed-size set of small integers, one bit each. The mesh
+// walks its words directly (Deliver, Arbitrate) to visit members in
+// ascending order.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (i & 63) }
+func (b bitset) has(i int) bool { return b[i>>6]>>(i&63)&1 == 1 }
+
 // Mesh is one physical network: Width x Height routers plus the links
 // between them. Request and response traffic use separate Mesh instances.
 type Mesh struct {
@@ -81,9 +93,30 @@ type Mesh struct {
 	Routers       []*Router
 	vcs           int
 
-	links     []*Link
-	injectors []*Injector
-	sinks     []*Sink
+	// links is the link arena, in construction order: the inter-router
+	// links, then one per attached injector or sink. Its capacity is fixed
+	// at construction (newLink), so &links[i] is stable and i is the
+	// link's bit in linkBusy. linkCredits backs every link's per-VC
+	// pending-credit counters.
+	links       []Link
+	linkCredits []int32
+	injectors   []*Injector
+	sinks       []*Sink
+
+	// The two active sets, one bit per link and per router, index order =
+	// construction order. A link's bit is set while it holds a flit or a
+	// pending credit: launch and returnCredit set it, Deliver clears it.
+	// A router's bit is set by a delivery that lands a flit in one of its
+	// input buffers or credits one of its outputs, and cleared by
+	// Arbitrate once the router can make no progress until the next such
+	// delivery (see Arbitrate). The checked-mode audit recomputes both
+	// from the live structures every cycle.
+	linkBusy    bitset
+	routerAwake bitset
+
+	// Work counters for the proportionality tests: links Deliver visited,
+	// links that had something to deliver, Router.step entries.
+	linkVisits, linkDeliveries, routerSteps int64
 
 	// progress is the mesh's PacketProgress free-list: entries are leased
 	// as head flits arrive and returned (zeroed, so a stale *Packet cannot
@@ -130,23 +163,34 @@ func NewMeshVC(width, height, bufFlits, vcs int) (*Mesh, error) {
 	if vcs < 1 || vcs > 4 {
 		return nil, fmt.Errorf("noc: virtual channels must be 1..4, got %d", vcs)
 	}
-	m := &Mesh{Width: width, Height: height, vcs: vcs}
+	// Every link the mesh can ever hold: both directions between
+	// neighbours, plus an injector and a sink per node.
+	nLinks := 2*((width-1)*height+width*(height-1)) + 2*width*height
+	m := &Mesh{
+		Width: width, Height: height, vcs: vcs,
+		links:       make([]Link, 0, nLinks),
+		linkCredits: make([]int32, nLinks*vcs),
+		linkBusy:    newBitset(nLinks),
+		routerAwake: newBitset(width * height),
+	}
 	// One contiguous arena for all routers: the per-cycle Arbitrate walk
 	// touches sequential memory. The *Router view stays because pointers
 	// into the arena are stable (the backing slice is never resized).
 	arena := make([]Router, width*height)
 	m.Routers = make([]*Router, width*height)
 	// Likewise one backing slice each for every port's per-VC credits,
-	// transfer slots and packet FIFOs; a router carves its share.
+	// transfer slots, input buffers and packet FIFOs; a router carves its
+	// share.
 	per := NumPorts * vcs
 	credits := make([]int, len(arena)*per)
 	active := make([]activeXfer, len(arena)*per)
+	bufs := make([]InputBuffer, len(arena)*per)
 	fifos := make([]*PacketProgress, len(arena)*per*bufFlits)
 	for y := 0; y < height; y++ {
 		for x := 0; x < width; x++ {
 			i := m.index(Coord{x, y})
 			lo, hi := i*per, (i+1)*per
-			arena[i].init(Coord{x, y}, vcs, bufFlits, credits[lo:hi], active[lo:hi], fifos[lo*bufFlits:hi*bufFlits])
+			arena[i].init(Coord{x, y}, vcs, bufFlits, credits[lo:hi], active[lo:hi], bufs[lo:hi], fifos[lo*bufFlits:hi*bufFlits])
 			m.Routers[i] = &arena[i]
 		}
 	}
@@ -186,12 +230,10 @@ func (m *Mesh) RouterAt(c Coord) *Router {
 // connect wires src's output port to dst's input port with a 1-cycle link.
 func (m *Mesh) connect(src *Router, srcPort int, dst *Router, dstPort int) {
 	in, out := &dst.In[dstPort], &src.Out[srcPort]
-	l := newLink(m, in, out)
-	out.link = l
+	out.link = m.newLink(in, out, m.index(dst.Pos), m.index(src.Pos))
 	for vc := range in.bufs {
 		out.credits[vc] = in.bufs[vc].capacity
 	}
-	m.links = append(m.links, l)
 }
 
 // AttachInjector connects an injection source (a network interface) to the
@@ -203,8 +245,7 @@ func (m *Mesh) AttachInjector(c Coord) *Injector {
 	for vc := range in.bufs {
 		inj.credits[vc] = in.bufs[vc].capacity
 	}
-	inj.link = newLink(m, in, inj)
-	m.links = append(m.links, inj.link)
+	inj.link = m.newLink(in, inj, m.index(c), -1)
 	m.injectors = append(m.injectors, inj)
 	return inj
 }
@@ -217,41 +258,61 @@ func (m *Mesh) AttachSink(c Coord, queueFlits, maxReady int) *Sink {
 	r := m.RouterAt(c)
 	s := newSink(m.vcs, queueFlits, maxReady)
 	out := &r.Out[PortLocal]
-	l := newLink(m, s.port, out)
+	l := m.newLink(&s.port, out, -1, m.index(c))
 	l.sink = s
 	out.link = l
 	for vc := range out.credits {
 		out.credits[vc] = queueFlits
 	}
-	m.links = append(m.links, l)
 	m.sinks = append(m.sinks, s)
 	return s
 }
 
-// Deliver is the mesh's Deliver-phase work: every link moves the flit
-// and credits launched last cycle to their destinations. Links with
-// nothing pending are passed over; the iteration order of the rest is
-// fixed (construction order), because same-cycle packet arrivals reach
-// a shared allocator in this order.
+// Deliver is the mesh's Deliver-phase work: every link holding a flit or
+// a pending credit moves them to their destinations, and nothing else is
+// touched. The busy set is walked in ascending bit order, which is
+// construction order — same-cycle packet arrivals reach a shared
+// allocator in this order. Each word is read once: nothing launches
+// during Deliver, and a delivered link holds nothing, so its bit clears.
 func (m *Mesh) Deliver(now int64) {
-	for _, l := range m.links {
-		if l.flitPkt == nil && l.credPending == 0 {
-			continue
+	for w, word := range m.linkBusy {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			m.linkVisits++
+			m.links[w<<6|b].deliver(now)
+			m.linkBusy.clear(w<<6 | b)
 		}
-		l.deliver(now)
 	}
 }
 
-// Arbitrate is the mesh's Arbitrate-phase work: every router holding at
-// least one packet allocates free output channels and forwards at most
-// one flit per output. Routers with no resident packet are skipped —
-// with nothing buffered there is nothing to allocate or forward.
+// Arbitrate is the mesh's Arbitrate-phase work: every awake router
+// allocates free output channels and forwards at most one flit per
+// output, in ascending index order. A router goes back to sleep when it
+// holds no packet, or when its step changed nothing and asked nothing of
+// a time-dependent allocator (Router.step): what is left is then waiting
+// on a flit or a credit, and only a delivery — which sets the bit again
+// — brings either.
 func (m *Mesh) Arbitrate(now int64) {
-	for _, r := range m.Routers {
-		if r.pending > 0 {
-			r.step(now)
+	for w, word := range m.routerAwake {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			r := m.Routers[w<<6|b]
+			if r.pending > 0 {
+				m.routerSteps++
+				if r.step(now) {
+					continue
+				}
+			}
+			m.routerAwake.clear(w<<6 | b)
 		}
 	}
+}
+
+// WorkCounts returns how much the mesh has walked so far: links Deliver
+// visited, links that had a flit or credit to deliver, and Router.step
+// entries. Pure functions of the traffic, so tests pin them.
+func (m *Mesh) WorkCounts() (linkVisits, linkDeliveries, routerSteps int64) {
+	return m.linkVisits, m.linkDeliveries, m.routerSteps
 }
 
 // Cycle advances the mesh one full cycle standalone: Deliver then
@@ -289,8 +350,8 @@ func (m *Mesh) Quiescent() bool {
 			}
 		}
 	}
-	for _, l := range m.links {
-		if l.busy() {
+	for i := range m.links {
+		if m.links[i].busy() {
 			return false
 		}
 	}

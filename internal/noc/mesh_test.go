@@ -331,3 +331,56 @@ func TestFlitsForBeats(t *testing.T) {
 		}
 	}
 }
+
+// holdUntil is a time-dependent flow-control policy: it leaves the
+// channel idle, candidates or not, until cycle at.
+type holdUntil struct {
+	at      int64
+	refused int
+}
+
+func (h *holdUntil) OnPacketArrival(*Packet, int64) {}
+func (h *holdUntil) OnScheduled(*Packet, int64)     {}
+func (h *holdUntil) Select(c []Candidate, now int64) int {
+	if now < h.at {
+		h.refused++
+		return -1
+	}
+	return 0
+}
+
+// TestDecliningAllocatorKeepsRouterAwake: a policy that refuses to pick
+// among waiting candidates sees the clock and may answer otherwise next
+// cycle, so the router must keep asking with nothing delivered to it
+// meanwhile. The held packet leaves exactly when the policy relents.
+func TestDecliningAllocatorKeepsRouterAwake(t *testing.T) {
+	deliveredAt := func(hold int64) (int64, *holdUntil) {
+		m, _ := NewMesh(2, 1, 8)
+		src, dst := Coord{1, 0}, Coord{0, 0}
+		h := &holdUntil{at: hold}
+		m.RouterAt(src).Out[PortWest].alloc = h
+		inj := m.AttachInjector(src)
+		sink := m.AttachSink(dst, 16, 4)
+		inj.Enqueue(mkPacket(1, src, dst, 1))
+		for now := int64(0); now < 200; now++ {
+			m.Cycle(now)
+			inj.Step(now)
+			sink.Step(now)
+			if sink.Pop(now) != nil {
+				return now, h
+			}
+		}
+		t.Fatalf("packet held until cycle %d never delivered", hold)
+		return 0, nil
+	}
+	free, _ := deliveredAt(0)
+	held, h := deliveredAt(50)
+	// The head reaches the router's buffer at cycle 1, so an unheld grant
+	// happens then; a grant at cycle 50 instead delays delivery by 49.
+	if held != free+49 {
+		t.Errorf("packet held until cycle 50 delivered at %d, unheld at %d: want %d", held, free, free+49)
+	}
+	if h.refused != 49 {
+		t.Errorf("policy was asked and refused %d times, want once a cycle over cycles 1-49", h.refused)
+	}
+}

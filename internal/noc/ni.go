@@ -19,6 +19,12 @@ type Injector struct {
 	// OnFirstFlit, when set, is invoked as a packet's head flit enters
 	// the network — the reference point for network-entry latency.
 	OnFirstFlit func(p *Packet, now int64)
+
+	// OnCredit, when set, is invoked as the Deliver phase returns a
+	// credit on a VC with a packet queued — the one event that can turn
+	// CanLaunch true from outside. The simulation kernel uses it to wake
+	// the injecting component; a credit for an empty queue wakes no one.
+	OnCredit func()
 }
 
 func newInjector(vcs int) *Injector {
@@ -29,7 +35,12 @@ func newInjector(vcs int) *Injector {
 	}
 }
 
-func (inj *Injector) addCredits(vc, n int) { inj.credits[vc] += n }
+func (inj *Injector) addCredits(vc, n int) {
+	inj.credits[vc] += n
+	if inj.OnCredit != nil && len(inj.queues[vc]) > 0 {
+		inj.OnCredit()
+	}
+}
 
 func (inj *Injector) creditBalance(vc int) int { return inj.credits[vc] }
 
@@ -65,6 +76,18 @@ func (inj *Injector) QueueFlits() int { return inj.queuedFlits }
 // QueueFlitsHWM returns the high-water mark of the injection backlog in
 // flits — how close the NI queue came to its InjectCap over the run.
 func (inj *Injector) QueueFlitsHWM() int { return inj.flitsHWM }
+
+// CanLaunch reports whether Step would launch a flit: some VC has both
+// a queued packet and a credit. While false, Step is a no-op and stays
+// one until an Enqueue or a credit's return.
+func (inj *Injector) CanLaunch() bool {
+	for vc, q := range inj.queues {
+		if len(q) > 0 && inj.credits[vc] > 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // Step launches at most one flit, serving the priority VC first. Call
 // at most once per cycle, after the mesh's Deliver/Arbitrate phases.
@@ -105,7 +128,7 @@ func (inj *Injector) Step(now int64) {
 // so a packet longer than the flit buffer still flows through as long as
 // the consumer keeps up.
 type Sink struct {
-	port     *inputPort
+	port     inputPort
 	maxReady int
 	partial  []int // flits of each VC's head packet already drained
 	ready    []*Packet
@@ -122,11 +145,9 @@ type Sink struct {
 }
 
 func newSink(vcs, queueFlits, maxReady int) *Sink {
-	return &Sink{
-		port:     newInputPort(vcs, queueFlits),
-		maxReady: maxReady,
-		partial:  make([]int, vcs),
-	}
+	s := &Sink{maxReady: maxReady, partial: make([]int, vcs)}
+	s.port.init(make([]InputBuffer, vcs), queueFlits, make([]*PacketProgress, vcs*queueFlits))
+	return s
 }
 
 // Step drains arrived flits into the reassembly area, priority VC first.

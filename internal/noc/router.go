@@ -62,6 +62,19 @@ func (o *OutputPort) addCredits(vc, n int) { o.credits[vc] += n }
 
 func (o *OutputPort) creditBalance(vc int) int { return o.credits[vc] }
 
+// UnlaunchedGrants counts the port's granted transfers that have not yet
+// launched their head flit: the packets Grants has counted and
+// BusyCycles has not begun to.
+func (o *OutputPort) UnlaunchedGrants() int {
+	n := 0
+	for i := range o.active {
+		if pp := o.active[i].pp; pp != nil && pp.Sent == 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Connected reports whether the port has a downstream link (edge ports of
 // the mesh are left unwired unless a sink is attached).
 func (o *OutputPort) Connected() bool { return o.link != nil }
@@ -87,15 +100,17 @@ type Router struct {
 
 	// pending counts packets resident in the router's input buffers
 	// (arrived head flit, not yet fully forwarded). While zero, step is a
-	// no-op — no allocation candidates, no active transfers — and the
-	// mesh skips the router. Packets, not flits: a resident packet whose
-	// flits are all forwarded-or-unarrived must still be visited every
-	// cycle so channel allocation happens the cycle the head arrives.
+	// no-op — no allocation candidates, no active transfers — and
+	// Arbitrate puts the router to sleep without calling it. Packets, not
+	// flits: a resident packet whose flits are all forwarded-or-unarrived
+	// still waits on an arrival, which wakes the router the cycle the
+	// flit lands.
 	pending int
 
 	// want counts resident packets routed to each output port (pinned at
 	// head arrival). A port with want zero has no candidates and no
-	// active transfer, so step skips it without touching its VC slots.
+	// active transfer, so step passes over it without touching its VC
+	// slots.
 	want [NumPorts]int32
 
 	// cands/candBufs are scratch storage for allocate, sized for the
@@ -104,16 +119,16 @@ type Router struct {
 	candBufs [NumPorts]*InputBuffer
 }
 
-// init wires one router of a mesh. credits, active and fifos are its
-// share of the mesh-wide backing slices (NumPorts*vcs entries; bufFlits
-// times that for fifos), carved here into one run per port.
-func (r *Router) init(pos Coord, vcs, bufFlits int, credits []int, active []activeXfer, fifos []*PacketProgress) {
+// init wires one router of a mesh. credits, active, bufs and fifos are
+// its share of the mesh-wide backing slices (NumPorts*vcs entries;
+// bufFlits times that for fifos), carved here into one run per port.
+func (r *Router) init(pos Coord, vcs, bufFlits int, credits []int, active []activeXfer, bufs []InputBuffer, fifos []*PacketProgress) {
 	r.Pos = pos
 	r.vcs = vcs
 	onNewPacket := r.onNewPacket // bound once: every VC buffer shares the method value
 	for p := 0; p < NumPorts; p++ {
 		lo, hi := p*vcs, (p+1)*vcs
-		r.In[p].init(vcs, bufFlits, fifos[lo*bufFlits:hi*bufFlits])
+		r.In[p].init(bufs[lo:hi:hi], bufFlits, fifos[lo*bufFlits:hi*bufFlits])
 		o := &r.Out[p]
 		o.alloc = fifoAllocator{}
 		o.credits = credits[lo:hi:hi]
@@ -156,7 +171,17 @@ func vcOf(p *Packet, vcs int) int {
 // step performs this router's work for one cycle: allocate free output
 // VCs and forward at most one flit per output (the physical link carries
 // one flit per cycle; the priority VC goes first).
-func (r *Router) step(now int64) {
+//
+// It reports whether the router must be stepped again next cycle even if
+// nothing is delivered to it meanwhile. Three cases say yes: it granted a
+// channel (the winner's head flit may have had to wait for its buffer's
+// one forward per cycle), it launched a flit (more of the packet, or the
+// buffer's next head, may follow), or an allocator declined to pick
+// among waiting candidates (policies see the clock and may answer
+// otherwise next cycle). Otherwise every free channel has no requester
+// and every transfer lacks a credit or an arrived flit — a state only a
+// delivery changes.
+func (r *Router) step(now int64) (again bool) {
 	for out := 0; out < NumPorts; out++ {
 		o := &r.Out[out]
 		if o.link == nil {
@@ -168,8 +193,8 @@ func (r *Router) step(now int64) {
 			continue
 		}
 		for vc := range o.active {
-			if o.active[vc].pp == nil {
-				r.allocate(out, vc, now)
+			if o.active[vc].pp == nil && r.allocate(out, vc, now) {
+				again = true
 			}
 		}
 		// Send one flit: highest VC (priority) first.
@@ -182,6 +207,7 @@ func (r *Router) step(now int64) {
 			o.link.launch(a.pp.Pkt, head, vc)
 			o.credits[vc]--
 			o.BusyCycles++
+			again = true
 			if a.buf.forwardFlit(a.pp, now) {
 				// forwardFlit released the PacketProgress to the pool; drop
 				// the transfer slot without touching it again.
@@ -192,13 +218,16 @@ func (r *Router) step(now int64) {
 			break
 		}
 	}
+	return again
 }
 
 // allocate gathers the input-buffer heads of the given VC requesting
 // output port out and asks the port's allocator to pick a winner. The
 // candidate lists live in the router's scratch arrays — no per-cycle
-// allocation.
-func (r *Router) allocate(out, vc int, now int64) {
+// allocation. It reports whether the allocator was consulted (a grant or
+// a refusal, either of which keeps the router awake); false means no
+// head requests the channel.
+func (r *Router) allocate(out, vc int, now int64) bool {
 	n := 0
 	for in := 0; in < NumPorts; in++ {
 		b := &r.In[in].bufs[vc]
@@ -211,17 +240,18 @@ func (r *Router) allocate(out, vc int, now int64) {
 		n++
 	}
 	if n == 0 {
-		return
+		return false
 	}
 	o := &r.Out[out]
 	idx := o.alloc.Select(r.cands[:n], now)
 	if idx < 0 {
-		return
+		return true
 	}
 	buf := r.candBufs[idx]
 	o.active[vc] = activeXfer{buf: buf, pp: buf.head()}
 	o.Grants++
 	o.alloc.OnScheduled(r.cands[idx].Pkt, now)
+	return true
 }
 
 // fifoAllocator is the default placeholder policy: it grants the first

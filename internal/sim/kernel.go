@@ -69,9 +69,14 @@ const Never = int64(math.MaxInt64)
 // input must Wake the component's Handle. Sleeping must be
 // unobservable: a component may only sleep through cycles where its
 // Tick would not have changed any state (its own or the counters it
-// maintains). Returning now+1 every cycle is always correct — idle-skip
-// is then just never applied — so components opt into skipping only
-// where idleness is provably a no-op.
+// maintains). The corollary for a counter that a sleeping Tick would
+// have bumped every cycle: it may be kept lazily — owed for the slept
+// span and paid in one step — provided what the payment depends on is
+// constant while asleep, it is paid before anything mutates that, and
+// every reader pays first, so no observer ever sees the debt
+// (system.Runner.settle is the one instance). Returning now+1 every
+// cycle is always correct — idle-skip is then just never applied — so
+// components opt into skipping only where idleness is provably a no-op.
 type Component interface {
 	// Name identifies the component in diagnostics.
 	Name() string
@@ -111,6 +116,7 @@ func (h *Handle) Wake(at int64) {
 type Kernel struct {
 	now      int64
 	steps    int64
+	ticks    int64
 	byPhase  [NumPhases][]*Handle
 	handles  []*Handle
 	idleSkip bool
@@ -134,6 +140,11 @@ func (k *Kernel) Now() int64 { return k.now }
 // loops run). With idle-skip on this can be far below Now(): the
 // difference is the cycles fast-forwarded over.
 func (k *Kernel) Steps() int64 { return k.steps }
+
+// Ticks returns how many component ticks the kernel has made: the
+// simulator's own work, where Steps counts visited cycles. A pure
+// function of the registered components and their wake protocol.
+func (k *Kernel) Ticks() int64 { return k.ticks }
 
 // Register adds a component, initially awake at the current cycle.
 // Registration order is tick order within a phase and must therefore be
@@ -161,6 +172,7 @@ func (k *Kernel) Step() {
 			if k.idleSkip && h.wakeAt > now {
 				continue
 			}
+			k.ticks++
 			h.c.Tick(now)
 			if w := h.c.NextWake(now); w > now {
 				h.wakeAt = w

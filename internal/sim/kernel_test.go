@@ -79,6 +79,11 @@ func TestKernelIdleSkip(t *testing.T) {
 	if k.Now() != 12 {
 		t.Fatalf("Now() = %d, want 12", k.Now())
 	}
+	// Steps counts the cycles visited, Ticks the component ticks made in
+	// them: one component, three visits.
+	if k.Steps() != 3 || k.Ticks() != 3 {
+		t.Fatalf("Steps() = %d, Ticks() = %d, want 3 and 3", k.Steps(), k.Ticks())
+	}
 }
 
 // TestKernelIdleSkipOffEquivalence runs the same component set with and

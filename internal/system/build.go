@@ -52,8 +52,13 @@ type coreNI struct {
 	stalls    int64 // cycles the generators lost to injection backpressure
 	generated int64 // logical requests generated (the per-core ledger)
 
-	// hInject is woken when a completion refills a closed-loop window.
+	// hInject is woken when a completion refills a closed-loop window or
+	// a credit returns to a backlogged injector.
 	hInject *sim.Handle
+	// sleptFrom is the first cycle of a blocked sleep that settle has not
+	// yet paid for: sim.Never while the injection component is awake or
+	// sleeps unblocked (nothing accrues then).
+	sleptFrom int64
 }
 
 // Runner is a fully wired simulation; Step advances it cycle by cycle.
@@ -262,7 +267,7 @@ func (r *Runner) buildCores() error {
 	r.cores = make([]*coreNI, len(cfg.App.Cores))
 	for i, spec := range cfg.App.Cores {
 		ni := &coreNI{
-			idx: i, spec: spec, stats: CoreStats{Name: spec.Name},
+			idx: i, spec: spec, stats: CoreStats{Name: spec.Name}, sleptFrom: sim.Never,
 			inj:  r.reqMesh.AttachInjector(spec.Pos),
 			sink: r.respMesh.AttachSink(spec.Pos, 2*cfg.BufFlits, 16),
 		}

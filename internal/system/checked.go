@@ -6,7 +6,9 @@ import (
 	"aanoc/internal/check"
 	"aanoc/internal/dram"
 	"aanoc/internal/memctrl"
+	"aanoc/internal/noc"
 	"aanoc/internal/obs"
+	"aanoc/internal/sim"
 )
 
 // This file wires the internal/check invariant layer into the runner.
@@ -18,7 +20,10 @@ import (
 //     shadow timing state, independent of Device.CanIssue.
 //   - NoC conservation: Mesh.Audit runs over both meshes at the end of
 //     every Runner.Step — credit loops, buffer coherence, wormhole
-//     ordering, and the launched-vs-delivered flit ledger.
+//     ordering, the launched-vs-delivered flit ledger, and the active
+//     sets (no link or router sleeps on work).
+//   - NI sleep: at the same point, every core whose injection component
+//     sleeps blocked really is blocked and unable to launch.
 //   - End-of-run accounting: finalChecks in Runner.Finish — logical
 //     request conservation overall and per core, split-chain pending
 //     bounds, GSS token-table bounds, and cross-checks of the assembled
@@ -52,8 +57,17 @@ func (r *Runner) installChecks() {
 }
 
 // auditMeshes runs the conservation walk over both meshes, binding each
-// to its component name.
+// to its component name, and checks the premise of every blocked sleep:
+// settle pays a stall per slept cycle, which is only what the tick would
+// have done if the queue stayed at InjectCap and nothing could launch.
 func (r *Runner) auditMeshes(now int64) {
+	for _, c := range r.cores {
+		if c.sleptFrom != sim.Never && (c.inj.CanLaunch() || c.inj.QueueFlits() < r.cfg.InjectCap) {
+			r.chk.Reportf(now, "ni/"+c.spec.Name, "ni-sleep",
+				"injection sleeps blocked with %d of %d flits queued, can launch: %t",
+				c.inj.QueueFlits(), r.cfg.InjectCap, c.inj.CanLaunch())
+		}
+	}
 	r.reqMesh.Audit(func(kind, format string, args ...any) {
 		r.chk.Reportf(now, "noc/request", kind, format, args...)
 	})
@@ -137,20 +151,27 @@ func (r *Runner) checkReport(rep *obs.Report, devices dram.Stats) {
 	// checker's limit, and in what sequence, must not vary between runs.
 	for _, m := range []struct {
 		name  string
+		mesh  *noc.Mesh
 		links []obs.LinkStat
-	}{{"request", rep.Network.Request.Links}, {"response", rep.Network.Response.Links}} {
-		for _, l := range m.links {
+	}{{"request", r.reqMesh, rep.Network.Request.Links}, {"response", r.respMesh, rep.Network.Response.Links}} {
+		i := 0
+		eachLink(m.mesh, func(_ *noc.Router, _ int, o *noc.OutputPort) {
+			l := m.links[i]
+			i++
 			if l.BusyCycles < 0 || l.BusyCycles > rep.Cycles {
 				c.Reportf(-1, "obs", "link-busy-bound",
 					"%s mesh %s %s busy %d cycles of a %d-cycle run",
 					m.name, l.Router, l.Port, l.BusyCycles, rep.Cycles)
 			}
-			if l.Grants < 0 || l.Grants > l.BusyCycles {
+			// Grants count at allocation, busy cycles at launch: every
+			// granted packet has launched a flit except the winners (at
+			// most one per VC) still waiting to send their first.
+			if l.Grants < 0 || l.Grants > l.BusyCycles+int64(o.UnlaunchedGrants()) {
 				c.Reportf(-1, "obs", "link-grant-bound",
-					"%s mesh %s %s granted %d packets over %d busy cycles",
-					m.name, l.Router, l.Port, l.Grants, l.BusyCycles)
+					"%s mesh %s %s granted %d packets over %d busy cycles with %d yet to launch",
+					m.name, l.Router, l.Port, l.Grants, l.BusyCycles, o.UnlaunchedGrants())
 			}
-		}
+		})
 	}
 	// The per-bank breakdown must sum to the devices' command totals
 	// (every channel's device in aggregate).

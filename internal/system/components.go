@@ -41,7 +41,12 @@ func (c *comp) NextWake(now int64) int64 { return c.next(now) }
 // Each component's NextWake gives the activity-driven idle-skip its
 // soundness: a component only sleeps through cycles its tick provably
 // would not change state, and every producer of cross-component input
-// wakes the consumer's handle.
+// wakes the consumer's handle. Nothing here polls a blocked neighbour:
+// the mesh components walk only their active sets, the injecting
+// components sleep on a backlog they have no credit for until the
+// credit's return wakes them, and the counters a blocked core's tick
+// would have bumped meanwhile are settled in arrears (settle). DESIGN.md
+// "Execution model" has the wake table.
 func (r *Runner) buildKernel() {
 	k := sim.NewKernel()
 	r.kern = k
@@ -103,12 +108,15 @@ func (r *Runner) buildKernel() {
 			name: "resp-inject" + sfx, phase: sim.PhaseInject,
 			tick: c.respInj.Step,
 			next: func(now int64) int64 {
-				if c.respInj.QueueLen() > 0 {
+				// A backlog with no credit waits on the credit, not on the
+				// clock; wakeOnCredit brings it.
+				if c.respInj.CanLaunch() {
 					return now + 1
 				}
 				return sim.Never
 			},
 		})
+		wakeOnCredit(k, c.respInj, c.hRespInj)
 	}
 
 	// A core's two: response completion, then generation and injection.
@@ -134,12 +142,14 @@ func (r *Runner) buildKernel() {
 		c.hInject = k.Register(&comp{
 			name: "core-inject/" + c.spec.Name, phase: sim.PhaseInject,
 			tick: func(now int64) {
+				r.settle(c, now)
+				c.sleptFrom = sim.Never
 				blocked := c.inj.QueueFlits() >= r.cfg.InjectCap
 				if blocked {
 					// The injection backpressure point: this core's
 					// generators lose the cycle. Counted once per core per
-					// cycle — a backlogged injector keeps the component
-					// awake, so no stall cycle is skipped.
+					// cycle, here or — for the cycles a blocked core
+					// sleeps through — in settle.
 					r.met.Stalled++
 					c.stalls++
 				}
@@ -153,8 +163,15 @@ func (r *Runner) buildKernel() {
 				c.inj.Step(now)
 			},
 			next: func(now int64) int64 {
-				if c.inj.QueueFlits() > 0 {
+				if c.inj.CanLaunch() {
 					return now + 1
+				}
+				if c.inj.QueueFlits() >= r.cfg.InjectCap {
+					// Full and out of credits: until a credit returns the
+					// tick only counts the lost cycle, and settle counts
+					// those in arrears.
+					c.sleptFrom = now + 1
+					return sim.Never
 				}
 				next := sim.Never
 				for _, g := range c.gens {
@@ -165,6 +182,7 @@ func (r *Runner) buildKernel() {
 				return next
 			},
 		})
+		wakeOnCredit(k, c.inj, c.hInject)
 	}
 
 	if se := r.cfg.SampleEvery; se > 0 {
@@ -193,6 +211,34 @@ func (r *Runner) buildKernel() {
 			next: func(now int64) int64 { return now + 1 },
 		})
 	}
+}
+
+// wakeOnCredit wakes an injecting component the cycle a credit it can
+// use comes back. Credits return in the Deliver phase, ahead of Inject,
+// so the woken tick launches in the cycle the every-cycle loop would.
+func wakeOnCredit(k *sim.Kernel, inj *noc.Injector, h *sim.Handle) {
+	inj.OnCredit = func() { h.Wake(k.Now()) }
+}
+
+// settle brings a core's lazily kept counters up to cycle now
+// (exclusive). While the core sleeps blocked its tick would only have
+// counted the lost cycle — in Metrics.Stalled, the core's stalls and
+// each due stream's Blocked — so the sleep is paid for here, in one
+// step, by whoever is about to read those counters or change what they
+// depend on: the tick itself, completeSplit before it touches a stream,
+// Metrics and Finish. With idle-skip off the core ticks every cycle and
+// there is never anything to pay.
+func (r *Runner) settle(c *coreNI, now int64) {
+	n := now - c.sleptFrom
+	if n <= 0 {
+		return // awake (sleptFrom is Never), or settled through now already
+	}
+	r.met.Stalled += n
+	c.stalls += n
+	for _, g := range c.gens {
+		g.SkipBlocked(c.sleptFrom, now)
+	}
+	c.sleptFrom = now
 }
 
 // sinkNext keeps a sink's drain component awake while flits or

@@ -7,6 +7,7 @@ import (
 
 	"aanoc/internal/appmodel"
 	"aanoc/internal/dram"
+	"aanoc/internal/mapping"
 	"aanoc/internal/memctrl"
 	"aanoc/internal/obs"
 	"aanoc/internal/trace"
@@ -54,7 +55,8 @@ func TestIdleSkipEquivalence(t *testing.T) {
 // TestIdleSkipEquivalenceVariants covers the wake paths the design grid
 // leaves out: multiple virtual channels, adaptive routing, a different
 // application and generation, an explicitly low-utilization app where
-// idle-skip actually skips, a two-channel scaled app, every design on
+// idle-skip actually skips, a two-channel scaled app, four saturated
+// points where blocked cores and routers sleep, every design on
 // DDR4 with subarrays and on LPDDR3, and every memory scheduler saturated, at low
 // utilization and under a sparse replay — four requests 9,000 cycles
 // apart, so the controller sleeps across whole regulation windows and
@@ -82,6 +84,31 @@ func TestIdleSkipEquivalenceVariants(t *testing.T) {
 		"bluray2-2ch": {
 			App: appmodel.BluRay2(), Gen: dram.DDR2, Design: GSSSAGM, Channels: 2,
 			Cycles: 6_000, PriorityDemand: true, SampleEvery: 1000,
+		},
+		// Saturated runs whose cores sleep blocked at InjectCap and whose
+		// routers sleep on credits: MemMax behind round-robin routers, the
+		// same with priority-first service and closed-loop priority
+		// streams (settle before OnComplete), two virtual channels (a
+		// credit on one VC must not wake a queue waiting on the other),
+		// and the scale-ddr4 benchmark point (meshes past one bitset word
+		// of links, four response injectors). WorkloadStats puts each
+		// stream's lazily kept Blocked count in the compared report.
+		"saturated-conv": {
+			App: appmodel.DualDTV(), Gen: dram.DDR3, Design: Conv,
+			Cycles: 20_000, SampleEvery: 1000, WorkloadStats: true,
+		},
+		"saturated-convpfs": {
+			App: appmodel.DualDTV(), Gen: dram.DDR3, Design: ConvPFS,
+			Cycles: 20_000, PriorityDemand: true, SampleEvery: 1000, WorkloadStats: true,
+		},
+		"saturated-convpfs-vc2": {
+			App: appmodel.DualDTV(), Gen: dram.DDR3, Design: ConvPFS,
+			Cycles: 20_000, PriorityDemand: true, VirtualChannels: 2, SampleEvery: 1000, WorkloadStats: true,
+		},
+		"scale-ddr4": {
+			App: appmodel.QuadDTV(), Gen: dram.DDR4, Design: GSSSAGM, PriorityDemand: true,
+			Channels: 4, Scheme: mapping.ChannelThenBankXOR, Subarrays: 4,
+			Cycles: 20_000, SampleEvery: 1000, WorkloadStats: true,
 		},
 	}
 	// Every design on the structured-timing devices: DDR4 with four

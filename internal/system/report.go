@@ -53,6 +53,7 @@ func (r *Runner) Finish() Result {
 		}
 		st.Add(d.Stats())
 	}
+	r.settleAll()
 	r.met.Cycles = now
 	rep := r.buildReport(now)
 	res := Result{
@@ -283,30 +284,36 @@ func (r *Runner) schedulerStat(now int64) *obs.SchedulerStat {
 	return st
 }
 
-// meshStats flattens one mesh's connected output ports, in router-index
-// then port order, and totals their activity.
-func meshStats(m *noc.Mesh, cycles int64) obs.MeshStats {
-	var ms obs.MeshStats
+// eachLink visits one mesh's connected output ports in router-index then
+// port order — the order of the report's link list.
+func eachLink(m *noc.Mesh, visit func(rt *noc.Router, port int, o *noc.OutputPort)) {
 	for _, rt := range m.Routers {
 		for p := 0; p < noc.NumPorts; p++ {
-			o := rt.Out[p]
-			if !o.Connected() {
-				continue
+			if o := &rt.Out[p]; o.Connected() {
+				visit(rt, p, o)
 			}
-			util := 0.0
-			if cycles > 0 {
-				util = float64(o.BusyCycles) / float64(cycles)
-			}
-			ms.BusyCycles += o.BusyCycles
-			ms.Links = append(ms.Links, obs.LinkStat{
-				Router:      rt.Pos.String(),
-				Port:        noc.PortName(p),
-				BusyCycles:  o.BusyCycles,
-				Grants:      o.Grants,
-				Utilization: util,
-			})
 		}
 	}
+}
+
+// meshStats flattens one mesh's connected output ports and totals their
+// activity.
+func meshStats(m *noc.Mesh, cycles int64) obs.MeshStats {
+	var ms obs.MeshStats
+	eachLink(m, func(rt *noc.Router, p int, o *noc.OutputPort) {
+		util := 0.0
+		if cycles > 0 {
+			util = float64(o.BusyCycles) / float64(cycles)
+		}
+		ms.BusyCycles += o.BusyCycles
+		ms.Links = append(ms.Links, obs.LinkStat{
+			Router:      rt.Pos.String(),
+			Port:        noc.PortName(p),
+			BusyCycles:  o.BusyCycles,
+			Grants:      o.Grants,
+			Utilization: util,
+		})
+	})
 	return ms
 }
 

@@ -149,6 +149,9 @@ func (r *Runner) completeSplit(p *noc.Packet, at int64) {
 	}
 	r.parents.del(p.ParentID)
 	c := r.cores[l.core]
+	// The stream's window and think time are about to change: pay the
+	// core's slept cycles at the state they were slept in.
+	r.settle(c, r.kern.Now())
 	c.stats.Completed++
 	c.stats.Beats += int64(l.beats)
 	c.stats.LatencySum += at - l.gen
@@ -241,8 +244,19 @@ func (r *Runner) injectLogical(c *coreNI, g traffic.Source, req *traffic.Request
 	}
 }
 
-// Metrics exposes the accumulating measurements (examples, tests).
-func (r *Runner) Metrics() *stats.Metrics { return &r.met }
+// Metrics exposes the accumulating measurements (examples, tests),
+// settled through the last executed cycle.
+func (r *Runner) Metrics() *stats.Metrics {
+	r.settleAll()
+	return &r.met
+}
+
+// settleAll settles every core through the current cycle.
+func (r *Runner) settleAll() {
+	for _, c := range r.cores {
+		r.settle(c, r.kern.Now())
+	}
+}
 
 // Device exposes channel 0's DRAM device (examples, tests; the only
 // device single-channel).

@@ -210,6 +210,10 @@ func (rp *Replayer) NextArrival() int64 {
 	return rp.records[rp.next].Cycle
 }
 
+// SkipBlocked implements traffic.Source: a blocked Tick leaves the
+// replayer untouched, so a blocked span has nothing to account for.
+func (rp *Replayer) SkipBlocked(from, to int64) {}
+
 // Done reports whether every record has been issued.
 func (rp *Replayer) Done() bool { return rp.next >= len(rp.records) }
 

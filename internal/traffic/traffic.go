@@ -156,6 +156,11 @@ type Source interface {
 	// exhausted trace). Ticks strictly before NextArrival return nil
 	// without changing state, so the simulation kernel skips them.
 	NextArrival() int64
+	// SkipBlocked accounts for the cycles [from, to) in one call, exactly
+	// as Tick(t, true) on each of them would have: a caller that knows
+	// its interface stays blocked over the span — and delivers no
+	// OnComplete inside it — sleeps through it and settles afterwards.
+	SkipBlocked(from, to int64)
 }
 
 // Request is a logical memory request produced by a stream, before SAGM
@@ -269,6 +274,18 @@ func (g *Gen) Tick(now int64, blocked bool) *Request {
 		g.nextAt = now + sim.Jitter(g.rng, ia, 0.4)
 	}
 	return r
+}
+
+// SkipBlocked implements Source: a blocked Tick counts a lost
+// opportunity on every cycle from nextAt on, unless the closed-loop
+// window is full; neither changes while no request issues or completes.
+func (g *Gen) SkipBlocked(from, to int64) {
+	if g.Spec.ClosedLoop && g.outstanding >= g.window() {
+		return
+	}
+	if n := to - max(from, g.nextAt); n > 0 {
+		g.Blocked += n
+	}
 }
 
 // OnComplete notifies a closed-loop stream that one outstanding request

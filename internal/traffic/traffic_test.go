@@ -119,6 +119,69 @@ func TestBlockedGeneratorRetries(t *testing.T) {
 	}
 }
 
+// TestSkipBlockedEqualsBlockedTicks: SkipBlocked over a span leaves a
+// generator exactly where a blocked Tick on every cycle of it would — for
+// an open-loop stream (spans before, across and after its next arrival)
+// and for a closed-loop one with room in its window and with none.
+func TestSkipBlockedEqualsBlockedTicks(t *testing.T) {
+	open, closed := spec(), spec()
+	closed.ClosedLoop, closed.MaxOutstanding, closed.ThinkTime = true, 2, 5
+	for name, s := range map[string]Stream{"open": open, "closed": closed} {
+		mk := func() *Gen {
+			g, err := NewGen(s, 4, 512, false, sim.NewRNG(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
+		ticked, skipped := mk(), mk()
+		now := int64(0)
+		span := func(n int64) {
+			for c := now; c < now+n; c++ {
+				if ticked.Tick(c, true) != nil {
+					t.Fatalf("%s: blocked generator emitted", name)
+				}
+			}
+			skipped.SkipBlocked(now, now+n)
+			now += n
+			if ticked.Blocked != skipped.Blocked {
+				t.Fatalf("%s: through cycle %d ticking counts %d blocked cycles, SkipBlocked %d",
+					name, now, ticked.Blocked, skipped.Blocked)
+			}
+		}
+		issue := func() {
+			for ; ; now++ {
+				a, b := ticked.Tick(now, false), skipped.Tick(now, false)
+				if (a == nil) != (b == nil) {
+					t.Fatalf("%s: cycle %d: the two generators disagree on issuing", name, now)
+				}
+				if a != nil {
+					now++
+					return
+				}
+			}
+		}
+		span(10) // before the start offset, or across it
+		span(90)
+		issue()
+		span(1)
+		span(40)
+		issue() // closed: the window is now full
+		span(30)
+		if s.ClosedLoop {
+			if ticked.Blocked != skipped.Blocked || ticked.NextArrival() != 1<<63-1 {
+				t.Fatalf("closed: full window expected, next arrival %d", ticked.NextArrival())
+			}
+			ticked.OnComplete(now)
+			skipped.OnComplete(now)
+			span(50) // room again: counts from the end of the think time
+		}
+		if ticked.Blocked == 0 {
+			t.Fatalf("%s: no blocked cycle counted", name)
+		}
+	}
+}
+
 func TestStreamingAddressesAreSequentialRowHits(t *testing.T) {
 	s := spec()
 	s.Beats = []int{16}
