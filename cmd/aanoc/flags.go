@@ -111,9 +111,16 @@ func (f *flags) register(fs *flag.FlagSet) {
 }
 
 // parse parses the subcommand's arguments; a rejected command line,
-// which the flag set has already reported, becomes errUsage.
+// reported here or by the flag set, becomes errUsage. No subcommand
+// takes positional arguments, and the flag package stops at the first
+// one: left alone, every flag after a stray word would be dropped
+// silently.
 func (f *flags) parse(args []string) error {
 	err := f.Parse(args)
+	if err == nil && f.NArg() > 0 {
+		fmt.Fprintf(f.Output(), "%s: unexpected argument %q (subcommands take flags only; the flags after it were not read)\n", f.Name(), f.Arg(0))
+		return errUsage
+	}
 	if err != nil && err != flag.ErrHelp {
 		return errUsage
 	}

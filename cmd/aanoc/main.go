@@ -52,8 +52,8 @@ var (
 	// broke an invariant or missed its calibration; the details are
 	// already on stderr. Exit status 2.
 	errViolations = errors.New("invariant violations or calibration misses (listed above)")
-	// errUsage marks a command line the flag package rejected (and
-	// reported). Exit status 2.
+	// errUsage marks a command line flags.parse rejected (and reported).
+	// Exit status 2.
 	errUsage = errors.New("usage")
 )
 

@@ -101,6 +101,9 @@ var exits = []leg{
 	{name: "no-subcommand", args: "", code: 2, stderr: "usage: aanoc <subcommand>"},
 	{name: "unknown-subcommand", args: "frobnicate", code: 2, stderr: "tables"},
 	{name: "unknown-flag", args: "sim -frobnicate", code: 2, stderr: "flag provided but not defined"},
+	// A stray word ends flag parsing: the flags after it (here the design
+	// and checked mode) used to be dropped and GSS ran unchecked, exit 0.
+	{name: "positional-argument", args: "sim -cycles 1000 oops -design CONV -checked", code: 2, stderr: `unexpected argument "oops"`, quiet: true},
 	{name: "help", args: "help sim"},
 	{name: "spec-with-app", args: "sim -spec $SPECS/bluray.json -app bluray", code: 1, stderr: "mutually exclusive"},
 	// A spec whose run block asks for an unsupported channel count is

@@ -85,64 +85,48 @@ func (m *Mesh) Audit(report func(kind, format string, args ...any)) {
 }
 
 // auditActivity recomputes the incremental activity state (the
-// idle-skip and sleep conditions) from the live structures. The ledger:
-// flits on links, flits in router input buffers, and credits in flight.
-// The link set: a link's busy bit is set exactly when it holds a flit or
-// a pending credit. The router set: a router whose awake bit is clear
-// has nothing its step could do — no free output VC with a matching
-// buffer head, no transfer with both a credit and an arrived unsent
-// flit. An imbalance means part of the mesh could sleep while work
-// remains — a timing bug the skipping would silently introduce. The
-// per-router pending and want counters (the port-skip conditions) are
-// recomputed the same way.
+// idle-skip and sleep conditions) from the live structures. The link
+// set: a link's busy bit is set exactly when it holds a flit or a pending
+// credit. The router set: a router whose awake bit is clear has nothing
+// its step could do — no free output VC with a matching buffer head, no
+// transfer with both a credit and an arrived unsent flit. An imbalance
+// means part of the mesh could sleep while work remains — a timing bug
+// the skipping would silently introduce. The per-link credit total and
+// the per-router want counters (the port-skip condition) are recomputed
+// the same way.
 func (m *Mesh) auditActivity(report func(kind, format string, args ...any)) {
-	var scan int64
 	for i := range m.links {
 		l := &m.links[i]
-		if l.flitPkt != nil {
-			scan++
-		}
 		pend := 0
 		for _, n := range l.pendingCredits() {
 			pend += int(n)
 		}
 		if pend != int(l.credPending) {
-			report("activity-ledger", "link %d: %d pending credits but credPending %d",
+			report("active-set", "link %d: %d pending credits but credPending %d",
 				i, pend, l.credPending)
 		}
-		scan += int64(pend)
 		holds := l.flitPkt != nil || pend > 0
 		if marked := m.linkBusy.has(i); marked != holds {
-			report("activity-ledger", "link %d: busy bit %t but holds work %t", i, marked, holds)
+			report("active-set", "link %d: busy bit %t but holds work %t", i, marked, holds)
 		}
 	}
 	for i, r := range m.Routers {
-		resident := 0
 		var want [NumPorts]int32
 		for port := range r.In {
 			in := &r.In[port]
-			scan += int64(in.occupied())
 			for vc := range in.bufs {
 				for _, pp := range in.bufs[vc].packets {
-					resident++
 					want[pp.route]++
 				}
 			}
 		}
-		if resident != r.pending {
-			report("activity-ledger", "router %v: %d resident packets but pending %d",
-				r.Pos, resident, r.pending)
-		}
 		if want != r.want {
-			report("activity-ledger", "router %v: resident routes %v but want %v",
+			report("active-set", "router %v: resident routes %v but want %v",
 				r.Pos, want, r.want)
 		}
 		if !m.routerAwake.has(i) {
 			r.auditAsleep(report)
 		}
-	}
-	if scan != m.work {
-		report("activity-ledger", "mesh holds %d work items but ledger reads %d", scan, m.work)
 	}
 }
 
@@ -159,14 +143,14 @@ func (r *Router) auditAsleep(report func(kind, format string, args ...any)) {
 			a := &o.active[vc]
 			if a.pp != nil {
 				if o.credits[vc] > 0 && a.pp.Arrived > a.pp.Sent {
-					report("activity-ledger", "router %v asleep with a sendable flit on out %s vc %d",
+					report("active-set", "router %v asleep with a sendable flit on out %s vc %d",
 						r.Pos, PortName(out), vc)
 				}
 				continue
 			}
 			for in := range r.In {
 				if pp := r.In[in].bufs[vc].head(); pp != nil && int(pp.route) == out {
-					report("activity-ledger", "router %v asleep with out %s vc %d free and in %s requesting it",
+					report("active-set", "router %v asleep with out %s vc %d free and in %s requesting it",
 						r.Pos, PortName(out), vc, PortName(in))
 				}
 			}

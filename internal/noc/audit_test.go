@@ -154,12 +154,12 @@ func TestAuditCatchesWormholeReorder(t *testing.T) {
 	}
 }
 
-// activityViolations filters the audit's reports down to the
-// activity-ledger kind the two active sets are checked under.
+// activityViolations filters the audit's reports down to the active-set
+// kind the two active sets and their counters are checked under.
 func activityViolations(m *Mesh) []string {
 	var out []string
 	for _, v := range collectViolations(m) {
-		if strings.HasPrefix(v, "activity-ledger: ") {
+		if strings.HasPrefix(v, "active-set: ") {
 			out = append(out, v)
 		}
 	}
@@ -181,7 +181,7 @@ func TestAuditCatchesClearedLinkBit(t *testing.T) {
 	}
 	m.linkBusy.clear(int(inj.link.idx))
 	if vs := activityViolations(m); len(vs) != 1 || !strings.Contains(vs[0], "busy bit") {
-		t.Fatalf("link holding a flit outside the busy set reported as %v, want one activity-ledger", vs)
+		t.Fatalf("link holding a flit outside the busy set reported as %v, want one active-set", vs)
 	}
 }
 
@@ -205,7 +205,61 @@ func TestAuditCatchesSleepingRouter(t *testing.T) {
 	}
 	m.routerAwake.clear(r)
 	if vs := activityViolations(m); len(vs) != 1 || !strings.Contains(vs[0], "asleep") {
-		t.Fatalf("router asleep on an allocatable head reported as %v, want one activity-ledger", vs)
+		t.Fatalf("router asleep on an allocatable head reported as %v, want one active-set", vs)
+	}
+}
+
+// TestAuditCatchesWantDrift zeroes a router's want entry under a resident
+// packet. want is the only counter between a waiting head and a sleeping
+// router: step would pass the port over, report nothing to do, and the
+// packet would never leave.
+func TestAuditCatchesWantDrift(t *testing.T) {
+	m, _ := NewMesh(2, 2, 4)
+	src, dst := Coord{1, 1}, Coord{0, 0}
+	inj := m.AttachInjector(src)
+	m.AttachSink(dst, 8, 4)
+	inj.Enqueue(mkPacket(1, src, dst, 4))
+	inj.Step(0)
+	m.Deliver(1) // the head flit lands in (1,1)'s local input
+	r := m.RouterAt(src)
+	out := XYRoute(src, dst)
+	if r.want[out] != 1 {
+		t.Fatalf("want %v after one head bound for %s, want 1 there", r.want, PortName(out))
+	}
+	if vs := collectViolations(m); len(vs) != 0 {
+		t.Fatalf("mesh with a freshly arrived head not clean: %v", vs)
+	}
+	r.want[out] = 0
+	if vs := activityViolations(m); len(vs) != 1 || !strings.Contains(vs[0], "resident routes") {
+		t.Fatalf("zeroed want under a resident packet reported as %v, want one active-set", vs)
+	}
+	// What the drift would cost: the router steps, finds nothing, sleeps.
+	m.Arbitrate(1)
+	if m.RoutersAwake() || m.linkBusy.any() {
+		t.Fatal("router with a zeroed want still forwarded its packet; the fault is not a fault")
+	}
+}
+
+// TestAuditCatchesCreditTotalDrift breaks a link's credit total against
+// its per-VC counters: deliver tests the total, so a total of zero over a
+// queued credit strands it and the sender starves.
+func TestAuditCatchesCreditTotalDrift(t *testing.T) {
+	m, _ := NewMesh(2, 2, 4)
+	src, dst := Coord{1, 1}, Coord{0, 0}
+	inj := m.AttachInjector(src)
+	m.AttachSink(dst, 8, 4)
+	inj.Enqueue(mkPacket(1, src, dst, 4))
+	inj.Step(0)
+	m.Cycle(1) // (1,1) forwards the head flit and returns its credit
+	if inj.link.credPending != 1 {
+		t.Fatalf("injector link holds %d pending credits after one forward, want 1", inj.link.credPending)
+	}
+	if vs := collectViolations(m); len(vs) != 0 {
+		t.Fatalf("mesh with a credit in flight not clean: %v", vs)
+	}
+	inj.link.credPending = 0
+	if vs := activityViolations(m); len(vs) != 1 || !strings.Contains(vs[0], "credPending") {
+		t.Fatalf("credit total behind its per-VC sum reported as %v, want one active-set", vs)
 	}
 }
 
@@ -243,34 +297,26 @@ func TestAuditActiveSetsCleanWhenBlockedAndDrained(t *testing.T) {
 		}
 		now++
 	}
-	anySet := func(words bitset) bool {
-		for _, w := range words {
-			if w != 0 {
-				return true
-			}
-		}
-		return false
-	}
 	for now < 200 {
 		cycle(false)
 	}
-	_, _, stepsBlocked := m.WorkCounts()
+	_, stepsBlocked := m.WorkCounts()
 	for now < 300 {
 		cycle(false)
 	}
-	if _, _, steps := m.WorkCounts(); steps != stepsBlocked {
+	if _, steps := m.WorkCounts(); steps != stepsBlocked {
 		t.Errorf("a fully blocked mesh stepped routers %d times over 100 cycles, want 0", steps-stepsBlocked)
 	}
-	if m.Activity() == 0 || anySet(m.linkBusy) || anySet(m.routerAwake) {
-		t.Fatalf("blocked mesh: activity %d, busy links %v, awake routers %v; want packets resident and both sets empty",
-			m.Activity(), m.linkBusy, m.routerAwake)
+	if m.Quiescent() || m.linkBusy.any() || m.routerAwake.any() {
+		t.Fatalf("blocked mesh: quiescent %t, busy links %v, awake routers %v; want packets resident and both sets empty",
+			m.Quiescent(), m.linkBusy, m.routerAwake)
 	}
 	for now < 900 {
 		cycle(true)
 	}
-	if !m.Quiescent() || m.Activity() != 0 || anySet(m.linkBusy) || anySet(m.routerAwake) {
-		t.Fatalf("drained mesh: activity %d, busy links %v, awake routers %v; want all clear",
-			m.Activity(), m.linkBusy, m.routerAwake)
+	if !m.Quiescent() || m.linkBusy.any() || m.routerAwake.any() {
+		t.Fatalf("drained mesh: quiescent %t, busy links %v, awake routers %v; want all clear",
+			m.Quiescent(), m.linkBusy, m.routerAwake)
 	}
 	var launched int64
 	for _, inj := range injs {

@@ -165,12 +165,7 @@ func (b *InputBuffer) forwardFlit(pp *PacketProgress, now int64) bool {
 	b.occupied--
 	b.lastForwardCycle = now
 	if b.feed != nil {
-		// The flit leaves this buffer for the downstream link, whose
-		// launch re-adds it to the activity ledger; the pending credit is
-		// ledger work of its own (credit before debit so the ledger never
-		// dips to zero mid-transfer).
 		b.feed.returnCredit(b.vc)
-		b.feed.m.workAdd(-1)
 	}
 	if pp.Sent == pp.Pkt.Flits {
 		b.pop()

@@ -73,8 +73,7 @@ func (l *Link) launch(p *Packet, head bool, vc int) {
 		panic("noc: two flits launched on one link in one cycle")
 	}
 	l.flitPkt, l.flitHead, l.flitVC = p, head, int8(vc)
-	l.m.linkBusy.set(int(l.idx))
-	l.m.workAdd(1)
+	l.m.markBusy(int(l.idx))
 }
 
 // returnCredit queues a credit for the upstream sender's given VC; it is
@@ -82,28 +81,23 @@ func (l *Link) launch(p *Packet, head bool, vc int) {
 func (l *Link) returnCredit(vc int) {
 	l.pendingCredits()[vc]++
 	l.credPending++
-	l.m.linkBusy.set(int(l.idx))
-	l.m.workAdd(1)
+	l.m.markBusy(int(l.idx))
 }
 
 // deliver moves the in-flight flit into the destination buffer and
 // applies queued credits upstream. A flit landing in a router buffer
-// stays on the mesh's activity ledger (the router must forward it); one
-// landing in a sink's credit buffer leaves it — the sink's consumer is
-// woken to drain it instead. Either half hands a router something its
-// step can act on — a flit to forward, a credit to spend — so deliver
-// is the one place a router's awake bit is set.
+// wakes the router (it must forward it); one landing in a sink's credit
+// buffer wakes the sink's consumer to drain it instead. Either half
+// hands a router something its step can act on — a flit to forward, a
+// credit to spend — so deliver is the one place a router's awake bit is
+// set.
 func (l *Link) deliver(now int64) {
 	m := l.m
-	if l.flitPkt != nil || l.credPending > 0 {
-		m.linkDeliveries++
-	}
 	if l.flitPkt != nil {
 		pkt, head, vc := l.flitPkt, l.flitHead, int(l.flitVC)
 		l.flitPkt = nil
 		l.dst.bufs[vc].acceptFlit(pkt, head, now)
 		if l.sink != nil {
-			m.workAdd(-1)
 			if l.sink.OnArrival != nil {
 				l.sink.OnArrival(now)
 			}
@@ -119,7 +113,6 @@ func (l *Link) deliver(now int64) {
 				pending[vc] = 0
 			}
 		}
-		m.workAdd(-int64(l.credPending))
 		l.credPending = 0
 		if l.srcRouter >= 0 {
 			m.routerAwake.set(int(l.srcRouter))

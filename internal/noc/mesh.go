@@ -86,6 +86,15 @@ func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
 func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (i & 63) }
 func (b bitset) has(i int) bool { return b[i>>6]>>(i&63)&1 == 1 }
 
+func (b bitset) any() bool {
+	for _, w := range b {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Mesh is one physical network: Width x Height routers plus the links
 // between them. Request and response traffic use separate Mesh instances.
 type Mesh struct {
@@ -104,19 +113,22 @@ type Mesh struct {
 	sinks       []*Sink
 
 	// The two active sets, one bit per link and per router, index order =
-	// construction order. A link's bit is set while it holds a flit or a
-	// pending credit: launch and returnCredit set it, Deliver clears it.
-	// A router's bit is set by a delivery that lands a flit in one of its
-	// input buffers or credits one of its outputs, and cleared by
-	// Arbitrate once the router can make no progress until the next such
-	// delivery (see Arbitrate). The checked-mode audit recomputes both
-	// from the live structures every cycle.
+	// construction order: the mesh's only activity state. A link's bit is
+	// set while it holds a flit or a pending credit: launch and
+	// returnCredit set it, Deliver clears it. A router's bit is set by a
+	// delivery that lands a flit in one of its input buffers or credits
+	// one of its outputs, and cleared by Arbitrate once the router can
+	// make no progress until the next such delivery (see Arbitrate). While
+	// both are empty Deliver and Arbitrate are no-ops and the simulation
+	// kernel skips them. Flits delivered into a sink's credit buffers are
+	// in neither — the sink's consumer tracks them. The checked-mode audit
+	// recomputes both from the live structures every cycle.
 	linkBusy    bitset
 	routerAwake bitset
 
-	// Work counters for the proportionality tests: links Deliver visited,
-	// links that had something to deliver, Router.step entries.
-	linkVisits, linkDeliveries, routerSteps int64
+	// Work counters for the proportionality tests: links Deliver visited
+	// and Router.step entries.
+	linkVisits, routerSteps int64
 
 	// progress is the mesh's PacketProgress free-list: entries are leased
 	// as head flits arrive and returned (zeroed, so a stale *Packet cannot
@@ -126,19 +138,10 @@ type Mesh struct {
 	// race-free.
 	progress sim.Pool[PacketProgress]
 
-	// work is the mesh's activity ledger: flits in flight on links, flits
-	// resident in router input buffers, and credits awaiting delivery.
-	// Flits delivered into a sink's credit buffers leave the ledger — the
-	// sink's consumer tracks them. While work is zero, Deliver and
-	// Arbitrate are provably no-ops and the simulation kernel may skip
-	// them; the checked-mode audit recomputes the ledger from the live
-	// structures every cycle.
-	work int64
-
-	// OnWake, when set, is invoked as the ledger leaves zero — some
-	// component outside the mesh's own phases (an injector launch, a
-	// sink credit return) created work. The system uses it to reschedule
-	// the mesh's kernel components.
+	// OnWake, when set, is invoked as the link set leaves empty: a launch
+	// or a credit return put the first thing on a link. Deliver empties
+	// the set, so it fires at most once per cycle. The system uses it to
+	// schedule the mesh's kernel components for the delivery.
 	OnWake func()
 }
 
@@ -287,33 +290,33 @@ func (m *Mesh) Deliver(now int64) {
 
 // Arbitrate is the mesh's Arbitrate-phase work: every awake router
 // allocates free output channels and forwards at most one flit per
-// output, in ascending index order. A router goes back to sleep when it
-// holds no packet, or when its step changed nothing and asked nothing of
-// a time-dependent allocator (Router.step): what is left is then waiting
-// on a flit or a credit, and only a delivery — which sets the bit again
-// — brings either.
+// output, in ascending index order. A router goes back to sleep when its
+// step changed nothing and asked nothing of a time-dependent allocator
+// (Router.step; a router holding no packet is the trivial case): what is
+// left is then waiting on a flit or a credit, and only a delivery —
+// which sets the bit again — brings either.
 func (m *Mesh) Arbitrate(now int64) {
 	for w, word := range m.routerAwake {
 		for ; word != 0; word &= word - 1 {
 			b := bits.TrailingZeros64(word)
-			r := m.Routers[w<<6|b]
-			if r.pending > 0 {
-				m.routerSteps++
-				if r.step(now) {
-					continue
-				}
+			m.routerSteps++
+			if !m.Routers[w<<6|b].step(now) {
+				m.routerAwake.clear(w<<6 | b)
 			}
-			m.routerAwake.clear(w<<6 | b)
 		}
 	}
 }
 
 // WorkCounts returns how much the mesh has walked so far: links Deliver
-// visited, links that had a flit or credit to deliver, and Router.step
-// entries. Pure functions of the traffic, so tests pin them.
-func (m *Mesh) WorkCounts() (linkVisits, linkDeliveries, routerSteps int64) {
-	return m.linkVisits, m.linkDeliveries, m.routerSteps
+// visited and Router.step entries. Pure functions of the traffic, so
+// tests pin them.
+func (m *Mesh) WorkCounts() (linkVisits, routerSteps int64) {
+	return m.linkVisits, m.routerSteps
 }
+
+// RoutersAwake reports whether any router may still act without a
+// further delivery, i.e. whether Arbitrate has work next cycle.
+func (m *Mesh) RoutersAwake() bool { return m.routerAwake.any() }
 
 // Cycle advances the mesh one full cycle standalone: Deliver then
 // Arbitrate. Unit tests and micro-benchmarks drive an isolated mesh
@@ -324,20 +327,13 @@ func (m *Mesh) Cycle(now int64) {
 	m.Arbitrate(now)
 }
 
-// Activity returns the mesh's live work ledger: flits on links or in
-// router buffers plus credits in flight. Zero means the mesh's Deliver
-// and Arbitrate phases are no-ops until an injector or sink creates
-// work again.
-func (m *Mesh) Activity() int64 { return m.work }
-
-// workAdd moves the activity ledger and fires OnWake on the idle-to-
-// busy transition.
-func (m *Mesh) workAdd(d int64) {
-	idle := m.work == 0
-	m.work += d
-	if idle && m.work > 0 && m.OnWake != nil {
+// markBusy puts link i in the busy set, firing OnWake if the set was
+// empty.
+func (m *Mesh) markBusy(i int) {
+	if m.OnWake != nil && !m.linkBusy.any() {
 		m.OnWake()
 	}
+	m.linkBusy.set(i)
 }
 
 // Quiescent reports whether no packet occupies any buffer or link in the

@@ -59,16 +59,6 @@ func (inj *Injector) Enqueue(p *Packet) {
 	}
 }
 
-// QueueLen returns the number of packets waiting across VCs (including
-// any being streamed).
-func (inj *Injector) QueueLen() int {
-	n := 0
-	for _, q := range inj.queues {
-		n += len(q)
-	}
-	return n
-}
-
 // QueueFlits returns the number of unsent flits waiting in the injection
 // queues; network interfaces use it to backpressure their traffic source.
 func (inj *Injector) QueueFlits() int { return inj.queuedFlits }

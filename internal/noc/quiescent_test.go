@@ -3,10 +3,13 @@ package noc
 import "testing"
 
 // TestQuiescentLifecycle walks one packet through the mesh and checks
-// Quiescent and the activity ledger at every stage: an empty mesh is
-// quiescent, a mesh with a flit on a link or in a buffer is not, and the
-// mesh returns to quiescence once the packet has drained into the sink —
-// sink residency is the NI's business, not the mesh's.
+// Quiescent, the two active sets and the OnWake contract at every stage:
+// an empty mesh is quiescent with both sets empty, a mesh with a flit on
+// a link or in a buffer is not, and the mesh returns to quiescence once
+// the packet has drained into the sink — sink residency is the NI's
+// business, not the mesh's. OnWake fires exactly once in each cycle that
+// puts the first thing on a link, and never while the link set is
+// already non-empty.
 func TestQuiescentLifecycle(t *testing.T) {
 	m, err := NewMesh(3, 3, 8)
 	if err != nil {
@@ -19,16 +22,21 @@ func TestQuiescentLifecycle(t *testing.T) {
 	if !m.Quiescent() {
 		t.Fatal("fresh mesh not quiescent")
 	}
-	if m.Activity() != 0 {
-		t.Fatalf("fresh mesh activity = %d, want 0", m.Activity())
+	if m.linkBusy.any() || m.RoutersAwake() {
+		t.Fatalf("fresh mesh: busy links %v, awake routers %v, want both empty", m.linkBusy, m.routerAwake)
 	}
 
 	woke := 0
-	m.OnWake = func() { woke++ }
+	m.OnWake = func() {
+		if m.linkBusy.any() {
+			t.Fatalf("OnWake fired with the link set already non-empty: %v", m.linkBusy)
+		}
+		woke++
+	}
 
 	// A queued packet is injector-resident: the mesh itself is untouched.
 	inj.Enqueue(mkPacket(1, src, dst, 4))
-	if !m.Quiescent() || m.Activity() != 0 {
+	if !m.Quiescent() || m.linkBusy.any() || m.RoutersAwake() {
 		t.Fatal("enqueue alone must not disturb the mesh")
 	}
 	if woke != 0 {
@@ -40,26 +48,43 @@ func TestQuiescentLifecycle(t *testing.T) {
 	if m.Quiescent() {
 		t.Fatal("mesh quiescent with a flit in flight")
 	}
-	if m.Activity() == 0 {
-		t.Fatal("activity ledger empty with a flit in flight")
+	if !m.linkBusy.has(int(inj.link.idx)) {
+		t.Fatal("link set empty with a flit in flight")
 	}
 	if woke != 1 {
-		t.Fatalf("idle-to-busy transition fired OnWake %d times, want 1", woke)
+		t.Fatalf("empty-to-busy transition fired OnWake %d times, want 1", woke)
 	}
 
-	// Drive to completion. The ledger is the wider predicate: it also
-	// counts credits in flight, so an empty ledger implies quiescence but
-	// not the reverse.
+	// Drive to completion. The sets are the wider predicate: they also
+	// cover credits in flight, so empty sets imply quiescence but not the
+	// reverse. Every cycle launches and returns credits on several links;
+	// only the first of them may fire OnWake.
 	delivered := false
 	var now int64
-	for now = 1; now < 100 && !delivered; now++ {
-		if m.Activity() == 0 && !m.Quiescent() {
-			t.Fatalf("cycle %d: empty ledger on a non-quiescent mesh", now)
+	cycle := func() {
+		if !m.linkBusy.any() && !m.RoutersAwake() && !m.Quiescent() {
+			t.Fatalf("cycle %d: both sets empty on a non-quiescent mesh", now)
 		}
-		m.Cycle(now)
+		woke = 0
+		m.Deliver(now)
+		if m.linkBusy.any() {
+			t.Fatalf("cycle %d: Deliver left links busy: %v", now, m.linkBusy)
+		}
+		m.Arbitrate(now)
 		inj.Step(now)
 		sink.Step(now)
-		delivered = sink.Pop(now) != nil
+		delivered = delivered || sink.Pop(now) != nil
+		want := 0
+		if m.linkBusy.any() {
+			want = 1
+		}
+		if woke != want {
+			t.Fatalf("cycle %d: OnWake fired %d times, link set %v: want %d", now, woke, m.linkBusy, want)
+		}
+		now++
+	}
+	for now = 1; now < 100 && !delivered; {
+		cycle()
 	}
 	if !delivered {
 		t.Fatal("packet not delivered")
@@ -67,25 +92,25 @@ func TestQuiescentLifecycle(t *testing.T) {
 	if !m.Quiescent() {
 		t.Fatal("mesh not quiescent after drain")
 	}
-	// A few more cycles flush the credits the pop released; only then
-	// must the ledger read empty.
-	for ; now < 110; now++ {
-		m.Cycle(now)
+	// The pop released credits into a mesh with nothing else on its
+	// links: that return is an empty-to-busy edge of its own — the kernel
+	// relies on it to carry the credits home.
+	if woke != 1 || !m.linkBusy.any() {
+		t.Fatalf("post-drain credit return: OnWake fired %d times, link set %v; want 1 and non-empty", woke, m.linkBusy)
 	}
-	if m.Activity() != 0 {
-		t.Fatalf("activity ledger reads %d after credit flush, want 0", m.Activity())
+	// A few more cycles flush them; only then must both sets read empty.
+	for now < 110 {
+		cycle()
 	}
-	// Two idle-to-busy transitions: the flit launch, then the credit the
-	// pop released into a fully drained ledger — the kernel relies on that
-	// second wake to carry the credit home.
-	if woke != 2 {
-		t.Fatalf("OnWake fired %d times, want 2 (launch + post-drain credit)", woke)
+	if m.linkBusy.any() || m.RoutersAwake() {
+		t.Fatalf("after credit flush: busy links %v, awake routers %v, want both empty", m.linkBusy, m.routerAwake)
 	}
 }
 
 // TestQuiescentSinkResidency pins down the boundary: a packet parked in
 // the sink's ready list keeps the mesh quiescent (links and router
-// buffers are clear) even though the NI still holds it.
+// buffers are clear, both active sets empty) even though the NI still
+// holds it.
 func TestQuiescentSinkResidency(t *testing.T) {
 	m, _ := NewMesh(2, 2, 8)
 	src, dst := Coord{1, 1}, Coord{0, 0}
@@ -103,7 +128,8 @@ func TestQuiescentSinkResidency(t *testing.T) {
 	if !m.Quiescent() {
 		t.Fatal("mesh must be quiescent with the packet sink-resident")
 	}
-	if m.Activity() != 0 {
-		t.Fatalf("activity = %d with the packet sink-resident, want 0", m.Activity())
+	if m.linkBusy.any() || m.RoutersAwake() {
+		t.Fatalf("busy links %v, awake routers %v with the packet sink-resident, want both empty",
+			m.linkBusy, m.routerAwake)
 	}
 }

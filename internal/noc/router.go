@@ -98,19 +98,14 @@ type Router struct {
 
 	routing Routing
 
-	// pending counts packets resident in the router's input buffers
-	// (arrived head flit, not yet fully forwarded). While zero, step is a
-	// no-op — no allocation candidates, no active transfers — and
-	// Arbitrate puts the router to sleep without calling it. Packets, not
-	// flits: a resident packet whose flits are all forwarded-or-unarrived
-	// still waits on an arrival, which wakes the router the cycle the
-	// flit lands.
-	pending int
-
-	// want counts resident packets routed to each output port (pinned at
-	// head arrival). A port with want zero has no candidates and no
-	// active transfer, so step passes over it without touching its VC
-	// slots.
+	// want counts resident packets (arrived head flit, not yet fully
+	// forwarded) routed to each output port, pinned at head arrival. A
+	// port with want zero has no candidates and no active transfer, so
+	// step passes over it without touching its VC slots; with every want
+	// zero step does nothing and Arbitrate puts the router to sleep.
+	// Packets, not flits: a resident packet whose flits are all
+	// forwarded-or-unarrived still waits on an arrival, which wakes the
+	// router the cycle the flit lands.
 	want [NumPorts]int32
 
 	// cands/candBufs are scratch storage for allocate, sized for the
@@ -143,7 +138,6 @@ func (r *Router) init(pos Coord, vcs, bufFlits int, credits []int, active []acti
 // route, bump the desire counter of that output, and introduce it to the
 // output's flow-control policy.
 func (r *Router) onNewPacket(pp *PacketProgress, now int64) {
-	r.pending++
 	out := r.routeFor(pp.Pkt)
 	pp.route = int8(out)
 	r.want[out]++
@@ -211,7 +205,6 @@ func (r *Router) step(now int64) (again bool) {
 			if a.buf.forwardFlit(a.pp, now) {
 				// forwardFlit released the PacketProgress to the pool; drop
 				// the transfer slot without touching it again.
-				r.pending--
 				r.want[out]--
 				a.pp, a.buf = nil, nil
 			}

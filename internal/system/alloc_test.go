@@ -1,7 +1,6 @@
 package system
 
 import (
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -75,87 +74,6 @@ func TestRunToSteadyStateAllocs(t *testing.T) {
 			}
 			t.Logf("%d allocations over %d generated requests", allocs, generated)
 		})
-	}
-}
-
-// TestParentTableAgainstMap drives the ring parentTable and a map model
-// through seeded random put/get/del sequences shaped like the runner's:
-// IDs only grow and leave gaps (split and response IDs are never
-// parents). Phases of filling and draining force wrap-around, growth
-// while the window is wrapped, and reuse after the table empties;
-// get/del also probe IDs below, inside (gaps) and above the window.
-func TestParentTableAgainstMap(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var tbl parentTable
-		model := map[int64]*logical{}
-		var liveIDs []int64 // ascending
-		next := int64(rng.Intn(1000))
-		check := func(step int) {
-			t.Helper()
-			if tbl.Len() != len(model) {
-				t.Fatalf("seed %d step %d: Len %d, model has %d", seed, step, tbl.Len(), len(model))
-			}
-			i := 0
-			tbl.each(func(id int64, l *logical) {
-				if i >= len(liveIDs) || id != liveIDs[i] || l != model[id] {
-					t.Fatalf("seed %d step %d: each visit %d = ID %d, want the live IDs %v in order", seed, step, i, id, liveIDs)
-				}
-				i++
-			})
-			if i != len(liveIDs) {
-				t.Fatalf("seed %d step %d: each visited %d records, want %d", seed, step, i, len(liveIDs))
-			}
-		}
-		wrapped, grewWrapped, emptied := false, false, 0
-		for step := 0; step < 6000; step++ {
-			// Alternate long fill and drain phases so the window both
-			// outgrows the ring and empties completely.
-			fill := (step/500)%2 == 0
-			switch op := rng.Intn(10); {
-			case op < 6 && fill || op < 1:
-				next += 1 + int64(rng.Intn(4)) // gaps: IDs that are never parents
-				l := &logical{core: step}
-				size, wasWrapped := len(tbl.slots), tbl.head+tbl.n > len(tbl.slots)
-				tbl.put(next, l)
-				model[next] = l
-				liveIDs = append(liveIDs, next)
-				wrapped = wrapped || wasWrapped
-				grewWrapped = grewWrapped || (wasWrapped && len(tbl.slots) > size)
-			case op < 8 && len(liveIDs) > 0:
-				// Mostly the oldest (in-order completion), sometimes any.
-				k := 0
-				if rng.Intn(3) == 0 {
-					k = rng.Intn(len(liveIDs))
-				}
-				id := liveIDs[k]
-				tbl.del(id)
-				delete(model, id)
-				liveIDs = append(liveIDs[:k], liveIDs[k+1:]...)
-				if len(liveIDs) == 0 {
-					emptied++
-				}
-			default:
-				// Probe anywhere from below the window to above it; a dead
-				// or never-used ID must read nil and delete as a no-op.
-				id := next - int64(rng.Intn(400)) + 20
-				if got := tbl.get(id); got != model[id] {
-					t.Fatalf("seed %d step %d: get(%d) = %p, model %p", seed, step, id, got, model[id])
-				}
-				if model[id] == nil {
-					tbl.del(id)
-				}
-			}
-			check(step)
-		}
-		for _, id := range liveIDs {
-			if tbl.get(id) != model[id] {
-				t.Fatalf("seed %d: live ID %d lost", seed, id)
-			}
-		}
-		if !wrapped || !grewWrapped || emptied == 0 {
-			t.Errorf("seed %d: sequence did not cover wrap-around (%v), growth while wrapped (%v) and empty-then-reuse (%d)", seed, wrapped, grewWrapped, emptied)
-		}
 	}
 }
 

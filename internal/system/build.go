@@ -131,7 +131,7 @@ func New(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{cfg: cfg, timing: timing, chmap: chmap, maxBeats: maxRequestBeats(cfg)}
+	r := &Runner{cfg: cfg, timing: timing, chmap: chmap, maxBeats: maxRequestBeats(cfg), parents: parentTable{}}
 	r.newID = func() int64 { r.nextID++; return r.nextID }
 	if r.reqMesh, err = noc.NewMeshVC(cfg.App.Width, cfg.App.Height, cfg.BufFlits, cfg.VirtualChannels); err != nil {
 		return nil, err
@@ -260,7 +260,7 @@ func (r *Runner) buildCores() error {
 		replay = trace.SplitByCore(cfg.Replay)
 	}
 	onFirstFlit := func(p *noc.Packet, now int64) {
-		if l := r.parents.get(p.ParentID); l != nil && l.entry < 0 {
+		if l := r.parents[p.ParentID]; l != nil && l.entry < 0 {
 			l.entry = now
 		}
 	}

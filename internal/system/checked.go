@@ -84,7 +84,7 @@ func (r *Runner) finalChecks(rep *obs.Report, devices dram.Stats) {
 
 	// Logical request conservation: every generated request is completed
 	// or still outstanding in the parents table.
-	outstanding := int64(r.parents.Len())
+	outstanding := int64(len(r.parents))
 	if r.met.Generated != r.met.Completed+outstanding {
 		c.Reportf(-1, "runner", "request-accounting",
 			"generated %d != completed %d + outstanding %d",

@@ -52,19 +52,22 @@ func (r *Runner) buildKernel() {
 	r.kern = k
 
 	regMesh := func(name string, m *noc.Mesh) {
-		next := func(now int64) int64 {
-			if m.Activity() > 0 {
-				return now + 1
-			}
-			return sim.Never
-		}
-		hd := k.Register(&comp{name: name + "-links", phase: sim.PhaseDeliver, tick: m.Deliver, next: next})
-		ha := k.Register(&comp{name: name + "-routers", phase: sim.PhaseArbitrate, tick: m.Arbitrate, next: next})
+		// Deliver empties the link set, so the links sleep until OnWake;
+		// the routers stay up while any of them can still act.
+		hd := k.Register(&comp{name: name + "-links", phase: sim.PhaseDeliver, tick: m.Deliver,
+			next: func(int64) int64 { return sim.Never }})
+		ha := k.Register(&comp{name: name + "-routers", phase: sim.PhaseArbitrate, tick: m.Arbitrate,
+			next: func(now int64) int64 {
+				if m.RoutersAwake() {
+					return now + 1
+				}
+				return sim.Never
+			}})
 		m.OnWake = func() {
-			// Work appears outside the mesh's own phases (an injector
-			// launch, a sink credit return), so this cycle's Deliver and
-			// Arbitrate have already run: deliver it next cycle, exactly
-			// when the always-ticked mesh would have.
+			// The first flit or credit of the cycle went onto a link, after
+			// this cycle's Deliver: deliver it next cycle, exactly when the
+			// always-ticked mesh would have, and let the routers it lands
+			// at arbitrate in that same cycle.
 			at := k.Now() + 1
 			hd.Wake(at)
 			ha.Wake(at)

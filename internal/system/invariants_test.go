@@ -24,7 +24,7 @@ func TestConservationAcrossDesigns(t *testing.T) {
 			for i := int64(0); i < 40_000; i++ {
 				r.Step()
 			}
-			inflight := int64(r.parents.Len())
+			inflight := int64(len(r.parents))
 			if r.met.Generated != r.met.Completed+inflight {
 				t.Fatalf("conservation broken: generated %d, completed %d, in flight %d",
 					r.met.Generated, r.met.Completed, inflight)
@@ -57,10 +57,10 @@ func TestDrainToQuiescence(t *testing.T) {
 			for _, c := range r.cores {
 				c.gens = nil
 			}
-			for i := 0; i < 60_000 && r.parents.Len() > 0; i++ {
+			for i := 0; i < 60_000 && len(r.parents) > 0; i++ {
 				r.Step()
 			}
-			if n := r.parents.Len(); n != 0 {
+			if n := len(r.parents); n != 0 {
 				t.Fatalf("%d requests wedged after drain", n)
 			}
 			if !r.reqMesh.Quiescent() {

@@ -12,11 +12,11 @@ import (
 )
 
 // workCounts is the simulator's own work over a run: kernel component
-// ticks, Router.step entries, links Deliver visited, links that had
-// something to deliver, and flits forwarded (Σ BusyCycles, the useful
-// router steps). All pure functions of (config, seed).
+// ticks, Router.step entries, links Deliver visited, and flits forwarded
+// (Σ BusyCycles, the useful router steps). All pure functions of
+// (config, seed).
 type workCounts struct {
-	ticks, routerSteps, linkVisits, linkDeliveries, flits int64
+	ticks, routerSteps, linkVisits, flits int64
 }
 
 func countWork(t *testing.T, cfg Config) workCounts {
@@ -29,9 +29,8 @@ func countWork(t *testing.T, cfg Config) workCounts {
 	r.Finish()
 	w := workCounts{ticks: r.kern.Ticks()}
 	for _, m := range []*noc.Mesh{r.reqMesh, r.respMesh} {
-		v, d, s := m.WorkCounts()
+		v, s := m.WorkCounts()
 		w.linkVisits += v
-		w.linkDeliveries += d
 		w.routerSteps += s
 		eachLink(m, func(_ *noc.Router, _ int, o *noc.OutputPort) { w.flits += o.BusyCycles })
 	}
@@ -43,10 +42,13 @@ func countWork(t *testing.T, cfg Config) workCounts {
 // saturated configurations the kernel ticks a few components a cycle
 // (every-cycle polling ticked 19.3 on sat-conv), a router is stepped
 // little more than once per flit it forwards (polling: 8.6 times), and
-// Deliver visits exactly the links that deliver. The ceilings are the
-// measured values (sat-conv 5.90 ticks/cycle and 1.12 steps/flit,
-// sat-gss 5.63 and 1.21) with 10% headroom. The near-idle configuration
-// pins the other side: waking on credits must not cost it a tick.
+// Deliver visits only busy links (the busy-bit audit checks that those
+// are exactly the links that deliver). The tick ceilings are the
+// measured values (sat-conv 4.70 ticks/cycle, sat-gss 4.79) with 10%
+// headroom; the step ceilings predate the empty steps an awake router
+// without packets now takes (measured 1.18 and 1.28 steps/flit). The
+// near-idle configuration pins the other side: waking on credits must
+// not cost it a tick.
 func TestSaturatedWorkIsProportional(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200,000-cycle saturated runs")
@@ -56,8 +58,8 @@ func TestSaturatedWorkIsProportional(t *testing.T) {
 		cfg                         Config
 		ticksPerCycle, stepsPerFlit float64
 	}{
-		{"sat-conv", Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: Conv, Cycles: 200_000}, 6.49, 1.24},
-		{"sat-gss", Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: GSSSAGM, Cycles: 200_000}, 6.19, 1.34},
+		{"sat-conv", Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: Conv, Cycles: 200_000}, 5.17, 1.24},
+		{"sat-gss", Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: GSSSAGM, Cycles: 200_000}, 5.27, 1.34},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := countWork(t, tc.cfg)
@@ -67,8 +69,8 @@ func TestSaturatedWorkIsProportional(t *testing.T) {
 			if got := float64(w.routerSteps) / float64(w.flits); got > tc.stepsPerFlit {
 				t.Errorf("%.2f router steps per forwarded flit, want at most %.2f", got, tc.stepsPerFlit)
 			}
-			if w.linkVisits != w.linkDeliveries || w.linkVisits == 0 {
-				t.Errorf("Deliver visited %d links and delivered on %d", w.linkVisits, w.linkDeliveries)
+			if w.linkVisits == 0 {
+				t.Error("Deliver visited no link")
 			}
 			t.Logf("%+v", w)
 		})
@@ -80,9 +82,7 @@ func TestSaturatedWorkIsProportional(t *testing.T) {
 		if w.ticks > 668_912 {
 			t.Errorf("%d component ticks on the near-idle run, want at most 668912", w.ticks)
 		}
-		if w.linkVisits != w.linkDeliveries {
-			t.Errorf("Deliver visited %d links and delivered on %d", w.linkVisits, w.linkDeliveries)
-		}
+		t.Logf("%+v", w)
 	})
 }
 

@@ -30,7 +30,7 @@ func (r *Runner) sample(cycle, interval int64) {
 	r.samples = append(r.samples, obs.Sample{
 		Cycle:       cycle,
 		Utilization: float64(dc-r.lastSampleD) / float64(interval*int64(len(r.chans))),
-		Outstanding: r.parents.Len(),
+		Outstanding: len(r.parents),
 		QueueFlits:  queued,
 		MemReady:    ready,
 	})

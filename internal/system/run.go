@@ -3,6 +3,7 @@ package system
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"aanoc/internal/core"
 	"aanoc/internal/dram"
@@ -26,84 +27,20 @@ type logical struct {
 	beats    int
 }
 
-// parentTable maps logical-request parent IDs to their records without
-// hashing. Parent IDs are monotonic packet IDs, so the live IDs occupy a
-// window [base, base+n) laid over a power-of-two ring: lookup is a bounds
-// check plus a masked index, completion advances the window past its dead
-// head, and the ring grows (re-laid in ID order) only when the window
-// outgrows it — a fixed table of outstanding requests, as in hardware.
-// IDs that were never parents leave nil gap slots, and every slot outside
-// the window is nil.
-type parentTable struct {
-	base  int64      // ID of the window's first slot
-	head  int        // ring index of base
-	n     int        // window length in slots
-	slots []*logical // nil: completed, or an ID that was never a parent
-	live  int
-}
+// parentTable maps logical-request parent IDs to their records. It is
+// simulator bookkeeping, not modelled hardware, so it is the builtin map.
+type parentTable map[int64]*logical
 
-// slot returns the ring index of window offset i.
-func (t *parentTable) slot(i int64) int { return (t.head + int(i)) & (len(t.slots) - 1) }
-
-// get returns the record for an ID, or nil.
-func (t *parentTable) get(id int64) *logical {
-	i := id - t.base
-	if i < 0 || i >= int64(t.n) {
-		return nil
+// each visits every live record in ID order, so what the checked mode
+// reports from the walk comes out in a fixed order.
+func (t parentTable) each(fn func(id int64, l *logical)) {
+	ids := make([]int64, 0, len(t))
+	for id := range t {
+		ids = append(ids, id)
 	}
-	return t.slots[t.slot(i)]
-}
-
-// put registers a record under a fresh ID (IDs only grow).
-func (t *parentTable) put(id int64, l *logical) {
-	if t.n == 0 {
-		t.base = id
-	}
-	i := id - t.base
-	if i < int64(t.n) {
-		panic(fmt.Sprintf("system: parent ID %d is not fresh (window %d+%d)", id, t.base, t.n))
-	}
-	if i >= int64(len(t.slots)) {
-		size := max(len(t.slots), 64)
-		for int64(size) <= i {
-			size *= 2
-		}
-		grown := make([]*logical, size)
-		for j := 0; j < t.n; j++ {
-			grown[j] = t.slots[t.slot(int64(j))]
-		}
-		t.slots, t.head = grown, 0
-	}
-	t.slots[t.slot(i)] = l
-	t.n = int(i) + 1
-	t.live++
-}
-
-// del drops an ID's record and advances the window past the dead head.
-// Each slot is trimmed exactly once, so deletion is amortised O(1).
-func (t *parentTable) del(id int64) {
-	i := id - t.base
-	if i < 0 || i >= int64(t.n) || t.slots[t.slot(i)] == nil {
-		return
-	}
-	t.slots[t.slot(i)] = nil
-	t.live--
-	for t.n > 0 && t.slots[t.head] == nil {
-		t.head = (t.head + 1) & (len(t.slots) - 1)
-		t.base++
-		t.n--
-	}
-}
-
-// Len reports the live record count.
-func (t *parentTable) Len() int { return t.live }
-
-// each visits every live record in ID order.
-func (t *parentTable) each(fn func(id int64, l *logical)) {
-	for i := int64(0); i < int64(t.n); i++ {
-		if l := t.slots[t.slot(i)]; l != nil {
-			fn(t.base+i, l)
-		}
+	slices.Sort(ids)
+	for _, id := range ids {
+		fn(id, t[id])
 	}
 }
 
@@ -139,7 +76,7 @@ func (r *Runner) onMemDone(c *channel, done memctrl.Completion) {
 // completeSplit retires one split of a logical request; the last one
 // records the latency sample and unblocks a closed-loop stream.
 func (r *Runner) completeSplit(p *noc.Packet, at int64) {
-	l := r.parents.get(p.ParentID)
+	l := r.parents[p.ParentID]
 	if l == nil {
 		return
 	}
@@ -147,7 +84,7 @@ func (r *Runner) completeSplit(p *noc.Packet, at int64) {
 	if l.pending > 0 {
 		return
 	}
-	r.parents.del(p.ParentID)
+	delete(r.parents, p.ParentID)
 	c := r.cores[l.core]
 	// The stream's window and think time are about to change: pay the
 	// core's slept cycles at the state they were slept in.
@@ -229,7 +166,7 @@ func (r *Runner) injectLogical(c *coreNI, g traffic.Source, req *traffic.Request
 		read: req.Kind == noc.Read, pending: len(pkts),
 		core: c.idx, beats: req.Beats,
 	}
-	r.parents.put(base.ID, l)
+	r.parents[base.ID] = l
 	r.met.Generated++
 	c.generated++
 	r.chans[ch].sent += int64(len(pkts))
