@@ -75,13 +75,14 @@ func NewDPQ(dev *dram.Device, cfg DPQConfig, onDone func(Completion)) *DPQ {
 	return d
 }
 
-// Offer implements Controller: enqueue into the requestor's FIFO,
-// refusing when it is full. Acceptance starts the request's WCET clock.
+// Offer implements Controller: enqueue into the requestor's FIFO.
+// Acceptance starts the request's WCET clock.
 func (d *DPQ) Offer(p *noc.Packet, now int64) bool {
-	q := d.slotOf(p)
-	if !d.enqueue(q, p) {
-		return false
+	if !d.Accepts(p) {
+		return d.eng.room.refuse()
 	}
+	q := d.slotOf(p)
+	d.enqueue(q, p)
 	if d.backlog > d.Stats.MaxBacklog {
 		d.Stats.MaxBacklog = d.backlog
 	}

@@ -69,6 +69,31 @@ type Completion struct {
 	At  int64
 }
 
+// roomEvent is the wake a refused Offer leaves behind: the front-end
+// that refused raises it when what its Accepts tested changes, and it
+// reaches the caller only while a refusal is outstanding. It lives on
+// the engine because every front-end has exactly one.
+type roomEvent struct {
+	refused bool
+	on      func()
+}
+
+// refuse records that an Offer was turned away; it returns Offer's false.
+func (r *roomEvent) refuse() bool {
+	r.refused = true
+	return false
+}
+
+// raise tells whoever was refused to offer again.
+func (r *roomEvent) raise() {
+	if r.refused {
+		r.refused = false
+		if r.on != nil {
+			r.on()
+		}
+	}
+}
+
 // reqState tracks one request inside the command pipeline.
 type reqState struct {
 	pkt       *noc.Packet
@@ -104,6 +129,7 @@ type engine struct {
 	refreshing  bool
 
 	onDone func(Completion)
+	room   roomEvent
 
 	// reqs recycles reqState records: one is leased per admitted request
 	// and returned (zeroed, so the pool cannot leak a stale packet
@@ -404,30 +430,42 @@ func (e *engine) busy() bool { return len(e.inflight) > 0 || len(e.draining) > 0
 //
 //   - while a refresh drains the pipeline, every cycle (the drain issues
 //     at most one command per cycle, state changes each tick);
-//   - for each inflight request, a conservative lower bound on the
-//     earliest cycle its next command (CAS on an open matching row, PRE
-//     on a conflicting row, ACT otherwise) could be legal, from the
-//     device's *ReadyAt hints;
+//   - for each inflight request the command buffers would serve, a
+//     conservative lower bound on the earliest cycle its next command
+//     (CAS on an open matching row, PRE on a conflicting row, ACT
+//     otherwise) could be legal, from the device's *ReadyAt hints;
 //   - the earliest data-window end among draining requests (retirement
 //     fires the completion callback at exactly that cycle);
 //   - the next scheduled refresh deadline.
+//
+// A request the try* functions would pass over contributes nothing: one
+// behind an older request with an order hazard on its row buffer gets no
+// command at all, and a column command is bounded only for the request
+// tryCAS would consider (the oldest in order; when stage-skipping, one
+// with no older request on its buffer). What holds such a request back
+// is the pipeline's composition, which changes only inside a tick or at
+// an admission, and both leave the controller awake to ask again.
 //
 // The per-request bounds are sound because, while the engine sleeps, no
 // command is issued, so the device state a bound was computed from can
 // only change by an auto-precharge firing — and a row buffer with a
 // pending auto-precharge is bounded through RowActivateReadyAt, which
-// accounts for it. Bounds may be early (the request might still be
-// blocked by an order hazard or lose the single command slot), never
-// late: waking early is a harmless no-op tick, identical byte-for-byte
-// to the always-ticking schedule. An idle, refresh-free engine sleeps
-// until the next admission wakes it.
+// accounts for it. Bounds may be early (the command may lose the single
+// command slot, or a timing the hint leaves out may still refuse it),
+// never late: waking early is a harmless no-op tick, identical
+// byte-for-byte to the always-ticking schedule. An idle, refresh-free
+// engine sleeps until the next admission wakes it.
 func (e *engine) nextEvent(now int64) int64 {
 	if e.refreshing {
 		return now + 1
 	}
-	next := int64(1<<63 - 1)
-	for _, r := range e.inflight {
-		if at := e.reqReadyAt(r, now); at < next {
+	next := sim.Never
+	for i, r := range e.inflight {
+		if e.olderHazard(i) {
+			continue
+		}
+		cas := i == 0 || e.ooo && !e.olderSameBuffer(i)
+		if at := e.reqReadyAt(r, cas, now); at < next {
 			next = at
 		}
 	}
@@ -445,17 +483,22 @@ func (e *engine) nextEvent(now int64) int64 {
 	return next
 }
 
-// reqReadyAt bounds the earliest cycle an inflight request's next
-// command could issue, from the device's conservative timing hints. It
+// reqReadyAt bounds the earliest cycle the next command of an inflight
+// request free of order hazards could issue, from the device's
+// conservative timing hints; cas says whether tryCAS would consider the
+// request, and a column command it would not consider has no bound. It
 // judges the row's own buffer: a sibling subarray's open row neither
 // serves nor blocks the request.
-func (e *engine) reqReadyAt(r *reqState, now int64) int64 {
+func (e *engine) reqReadyAt(r *reqState, cas bool, now int64) int64 {
 	bank, row := r.pkt.Addr.Bank, r.pkt.Addr.Row
 	switch {
 	case e.dev.RowAutoPrechargePending(bank, row, now):
 		// The buffer will close on its own; the next step is a re-activate.
 		return e.dev.RowActivateReadyAt(bank, row, now)
 	case e.dev.RowOpen(bank, row, now):
+		if !cas {
+			return sim.Never
+		}
 		kind := dram.CmdRead
 		if r.pkt.Kind == noc.Write {
 			kind = dram.CmdWrite

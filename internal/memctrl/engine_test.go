@@ -193,3 +193,65 @@ func TestEngineStampsRequestRowOnEveryCommand(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineBoundsSkipHeldRequests: a request the command buffers would
+// pass over contributes no bound to nextEvent. In both cases a younger
+// request's row is open and its column command is legal at once — a
+// bound of now+1 if it counted — but it is held behind an older request
+// whose own next command is cycles away; the engine sleeps until that
+// one, and ticking only at the bound issues it there.
+func TestEngineBoundsSkipHeldRequests(t *testing.T) {
+	tm := dram.MustSpeed(dram.DDR3, 667)
+	for _, tc := range []struct {
+		name  string
+		ooo   bool
+		older *noc.Packet
+		// bound is the older request's next command after the first tick.
+		bound func(dev *dram.Device, now int64) int64
+	}{
+		// Stage-skipping: the older request conflicts with the open row of
+		// the buffer both need (a precharge after write recovery); the
+		// younger one hits that open row but may not overtake it.
+		{"same buffer behind a conflict", true, req(2, 0, 1, 0, noc.Write, 8, false),
+			func(dev *dram.Device, now int64) int64 { return dev.RowPrechargeReadyAt(0, 1, now) }},
+		// In order: the older request activates another bank in the first
+		// tick and waits out tRCD; the younger one's row is open, but only
+		// the oldest request's column command is considered.
+		{"in order behind the head", false, req(2, 1, 1, 0, noc.Write, 8, false),
+			func(dev *dram.Device, now int64) int64 { return dev.RowColumnReadyAt(1, 1, dram.CmdWrite, now) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := dram.MustNewDevice(tm)
+			e := newEngine(dev, OpenPage, 4, func(Completion) {})
+			e.ooo = tc.ooo
+			// Open row 2 of bank 0 with a write and let it retire.
+			e.admit(req(1, 0, 2, 0, noc.Write, 8, false))
+			now := int64(0)
+			for ; e.busy(); now++ {
+				e.tick(now)
+			}
+			e.admit(tc.older)
+			e.admit(req(3, 0, 2, 8, noc.Write, 8, false))
+			e.tick(now)
+			if len(e.inflight) != 2 {
+				t.Fatalf("%d requests in flight after the first tick, want both", len(e.inflight))
+			}
+			if at := dev.RowColumnReadyAt(0, 2, dram.CmdWrite, now); at > now+1 {
+				t.Fatalf("the held request's column command is not ready until %d: it would not pull the bound to %d", at, now+1)
+			}
+			want := tc.bound(dev, now)
+			if want <= now+1 {
+				t.Fatalf("the older request's next command is ready at %d: nothing to sleep through from %d", want, now)
+			}
+			if got := e.nextEvent(now); got != want {
+				t.Fatalf("nextEvent(%d) = %d, want the older request's bound %d", now, got, want)
+			}
+			cmds := func() int64 { s := dev.Stats(); return s.Activates + s.Reads + s.Writes + s.Precharges }
+			before := cmds()
+			e.tick(want)
+			if cmds() != before+1 {
+				t.Fatalf("the tick at the bound %d issued %d commands, want 1", want, cmds()-before)
+			}
+		})
+	}
+}

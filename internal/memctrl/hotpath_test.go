@@ -10,16 +10,21 @@ import (
 )
 
 // TestNextEventEquivalence is the event-queue soundness gate, for every
-// controller: driving it only at the cycles NextEvent names must produce
-// the exact completion stream of ticking every cycle. A bound that is
-// ever late (past a cycle where Tick would have acted) shows up as a
-// diverging completion time.
+// controller: driving it only at the cycles its events name — Tick at
+// NextEvent, Offer on the cycle after the room event, the way the
+// system's mem-admit and memctrl components run — must produce the
+// exact completion stream of offering and ticking every cycle. A bound
+// that is ever late (past a cycle where Tick would have acted), or a
+// refusal that no room event follows, shows up as a diverging or
+// missing completion. The slots are two deep and the stream is offered
+// in order, so every front-end refuses heads and sleeps on a backlog
+// behind a full pipeline.
 func TestNextEventEquivalence(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR3, 667)
 	// A tight regulator: two requests per (core, bank) and window, so heads
 	// wait for window rolls with the pipeline empty.
 	regulated := RegulatorConfig{
-		Cores: 3, QueueDepth: 32, Window: 256, Budget: 16, MinBudget: 8,
+		Cores: 3, QueueDepth: 2, Window: 256, Budget: 16, MinBudget: 8,
 		PipelineDepth: 4, Policy: OpenPage,
 	}
 	ctrls := map[string]func(*dram.Device, func(Completion)) Controller{
@@ -27,13 +32,13 @@ func TestNextEventEquivalence(t *testing.T) {
 			return NewSimple(d, PartialOpenPage, 4, done)
 		},
 		"memmax": func(d *dram.Device, done func(Completion)) Controller {
-			return NewMemMax(d, DefaultMemMaxConfig(), done)
+			return NewMemMax(d, MemMaxConfig{Threads: 4, QueueDepth: 2, DataFlits: 32, PipelineDepth: 4}, done)
 		},
 		"dpq": func(d *dram.Device, done func(Completion)) Controller {
-			return NewDPQ(d, DefaultDPQConfig(3), done)
+			return NewDPQ(d, DPQConfig{Requestors: 3, QueueDepth: 2}, done)
 		},
 		"staged": func(d *dram.Device, done func(Completion)) Controller {
-			return NewStaged(d, DefaultStagedConfig(3), done)
+			return NewStaged(d, StagedConfig{Cores: 3, QueueDepth: 2, Threshold: 4, PipelineDepth: 4, Policy: OpenPage}, done)
 		},
 		"regulated": func(d *dram.Device, done func(Completion)) Controller {
 			return NewRegulator(d, regulated, done)
@@ -47,7 +52,7 @@ func TestNextEventEquivalence(t *testing.T) {
 		// turnarounds, and AP tags — every branch of reqReadyAt — from
 		// three cores and classes, so every front-end arbitrates.
 		var pkts []*noc.Packet
-		for i := int64(0); i < 24; i++ {
+		for i := int64(0); i < 48; i++ {
 			kind := noc.Read
 			if i%3 == 1 {
 				kind = noc.Write
@@ -59,31 +64,47 @@ func TestNextEventEquivalence(t *testing.T) {
 			p.Class = []noc.Class{noc.ClassDemand, noc.ClassPrefetch, noc.ClassMedia}[i%3]
 			pkts = append(pkts, p)
 		}
+		// The two components' wake times: the admitter's and the
+		// controller's. Per-cycle driving wakes both every cycle.
+		admitAt, tickAt := int64(0), int64(0)
+		now, rooms, slept := int64(0), 0, 0
+		s.OnRoom(func() {
+			rooms++
+			admitAt = min(admitAt, now+1)
+		})
 		i := 0
-		now := int64(0)
-		for now < 20000 {
-			for i < len(pkts) && s.Offer(pkts[i], now) {
-				i++
+		for ; now < 20000; now = min(admitAt, tickAt) {
+			if admitAt <= now {
+				admitAt = math.MaxInt64 // a refused head sleeps until there is room
+				for i < len(pkts) && s.Offer(pkts[i], now) {
+					i++
+					tickAt = now // an admission wakes the controller
+				}
 			}
-			s.Tick(now)
+			if tickAt <= now {
+				s.Tick(now)
+				if tickAt = s.NextEvent(now); tickAt <= now {
+					t.Fatalf("NextEvent(%d) = %d, not in the future", now, tickAt)
+				}
+				if s.CanGrant() && tickAt != now+1 {
+					t.Fatalf("cycle %d: a grant is possible but NextEvent = %d", now, tickAt)
+				}
+				if tickAt > now+1 && i < len(pkts) {
+					slept++
+				}
+			}
 			if i == len(pkts) && !s.Busy() {
 				break
 			}
-			if eventDriven && i == len(pkts) {
-				// Bounds cover admitted work only; while offers are still
-				// pending the admitter polls every cycle, exactly as the
-				// system's mem-admit component does.
-				next := s.NextEvent(now)
-				if next <= now {
-					t.Fatalf("NextEvent(%d) = %d, not in the future", now, next)
-				}
-				now = next
-			} else {
-				now++
+			if !eventDriven {
+				admitAt, tickAt = now+1, now+1
 			}
 		}
 		if len(done) != len(pkts) {
 			t.Fatalf("completed %d of %d requests (event-driven: %v)", len(done), len(pkts), eventDriven)
+		}
+		if eventDriven && (rooms == 0 || slept == 0) {
+			t.Errorf("%d room events, %d sleeps with offers pending: the event-driven admission went unexercised", rooms, slept)
 		}
 		return done
 	}

@@ -81,15 +81,25 @@ func (m *MemMax) threadOf(p *noc.Packet) int {
 	}
 }
 
-// Offer implements Controller: enqueue into the request buffer of the
-// packet's thread, refusing when the request buffer is full or the
-// thread's data buffer cannot hold the payload.
-func (m *MemMax) Offer(p *noc.Packet, now int64) bool {
+// Accepts implements Controller, by traffic class where the other
+// front-ends go by source core: the request buffer of the packet's
+// thread has room and the thread's data buffer can hold the payload.
+func (m *MemMax) Accepts(p *noc.Packet) bool {
 	th := m.threadOf(p)
 	if len(m.queues[th]) > 0 && m.dataOccupancy(th)+p.Flits > m.cfg.DataFlits {
 		return false
 	}
-	return m.enqueue(th, p)
+	return m.hasRoom(th)
+}
+
+// Offer implements Controller: enqueue into the request buffer of the
+// packet's thread.
+func (m *MemMax) Offer(p *noc.Packet, now int64) bool {
+	if !m.Accepts(p) {
+		return m.eng.room.refuse()
+	}
+	m.enqueue(m.threadOf(p), p)
+	return true
 }
 
 // dataOccupancy sums the buffered payload flits of a thread's queue.

@@ -62,16 +62,22 @@ func (q *queued) slotOf(p *noc.Packet) int {
 	return s
 }
 
-// enqueue appends p to a slot's FIFO, refusing when the slot is full
-// (the refusal backpressures the network).
-func (q *queued) enqueue(slot int, p *noc.Packet) bool {
-	if len(q.queues[slot]) >= q.depth {
-		return false
-	}
+// hasRoom reports whether a slot's FIFO can take another request; a full
+// slot refuses, which backpressures the network.
+func (q *queued) hasRoom(slot int) bool { return len(q.queues[slot]) < q.depth }
+
+// Accepts implements Controller for the front-ends that fold the source
+// core onto the slots: the core's FIFO has room.
+func (q *queued) Accepts(p *noc.Packet) bool { return q.hasRoom(q.slotOf(p)) }
+
+// enqueue appends p to a slot's FIFO, which the caller found to have room.
+func (q *queued) enqueue(slot int, p *noc.Packet) {
 	q.queues[slot] = append(q.queues[slot], p)
 	q.backlog++
-	return true
 }
+
+// OnRoom implements Controller.
+func (q *queued) OnRoom(f func()) { q.eng.room.on = f }
 
 // Tick implements Controller: grant picked heads into the command
 // pipeline while it admits, then drive the pipeline.
@@ -91,6 +97,9 @@ func (q *queued) Tick(now int64) {
 		q.backlog--
 		q.eng.admit(p)
 		q.granted(slot, p, now)
+		// Every front-end's Accepts tests slot FIFOs only, and this pop is
+		// the one thing that shortens one.
+		q.eng.room.raise()
 	}
 	q.eng.tick(now)
 }
@@ -98,12 +107,19 @@ func (q *queued) Tick(now int64) {
 // Busy implements Controller.
 func (q *queued) Busy() bool { return q.backlog > 0 || q.eng.busy() }
 
-// NextEvent implements Controller: queued requests keep the scheduler
-// arbitrating every cycle (a head refused now — pipeline full, refresh
-// draining, budget spent — may be granted next cycle); otherwise the
-// pipeline decides.
+// CanGrant implements Controller.
+func (q *queued) CanGrant() bool { return q.backlog > 0 && q.eng.canAdmit() }
+
+// NextEvent implements Controller: while a grant is possible the
+// scheduler arbitrates every cycle, because a pick may depend on the
+// clock (the regulator's window; a head over budget now may be granted
+// next cycle, and Throttled counts each such tick). With the pipeline
+// full or a refresh draining it no grant can happen until the engine
+// acts, so the engine's bound decides — it covers the column command
+// that frees a slot and the REF that ends the drain, and the tick that
+// issues either leaves CanGrant true for the next cycle.
 func (q *queued) NextEvent(now int64) int64 {
-	if q.backlog > 0 {
+	if q.CanGrant() {
 		return now + 1
 	}
 	return q.eng.nextEvent(now)

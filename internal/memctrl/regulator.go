@@ -72,8 +72,10 @@ type Regulator struct {
 		Grants int64
 		// Throttled counts grant opportunities lost to regulation: ticks
 		// with a head backlogged and every backlogged head over budget.
-		// It advances only while backlog keeps the controller awake every
-		// cycle (NextEvent is now+1), so no wake schedule can skip one.
+		// It advances only in ticks where a grant is possible (a head
+		// queued and room in the pipeline), and exactly those keep the
+		// controller awake every cycle (CanGrant, so NextEvent is now+1):
+		// no wake schedule can skip one.
 		Throttled int64
 	}
 }
@@ -97,11 +99,15 @@ func NewRegulator(dev *dram.Device, cfg RegulatorConfig, onDone func(Completion)
 	return r
 }
 
-// Offer implements Controller: enqueue into the core's FIFO, refusing
-// when it is full. Regulation happens at grant time, not admission — a
-// queued request holds no budget until granted.
+// Offer implements Controller: enqueue into the core's FIFO. Regulation
+// happens at grant time, not admission — a queued request holds no
+// budget until granted.
 func (r *Regulator) Offer(p *noc.Packet, now int64) bool {
-	return r.enqueue(r.slotOf(p), p)
+	if !r.Accepts(p) {
+		return r.eng.room.refuse()
+	}
+	r.enqueue(r.slotOf(p), p)
+	return true
 }
 
 // Tick implements Controller: roll the regulation window, then grant

@@ -8,19 +8,36 @@ import (
 // Controller is the interface the system drives each cycle: offer arriving
 // request packets and tick the command machinery.
 type Controller interface {
+	// Accepts reports whether Offer would take the packet now. It is the
+	// pure half of Offer: it changes nothing, so an auditor may ask it.
+	Accepts(p *noc.Packet) bool
 	// Offer presents the next in-order request packet; it returns false
 	// (leaving the packet with the caller) when the subsystem is full,
-	// which backpressures the network.
+	// which backpressures the network. A refusal is remembered until the
+	// room event reports that what Accepts tested has changed.
 	Offer(p *noc.Packet, now int64) bool
+	// OnRoom sets the room event: f is raised from inside Tick when
+	// something Accepts tests has changed since an Offer was refused — a
+	// grant popped a slot FIFO, the last column command of a request
+	// freed a pipeline slot, a refresh drain ended. It is raised only
+	// with a refusal outstanding, so nobody waiting means no call. The
+	// caller re-offers in the next cycle, which is when per-cycle polling
+	// would have first succeeded.
+	OnRoom(f func())
 	// Tick advances the controller one memory clock cycle.
 	Tick(now int64)
 	// Busy reports whether any admitted request is still in flight.
 	Busy() bool
+	// CanGrant reports whether the next Tick would arbitrate: a request
+	// is queued ahead of the command pipeline and the pipeline has room.
+	// While it holds, NextEvent is now+1.
+	CanGrant() bool
 	// NextEvent returns the next cycle (> now) Tick could possibly act —
-	// issue a command, retire a completion, or start a refresh — judged
-	// from the controller's own state. The simulation kernel skips the
-	// controller until then; a successful Offer wakes it explicitly.
-	// math.MaxInt64 means "idle until offered work".
+	// grant a queued request, issue a command, retire a completion, or
+	// start a refresh — judged from the controller's own state. The
+	// simulation kernel skips the controller until then; a successful
+	// Offer wakes it explicitly. math.MaxInt64 means "idle until offered
+	// work".
 	NextEvent(now int64) int64
 }
 
@@ -61,11 +78,14 @@ func NewSimple(dev *dram.Device, policy PagePolicy, depth int, onDone func(Compl
 	return s
 }
 
-// Offer implements Controller: admit in order while the pipeline has room
-// and no refresh is draining it.
+// Accepts implements Controller: the pipeline has room and no refresh
+// is draining it.
+func (s *Simple) Accepts(*noc.Packet) bool { return s.eng.canAdmit() }
+
+// Offer implements Controller: admit in order while Accepts.
 func (s *Simple) Offer(p *noc.Packet, now int64) bool {
-	if !s.eng.canAdmit() {
-		return false
+	if !s.Accepts(p) {
+		return s.eng.room.refuse()
 	}
 	if s.hasLast {
 		switch {
@@ -86,11 +106,24 @@ func (s *Simple) Offer(p *noc.Packet, now int64) bool {
 	return true
 }
 
-// Tick implements Controller.
-func (s *Simple) Tick(now int64) { s.eng.tick(now) }
+// OnRoom implements Controller.
+func (s *Simple) OnRoom(f func()) { s.eng.room.on = f }
+
+// Tick implements Controller. Admission tests the pipeline itself, so
+// room is whatever leaves it admitting after the tick: a last column
+// command, or the REF that ends a drain.
+func (s *Simple) Tick(now int64) {
+	s.eng.tick(now)
+	if s.eng.canAdmit() {
+		s.eng.room.raise()
+	}
+}
 
 // Busy implements Controller.
 func (s *Simple) Busy() bool { return s.eng.busy() }
+
+// CanGrant implements Controller: nothing queues ahead of the pipeline.
+func (s *Simple) CanGrant() bool { return false }
 
 // NextEvent implements Controller.
 func (s *Simple) NextEvent(now int64) int64 { return s.eng.nextEvent(now) }

@@ -88,14 +88,14 @@ func (s *Staged) reclassify(c int) {
 	}
 }
 
-// Offer implements Controller: enqueue into the core's FIFO, refusing
-// when it is full; admission raises the core's outstanding count (and
-// possibly its class).
+// Offer implements Controller: enqueue into the core's FIFO; admission
+// raises the core's outstanding count (and possibly its class).
 func (s *Staged) Offer(p *noc.Packet, now int64) bool {
-	c := s.slotOf(p)
-	if !s.enqueue(c, p) {
-		return false
+	if !s.Accepts(p) {
+		return s.eng.room.refuse()
 	}
+	c := s.slotOf(p)
+	s.enqueue(c, p)
 	s.outstanding[c]++
 	s.reclassify(c)
 	return true

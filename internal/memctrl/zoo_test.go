@@ -131,21 +131,58 @@ func TestDPQAdmitHookReportsFacts(t *testing.T) {
 	}
 }
 
+// TestDPQBackpressureAndNextEvent: a full FIFO refuses and the first
+// grant raises the room event; a backlog asks for the next cycle only
+// while the depth-1 pipeline has room, sleeps on the engine's bound
+// while it is full, and is granted in the first tick after it frees.
 func TestDPQBackpressureAndNextEvent(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR2, 333)
 	dev := dram.MustNewDevice(tm)
 	d := NewDPQ(dev, DPQConfig{Requestors: 1, QueueDepth: 2}, func(Completion) {})
+	rooms := 0
+	d.OnRoom(func() { rooms++ })
 	if d.NextEvent(10) <= 10 {
 		t.Fatal("idle NextEvent must be in the future")
 	}
 	if !d.Offer(req(1, 0, 1, 0, noc.Read, 8, false), 0) || !d.Offer(req(2, 0, 2, 0, noc.Read, 8, false), 0) {
 		t.Fatal("offers refused")
 	}
-	if d.Offer(req(3, 0, 3, 0, noc.Read, 8, false), 0) {
+	third := req(3, 0, 3, 0, noc.Read, 8, false)
+	if d.Accepts(third) || d.Offer(third, 0) {
 		t.Fatal("third offer should be refused (depth 2)")
 	}
-	if d.NextEvent(0) != 1 {
-		t.Fatalf("backlogged NextEvent = %d, want now+1", d.NextEvent(0))
+	if !d.CanGrant() || d.NextEvent(0) != 1 {
+		t.Fatalf("backlog with an empty pipeline: CanGrant %v, NextEvent = %d, want now+1", d.CanGrant(), d.NextEvent(0))
+	}
+	d.Tick(0) // grants request 1, which fills the pipeline
+	if rooms != 1 || !d.Accepts(third) {
+		t.Fatalf("the grant raised %d room events (want 1), Accepts = %v", rooms, d.Accepts(third))
+	}
+	if d.Backlog() != 1 || d.CanGrant() {
+		t.Fatalf("after the first grant: backlog %d, CanGrant %v", d.Backlog(), d.CanGrant())
+	}
+	// Pipeline full: the engine's bound decides, and following it must
+	// reach the cycle the slot frees, with the grant in the very next tick.
+	now := int64(0)
+	for !d.CanGrant() {
+		next := d.NextEvent(now)
+		if next != d.eng.nextEvent(now) || next <= now {
+			t.Fatalf("cycle %d: backlog behind a full pipeline: NextEvent = %d, engine bound %d", now, next, d.eng.nextEvent(now))
+		}
+		if now = next; now > 1000 {
+			t.Fatal("the pipeline never freed")
+		}
+		d.Tick(now)
+	}
+	if d.NextEvent(now) != now+1 {
+		t.Fatalf("slot freed at %d: NextEvent = %d, want now+1", now, d.NextEvent(now))
+	}
+	d.Tick(now + 1)
+	if d.Stats.Grants != 2 || d.Backlog() != 0 {
+		t.Fatalf("first tick after the slot freed: %d grants, backlog %d", d.Stats.Grants, d.Backlog())
+	}
+	if rooms != 1 {
+		t.Fatalf("%d room events with no refusal outstanding, want none after the first", rooms-1)
 	}
 }
 
@@ -305,33 +342,37 @@ func TestStagedDrainsMixedTraffic(t *testing.T) {
 // TestQueuedProtocol pins what the four scheduling front-ends share: a
 // full slot refuses Offer, Backlog is exactly the offered requests not
 // yet granted into the pipeline, and while it is non-zero the controller
-// is Busy and asks to be ticked next cycle.
+// is Busy. A backlog with room in the pipeline asks to be ticked next
+// cycle, and that tick grants (unless every head is over budget, which
+// the regulator counts); a backlog behind a full pipeline sleeps on the
+// engine's bound.
 func TestQueuedProtocol(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR2, 333)
 	const depth = 2
-	ctrls := map[string]func(*dram.Device, func(Completion)) (Controller, *queued){
-		"memmax": func(d *dram.Device, done func(Completion)) (Controller, *queued) {
+	none := func() int64 { return 0 }
+	ctrls := map[string]func(*dram.Device, func(Completion)) (Controller, *queued, func() int64){
+		"memmax": func(d *dram.Device, done func(Completion)) (Controller, *queued, func() int64) {
 			m := NewMemMax(d, MemMaxConfig{Threads: 4, QueueDepth: depth, DataFlits: 64, PipelineDepth: 2}, done)
-			return m, &m.queued
+			return m, &m.queued, none
 		},
-		"dpq": func(d *dram.Device, done func(Completion)) (Controller, *queued) {
+		"dpq": func(d *dram.Device, done func(Completion)) (Controller, *queued, func() int64) {
 			q := NewDPQ(d, DPQConfig{Requestors: 4, QueueDepth: depth}, done)
-			return q, &q.queued
+			return q, &q.queued, none
 		},
-		"staged": func(d *dram.Device, done func(Completion)) (Controller, *queued) {
+		"staged": func(d *dram.Device, done func(Completion)) (Controller, *queued, func() int64) {
 			s := NewStaged(d, StagedConfig{Cores: 4, QueueDepth: depth, Threshold: 1, PipelineDepth: 2}, done)
-			return s, &s.queued
+			return s, &s.queued, none
 		},
-		"regulated": func(d *dram.Device, done func(Completion)) (Controller, *queued) {
+		"regulated": func(d *dram.Device, done func(Completion)) (Controller, *queued, func() int64) {
 			r := NewRegulator(d, RegulatorConfig{Cores: 4, QueueDepth: depth, Window: 128, Budget: 8, PipelineDepth: 2}, done)
-			return r, &r.queued
+			return r, &r.queued, func() int64 { return r.Stats.Throttled }
 		},
 	}
 	for name, mk := range ctrls {
 		mk := mk
 		t.Run(name, func(t *testing.T) {
 			completed := 0
-			ctrl, q := mk(dram.MustNewDevice(tm), func(Completion) { completed++ })
+			ctrl, q, throttled := mk(dram.MustNewDevice(tm), func(Completion) { completed++ })
 			// Twelve media reads from cores 2 and 3 (MemMax threads 2 and
 			// 3), offered as fast as the depth-2 slots take them.
 			var pkts []*noc.Packet
@@ -347,6 +388,7 @@ func TestQueuedProtocol(t *testing.T) {
 			if offered != depth {
 				t.Fatalf("one slot took %d back-to-back offers, want its depth %d", offered, depth)
 			}
+			fullPipeline := 0
 			for now := int64(0); completed < len(pkts); now++ {
 				if now > 20000 {
 					t.Fatalf("did not drain: %d offered, %d completed", offered, completed)
@@ -354,14 +396,30 @@ func TestQueuedProtocol(t *testing.T) {
 				for offered < len(pkts) && ctrl.Offer(pkts[offered], now) {
 					offered++
 				}
+				due, backlog, lost := ctrl.CanGrant(), q.Backlog(), throttled()
 				ctrl.Tick(now)
+				if due && q.Backlog() == backlog && throttled() == lost {
+					t.Fatalf("cycle %d: a grant was possible and the tick neither granted nor counted a throttle", now)
+				}
 				granted := completed + len(q.eng.inflight) + len(q.eng.draining)
 				if q.Backlog() != offered-granted {
 					t.Fatalf("cycle %d: Backlog() = %d, want %d offered - %d granted", now, q.Backlog(), offered, granted)
 				}
-				if q.Backlog() > 0 && (!ctrl.Busy() || ctrl.NextEvent(now) != now+1) {
-					t.Fatalf("cycle %d: backlog %d but Busy() = %v, NextEvent = %d", now, q.Backlog(), ctrl.Busy(), ctrl.NextEvent(now))
+				if q.Backlog() == 0 {
+					continue
 				}
+				want := now + 1
+				if !q.eng.canAdmit() {
+					want = q.eng.nextEvent(now)
+					fullPipeline++
+				}
+				if !ctrl.Busy() || ctrl.CanGrant() != q.eng.canAdmit() || ctrl.NextEvent(now) != want {
+					t.Fatalf("cycle %d: backlog %d, pipeline admits %v: Busy() = %v, CanGrant() = %v, NextEvent = %d, want %d",
+						now, q.Backlog(), q.eng.canAdmit(), ctrl.Busy(), ctrl.CanGrant(), ctrl.NextEvent(now), want)
+				}
+			}
+			if fullPipeline == 0 {
+				t.Error("no cycle had a backlog behind a full pipeline: the sleep went unexercised")
 			}
 			if q.Backlog() != 0 || ctrl.Busy() {
 				t.Fatalf("drained controller reports backlog %d, busy %v", q.Backlog(), ctrl.Busy())

@@ -128,9 +128,9 @@ type Sink struct {
 	// OnArrival, when set, is invoked as each flit lands in the sink's
 	// credit buffers — every flit, not just packet heads, because a
 	// partially drained packet stalls on exactly one missing flit. The
-	// simulation kernel uses it to wake the sink's consumer; a sink with
-	// buffered flits or ready packets keeps itself awake via its
-	// component's NextWake instead.
+	// simulation kernel uses it to wake the sink's consumer, which stays
+	// awake on its own only while CanDrain: a full ready list waits on the
+	// consumer's Pop, everything else on the next arrival.
 	OnArrival func(now int64)
 }
 
@@ -180,6 +180,22 @@ func (s *Sink) drainVC(vc int) {
 			return
 		}
 	}
+}
+
+// CanDrain reports whether Step would move a flit: the ready list has
+// room and some VC's head packet holds a flit that has arrived and not
+// been drained. While false, Step is a no-op and stays one until a flit
+// arrives or a Pop makes room.
+func (s *Sink) CanDrain() bool {
+	if len(s.ready) >= s.maxReady {
+		return false
+	}
+	for vc := range s.port.bufs {
+		if pp := s.port.bufs[vc].head(); pp != nil && pp.Arrived > pp.Sent {
+			return true
+		}
+	}
+	return false
 }
 
 // Peek returns the oldest fully received packet, or nil.

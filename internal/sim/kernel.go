@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Phase orders the work of one simulated cycle. The kernel ticks every
@@ -91,9 +92,8 @@ type Component interface {
 // Handle is a registered component's scheduling slot. Producers of
 // external input hold the consumer's Handle and Wake it.
 type Handle struct {
-	c      Component
-	k      *Kernel
-	wakeAt int64
+	k    *Kernel
+	slot int // index into the kernel's phase-major arrays
 }
 
 // Wake schedules the component to tick at cycle at (clamped to the
@@ -102,28 +102,54 @@ type Handle struct {
 // Waking an already-earlier-scheduled component is a no-op; Wake only
 // ever moves the wake time forward in urgency, never later.
 func (h *Handle) Wake(at int64) {
-	if at < h.k.now {
-		at = h.k.now
+	k := h.k
+	if at < k.now {
+		at = k.now
 	}
-	if at < h.wakeAt {
-		h.wakeAt = at
+	if at >= k.wake[h.slot] {
+		return
+	}
+	k.wake[h.slot] = at
+	// A slot the walk has yet to reach is folded into the running minimum
+	// when it gets there (and one that ticks this cycle takes a new wake
+	// time); only a slot already behind the cursor must lower it here.
+	if h.slot < k.cursor && at < k.next {
+		k.next = at
 	}
 }
+
+// WakeAt returns the cycle the component is next due to tick: Never
+// while it sleeps on an external Wake.
+func (h *Handle) WakeAt() int64 { return h.k.wake[h.slot] }
+
+// Ticks returns how many times the kernel has ticked this component.
+func (h *Handle) Ticks() int64 { return h.k.ticks[h.slot] }
 
 // Kernel owns the simulation clock and the registered components. Step
 // advances one cycle in phase order; RunUntil additionally fast-forwards
 // the clock over cycles where every component sleeps (idle-skip).
+//
+// The components live in dense parallel arrays, phase-major and in
+// registration order within a phase, so one walk of wake is one cycle's
+// tick order. next is the minimum of wake, kept as the walk goes: Step
+// carries it across the slots it passes and Wake lowers it for a slot
+// behind the cursor, so RunUntil reads the next busy cycle instead of
+// scanning for it.
 type Kernel struct {
 	now      int64
 	steps    int64
-	ticks    int64
-	byPhase  [NumPhases][]*Handle
-	handles  []*Handle
+	comps    []Component
+	wake     []int64   // wake[i]: the next cycle comps[i] ticks
+	ticks    []int64   // ticks[i]: how often comps[i] has ticked
+	handles  []*Handle // handles[i].slot == i
+	phaseEnd [NumPhases]int
+	next     int64 // min(wake), exact outside Step
+	cursor   int   // the slot Step is at; len(comps) outside Step
 	idleSkip bool
 }
 
 // NewKernel returns an empty kernel at cycle 0 with idle-skip enabled.
-func NewKernel() *Kernel { return &Kernel{idleSkip: true} }
+func NewKernel() *Kernel { return &Kernel{idleSkip: true, next: Never} }
 
 // SetIdleSkip toggles the activity protocol as a whole. Off, the kernel
 // ignores every wake time: all registered components tick on every
@@ -144,19 +170,40 @@ func (k *Kernel) Steps() int64 { return k.steps }
 // Ticks returns how many component ticks the kernel has made: the
 // simulator's own work, where Steps counts visited cycles. A pure
 // function of the registered components and their wake protocol.
-func (k *Kernel) Ticks() int64 { return k.ticks }
+func (k *Kernel) Ticks() int64 {
+	var n int64
+	for _, t := range k.ticks {
+		n += t
+	}
+	return n
+}
 
 // Register adds a component, initially awake at the current cycle.
 // Registration order is tick order within a phase and must therefore be
-// deterministic.
+// deterministic. The component is inserted at the end of its phase's
+// run of slots; the handles behind it learn their new slots. Register
+// between steps, not from inside a Tick.
 func (k *Kernel) Register(c Component) *Handle {
 	p := c.Phase()
 	if p < 0 || int(p) >= NumPhases {
 		panic(fmt.Sprintf("sim: component %q has invalid phase %d", c.Name(), p))
 	}
-	h := &Handle{c: c, k: k, wakeAt: k.now}
-	k.byPhase[p] = append(k.byPhase[p], h)
-	k.handles = append(k.handles, h)
+	at := k.phaseEnd[p]
+	h := &Handle{k: k, slot: at}
+	k.comps = slices.Insert(k.comps, at, c)
+	k.wake = slices.Insert(k.wake, at, k.now)
+	k.ticks = slices.Insert(k.ticks, at, 0)
+	k.handles = slices.Insert(k.handles, at, h)
+	for _, moved := range k.handles[at+1:] {
+		moved.slot++
+	}
+	for q := int(p); q < NumPhases; q++ {
+		k.phaseEnd[q]++
+	}
+	k.cursor = len(k.comps)
+	if k.now < k.next {
+		k.next = k.now
+	}
 	return h
 }
 
@@ -167,33 +214,31 @@ func (k *Kernel) Register(c Component) *Handle {
 // component ticks regardless of its wake time.
 func (k *Kernel) Step() {
 	now := k.now
-	for _, phase := range &k.byPhase {
-		for _, h := range phase {
-			if k.idleSkip && h.wakeAt > now {
-				continue
+	k.next = Never
+	wake := k.wake
+	for i := range wake {
+		if w := wake[i]; w > now && k.idleSkip {
+			if w < k.next {
+				k.next = w
 			}
-			k.ticks++
-			h.c.Tick(now)
-			if w := h.c.NextWake(now); w > now {
-				h.wakeAt = w
-			} else {
-				h.wakeAt = now + 1
-			}
+			continue
+		}
+		k.cursor = i
+		k.ticks[i]++
+		c := k.comps[i]
+		c.Tick(now)
+		w := c.NextWake(now)
+		if w <= now {
+			w = now + 1
+		}
+		wake[i] = w
+		if w < k.next {
+			k.next = w
 		}
 	}
+	k.cursor = len(wake)
 	k.now = now + 1
 	k.steps++
-}
-
-// nextWake returns the earliest pending wake across all components.
-func (k *Kernel) nextWake() int64 {
-	min := Never
-	for _, h := range k.handles {
-		if h.wakeAt < min {
-			min = h.wakeAt
-		}
-	}
-	return min
 }
 
 // RunUntil advances the clock to cycle end (exclusive of further work:
@@ -202,14 +247,12 @@ func (k *Kernel) nextWake() int64 {
 // one assignment instead of being ticked through.
 func (k *Kernel) RunUntil(end int64) {
 	for k.now < end {
-		if k.idleSkip {
-			if nw := k.nextWake(); nw > k.now {
-				if nw >= end {
-					k.now = end
-					return
-				}
-				k.now = nw
+		if k.idleSkip && k.next > k.now {
+			if k.next >= end {
+				k.now = end
+				return
 			}
+			k.now = k.next
 		}
 		k.Step()
 	}

@@ -179,3 +179,73 @@ func TestKernelInvalidPhase(t *testing.T) {
 	var log []string
 	NewKernel().Register(&probe{name: "bad", phase: Phase(99), log: &log})
 }
+
+// TestKernelHandlesSurviveInsertion: registering into an earlier phase
+// shifts the slots behind it; a handle taken before the shift must still
+// wake, and count the ticks of, its own component.
+func TestKernelHandlesSurviveInsertion(t *testing.T) {
+	var log []string
+	k := NewKernel()
+	never := func(int64) int64 { return Never }
+	late := &probe{name: "late", phase: PhaseInject, log: &log, next: never}
+	hLate := k.Register(late)
+	early := &probe{name: "early", phase: PhaseDeliver, log: &log, next: never}
+	hEarly := k.Register(early)
+	k.RunUntil(10) // both tick once at 0, then sleep
+	hLate.Wake(20)
+	if hLate.WakeAt() != 20 || hEarly.WakeAt() != Never {
+		t.Fatalf("WakeAt: late %d, early %d, want 20 and Never", hLate.WakeAt(), hEarly.WakeAt())
+	}
+	k.RunUntil(30)
+	if want := []int64{0, 20}; !reflect.DeepEqual(late.ticks, want) {
+		t.Fatalf("late ticks = %v, want %v", late.ticks, want)
+	}
+	if len(early.ticks) != 1 || hLate.Ticks() != 2 || hEarly.Ticks() != 1 || k.Ticks() != 3 {
+		t.Fatalf("early ticked %v; Ticks: late %d, early %d, kernel %d", early.ticks, hLate.Ticks(), hEarly.Ticks(), k.Ticks())
+	}
+}
+
+// TestKernelNextWakeIsExact: the running minimum RunUntil reads must
+// equal the true earliest wake after every step, whichever side of the
+// cursor a Wake lands on — a stale-low value would visit a cycle in
+// which nothing ticks, a stale-high one would skip a tick. The waker
+// (Admit phase) wakes a Complete component ahead of the cursor for the
+// current cycle, a Deliver component behind it, and the first again for
+// a later cycle.
+func TestKernelNextWakeIsExact(t *testing.T) {
+	var log []string
+	k := NewKernel()
+	never := func(int64) int64 { return Never }
+	behind := &probe{name: "behind", phase: PhaseDeliver, log: &log, next: never}
+	ahead := &probe{name: "ahead", phase: PhaseComplete, log: &log, next: never}
+	hb, ha := k.Register(behind), k.Register(ahead)
+	k.Register(&probe{name: "waker", phase: PhaseAdmit, log: &log,
+		next: func(now int64) int64 {
+			switch now {
+			case 0:
+				return 10
+			case 10:
+				ha.Wake(now) // ticks this cycle, then sleeps: leaves no wake behind
+				return 20
+			case 20:
+				hb.Wake(now) // its phase ran: ticks at 21
+				return 30
+			case 30:
+				ha.Wake(35)
+				return 40
+			}
+			return Never
+		}})
+	k.RunUntil(100)
+	if want := []int64{0, 21}; !reflect.DeepEqual(behind.ticks, want) {
+		t.Fatalf("behind ticks = %v, want %v", behind.ticks, want)
+	}
+	if want := []int64{0, 10, 35}; !reflect.DeepEqual(ahead.ticks, want) {
+		t.Fatalf("ahead ticks = %v, want %v", ahead.ticks, want)
+	}
+	// Visited cycles: 0, 10, 20, 21, 30, 35, 40 — and not 11, which a
+	// minimum lowered by the same-cycle wake of a slot yet to tick adds.
+	if k.Steps() != 7 {
+		t.Fatalf("Steps() = %d, want 7", k.Steps())
+	}
+}

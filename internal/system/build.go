@@ -31,9 +31,10 @@ type channel struct {
 	// per-channel Splits/Completions.
 	sent, done int64
 
-	// Wake targets: an admission wakes the controller, a read completion
-	// the response injector.
-	hMem, hRespInj *sim.Handle
+	// Wake targets: an arriving flit or the controller's room event wakes
+	// the admission, an admission the controller, a read completion the
+	// response injector.
+	hAdmit, hMem, hRespInj *sim.Handle
 
 	// dpqMon is the DPQ WCET monitor (checked runs under SchedDPQ only).
 	dpqMon *check.DPQMonitor

@@ -24,6 +24,9 @@ import (
 //     sets (no link or router sleeps on work).
 //   - NI sleep: at the same point, every core whose injection component
 //     sleeps blocked really is blocked and unable to launch.
+//   - Memory-side sleep: at the same point, a sleeping admission has
+//     nothing to drain and no head its controller would take, and a
+//     sleeping controller has no grant it could make.
 //   - End-of-run accounting: finalChecks in Runner.Finish — logical
 //     request conservation overall and per core, split-chain pending
 //     bounds, GSS token-table bounds, and cross-checks of the assembled
@@ -57,15 +60,35 @@ func (r *Runner) installChecks() {
 }
 
 // auditMeshes runs the conservation walk over both meshes, binding each
-// to its component name, and checks the premise of every blocked sleep:
-// settle pays a stall per slept cycle, which is only what the tick would
-// have done if the queue stayed at InjectCap and nothing could launch.
+// to its component name, and checks the premise of every sleep outside
+// them. For a blocked core: settle pays a stall per slept cycle, which
+// is only what the tick would have done if the queue stayed at InjectCap
+// and nothing could launch.
 func (r *Runner) auditMeshes(now int64) {
 	for _, c := range r.cores {
 		if c.sleptFrom != sim.Never && (c.inj.CanLaunch() || c.inj.QueueFlits() < r.cfg.InjectCap) {
 			r.chk.Reportf(now, "ni/"+c.spec.Name, "ni-sleep",
 				"injection sleeps blocked with %d of %d flits queued, can launch: %t",
 				c.inj.QueueFlits(), r.cfg.InjectCap, c.inj.CanLaunch())
+		}
+	}
+	// The memory side's sleeps: a component due later than the next cycle
+	// must have nothing it could do in it. Drainable flits keep mem-admit
+	// awake on its own and a head the controller accepts is what the room
+	// event exists to announce; a possible grant keeps the scheduler awake.
+	for i := range r.chans {
+		c := &r.chans[i]
+		if c.hAdmit.WakeAt() > now+1 {
+			p := c.sink.Peek()
+			if accepts := p != nil && c.ctrl.Accepts(p); accepts || c.sink.CanDrain() {
+				r.chk.Reportf(now, "mem-admit"+r.chSuffix(i), "mem-sleep",
+					"admission sleeps with %d packets ready, head accepted: %t, flits to drain: %t",
+					c.sink.Ready(), accepts, c.sink.CanDrain())
+			}
+		}
+		if c.hMem.WakeAt() > now+1 && c.ctrl.CanGrant() {
+			r.chk.Reportf(now, "memctrl"+r.chSuffix(i), "mem-sleep",
+				"scheduler sleeps until %d with a request queued and room in the pipeline", c.hMem.WakeAt())
 		}
 	}
 	r.reqMesh.Audit(func(kind, format string, args ...any) {

@@ -44,9 +44,12 @@ func (c *comp) NextWake(now int64) int64 { return c.next(now) }
 // wakes the consumer's handle. Nothing here polls a blocked neighbour:
 // the mesh components walk only their active sets, the injecting
 // components sleep on a backlog they have no credit for until the
-// credit's return wakes them, and the counters a blocked core's tick
-// would have bumped meanwhile are settled in arrears (settle). DESIGN.md
-// "Execution model" has the wake table.
+// credit's return wakes them, the counters a blocked core's tick would
+// have bumped meanwhile are settled in arrears (settle), the admission
+// sleeps on a head its controller refused until the controller's room
+// event, and the controller sleeps on its own event bound unless a
+// queued request could be granted. DESIGN.md "Execution model" has the
+// wake table.
 func (r *Runner) buildKernel() {
 	k := sim.NewKernel()
 	r.kern = k
@@ -82,7 +85,7 @@ func (r *Runner) buildKernel() {
 	for i := range r.chans {
 		c, sfx := &r.chans[i], r.chSuffix(i)
 		sink, ctrl := c.sink, c.ctrl
-		hAdmit := k.Register(&comp{
+		c.hAdmit = k.Register(&comp{
 			name: "mem-admit" + sfx, phase: sim.PhaseAdmit,
 			tick: func(now int64) {
 				sink.Step(now)
@@ -93,15 +96,20 @@ func (r *Runner) buildKernel() {
 					}
 					sink.Pop(now)
 					// The controller must see the admission this cycle. (A
-					// refused Offer needs no wake: every refusal reason —
-					// refresh drain, a full window, a backlogged thread
-					// queue — implies the controller is already awake.)
+					// refused Offer changes nothing it would act on, so it
+					// needs no wake; the controller remembers the refusal
+					// and its room event brings this component back.)
 					c.hMem.Wake(now)
 				}
 			},
+			// Awake only to drain: a refused head waits on the room event,
+			// an empty ready list on the next arrival.
 			next: sinkNext(sink),
 		})
-		sink.OnArrival = func(now int64) { hAdmit.Wake(now) }
+		sink.OnArrival = func(now int64) { c.hAdmit.Wake(now) }
+		// Room is raised in MemTick, after this cycle's Admit: the head
+		// per-cycle polling kept offering was taken one cycle later.
+		ctrl.OnRoom(func() { c.hAdmit.Wake(k.Now() + 1) })
 		c.hMem = k.Register(&comp{
 			name: "memctrl" + sfx, phase: sim.PhaseMemTick,
 			tick: ctrl.Tick,
@@ -244,11 +252,13 @@ func (r *Runner) settle(c *coreNI, now int64) {
 	c.sleptFrom = now
 }
 
-// sinkNext keeps a sink's drain component awake while flits or
-// reassembled packets remain in it.
+// sinkNext keeps a sink's drain component awake while its Step can
+// still move a flit. Both consumers pop what they can in the same tick,
+// so whatever else the sink holds waits on an event that wakes them: a
+// flit's arrival, or (mem-admit's refused head) the room event.
 func sinkNext(s *noc.Sink) func(now int64) int64 {
 	return func(now int64) int64 {
-		if s.Occupied() > 0 || s.Ready() > 0 {
+		if s.CanDrain() {
 			return now + 1
 		}
 		return sim.Never

@@ -57,8 +57,10 @@ func TestIdleSkipEquivalence(t *testing.T) {
 // application and generation, an explicitly low-utilization app where
 // idle-skip actually skips, a two-channel scaled app, four saturated
 // points where blocked cores and routers sleep, every design on
-// DDR4 with subarrays and on LPDDR3, and every memory scheduler saturated, at low
-// utilization and under a sparse replay — four requests 9,000 cycles
+// DDR4 with subarrays and on LPDDR3, and every memory scheduler saturated
+// (the three related-work ones also on the saturated benchmark app,
+// where admission sleeps on refused heads and the scheduler on a full
+// pipeline), at low utilization and under a sparse replay — four requests 9,000 cycles
 // apart, so the controller sleeps across whole regulation windows and
 // anything it counts per tick (the regulator's window rolls did) shows
 // the kernel's wake schedule in the report. The paper's Table I–III grid
@@ -138,6 +140,15 @@ func TestIdleSkipEquivalenceVariants(t *testing.T) {
 		cfgs[sc.String()+"-saturated"] = sat
 		cfgs[sc.String()+"-low-util"] = low
 		cfgs[sc.String()+"-sparse-replay"] = rep
+		if sc != memctrl.SchedDefault {
+			// The rows above run a lightly loaded DDR2 app; on the saturated
+			// benchmark app the sink's head is refused and the scheduler
+			// sleeps on a backlog behind a full pipeline most of the run.
+			cfgs[sc.String()+"-saturated-ddtv"] = Config{
+				App: appmodel.DualDTV(), Gen: dram.DDR3, Design: GSSSAGM, Scheduler: sc,
+				Cycles: 20_000, SampleEvery: 1000, WorkloadStats: true,
+			}
+		}
 	}
 	for name, cfg := range cfgs {
 		cfg := cfg

@@ -6,17 +6,22 @@ import (
 
 	"aanoc/internal/appmodel"
 	"aanoc/internal/dram"
+	"aanoc/internal/mapping"
+	"aanoc/internal/memctrl"
 	"aanoc/internal/noc"
 	"aanoc/internal/sim"
 	"aanoc/internal/traffic"
 )
 
 // workCounts is the simulator's own work over a run: kernel component
-// ticks, Router.step entries, links Deliver visited, and flits forwarded
-// (Σ BusyCycles, the useful router steps). All pure functions of
-// (config, seed).
+// ticks (and, of those, the memory side's two components summed over
+// the channels), Router.step entries, links Deliver visited, and flits
+// forwarded (Σ BusyCycles, the useful router steps); memEvents is what
+// the controllers' ticks were for, commands issued plus requests
+// retired. All pure functions of (config, seed).
 type workCounts struct {
-	ticks, routerSteps, linkVisits, flits int64
+	ticks, admitTicks, memTicks, memEvents int64
+	routerSteps, linkVisits, flits         int64
 }
 
 func countWork(t *testing.T, cfg Config) workCounts {
@@ -28,6 +33,13 @@ func countWork(t *testing.T, cfg Config) workCounts {
 	r.RunTo(cfg.Cycles)
 	r.Finish()
 	w := workCounts{ticks: r.kern.Ticks()}
+	for i := range r.chans {
+		c := &r.chans[i]
+		w.admitTicks += c.hAdmit.Ticks()
+		w.memTicks += c.hMem.Ticks()
+		st := c.dev.Stats()
+		w.memEvents += st.Activates + st.Reads + st.Writes + st.Precharges + st.Refreshes + c.done
+	}
 	for _, m := range []*noc.Mesh{r.reqMesh, r.respMesh} {
 		v, s := m.WorkCounts()
 		w.linkVisits += v
@@ -38,41 +50,67 @@ func countWork(t *testing.T, cfg Config) workCounts {
 }
 
 // TestSaturatedWorkIsProportional is the counts gate on the two active
-// sets and the sleeping network interfaces: on the benchmark's two
-// saturated configurations the kernel ticks a few components a cycle
-// (every-cycle polling ticked 19.3 on sat-conv), a router is stepped
-// little more than once per flit it forwards (polling: 8.6 times), and
-// Deliver visits only busy links (the busy-bit audit checks that those
-// are exactly the links that deliver). The tick ceilings are the
-// measured values (sat-conv 4.70 ticks/cycle, sat-gss 4.79) with 10%
-// headroom; the step ceilings predate the empty steps an awake router
-// without packets now takes (measured 1.18 and 1.28 steps/flit). The
-// near-idle configuration pins the other side: waking on credits must
-// not cost it a tick.
+// sets, the sleeping network interfaces and the sleeping memory side:
+// on the benchmark's saturated configurations the kernel ticks a few
+// components a cycle (every-cycle polling ticked 19.3 on sat-conv), a
+// router is stepped little more than once per flit it forwards (polling:
+// 8.6 times), Deliver visits only busy links (the busy-bit audit checks
+// that those are exactly the links that deliver), and a controller is
+// ticked little more than once per command it issues or request it
+// retires (a retirement is a split packet completed at the device). The
+// tick ceilings are the measured values (sat-conv 3.38 ticks/cycle,
+// sat-gss 4.15, the four-channel DDR4 point 9.07; the polled memory side
+// read 4.70, 4.79 and 11.33) and the controller ceilings likewise (1.14,
+// 1.17 and 1.32 ticks per event; a backlogged scheduler polling and
+// held-back requests' bounds read 3.84, 1.52 and 1.69), each with 10%
+// headroom; the first two step ceilings predate the empty steps an
+// awake router without packets now takes (measured 1.18 and 1.28
+// steps/flit). On sat-conv, where admission and scheduler each used to
+// tick every cycle, each now ticks in fewer than half. The near-idle
+// configuration pins the other side: waking on credits and room events
+// must not cost it a tick.
 func TestSaturatedWorkIsProportional(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200,000-cycle saturated runs")
 	}
 	for _, tc := range []struct {
-		name                        string
-		cfg                         Config
-		ticksPerCycle, stepsPerFlit float64
+		name                                     string
+		cfg                                      Config
+		ticksPerCycle, stepsPerFlit, memPerEvent float64
+		// memSideShare bounds the admission's and the controller's ticks,
+		// each, as a share of the run's cycles (0: not asserted).
+		memSideShare float64
 	}{
-		{"sat-conv", Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: Conv, Cycles: 200_000}, 5.17, 1.24},
-		{"sat-gss", Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: GSSSAGM, Cycles: 200_000}, 5.27, 1.34},
+		{"sat-conv", Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: Conv, Cycles: 200_000}, 3.72, 1.24, 1.25, 0.5},
+		{"sat-gss", Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: GSSSAGM, Cycles: 200_000}, 4.57, 1.34, 1.29, 0},
+		{"scale-ddr4", Config{App: appmodel.QuadDTV(), Gen: dram.DDR4, Design: GSSSAGM, PriorityDemand: true,
+			Channels: 4, Scheme: mapping.ChannelThenBankXOR, Subarrays: 4, Cycles: 200_000}, 9.97, 1.36, 1.45, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := countWork(t, tc.cfg)
-			if got := float64(w.ticks) / float64(tc.cfg.Cycles); got > tc.ticksPerCycle {
+			cycles := float64(tc.cfg.Cycles)
+			if got := float64(w.ticks) / cycles; got > tc.ticksPerCycle {
 				t.Errorf("%.2f component ticks per simulated cycle, want at most %.2f", got, tc.ticksPerCycle)
 			}
 			if got := float64(w.routerSteps) / float64(w.flits); got > tc.stepsPerFlit {
 				t.Errorf("%.2f router steps per forwarded flit, want at most %.2f", got, tc.stepsPerFlit)
 			}
+			if got := float64(w.memTicks) / float64(w.memEvents); got > tc.memPerEvent {
+				t.Errorf("%.2f controller ticks per command or retirement, want at most %.2f", got, tc.memPerEvent)
+			}
+			if tc.memSideShare > 0 {
+				if got := float64(w.admitTicks) / cycles; got > tc.memSideShare {
+					t.Errorf("mem-admit ticked in %.2f of the cycles, want at most %.2f", got, tc.memSideShare)
+				}
+				if got := float64(w.memTicks) / cycles; got > tc.memSideShare {
+					t.Errorf("memctrl ticked in %.2f of the cycles, want at most %.2f", got, tc.memSideShare)
+				}
+			}
 			if w.linkVisits == 0 {
 				t.Error("Deliver visited no link")
 			}
-			t.Logf("%+v", w)
+			t.Logf("%+v: %.3f ticks/cycle, %.3f steps/flit, %.3f memctrl ticks/event", w,
+				float64(w.ticks)/cycles, float64(w.routerSteps)/float64(w.flits), float64(w.memTicks)/float64(w.memEvents))
 		})
 	}
 	t.Run("lowutil-skip", func(t *testing.T) {
@@ -228,5 +266,64 @@ func TestGrantBoundAllowsUnlaunchedWinner(t *testing.T) {
 	port.Grants++
 	if vs := r.Finish().Obs.Violations; len(vs) != 1 || vs[0].Kind != "link-grant-bound" {
 		t.Fatalf("a grant no packet accounts for reported as %v, want one link-grant-bound", vs)
+	}
+}
+
+// memSleepViolations runs a checked saturated run to its end and returns
+// the mem-sleep violations it collected against the named component.
+func memSleepViolations(t *testing.T, r *Runner, component string) int {
+	t.Helper()
+	r.RunTo(r.cfg.Cycles)
+	n := 0
+	for _, v := range r.Finish().Obs.Violations {
+		if v.Kind == "mem-sleep" && v.Component == component {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCheckedCatchesUnwokenAdmission trips the admission-sleep audit:
+// with the room event dropped, mem-admit sleeps on a refused head past
+// the grant that makes room for it, and the first audit after that grant
+// must find a sleeping admission whose head the controller would take.
+func TestCheckedCatchesUnwokenAdmission(t *testing.T) {
+	for _, d := range []Design{Conv, GSSSAGM} {
+		r, err := New(Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: d, Cycles: 5_000, Checked: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.chans[0].ctrl.OnRoom(func() {})
+		if memSleepViolations(t, r, "mem-admit") == 0 {
+			t.Errorf("%s: a dropped room wake went unreported", d)
+		}
+	}
+}
+
+// sleepyScheduler is a controller whose NextEvent forgets the grant it
+// could make: it reports a cycle past the next one even with a request
+// queued and room in the pipeline.
+type sleepyScheduler struct{ memctrl.Controller }
+
+func (s sleepyScheduler) NextEvent(now int64) int64 {
+	if s.CanGrant() {
+		return now + 16
+	}
+	return s.Controller.NextEvent(now)
+}
+
+// TestCheckedCatchesSleepingScheduler trips the scheduler-sleep audit: a
+// controller that sleeps with a grant possible must be reported.
+func TestCheckedCatchesSleepingScheduler(t *testing.T) {
+	r, err := New(Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: Conv, Cycles: 5_000, Checked: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The kernel's components hold the controller's methods; rebuild them
+	// around the faulty one.
+	r.chans[0].ctrl = sleepyScheduler{r.chans[0].ctrl}
+	r.buildKernel()
+	if memSleepViolations(t, r, "memctrl") == 0 {
+		t.Error("a scheduler sleeping with a grant possible went unreported")
 	}
 }
