@@ -1,6 +1,8 @@
 package check
 
 import (
+	"slices"
+
 	"aanoc/internal/dram"
 )
 
@@ -174,14 +176,21 @@ func (m *DPQMonitor) Complete(id int64, at int64) {
 
 // Flush reports requests still outstanding past their deadline when the
 // run ends at cycle end (requests whose deadline lies beyond the run are
-// legitimately unfinished).
+// legitimately unfinished), in ascending request ID: the report, and
+// which violations the checker's limit keeps, must not vary between
+// runs.
 func (m *DPQMonitor) Flush(end int64) {
-	for id, dl := range m.deadlines {
+	var late []int64
+	for id, dl := range m.deadlines { // order-free: collected, then sorted
 		if dl < end {
-			m.C.Reportf(end, m.Name, "wcet-bound",
-				"request %d still outstanding at end of run, past its analytic WCET deadline %d",
-				id, dl)
+			late = append(late, id)
 		}
+	}
+	slices.Sort(late)
+	for _, id := range late {
+		m.C.Reportf(end, m.Name, "wcet-bound",
+			"request %d still outstanding at end of run, past its analytic WCET deadline %d",
+			id, m.deadlines[id])
 	}
 }
 
@@ -222,9 +231,7 @@ func NewRegulatorMonitor(c *Checker, window, budget int64, name string) *Regulat
 func (m *RegulatorMonitor) Admit(core, bank, beats int, now int64) {
 	if w := now / m.Window; w != m.window {
 		m.window = w
-		for k := range m.usage {
-			delete(m.usage, k)
-		}
+		clear(m.usage)
 	}
 	k := [2]int{core, bank}
 	m.usage[k] += int64(beats)

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -110,6 +111,31 @@ func TestDPQMonitorFlushReportsStragglers(t *testing.T) {
 	mon.Flush(1 << 30)
 	if n := c.Count(); n != 1 {
 		t.Fatalf("flush violations = %d, want 1 (only the overdue straggler)", n)
+	}
+}
+
+// TestDPQMonitorFlushOrdersStragglers: the end-of-run report lists the
+// overdue requests in ascending ID, whatever order they were admitted in
+// — sixty of them, so a walk in map order all but surely comes out
+// scrambled (it did: three runs of one checked command printed three
+// different reports).
+func TestDPQMonitorFlushOrdersStragglers(t *testing.T) {
+	tm := dram.MustSpeed(dram.DDR2, 333)
+	var c Checker
+	mon := NewDPQMonitor(&c, NewDPQBound(tm, 2, 8), "")
+	const n = 60
+	for i := int64(0); i < n; i++ {
+		mon.Admit(i*37%n+1, 8, 1, 0, 0) // IDs 1..60, admitted out of order
+	}
+	mon.Flush(1 << 30)
+	vs := c.Violations()
+	if len(vs) != n {
+		t.Fatalf("flush reported %d stragglers, want %d", len(vs), n)
+	}
+	for i, v := range vs {
+		if want := fmt.Sprintf("request %d still outstanding", i+1); !strings.HasPrefix(v.Detail, want) {
+			t.Fatalf("straggler %d reported as %q, want it to start %q", i, v.Detail, want)
+		}
 	}
 }
 

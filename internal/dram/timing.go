@@ -11,7 +11,10 @@
 // (data-bus utilization, request latency in cycles) are built from.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Generation identifies a DDR SDRAM generation. The paper evaluates all
 // three: DDR I at 133-200 MHz, DDR II at 266-400 MHz, DDR III at
@@ -260,16 +263,12 @@ func MustSpeed(gen Generation, clockMHz int) Timing {
 // ascending order.
 func Speeds(gen Generation) []int {
 	var out []int
-	for k := range grades {
+	for k := range grades { // order-free: collected, then sorted
 		if k.gen == gen {
 			out = append(out, k.mhz)
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 

@@ -79,7 +79,7 @@ func NewDPQ(dev *dram.Device, cfg DPQConfig, onDone func(Completion)) *DPQ {
 // Acceptance starts the request's WCET clock.
 func (d *DPQ) Offer(p *noc.Packet, now int64) bool {
 	if !d.Accepts(p) {
-		return d.eng.room.refuse()
+		return false
 	}
 	q := d.slotOf(p)
 	d.enqueue(q, p)

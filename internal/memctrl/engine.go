@@ -69,31 +69,6 @@ type Completion struct {
 	At  int64
 }
 
-// roomEvent is the wake a refused Offer leaves behind: the front-end
-// that refused raises it when what its Accepts tested changes, and it
-// reaches the caller only while a refusal is outstanding. It lives on
-// the engine because every front-end has exactly one.
-type roomEvent struct {
-	refused bool
-	on      func()
-}
-
-// refuse records that an Offer was turned away; it returns Offer's false.
-func (r *roomEvent) refuse() bool {
-	r.refused = true
-	return false
-}
-
-// raise tells whoever was refused to offer again.
-func (r *roomEvent) raise() {
-	if r.refused {
-		r.refused = false
-		if r.on != nil {
-			r.on()
-		}
-	}
-}
-
 // reqState tracks one request inside the command pipeline.
 type reqState struct {
 	pkt       *noc.Packet
@@ -129,7 +104,6 @@ type engine struct {
 	refreshing  bool
 
 	onDone func(Completion)
-	room   roomEvent
 
 	// reqs recycles reqState records: one is leased per admitted request
 	// and returned (zeroed, so the pool cannot leak a stale packet

@@ -10,15 +10,16 @@ import (
 )
 
 // TestNextEventEquivalence is the event-queue soundness gate, for every
-// controller: driving it only at the cycles its events name — Tick at
-// NextEvent, Offer on the cycle after the room event, the way the
-// system's mem-admit and memctrl components run — must produce the
+// controller: driving it the way the system's channel does — Tick at
+// NextEvent or in the cycle of an admission, and a refused head offered
+// again only after a Tick that leaves Accepts true — must produce the
 // exact completion stream of offering and ticking every cycle. A bound
-// that is ever late (past a cycle where Tick would have acted), or a
-// refusal that no room event follows, shows up as a diverging or
-// missing completion. The slots are two deep and the stream is offered
-// in order, so every front-end refuses heads and sleeps on a backlog
-// behind a full pipeline.
+// that is ever late (past a cycle where Tick would have acted) shows up
+// as a diverging or missing completion; a refused head whose Accepts
+// turns without a Tick (the contract the skipped offers rest on) fails
+// in the cycle it turns. The slots are two deep and the stream is
+// offered in order, so every front-end refuses heads and sleeps on a
+// backlog behind a full pipeline.
 func TestNextEventEquivalence(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR3, 667)
 	// A tight regulator: two requests per (core, bank) and window, so heads
@@ -64,24 +65,25 @@ func TestNextEventEquivalence(t *testing.T) {
 			p.Class = []noc.Class{noc.ClassDemand, noc.ClassPrefetch, noc.ClassMedia}[i%3]
 			pkts = append(pkts, p)
 		}
-		// The two components' wake times: the admitter's and the
-		// controller's. Per-cycle driving wakes both every cycle.
-		admitAt, tickAt := int64(0), int64(0)
-		now, rooms, slept := int64(0), 0, 0
-		s.OnRoom(func() {
-			rooms++
-			admitAt = min(admitAt, now+1)
-		})
+		// The controller's next tick and whether the head is held refused.
+		// The event-driven driver still visits every cycle, so a held
+		// head's Accepts is asked in each one it sleeps through.
+		tickAt, refused := int64(0), false
+		retries, slept := 0, 0
 		i := 0
-		for ; now < 20000; now = min(admitAt, tickAt) {
-			if admitAt <= now {
-				admitAt = math.MaxInt64 // a refused head sleeps until there is room
+		for now := int64(0); now < 20000; now++ {
+			if refused && eventDriven {
+				if s.Accepts(pkts[i]) {
+					t.Fatalf("cycle %d: refused head %d became acceptable without a Tick", now, pkts[i].ID)
+				}
+			} else {
 				for i < len(pkts) && s.Offer(pkts[i], now) {
 					i++
-					tickAt = now // an admission wakes the controller
+					tickAt = now // an admission ticks the controller this cycle
 				}
+				refused = i < len(pkts)
 			}
-			if tickAt <= now {
+			if tickAt <= now || !eventDriven {
 				s.Tick(now)
 				if tickAt = s.NextEvent(now); tickAt <= now {
 					t.Fatalf("NextEvent(%d) = %d, not in the future", now, tickAt)
@@ -89,22 +91,22 @@ func TestNextEventEquivalence(t *testing.T) {
 				if s.CanGrant() && tickAt != now+1 {
 					t.Fatalf("cycle %d: a grant is possible but NextEvent = %d", now, tickAt)
 				}
-				if tickAt > now+1 && i < len(pkts) {
-					slept++
+				if refused && s.Accepts(pkts[i]) {
+					refused = false // offer it next cycle
+					retries++
 				}
+			} else if refused {
+				slept++
 			}
 			if i == len(pkts) && !s.Busy() {
 				break
-			}
-			if !eventDriven {
-				admitAt, tickAt = now+1, now+1
 			}
 		}
 		if len(done) != len(pkts) {
 			t.Fatalf("completed %d of %d requests (event-driven: %v)", len(done), len(pkts), eventDriven)
 		}
-		if eventDriven && (rooms == 0 || slept == 0) {
-			t.Errorf("%d room events, %d sleeps with offers pending: the event-driven admission went unexercised", rooms, slept)
+		if eventDriven && (retries == 0 || slept == 0) {
+			t.Errorf("%d re-offers, %d cycles asleep on a refused head: the event-driven admission went unexercised", retries, slept)
 		}
 		return done
 	}

@@ -96,7 +96,7 @@ func (m *MemMax) Accepts(p *noc.Packet) bool {
 // packet's thread.
 func (m *MemMax) Offer(p *noc.Packet, now int64) bool {
 	if !m.Accepts(p) {
-		return m.eng.room.refuse()
+		return false
 	}
 	m.enqueue(m.threadOf(p), p)
 	return true

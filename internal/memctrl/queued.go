@@ -76,9 +76,6 @@ func (q *queued) enqueue(slot int, p *noc.Packet) {
 	q.backlog++
 }
 
-// OnRoom implements Controller.
-func (q *queued) OnRoom(f func()) { q.eng.room.on = f }
-
 // Tick implements Controller: grant picked heads into the command
 // pipeline while it admits, then drive the pipeline.
 func (q *queued) Tick(now int64) {
@@ -97,9 +94,6 @@ func (q *queued) Tick(now int64) {
 		q.backlog--
 		q.eng.admit(p)
 		q.granted(slot, p, now)
-		// Every front-end's Accepts tests slot FIFOs only, and this pop is
-		// the one thing that shortens one.
-		q.eng.room.raise()
 	}
 	q.eng.tick(now)
 }

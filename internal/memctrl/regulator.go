@@ -104,7 +104,7 @@ func NewRegulator(dev *dram.Device, cfg RegulatorConfig, onDone func(Completion)
 // budget until granted.
 func (r *Regulator) Offer(p *noc.Packet, now int64) bool {
 	if !r.Accepts(p) {
-		return r.eng.room.refuse()
+		return false
 	}
 	r.enqueue(r.slotOf(p), p)
 	return true

@@ -10,20 +10,16 @@ import (
 type Controller interface {
 	// Accepts reports whether Offer would take the packet now. It is the
 	// pure half of Offer: it changes nothing, so an auditor may ask it.
+	// Its answer for a given packet changes only inside Offer (an
+	// admission) and Tick (a grant pops a slot FIFO, a column command
+	// frees a pipeline slot, a refresh drain ends) — never with the clock
+	// alone. A caller refused by Offer therefore need not offer the same
+	// packet again until after the next Tick.
 	Accepts(p *noc.Packet) bool
 	// Offer presents the next in-order request packet; it returns false
-	// (leaving the packet with the caller) when the subsystem is full,
-	// which backpressures the network. A refusal is remembered until the
-	// room event reports that what Accepts tested has changed.
+	// (leaving the packet with the caller, and changing nothing) when the
+	// subsystem is full, which backpressures the network.
 	Offer(p *noc.Packet, now int64) bool
-	// OnRoom sets the room event: f is raised from inside Tick when
-	// something Accepts tests has changed since an Offer was refused — a
-	// grant popped a slot FIFO, the last column command of a request
-	// freed a pipeline slot, a refresh drain ended. It is raised only
-	// with a refusal outstanding, so nobody waiting means no call. The
-	// caller re-offers in the next cycle, which is when per-cycle polling
-	// would have first succeeded.
-	OnRoom(f func())
 	// Tick advances the controller one memory clock cycle.
 	Tick(now int64)
 	// Busy reports whether any admitted request is still in flight.
@@ -35,9 +31,8 @@ type Controller interface {
 	// NextEvent returns the next cycle (> now) Tick could possibly act —
 	// grant a queued request, issue a command, retire a completion, or
 	// start a refresh — judged from the controller's own state. The
-	// simulation kernel skips the controller until then; a successful
-	// Offer wakes it explicitly. math.MaxInt64 means "idle until offered
-	// work".
+	// system skips the controller until then, or until a successful
+	// Offer. math.MaxInt64 means "idle until offered work".
 	NextEvent(now int64) int64
 }
 
@@ -85,7 +80,7 @@ func (s *Simple) Accepts(*noc.Packet) bool { return s.eng.canAdmit() }
 // Offer implements Controller: admit in order while Accepts.
 func (s *Simple) Offer(p *noc.Packet, now int64) bool {
 	if !s.Accepts(p) {
-		return s.eng.room.refuse()
+		return false
 	}
 	if s.hasLast {
 		switch {
@@ -106,18 +101,8 @@ func (s *Simple) Offer(p *noc.Packet, now int64) bool {
 	return true
 }
 
-// OnRoom implements Controller.
-func (s *Simple) OnRoom(f func()) { s.eng.room.on = f }
-
-// Tick implements Controller. Admission tests the pipeline itself, so
-// room is whatever leaves it admitting after the tick: a last column
-// command, or the REF that ends a drain.
-func (s *Simple) Tick(now int64) {
-	s.eng.tick(now)
-	if s.eng.canAdmit() {
-		s.eng.room.raise()
-	}
-}
+// Tick implements Controller.
+func (s *Simple) Tick(now int64) { s.eng.tick(now) }
 
 // Busy implements Controller.
 func (s *Simple) Busy() bool { return s.eng.busy() }

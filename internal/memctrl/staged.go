@@ -92,7 +92,7 @@ func (s *Staged) reclassify(c int) {
 // raises the core's outstanding count (and possibly its class).
 func (s *Staged) Offer(p *noc.Packet, now int64) bool {
 	if !s.Accepts(p) {
-		return s.eng.room.refuse()
+		return false
 	}
 	c := s.slotOf(p)
 	s.enqueue(c, p)

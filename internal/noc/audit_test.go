@@ -167,7 +167,7 @@ func activityViolations(m *Mesh) []string {
 }
 
 // TestAuditCatchesClearedLinkBit drops a link holding a flit out of the
-// busy set — Deliver would never visit it and the flit would sit on the
+// busy set — deliver would never visit it and the flit would sit on the
 // wire forever.
 func TestAuditCatchesClearedLinkBit(t *testing.T) {
 	m, _ := NewMesh(2, 2, 4)
@@ -187,7 +187,7 @@ func TestAuditCatchesClearedLinkBit(t *testing.T) {
 
 // TestAuditCatchesSleepingRouter puts a router to sleep while it holds a
 // head packet, a free output channel for it and the credits to send —
-// Arbitrate would pass it over until some unrelated delivery.
+// arbitrate would pass it over until some unrelated delivery.
 func TestAuditCatchesSleepingRouter(t *testing.T) {
 	m, _ := NewMesh(2, 2, 4)
 	src, dst := Coord{1, 1}, Coord{0, 0}
@@ -195,7 +195,7 @@ func TestAuditCatchesSleepingRouter(t *testing.T) {
 	m.AttachSink(dst, 8, 4)
 	inj.Enqueue(mkPacket(1, src, dst, 4))
 	inj.Step(0)
-	m.Deliver(1) // the head flit lands in (1,1)'s local input; no Arbitrate yet
+	m.deliver(1) // the head flit lands in (1,1)'s local input; no arbitrate yet
 	r := m.index(src)
 	if !m.routerAwake.has(r) {
 		t.Fatal("delivery did not wake the receiving router")
@@ -220,7 +220,7 @@ func TestAuditCatchesWantDrift(t *testing.T) {
 	m.AttachSink(dst, 8, 4)
 	inj.Enqueue(mkPacket(1, src, dst, 4))
 	inj.Step(0)
-	m.Deliver(1) // the head flit lands in (1,1)'s local input
+	m.deliver(1) // the head flit lands in (1,1)'s local input
 	r := m.RouterAt(src)
 	out := XYRoute(src, dst)
 	if r.want[out] != 1 {
@@ -234,8 +234,8 @@ func TestAuditCatchesWantDrift(t *testing.T) {
 		t.Fatalf("zeroed want under a resident packet reported as %v, want one active-set", vs)
 	}
 	// What the drift would cost: the router steps, finds nothing, sleeps.
-	m.Arbitrate(1)
-	if m.RoutersAwake() || m.linkBusy.any() {
+	m.arbitrate(1)
+	if m.Busy() {
 		t.Fatal("router with a zeroed want still forwarded its packet; the fault is not a fault")
 	}
 }

@@ -76,7 +76,7 @@ func HopDistance(a, b Coord) int {
 }
 
 // bitset is a fixed-size set of small integers, one bit each. The mesh
-// walks its words directly (Deliver, Arbitrate) to visit members in
+// walks its words directly (deliver, arbitrate) to visit members in
 // ascending order.
 type bitset []uint64
 
@@ -115,18 +115,18 @@ type Mesh struct {
 	// The two active sets, one bit per link and per router, index order =
 	// construction order: the mesh's only activity state. A link's bit is
 	// set while it holds a flit or a pending credit: launch and
-	// returnCredit set it, Deliver clears it. A router's bit is set by a
+	// returnCredit set it, deliver clears it. A router's bit is set by a
 	// delivery that lands a flit in one of its input buffers or credits
-	// one of its outputs, and cleared by Arbitrate once the router can
-	// make no progress until the next such delivery (see Arbitrate). While
-	// both are empty Deliver and Arbitrate are no-ops and the simulation
-	// kernel skips them. Flits delivered into a sink's credit buffers are
-	// in neither — the sink's consumer tracks them. The checked-mode audit
-	// recomputes both from the live structures every cycle.
+	// one of its outputs, and cleared by arbitrate once the router can
+	// make no progress until the next such delivery (see arbitrate). While
+	// both are empty Cycle is a no-op and the simulation kernel skips it.
+	// Flits delivered into a sink's credit buffers are in neither — the
+	// sink's consumer tracks them. The checked-mode audit recomputes both
+	// from the live structures every cycle.
 	linkBusy    bitset
 	routerAwake bitset
 
-	// Work counters for the proportionality tests: links Deliver visited
+	// Work counters for the proportionality tests: links deliver visited
 	// and Router.step entries.
 	linkVisits, routerSteps int64
 
@@ -139,9 +139,9 @@ type Mesh struct {
 	progress sim.Pool[PacketProgress]
 
 	// OnWake, when set, is invoked as the link set leaves empty: a launch
-	// or a credit return put the first thing on a link. Deliver empties
+	// or a credit return put the first thing on a link. deliver empties
 	// the set, so it fires at most once per cycle. The system uses it to
-	// schedule the mesh's kernel components for the delivery.
+	// schedule the mesh's kernel component for the delivery.
 	OnWake func()
 }
 
@@ -176,7 +176,7 @@ func NewMeshVC(width, height, bufFlits, vcs int) (*Mesh, error) {
 		linkBusy:    newBitset(nLinks),
 		routerAwake: newBitset(width * height),
 	}
-	// One contiguous arena for all routers: the per-cycle Arbitrate walk
+	// One contiguous arena for all routers: the per-cycle arbitrate walk
 	// touches sequential memory. The *Router view stays because pointers
 	// into the arena are stable (the backing slice is never resized).
 	arena := make([]Router, width*height)
@@ -271,13 +271,13 @@ func (m *Mesh) AttachSink(c Coord, queueFlits, maxReady int) *Sink {
 	return s
 }
 
-// Deliver is the mesh's Deliver-phase work: every link holding a flit or
-// a pending credit moves them to their destinations, and nothing else is
-// touched. The busy set is walked in ascending bit order, which is
+// deliver is the first half of a mesh cycle: every link holding a flit
+// or a pending credit moves them to their destinations, and nothing else
+// is touched. The busy set is walked in ascending bit order, which is
 // construction order — same-cycle packet arrivals reach a shared
 // allocator in this order. Each word is read once: nothing launches
-// during Deliver, and a delivered link holds nothing, so its bit clears.
-func (m *Mesh) Deliver(now int64) {
+// during deliver, and a delivered link holds nothing, so its bit clears.
+func (m *Mesh) deliver(now int64) {
 	for w, word := range m.linkBusy {
 		for ; word != 0; word &= word - 1 {
 			b := bits.TrailingZeros64(word)
@@ -288,14 +288,14 @@ func (m *Mesh) Deliver(now int64) {
 	}
 }
 
-// Arbitrate is the mesh's Arbitrate-phase work: every awake router
-// allocates free output channels and forwards at most one flit per
-// output, in ascending index order. A router goes back to sleep when its
-// step changed nothing and asked nothing of a time-dependent allocator
+// arbitrate is the second half: every awake router allocates free
+// output channels and forwards at most one flit per output, in ascending
+// index order. A router goes back to sleep when its step changed
+// nothing and asked nothing of a time-dependent allocator
 // (Router.step; a router holding no packet is the trivial case): what is
 // left is then waiting on a flit or a credit, and only a delivery —
 // which sets the bit again — brings either.
-func (m *Mesh) Arbitrate(now int64) {
+func (m *Mesh) arbitrate(now int64) {
 	for w, word := range m.routerAwake {
 		for ; word != 0; word &= word - 1 {
 			b := bits.TrailingZeros64(word)
@@ -307,24 +307,25 @@ func (m *Mesh) Arbitrate(now int64) {
 	}
 }
 
-// WorkCounts returns how much the mesh has walked so far: links Deliver
+// WorkCounts returns how much the mesh has walked so far: links deliver
 // visited and Router.step entries. Pure functions of the traffic, so
 // tests pin them.
 func (m *Mesh) WorkCounts() (linkVisits, routerSteps int64) {
 	return m.linkVisits, m.routerSteps
 }
 
-// RoutersAwake reports whether any router may still act without a
-// further delivery, i.e. whether Arbitrate has work next cycle.
-func (m *Mesh) RoutersAwake() bool { return m.routerAwake.any() }
+// Busy reports whether the next Cycle has work: a link holds a flit or a
+// credit, or a router may still act without a further delivery. While
+// it is false Cycle is a no-op and stays one until a launch or a credit
+// return fires OnWake.
+func (m *Mesh) Busy() bool { return m.linkBusy.any() || m.routerAwake.any() }
 
-// Cycle advances the mesh one full cycle standalone: Deliver then
-// Arbitrate. Unit tests and micro-benchmarks drive an isolated mesh
-// this way; the full system registers the two phases with the
-// simulation kernel instead.
+// Cycle advances the mesh one cycle: deliver, then arbitrate. The full
+// system ticks it as one kernel component per mesh; unit tests and
+// micro-benchmarks drive an isolated mesh the same way.
 func (m *Mesh) Cycle(now int64) {
-	m.Deliver(now)
-	m.Arbitrate(now)
+	m.deliver(now)
+	m.arbitrate(now)
 }
 
 // markBusy puts link i in the busy set, firing OnWake if the set was

@@ -20,7 +20,7 @@ type Injector struct {
 	// the network — the reference point for network-entry latency.
 	OnFirstFlit func(p *Packet, now int64)
 
-	// OnCredit, when set, is invoked as the Deliver phase returns a
+	// OnCredit, when set, is invoked as the mesh's delivery returns a
 	// credit on a VC with a packet queued — the one event that can turn
 	// CanLaunch true from outside. The simulation kernel uses it to wake
 	// the injecting component; a credit for an empty queue wakes no one.
@@ -80,7 +80,7 @@ func (inj *Injector) CanLaunch() bool {
 }
 
 // Step launches at most one flit, serving the priority VC first. Call
-// at most once per cycle, after the mesh's Deliver/Arbitrate phases.
+// at most once per cycle, after the mesh's Cycle.
 func (inj *Injector) Step(now int64) {
 	for vc := len(inj.queues) - 1; vc >= 0; vc-- {
 		q := inj.queues[vc]
@@ -141,7 +141,7 @@ func newSink(vcs, queueFlits, maxReady int) *Sink {
 }
 
 // Step drains arrived flits into the reassembly area, priority VC first.
-// Call at most once per cycle after the mesh's Deliver/Arbitrate phases.
+// Call at most once per cycle after the mesh's Cycle.
 func (s *Sink) Step(now int64) {
 	for vc := len(s.port.bufs) - 1; vc >= 0; vc-- {
 		s.drainVC(vc)

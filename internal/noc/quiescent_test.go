@@ -22,7 +22,7 @@ func TestQuiescentLifecycle(t *testing.T) {
 	if !m.Quiescent() {
 		t.Fatal("fresh mesh not quiescent")
 	}
-	if m.linkBusy.any() || m.RoutersAwake() {
+	if m.Busy() {
 		t.Fatalf("fresh mesh: busy links %v, awake routers %v, want both empty", m.linkBusy, m.routerAwake)
 	}
 
@@ -36,7 +36,7 @@ func TestQuiescentLifecycle(t *testing.T) {
 
 	// A queued packet is injector-resident: the mesh itself is untouched.
 	inj.Enqueue(mkPacket(1, src, dst, 4))
-	if !m.Quiescent() || m.linkBusy.any() || m.RoutersAwake() {
+	if !m.Quiescent() || m.linkBusy.any() || m.routerAwake.any() {
 		t.Fatal("enqueue alone must not disturb the mesh")
 	}
 	if woke != 0 {
@@ -62,15 +62,15 @@ func TestQuiescentLifecycle(t *testing.T) {
 	delivered := false
 	var now int64
 	cycle := func() {
-		if !m.linkBusy.any() && !m.RoutersAwake() && !m.Quiescent() {
+		if !m.linkBusy.any() && !m.routerAwake.any() && !m.Quiescent() {
 			t.Fatalf("cycle %d: both sets empty on a non-quiescent mesh", now)
 		}
 		woke = 0
-		m.Deliver(now)
+		m.deliver(now)
 		if m.linkBusy.any() {
-			t.Fatalf("cycle %d: Deliver left links busy: %v", now, m.linkBusy)
+			t.Fatalf("cycle %d: deliver left links busy: %v", now, m.linkBusy)
 		}
-		m.Arbitrate(now)
+		m.arbitrate(now)
 		inj.Step(now)
 		sink.Step(now)
 		delivered = delivered || sink.Pop(now) != nil
@@ -102,7 +102,7 @@ func TestQuiescentLifecycle(t *testing.T) {
 	for now < 110 {
 		cycle()
 	}
-	if m.linkBusy.any() || m.RoutersAwake() {
+	if m.Busy() {
 		t.Fatalf("after credit flush: busy links %v, awake routers %v, want both empty", m.linkBusy, m.routerAwake)
 	}
 }
@@ -128,7 +128,7 @@ func TestQuiescentSinkResidency(t *testing.T) {
 	if !m.Quiescent() {
 		t.Fatal("mesh must be quiescent with the packet sink-resident")
 	}
-	if m.linkBusy.any() || m.RoutersAwake() {
+	if m.Busy() {
 		t.Fatalf("busy links %v, awake routers %v with the packet sink-resident, want both empty",
 			m.linkBusy, m.routerAwake)
 	}

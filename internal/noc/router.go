@@ -102,7 +102,7 @@ type Router struct {
 	// forwarded) routed to each output port, pinned at head arrival. A
 	// port with want zero has no candidates and no active transfer, so
 	// step passes over it without touching its VC slots; with every want
-	// zero step does nothing and Arbitrate puts the router to sleep.
+	// zero step does nothing and arbitrate puts the router to sleep.
 	// Packets, not flits: a resident packet whose flits are all
 	// forwarded-or-unarrived still waits on an arrival, which wakes the
 	// router the cycle the flit lands.

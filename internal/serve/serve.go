@@ -105,7 +105,7 @@ func (s *Server) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
-	for _, r := range s.runs {
+	for _, r := range s.runs { // order-free: every run is cancelled, none reports
 		r.cancel()
 	}
 }

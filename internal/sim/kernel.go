@@ -11,20 +11,18 @@ import (
 // next, so the system-wide intra-cycle ordering the monolithic runner
 // hand-wired is reproduced by construction:
 //
-//	Deliver   — links move last cycle's flits and credits
-//	Arbitrate — routers allocate output channels and forward flits
-//	Admit     — sinks drain and hand packets to the memory subsystem
-//	MemTick   — the memory controller drives the command bus
-//	Complete  — response consumers retire finished requests
-//	Inject    — traffic sources generate and NIs launch new flits
-//	Audit     — observers sample and checkers audit the settled cycle
+//	Network  — each mesh delivers last cycle's flits and credits, then
+//	           its routers allocate output channels and forward flits
+//	Memory   — each channel admits arrived requests, drives its command
+//	           bus and launches read responses
+//	Complete — response consumers retire finished requests
+//	Inject   — traffic sources generate and NIs launch new flits
+//	Audit    — observers sample and checkers audit the settled cycle
 type Phase int
 
 const (
-	PhaseDeliver Phase = iota
-	PhaseArbitrate
-	PhaseAdmit
-	PhaseMemTick
+	PhaseNetwork Phase = iota
+	PhaseMemory
 	PhaseComplete
 	PhaseInject
 	PhaseAudit
@@ -36,14 +34,10 @@ const (
 // String names the phase.
 func (p Phase) String() string {
 	switch p {
-	case PhaseDeliver:
-		return "deliver"
-	case PhaseArbitrate:
-		return "arbitrate"
-	case PhaseAdmit:
-		return "admit"
-	case PhaseMemTick:
-		return "memtick"
+	case PhaseNetwork:
+		return "network"
+	case PhaseMemory:
+		return "memory"
 	case PhaseComplete:
 		return "complete"
 	case PhaseInject:

@@ -30,7 +30,7 @@ func (p *probe) NextWake(now int64) int64 {
 
 // TestKernelPhaseOrdering registers a probe in every phase (two in one
 // phase to pin registration order) and asserts the per-cycle call
-// sequence matches the documented Deliver..Audit order.
+// sequence matches the documented Network..Audit order.
 func TestKernelPhaseOrdering(t *testing.T) {
 	k := NewKernel()
 	var log []string
@@ -39,9 +39,9 @@ func TestKernelPhaseOrdering(t *testing.T) {
 		k.Register(&probe{name: ph.String(), phase: ph, log: &log})
 		names = append(names, ph.String())
 	}
-	// A second Arbitrate component, registered after every first-wave
-	// component, must still tick right after the first Arbitrate probe.
-	k.Register(&probe{name: "arbitrate2", phase: PhaseArbitrate, log: &log})
+	// A second Network component, registered after every first-wave
+	// component, must still tick right after the first Network probe.
+	k.Register(&probe{name: "network2", phase: PhaseNetwork, log: &log})
 
 	k.RunUntil(3)
 
@@ -49,8 +49,8 @@ func TestKernelPhaseOrdering(t *testing.T) {
 	for cyc := int64(0); cyc < 3; cyc++ {
 		for _, n := range names {
 			want = append(want, fmt.Sprintf("%d:%s", cyc, n))
-			if n == PhaseArbitrate.String() {
-				want = append(want, fmt.Sprintf("%d:arbitrate2", cyc))
+			if n == PhaseNetwork.String() {
+				want = append(want, fmt.Sprintf("%d:network2", cyc))
 			}
 		}
 	}
@@ -102,7 +102,7 @@ func TestKernelIdleSkipOffEquivalence(t *testing.T) {
 	run := func(skip bool) *worker {
 		var log []string
 		w := &worker{}
-		w.name, w.phase, w.log = "w", PhaseMemTick, &log
+		w.name, w.phase, w.log = "w", PhaseMemory, &log
 		w.next = func(now int64) int64 { return (now/7 + 1) * 7 }
 		k := NewKernel()
 		k.SetIdleSkip(skip)
@@ -145,14 +145,14 @@ func TestKernelWakeSameCycle(t *testing.T) {
 	sleeper := &probe{name: "sleeper", phase: PhaseComplete, log: &log,
 		next: func(int64) int64 { return Never }}
 	hs := k.Register(sleeper)
-	late := &probe{name: "late", phase: PhaseDeliver, log: &log,
+	late := &probe{name: "late", phase: PhaseNetwork, log: &log,
 		next: func(int64) int64 { return Never }}
 	hl := k.Register(late)
-	k.Register(&probe{name: "admit", phase: PhaseAdmit, log: &log,
+	k.Register(&probe{name: "waker", phase: PhaseMemory, log: &log,
 		next: func(now int64) int64 {
 			if now == 2 {
 				hs.Wake(now) // Complete runs later this cycle
-				hl.Wake(now) // Deliver already ran: clamps to next cycle
+				hl.Wake(now) // Network already ran: clamps to next cycle
 			}
 			return now + 1
 		}})
@@ -189,7 +189,7 @@ func TestKernelHandlesSurviveInsertion(t *testing.T) {
 	never := func(int64) int64 { return Never }
 	late := &probe{name: "late", phase: PhaseInject, log: &log, next: never}
 	hLate := k.Register(late)
-	early := &probe{name: "early", phase: PhaseDeliver, log: &log, next: never}
+	early := &probe{name: "early", phase: PhaseNetwork, log: &log, next: never}
 	hEarly := k.Register(early)
 	k.RunUntil(10) // both tick once at 0, then sleep
 	hLate.Wake(20)
@@ -209,17 +209,17 @@ func TestKernelHandlesSurviveInsertion(t *testing.T) {
 // equal the true earliest wake after every step, whichever side of the
 // cursor a Wake lands on — a stale-low value would visit a cycle in
 // which nothing ticks, a stale-high one would skip a tick. The waker
-// (Admit phase) wakes a Complete component ahead of the cursor for the
-// current cycle, a Deliver component behind it, and the first again for
+// (Memory phase) wakes a Complete component ahead of the cursor for the
+// current cycle, a Network component behind it, and the first again for
 // a later cycle.
 func TestKernelNextWakeIsExact(t *testing.T) {
 	var log []string
 	k := NewKernel()
 	never := func(int64) int64 { return Never }
-	behind := &probe{name: "behind", phase: PhaseDeliver, log: &log, next: never}
+	behind := &probe{name: "behind", phase: PhaseNetwork, log: &log, next: never}
 	ahead := &probe{name: "ahead", phase: PhaseComplete, log: &log, next: never}
 	hb, ha := k.Register(behind), k.Register(ahead)
-	k.Register(&probe{name: "waker", phase: PhaseAdmit, log: &log,
+	k.Register(&probe{name: "waker", phase: PhaseMemory, log: &log,
 		next: func(now int64) int64 {
 			switch now {
 			case 0:

@@ -1,6 +1,8 @@
 package system
 
 import (
+	"fmt"
+
 	"aanoc/internal/appmodel"
 	"aanoc/internal/check"
 	"aanoc/internal/core"
@@ -17,9 +19,11 @@ import (
 )
 
 // channel is one SDRAM channel: a controller/device pair behind its own
-// mesh ejection port, with the counters and wake handles that belong to
+// mesh ejection port, with the counters and wake state that belong to
 // it. A single-channel run is the one-element case of the same wiring.
+// It is the channel's kernel component (components.go).
 type channel struct {
+	sfx     string // names its component and monitors: /chN, empty single-channel
 	port    noc.Coord
 	dev     *dram.Device
 	ctrl    memctrl.Controller
@@ -31,10 +35,15 @@ type channel struct {
 	// per-channel Splits/Completions.
 	sent, done int64
 
-	// Wake targets: an arriving flit or the controller's room event wakes
-	// the admission, an admission the controller, a read completion the
-	// response injector.
-	hAdmit, hMem, hRespInj *sim.Handle
+	// h is the channel's kernel handle: an arriving flit or a credit for
+	// the response injector wakes it. memDue is the cycle the controller
+	// next ticks unless an admission comes first (its NextEvent after its
+	// last tick). refused holds the controller's answer for the sink's
+	// head, once Offer or, after a controller tick, Accepts has said no;
+	// it stands until the controller ticks again.
+	h       *sim.Handle
+	memDue  int64
+	refused bool
 
 	// dpqMon is the DPQ WCET monitor (checked runs under SchedDPQ only).
 	dpqMon *check.DPQMonitor
@@ -212,6 +221,10 @@ func (r *Runner) buildMemory(ports []noc.Coord) error {
 			port: port, dev: dev,
 			sink:    r.reqMesh.AttachSink(port, 2*cfg.BufFlits, memReady),
 			respInj: r.respMesh.AttachInjector(port),
+		}
+		if len(ports) > 1 {
+			// A single channel keeps the seed's exact names.
+			c.sfx = fmt.Sprintf("/ch%d", i)
 		}
 		c.ctrl = r.newController(dev, policy, func(cm memctrl.Completion) { r.onMemDone(c, cm) })
 	}

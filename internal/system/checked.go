@@ -24,9 +24,10 @@ import (
 //     sets (no link or router sleeps on work).
 //   - NI sleep: at the same point, every core whose injection component
 //     sleeps blocked really is blocked and unable to launch.
-//   - Memory-side sleep: at the same point, a sleeping admission has
-//     nothing to drain and no head its controller would take, and a
-//     sleeping controller has no grant it could make.
+//   - Memory-side sleep: at the same point, a channel's held refusal is
+//     one its controller still stands by, a sleeping channel has nothing
+//     to drain, launch or admit, and a controller not due next cycle has
+//     no grant it could make.
 //   - End-of-run accounting: finalChecks in Runner.Finish — logical
 //     request conservation overall and per core, split-chain pending
 //     bounds, GSS token-table bounds, and cross-checks of the assembled
@@ -37,7 +38,7 @@ import (
 func (r *Runner) installChecks() {
 	r.chk = &check.Checker{Panic: r.cfg.CheckedPanic}
 	for i := range r.chans {
-		ch, name := &r.chans[i], r.chSuffix(i)
+		ch := &r.chans[i]
 		// One protocol monitor per channel: each device's command stream
 		// is validated against its own shadow timing state.
 		ch.dev.Observer = check.NewDRAMMonitor(r.chk, r.timing).Observe
@@ -49,12 +50,12 @@ func (r *Runner) installChecks() {
 		switch c := ch.ctrl.(type) {
 		case *memctrl.DPQ:
 			b := check.NewDPQBound(r.timing, c.Config().Requestors, r.maxBeats)
-			ch.dpqMon = check.NewDPQMonitor(r.chk, b, "memctrl/dpq"+name)
+			ch.dpqMon = check.NewDPQMonitor(r.chk, b, "memctrl/dpq"+ch.sfx)
 			c.OnAdmit = ch.dpqMon.Admit
 			c.OnComplete = ch.dpqMon.Complete
 		case *memctrl.Regulator:
 			rc := c.Config()
-			c.OnAdmit = check.NewRegulatorMonitor(r.chk, rc.Window, rc.Budget, "memctrl/regulator"+name).Admit
+			c.OnAdmit = check.NewRegulatorMonitor(r.chk, rc.Window, rc.Budget, "memctrl/regulator"+ch.sfx).Admit
 		}
 	}
 }
@@ -72,23 +73,24 @@ func (r *Runner) auditMeshes(now int64) {
 				c.inj.QueueFlits(), r.cfg.InjectCap, c.inj.CanLaunch())
 		}
 	}
-	// The memory side's sleeps: a component due later than the next cycle
-	// must have nothing it could do in it. Drainable flits keep mem-admit
-	// awake on its own and a head the controller accepts is what the room
-	// event exists to announce; a possible grant keeps the scheduler awake.
+	// The memory side's sleeps. A head the controller accepts must be
+	// offered next cycle: a refusal held against it is stale (Accepts
+	// changed without a controller tick), and a channel due later sleeps
+	// on it. Drainable or launchable flits keep the channel awake on their
+	// own, and a possible grant keeps the controller due.
 	for i := range r.chans {
 		c := &r.chans[i]
-		if c.hAdmit.WakeAt() > now+1 {
-			p := c.sink.Peek()
-			if accepts := p != nil && c.ctrl.Accepts(p); accepts || c.sink.CanDrain() {
-				r.chk.Reportf(now, "mem-admit"+r.chSuffix(i), "mem-sleep",
-					"admission sleeps with %d packets ready, head accepted: %t, flits to drain: %t",
-					c.sink.Ready(), accepts, c.sink.CanDrain())
-			}
+		p := c.sink.Peek()
+		accepts := p != nil && c.ctrl.Accepts(p)
+		asleep := c.h.WakeAt() > now+1
+		if accepts && (c.refused || asleep) || asleep && (c.sink.CanDrain() || c.respInj.CanLaunch()) {
+			r.chk.Reportf(now, "mem-admit"+c.sfx, "mem-sleep",
+				"channel due at %d with %d packets ready, head refused: %t, accepted: %t, flits to drain: %t, to launch: %t",
+				c.h.WakeAt(), c.sink.Ready(), c.refused, accepts, c.sink.CanDrain(), c.respInj.CanLaunch())
 		}
-		if c.hMem.WakeAt() > now+1 && c.ctrl.CanGrant() {
-			r.chk.Reportf(now, "memctrl"+r.chSuffix(i), "mem-sleep",
-				"scheduler sleeps until %d with a request queued and room in the pipeline", c.hMem.WakeAt())
+		if c.memDue > now+1 && c.ctrl.CanGrant() {
+			r.chk.Reportf(now, "memctrl"+c.sfx, "mem-sleep",
+				"scheduler sleeps until %d with a request queued and room in the pipeline", c.memDue)
 		}
 	}
 	r.reqMesh.Audit(func(kind, format string, args ...any) {

@@ -1,8 +1,6 @@
 package system
 
 import (
-	"fmt"
-
 	"aanoc/internal/noc"
 	"aanoc/internal/sim"
 )
@@ -22,117 +20,63 @@ func (c *comp) Tick(now int64)           { c.tick(now) }
 func (c *comp) NextWake(now int64) int64 { return c.next(now) }
 
 // buildKernel registers the wired subsystems with a fresh simulation
-// kernel. Phase order plus registration order reproduce the exact
-// intra-cycle sequence of the pre-kernel monolithic Step:
+// kernel: one component per mesh, one per memory channel, two per core.
+// Phase order plus registration order reproduce the exact intra-cycle
+// sequence of the pre-kernel monolithic Step:
 //
-//	Deliver   req links, resp links
-//	Arbitrate req routers, resp routers
-//	Admit     memory sink drain + controller admission
-//	MemTick   memory controller
+//	Network   req mesh, resp mesh (each: deliver, then arbitrate)
+//	Memory    per channel: sink drain + admission, controller, response injector
 //	Complete  per-core response sink drain + split retirement
-//	Inject    response injector, then per-core generation + injection
+//	Inject    per-core generation + injection
 //	Audit     observability sampling, checked-mode mesh audits
 //
-// (The old Step drained core sinks before the controller ticked and
-// retired splits after; both halves touch disjoint state — the resp
-// mesh's sinks versus the request pipeline — so folding them into one
-// Complete component after MemTick is order-equivalent.)
+// (The old Step delivered on both meshes before either arbitrated,
+// drained core sinks before the controller ticked and retired splits
+// after, and launched responses last. Each regrouping here orders work
+// on disjoint state — one mesh against the other, the request pipeline
+// against the response mesh's sinks, a channel's response injector
+// against the cores' sinks — so it is order-equivalent.)
 //
 // Each component's NextWake gives the activity-driven idle-skip its
 // soundness: a component only sleeps through cycles its tick provably
 // would not change state, and every producer of cross-component input
 // wakes the consumer's handle. Nothing here polls a blocked neighbour:
-// the mesh components walk only their active sets, the injecting
-// components sleep on a backlog they have no credit for until the
-// credit's return wakes them, the counters a blocked core's tick would
-// have bumped meanwhile are settled in arrears (settle), the admission
-// sleeps on a head its controller refused until the controller's room
-// event, and the controller sleeps on its own event bound unless a
-// queued request could be granted. DESIGN.md "Execution model" has the
-// wake table.
+// the meshes walk only their active sets, the injecting components
+// sleep on a backlog they have no credit for until the credit's return
+// wakes them, the counters a blocked core's tick would have bumped
+// meanwhile are settled in arrears (settle), and a channel sleeps on a
+// refused head and its controller's own event bound (channel.NextWake).
+// DESIGN.md "Execution model" has the wake table.
 func (r *Runner) buildKernel() {
 	k := sim.NewKernel()
 	r.kern = k
 
-	regMesh := func(name string, m *noc.Mesh) {
-		// Deliver empties the link set, so the links sleep until OnWake;
-		// the routers stay up while any of them can still act.
-		hd := k.Register(&comp{name: name + "-links", phase: sim.PhaseDeliver, tick: m.Deliver,
-			next: func(int64) int64 { return sim.Never }})
-		ha := k.Register(&comp{name: name + "-routers", phase: sim.PhaseArbitrate, tick: m.Arbitrate,
+	for i, m := range []*noc.Mesh{r.reqMesh, r.respMesh} {
+		h := k.Register(&comp{name: [...]string{"req", "resp"}[i], phase: sim.PhaseNetwork, tick: m.Cycle,
 			next: func(now int64) int64 {
-				if m.RoutersAwake() {
+				if m.Busy() {
 					return now + 1
 				}
 				return sim.Never
 			}})
-		m.OnWake = func() {
-			// The first flit or credit of the cycle went onto a link, after
-			// this cycle's Deliver: deliver it next cycle, exactly when the
-			// always-ticked mesh would have, and let the routers it lands
-			// at arbitrate in that same cycle.
-			at := k.Now() + 1
-			hd.Wake(at)
-			ha.Wake(at)
-		}
+		// The first flit or credit of the cycle went onto a link, after
+		// this cycle's delivery: deliver it next cycle, exactly when the
+		// always-ticked mesh would have.
+		m.OnWake = func() { h.Wake(k.Now() + 1) }
 	}
-	regMesh("req", r.reqMesh)
-	regMesh("resp", r.respMesh)
 
-	// A channel's three components. Registering every channel before any
-	// core keeps the response injectors ahead of the cores' injection in
-	// the Inject phase.
 	for i := range r.chans {
-		c, sfx := &r.chans[i], r.chSuffix(i)
-		sink, ctrl := c.sink, c.ctrl
-		c.hAdmit = k.Register(&comp{
-			name: "mem-admit" + sfx, phase: sim.PhaseAdmit,
-			tick: func(now int64) {
-				sink.Step(now)
-				for {
-					p := sink.Peek()
-					if p == nil || !ctrl.Offer(p, now) {
-						break
-					}
-					sink.Pop(now)
-					// The controller must see the admission this cycle. (A
-					// refused Offer changes nothing it would act on, so it
-					// needs no wake; the controller remembers the refusal
-					// and its room event brings this component back.)
-					c.hMem.Wake(now)
-				}
-			},
-			// Awake only to drain: a refused head waits on the room event,
-			// an empty ready list on the next arrival.
-			next: sinkNext(sink),
-		})
-		sink.OnArrival = func(now int64) { c.hAdmit.Wake(now) }
-		// Room is raised in MemTick, after this cycle's Admit: the head
-		// per-cycle polling kept offering was taken one cycle later.
-		ctrl.OnRoom(func() { c.hAdmit.Wake(k.Now() + 1) })
-		c.hMem = k.Register(&comp{
-			name: "memctrl" + sfx, phase: sim.PhaseMemTick,
-			tick: ctrl.Tick,
-			next: ctrl.NextEvent,
-		})
-		c.hRespInj = k.Register(&comp{
-			name: "resp-inject" + sfx, phase: sim.PhaseInject,
-			tick: c.respInj.Step,
-			next: func(now int64) int64 {
-				// A backlog with no credit waits on the credit, not on the
-				// clock; wakeOnCredit brings it.
-				if c.respInj.CanLaunch() {
-					return now + 1
-				}
-				return sim.Never
-			},
-		})
-		wakeOnCredit(k, c.respInj, c.hRespInj)
+		c := &r.chans[i]
+		c.h = k.Register(c)
+		c.sink.OnArrival = func(now int64) { c.h.Wake(now) }
+		// Credits return in the Network phase, ahead of Memory and Inject,
+		// so the woken tick launches in the cycle the every-cycle loop
+		// would; the same holds for a core's injection below.
+		c.respInj.OnCredit = func() { c.h.Wake(k.Now()) }
 	}
 
 	// A core's two: response completion, then generation and injection.
 	for _, c := range r.cores {
-		c := c
 		hc := k.Register(&comp{
 			name: "core-complete/" + c.spec.Name, phase: sim.PhaseComplete,
 			tick: func(now int64) {
@@ -147,7 +91,14 @@ func (r *Runner) buildKernel() {
 					r.pkts.Put(p)
 				}
 			},
-			next: sinkNext(c.sink),
+			// Awake while the sink can still move a flit; the tick pops
+			// everything ready, so the rest waits on a flit's arrival.
+			next: func(now int64) int64 {
+				if c.sink.CanDrain() {
+					return now + 1
+				}
+				return sim.Never
+			},
 		})
 		c.sink.OnArrival = func(now int64) { hc.Wake(now) }
 		c.hInject = k.Register(&comp{
@@ -193,7 +144,7 @@ func (r *Runner) buildKernel() {
 				return next
 			},
 		})
-		wakeOnCredit(k, c.inj, c.hInject)
+		c.inj.OnCredit = func() { c.hInject.Wake(k.Now()) }
 	}
 
 	if se := r.cfg.SampleEvery; se > 0 {
@@ -224,13 +175,6 @@ func (r *Runner) buildKernel() {
 	}
 }
 
-// wakeOnCredit wakes an injecting component the cycle a credit it can
-// use comes back. Credits return in the Deliver phase, ahead of Inject,
-// so the woken tick launches in the cycle the every-cycle loop would.
-func wakeOnCredit(k *sim.Kernel, inj *noc.Injector, h *sim.Handle) {
-	inj.OnCredit = func() { h.Wake(k.Now()) }
-}
-
 // settle brings a core's lazily kept counters up to cycle now
 // (exclusive). While the core sleeps blocked its tick would only have
 // counted the lost cycle — in Metrics.Stalled, the core's stalls and
@@ -252,24 +196,50 @@ func (r *Runner) settle(c *coreNI, now int64) {
 	c.sleptFrom = now
 }
 
-// sinkNext keeps a sink's drain component awake while its Step can
-// still move a flit. Both consumers pop what they can in the same tick,
-// so whatever else the sink holds waits on an event that wakes them: a
-// flit's arrival, or (mem-admit's refused head) the room event.
-func sinkNext(s *noc.Sink) func(now int64) int64 {
-	return func(now int64) int64 {
-		if s.CanDrain() {
-			return now + 1
+// Name, Phase, Tick and NextWake make a channel its own kernel component.
+func (c *channel) Name() string     { return "mem" + c.sfx }
+func (c *channel) Phase() sim.Phase { return sim.PhaseMemory }
+
+// Tick is one cycle of the channel, request to response: the sink
+// drains and offers its ready packets in order until the controller
+// refuses one; the controller ticks if its own bound is due or it has
+// just admitted (it must see the admission this cycle); the response
+// injector launches, so a read finished in this tick leaves in it. A
+// refused head is not offered again until the controller has ticked:
+// Accepts changes only in Offer and Tick (memctrl.Controller), so the
+// answer is asked once after each controller tick instead.
+func (c *channel) Tick(now int64) {
+	c.sink.Step(now)
+	admitted := false
+	for !c.refused {
+		p := c.sink.Peek()
+		if p == nil {
+			break
 		}
-		return sim.Never
+		if !c.ctrl.Offer(p, now) {
+			c.refused = true
+			break
+		}
+		c.sink.Pop(now)
+		admitted = true
 	}
+	if admitted || c.memDue <= now {
+		c.ctrl.Tick(now)
+		c.memDue = c.ctrl.NextEvent(now)
+		p := c.sink.Peek()
+		c.refused = p != nil && !c.ctrl.Accepts(p)
+	}
+	c.respInj.Step(now)
 }
 
-// chSuffix names a channel's components and monitors: empty on a
-// single-channel run, so those keep the seed's exact names.
-func (r *Runner) chSuffix(ch int) string {
-	if len(r.chans) == 1 {
-		return ""
+// NextWake keeps the channel awake while its sink can drain a flit, its
+// injector can launch one, or the controller's tick left the head
+// acceptable (the polled admission offered it, and succeeded, next
+// cycle). Otherwise it sleeps until the controller is due, or until a
+// flit's arrival or a credit's return wakes it.
+func (c *channel) NextWake(now int64) int64 {
+	if c.sink.CanDrain() || c.respInj.CanLaunch() || !c.refused && c.sink.Peek() != nil {
+		return now + 1
 	}
-	return fmt.Sprintf("/ch%d", ch)
+	return c.memDue
 }

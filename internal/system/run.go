@@ -35,7 +35,7 @@ type parentTable map[int64]*logical
 // reports from the walk comes out in a fixed order.
 func (t parentTable) each(fn func(id int64, l *logical)) {
 	ids := make([]int64, 0, len(t))
-	for id := range t {
+	for id := range t { // order-free: collected, then sorted
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
@@ -67,10 +67,9 @@ func (r *Runner) onMemDone(c *channel, done memctrl.Completion) {
 		Gen: p.Gen, Response: true,
 	}
 	r.pkts.Put(p)
+	// The channel's tick launches from its response injector right after
+	// the controller's, so the response can leave this same cycle.
 	c.respInj.Enqueue(resp)
-	// Completions fire in the MemTick phase; the response injector's
-	// Inject slot is later this same cycle, as in the monolithic step.
-	c.hRespInj.Wake(r.kern.Now())
 }
 
 // completeSplit retires one split of a logical request; the last one
