@@ -120,13 +120,26 @@ type GSS struct {
 
 // New constructs a GSS flow controller.
 func New(cfg Config) (*GSS, error) {
+	gs, err := NewSlab(cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &gs[0], nil
+}
+
+// NewSlab constructs n GSS flow controllers of one configuration in one
+// slab, their per-bank state carved from one backing slice.
+func NewSlab(cfg Config, n int) ([]GSS, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &GSS{
-		cfg:        cfg,
-		bankIdleAt: make([]int64, cfg.Banks),
-	}, nil
+	gs := make([]GSS, n)
+	idle := make([]int64, n*cfg.Banks)
+	for i := range gs {
+		lo, hi := i*cfg.Banks, (i+1)*cfg.Banks
+		gs[i] = GSS{cfg: cfg, bankIdleAt: idle[lo:hi:hi]}
+	}
+	return gs, nil
 }
 
 // find returns the index of a resident packet's entry, or -1.

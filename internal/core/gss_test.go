@@ -390,3 +390,20 @@ func TestPriorityLatencyDecreasesWithPCT(t *testing.T) {
 		t.Fatalf("PCT=5 (priority-first) should grant the priority packet immediately, got slot %d", lo)
 	}
 }
+
+// TestNewSlabCarvesBankStateExactly: a slab's controllers share one
+// backing slice of per-bank state, each piece exactly Banks long.
+func TestNewSlabCarvesBankStateExactly(t *testing.T) {
+	gs, err := NewSlab(Config{Banks: 8, PCT: 3}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range gs {
+		if b := gs[i].bankIdleAt; len(b) != 8 || cap(b) != 8 {
+			t.Errorf("controller %d: bankIdleAt len %d cap %d, want 8 and 8", i, len(b), cap(b))
+		}
+	}
+	if _, err := NewSlab(Config{Banks: 0}, 2); err == nil {
+		t.Error("NewSlab accepted an invalid configuration")
+	}
+}

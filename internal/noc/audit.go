@@ -58,23 +58,25 @@ func (m *Mesh) Audit(report func(kind, format string, args ...any)) {
 			resident += int64(r.In[port].occupied())
 		}
 	}
-	for i, s := range m.sinks {
-		for vc := range s.port.bufs {
-			auditBuffer(&s.port.bufs[vc], report, "sink %d vc %d", i, vc)
-		}
-		resident += int64(s.port.occupied())
-	}
+	// The NIs hang off their links, in attach order.
 	var inFlight, launched, drained int64
+	sinks := 0
 	for i := range m.links {
-		if m.links[i].flitPkt != nil {
+		l := &m.links[i]
+		if l.flitPkt != nil {
 			inFlight++
 		}
-	}
-	for _, inj := range m.injectors {
-		launched += inj.launched
-	}
-	for _, s := range m.sinks {
-		drained += s.drained
+		if inj, ok := l.creditTo.(*Injector); ok {
+			launched += inj.launched
+		}
+		if s := l.sink; s != nil {
+			for vc := range s.port.bufs {
+				auditBuffer(&s.port.bufs[vc], report, "sink %d vc %d", sinks, vc)
+			}
+			sinks++
+			resident += int64(s.port.occupied())
+			drained += s.drained
+		}
 	}
 	if launched != resident+inFlight+drained {
 		report("flit-conservation",

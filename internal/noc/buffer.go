@@ -29,10 +29,10 @@ type InputBuffer struct {
 
 	feed *Link // upstream link; flits forwarded out return credits on it
 
-	// onNewPacket, when set, is invoked as the head flit of a packet
-	// arrives (the router uses it to pin the packet's route and register
-	// it with the flow controller of its requested output).
-	onNewPacket func(pp *PacketProgress, now int64)
+	// router owns the buffer (nil in a sink): a packet's head flit
+	// arriving here is registered with it (Router.onNewPacket), which pins
+	// the packet's route and introduces it to that output's flow control.
+	router *Router
 
 	lastForwardCycle int64 // at most one flit leaves the buffer per cycle
 }
@@ -124,8 +124,8 @@ func (b *InputBuffer) acceptFlit(p *Packet, head bool, now int64) {
 		pp.Pkt = p
 		pp.Arrived = 1
 		b.packets = append(b.packets, pp)
-		if b.onNewPacket != nil {
-			b.onNewPacket(pp, now)
+		if b.router != nil {
+			b.router.onNewPacket(pp, now)
 		}
 		return
 	}

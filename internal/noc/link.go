@@ -6,7 +6,7 @@ package noc
 // which verifies the credit loop of every link conserves exactly the
 // downstream buffer capacity.
 type creditReceiver interface {
-	addCredits(vc, n int)
+	addCredits(vc, n int, now int64)
 	creditBalance(vc int) int
 }
 
@@ -98,8 +98,8 @@ func (l *Link) deliver(now int64) {
 		l.flitPkt = nil
 		l.dst.bufs[vc].acceptFlit(pkt, head, now)
 		if l.sink != nil {
-			if l.sink.OnArrival != nil {
-				l.sink.OnArrival(now)
+			if h := l.sink.Consumer; h != nil {
+				h.Wake(now)
 			}
 		} else {
 			m.routerAwake.set(int(l.dstRouter))
@@ -109,7 +109,7 @@ func (l *Link) deliver(now int64) {
 		pending := l.pendingCredits()
 		for vc, n := range pending {
 			if n > 0 {
-				l.creditTo.addCredits(vc, int(n))
+				l.creditTo.addCredits(vc, int(n), now)
 				pending[vc] = 0
 			}
 		}

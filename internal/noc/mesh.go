@@ -109,8 +109,6 @@ type Mesh struct {
 	// pending-credit counters.
 	links       []Link
 	linkCredits []int32
-	injectors   []*Injector
-	sinks       []*Sink
 
 	// The two active sets, one bit per link and per router, index order =
 	// construction order: the mesh's only activity state. A link's bit is
@@ -189,13 +187,9 @@ func NewMeshVC(width, height, bufFlits, vcs int) (*Mesh, error) {
 	active := make([]activeXfer, len(arena)*per)
 	bufs := make([]InputBuffer, len(arena)*per)
 	fifos := make([]*PacketProgress, len(arena)*per*bufFlits)
-	for y := 0; y < height; y++ {
-		for x := 0; x < width; x++ {
-			i := m.index(Coord{x, y})
-			lo, hi := i*per, (i+1)*per
-			arena[i].init(Coord{x, y}, vcs, bufFlits, credits[lo:hi], active[lo:hi], bufs[lo:hi], fifos[lo*bufFlits:hi*bufFlits])
-			m.Routers[i] = &arena[i]
-		}
+	for i := range arena {
+		arena[i].init(Coord{i % width, i / width}, vcs, bufFlits, &credits, &active, &bufs, &fifos)
+		m.Routers[i] = &arena[i]
 	}
 	// Wire neighbouring routers with links in both directions.
 	for y := 0; y < height; y++ {
@@ -241,16 +235,26 @@ func (m *Mesh) connect(src *Router, srcPort int, dst *Router, dstPort int) {
 
 // AttachInjector connects an injection source (a network interface) to the
 // local input port of the router at c and returns the injection handle.
-func (m *Mesh) AttachInjector(c Coord) *Injector {
-	r := m.RouterAt(c)
-	inj := newInjector(m.vcs)
-	in := &r.In[PortLocal]
-	for vc := range in.bufs {
-		inj.credits[vc] = in.bufs[vc].capacity
+func (m *Mesh) AttachInjector(c Coord) *Injector { return &m.AttachInjectors(c)[0] }
+
+// AttachInjectors is AttachInjector at each coordinate, in order. The
+// injectors come from one slab and their per-VC state from one backing
+// slice per kind, so attaching a population costs a fixed number of
+// allocations.
+func (m *Mesh) AttachInjectors(at ...Coord) []Injector {
+	injs := make([]Injector, len(at))
+	ints := make([]int, 2*len(at)*m.vcs)
+	queues := make([][]*Packet, len(at)*m.vcs)
+	for i, c := range at {
+		inj := &injs[i]
+		inj.credits, inj.sent, inj.queues = sim.Carve(&ints, m.vcs), sim.Carve(&ints, m.vcs), sim.Carve(&queues, m.vcs)
+		in := &m.RouterAt(c).In[PortLocal]
+		for vc := range in.bufs {
+			inj.credits[vc] = in.bufs[vc].capacity
+		}
+		inj.link = m.newLink(in, inj, m.index(c), -1)
 	}
-	inj.link = m.newLink(in, inj, m.index(c), -1)
-	m.injectors = append(m.injectors, inj)
-	return inj
+	return injs
 }
 
 // AttachSink connects the local output port of the router at c to a
@@ -258,17 +262,30 @@ func (m *Mesh) AttachInjector(c Coord) *Injector {
 // maxReady bounds how many reassembled packets may await the consumer
 // before backpressure propagates into the mesh.
 func (m *Mesh) AttachSink(c Coord, queueFlits, maxReady int) *Sink {
-	r := m.RouterAt(c)
-	s := newSink(m.vcs, queueFlits, maxReady)
-	out := &r.Out[PortLocal]
-	l := m.newLink(&s.port, out, -1, m.index(c))
-	l.sink = s
-	out.link = l
-	for vc := range out.credits {
-		out.credits[vc] = queueFlits
+	return &m.AttachSinks(queueFlits, maxReady, c)[0]
+}
+
+// AttachSinks is AttachSink at each coordinate, in order, from one slab
+// like AttachInjectors; each sink's ready list is carved at its bound.
+func (m *Mesh) AttachSinks(queueFlits, maxReady int, at ...Coord) []Sink {
+	sinks := make([]Sink, len(at))
+	partial := make([]int, len(at)*m.vcs)
+	bufs := make([]InputBuffer, len(at)*m.vcs)
+	fifos := make([]*PacketProgress, len(at)*m.vcs*queueFlits)
+	ready := make([]*Packet, len(at)*maxReady)
+	for i, c := range at {
+		s := &sinks[i]
+		s.maxReady, s.partial, s.ready = maxReady, sim.Carve(&partial, m.vcs), sim.Carve(&ready, maxReady)[:0]
+		s.port.init(sim.Carve(&bufs, m.vcs), queueFlits, sim.Carve(&fifos, m.vcs*queueFlits))
+		out := &m.RouterAt(c).Out[PortLocal]
+		l := m.newLink(&s.port, out, -1, m.index(c))
+		l.sink = s
+		out.link = l
+		for vc := range out.credits {
+			out.credits[vc] = queueFlits
+		}
 	}
-	m.sinks = append(m.sinks, s)
-	return s
+	return sinks
 }
 
 // deliver is the first half of a mesh cycle: every link holding a flit

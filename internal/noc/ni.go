@@ -1,5 +1,7 @@
 package noc
 
+import "aanoc/internal/sim"
+
 // Injector is the sending half of a network interface: it queues packets
 // per virtual channel and streams their flits into the local input port
 // of its router, subject to credits. With multiple VCs a priority packet
@@ -20,25 +22,17 @@ type Injector struct {
 	// the network — the reference point for network-entry latency.
 	OnFirstFlit func(p *Packet, now int64)
 
-	// OnCredit, when set, is invoked as the mesh's delivery returns a
-	// credit on a VC with a packet queued — the one event that can turn
-	// CanLaunch true from outside. The simulation kernel uses it to wake
-	// the injecting component; a credit for an empty queue wakes no one.
-	OnCredit func()
+	// Producer, when set, is the injecting component's kernel handle: the
+	// mesh's delivery wakes it as it returns a credit on a VC with a
+	// packet queued — the one event that can turn CanLaunch true from
+	// outside. A credit for an empty queue wakes no one.
+	Producer *sim.Handle
 }
 
-func newInjector(vcs int) *Injector {
-	return &Injector{
-		credits: make([]int, vcs),
-		queues:  make([][]*Packet, vcs),
-		sent:    make([]int, vcs),
-	}
-}
-
-func (inj *Injector) addCredits(vc, n int) {
+func (inj *Injector) addCredits(vc, n int, now int64) {
 	inj.credits[vc] += n
-	if inj.OnCredit != nil && len(inj.queues[vc]) > 0 {
-		inj.OnCredit()
+	if inj.Producer != nil && len(inj.queues[vc]) > 0 {
+		inj.Producer.Wake(now)
 	}
 }
 
@@ -125,19 +119,13 @@ type Sink struct {
 	readyHWM int   // high-water mark of the ready list over the run
 	drained  int64 // cumulative flits drained out of the credit buffers
 
-	// OnArrival, when set, is invoked as each flit lands in the sink's
-	// credit buffers — every flit, not just packet heads, because a
-	// partially drained packet stalls on exactly one missing flit. The
-	// simulation kernel uses it to wake the sink's consumer, which stays
-	// awake on its own only while CanDrain: a full ready list waits on the
-	// consumer's Pop, everything else on the next arrival.
-	OnArrival func(now int64)
-}
-
-func newSink(vcs, queueFlits, maxReady int) *Sink {
-	s := &Sink{maxReady: maxReady, partial: make([]int, vcs)}
-	s.port.init(make([]InputBuffer, vcs), queueFlits, make([]*PacketProgress, vcs*queueFlits))
-	return s
+	// Consumer, when set, is the consuming component's kernel handle,
+	// woken as each flit lands in the sink's credit buffers — every flit,
+	// not just packet heads, because a partially drained packet stalls on
+	// exactly one missing flit. The consumer stays awake on its own only
+	// while CanDrain: a full ready list waits on its Pop, everything else
+	// on the next arrival.
+	Consumer *sim.Handle
 }
 
 // Step drains arrived flits into the reassembly area, priority VC first.

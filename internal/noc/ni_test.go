@@ -136,3 +136,37 @@ func TestOutputPortGrants(t *testing.T) {
 		t.Error("north edge port should report unconnected")
 	}
 }
+
+// TestAttachedNIsAreCarvedExactly: the injectors and sinks of one attach
+// call share a slab and backing slices per kind; every per-VC piece (and
+// each sink's ready list, at its bound) ends at its own length, so an
+// append reallocates instead of overwriting the next NI's state.
+func TestAttachedNIsAreCarvedExactly(t *testing.T) {
+	m, err := NewMeshVC(3, 3, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := []Coord{{0, 0}, {1, 1}, {2, 2}}
+	exact := func(what string, i, n, c int) {
+		if n != m.VCs() || c != n {
+			t.Errorf("NI %d %s: len %d cap %d, want %d and %d", i, what, n, c, m.VCs(), m.VCs())
+		}
+	}
+	for i, inj := range m.AttachInjectors(at...) {
+		exact("credits", i, len(inj.credits), cap(inj.credits))
+		exact("sent", i, len(inj.sent), cap(inj.sent))
+		exact("queues", i, len(inj.queues), cap(inj.queues))
+	}
+	for i, s := range m.AttachSinks(8, 3, at...) {
+		exact("partial", i, len(s.partial), cap(s.partial))
+		exact("bufs", i, len(s.port.bufs), cap(s.port.bufs))
+		for vc := range s.port.bufs {
+			if b := &s.port.bufs[vc]; cap(b.packets) != b.capacity {
+				t.Errorf("sink %d vc %d: FIFO capacity %d, want %d", i, vc, cap(b.packets), b.capacity)
+			}
+		}
+		if len(s.ready) != 0 || cap(s.ready) != 3 {
+			t.Errorf("sink %d: ready len %d cap %d, want 0 and 3", i, len(s.ready), cap(s.ready))
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package noc
 
+import "aanoc/internal/sim"
+
 // Candidate is a packet competing for an output channel: the head packet
 // of one input-buffer VC, identified by its input port.
 type Candidate struct {
@@ -58,7 +60,7 @@ type OutputPort struct {
 	Grants int64
 }
 
-func (o *OutputPort) addCredits(vc, n int) { o.credits[vc] += n }
+func (o *OutputPort) addCredits(vc, n int, _ int64) { o.credits[vc] += n }
 
 func (o *OutputPort) creditBalance(vc int) int { return o.credits[vc] }
 
@@ -114,22 +116,17 @@ type Router struct {
 	candBufs [NumPorts]*InputBuffer
 }
 
-// init wires one router of a mesh. credits, active, bufs and fifos are
-// its share of the mesh-wide backing slices (NumPorts*vcs entries;
-// bufFlits times that for fifos), carved here into one run per port.
-func (r *Router) init(pos Coord, vcs, bufFlits int, credits []int, active []activeXfer, bufs []InputBuffer, fifos []*PacketProgress) {
+// init wires one router of a mesh, carving one run per port off the
+// mesh-wide backing slices credits, active, bufs and fifos.
+func (r *Router) init(pos Coord, vcs, bufFlits int, credits *[]int, active *[]activeXfer, bufs *[]InputBuffer, fifos *[]*PacketProgress) {
 	r.Pos = pos
 	r.vcs = vcs
-	onNewPacket := r.onNewPacket // bound once: every VC buffer shares the method value
 	for p := 0; p < NumPorts; p++ {
-		lo, hi := p*vcs, (p+1)*vcs
-		r.In[p].init(bufs[lo:hi:hi], bufFlits, fifos[lo*bufFlits:hi*bufFlits])
+		r.In[p].init(sim.Carve(bufs, vcs), bufFlits, sim.Carve(fifos, vcs*bufFlits))
 		o := &r.Out[p]
-		o.alloc = fifoAllocator{}
-		o.credits = credits[lo:hi:hi]
-		o.active = active[lo:hi:hi]
+		o.alloc, o.credits, o.active = fifoAllocator{}, sim.Carve(credits, vcs), sim.Carve(active, vcs)
 		for v := range r.In[p].bufs {
-			r.In[p].bufs[v].onNewPacket = onNewPacket
+			r.In[p].bufs[v].router = r
 		}
 	}
 }

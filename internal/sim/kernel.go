@@ -172,33 +172,41 @@ func (k *Kernel) Ticks() int64 {
 	return n
 }
 
-// Register adds a component, initially awake at the current cycle.
+// Register adds components, each initially awake at the current cycle,
+// and returns their handles in argument order, drawn from one slab.
 // Registration order is tick order within a phase and must therefore be
-// deterministic. The component is inserted at the end of its phase's
+// deterministic. Each component is inserted at the end of its phase's
 // run of slots; the handles behind it learn their new slots. Register
 // between steps, not from inside a Tick.
-func (k *Kernel) Register(c Component) *Handle {
-	p := c.Phase()
-	if p < 0 || int(p) >= NumPhases {
-		panic(fmt.Sprintf("sim: component %q has invalid phase %d", c.Name(), p))
-	}
-	at := k.phaseEnd[p]
-	h := &Handle{k: k, slot: at}
-	k.comps = slices.Insert(k.comps, at, c)
-	k.wake = slices.Insert(k.wake, at, k.now)
-	k.ticks = slices.Insert(k.ticks, at, 0)
-	k.handles = slices.Insert(k.handles, at, h)
-	for _, moved := range k.handles[at+1:] {
-		moved.slot++
-	}
-	for q := int(p); q < NumPhases; q++ {
-		k.phaseEnd[q]++
+func (k *Kernel) Register(cs ...Component) []Handle {
+	hs := make([]Handle, len(cs))
+	k.comps = slices.Grow(k.comps, len(cs))
+	k.wake = slices.Grow(k.wake, len(cs))
+	k.ticks = slices.Grow(k.ticks, len(cs))
+	k.handles = slices.Grow(k.handles, len(cs))
+	for i, c := range cs {
+		p := c.Phase()
+		if p < 0 || int(p) >= NumPhases {
+			panic(fmt.Sprintf("sim: component %q has invalid phase %d", c.Name(), p))
+		}
+		at := k.phaseEnd[p]
+		hs[i] = Handle{k: k, slot: at}
+		k.comps = slices.Insert(k.comps, at, c)
+		k.wake = slices.Insert(k.wake, at, k.now)
+		k.ticks = slices.Insert(k.ticks, at, 0)
+		k.handles = slices.Insert(k.handles, at, &hs[i])
+		for _, moved := range k.handles[at+1:] {
+			moved.slot++
+		}
+		for q := int(p); q < NumPhases; q++ {
+			k.phaseEnd[q]++
+		}
 	}
 	k.cursor = len(k.comps)
 	if k.now < k.next {
 		k.next = k.now
 	}
-	return h
+	return hs
 }
 
 // Step advances exactly one cycle: every awake component ticks, phase by

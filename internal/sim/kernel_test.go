@@ -144,10 +144,10 @@ func TestKernelWakeSameCycle(t *testing.T) {
 	k := NewKernel()
 	sleeper := &probe{name: "sleeper", phase: PhaseComplete, log: &log,
 		next: func(int64) int64 { return Never }}
-	hs := k.Register(sleeper)
+	hs := &k.Register(sleeper)[0]
 	late := &probe{name: "late", phase: PhaseNetwork, log: &log,
 		next: func(int64) int64 { return Never }}
-	hl := k.Register(late)
+	hl := &k.Register(late)[0]
 	k.Register(&probe{name: "waker", phase: PhaseMemory, log: &log,
 		next: func(now int64) int64 {
 			if now == 2 {
@@ -188,9 +188,9 @@ func TestKernelHandlesSurviveInsertion(t *testing.T) {
 	k := NewKernel()
 	never := func(int64) int64 { return Never }
 	late := &probe{name: "late", phase: PhaseInject, log: &log, next: never}
-	hLate := k.Register(late)
+	hLate := &k.Register(late)[0]
 	early := &probe{name: "early", phase: PhaseNetwork, log: &log, next: never}
-	hEarly := k.Register(early)
+	hEarly := &k.Register(early)[0]
 	k.RunUntil(10) // both tick once at 0, then sleep
 	hLate.Wake(20)
 	if hLate.WakeAt() != 20 || hEarly.WakeAt() != Never {
@@ -218,7 +218,7 @@ func TestKernelNextWakeIsExact(t *testing.T) {
 	never := func(int64) int64 { return Never }
 	behind := &probe{name: "behind", phase: PhaseNetwork, log: &log, next: never}
 	ahead := &probe{name: "ahead", phase: PhaseComplete, log: &log, next: never}
-	hb, ha := k.Register(behind), k.Register(ahead)
+	hb, ha := &k.Register(behind)[0], &k.Register(ahead)[0]
 	k.Register(&probe{name: "waker", phase: PhaseMemory, log: &log,
 		next: func(now int64) int64 {
 			switch now {

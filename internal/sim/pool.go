@@ -2,6 +2,16 @@ package sim
 
 import "slices"
 
+// Carve cuts the next n elements off the slab *s, with cap == len so an
+// append to the piece reallocates instead of overwriting its neighbour:
+// a population of objects, or of their per-object slices, costs one
+// allocation per kind instead of one per object.
+func Carve[T any](s *[]T, n int) []T {
+	p := (*s)[:n:n]
+	*s = (*s)[n:]
+	return p
+}
+
 // poolSlab is how many objects a dry Pool allocates at once.
 const poolSlab = 64
 

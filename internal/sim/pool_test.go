@@ -57,3 +57,17 @@ func TestPoolRecyclesZeroedAndGrowsBySlab(t *testing.T) {
 		t.Errorf("warm lease/return cycle allocates %.2f, want 0", avg)
 	}
 }
+
+// TestCarve: pieces come off the front in order, each with cap == len,
+// so appending to one reallocates rather than overwriting the next.
+func TestCarve(t *testing.T) {
+	s := []int{1, 2, 3, 4, 5}
+	a, b := Carve(&s, 2), Carve(&s, 2)
+	if len(a) != 2 || cap(a) != 2 || b[0] != 3 || len(s) != 1 {
+		t.Fatalf("a=%v (cap %d) b=%v rest=%v", a, cap(a), b, s)
+	}
+	_ = append(a, 9)
+	if b[0] != 3 {
+		t.Fatal("append to a piece overwrote its neighbour")
+	}
+}

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"aanoc/internal/dram"
 	"aanoc/internal/mapping"
 	"aanoc/internal/memctrl"
+	"aanoc/internal/obs"
 )
 
 // TestRunToSteadyStateAllocs is the system-level pin behind DESIGN.md's
@@ -84,5 +86,130 @@ func TestNegativeSplitGranularityRejected(t *testing.T) {
 	_, err := New(Config{App: appmodel.BluRay(), Gen: dram.DDR2, Design: GSSSAGM, SplitGranularity: -4})
 	if err == nil {
 		t.Fatal("negative split granularity accepted")
+	}
+}
+
+// scaleDDR4 is the scale-ddr4 benchmark's shape: 6x6 mesh, 32 cores,
+// four DDR4 channels with 4 subarrays.
+func scaleDDR4() Config {
+	return Config{
+		App: appmodel.QuadDTV(), Gen: dram.DDR4, Design: GSSSAGM, PriorityDemand: true,
+		Channels: 4, Scheme: mapping.ChannelThenBankXOR, Subarrays: 4,
+	}
+}
+
+func newAllocs(t *testing.T, cfg Config) float64 {
+	t.Helper()
+	cfg.Cycles, cfg.Seed = 1000, 1
+	if _, err := New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return testing.AllocsPerRun(5, func() { New(cfg) })
+}
+
+// TestNewAllocs is the count gate on construction: New allocates once
+// per kind of object (a slab of routers' allocators, of cores, of
+// generators, of network interfaces, of kernel handles), not once per
+// object. The pins are the measured counts plus 10%, one configuration
+// per Table I–III design family on the largest paper application and the
+// scale-ddr4 shape; building a 6x6 mesh with 32 cores costs a fixed
+// handful more than a 3x3 one with five.
+func TestNewAllocs(t *testing.T) {
+	ddtv := appmodel.DualDTV()
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		max  float64
+	}{
+		{"table1/CONV", Config{App: ddtv, Gen: dram.DDR3, Design: Conv}, 87},
+		{"table1/[4]", Config{App: ddtv, Gen: dram.DDR3, Design: SDRAMAware}, 92},
+		{"table1/GSS", Config{App: ddtv, Gen: dram.DDR3, Design: GSS}, 92},
+		{"table1/GSS+SAGM", Config{App: ddtv, Gen: dram.DDR3, Design: GSSSAGM}, 97},
+		{"table2/CONV+PFS", Config{App: ddtv, Gen: dram.DDR3, Design: ConvPFS, PriorityDemand: true}, 87},
+		{"table2/[4]+PFS", Config{App: ddtv, Gen: dram.DDR3, Design: SDRAMAwarePFS, PriorityDemand: true}, 92},
+		{"table3/GSS+SAGM+STI", Config{App: ddtv, Gen: dram.DDR3, Design: GSSSAGMSTI, PriorityDemand: true, TagEveryRequest: true}, 96},
+		{"scale-ddr4", scaleDDR4(), 134},
+	} {
+		if got := newAllocs(t, c.cfg); got > c.max {
+			t.Errorf("%s: New made %v allocations, want at most %v", c.name, got, c.max)
+		}
+	}
+	// The 78-point grid averaged 645.8 allocations a point when New built
+	// one object at a time; it measures 82.4.
+	var sum float64
+	grid := paperGrid(1000)
+	for _, cfg := range grid {
+		sum += newAllocs(t, cfg)
+	}
+	if mean := sum / float64(len(grid)); mean > 91 {
+		t.Errorf("New averaged %.1f allocations over the %d-point grid, want at most 91", mean, len(grid))
+	}
+	// O(kinds), not O(objects): the same design, device and one channel
+	// on 36 routers and 32 cores against 9 routers and 5 cores (measured
+	// 9 apart; 1,294 when every object was its own allocation).
+	small := Config{App: appmodel.BluRay(), Gen: dram.DDR4, Design: GSSSAGM, PriorityDemand: true, Subarrays: 4}
+	big := scaleDDR4()
+	big.Channels, big.Scheme = 1, 0
+	if s, b := newAllocs(t, small), newAllocs(t, big); b > s+16 {
+		t.Errorf("6x6/32-core New made %v allocations, 3x3/5-core %v: want at most 16 more", b, s)
+	}
+}
+
+// TestSlabsDoNotAlias guards the slabs New carves: two runners of
+// different shapes, built back to back and advanced in interleaved
+// epochs, must each report exactly what the same configuration reports
+// run alone. A carved piece that overlapped a neighbour, or one runner's
+// slab shared with another, would show here as a diverging report.
+func TestSlabsDoNotAlias(t *testing.T) {
+	const cycles, epoch = 20_000, 1_000
+	cfgs := []Config{
+		{App: appmodel.BluRay(), Gen: dram.DDR2, Design: GSSSAGM, PriorityDemand: true},
+		scaleDDR4(),
+	}
+	encode := func(r *Runner) []byte {
+		var buf bytes.Buffer
+		if err := obs.EncodeJSON(&buf, r.Finish().Obs); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var runners []*Runner
+	for i := range cfgs {
+		cfgs[i].Cycles, cfgs[i].Seed = cycles, 3
+		r, err := New(cfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		runners = append(runners, r)
+	}
+	for at := int64(epoch); at <= cycles; at += epoch {
+		for _, r := range runners {
+			r.RunTo(at)
+		}
+	}
+	for i, cfg := range cfgs {
+		alone, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone.RunTo(cycles)
+		if !bytes.Equal(encode(runners[i]), encode(alone)) {
+			t.Errorf("%s: interleaved run's report differs from the run alone", cfg.App.Name)
+		}
+	}
+}
+
+// TestCarvedSlicesAreExact: every per-object slice New carves out of a
+// shared backing slice ends at its own length, so an append to it
+// reallocates instead of writing into the next object's piece.
+func TestCarvedSlicesAreExact(t *testing.T) {
+	r, err := New(Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: GSSSAGM, PriorityDemand: true, Cycles: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range r.cores {
+		if len(c.gens) == 0 || cap(c.gens) != len(c.gens) {
+			t.Errorf("core %s: %d sources with capacity %d", c.spec.Name, len(c.gens), cap(c.gens))
+		}
 	}
 }

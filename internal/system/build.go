@@ -50,8 +50,10 @@ type channel struct {
 }
 
 // coreNI is one core's network interface: traffic generators, request
-// injector and response sink, with the core's own counters.
+// injector and response sink, with the core's own counters. It is the
+// core's two kernel components (components.go).
 type coreNI struct {
+	r    *Runner
 	idx  int // position in Runner.cores; a packet's SrcCore
 	spec appmodel.Core
 	gens []traffic.Source
@@ -85,6 +87,7 @@ type Runner struct {
 	chmap             mapping.ChannelMap
 	cores             []*coreNI
 	reqMesh, respMesh *noc.Mesh
+	meshes            [2]meshComp // the meshes' kernel components
 
 	// The simulation kernel owns the clock.
 	kern *sim.Kernel
@@ -113,7 +116,7 @@ type Runner struct {
 	samples     []obs.Sample
 	lastSampleD int64
 
-	gssAllocs []*core.GSS
+	gssAllocs []core.GSS // every GSS output's allocator, in router order
 
 	// chk is nil unless Config.Checked.
 	chk *check.Checker
@@ -153,7 +156,9 @@ func New(cfg Config) (*Runner, error) {
 		r.reqMesh.SetRouting(noc.RoutingWestFirst)
 		r.respMesh.SetRouting(noc.RoutingWestFirst)
 	}
-	r.installAllocators(ports)
+	if err := r.installAllocators(ports); err != nil {
+		return nil, err
+	}
 	if err := r.buildMemory(ports); err != nil {
 		return nil, err
 	}
@@ -210,6 +215,8 @@ func (r *Runner) buildMemory(ports []noc.Coord) error {
 	}
 	// Sized once: completions and kernel components hold &r.chans[i].
 	r.chans = make([]channel, len(ports))
+	sinks := r.reqMesh.AttachSinks(2*cfg.BufFlits, memReady, ports...)
+	injs := r.respMesh.AttachInjectors(ports...)
 	for i, port := range ports {
 		c := &r.chans[i]
 		dev, err := dram.NewDevice(r.timing)
@@ -217,11 +224,7 @@ func (r *Runner) buildMemory(ports []noc.Coord) error {
 			return err
 		}
 		dev.InjectFault(cfg.Fault)
-		*c = channel{
-			port: port, dev: dev,
-			sink:    r.reqMesh.AttachSink(port, 2*cfg.BufFlits, memReady),
-			respInj: r.respMesh.AttachInjector(port),
-		}
+		*c = channel{port: port, dev: dev, sink: &sinks[i], respInj: &injs[i]}
 		if len(ports) > 1 {
 			// A single channel keeps the seed's exact names.
 			c.sfx = fmt.Sprintf("/ch%d", i)
@@ -264,40 +267,59 @@ func (r *Runner) newController(dev *dram.Device, policy memctrl.PagePolicy, onDo
 }
 
 // buildCores attaches every core's traffic sources and network
-// interface. In replay mode the recorded requests replace the synthetic
-// generators.
+// interface, one slab per kind of object. In replay mode the recorded
+// requests replace the synthetic generators.
 func (r *Runner) buildCores() error {
 	cfg := r.cfg
+	specs := cfg.App.Cores
 	rng := sim.NewRNG(cfg.Seed)
 	var replay map[string][]trace.Record
 	if len(cfg.Replay) > 0 {
 		replay = trace.SplitByCore(cfg.Replay)
 	}
+	pos, streams, beats := make([]noc.Coord, len(specs)), 0, 0
+	for i, spec := range specs {
+		pos[i], streams = spec.Pos, streams+len(spec.Streams)
+		for _, s := range spec.Streams {
+			beats += len(s.Beats)
+		}
+	}
+	injs, sinks := r.reqMesh.AttachInjectors(pos...), r.respMesh.AttachSinks(2*cfg.BufFlits, 16, pos...)
+	sources := streams
+	if replay != nil {
+		streams, beats, sources = 0, 0, len(specs)
+	}
+	gens, rngs, srcs := make([]traffic.Gen, streams), make([]sim.RNG, streams), make([]traffic.Source, sources)
+	counts := make([]int64, beats)
 	onFirstFlit := func(p *noc.Packet, now int64) {
 		if l := r.parents[p.ParentID]; l != nil && l.entry < 0 {
 			l.entry = now
 		}
 	}
-	r.cores = make([]*coreNI, len(cfg.App.Cores))
-	for i, spec := range cfg.App.Cores {
-		ni := &coreNI{
-			idx: i, spec: spec, stats: CoreStats{Name: spec.Name}, sleptFrom: sim.Never,
-			inj:  r.reqMesh.AttachInjector(spec.Pos),
-			sink: r.respMesh.AttachSink(spec.Pos, 2*cfg.BufFlits, 16),
+	nis := make([]coreNI, len(specs))
+	r.cores = make([]*coreNI, len(specs))
+	for i, spec := range specs {
+		ni := &nis[i]
+		*ni = coreNI{
+			r: r, idx: i, spec: spec, stats: CoreStats{Name: spec.Name}, sleptFrom: sim.Never,
+			inj: &injs[i], sink: &sinks[i],
 		}
 		ni.inj.OnFirstFlit = onFirstFlit
 		if replay != nil {
-			ni.gens = append(ni.gens, trace.NewReplayer(replay[spec.Name]))
+			ni.gens = sim.Carve(&srcs, 1)
+			ni.gens[0] = trace.NewReplayer(replay[spec.Name])
 		} else {
-			for _, s := range spec.Streams {
+			ni.gens = sim.Carve(&srcs, len(spec.Streams))
+			for j, s := range spec.Streams {
 				// Generators walk the global bank space: with C channels of
 				// B banks each, banks [0, C*B) spread the streams across
 				// every channel; C=1 is exactly the single-device walk.
-				g, err := traffic.NewGen(s, cfg.Channels*r.timing.Banks, appmodel.RowBeats, cfg.PriorityDemand, sim.NewRNG(rng.Uint64()))
-				if err != nil {
+				g, gr := &sim.Carve(&gens, 1)[0], &sim.Carve(&rngs, 1)[0]
+				*gr = *sim.NewRNG(rng.Uint64())
+				if err := g.Init(s, cfg.Channels*r.timing.Banks, appmodel.RowBeats, cfg.PriorityDemand, gr, sim.Carve(&counts, len(s.Beats))); err != nil {
 					return err
 				}
-				ni.gens = append(ni.gens, g)
+				ni.gens[j] = g
 			}
 		}
 		r.cores[i] = ni
@@ -334,11 +356,39 @@ func maxRequestBeats(cfg Config) int {
 
 // installAllocators sets every router output's flow-control policy
 // according to the design and the Fig. 8 GSS-router count; the GSS
-// routers are the ones nearest the memory ports.
-func (r *Runner) installAllocators(ports []noc.Coord) {
+// routers are the ones nearest the memory ports. Each kind of policy
+// comes from one exactly-sized slab, an element per output port.
+func (r *Runner) installAllocators(ports []noc.Coord) error {
 	cfg := r.cfg
+	n := len(r.reqMesh.Routers)
+	gssSet := make([]bool, n) // by router index
+	nGSS := 0
+	if cfg.Design.usesGSSEngine() {
+		order := mapping.RoutersByPortDistance(cfg.App.Width, cfg.App.Height, ports)
+		nGSS = len(order) // GSSRouters 0 or past the mesh: all of them
+		if k := cfg.GSSRouters; k != 0 && k < nGSS {
+			nGSS = max(k, 0)
+		}
+		for _, c := range order[:nGSS] {
+			gssSet[c.Y*cfg.App.Width+c.X] = true
+		}
+	}
+	// Non-GSS routers in a priority design (and the Fig. 8 baseline
+	// remainder) are priority-first round-robin, the rest plain
+	// round-robin.
+	reqPF := cfg.Design.priorityFirstNet() || cfg.Design.usesGSSEngine()
+	rest := (n - nGSS) * noc.NumPorts
+	rrs := make([]router.RoundRobin, n*noc.NumPorts+rest)
+	nPF := n * noc.NumPorts
+	if reqPF {
+		nPF += rest
+	}
+	pfs := make([]router.PriorityFirst, nPF)
+	roundRobin := func(int) noc.Allocator { return &sim.Carve(&rrs, 1)[0] }
 	priorityFirst := func(int) noc.Allocator {
-		return &router.PriorityFirst{Inner: &router.RoundRobin{}}
+		pf := &sim.Carve(&pfs, 1)[0]
+		pf.Inner = roundRobin(0)
+		return pf
 	}
 	// Response mesh: priority-first round-robin everywhere — without
 	// priority flags (Table I runs, CONV/[4] baselines) this is plain
@@ -348,44 +398,27 @@ func (r *Runner) installAllocators(ports []noc.Coord) {
 	for _, rt := range r.respMesh.Routers {
 		rt.SetAllAllocators(priorityFirst)
 	}
-	gssSet := map[noc.Coord]bool{}
-	if cfg.Design.usesGSSEngine() {
-		order := mapping.RoutersByPortDistance(cfg.App.Width, cfg.App.Height, ports)
-		n := cfg.GSSRouters
-		switch {
-		case n == 0 || n > len(order):
-			n = len(order)
-		case n < 0:
-			n = 0
+	if nGSS > 0 {
+		gssCfg := core.Config{Banks: r.timing.Banks, Subarrays: r.timing.Subarrays}
+		if cfg.Design.usesSTI() {
+			gssCfg.STI = core.STIParams{Enabled: true, WriteIdle: r.timing.TWR + r.timing.TRP, ReadIdle: r.timing.TRP}
 		}
-		for _, c := range order[:n] {
-			gssSet[c] = true
+		gssCfg.PCT = cfg.Design.pctFor(cfg.PCT, gssCfg.MaxTokens())
+		var err error
+		if r.gssAllocs, err = core.NewSlab(gssCfg, nGSS*noc.NumPorts); err != nil {
+			return err
 		}
 	}
-	sti := core.STIParams{}
-	if cfg.Design.usesSTI() {
-		sti = core.STIParams{
-			Enabled:   true,
-			WriteIdle: r.timing.TWR + r.timing.TRP,
-			ReadIdle:  r.timing.TRP,
-		}
-	}
-	gssCfg := core.Config{Banks: r.timing.Banks, Subarrays: r.timing.Subarrays, STI: sti}
-	gssCfg.PCT = cfg.Design.pctFor(cfg.PCT, gssCfg.MaxTokens())
-	for _, rt := range r.reqMesh.Routers {
+	gss := r.gssAllocs
+	for i, rt := range r.reqMesh.Routers {
 		switch {
-		case gssSet[rt.Pos]:
-			rt.SetAllAllocators(func(int) noc.Allocator {
-				g := core.MustNew(gssCfg)
-				r.gssAllocs = append(r.gssAllocs, g)
-				return g
-			})
-		case cfg.Design.priorityFirstNet() || cfg.Design.usesGSSEngine():
-			// Non-GSS routers in a priority design (and the Fig. 8
-			// baseline remainder) are priority-first round-robin.
+		case gssSet[i]:
+			rt.SetAllAllocators(func(int) noc.Allocator { return &sim.Carve(&gss, 1)[0] })
+		case reqPF:
 			rt.SetAllAllocators(priorityFirst)
 		default:
-			rt.SetAllAllocators(func(int) noc.Allocator { return &router.RoundRobin{} })
+			rt.SetAllAllocators(roundRobin)
 		}
 	}
+	return nil
 }

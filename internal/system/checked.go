@@ -142,8 +142,8 @@ func (r *Runner) finalChecks(rep *obs.Report, devices dram.Stats) {
 		}
 	}
 	// GSS token tables.
-	for _, g := range r.gssAllocs {
-		g.AuditTokens(func(kind, format string, args ...any) {
+	for i := range r.gssAllocs {
+		r.gssAllocs[i].AuditTokens(func(kind, format string, args ...any) {
 			c.Reportf(-1, "gss", kind, format, args...)
 		})
 	}

@@ -5,20 +5,6 @@ import (
 	"aanoc/internal/sim"
 )
 
-// comp adapts a closure pair to sim.Component: the pieces of the old
-// monolithic Runner.Step become named components, one per phase slot.
-type comp struct {
-	name  string
-	phase sim.Phase
-	tick  func(now int64)
-	next  func(now int64) int64
-}
-
-func (c *comp) Name() string             { return c.name }
-func (c *comp) Phase() sim.Phase         { return c.phase }
-func (c *comp) Tick(now int64)           { c.tick(now) }
-func (c *comp) NextWake(now int64) int64 { return c.next(now) }
-
 // buildKernel registers the wired subsystems with a fresh simulation
 // kernel: one component per mesh, one per memory channel, two per core.
 // Phase order plus registration order reproduce the exact intra-cycle
@@ -50,130 +36,171 @@ func (c *comp) NextWake(now int64) int64 { return c.next(now) }
 func (r *Runner) buildKernel() {
 	k := sim.NewKernel()
 	r.kern = k
+	r.meshes = [2]meshComp{{r.reqMesh, "req"}, {r.respMesh, "resp"}}
+	// One registration, phase by phase: the kernel sizes its arrays and
+	// draws the handles from one slab.
+	ch, co := 2, 2+len(r.chans) // where the channels and the cores start
+	n := co + 2*len(r.cores)
+	comps := make([]sim.Component, n, n+2)
+	comps[0], comps[1] = &r.meshes[0], &r.meshes[1]
+	for i := range r.chans {
+		comps[ch+i] = &r.chans[i]
+	}
+	for i, c := range r.cores {
+		comps[co+i], comps[co+len(r.cores)+i] = (*coreComplete)(c), (*coreInject)(c)
+	}
+	if r.cfg.SampleEvery > 0 {
+		comps = append(comps, (*sampler)(r))
+	}
+	if r.chk != nil {
+		comps = append(comps, (*auditor)(r))
+	}
+	hs := k.Register(comps...)
 
-	for i, m := range []*noc.Mesh{r.reqMesh, r.respMesh} {
-		h := k.Register(&comp{name: [...]string{"req", "resp"}[i], phase: sim.PhaseNetwork, tick: m.Cycle,
-			next: func(now int64) int64 {
-				if m.Busy() {
-					return now + 1
-				}
-				return sim.Never
-			}})
+	for i := range r.meshes {
+		h := &hs[i]
 		// The first flit or credit of the cycle went onto a link, after
 		// this cycle's delivery: deliver it next cycle, exactly when the
 		// always-ticked mesh would have.
-		m.OnWake = func() { h.Wake(k.Now() + 1) }
+		r.meshes[i].OnWake = func() { h.Wake(k.Now() + 1) }
 	}
-
 	for i := range r.chans {
-		c := &r.chans[i]
-		c.h = k.Register(c)
-		c.sink.OnArrival = func(now int64) { c.h.Wake(now) }
 		// Credits return in the Network phase, ahead of Memory and Inject,
 		// so the woken tick launches in the cycle the every-cycle loop
 		// would; the same holds for a core's injection below.
-		c.respInj.OnCredit = func() { c.h.Wake(k.Now()) }
+		c := &r.chans[i]
+		c.h = &hs[ch+i]
+		c.sink.Consumer, c.respInj.Producer = c.h, c.h
 	}
-
-	// A core's two: response completion, then generation and injection.
-	for _, c := range r.cores {
-		hc := k.Register(&comp{
-			name: "core-complete/" + c.spec.Name, phase: sim.PhaseComplete,
-			tick: func(now int64) {
-				c.sink.Step(now)
-				for {
-					p := c.sink.Pop(now)
-					if p == nil {
-						break
-					}
-					r.completeSplit(p, now)
-					// The response packet's journey ends here; recycle it.
-					r.pkts.Put(p)
-				}
-			},
-			// Awake while the sink can still move a flit; the tick pops
-			// everything ready, so the rest waits on a flit's arrival.
-			next: func(now int64) int64 {
-				if c.sink.CanDrain() {
-					return now + 1
-				}
-				return sim.Never
-			},
-		})
-		c.sink.OnArrival = func(now int64) { hc.Wake(now) }
-		c.hInject = k.Register(&comp{
-			name: "core-inject/" + c.spec.Name, phase: sim.PhaseInject,
-			tick: func(now int64) {
-				r.settle(c, now)
-				c.sleptFrom = sim.Never
-				blocked := c.inj.QueueFlits() >= r.cfg.InjectCap
-				if blocked {
-					// The injection backpressure point: this core's
-					// generators lose the cycle. Counted once per core per
-					// cycle, here or — for the cycles a blocked core
-					// sleeps through — in settle.
-					r.met.Stalled++
-					c.stalls++
-				}
-				for _, g := range c.gens {
-					req := g.Tick(now, blocked)
-					if req == nil {
-						continue
-					}
-					r.injectLogical(c, g, req, now)
-				}
-				c.inj.Step(now)
-			},
-			next: func(now int64) int64 {
-				if c.inj.CanLaunch() {
-					return now + 1
-				}
-				if c.inj.QueueFlits() >= r.cfg.InjectCap {
-					// Full and out of credits: until a credit returns the
-					// tick only counts the lost cycle, and settle counts
-					// those in arrears.
-					c.sleptFrom = now + 1
-					return sim.Never
-				}
-				next := sim.Never
-				for _, g := range c.gens {
-					if a := g.NextArrival(); a < next {
-						next = a
-					}
-				}
-				return next
-			},
-		})
-		c.inj.OnCredit = func() { c.hInject.Wake(k.Now()) }
-	}
-
-	if se := r.cfg.SampleEvery; se > 0 {
-		k.Register(&comp{
-			name: "obs-sample", phase: sim.PhaseAudit,
-			tick: func(now int64) {
-				if (now+1)%se == 0 {
-					r.sample(now+1, se)
-				}
-			},
-			next: func(now int64) int64 {
-				// The smallest n > now with (n+1) divisible by se: sampling
-				// windows close on exact cycles even across skipped gaps.
-				return (now+1+se)/se*se - 1
-			},
-		})
-	}
-
-	if r.chk != nil {
-		// Checked mode audits every settled cycle, which also pins the
-		// kernel to visit every cycle — the conservation walks are
-		// per-cycle invariants, not samplable ones.
-		k.Register(&comp{
-			name: "check-audit", phase: sim.PhaseAudit,
-			tick: func(now int64) { r.auditMeshes(now) },
-			next: func(now int64) int64 { return now + 1 },
-		})
+	for i, c := range r.cores {
+		c.hInject = &hs[co+len(r.cores)+i]
+		c.sink.Consumer, c.inj.Producer = &hs[co+i], c.hInject
 	}
 }
+
+// meshComp makes a mesh its own kernel component: a Cycle on every
+// cycle it is Busy.
+type meshComp struct {
+	*noc.Mesh
+	name string
+}
+
+func (m *meshComp) Name() string     { return m.name }
+func (m *meshComp) Phase() sim.Phase { return sim.PhaseNetwork }
+func (m *meshComp) Tick(now int64)   { m.Cycle(now) }
+func (m *meshComp) NextWake(now int64) int64 {
+	if m.Busy() {
+		return now + 1
+	}
+	return sim.Never
+}
+
+// coreComplete and coreInject are a core's two kernel components, two
+// views of its network interface: response completion, then generation
+// and injection.
+type (
+	coreComplete coreNI
+	coreInject   coreNI
+)
+
+func (c *coreComplete) Name() string     { return "core-complete/" + c.spec.Name }
+func (c *coreComplete) Phase() sim.Phase { return sim.PhaseComplete }
+
+func (c *coreComplete) Tick(now int64) {
+	c.sink.Step(now)
+	for {
+		p := c.sink.Pop(now)
+		if p == nil {
+			break
+		}
+		c.r.completeSplit(p, now)
+		// The response packet's journey ends here; recycle it.
+		c.r.pkts.Put(p)
+	}
+}
+
+// NextWake keeps the component awake while the sink can still move a
+// flit; the tick pops everything ready, so the rest waits on a flit's
+// arrival.
+func (c *coreComplete) NextWake(now int64) int64 {
+	if c.sink.CanDrain() {
+		return now + 1
+	}
+	return sim.Never
+}
+
+func (c *coreInject) Name() string     { return "core-inject/" + c.spec.Name }
+func (c *coreInject) Phase() sim.Phase { return sim.PhaseInject }
+
+func (c *coreInject) Tick(now int64) {
+	r, ni := c.r, (*coreNI)(c)
+	r.settle(ni, now)
+	c.sleptFrom = sim.Never
+	blocked := c.inj.QueueFlits() >= r.cfg.InjectCap
+	if blocked {
+		// The injection backpressure point: this core's generators lose
+		// the cycle. Counted once per core per cycle, here or — for the
+		// cycles a blocked core sleeps through — in settle.
+		r.met.Stalled++
+		c.stalls++
+	}
+	for _, g := range c.gens {
+		req := g.Tick(now, blocked)
+		if req == nil {
+			continue
+		}
+		r.injectLogical(ni, g, req, now)
+	}
+	c.inj.Step(now)
+}
+
+func (c *coreInject) NextWake(now int64) int64 {
+	if c.inj.CanLaunch() {
+		return now + 1
+	}
+	if c.inj.QueueFlits() >= c.r.cfg.InjectCap {
+		// Full and out of credits: until a credit returns the tick only
+		// counts the lost cycle, and settle counts those in arrears.
+		c.sleptFrom = now + 1
+		return sim.Never
+	}
+	next := sim.Never
+	for _, g := range c.gens {
+		if a := g.NextArrival(); a < next {
+			next = a
+		}
+	}
+	return next
+}
+
+// sampler is the observability sampling component (Config.SampleEvery).
+type sampler Runner
+
+func (s *sampler) Name() string     { return "obs-sample" }
+func (s *sampler) Phase() sim.Phase { return sim.PhaseAudit }
+
+func (s *sampler) Tick(now int64) {
+	if se := s.cfg.SampleEvery; (now+1)%se == 0 {
+		(*Runner)(s).sample(now+1, se)
+	}
+}
+
+// NextWake is the smallest n > now with (n+1) divisible by SampleEvery:
+// sampling windows close on exact cycles even across skipped gaps.
+func (s *sampler) NextWake(now int64) int64 {
+	se := s.cfg.SampleEvery
+	return (now+1+se)/se*se - 1
+}
+
+// auditor is checked mode's audit component. It audits every settled
+// cycle, which also pins the kernel to visit every cycle — the
+// conservation walks are per-cycle invariants, not samplable ones.
+type auditor Runner
+
+func (a *auditor) Name() string             { return "check-audit" }
+func (a *auditor) Phase() sim.Phase         { return sim.PhaseAudit }
+func (a *auditor) Tick(now int64)           { (*Runner)(a).auditMeshes(now) }
+func (a *auditor) NextWake(now int64) int64 { return now + 1 }
 
 // settle brings a core's lazily kept counters up to cycle now
 // (exclusive). While the core sleeps blocked its tick would only have

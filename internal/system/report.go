@@ -78,8 +78,8 @@ func (r *Runner) Finish() Result {
 	if st.BurstsBL > 0 {
 		res.WasteFrac = float64(st.BurstsBL-st.UsefulBeats) / float64(st.BurstsBL)
 	}
-	for _, g := range r.gssAllocs {
-		res.GSSGrants += g.Scheduled
+	for i := range r.gssAllocs {
+		res.GSSGrants += r.gssAllocs[i].Scheduled
 	}
 	for i, c := range r.cores {
 		res.PerCore[i] = c.stats

@@ -200,13 +200,11 @@ type Gen struct {
 	// opportunities lost to backpressure.
 	Produced int64
 	Blocked  int64
-	// Reads/Writes split Produced by direction; beatMenu/beatCounts are
-	// the produced burst-size histogram over the menu's distinct sizes
-	// (parallel slices preallocated at construction, so counting stays
-	// off the allocator on the hot path). The calibration layer compares
-	// these against the stream's declared distribution.
+	// Reads/Writes split Produced by direction; beatCounts counts the
+	// draws of each Spec.Beats entry (sized at construction, so counting
+	// stays off the allocator on the hot path), which BeatHistogram folds
+	// into the produced burst-size histogram.
 	Reads, Writes int64
-	beatMenu      []int
 	beatCounts    []int64
 }
 
@@ -215,13 +213,24 @@ type Gen struct {
 // priority marks whether demand-class requests carry the priority flag
 // this run.
 func NewGen(spec Stream, banks, rowBeats int, priority bool, rng *sim.RNG) (*Gen, error) {
-	if err := spec.Validate(); err != nil {
+	g := new(Gen)
+	if err := g.Init(spec, banks, rowBeats, priority, rng, make([]int64, len(spec.Beats))); err != nil {
 		return nil, err
 	}
-	if banks < 1 || rowBeats < 1 {
-		return nil, fmt.Errorf("traffic: bad geometry banks=%d rowBeats=%d", banks, rowBeats)
+	return g, nil
+}
+
+// Init is NewGen in place: it builds the generator into g, counting its
+// burst sizes in counts (one per spec.Beats entry, zero), so a caller can
+// hold a population of generators and their counters in one slab each.
+func (g *Gen) Init(spec Stream, banks, rowBeats int, priority bool, rng *sim.RNG, counts []int64) error {
+	if err := spec.Validate(); err != nil {
+		return err
 	}
-	g := &Gen{
+	if banks < 1 || rowBeats < 1 {
+		return fmt.Errorf("traffic: bad geometry banks=%d rowBeats=%d", banks, rowBeats)
+	}
+	*g = Gen{
 		Spec:     spec,
 		rng:      rng,
 		banks:    banks,
@@ -229,22 +238,27 @@ func NewGen(spec Stream, banks, rowBeats int, priority bool, rng *sim.RNG) (*Gen
 		bank:     spec.BankOffset % banks,
 		row:      spec.RowBase,
 		priority: priority && spec.Class == noc.ClassDemand,
+
+		beatCounts: counts[:len(spec.Beats):len(spec.Beats)],
 	}
 	// Desynchronise stream start times.
 	g.nextAt = int64(rng.Intn(64))
-	for _, b := range spec.Beats {
-		if !slices.Contains(g.beatMenu, b) {
-			g.beatMenu = append(g.beatMenu, b)
-		}
-	}
-	slices.Sort(g.beatMenu)
-	g.beatCounts = make([]int64, len(g.beatMenu))
-	return g, nil
+	return nil
 }
 
 // BeatHistogram returns the produced burst-size histogram: the menu's
 // distinct sizes in ascending order and the parallel production counts.
-func (g *Gen) BeatHistogram() ([]int, []int64) { return g.beatMenu, g.beatCounts }
+func (g *Gen) BeatHistogram() ([]int, []int64) {
+	menu := slices.Clone(g.Spec.Beats)
+	slices.Sort(menu)
+	menu = slices.Compact(menu)
+	counts := make([]int64, len(menu))
+	for i, b := range g.Spec.Beats {
+		j, _ := slices.BinarySearch(menu, b)
+		counts[j] += g.beatCounts[i]
+	}
+	return menu, counts
+}
 
 // Tick returns the logical request the stream issues this cycle, or nil.
 // blocked reports whether the network interface refuses new work. A
@@ -325,19 +339,15 @@ func (g *Gen) window() int {
 // makeRequest draws size, direction and address into the generator's one
 // Request (the Source contract: valid until the next issue).
 func (g *Gen) makeRequest() *Request {
-	beats := sim.Pick(g.rng, g.Spec.Beats)
+	pick := g.rng.Intn(len(g.Spec.Beats)) // sim.Pick, keeping the index
+	beats := g.Spec.Beats[pick]
+	g.beatCounts[pick]++
 	kind := noc.Write
 	if g.rng.Float64() < g.Spec.ReadFrac {
 		kind = noc.Read
 		g.Reads++
 	} else {
 		g.Writes++
-	}
-	for i, b := range g.beatMenu {
-		if b == beats {
-			g.beatCounts[i]++
-			break
-		}
 	}
 	var addr dram.Address
 	endOfRow := true

@@ -354,3 +354,29 @@ func TestPatternText(t *testing.T) {
 		}
 	}
 }
+
+// TestInitCountsInCallerSlab: Init counts into the piece it is given,
+// cut to one counter per Beats entry, and BeatHistogram folds repeated
+// entries into the distinct sizes.
+func TestInitCountsInCallerSlab(t *testing.T) {
+	s := spec()
+	s.Beats = []int{16, 8, 16}
+	backing := make([]int64, 5)
+	var g Gen
+	if err := g.Init(s, 4, 512, false, sim.NewRNG(9), backing); err != nil {
+		t.Fatal(err)
+	}
+	if len(g.beatCounts) != 3 || cap(g.beatCounts) != 3 {
+		t.Fatalf("counters len %d cap %d, want 3 and 3", len(g.beatCounts), cap(g.beatCounts))
+	}
+	for now := int64(0); g.Produced < 200; now++ {
+		g.Tick(now, false)
+	}
+	menu, counts := g.BeatHistogram()
+	if len(menu) != 2 || menu[0] != 8 || menu[1] != 16 || counts[0]+counts[1] != 200 {
+		t.Fatalf("histogram %v %v, want sizes [8 16] summing to 200", menu, counts)
+	}
+	if backing[3] != 0 || backing[4] != 0 {
+		t.Fatalf("Init wrote past its piece: %v", backing)
+	}
+}
