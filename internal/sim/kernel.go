@@ -15,16 +15,15 @@ import (
 //	           its routers allocate output channels and forward flits
 //	Memory   — each channel admits arrived requests, drives its command
 //	           bus and launches read responses
-//	Complete — response consumers retire finished requests
-//	Inject   — traffic sources generate and NIs launch new flits
+//	Core     — each core's NI retires finished requests, then its traffic
+//	           sources generate and it launches new flits
 //	Audit    — observers sample and checkers audit the settled cycle
 type Phase int
 
 const (
 	PhaseNetwork Phase = iota
 	PhaseMemory
-	PhaseComplete
-	PhaseInject
+	PhaseCore
 	PhaseAudit
 
 	// NumPhases counts the phases above.
@@ -38,10 +37,8 @@ func (p Phase) String() string {
 		return "network"
 	case PhaseMemory:
 		return "memory"
-	case PhaseComplete:
-		return "complete"
-	case PhaseInject:
-		return "inject"
+	case PhaseCore:
+		return "core"
 	case PhaseAudit:
 		return "audit"
 	default:

@@ -68,7 +68,7 @@ func TestKernelPhaseOrdering(t *testing.T) {
 func TestKernelIdleSkip(t *testing.T) {
 	var log []string
 	k := NewKernel()
-	p := &probe{name: "p", phase: PhaseInject, log: &log,
+	p := &probe{name: "p", phase: PhaseCore, log: &log,
 		next: func(now int64) int64 { return now + 5 }}
 	k.Register(p)
 	k.RunUntil(12)
@@ -142,7 +142,7 @@ func (t *tickFunc) Tick(now int64) { t.tick(now) }
 func TestKernelWakeSameCycle(t *testing.T) {
 	var log []string
 	k := NewKernel()
-	sleeper := &probe{name: "sleeper", phase: PhaseComplete, log: &log,
+	sleeper := &probe{name: "sleeper", phase: PhaseCore, log: &log,
 		next: func(int64) int64 { return Never }}
 	hs := &k.Register(sleeper)[0]
 	late := &probe{name: "late", phase: PhaseNetwork, log: &log,
@@ -151,7 +151,7 @@ func TestKernelWakeSameCycle(t *testing.T) {
 	k.Register(&probe{name: "waker", phase: PhaseMemory, log: &log,
 		next: func(now int64) int64 {
 			if now == 2 {
-				hs.Wake(now) // Complete runs later this cycle
+				hs.Wake(now) // Core runs later this cycle
 				hl.Wake(now) // Network already ran: clamps to next cycle
 			}
 			return now + 1
@@ -187,7 +187,7 @@ func TestKernelHandlesSurviveInsertion(t *testing.T) {
 	var log []string
 	k := NewKernel()
 	never := func(int64) int64 { return Never }
-	late := &probe{name: "late", phase: PhaseInject, log: &log, next: never}
+	late := &probe{name: "late", phase: PhaseCore, log: &log, next: never}
 	hLate := &k.Register(late)[0]
 	early := &probe{name: "early", phase: PhaseNetwork, log: &log, next: never}
 	hEarly := &k.Register(early)[0]
@@ -209,7 +209,7 @@ func TestKernelHandlesSurviveInsertion(t *testing.T) {
 // equal the true earliest wake after every step, whichever side of the
 // cursor a Wake lands on — a stale-low value would visit a cycle in
 // which nothing ticks, a stale-high one would skip a tick. The waker
-// (Memory phase) wakes a Complete component ahead of the cursor for the
+// (Memory phase) wakes a Core component ahead of the cursor for the
 // current cycle, a Network component behind it, and the first again for
 // a later cycle.
 func TestKernelNextWakeIsExact(t *testing.T) {
@@ -217,7 +217,7 @@ func TestKernelNextWakeIsExact(t *testing.T) {
 	k := NewKernel()
 	never := func(int64) int64 { return Never }
 	behind := &probe{name: "behind", phase: PhaseNetwork, log: &log, next: never}
-	ahead := &probe{name: "ahead", phase: PhaseComplete, log: &log, next: never}
+	ahead := &probe{name: "ahead", phase: PhaseCore, log: &log, next: never}
 	hb, ha := &k.Register(behind)[0], &k.Register(ahead)[0]
 	k.Register(&probe{name: "waker", phase: PhaseMemory, log: &log,
 		next: func(now int64) int64 {

@@ -51,7 +51,7 @@ type channel struct {
 
 // coreNI is one core's network interface: traffic generators, request
 // injector and response sink, with the core's own counters. It is the
-// core's two kernel components (components.go).
+// core's kernel component (components.go).
 type coreNI struct {
 	r    *Runner
 	idx  int // position in Runner.cores; a packet's SrcCore
@@ -64,12 +64,12 @@ type coreNI struct {
 	stalls    int64 // cycles the generators lost to injection backpressure
 	generated int64 // logical requests generated (the per-core ledger)
 
-	// hInject is woken when a completion refills a closed-loop window or
-	// a credit returns to a backlogged injector.
-	hInject *sim.Handle
+	// h is woken when a response flit arrives, a completion refills a
+	// closed-loop window or a credit returns to a backlogged injector.
+	h *sim.Handle
 	// sleptFrom is the first cycle of a blocked sleep that settle has not
-	// yet paid for: sim.Never while the injection component is awake or
-	// sleeps unblocked (nothing accrues then).
+	// yet paid for: sim.Never while the core is awake or sleeps unblocked
+	// (nothing accrues then).
 	sleptFrom int64
 }
 

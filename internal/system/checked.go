@@ -22,8 +22,9 @@ import (
 //     every Runner.Step — credit loops, buffer coherence, wormhole
 //     ordering, the launched-vs-delivered flit ledger, and the active
 //     sets (no link or router sleeps on work).
-//   - NI sleep: at the same point, every core whose injection component
-//     sleeps blocked really is blocked and unable to launch.
+//   - NI sleep: at the same point, every core that sleeps blocked really
+//     is blocked and unable to launch, and every sleeping core has nothing
+//     to drain or launch and no generator due before its wake.
 //   - Memory-side sleep: at the same point, a channel's held refusal is
 //     one its controller still stands by, a sleeping channel has nothing
 //     to drain, launch or admit, and a controller not due next cycle has
@@ -64,13 +65,17 @@ func (r *Runner) installChecks() {
 // to its component name, and checks the premise of every sleep outside
 // them. For a blocked core: settle pays a stall per slept cycle, which
 // is only what the tick would have done if the queue stayed at InjectCap
-// and nothing could launch.
+// and nothing could launch. A core due later than next cycle has nothing
+// to drain or launch, and, unless it sleeps blocked, no generator due
+// before its wake.
 func (r *Runner) auditMeshes(now int64) {
 	for _, c := range r.cores {
-		if c.sleptFrom != sim.Never && (c.inj.CanLaunch() || c.inj.QueueFlits() < r.cfg.InjectCap) {
+		blocked, wake := c.sleptFrom != sim.Never, c.h.WakeAt()
+		if blocked && (c.inj.CanLaunch() || c.inj.QueueFlits() < r.cfg.InjectCap) ||
+			wake > now+1 && (c.sink.CanDrain() || c.inj.CanLaunch() || !blocked && c.nextArrival() < wake) {
 			r.chk.Reportf(now, "ni/"+c.spec.Name, "ni-sleep",
-				"injection sleeps blocked with %d of %d flits queued, can launch: %t",
-				c.inj.QueueFlits(), r.cfg.InjectCap, c.inj.CanLaunch())
+				"core due at %d, blocked: %t with %d of %d flits queued, flits to drain: %t, to launch: %t, next arrival %d",
+				wake, blocked, c.inj.QueueFlits(), r.cfg.InjectCap, c.sink.CanDrain(), c.inj.CanLaunch(), c.nextArrival())
 		}
 	}
 	// The memory side's sleeps. A head the controller accepts must be

@@ -6,14 +6,14 @@ import (
 )
 
 // buildKernel registers the wired subsystems with a fresh simulation
-// kernel: one component per mesh, one per memory channel, two per core.
+// kernel: one component per mesh, one per memory channel, one per core.
 // Phase order plus registration order reproduce the exact intra-cycle
 // sequence of the pre-kernel monolithic Step:
 //
 //	Network   req mesh, resp mesh (each: deliver, then arbitrate)
 //	Memory    per channel: sink drain + admission, controller, response injector
-//	Complete  per-core response sink drain + split retirement
-//	Inject    per-core generation + injection
+//	Core      per core: response sink drain + split retirement, then
+//	          generation + injection
 //	Audit     observability sampling, checked-mode mesh audits
 //
 // (The old Step delivered on both meshes before either arbitrated,
@@ -40,14 +40,14 @@ func (r *Runner) buildKernel() {
 	// One registration, phase by phase: the kernel sizes its arrays and
 	// draws the handles from one slab.
 	ch, co := 2, 2+len(r.chans) // where the channels and the cores start
-	n := co + 2*len(r.cores)
+	n := co + len(r.cores)
 	comps := make([]sim.Component, n, n+2)
 	comps[0], comps[1] = &r.meshes[0], &r.meshes[1]
 	for i := range r.chans {
 		comps[ch+i] = &r.chans[i]
 	}
 	for i, c := range r.cores {
-		comps[co+i], comps[co+len(r.cores)+i] = (*coreComplete)(c), (*coreInject)(c)
+		comps[co+i] = c
 	}
 	if r.cfg.SampleEvery > 0 {
 		comps = append(comps, (*sampler)(r))
@@ -65,16 +65,16 @@ func (r *Runner) buildKernel() {
 		r.meshes[i].OnWake = func() { h.Wake(k.Now() + 1) }
 	}
 	for i := range r.chans {
-		// Credits return in the Network phase, ahead of Memory and Inject,
+		// Credits return in the Network phase, ahead of Memory and Core,
 		// so the woken tick launches in the cycle the every-cycle loop
-		// would; the same holds for a core's injection below.
+		// would; the same holds for a core below.
 		c := &r.chans[i]
 		c.h = &hs[ch+i]
 		c.sink.Consumer, c.respInj.Producer = c.h, c.h
 	}
 	for i, c := range r.cores {
-		c.hInject = &hs[co+len(r.cores)+i]
-		c.sink.Consumer, c.inj.Producer = &hs[co+i], c.hInject
+		c.h = &hs[co+i]
+		c.sink.Consumer, c.inj.Producer = c.h, c.h
 	}
 }
 
@@ -95,46 +95,25 @@ func (m *meshComp) NextWake(now int64) int64 {
 	return sim.Never
 }
 
-// coreComplete and coreInject are a core's two kernel components, two
-// views of its network interface: response completion, then generation
-// and injection.
-type (
-	coreComplete coreNI
-	coreInject   coreNI
-)
+// A core's network interface is its one kernel component.
+func (c *coreNI) Name() string     { return "core/" + c.spec.Name }
+func (c *coreNI) Phase() sim.Phase { return sim.PhaseCore }
 
-func (c *coreComplete) Name() string     { return "core-complete/" + c.spec.Name }
-func (c *coreComplete) Phase() sim.Phase { return sim.PhaseComplete }
-
-func (c *coreComplete) Tick(now int64) {
+// Tick is one cycle of the interface: the sink drains and retires every
+// ready response packet, then the generators tick and the injector launches.
+func (c *coreNI) Tick(now int64) {
+	r := c.r
 	c.sink.Step(now)
 	for {
 		p := c.sink.Pop(now)
 		if p == nil {
 			break
 		}
-		c.r.completeSplit(p, now)
+		r.completeSplit(p, now)
 		// The response packet's journey ends here; recycle it.
-		c.r.pkts.Put(p)
+		r.pkts.Put(p)
 	}
-}
-
-// NextWake keeps the component awake while the sink can still move a
-// flit; the tick pops everything ready, so the rest waits on a flit's
-// arrival.
-func (c *coreComplete) NextWake(now int64) int64 {
-	if c.sink.CanDrain() {
-		return now + 1
-	}
-	return sim.Never
-}
-
-func (c *coreInject) Name() string     { return "core-inject/" + c.spec.Name }
-func (c *coreInject) Phase() sim.Phase { return sim.PhaseInject }
-
-func (c *coreInject) Tick(now int64) {
-	r, ni := c.r, (*coreNI)(c)
-	r.settle(ni, now)
+	r.settle(c, now)
 	c.sleptFrom = sim.Never
 	blocked := c.inj.QueueFlits() >= r.cfg.InjectCap
 	if blocked {
@@ -145,30 +124,35 @@ func (c *coreInject) Tick(now int64) {
 		c.stalls++
 	}
 	for _, g := range c.gens {
-		req := g.Tick(now, blocked)
-		if req == nil {
-			continue
+		if req := g.Tick(now, blocked); req != nil {
+			r.injectLogical(c, g, req, now)
 		}
-		r.injectLogical(ni, g, req, now)
 	}
 	c.inj.Step(now)
 }
 
-func (c *coreInject) NextWake(now int64) int64 {
-	if c.inj.CanLaunch() {
+// NextWake keeps the interface awake while its sink can still move a
+// flit or its injector launch one. Otherwise it sleeps on a flit's
+// arrival or a credit's return, and — unless full and out of credits,
+// when the tick would only count the lost cycle and settle counts those
+// in arrears — on its generators' next arrival.
+func (c *coreNI) NextWake(now int64) int64 {
+	if c.sink.CanDrain() || c.inj.CanLaunch() {
 		return now + 1
 	}
 	if c.inj.QueueFlits() >= c.r.cfg.InjectCap {
-		// Full and out of credits: until a credit returns the tick only
-		// counts the lost cycle, and settle counts those in arrears.
 		c.sleptFrom = now + 1
 		return sim.Never
 	}
+	return c.nextArrival()
+}
+
+// nextArrival is the earliest cycle one of the core's generators could
+// produce a request.
+func (c *coreNI) nextArrival() int64 {
 	next := sim.Never
 	for _, g := range c.gens {
-		if a := g.NextArrival(); a < next {
-			next = a
-		}
+		next = min(next, g.NextArrival())
 	}
 	return next
 }

@@ -14,14 +14,14 @@ import (
 )
 
 // workCounts is the simulator's own work over a run: kernel component
-// ticks (and, of those, the channels' summed), controller ticks,
-// Router.step entries, links deliver visited, and flits forwarded
+// ticks (and, of those, the channels' and the cores' summed), controller
+// ticks, Router.step entries, links deliver visited, and flits forwarded
 // (Σ BusyCycles, the useful router steps); memEvents is what the
 // controllers' ticks were for, commands issued plus requests retired.
 // All pure functions of (config, seed).
 type workCounts struct {
-	ticks, chanTicks, memTicks, memEvents int64
-	routerSteps, linkVisits, flits        int64
+	ticks, chanTicks, coreTicks, memTicks, memEvents int64
+	routerSteps, linkVisits, flits                   int64
 }
 
 // tickCounter counts the ticks of the controller it wraps.
@@ -58,6 +58,9 @@ func countWork(t *testing.T, cfg Config) workCounts {
 		st := c.dev.Stats()
 		w.memEvents += st.Activates + st.Reads + st.Writes + st.Precharges + st.Refreshes + c.done
 	}
+	for _, c := range r.cores {
+		w.coreTicks += c.h.Ticks()
+	}
 	for _, m := range []*noc.Mesh{r.reqMesh, r.respMesh} {
 		v, s := m.WorkCounts()
 		w.linkVisits += v
@@ -74,15 +77,14 @@ func countWork(t *testing.T, cfg Config) workCounts {
 // forwards, deliver visits only busy links, and a controller is ticked
 // little more than once per command it issues or request it retires (a
 // retirement is a split packet completed at the device). The tick
-// ceilings are the measured values with 10% headroom (sat-conv 2.27
-// ticks/cycle, sat-gss 2.61, the four-channel DDR4 point 6.12; with a
-// mesh's links and routers, and a channel's admission, controller and
-// response injector, as components of their own they read 3.38, 4.15 and
-// 9.07), and so are the channels' (0.71, 0.76 and 2.28 a cycle). Folding
-// the components together moved no walk: controller ticks, router steps
-// and links visited are pinned to the counts the separate components
-// made. The near-idle configuration pins the other side:
-// waking on arrivals and credits must not cost it a tick.
+// ceilings are the measured values with 10% headroom (sat-conv 2.22
+// ticks/cycle, sat-gss 2.56, the four-channel DDR4 point 5.97; with a
+// core's completion and injection as components of their own they read
+// 2.27, 2.61 and 6.12), and so are the channels' (0.71, 0.76 and 2.28 a
+// cycle). The cores' ticks are pinned exactly, as are controller ticks,
+// router steps and links visited: folding the components together moved
+// no walk. The near-idle configuration pins the other side: waking on
+// arrivals and credits must not cost it a tick.
 func TestSaturatedWorkIsProportional(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200,000-cycle saturated runs")
@@ -93,17 +95,17 @@ func TestSaturatedWorkIsProportional(t *testing.T) {
 		ticksPerCycle float64
 		// chanPerCycle bounds the channels' ticks, summed, per cycle.
 		chanPerCycle float64
-		// The exact counts with one component per mesh link set, router set,
-		// admission, controller and response injector.
-		memTicks, routerSteps, linkVisits int64
+		// The exact counts of the cores' ticks, summed, and of the walks
+		// inside the mesh and channel components.
+		coreTicks, memTicks, routerSteps, linkVisits int64
 	}{
 		{"sat-conv", Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: Conv, Cycles: 200_000},
-			2.49, 0.78, 59_340, 461_549, 595_217},
+			2.45, 0.78, 142_772, 59_340, 461_549, 595_217},
 		{"sat-gss", Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: GSSSAGM, Cycles: 200_000},
-			2.87, 0.84, 85_807, 541_686, 657_119},
+			2.81, 0.84, 154_338, 85_807, 541_686, 657_119},
 		{"scale-ddr4", Config{App: appmodel.QuadDTV(), Gen: dram.DDR4, Design: GSSSAGM, PriorityDemand: true,
 			Channels: 4, Scheme: mapping.ChannelThenBankXOR, Subarrays: 4, Cycles: 200_000},
-			6.73, 2.51, 239_518, 2_806_226, 3_121_033},
+			6.56, 2.51, 393_749, 239_518, 2_806_226, 3_121_033},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := countWork(t, tc.cfg)
@@ -114,9 +116,9 @@ func TestSaturatedWorkIsProportional(t *testing.T) {
 			if got := float64(w.chanTicks) / cycles; got > tc.chanPerCycle {
 				t.Errorf("%.2f channel ticks per simulated cycle, want at most %.2f", got, tc.chanPerCycle)
 			}
-			if w.memTicks != tc.memTicks || w.routerSteps != tc.routerSteps || w.linkVisits != tc.linkVisits {
-				t.Errorf("controller ticks %d, router steps %d, links visited %d; want %d, %d, %d",
-					w.memTicks, w.routerSteps, w.linkVisits, tc.memTicks, tc.routerSteps, tc.linkVisits)
+			if w.coreTicks != tc.coreTicks || w.memTicks != tc.memTicks || w.routerSteps != tc.routerSteps || w.linkVisits != tc.linkVisits {
+				t.Errorf("core ticks %d, controller ticks %d, router steps %d, links visited %d; want %d, %d, %d, %d",
+					w.coreTicks, w.memTicks, w.routerSteps, w.linkVisits, tc.coreTicks, tc.memTicks, tc.routerSteps, tc.linkVisits)
 			}
 			t.Logf("%+v: %.3f ticks/cycle, %.3f steps/flit, %.3f controller ticks/event", w,
 				float64(w.ticks)/cycles, float64(w.routerSteps)/float64(w.flits), float64(w.memTicks)/float64(w.memEvents))
@@ -125,8 +127,9 @@ func TestSaturatedWorkIsProportional(t *testing.T) {
 	t.Run("lowutil-skip", func(t *testing.T) {
 		cfg := Config{App: appmodel.LowUtil(), Gen: dram.DDR2, Design: GSSSAGM, PriorityDemand: true, Cycles: 2_000_000}
 		w := countWork(t, cfg)
-		if w.ticks > 441_830 || w.memTicks != 102_579 {
-			t.Errorf("%d component ticks and %d controller ticks on the near-idle run, want at most 441830 and 102579", w.ticks, w.memTicks)
+		if w.ticks > 425_276 || w.coreTicks != 102_835 || w.memTicks != 102_579 {
+			t.Errorf("%d component ticks, %d core ticks and %d controller ticks on the near-idle run, want at most 425276, 102835 and 102579",
+				w.ticks, w.coreTicks, w.memTicks)
 		}
 		t.Logf("%+v", w)
 	})
@@ -228,6 +231,36 @@ func TestCheckedCatchesUnblockedSleep(t *testing.T) {
 	vs := r.chk.Violations()
 	if len(vs) != 1 || vs[0].Kind != "ni-sleep" {
 		t.Fatalf("unblocked sleeping core reported as %v, want one ni-sleep", vs)
+	}
+}
+
+// TestCheckedCatchesUnwokenCore trips the rest of the NI-sleep audit: a
+// core whose response sink or request injector forgets to wake it sleeps
+// with a flit it could drain or launch, which the every-cycle tick would
+// have moved.
+func TestCheckedCatchesUnwokenCore(t *testing.T) {
+	for name, fault := range map[string]func(c *coreNI){
+		"sink":     func(c *coreNI) { c.sink.Consumer = nil },
+		"injector": func(c *coreNI) { c.inj.Producer = nil },
+	} {
+		r, err := New(Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: Conv, Cycles: 20_000, Checked: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range r.cores {
+			fault(c)
+		}
+		r.RunTo(r.cfg.Cycles)
+		n := 0
+		for _, v := range r.Finish().Obs.Violations {
+			if v.Kind == "ni-sleep" {
+				n++
+			}
+		}
+		if n == 0 {
+			t.Errorf("%s: a core left asleep by its %s went unreported", name, name)
+		}
+		t.Logf("%s fault: %d ni-sleep violations", name, n)
 	}
 }
 

@@ -104,9 +104,8 @@ func (r *Runner) completeSplit(p *noc.Packet, at int64) {
 	l.stream.OnComplete(at)
 	// The completion refills a closed-loop window: the stream can
 	// generate no earlier than next cycle (think time is at least one),
-	// so wake the core's injection component then and let its NextWake
-	// refine the estimate.
-	c.hInject.Wake(r.kern.Now() + 1)
+	// so wake the core then and let its NextWake refine the estimate.
+	c.h.Wake(r.kern.Now() + 1)
 	r.logs.Put(l)
 }
 

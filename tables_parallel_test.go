@@ -2,9 +2,9 @@ package aanoc
 
 // Parallel-vs-serial equivalence for every table/figure driver: the
 // formatted output — the artifact the paper comparison rests on — must
-// be byte-identical whether a grid runs on one worker or many. The CI
-// determinism job checks the same property end-to-end through the
-// aanoc tables binary.
+// be byte-identical whether a grid runs on one worker or many. The
+// tables-*-serial legs of cmd/aanoc's TestCorpus check the same property
+// end-to-end through the aanoc tables command.
 
 import (
 	"os"
