@@ -405,17 +405,20 @@ func Apps() []App { return []App{BluRay(), SingleDTV(), DualDTV()} }
 func Scaled() []App { return []App{BluRay2(), QuadDTV()} }
 
 // ByName looks an application model up by its short name, covering both
-// the paper's benchmarks and the scaled multi-channel variants.
+// the paper's benchmarks and the scaled multi-channel variants. It builds
+// only the model asked for: every served grid point resolves one.
 func ByName(name string) (App, error) {
-	for _, a := range Apps() {
-		if a.Name == name {
-			return a, nil
-		}
-	}
-	for _, a := range Scaled() {
-		if a.Name == name {
-			return a, nil
-		}
+	switch name {
+	case "bluray":
+		return BluRay(), nil
+	case "sdtv":
+		return SingleDTV(), nil
+	case "ddtv":
+		return DualDTV(), nil
+	case "bluray2":
+		return BluRay2(), nil
+	case "ddtv4":
+		return QuadDTV(), nil
 	}
 	return App{}, fmt.Errorf("appmodel: unknown application %q (want bluray, sdtv, ddtv, bluray2 or ddtv4)", name)
 }

@@ -1,6 +1,7 @@
 package appmodel
 
 import (
+	"reflect"
 	"testing"
 
 	"aanoc/internal/dram"
@@ -185,6 +186,13 @@ func TestByNameFindsScaled(t *testing.T) {
 		a, err := ByName(name)
 		if err != nil || a.Name != name {
 			t.Errorf("ByName(%q) = %v, %v", name, a.Name, err)
+		}
+	}
+	// Every builtin name returns exactly what its constructor builds.
+	for _, want := range append(Apps(), Scaled()...) {
+		got, err := ByName(want.Name)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%q) differs from its constructor (err %v)", want.Name, err)
 		}
 	}
 	if len(Apps()) != 3 {

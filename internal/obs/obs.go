@@ -349,9 +349,9 @@ type Sample struct {
 // (json.MarshalIndent), whose bytes for a report are these by
 // TestEncodeJSONMatchesStdlib — so a report has exactly one byte
 // representation and byte-level comparisons (golden tests, cache-parity
-// tests) are meaningful. The result store is not one of them: it
-// marshals a whole system.Result with encoding/json into its own
-// checksummed envelope, and a report read back from it is re-encoded here.
+// tests) are meaningful. The result store is not one of them: it keeps
+// a whole system.Result in a checksummed binary entry of its own, and a
+// report read back from it is re-encoded here.
 func EncodeJSON(w io.Writer, r *Report) error {
 	if r.SchemaVersion == 0 {
 		r.SchemaVersion = Schema

@@ -18,32 +18,36 @@
 //     the pinned facade surface (api/aanoc.txt's sha256). Any reviewed
 //     API change or schema bump rotates the namespace, so a binary can
 //     never misread an entry written by a build with a different shape
-//     of Result — stale namespaces are simply invisible (and reaped by
-//     the LRU cap as the new namespace fills).
+//     of Result. Stale namespaces are invisible, and nothing reclaims
+//     them: Open, Put and eviction touch only the current namespace's
+//     directory, so an operator deletes a rotated-out <root>/v<n>-*.
 //
-//   - Integrity checking. Every entry embeds the sha256 of its
-//     serialized Result payload, written atomically (temp file +
-//     rename). A torn write, a flipped bit or a truncated file fails
+//   - Integrity checking. An entry is one header line — namespace,
+//     fingerprint and the sha256 of the payload — then the Result in the
+//     binary form of codec.go, written atomically (temp file + rename).
+//     A torn write, a flipped bit or a truncated file fails
 //     verification; Get deletes the entry and reports ErrCorrupt, and
 //     the caller re-simulates — corruption costs one redundant run,
 //     never a wrong result.
 //
-// The store is bounded: SizeBytes is capped (Options.MaxBytes) with
-// least-recently-used eviction, where "use" is a verified Get (hits
-// refresh the entry's mtime). Concurrent writers of one fingerprint are
-// benign — every writer produces identical bytes for a deterministic
-// simulator, and rename makes whichever lands last the single entry.
+// The store is bounded: the current namespace's SizeBytes is capped
+// (Options.MaxBytes) with least-recently-used eviction, where "use" is a
+// verified Get (hits refresh the entry's mtime). Concurrent writers of
+// one fingerprint are benign — every writer produces identical bytes for
+// a deterministic simulator, and rename makes whichever lands last the
+// single entry.
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"time"
@@ -54,8 +58,9 @@ import (
 )
 
 // formatVersion is the store's own layout revision: bump it when the
-// envelope or the directory scheme changes incompatibly.
-const formatVersion = 1
+// entry layout, the directory scheme or the type tree the payload
+// encodes changes (TestPayloadShapePinned catches the last).
+const formatVersion = 2
 
 // DefaultMaxBytes caps the store at 1 GiB unless Options overrides it —
 // roomy for hundreds of thousands of entries (a full-observability
@@ -63,8 +68,8 @@ const formatVersion = 1
 const DefaultMaxBytes = 1 << 30
 
 // ErrCorrupt marks an entry that failed integrity verification: a
-// payload-hash mismatch, a foreign namespace or fingerprint, or
-// undecodable JSON. Get wraps it (and removes the entry) so callers can
+// payload-hash mismatch, a foreign namespace or fingerprint, or an
+// undecodable payload. Get wraps it (and removes the entry) so callers can
 // distinguish "never stored" from "stored and damaged"; both degrade to
 // re-simulation.
 var ErrCorrupt = errors.New("store: corrupt entry")
@@ -141,23 +146,13 @@ func Open(dir string, o Options) (*Store, error) {
 	return s, nil
 }
 
-// envelope is the on-disk entry: the namespace and fingerprint it was
-// written under (verified on read), the payload hash, and the payload —
-// the canonical JSON of one system.Result.
-type envelope struct {
-	Store       string          `json:"store"`
-	Fingerprint string          `json:"fingerprint"`
-	SHA256      string          `json:"sha256"`
-	Result      json.RawMessage `json:"result"`
-}
-
 // path shards entries by the first fingerprint byte so no directory
 // grows unboundedly.
 func (s *Store) path(fp string) (string, error) {
 	if !validFingerprint(fp) {
 		return "", fmt.Errorf("store: malformed fingerprint %q", fp)
 	}
-	return filepath.Join(s.dir, fp[:2], fp+".json"), nil
+	return filepath.Join(s.dir, fp[:2], fp+".bin"), nil
 }
 
 // validFingerprint accepts exactly the hex sha256 sweep.Fingerprint
@@ -205,24 +200,25 @@ func (s *Store) Get(fp string) (system.Result, bool, error) {
 	return res, true, nil
 }
 
-// decode verifies and unpacks one entry's bytes.
+// header appends an entry's first line, "<namespace> <fingerprint>
+// <sha256 of payload>\n": what Put writes and decode expects.
+func (s *Store) header(b []byte, fp string, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	b = append(append(append(append(b, s.version...), ' '), fp...), ' ')
+	return append(hex.AppendEncode(b, sum[:]), '\n')
+}
+
+// decode verifies and unpacks one entry's bytes: the header line must
+// name this namespace, this fingerprint and the payload's hash.
 func (s *Store) decode(fp string, data []byte) (system.Result, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return system.Result{}, fmt.Errorf("%w: %s: %v", ErrCorrupt, fp, err)
-	}
-	switch {
-	case env.Store != s.version:
-		return system.Result{}, fmt.Errorf("%w: %s: namespace %q inside %q", ErrCorrupt, fp, env.Store, s.version)
-	case env.Fingerprint != fp:
-		return system.Result{}, fmt.Errorf("%w: %s: entry claims fingerprint %q", ErrCorrupt, fp, env.Fingerprint)
-	}
-	sum := sha256.Sum256(env.Result)
-	if hex.EncodeToString(sum[:]) != env.SHA256 {
-		return system.Result{}, fmt.Errorf("%w: %s: payload hash mismatch", ErrCorrupt, fp)
+	var want [192]byte
+	n := bytes.IndexByte(data, '\n') + 1
+	if n == 0 || !bytes.Equal(data[:n], s.header(want[:0], fp, data[n:])) {
+		return system.Result{}, fmt.Errorf("%w: %s: header %.160q is not namespace %s, this fingerprint and the payload's hash",
+			ErrCorrupt, fp, data[:n], s.version)
 	}
 	var res system.Result
-	if err := json.Unmarshal(env.Result, &res); err != nil {
+	if err := decodePayload(data[n:], &res); err != nil {
 		return system.Result{}, fmt.Errorf("%w: %s: payload: %v", ErrCorrupt, fp, err)
 	}
 	return res, nil
@@ -241,12 +237,13 @@ func (s *Store) discardCorrupt(path string, size int) {
 	})
 }
 
-// Put persists one result under its fingerprint: serialize, hash, write
-// to a temp file in the namespace, fsync-free rename into place. A
-// result that cannot serialize (a NaN metric, say) returns an error and
-// leaves the store unchanged — the caller keeps its in-memory result
-// and simply loses persistence for that point. Every failure counts
-// once, here, as a PutError.
+// Put persists one result under its fingerprint: encode after a reserved
+// header, hash, fill the header in, write to a temp file in the
+// namespace, fsync-free rename into place. A result that cannot
+// serialize (a NaN metric, say) returns an error and leaves the store
+// unchanged — the caller keeps its in-memory result and simply loses
+// persistence for that point. Every failure counts once, here, as a
+// PutError.
 func (s *Store) Put(fp string, res system.Result) error {
 	err := s.put(fp, res)
 	if err != nil {
@@ -260,20 +257,18 @@ func (s *Store) put(fp string, res system.Result) (err error) {
 	if err != nil {
 		return err
 	}
-	payload, err := json.Marshal(res)
-	if err != nil {
-		return fmt.Errorf("store: result for %s is not serializable: %w", fp, err)
+	v, e := reflect.ValueOf(&res).Elem(), encoder{}
+	if resultPlan.encode(&e, v); e.err != nil {
+		return fmt.Errorf("store: result for %s is not serializable: %w", fp, e.err)
 	}
-	sum := sha256.Sum256(payload)
-	data, err := json.Marshal(envelope{
-		Store:       s.version,
-		Fingerprint: fp,
-		SHA256:      hex.EncodeToString(sum[:]),
-		Result:      payload,
-	})
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
+	// The header's length is fixed, so the entry is one allocation: the
+	// payload goes after the reserved header, which is filled in once
+	// the payload's hash is known.
+	h := len(s.version) + 1 + len(fp) + 1 + 2*sha256.Size + 1
+	e.buf = make([]byte, h, h+e.n)
+	resultPlan.encode(&e, v)
+	data := e.buf
+	s.header(data[:0], fp, data[h:])
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -355,7 +350,7 @@ func (s *Store) scan() ([]scanned, int64, error) {
 	var out []scanned
 	var total int64
 	err := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".bin" {
 			return err
 		}
 		fi, err := d.Info()

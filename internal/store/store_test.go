@@ -1,11 +1,15 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,7 +17,8 @@ import (
 
 	"aanoc/internal/appmodel"
 	"aanoc/internal/dram"
-	"aanoc/internal/sweep"
+	"aanoc/internal/memctrl"
+	"aanoc/internal/obs"
 	"aanoc/internal/system"
 )
 
@@ -65,35 +70,128 @@ func TestRoundTripByteIdentical(t *testing.T) {
 // genuine simulation Result — observability report, per-core stats,
 // device counters, float64 metrics — survives the disk round trip with
 // byte-identical canonical JSON, so store-served CLI output matches
-// freshly simulated output exactly.
+// freshly simulated output exactly. One row per optional report shape:
+// each row's has says which part it must carry.
 func TestRealRunRoundTrip(t *testing.T) {
-	cfg := system.Config{
+	base := system.Config{
 		App: appmodel.BluRay(), Gen: dram.DDR2,
 		Design: system.GSSSAGM, Cycles: 2000, Seed: 7,
 	}
-	fp, cacheable := sweep.Fingerprint(cfg)
-	if !cacheable {
-		t.Fatal("plain config not cacheable")
+	with := func(f func(*system.Config)) system.Config {
+		c := base
+		f(&c)
+		return c
 	}
-	res, err := system.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	multi := func(c *system.Config) { c.App, c.Channels = appmodel.BluRay2(), 2 }
+	for _, row := range []struct {
+		name string
+		cfg  system.Config
+		mut  func(*system.Result)
+		has  func(*obs.Report) bool
+	}{
+		{"default", base, nil, func(r *obs.Report) bool { return r.Memory.Stream != nil }},
+		{"ddr4-4ch-4sub", with(func(c *system.Config) {
+			c.App, c.Channels, c.Gen, c.Subarrays = appmodel.QuadDTV(), 4, dram.DDR4, 4
+		}), nil, func(r *obs.Report) bool { return len(r.Memory.Channels) == 4 && *r.Memory.Imbalance > 0 }},
+		{"imbalance-zero", with(multi), func(res *system.Result) { *res.Obs.Memory.Imbalance = 0 },
+			func(r *obs.Report) bool { return r.Memory.Imbalance != nil && *r.Memory.Imbalance == 0 }},
+		{"zoo-scheduler", with(func(c *system.Config) { c.Scheduler = memctrl.SchedDPQ }), nil,
+			func(r *obs.Report) bool { return r.Memory.Scheduler != nil }},
+		{"samples", with(func(c *system.Config) { c.SampleEvery = 500 }), nil,
+			func(r *obs.Report) bool { return len(r.Samples) == 4 }},
+		{"workload", with(func(c *system.Config) { c.WorkloadStats = true }), nil,
+			func(r *obs.Report) bool { return len(r.Workload) > 0 }},
+		{"checked-fault", with(func(c *system.Config) {
+			c.Cycles, c.Checked, c.Fault, c.PriorityDemand = 6000, true, dram.FaultSkipTRCD, true
+		}), nil, func(r *obs.Report) bool { return len(r.Violations) > 0 }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			res, err := system.Run(row.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.mut != nil {
+				row.mut(&res)
+			}
+			if !row.has(res.Obs) {
+				t.Fatal("the run does not carry the report part this row covers")
+			}
+			s := open(t, Options{})
+			fp := strings.Repeat("c", 64)
+			if err := s.Put(fp, res); err != nil {
+				t.Fatal(err)
+			}
+			back, ok, err := s.Get(fp)
+			if err != nil || !ok {
+				t.Fatalf("Get: ok=%v err=%v", ok, err)
+			}
+			want, _ := json.Marshal(res)
+			got, _ := json.Marshal(back)
+			if string(want) != string(got) {
+				t.Error("result JSON not byte-identical after disk round trip")
+			}
+			var wantObs, gotObs bytes.Buffer
+			if err := obs.EncodeJSON(&wantObs, res.Obs); err != nil {
+				t.Fatal(err)
+			}
+			if err := obs.EncodeJSON(&gotObs, back.Obs); err != nil {
+				t.Fatal(err)
+			}
+			if wantObs.String() != gotObs.String() {
+				t.Error("report not byte-identical after disk round trip")
+			}
+		})
 	}
-	s := open(t, Options{})
-	if err := s.Put(fp, res); err != nil {
-		t.Fatal(err)
+}
+
+// TestPlanRefusesWhatItCannotWrite: a kind the payload form has no
+// encoding for, or an unexported field, panics when the plan is built —
+// at start-up for system.Result — never in the middle of a run.
+func TestPlanRefusesWhatItCannotWrite(t *testing.T) {
+	for name, typ := range map[string]reflect.Type{
+		"map":        reflect.TypeFor[struct{ M map[string]int }](),
+		"unexported": reflect.TypeFor[struct{ n int }](),
+		"array":      reflect.TypeFor[struct{ A [2]int }](),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: planOf did not panic", name)
+				}
+			}()
+			planOf(typ)
+		}()
 	}
-	back, ok, err := s.Get(fp)
-	if err != nil || !ok {
-		t.Fatalf("Get: ok=%v err=%v", ok, err)
+}
+
+// shape renders the type tree the payload encodes, in the plan's order.
+func shape(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Pointer:
+		return "*" + shape(t.Elem())
+	case reflect.Slice:
+		return "[]" + shape(t.Elem())
+	case reflect.Struct:
+		s := "{"
+		for i := range t.NumField() {
+			s += t.Field(i).Name + " " + shape(t.Field(i).Type) + ";"
+		}
+		return s + "}"
 	}
-	want, _ := json.Marshal(res)
-	got, _ := json.Marshal(back)
-	if string(want) != string(got) {
-		t.Error("real run result not byte-identical after disk round trip")
-	}
-	if back.Obs == nil || back.Obs.Design != res.Obs.Design {
-		t.Error("observability report lost in round trip")
+	return t.Kind().String()
+}
+
+// TestPayloadShapePinned: nothing in an entry names a field, and the
+// namespace's API hash does not cover system.Result's fields, so a
+// change to the type tree the payload encodes would misread every
+// stored entry. Such a change must bump formatVersion, which rotates
+// the namespace, and add its shape hash here.
+func TestPayloadShapePinned(t *testing.T) {
+	pinned := map[int]string{2: "94981294c73d00b3"}
+	sum := sha256.Sum256([]byte(shape(reflect.TypeFor[system.Result]())))
+	if got := hex.EncodeToString(sum[:8]); pinned[formatVersion] != got {
+		t.Errorf("system.Result's type tree hashes to %s, pinned for format v%d as %q: bump formatVersion and pin the new shape",
+			got, formatVersion, pinned[formatVersion])
 	}
 }
 
@@ -159,7 +257,7 @@ func TestCorruptEntryDetectedAndRemoved(t *testing.T) {
 	}
 }
 
-// TestForeignNamespaceRejected: an entry whose envelope claims a
+// TestForeignNamespaceRejected: an entry whose header claims a
 // different store version (or fingerprint) must not be served even if
 // its payload hash checks out — the namespace directory is the
 // versioning mechanism and an entry contradicting it is damage.
@@ -171,9 +269,10 @@ func TestForeignNamespaceRejected(t *testing.T) {
 	}
 	path, _ := s.path(fp)
 	data, _ := os.ReadFile(path)
-	tampered := strings.Replace(string(data), s.version, "v0-s0-000000000000", 1)
-	if tampered == string(data) {
-		t.Fatal("envelope does not carry the namespace")
+	header, _, _ := strings.Cut(string(data), "\n")
+	tampered := strings.Replace(string(data), s.version+" ", "v0-s0-000000000000 ", 1)
+	if !strings.HasPrefix(header, s.version+" ") || tampered == string(data) {
+		t.Fatal("header line does not lead with the namespace")
 	}
 	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
 		t.Fatal(err)
@@ -223,7 +322,7 @@ func TestConcurrentWritersOneFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != fp+".json" {
+	if len(entries) != 1 || entries[0].Name() != fp+".bin" {
 		names := make([]string, len(entries))
 		for i, e := range entries {
 			names[i] = e.Name()
@@ -300,8 +399,38 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestEvictionLeavesSiblingNamespaces pins what happens to a rotated-out
+// namespace: nothing. Open, Put and eviction walk only the current
+// namespace, so a sibling's entries stay on disk however far over the
+// cap the current one runs, until an operator deletes them.
+func TestEvictionLeavesSiblingNamespaces(t *testing.T) {
+	root := t.TempDir()
+	stale := filepath.Join(root, "v1-s2-000000000000", "aa", strings.Repeat("a", 64)+".json")
+	if err := os.MkdirAll(filepath.Dir(stale), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stale, bytes.Repeat([]byte("x"), 4096), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(root, Options{MaxBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := byte(0); seed < 3; seed++ {
+		if err := s.Put(fabricated(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Evictions != 2 || st.Entries != 1 {
+		t.Errorf("eviction accounting: %+v", st)
+	}
+	if _, err := os.Stat(stale); err != nil {
+		t.Errorf("sibling namespace's entry touched: %v", err)
+	}
+}
+
 // TestUnserializableResultDegrades: every way Put can fail — a Result
-// carrying NaN (not JSON-marshallable), a malformed fingerprint, a
+// carrying NaN (the payload form refuses it), a malformed fingerprint, a
 // filesystem that refuses the shard directory, a rename that cannot
 // land — must fail cleanly: counted exactly once, no entry, no temp
 // file left behind. The sweep integration turns this into "keep the
@@ -395,7 +524,7 @@ func TestReopenSeesEntriesAndSize(t *testing.T) {
 func TestVersionNamespaceShape(t *testing.T) {
 	v := Version()
 	parts := strings.Split(v, "-")
-	if len(parts) != 3 || parts[0] != "v1" || !strings.HasPrefix(parts[1], "s") || len(parts[2]) != 12 {
+	if len(parts) != 3 || parts[0] != "v2" || !strings.HasPrefix(parts[1], "s") || len(parts[2]) != 12 {
 		t.Fatalf("Version() = %q, want v<format>-s<schema>-<12 hex>", v)
 	}
 	s := open(t, Options{})
