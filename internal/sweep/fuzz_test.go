@@ -60,10 +60,11 @@ func cfgFromBytes(data []byte) system.Config {
 }
 
 // FuzzFingerprint checks the cache-key contract over the whole knob
-// space: fingerprinting is deterministic, insensitive to resolution
-// (a config and its resolved form share a key, so explicit defaults
-// cannot double-simulate a grid point), resolution is idempotent, and
-// distinct resolved configs get distinct keys.
+// space: fingerprinting matches the fmt-based reference byte for byte,
+// is deterministic, insensitive to resolution (a config and its
+// resolved form share a key, so explicit defaults cannot double-simulate
+// a grid point), resolution is idempotent, and distinct resolved configs
+// get distinct keys.
 func FuzzFingerprint(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
@@ -75,6 +76,9 @@ func FuzzFingerprint(f *testing.F) {
 		fp, ok := Fingerprint(cfg)
 		if !ok {
 			t.Fatal("traceless config reported uncacheable")
+		}
+		if ref, _ := fingerprintFmt(cfg); ref != fp {
+			t.Fatalf("fingerprint %s differs from the reference's %s", fp, ref)
 		}
 		if fp2, _ := Fingerprint(cfg); fp2 != fp {
 			t.Fatalf("fingerprint not deterministic: %s vs %s", fp, fp2)

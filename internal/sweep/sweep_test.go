@@ -329,9 +329,9 @@ func TestFingerprintCanonicalises(t *testing.T) {
 	}
 }
 
-// perturb changes v to a different value of its type, reporting false
-// for a kind it does not know — a new kind of Config field must be taught
-// here before TestFingerprintCoversEveryField can vouch for it.
+// perturb changes the leaf v to a different value of its type,
+// reporting false for a kind it does not know — a new kind of field must
+// be taught here before TestFingerprintCoversEveryField can vouch for it.
 func perturb(v reflect.Value) bool {
 	switch v.Kind() {
 	case reflect.Bool:
@@ -340,50 +340,83 @@ func perturb(v reflect.Value) bool {
 		v.SetInt(v.Int() + 1)
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 1)
 	case reflect.String:
 		v.SetString(v.String() + "x")
 	case reflect.Slice:
 		v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
 	case reflect.Ptr:
 		v.Set(reflect.New(v.Type().Elem())) // nil in the base config
-	case reflect.Struct:
-		return perturb(v.Field(0)) // App: its name
 	default:
 		return false
 	}
 	return true
 }
 
+// eachLeaf calls visit on every leaf under v, in a fixed order, with its
+// path: it descends into every struct field and into element 0 of a
+// non-empty slice, and a slice is a leaf itself (its length is keyed).
+func eachLeaf(path string, v reflect.Value, visit func(string, reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			eachLeaf(strings.TrimPrefix(path+"."+v.Type().Field(i).Name, "."), v.Field(i), visit)
+		}
+		return
+	case reflect.Slice:
+		if v.Len() > 0 {
+			eachLeaf(path+"[0]", v.Index(0), visit)
+		}
+	}
+	visit(path, v)
+}
+
 // TestFingerprintCoversEveryField makes the cache key's coverage
-// structural: changing any one field of system.Config must change the
-// fingerprint or make the config uncacheable, unless the field is listed
-// here with the reason it may share an entry. A field added to Config
-// and not to Fingerprint's format string would otherwise make the store
-// serve one run's row for another's.
+// structural: changing any one leaf of system.Config — down into the
+// application model's mesh, ports, clocks, cores and streams and into a
+// replay record — must change the fingerprint or make the config
+// uncacheable, unless the field is listed here with the reason it may
+// share an entry. A field added to Config or to a type under it and not
+// to Fingerprint's appenders would otherwise make the store serve one
+// run's row for another's.
 func TestFingerprintCoversEveryField(t *testing.T) {
 	exempt := map[string]string{
 		"NoIdleSkip": "changes how the kernel walks the cycles, never a result (TestIdleSkipEquivalence)",
 	}
-	base := grid(1)[0].Resolved()
-	want, ok := Fingerprint(base)
+	// A fresh base per perturbation: copies of a config share the
+	// model's slices.
+	base := func() system.Config {
+		cfg := grid(1)[0]
+		cfg.Replay = []trace.Record{{Cycle: 5, Core: "cpu", Kind: "R", Class: "demand", Bank: 1, Row: 2, Col: 8, Beats: 4}}
+		return cfg.Resolved()
+	}
+	want, ok := Fingerprint(base())
 	if !ok {
 		t.Fatal("base config not cacheable")
 	}
-	typ := reflect.TypeOf(base)
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
-		cfg := base
-		if !perturb(reflect.ValueOf(&cfg).Elem().Field(i)) {
-			t.Errorf("%s: perturb does not handle kind %s", name, typ.Field(i).Type.Kind())
+	var paths []string
+	eachLeaf("", reflect.ValueOf(base()), func(path string, _ reflect.Value) { paths = append(paths, path) })
+	for i, path := range paths {
+		cfg := base()
+		handled, k := false, 0
+		eachLeaf("", reflect.ValueOf(&cfg).Elem(), func(_ string, v reflect.Value) {
+			if k == i {
+				handled = perturb(v)
+			}
+			k++
+		})
+		if !handled {
+			t.Errorf("%s: perturb does not handle its kind", path)
 			continue
 		}
 		got, ok := Fingerprint(cfg)
-		_, listed := exempt[name]
+		_, listed := exempt[path]
 		switch changed := !ok || got != want; {
 		case !changed && !listed:
-			t.Errorf("changing %s leaves the fingerprint unchanged: add it to Fingerprint, or to exempt with the reason", name)
+			t.Errorf("changing %s leaves the fingerprint unchanged: add it to Fingerprint, or to exempt with the reason", path)
 		case changed && listed:
-			t.Errorf("%s is exempt (%s) but changes the fingerprint", name, exempt[name])
+			t.Errorf("%s is exempt (%s) but changes the fingerprint", path, exempt[path])
 		}
 	}
 }

@@ -39,9 +39,10 @@ const (
 	Strided
 )
 
-// patternText is the one name table of the address patterns. Pattern
-// deliberately has no String method: the sweep fingerprint prints
-// streams with %+v and must keep seeing the number.
+// patternText is the one name table of the address patterns. The sweep
+// fingerprint writes a stream's pattern as a number; a String method on
+// Pattern would change what its fmt-based reference prints, and
+// TestFingerprintMatchesReference would fail.
 var patternText = [...]string{
 	Streaming: "streaming",
 	Random:    "random",
