@@ -98,7 +98,7 @@ func (a App) String() string { return string(a) }
 // the names AllApps lists; the empty string is not an application (the
 // Config zero value defaults it, ParseApp does not).
 func ParseApp(s string) (App, error) {
-	if _, err := appmodel.ByName(s); err != nil {
+	if !appmodel.Known(s) {
 		return "", fmt.Errorf("aanoc: %w %q", ErrUnknownApp, s)
 	}
 	return App(s), nil

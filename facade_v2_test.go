@@ -35,6 +35,23 @@ func TestParseAppRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseAppAllocs: resolving a name checks it and builds nothing,
+// so a served point pays for no model it throws away. Unknown names are
+// still refused.
+func TestParseAppAllocs(t *testing.T) {
+	for _, a := range AllApps() {
+		name := a.String()
+		if got := testing.AllocsPerRun(100, func() { ParseApp(name) }); got != 0 {
+			t.Errorf("ParseApp(%q) allocates %.0f times, want 0", name, got)
+		}
+	}
+	for _, bad := range []string{"nope", "lowutil", "BLURAY"} {
+		if _, err := ParseApp(bad); !errors.Is(err, ErrUnknownApp) {
+			t.Errorf("ParseApp(%q) = %v, want ErrUnknownApp", bad, err)
+		}
+	}
+}
+
 func TestValidateSentinels(t *testing.T) {
 	cases := []struct {
 		name string

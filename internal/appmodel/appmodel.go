@@ -19,9 +19,12 @@ package appmodel
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"aanoc/internal/dram"
 	"aanoc/internal/noc"
+	"aanoc/internal/sim"
 	"aanoc/internal/traffic"
 )
 
@@ -101,17 +104,20 @@ func (a *App) Validate() error {
 	case len(a.Cores) == 0:
 		return fmt.Errorf("appmodel: %s has no cores", a.Name)
 	}
-	seen := map[noc.Coord]string{}
+	// seen maps a taken position to its owner: a memory port's index, or
+	// len(MemPorts) plus a core's. Sized by ports and cores, never by the
+	// mesh, whose dimensions a spec may set to anything.
+	seen := make(map[noc.Coord]int, len(a.MemPorts)+len(a.Cores))
 	for i, p := range a.MemPorts {
 		if p.X < 0 || p.X >= a.Width || p.Y < 0 || p.Y >= a.Height {
 			return fmt.Errorf("appmodel: %s memory port %d at %v outside %dx%d", a.Name, i, p, a.Width, a.Height)
 		}
 		if prev, dup := seen[p]; dup {
-			return fmt.Errorf("appmodel: %s memory port %d collides with %s at %v", a.Name, i, prev, p)
+			return fmt.Errorf("appmodel: %s memory port %d collides with %s at %v", a.Name, i, a.owner(prev), p)
 		}
-		seen[p] = fmt.Sprintf("memory port %d", i)
+		seen[p] = i
 	}
-	for _, c := range a.Cores {
+	for i, c := range a.Cores {
 		if c.Name == "" {
 			return fmt.Errorf("appmodel: %s has an unnamed core", a.Name)
 		}
@@ -122,9 +128,9 @@ func (a *App) Validate() error {
 			return fmt.Errorf("appmodel: %s core %s at %v outside %dx%d", a.Name, c.Name, c.Pos, a.Width, a.Height)
 		}
 		if prev, dup := seen[c.Pos]; dup {
-			return fmt.Errorf("appmodel: %s cores %s and %s share %v", a.Name, prev, c.Name, c.Pos)
+			return fmt.Errorf("appmodel: %s cores %s and %s share %v", a.Name, a.owner(prev), c.Name, c.Pos)
 		}
-		seen[c.Pos] = c.Name
+		seen[c.Pos] = len(a.MemPorts) + i
 		for _, s := range c.Streams {
 			if err := s.Validate(); err != nil {
 				return fmt.Errorf("appmodel: %s core %s: %w", a.Name, c.Name, err)
@@ -132,6 +138,15 @@ func (a *App) Validate() error {
 		}
 	}
 	return nil
+}
+
+// owner names the holder of Validate's owner index k: only an error
+// message pays for the label.
+func (a *App) owner(k int) string {
+	if k < len(a.MemPorts) {
+		return fmt.Sprintf("memory port %d", k)
+	}
+	return a.Cores[k-len(a.MemPorts)].Name
 }
 
 // TotalLoad sums the open-loop offered load fractions (closed-loop demand
@@ -396,29 +411,88 @@ func LowUtil() App {
 	}
 }
 
+// builtins is every model ByName resolves, built once from its
+// constructor: the paper's three (Apps), then the scaled variants
+// (Scaled). Nothing hands an entry out; callers get a clone.
+var builtins = [...]App{BluRay(), SingleDTV(), DualDTV(), BluRay2(), QuadDTV()}
+
+// paperApps is how many of builtins are the paper's evaluation models.
+const paperApps = 3
+
 // Apps returns the three benchmark models of the paper's evaluation.
-func Apps() []App { return []App{BluRay(), SingleDTV(), DualDTV()} }
+func Apps() []App { return clones(builtins[:paperApps]) }
 
 // Scaled returns the multi-channel scaled variants: the models that
 // exist to exercise 2-4 SDRAM channels beyond the paper's single-SDRAM
 // systems.
-func Scaled() []App { return []App{BluRay2(), QuadDTV()} }
+func Scaled() []App { return clones(builtins[paperApps:]) }
+
+// clones deep-copies a run of the table.
+func clones(apps []App) []App {
+	out := make([]App, len(apps))
+	for i := range apps {
+		out[i] = apps[i].clone()
+	}
+	return out
+}
+
+// Known reports whether ByName resolves name, building nothing.
+func Known(name string) bool {
+	for i := range builtins {
+		if builtins[i].Name == name {
+			return true
+		}
+	}
+	return false
+}
 
 // ByName looks an application model up by its short name, covering both
-// the paper's benchmarks and the scaled multi-channel variants. It builds
-// only the model asked for: every served grid point resolves one.
+// the paper's benchmarks and the scaled multi-channel variants. It
+// returns a clone of the model built at init, so the caller owns every
+// slice of it.
 func ByName(name string) (App, error) {
-	switch name {
-	case "bluray":
-		return BluRay(), nil
-	case "sdtv":
-		return SingleDTV(), nil
-	case "ddtv":
-		return DualDTV(), nil
-	case "bluray2":
-		return BluRay2(), nil
-	case "ddtv4":
-		return QuadDTV(), nil
+	var names [len(builtins)]string
+	for i := range builtins {
+		if builtins[i].Name == name {
+			return builtins[i].clone(), nil
+		}
+		names[i] = builtins[i].Name
 	}
-	return App{}, fmt.Errorf("appmodel: unknown application %q (want bluray, sdtv, ddtv, bluray2 or ddtv4)", name)
+	last := len(names) - 1
+	return App{}, fmt.Errorf("appmodel: unknown application %q (want %s or %s)", name, strings.Join(names[:last], ", "), names[last])
+}
+
+// clone deep-copies a in four allocations: the ports, the cores, one
+// slab of streams and one of beats. Each core's streams and each
+// stream's beats are carved with cap == len, so an append to them
+// reallocates instead of writing into a neighbour. Strings are immutable
+// and shared; nil and empty slices stay apart.
+func (a *App) clone() App {
+	c := *a
+	c.MemPorts = slices.Clone(a.MemPorts)
+	c.Cores = slices.Clone(a.Cores)
+	nStreams, nBeats := 0, 0
+	for _, core := range a.Cores {
+		nStreams += len(core.Streams)
+		for _, s := range core.Streams {
+			nBeats += len(s.Beats)
+		}
+	}
+	streams, beats := make([]traffic.Stream, nStreams), make([]int, nBeats)
+	for i := range c.Cores {
+		src := c.Cores[i].Streams
+		if src == nil {
+			continue
+		}
+		dst := sim.Carve(&streams, len(src))
+		copy(dst, src)
+		for j := range dst {
+			if b := dst[j].Beats; b != nil {
+				dst[j].Beats = sim.Carve(&beats, len(b))
+				copy(dst[j].Beats, b)
+			}
+		}
+		c.Cores[i].Streams = dst
+	}
+	return c
 }

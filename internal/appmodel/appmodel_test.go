@@ -2,10 +2,12 @@ package appmodel
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"aanoc/internal/dram"
 	"aanoc/internal/noc"
+	"aanoc/internal/traffic"
 )
 
 func TestAllAppsValidate(t *testing.T) {
@@ -216,5 +218,174 @@ func TestValidateRejectsBadPorts(t *testing.T) {
 		if err := a.Validate(); err == nil {
 			t.Errorf("accepted %s", name)
 		}
+	}
+}
+
+// builtinCtors are the constructors ByName's table is built from.
+var builtinCtors = []func() App{BluRay, SingleDTV, DualDTV, BluRay2, QuadDTV}
+
+// TestByNameReturnsACopy: a caller may write into every level of the
+// model it got, and append to any of its slices, without the next
+// ByName seeing it.
+func TestByNameReturnsACopy(t *testing.T) {
+	for _, ctor := range builtinCtors {
+		want := ctor()
+		a, err := ByName(want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Appends to carved pieces must not land in a neighbour's
+		// elements: the next stream's beats, the next core's streams.
+		n := len(want.Cores[0].Streams)
+		a.Cores[0].Streams[0].Beats = append(a.Cores[0].Streams[0].Beats, 555)
+		a.Cores[0].Streams[n-1].Beats = append(a.Cores[0].Streams[n-1].Beats, 777)
+		a.Cores[0].Streams = append(a.Cores[0].Streams, traffic.Stream{Name: "extra"})
+		for j, s := range want.Cores[0].Streams {
+			if got := a.Cores[0].Streams[j].Beats[:len(s.Beats)]; !reflect.DeepEqual(got, s.Beats) {
+				t.Errorf("%s: an append wrote into %s's beats: %v", want.Name, s.Name, got)
+			}
+		}
+		if !reflect.DeepEqual(a.Cores[1:], want.Cores[1:]) {
+			t.Errorf("%s: an append to core 0 wrote into core 1", want.Name)
+		}
+		a.MemPorts[0] = noc.Coord{X: 9, Y: 9}
+		a.Cores[0].Name = "edited"
+		a.Cores[0].Streams[0].LoadFrac = 42
+		a.Cores[0].Streams[0].Beats[0] = 999
+		if b, _ := ByName(want.Name); !reflect.DeepEqual(b, want) {
+			t.Errorf("%s: an edit to one ByName result reached the next", want.Name)
+		}
+	}
+}
+
+// TestCloneKeepsNilAndEmptyApart: a nil slice clones to nil and an empty
+// one to empty, at every level.
+func TestCloneKeepsNilAndEmptyApart(t *testing.T) {
+	a := App{Name: "x", Cores: []Core{
+		{Name: "nil"},
+		{Name: "empty", Streams: []traffic.Stream{}},
+		{Name: "beats", Streams: []traffic.Stream{{Name: "nil"}, {Name: "empty", Beats: []int{}}}},
+	}}
+	c := a.clone()
+	if !reflect.DeepEqual(c, a) {
+		t.Fatalf("clone differs:\n%+v\n%+v", c, a)
+	}
+	if c.MemPorts != nil || c.Cores[0].Streams != nil || c.Cores[1].Streams == nil ||
+		c.Cores[2].Streams[0].Beats != nil || c.Cores[2].Streams[1].Beats == nil {
+		t.Errorf("nil and empty slices not kept apart: %#v", c)
+	}
+	a.MemPorts = []noc.Coord{}
+	if c := a.clone(); c.MemPorts == nil {
+		t.Error("empty MemPorts cloned to nil")
+	}
+}
+
+// TestByNameAllocs: a lookup is one copy of the model built at init:
+// ports, cores, a stream slab and a beat slab.
+func TestByNameAllocs(t *testing.T) {
+	for _, ctor := range builtinCtors {
+		name := ctor().Name
+		if got := testing.AllocsPerRun(100, func() { ByName(name) }); got > 4 {
+			t.Errorf("ByName(%q) allocates %.0f times, want at most 4", name, got)
+		}
+	}
+}
+
+// TestKnownBuildsNothing: the name check ByName's callers validate with
+// agrees with ByName and allocates nothing.
+func TestKnownBuildsNothing(t *testing.T) {
+	for _, name := range []string{"bluray", "sdtv", "ddtv", "bluray2", "ddtv4", "lowutil", "", "nope"} {
+		_, err := ByName(name)
+		if Known(name) != (err == nil) {
+			t.Errorf("Known(%q) = %v, ByName error %v", name, Known(name), err)
+		}
+		if got := testing.AllocsPerRun(100, func() { Known(name) }); got != 0 {
+			t.Errorf("Known(%q) allocates %.0f times", name, got)
+		}
+	}
+	_, err := ByName("nope")
+	if want := `appmodel: unknown application "nope" (want bluray, sdtv, ddtv, bluray2 or ddtv4)`; err == nil || err.Error() != want {
+		t.Errorf("ByName error %v, want %s", err, want)
+	}
+}
+
+// TestByNameConcurrentClones: goroutines that each look models up and
+// write into them share nothing (the race job runs this).
+func TestByNameConcurrentClones(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				ctor := builtinCtors[(g+i)%len(builtinCtors)]
+				a, err := ByName(ctor().Name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for c := range a.Cores {
+					a.Cores[c].Name += "!"
+					for s := range a.Cores[c].Streams {
+						a.Cores[c].Streams[s].LoadFrac = float64(g)
+						a.Cores[c].Streams[s].Beats[0] = g
+					}
+				}
+				a.MemPorts[0].X = g
+			}
+		}()
+	}
+	wg.Wait()
+	for _, ctor := range builtinCtors {
+		if a, _ := ByName(ctor().Name); !reflect.DeepEqual(a, ctor()) {
+			t.Errorf("%s: concurrent edits reached the table", a.Name)
+		}
+	}
+}
+
+// TestValidateErrorsPinned gives each structural rejection's exact
+// message, so a change to how Validate tracks positions cannot reword
+// one.
+func TestValidateErrorsPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*App)
+		want string
+	}{
+		{"port outside the mesh", func(a *App) { a.MemPorts = []noc.Coord{{X: 0, Y: 0}, {X: 9, Y: 9}} },
+			"appmodel: bluray2 memory port 1 at (9,9) outside 4x4"},
+		{"port-port collision", func(a *App) { a.MemPorts = []noc.Coord{{X: 3, Y: 3}, {X: 0, Y: 0}, {X: 3, Y: 3}} },
+			"appmodel: bluray2 memory port 2 collides with memory port 0 at (3,3)"},
+		{"core on a port", func(a *App) { a.MemPorts = []noc.Coord{{X: 0, Y: 0}, a.Cores[0].Pos} },
+			"appmodel: bluray2 cores memory port 1 and enhancer0 share (1,0)"},
+		{"core-core share", func(a *App) { a.Cores[5].Pos = a.Cores[1].Pos },
+			"appmodel: bluray2 cores formatconv0 and gfx0 share (0,1)"},
+		{"unnamed core", func(a *App) { a.Cores[1].Name = "" },
+			"appmodel: bluray2 has an unnamed core"},
+		{"core with no streams", func(a *App) { a.Cores[1].Streams = nil },
+			"appmodel: bluray2 core formatconv0 has no streams"},
+	} {
+		a := BluRay2()
+		c.edit(&a)
+		if err := a.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: got %v, want %s", c.name, err, c.want)
+		}
+	}
+}
+
+// TestValidateMemoryIsByPortsAndCores: Validate's bookkeeping grows with
+// ports and cores, never with the mesh a spec declares.
+func TestValidateMemoryIsByPortsAndCores(t *testing.T) {
+	a := App{Name: "huge", Mesh: Mesh{Width: 1 << 20, Height: 1 << 20}, MemPorts: []noc.Coord{{X: 0, Y: 0}},
+		Cores: []Core{
+			Streamer("s", noc.Coord{X: 1 << 19, Y: 1 << 19}, 1, []int{64}, 0.2, 0.5),
+			CPU("cpu", noc.Coord{X: 1<<20 - 1, Y: 1<<20 - 1}, 2, 40, 0.04),
+			Background("bg", noc.Coord{X: 0, Y: 1<<20 - 1}, 3, []int{4}, 0.02, 0.5, traffic.Random),
+		}}
+	if err := a.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() { a.Validate() }); got > 3 {
+		t.Errorf("Validate on a %dx%d mesh allocates %.0f times, want at most 3", a.Width, a.Height, got)
 	}
 }

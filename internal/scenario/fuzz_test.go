@@ -36,6 +36,12 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 		"trailing":      append(append([]byte{}, builtin.Bytes()...), []byte("{}")...),
 		"no-ports":      []byte(`{"name":"x","mesh":{"width":3,"height":3}}`),
 		"bad-run":       []byte(`{"name":"x","mesh":{"width":2,"height":2},"memPorts":[{"x":0,"y":0}],"clocks":{"ddr1":200,"ddr2":333,"ddr3":667},"cores":[{"name":"c","at":{"x":1,"y":1},"streams":[{"name":"s","class":"media","readFrac":0.5,"beats":[8],"loadFrac":0.1,"rowRange":256}]}],"run":{"generation":9}}`),
+		// The three ways App.Validate finds a position taken twice, and
+		// an accepted mesh far larger than its ports and cores.
+		"port-collision": []byte(`{"name":"x","mesh":{"width":2,"height":2},"memPorts":[{"x":0,"y":0},{"x":0,"y":0}],"clocks":{"ddr1":200,"ddr2":333,"ddr3":667},"cores":[{"name":"c","at":{"x":1,"y":1},"streams":[{"name":"s","class":"media","readFrac":0.5,"beats":[8],"loadFrac":0.1,"rowRange":256}]}]}`),
+		"core-on-port":   []byte(`{"name":"x","mesh":{"width":2,"height":2},"memPorts":[{"x":0,"y":0}],"clocks":{"ddr1":200,"ddr2":333,"ddr3":667},"cores":[{"name":"c","at":{"x":0,"y":0},"streams":[{"name":"s","class":"media","readFrac":0.5,"beats":[8],"loadFrac":0.1,"rowRange":256}]}]}`),
+		"core-collision": []byte(`{"name":"x","mesh":{"width":2,"height":2},"memPorts":[{"x":0,"y":0}],"clocks":{"ddr1":200,"ddr2":333,"ddr3":667},"cores":[{"name":"c","at":{"x":1,"y":1},"streams":[{"name":"s","class":"media","readFrac":0.5,"beats":[8],"loadFrac":0.1,"rowRange":256}]},{"name":"d","at":{"x":1,"y":1},"streams":[{"name":"t","class":"media","readFrac":0.5,"beats":[8],"loadFrac":0.1,"rowRange":256}]}]}`),
+		"huge-mesh":      []byte(`{"name":"x","mesh":{"width":1048576,"height":1048576},"memPorts":[{"x":0,"y":0}],"clocks":{"ddr1":200,"ddr2":333,"ddr3":667},"cores":[{"name":"c","at":{"x":1048575,"y":1048575},"streams":[{"name":"s","class":"media","readFrac":0.5,"beats":[8],"loadFrac":0.1,"rowRange":256}]}]}`),
 	}
 }
 

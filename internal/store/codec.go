@@ -178,7 +178,14 @@ func (p *plan) decode(r *reader, v reflect.Value) {
 	case reflect.Slice:
 		if u := r.uvarint(); u > 0 {
 			n := r.count(u-1, p.elem.min)
-			v.Set(reflect.MakeSlice(p.typ, n, n))
+			if n == 0 { // empty, not nil: Grow(0) would leave it nil
+				v.Set(reflect.MakeSlice(p.typ, 0, 0))
+				return
+			}
+			// Grow fills the field in place: one allocation, where
+			// MakeSlice would add a second for the slice header.
+			v.Grow(n)
+			v.SetLen(n)
 			for i := range n {
 				p.elem.decode(r, v.Index(i))
 			}

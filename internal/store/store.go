@@ -152,8 +152,12 @@ func (s *Store) path(fp string) (string, error) {
 	if !validFingerprint(fp) {
 		return "", fmt.Errorf("store: malformed fingerprint %q", fp)
 	}
-	return filepath.Join(s.dir, fp[:2], fp+".bin"), nil
+	return s.dir + sep + fp[:2] + sep + fp + ".bin", nil
 }
+
+// sep joins an entry's path: s.dir is already clean and fp is hex, so
+// concatenation gives what filepath.Join would, in one allocation.
+const sep = string(filepath.Separator)
 
 // validFingerprint accepts exactly the hex sha256 sweep.Fingerprint
 // emits — the check is also what keeps externally supplied fingerprints
@@ -180,7 +184,7 @@ func (s *Store) Get(fp string) (system.Result, bool, error) {
 	if err != nil {
 		return system.Result{}, false, err
 	}
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		s.count(func(st *Stats) { st.Misses++ })
 		return system.Result{}, false, nil
@@ -188,6 +192,15 @@ func (s *Store) Get(fp string) (system.Result, bool, error) {
 	if err != nil {
 		return system.Result{}, false, fmt.Errorf("store: %w", err)
 	}
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer readBufs.Put(buf)
+	buf.Reset()
+	_, err = buf.ReadFrom(f)
+	f.Close()
+	if err != nil {
+		return system.Result{}, false, fmt.Errorf("store: %w", err)
+	}
+	data := buf.Bytes()
 	res, err := s.decode(fp, data)
 	if err != nil {
 		s.discardCorrupt(path, len(data))
@@ -199,6 +212,12 @@ func (s *Store) Get(fp string) (system.Result, bool, error) {
 	s.count(func(st *Stats) { st.Hits++ })
 	return res, true, nil
 }
+
+// readBufs recycles Get's read buffers: a warm one reads an entry with
+// no allocation and no Stat. Nothing a decode returns points into one:
+// decodePayload copies the payload into the string every decoded string
+// is cut from.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // header appends an entry's first line, "<namespace> <fingerprint>
 // <sha256 of payload>\n": what Put writes and decode expects.

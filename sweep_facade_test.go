@@ -155,3 +155,36 @@ func TestTableOptionsStore(t *testing.T) {
 		t.Error("store-served table diverges from simulated table")
 	}
 }
+
+// TestWarmSweepAllocsPerPoint is the served path's count gate: with the
+// Table I grid already in the store, a sweep resolves, fingerprints and
+// reads back each point, and allocates only what it returns — no model
+// built to check a name, no model built from its constructors, no
+// per-slice reflect header in the decode.
+func TestWarmSweepAllocsPerPoint(t *testing.T) {
+	st, err := OpenStore(t.TempDir(), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var grid SweepGrid
+	for _, app := range Apps() {
+		for gen := 1; gen <= 3; gen++ {
+			for _, d := range []Design{Conv, SDRAMAware, GSS, GSSSAGM} {
+				grid.Points = append(grid.Points, Config{Model: App(app), Generation: gen, Design: d, Cycles: 2000})
+			}
+		}
+	}
+	if _, stats, err := Sweep(grid, SweepOptions{Store: st, Workers: 1}); err != nil || stats.Runs != len(grid.Points) {
+		t.Fatalf("populating the store: %+v, %v", stats, err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, stats, err := Sweep(grid, SweepOptions{Store: st, Workers: 1}); err != nil || stats.StoreHits != len(grid.Points) {
+			t.Fatalf("warm sweep: %+v, %v", stats, err)
+		}
+	})
+	if per := allocs / float64(len(grid.Points)); per > 30 {
+		t.Errorf("a warm sweep allocates %.1f times per point, want at most 30", per)
+	} else {
+		t.Logf("%d points, %.1f allocations per point", len(grid.Points), per)
+	}
+}
