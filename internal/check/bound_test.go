@@ -44,7 +44,6 @@ func TestDPQBoundHoldsUnderLoad(t *testing.T) {
 		dev := dram.MustNewDevice(tm)
 		const n, maxBeats = 4, 32
 		var c Checker
-		c.Panic = true
 		mon := NewDPQMonitor(&c, NewDPQBound(tm, n, maxBeats), "")
 		d := memctrl.NewDPQ(dev, memctrl.DPQConfig{Requestors: n, QueueDepth: 8},
 			func(memctrl.Completion) {})
@@ -80,6 +79,9 @@ func TestDPQBoundHoldsUnderLoad(t *testing.T) {
 			t.Fatalf("%v-%d: arbiter did not drain", gen.g, gen.mhz)
 		}
 		mon.Flush(200000)
+		if vs := c.Violations(); len(vs) != 0 {
+			t.Errorf("%v-%d: the bound was crossed: %v", gen.g, gen.mhz, vs)
+		}
 		if mon.Checked != 48 {
 			t.Errorf("%v-%d: checked %d completions, want 48", gen.g, gen.mhz, mon.Checked)
 		}

@@ -7,12 +7,11 @@
 //
 // The layer is enabled per run by system.Config.Checked (and the
 // -checked flag on the CLIs) and costs nothing when off: the simulator
-// carries one nil pointer it never touches. When on, violations either
-// panic at the detection point (Checker.Panic, the mode the test
-// harnesses run under, so a breach pinpoints its cycle) or accumulate
-// into the run's observability report as structured obs.Violation
-// records (the mode the CLIs run under, so a grid can finish and report
-// every breach).
+// carries one nil pointer it never touches. When on, violations
+// accumulate into the run's observability report as obs.Violation
+// records, each naming its cycle, so a grid can finish and report every
+// breach. The per-cycle audits observe the cycles the kernel visits, so
+// a checked run takes the unchecked run's schedule.
 //
 // The monitors deliberately do not reuse the fast path's own legality
 // logic: the DRAM monitor keeps its own per-bank timing state and
@@ -28,9 +27,6 @@ import (
 
 // Checker collects invariant violations for one simulation run.
 type Checker struct {
-	// Panic makes the first violation panic with its description —
-	// the mode tests run under, so a breach fails loudly at its cycle.
-	Panic bool
 	// Limit caps the collected violations (0 selects DefaultLimit); a
 	// systematically broken run would otherwise accumulate one record
 	// per cycle. Dropped counts the overflow.
@@ -43,11 +39,8 @@ type Checker struct {
 // DefaultLimit bounds collected violations per run.
 const DefaultLimit = 100
 
-// Report records one violation, panicking in Panic mode.
-func (c *Checker) Report(v obs.Violation) {
-	if c.Panic {
-		panic("check: " + v.String())
-	}
+// Reportf records a violation, or only counts it once past the limit.
+func (c *Checker) Reportf(cycle int64, component, kind, format string, args ...any) {
 	limit := c.Limit
 	if limit <= 0 {
 		limit = DefaultLimit
@@ -56,12 +49,7 @@ func (c *Checker) Report(v obs.Violation) {
 		c.Dropped++
 		return
 	}
-	c.violations = append(c.violations, v)
-}
-
-// Reportf builds and records a violation.
-func (c *Checker) Reportf(cycle int64, component, kind, format string, args ...any) {
-	c.Report(obs.Violation{
+	c.violations = append(c.violations, obs.Violation{
 		Cycle: cycle, Component: component, Kind: kind,
 		Detail: fmt.Sprintf(format, args...),
 	})

@@ -55,18 +55,3 @@ func TestCheckerDefaultLimit(t *testing.T) {
 		t.Fatalf("Dropped = %d, want 5", c.Dropped)
 	}
 }
-
-func TestCheckerPanics(t *testing.T) {
-	c := Checker{Panic: true}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Report in Panic mode did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "tRCD") {
-			t.Fatalf("panic value %v, want message naming tRCD", r)
-		}
-	}()
-	c.Reportf(7, "dram", "tRCD", "RD too early")
-}

@@ -64,7 +64,8 @@ type Report struct {
 	Completed int64 `json:"completed"`
 	// Stalled counts generator cycles lost to injection backpressure: one
 	// per core per cycle in which its NI refused new work (backlog at
-	// InjectCap), counted at the backpressure decision in Runner.Step.
+	// InjectCap), counted at the backpressure decision in coreNI.Tick and,
+	// for the cycles a blocked core sleeps through, in Runner.settle.
 	Stalled int64 `json:"stalled"`
 
 	// Utilization is the data-bus busy fraction (the paper's headline

@@ -17,7 +17,8 @@ import (
 //	           bus and launches read responses
 //	Core     — each core's NI retires finished requests, then its traffic
 //	           sources generate and it launches new flits
-//	Audit    — observers sample and checkers audit the settled cycle
+//	Audit    — observers sample the settled cycle (checks of every
+//	           visited cycle are the kernel's observer, Observe)
 type Phase int
 
 const (
@@ -137,6 +138,7 @@ type Kernel struct {
 	next     int64 // min(wake), exact outside Step
 	cursor   int   // the slot Step is at; len(comps) outside Step
 	idleSkip bool
+	observe  func(now int64) // run at the end of every Step, if set
 }
 
 // NewKernel returns an empty kernel at cycle 0 with idle-skip enabled.
@@ -149,6 +151,24 @@ func NewKernel() *Kernel { return &Kernel{idleSkip: true, next: Never} }
 // be unobservable (see Component), results are identical either way;
 // only wall-clock time differs. Toggle before running, not mid-run.
 func (k *Kernel) SetIdleSkip(on bool) { k.idleSkip = on }
+
+// Observe installs fn to run at the end of every Step with the cycle it
+// executed. fn has no wake time, so an observed run visits exactly the
+// unobserved run's cycles; it must not change simulation state.
+func (k *Kernel) Observe(fn func(now int64)) { k.observe = fn }
+
+// Audit reports kind "kernel-next" if the kept next is not min(wake):
+// RunUntil would jump past a due component, or visit a cycle none is
+// due. Call it between steps.
+func (k *Kernel) Audit(report func(kind, format string, args ...any)) {
+	m := Never
+	for _, w := range k.wake {
+		m = min(m, w)
+	}
+	if m != k.next {
+		report("kernel-next", "kept next wake %d, but the earliest component wake is %d", k.next, m)
+	}
+}
 
 // Now returns the current cycle.
 func (k *Kernel) Now() int64 { return k.now }
@@ -238,6 +258,9 @@ func (k *Kernel) Step() {
 	k.cursor = len(wake)
 	k.now = now + 1
 	k.steps++
+	if k.observe != nil {
+		k.observe(now)
+	}
 }
 
 // RunUntil advances the clock to cycle end (exclusive of further work:

@@ -249,3 +249,81 @@ func TestKernelNextWakeIsExact(t *testing.T) {
 		t.Fatalf("Steps() = %d, want 7", k.Steps())
 	}
 }
+
+// TestKernelObserverKeepsTheSchedule: an observer sees every visited
+// cycle, with the cycle it executed, and holds the clock on none — the
+// observed run visits exactly the unobserved run's cycles, and the kept
+// next wake audits clean after each.
+func TestKernelObserverKeepsTheSchedule(t *testing.T) {
+	run := func(observe bool) (*Kernel, []int64) {
+		var log []string
+		k := NewKernel()
+		k.Register(&probe{name: "p", phase: PhaseCore, log: &log,
+			next: func(now int64) int64 { return now + 5 }})
+		var seen []int64
+		if observe {
+			k.Observe(func(now int64) {
+				seen = append(seen, now)
+				k.Audit(func(kind, format string, args ...any) {
+					t.Errorf("cycle %d: %s: "+format, append([]any{now, kind}, args...)...)
+				})
+			})
+		}
+		k.RunUntil(12)
+		return k, seen
+	}
+	plain, _ := run(false)
+	observed, seen := run(true)
+	if want := []int64{0, 5, 10}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("observed cycles %v, want %v", seen, want)
+	}
+	if observed.Steps() != plain.Steps() || observed.Now() != plain.Now() {
+		t.Fatalf("observed run: %d steps to cycle %d; unobserved: %d to %d",
+			observed.Steps(), observed.Now(), plain.Steps(), plain.Now())
+	}
+}
+
+// TestKernelAuditCatchesUnloweredWake: a Wake that sets a slot behind
+// the cursor without lowering the kept next — Handle.Wake with its
+// running-minimum rule dropped — lets RunUntil jump past the woken
+// component. The self-audit must report it at the cycle it happened;
+// the same wake through the real Handle.Wake must audit clean.
+func TestKernelAuditCatchesUnloweredWake(t *testing.T) {
+	for name, wake := range map[string]func(h *Handle, at int64){
+		"handle":    (*Handle).Wake,
+		"unlowered": func(h *Handle, at int64) { h.k.wake[h.slot] = at },
+	} {
+		var log []string
+		k := NewKernel()
+		never := func(int64) int64 { return Never }
+		behind := &probe{name: "behind", phase: PhaseNetwork, log: &log, next: never}
+		hb := &k.Register(behind)[0]
+		k.Register(&probe{name: "waker", phase: PhaseMemory, log: &log,
+			next: func(now int64) int64 {
+				if now == 0 {
+					return 10
+				}
+				if now == 10 {
+					wake(hb, now+1)
+				}
+				return Never
+			}})
+		var got []string
+		k.Observe(func(now int64) {
+			k.Audit(func(kind, format string, args ...any) {
+				got = append(got, fmt.Sprintf("%d %s", now, kind))
+			})
+		})
+		k.RunUntil(20)
+		switch name {
+		case "handle":
+			if got != nil || !reflect.DeepEqual(behind.ticks, []int64{0, 11}) {
+				t.Errorf("real wake: audit reported %v, behind ticked %v", got, behind.ticks)
+			}
+		case "unlowered":
+			if !reflect.DeepEqual(got, []string{"10 kernel-next"}) || len(behind.ticks) != 1 {
+				t.Errorf("unlowered wake: audit reported %v, want one kernel-next at cycle 10; behind ticked %v", got, behind.ticks)
+			}
+		}
+	}
+}

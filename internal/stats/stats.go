@@ -144,8 +144,9 @@ type Metrics struct {
 	// Stalled counts generator cycles lost to injection backpressure: one
 	// per core per cycle in which its network interface refused new work
 	// because the injection backlog was at InjectCap. The system counts it
-	// at the backpressure decision point in Runner.Step, over the whole
-	// run (not warmup-gated).
+	// at the backpressure decision point in coreNI.Tick, and in
+	// Runner.settle for the cycles a blocked core sleeps through, over the
+	// whole run (not warmup-gated).
 	Stalled int64
 }
 

@@ -44,16 +44,15 @@ func cfgFromBytes(data []byte) system.Config {
 		TagEveryRequest:  at(16)&1 != 0,
 		SampleEvery:      int64(at(17)) * 250,
 		Checked:          at(18)&1 != 0,
-		CheckedPanic:     at(19)&1 != 0,
 	}
-	if p := at(20) % 4; p > 0 {
+	if p := at(19) % 4; p > 0 {
 		policy := memctrl.PagePolicy(p - 1)
 		cfg.PagePolicy = &policy
 	}
-	for i := 0; i < int(at(21))%3; i++ {
+	for i := 0; i < int(at(20))%3; i++ {
 		cfg.Replay = append(cfg.Replay, trace.Record{
 			Cycle: int64(i), Core: cfg.App.Cores[0].Name, Kind: "R",
-			Class: "media", Bank: int(at(22)) % 4, Row: i, Col: 8 * i, Beats: 2,
+			Class: "media", Bank: int(at(21)) % 4, Row: i, Col: 8 * i, Beats: 2,
 		})
 	}
 	return cfg

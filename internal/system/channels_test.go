@@ -41,13 +41,13 @@ func TestChannelsOneIsSeedEquivalent(t *testing.T) {
 }
 
 // TestTwoChannelCheckedRun is the tentpole acceptance run: the scaled
-// Blu-ray app on two channels, under the full invariant layer in panic
-// mode, must complete with balanced per-channel stats.
+// Blu-ray app on two channels, under the full invariant layer, must
+// complete clean with balanced per-channel stats.
 func TestTwoChannelCheckedRun(t *testing.T) {
 	res, err := Run(Config{
 		App: appmodel.BluRay2(), Gen: dram.DDR2, Design: GSSSAGM,
 		Channels: 2, Cycles: 40_000, PriorityDemand: true,
-		CheckedPanic: true, SampleEvery: 5_000,
+		Checked: true, SampleEvery: 5_000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestFourChannelXORCheckedRun(t *testing.T) {
 	res, err := Run(Config{
 		App: appmodel.QuadDTV(), Gen: dram.DDR2, Design: GSSSAGMSTI,
 		Channels: 4, Scheme: mapping.ChannelThenBankXOR,
-		Cycles: 25_000, PriorityDemand: true, CheckedPanic: true,
+		Cycles: 25_000, PriorityDemand: true, Checked: true,
 	})
 	if err != nil {
 		t.Fatal(err)

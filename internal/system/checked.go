@@ -19,9 +19,9 @@ import (
 //     device's Observer re-validates every accepted command against
 //     shadow timing state, independent of Device.CanIssue.
 //   - NoC conservation: Mesh.Audit runs over both meshes at the end of
-//     every Runner.Step — credit loops, buffer coherence, wormhole
-//     ordering, the launched-vs-delivered flit ledger, and the active
-//     sets (no link or router sleeps on work).
+//     every visited cycle (the kernel's observer, after Kernel.Audit) —
+//     credit loops, buffer coherence, wormhole ordering, the flit ledger,
+//     and the active sets (no link or router sleeps on work).
 //   - NI sleep: at the same point, every core that sleeps blocked really
 //     is blocked and unable to launch, and every sleeping core has nothing
 //     to drain or launch and no generator due before its wake.
@@ -37,7 +37,7 @@ import (
 // installChecks arms the invariant layer; called from New when
 // Config.Checked is set.
 func (r *Runner) installChecks() {
-	r.chk = &check.Checker{Panic: r.cfg.CheckedPanic}
+	r.chk = &check.Checker{}
 	for i := range r.chans {
 		ch := &r.chans[i]
 		// One protocol monitor per channel: each device's command stream
@@ -61,14 +61,18 @@ func (r *Runner) installChecks() {
 	}
 }
 
-// auditMeshes runs the conservation walk over both meshes, binding each
-// to its component name, and checks the premise of every sleep outside
-// them. For a blocked core: settle pays a stall per slept cycle, which
-// is only what the tick would have done if the queue stayed at InjectCap
-// and nothing could launch. A core due later than next cycle has nothing
-// to drain or launch, and, unless it sleeps blocked, no generator due
-// before its wake.
+// auditMeshes audits the kernel's jump, runs the conservation walk over
+// both meshes, binding each to its component name, and checks the
+// premise of every sleep outside them, at the end of a visited cycle
+// (the skipped ones after it change no state). For a blocked core:
+// settle pays a stall per slept cycle, which is only what the tick would
+// have done if the queue stayed at InjectCap and nothing could launch. A
+// core due later than next cycle has nothing to drain or launch, and,
+// unless it sleeps blocked, no generator due before its wake.
 func (r *Runner) auditMeshes(now int64) {
+	r.kern.Audit(func(kind, format string, args ...any) {
+		r.chk.Reportf(now, "sim/kernel", kind, format, args...)
+	})
 	for _, c := range r.cores {
 		blocked, wake := c.sleptFrom != sim.Never, c.h.WakeAt()
 		if blocked && (c.inj.CanLaunch() || c.inj.QueueFlits() < r.cfg.InjectCap) ||

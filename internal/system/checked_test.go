@@ -14,9 +14,9 @@ import (
 )
 
 // TestCheckedCleanAcrossDesigns runs every design point under the full
-// invariant layer in panic mode: any protocol or conservation breach
-// fails the test at its cycle, and a clean run must report Checked with
-// an empty violation list.
+// invariant layer: any protocol or conservation breach is listed with
+// its cycle, and a clean run must report Checked with an empty
+// violation list.
 func TestCheckedCleanAcrossDesigns(t *testing.T) {
 	for _, d := range Designs() {
 		d := d
@@ -24,7 +24,7 @@ func TestCheckedCleanAcrossDesigns(t *testing.T) {
 			res, err := Run(Config{
 				App: appmodel.BluRay(), Gen: dram.DDR2, Design: d,
 				Cycles: 8_000, Seed: 5, PriorityDemand: true,
-				CheckedPanic: true,
+				Checked: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -69,7 +69,7 @@ func TestCheckedDoesNotPerturbResults(t *testing.T) {
 }
 
 // TestCheckedPropertyRandomConfigs drives randomized configurations
-// through checked panic mode: whatever the knob combination, the
+// through checked mode: whatever the knob combination, the
 // invariants must hold. The rand seed is fixed, so the sampled grid is
 // deterministic.
 func TestCheckedPropertyRandomConfigs(t *testing.T) {
@@ -93,7 +93,7 @@ func TestCheckedPropertyRandomConfigs(t *testing.T) {
 			AdaptiveRouting: rng.Intn(2) == 0,
 			SampleEvery:     int64(rng.Intn(2)) * 500,
 			Scheduler:       memctrl.Scheduler(rng.Intn(4)),
-			CheckedPanic:    true,
+			Checked:         true,
 		}
 		t.Run(cfg.Design.String()+"/"+cfg.App.Name, func(t *testing.T) {
 			res, err := Run(cfg)

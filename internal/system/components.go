@@ -14,7 +14,7 @@ import (
 //	Memory    per channel: sink drain + admission, controller, response injector
 //	Core      per core: response sink drain + split retirement, then
 //	          generation + injection
-//	Audit     observability sampling, checked-mode mesh audits
+//	Audit     observability sampling (checked mode is the kernel's observer)
 //
 // (The old Step delivered on both meshes before either arbitrated,
 // drained core sinks before the controller ticked and retired splits
@@ -41,7 +41,7 @@ func (r *Runner) buildKernel() {
 	// draws the handles from one slab.
 	ch, co := 2, 2+len(r.chans) // where the channels and the cores start
 	n := co + len(r.cores)
-	comps := make([]sim.Component, n, n+2)
+	comps := make([]sim.Component, n, n+1)
 	comps[0], comps[1] = &r.meshes[0], &r.meshes[1]
 	for i := range r.chans {
 		comps[ch+i] = &r.chans[i]
@@ -52,10 +52,10 @@ func (r *Runner) buildKernel() {
 	if r.cfg.SampleEvery > 0 {
 		comps = append(comps, (*sampler)(r))
 	}
-	if r.chk != nil {
-		comps = append(comps, (*auditor)(r))
-	}
 	hs := k.Register(comps...)
+	if r.chk != nil {
+		k.Observe(r.auditMeshes)
+	}
 
 	for i := range r.meshes {
 		h := &hs[i]
@@ -175,16 +175,6 @@ func (s *sampler) NextWake(now int64) int64 {
 	se := s.cfg.SampleEvery
 	return (now+1+se)/se*se - 1
 }
-
-// auditor is checked mode's audit component. It audits every settled
-// cycle, which also pins the kernel to visit every cycle — the
-// conservation walks are per-cycle invariants, not samplable ones.
-type auditor Runner
-
-func (a *auditor) Name() string             { return "check-audit" }
-func (a *auditor) Phase() sim.Phase         { return sim.PhaseAudit }
-func (a *auditor) Tick(now int64)           { (*Runner)(a).auditMeshes(now) }
-func (a *auditor) NextWake(now int64) int64 { return now + 1 }
 
 // settle brings a core's lazily kept counters up to cycle now
 // (exclusive). While the core sleeps blocked its tick would only have

@@ -131,17 +131,13 @@ type Config struct {
 	WorkloadStats bool
 
 	// Checked enables the internal/check invariant layer: a DRAM protocol
-	// conformance monitor on the device's command stream, per-cycle
-	// credit/flit conservation audits over both meshes, and end-of-run
-	// request/token/report accounting. Costs nothing when off (one nil
-	// check per cycle); when on, violations accumulate into
-	// Result.Obs.Violations. Checked runs produce the same simulation
-	// results as unchecked runs — the monitors only observe.
+	// conformance monitor on the device's command stream, credit/flit
+	// conservation audits over both meshes on every visited cycle, and
+	// end-of-run request/token/report accounting. Costs nothing when off
+	// (one nil check per step); when on, violations accumulate into
+	// Result.Obs.Violations. Checked runs visit the same cycles and
+	// produce the same results as unchecked runs — the monitors observe.
 	Checked bool
-	// CheckedPanic makes the first violation panic at its detection point
-	// instead of accumulating — the mode the test harnesses run under, so
-	// a breach pinpoints its cycle. Implies Checked.
-	CheckedPanic bool
 	// Fault arms one deliberately broken device rule on every channel —
 	// the mutation knob that lets an end-to-end run prove checked mode
 	// turns the breach into violations. Unlike every other field it makes
@@ -267,9 +263,6 @@ func (c Config) Resolved() Config {
 	}
 	if c.Channels == 0 {
 		c.Channels = 1
-	}
-	if c.CheckedPanic {
-		c.Checked = true
 	}
 	return c
 }

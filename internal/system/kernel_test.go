@@ -26,6 +26,42 @@ func runSkip(t *testing.T, cfg Config, skip bool) Result {
 	return r.Finish()
 }
 
+// checkedTwin runs cfg checked with idle-skip on and off, and unchecked
+// with it on. The checked runs must report clean and byte for byte
+// alike, and the checked run must visit exactly its unchecked twin's
+// cycles: the audits observe the default schedule, never replace it.
+func checkedTwin(t *testing.T, cfg Config) {
+	t.Helper()
+	run := func(checked, skip bool) ([]byte, int64) {
+		cfg := cfg
+		cfg.Checked = checked
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SetIdleSkip(skip)
+		r.RunTo(cfg.Cycles)
+		rep := r.Finish().Obs
+		if len(rep.Violations) != 0 {
+			t.Errorf("checked run, idle-skip %t: violations %v", skip, rep.Violations)
+		}
+		var buf bytes.Buffer
+		if err := obs.EncodeJSON(&buf, rep); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), r.kern.Steps()
+	}
+	on, steps := run(true, true)
+	off, _ := run(true, false)
+	_, plain := run(false, true)
+	if !bytes.Equal(on, off) {
+		t.Error("checked reports differ between idle-skip on and off")
+	}
+	if steps != plain {
+		t.Errorf("checked run visited %d cycles, its unchecked twin %d", steps, plain)
+	}
+}
+
 // TestIdleSkipEquivalence is the kernel refactor's acceptance gate: for
 // every design, a run with activity-driven idle-skip must produce a
 // Result — metrics, device stats, per-link counters, per-core
@@ -48,6 +84,7 @@ func TestIdleSkipEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(on, off) {
 				t.Fatalf("idle-skip on and off diverge:\n on: %+v\noff: %+v", on, off)
 			}
+			checkedTwin(t, cfg)
 		})
 	}
 }
@@ -150,6 +187,13 @@ func TestIdleSkipEquivalenceVariants(t *testing.T) {
 			}
 		}
 	}
+	// Checked rows: the near-idle app, where the schedule skips most
+	// cycles, a saturated Table I point, and the two scheduler monitors
+	// across skipped spans.
+	checked := map[string]bool{
+		"low-util": true, "saturated-conv": true,
+		"dpq-saturated-ddtv": true, "regulated-sparse-replay": true,
+	}
 	for name, cfg := range cfgs {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
@@ -157,6 +201,9 @@ func TestIdleSkipEquivalenceVariants(t *testing.T) {
 			off := runSkip(t, cfg, false)
 			if !reflect.DeepEqual(on, off) {
 				t.Fatalf("idle-skip on and off diverge:\n on: %+v\noff: %+v", on, off)
+			}
+			if checked[name] {
+				checkedTwin(t, cfg)
 			}
 		})
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestSchedulerCleanCheckedRuns: every scheduler in the zoo completes a
-// checked-panic run on representative designs with zero violations —
+// checked run on representative designs with zero violations —
 // for the DPQ that means every completion met its analytic WCET
 // deadline, for the regulator that every grant fit its window budget.
 func TestSchedulerCleanCheckedRuns(t *testing.T) {
@@ -22,7 +22,7 @@ func TestSchedulerCleanCheckedRuns(t *testing.T) {
 			res, err := Run(Config{
 				App: appmodel.BluRay(), Gen: dram.DDR2, Design: d,
 				Scheduler: sched, Cycles: 12_000, PriorityDemand: true,
-				CheckedPanic: true,
+				Checked: true,
 			})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", sched, d, err)

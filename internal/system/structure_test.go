@@ -14,8 +14,8 @@ import (
 // the open-row hits it exists for.
 
 // TestCheckedCleanOnNewGenerations: DDR4 (bank groups, tCCD_L/S,
-// tRRD_L/S) and LPDDR3 run under the full invariant layer in panic
-// mode, with and without subarray row buffers — the differential check
+// tRRD_L/S) and LPDDR3 run clean under the full invariant layer,
+// with and without subarray row buffers — the differential check
 // between device and monitor, both re-deriving the group/subarray rules
 // independently.
 func TestCheckedCleanOnNewGenerations(t *testing.T) {
@@ -37,7 +37,7 @@ func TestCheckedCleanOnNewGenerations(t *testing.T) {
 					App: appmodel.BluRay(), Gen: c.gen, Design: d,
 					Subarrays: c.subs,
 					Cycles:    8_000, Seed: 5, PriorityDemand: true,
-					CheckedPanic: true,
+					Checked: true,
 				})
 				if err != nil {
 					t.Fatal(err)
