@@ -28,7 +28,7 @@ func (m *Mesh) Audit(report func(kind, format string, args ...any)) {
 		for port := range r.In {
 			in := &r.In[port]
 			for vc := range in.bufs {
-				auditBuffer(&in.bufs[vc], report, "router %v in %s vc %d", r.Pos, PortName(port), vc)
+				auditBuffer(&in.bufs[vc], report, r, port, vc)
 			}
 		}
 		for port := range r.Out {
@@ -71,7 +71,7 @@ func (m *Mesh) Audit(report func(kind, format string, args ...any)) {
 		}
 		if s := l.sink; s != nil {
 			for vc := range s.port.bufs {
-				auditBuffer(&s.port.bufs[vc], report, "sink %d vc %d", sinks, vc)
+				auditBuffer(&s.port.bufs[vc], report, nil, sinks, vc)
 			}
 			sinks++
 			resident += int64(s.port.occupied())
@@ -191,10 +191,16 @@ func (m *Mesh) auditLink(idx int, l *Link, report func(kind, format string, args
 }
 
 // auditBuffer checks one VC buffer's packet accounting and wormhole
-// ordering. where/args name the buffer in violation messages.
-func auditBuffer(b *InputBuffer, report func(kind, format string, args ...any), where string, args ...any) {
-	at := func(kind, format string, extra ...any) {
-		report(kind, where+": "+format, append(append([]any{}, args...), extra...)...)
+// ordering. The buffer is input port port of router r, or sink number
+// port when r is nil; it is named only in a violation's message, so a
+// clean audit allocates nothing.
+func auditBuffer(b *InputBuffer, report func(kind, format string, args ...any), r *Router, port, vc int) {
+	at := func(kind, format string, args ...any) {
+		if r == nil {
+			report(kind, "sink %d vc %d: "+format, append([]any{port, vc}, args...)...)
+			return
+		}
+		report(kind, "router %v in %s vc %d: "+format, append([]any{r.Pos, PortName(port), vc}, args...)...)
 	}
 	if b.occupied < 0 || b.occupied > b.capacity {
 		at("buffer-bound", "occupancy %d outside [0,%d]", b.occupied, b.capacity)

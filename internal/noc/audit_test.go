@@ -143,14 +143,16 @@ func TestAuditCatchesWormholeReorder(t *testing.T) {
 		{Pkt: b, Arrived: 2, Sent: 1},
 	}
 	buf.occupied = 2
-	found := false
+	var found []string
 	m.Audit(func(kind, format string, args ...any) {
 		if kind == "wormhole-order" {
-			found = true
+			found = append(found, fmt.Sprintf(format, args...))
 		}
 	})
-	if !found {
-		t.Fatal("forwarded non-head packet not flagged as wormhole-order")
+	// The buffer is named as the checker has always printed it.
+	want := "router (0,0) in east vc 0: non-head packet 1 has 1 forwarded flits"
+	if len(found) != 1 || found[0] != want {
+		t.Fatalf("forwarded non-head packet reported as %q, want one wormhole-order %q", found, want)
 	}
 }
 
@@ -324,5 +326,61 @@ func TestAuditActiveSetsCleanWhenBlockedAndDrained(t *testing.T) {
 	}
 	if launched != id*5 || launched != sink.DrainedFlits() {
 		t.Fatalf("launched %d flits of %d, drained %d", launched, id*5, sink.DrainedFlits())
+	}
+}
+
+// TestAuditCleanPathAllocatesNothing: checked mode audits both meshes
+// at the end of every visited cycle, so a clean walk over a loaded mesh
+// — every buffer holding packets, links carrying flits and credits —
+// must not allocate. Buffers are named only when a violation is
+// reported.
+func TestAuditCleanPathAllocatesNothing(t *testing.T) {
+	m, err := NewMeshVC(3, 3, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := Coord{0, 0}
+	sink := m.AttachSink(dst, 8, 4)
+	var injs []*Injector
+	id := int64(0)
+	for y := 0; y < 3; y++ {
+		for x := 0; x < 3; x++ {
+			c := Coord{x, y}
+			if c == dst {
+				continue
+			}
+			inj := m.AttachInjector(c)
+			for k := 0; k < 6; k++ {
+				id++
+				p := mkPacket(id, c, dst, 1+int(id)%6)
+				p.Priority = id%3 == 0
+				inj.Enqueue(p)
+			}
+			injs = append(injs, inj)
+		}
+	}
+	// The sink is never popped: it fills, and the mesh backs up behind it.
+	for now := int64(0); now < 40; now++ {
+		m.Cycle(now)
+		for _, inj := range injs {
+			inj.Step(now)
+		}
+		sink.Step(now)
+	}
+	resident := 0
+	for _, r := range m.Routers {
+		for port := range r.In {
+			resident += r.In[port].occupied()
+		}
+	}
+	if resident == 0 {
+		t.Fatal("the mesh drained: nothing left to audit")
+	}
+	if vs := collectViolations(m); len(vs) > 0 {
+		t.Fatalf("audit flagged a healthy mesh: %v", vs)
+	}
+	report := func(kind, format string, args ...any) { t.Errorf("%s: "+format, append([]any{kind}, args...)...) }
+	if avg := testing.AllocsPerRun(100, func() { m.Audit(report) }); avg != 0 {
+		t.Fatalf("a clean Mesh.Audit allocates %.1f times, want 0", avg)
 	}
 }

@@ -11,7 +11,10 @@
 //     error without tearing down the rest of the grid;
 //   - repeated points — a shared baseline, a grid that revisits an
 //     earlier configuration — are simulated once and served from a
-//     config-fingerprint cache (see Fingerprint).
+//     config-fingerprint cache (see Fingerprint), and so are twins:
+//     points whose configs differ only in knobs that cannot act
+//     (system.Config.Canonical), such as Table I's GSS and [4], share
+//     one simulation and each gets the result under its own design.
 package sweep
 
 import (
@@ -39,8 +42,8 @@ type Options struct {
 	Context context.Context
 
 	// DisableCache turns off config-fingerprint deduplication, forcing
-	// every grid point to simulate even when an identical point already
-	// ran in this call.
+	// every grid point to simulate even when an identical point (or a
+	// twin, see system.Config.Canonical) already ran in this call.
 	DisableCache bool
 
 	// OnProgress, when non-nil, is invoked after each grid point settles
@@ -84,7 +87,8 @@ type Result struct {
 	Res   system.Result
 	Err   error
 	// Cached marks a point served from the fingerprint cache rather than
-	// its own simulation.
+	// its own simulation: a duplicate of an earlier point. A point that
+	// took a twin's run (see Stats.Twins) is not Cached.
 	Cached bool
 	// Stored marks a point whose result came from the persistent store
 	// (Options.Store) rather than a simulation in this process. A point
@@ -98,8 +102,14 @@ type Result struct {
 
 // Stats accounts for one Run call.
 type Stats struct {
-	// Runs counts simulations actually executed.
+	// Runs counts grid points answered by a simulation in this call:
+	// their own, or a twin's (see Twins).
 	Runs int
+	// Twins counts the Runs that took a twin's simulation, restamped
+	// with their own design (system.Config.Canonical), instead of
+	// simulating: on a cold Tables I-III grid, Table I's nine GSS
+	// points. Runs - Twins simulations were executed.
+	Twins int
 	// CacheHits counts grid points served from the fingerprint cache.
 	CacheHits int
 	// StoreHits counts grid points whose owning worker was served from
@@ -112,14 +122,31 @@ type Stats struct {
 	Workers int
 }
 
-// cacheEntry is one fingerprint's simulation: the first worker to claim
-// the fingerprint runs it (or fetches it from the store) and closes
-// done; duplicates wait.
-type cacheEntry struct {
-	done   chan struct{}
-	res    system.Result
-	err    error
-	stored bool
+// origin is how a settled point's outcome came about, for Stats.
+type origin int
+
+const (
+	unrun     origin = iota // not simulated here: cancelled, stored or a duplicate
+	simulated               // its own simulation
+	derived                 // a twin's simulation, restamped
+)
+
+// entry is one fingerprint's outcome. The first point to claim a
+// fingerprint owns the entry: it reads the store and, on a miss, either
+// simulates or attaches the entry to a twin already simulating the same
+// canonical run (system.Config.Canonical). Later points with the
+// fingerprint attach to the entry. Nobody waits on a run: whoever
+// finishes an entry settles every point attached to it.
+type entry struct {
+	owner  int // the point that claimed the fingerprint
+	fp     string
+	design system.Design
+
+	done bool
+	r    Result // the owner's outcome, once done
+
+	dups  []int    // later points with this fingerprint
+	twins []*entry // entries whose simulation is this one's
 }
 
 // Run executes every configuration and returns the results in
@@ -153,15 +180,16 @@ func Run(cfgs []system.Config, o Options) ([]Result, Stats) {
 	}
 
 	var (
-		mu    sync.Mutex // guards cache, stats, done count, OnProgress
-		cache = map[string]*cacheEntry{}
-		done  int
-		next  int64 = -1
+		mu      sync.Mutex            // guards the maps, every entry, stats, done count, OnProgress
+		entries = map[string]*entry{} // by point fingerprint
+		sims    = map[string]*entry{} // simulating entries, by their canonical config's fingerprint
+		done    int
+		next    int64 = -1
 	)
-	// settle records one point's outcome; ran marks a point that
-	// actually executed a simulation (cancelled-before-start points
-	// settle with ran=false and count nowhere).
-	settle := func(i int, r Result, ran bool) {
+	// settle records one point's outcome; how says whether a simulation
+	// answered it (cancelled-before-start points settle unrun and count
+	// nowhere).
+	settle := func(i int, r Result, how origin) {
 		r.Index = i
 		results[i] = r
 		mu.Lock()
@@ -171,12 +199,47 @@ func Run(cfgs []system.Config, o Options) ([]Result, Stats) {
 			st.CacheHits++
 		case r.Stored:
 			st.StoreHits++
-		case ran:
+		case how == simulated:
 			st.Runs++
+		case how == derived:
+			st.Runs++
+			st.Twins++
 		}
 		done++
 		if o.OnProgress != nil {
 			o.OnProgress(done, total)
+		}
+	}
+	// derive makes a twin's successful run the point's own and persists
+	// it under the point's fingerprint, as the point's own run would be.
+	derive := func(e *entry, res system.Result, err error) system.Result {
+		if err != nil {
+			return res
+		}
+		res = res.Restamp(e.design)
+		if o.Store != nil {
+			_ = o.Store.Put(e.fp, res)
+		}
+		return res
+	}
+	// finish records e's outcome r and settles its owner, then every
+	// point attached to it: duplicates take the result as it is, twins
+	// restamped with their own design.
+	var finish func(e *entry, r Result, how origin)
+	finish = func(e *entry, r Result, how origin) {
+		r.Fingerprint = e.fp
+		mu.Lock()
+		e.r, e.done = r, true
+		dups, twins := e.dups, e.twins
+		e.dups, e.twins = nil, nil
+		mu.Unlock()
+		settle(e.owner, r, how)
+		r.Cached = true
+		for _, i := range dups {
+			settle(i, r, unrun)
+		}
+		for _, t := range twins {
+			finish(t, Result{Res: derive(t, r.Res, r.Err), Err: r.Err}, derived)
 		}
 	}
 	work := func() {
@@ -189,7 +252,7 @@ func Run(cfgs []system.Config, o Options) ([]Result, Stats) {
 			if ctx.Err() != nil {
 				// Cancelled: unstarted points settle immediately instead of
 				// simulating; their Result.Err carries the context error.
-				settle(i, Result{Err: ctx.Err()}, false)
+				settle(i, Result{Err: ctx.Err()}, unrun)
 				continue
 			}
 			fp, cacheable := Fingerprint(cfg)
@@ -198,42 +261,62 @@ func Run(cfgs []system.Config, o Options) ([]Result, Stats) {
 				// this path — disabled cache or uncacheable point — never
 				// touches it either: a plain run, every time.
 				res, err := safeRun(run, cfg)
-				settle(i, Result{Res: res, Err: err}, true)
+				settle(i, Result{Res: res, Err: err}, simulated)
 				continue
 			}
 			mu.Lock()
-			e, hit := cache[fp]
-			if !hit {
-				e = &cacheEntry{done: make(chan struct{})}
-				cache[fp] = e
-			}
-			mu.Unlock()
-			if !hit {
-				// Owner: read through the persistent store, simulate on a
-				// miss (or any store error — corruption degrades to a rerun),
-				// and write the fresh result back. A failed Put is advisory:
-				// the point keeps its in-memory result and merely loses
-				// persistence.
-				if o.Store != nil {
-					if res, ok, err := o.Store.Get(fp); ok && err == nil {
-						e.res, e.stored = res, true
-					}
+			if e := entries[fp]; e != nil {
+				if !e.done {
+					// Whoever finishes e settles this point too.
+					e.dups = append(e.dups, i)
+					mu.Unlock()
+					continue
 				}
-				if !e.stored {
-					e.res, e.err = safeRun(run, cfg)
-					if o.Store != nil && e.err == nil {
-						_ = o.Store.Put(fp, e.res)
-					}
-				}
-				close(e.done)
-				settle(i, Result{Res: e.res, Err: e.err, Stored: e.stored, Fingerprint: fp}, true)
+				r := e.r
+				mu.Unlock()
+				r.Cached = true
+				settle(i, r, unrun)
 				continue
 			}
-			// The owning worker is executing the entry right now (it
-			// never parks a claimed fingerprint), so this wait always
-			// makes progress.
-			<-e.done
-			settle(i, Result{Res: e.res, Err: e.err, Cached: true, Stored: e.stored, Fingerprint: fp}, false)
+			e := &entry{owner: i, fp: fp, design: cfg.Design}
+			entries[fp] = e
+			mu.Unlock()
+			// Owner: read through the persistent store; any store error —
+			// corruption included — is a miss.
+			if o.Store != nil {
+				if res, ok, err := o.Store.Get(fp); ok && err == nil {
+					finish(e, Result{Res: res, Stored: true}, unrun)
+					continue
+				}
+			}
+			// A miss simulates once per canonical run: a twin's simulation
+			// in flight or done serves this point restamped.
+			key := fp
+			if canon, differs := cfg.Canonical(); differs {
+				key, _ = Fingerprint(canon)
+			}
+			mu.Lock()
+			if s := sims[key]; s != nil {
+				if !s.done {
+					s.twins = append(s.twins, e)
+					mu.Unlock()
+					continue
+				}
+				r := s.r
+				mu.Unlock()
+				finish(e, Result{Res: derive(e, r.Res, r.Err), Err: r.Err}, derived)
+				continue
+			}
+			sims[key] = e
+			mu.Unlock()
+			// Simulate, and write the fresh result back. A failed Put is
+			// advisory: the point keeps its in-memory result and merely
+			// loses persistence.
+			res, err := safeRun(run, cfg)
+			if o.Store != nil && err == nil {
+				_ = o.Store.Put(fp, res)
+			}
+			finish(e, Result{Res: res, Err: err}, simulated)
 		}
 	}
 

@@ -232,7 +232,7 @@ func (c Config) Resolved() Config {
 		c.ClockMHz = dram.DefaultClock(c.Gen)
 	}
 	if c.PCT == 0 {
-		c.PCT = 3
+		c.PCT = defaultPCT
 	}
 	if c.Cycles == 0 {
 		c.Cycles = 200_000
@@ -265,6 +265,38 @@ func (c Config) Resolved() Config {
 		c.Channels = 1
 	}
 	return c
+}
+
+// defaultPCT is the hybrid priority control token a zero Config.PCT
+// resolves to.
+const defaultPCT = 3
+
+// Canonical returns the configuration whose simulation equals this one's
+// up to the identity fields Result.Design and Obs.Design, and whether it
+// differs from c. Without priority traffic (PriorityDemand off and no
+// replay) the knobs that act on priority packets alone cannot act: the
+// PCT seeds only a priority packet's tokens (core.GSS.OnPacketArrival),
+// and priority-first service only reorders priority packets. So CONV+PFS
+// runs as CONV, [4]+PFS and GSS as [4], and a valid PCT as the default.
+// Fields that fail Validate are left alone, so a config and its canonical
+// form fail alike. TestCanonicalRunsEqual holds every rule to fresh runs;
+// sweep.Run simulates one run per canonical form and gives each twin
+// its own copy through Result.Restamp.
+func (c Config) Canonical() (Config, bool) {
+	if c.PriorityDemand || len(c.Replay) > 0 {
+		return c, false
+	}
+	canon := c
+	switch c.Design {
+	case ConvPFS:
+		canon.Design = Conv
+	case SDRAMAwarePFS, GSS:
+		canon.Design = SDRAMAware
+	}
+	if c.PCT >= 1 && c.PCT <= 6 && c.PCT != defaultPCT {
+		canon.PCT = 0
+	}
+	return canon, canon.Design != c.Design || canon.PCT != c.PCT
 }
 
 // Sentinel errors Validate wraps; test with errors.Is. They are declared
@@ -340,6 +372,19 @@ func (c Config) Validate() error {
 		return fmt.Errorf("system: %w: negative split granularity %d", ErrInvalid, c.SplitGranularity)
 	}
 	return nil
+}
+
+// Restamp returns r as the run of design d: a twin's result (see
+// Config.Canonical) made the point's own. Only the identity fields
+// change; the report is a fresh copy, so the twin's keeps its name.
+func (r Result) Restamp(d Design) Result {
+	r.Design = d
+	if r.Obs != nil {
+		rep := *r.Obs
+		rep.Design = d.String()
+		r.Obs = &rep
+	}
+	return r
 }
 
 // CoreStats is the per-core service breakdown of one run.

@@ -128,9 +128,11 @@ type SweepResult struct {
 
 // SweepStats account for one Sweep call.
 type SweepStats struct {
-	// Runs counts simulations actually executed; CacheHits points served
-	// from the in-process fingerprint cache; StoreHits points served
-	// from the persistent store.
+	// Runs counts points answered by a simulation in this call — their
+	// own, or a twin's restamped with their design (Table I's GSS points
+	// take their [4] twins' runs); CacheHits points served from the
+	// in-process fingerprint cache; StoreHits points served from the
+	// persistent store.
 	Runs      int
 	CacheHits int
 	StoreHits int
