@@ -58,7 +58,7 @@ func (inj *Injector) Enqueue(p *Packet) {
 func (inj *Injector) QueueFlits() int { return inj.queuedFlits }
 
 // QueueFlitsHWM returns the high-water mark of the injection backlog in
-// flits — how close the NI queue came to its InjectCap over the run.
+// flits — how close the NI queue came to its cap over the run.
 func (inj *Injector) QueueFlitsHWM() int { return inj.flitsHWM }
 
 // CanLaunch reports whether Step would launch a flit: some VC has both

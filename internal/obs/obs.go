@@ -64,7 +64,7 @@ type Report struct {
 	Completed int64 `json:"completed"`
 	// Stalled counts generator cycles lost to injection backpressure: one
 	// per core per cycle in which its NI refused new work (backlog at
-	// InjectCap), counted at the backpressure decision in coreNI.Tick and,
+	// its 64-flit cap), counted at the backpressure decision in coreNI.Tick and,
 	// for the cycles a blocked core sleeps through, in Runner.settle.
 	Stalled int64 `json:"stalled"`
 
@@ -192,7 +192,7 @@ type LinkStat struct {
 type NI struct {
 	Core string `json:"core"`
 	// QueueFlitsHWM is the injection-backlog high-water mark in flits
-	// (the cap is Config.InjectCap); StallCycles counts the cycles this
+	// (the cap is 64 flits); StallCycles counts the cycles this
 	// core's generators were refused injection.
 	QueueFlitsHWM int   `json:"queueFlitsHWM"`
 	StallCycles   int64 `json:"stallCycles"`

@@ -143,7 +143,7 @@ type Metrics struct {
 	Completed int64 // logical requests completed inside the window
 	// Stalled counts generator cycles lost to injection backpressure: one
 	// per core per cycle in which its network interface refused new work
-	// because the injection backlog was at InjectCap. The system counts it
+	// because the injection backlog was at its cap. The system counts it
 	// at the backpressure decision point in coreNI.Tick, and in
 	// Runner.settle for the cycles a blocked core sleeps through, over the
 	// whole run (not warmup-gated).

@@ -1,16 +1,15 @@
-// Package store is the persistent, content-addressed result store: the
-// on-disk continuation of the sweep executor's in-process fingerprint
-// cache. The in-memory cache (internal/sweep) dedupes repeated points
-// within one Run call and dies with the process; this store keys the
-// same canonical sweep.Fingerprint to a file, so repeated sweeps across
-// processes, CI runs and machines only ever simulate a configuration
-// once.
+// Package store is the persistent, content-addressed result store
+// behind the sweep executor. Within one Run call, internal/sweep's plan
+// answers a repeated point (or a twin) from the run of the first point
+// that shares its canonical run; this store keys the same
+// sweep.Fingerprint to a file, so repeated sweeps across processes, CI
+// runs and machines only ever simulate a configuration once.
 //
 // Three properties make the cache safe to share:
 //
 //   - Content addressing. An entry's name is the sha256 fingerprint of
-//     the fully resolved configuration — the same key the in-memory
-//     cache uses — so a hit is exact by construction: there is nothing
+//     the fully resolved configuration — the same key the executor's
+//     plan uses — so a hit is exact by construction: there is nothing
 //     to compare, only to verify.
 //
 //   - Version namespacing. Entries live under a namespace derived from

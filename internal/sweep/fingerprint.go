@@ -86,11 +86,12 @@ func Fingerprint(cfg system.Config) (string, bool) {
 	b = strconv.AppendInt(append(b, " cyc="...), c.Cycles, 10)
 	b = strconv.AppendInt(append(b, " warm="...), c.Warmup, 10)
 	b = strconv.AppendUint(append(b, " seed="...), c.Seed, 10)
-	b = appendInt(append(b, " buf="...), c.BufFlits)
+	// buf, cap and pipe are system's fixed platform sizes, still in the
+	// key so every stored entry stays warm.
+	b = append(b, " buf=8"...)
 	b = appendInt(append(b, " vc="...), c.VirtualChannels)
 	b = strconv.AppendBool(append(b, " adapt="...), c.AdaptiveRouting)
-	b = appendInt(append(b, " cap="...), c.InjectCap)
-	b = appendInt(append(b, " pipe="...), c.MemPipeline)
+	b = append(b, " cap=64 pipe=8"...)
 	b = appendInt(append(b, " split="...), c.SplitGranularity)
 	b = strconv.AppendBool(append(b, " tag="...), c.TagEveryRequest)
 	b = strconv.AppendInt(append(b, " sample="...), c.SampleEvery, 10)

@@ -55,10 +55,10 @@ func fingerprintFmt(cfg system.Config) (string, bool) {
 	// fields, so neither may be served from (or into) a differently
 	// configured point's cache entry.
 	fmt.Fprintf(h,
-		"gen=%d clk=%d design=%d sched=%d pct=%d gssr=%d pd=%t cyc=%d warm=%d seed=%d buf=%d vc=%d adapt=%t cap=%d pipe=%d split=%d tag=%t sample=%d chk=%t subs=%d|",
+		"gen=%d clk=%d design=%d sched=%d pct=%d gssr=%d pd=%t cyc=%d warm=%d seed=%d buf=8 vc=%d adapt=%t cap=64 pipe=8 split=%d tag=%t sample=%d chk=%t subs=%d|",
 		c.Gen, c.ClockMHz, c.Design, c.Scheduler, c.PCT, c.GSSRouters, c.PriorityDemand,
-		c.Cycles, c.Warmup, c.Seed, c.BufFlits, c.VirtualChannels,
-		c.AdaptiveRouting, c.InjectCap, c.MemPipeline, c.SplitGranularity,
+		c.Cycles, c.Warmup, c.Seed, c.VirtualChannels,
+		c.AdaptiveRouting, c.SplitGranularity,
 		c.TagEveryRequest, c.SampleEvery, c.Checked, c.Subarrays)
 	// The spec hash ties a spec-driven run to its workload content; the
 	// workload-stats flag shapes the report (like SampleEvery/Checked)

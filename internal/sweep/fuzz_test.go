@@ -35,11 +35,8 @@ func cfgFromBytes(data []byte) system.Config {
 		Cycles:           int64(at(7)) * 1000,
 		Warmup:           int64(int8(at(8))), // negative exercises the sentinel
 		Seed:             uint64(at(9)),
-		BufFlits:         int(at(10)) % 16,
 		VirtualChannels:  int(at(11)) % 4,
 		AdaptiveRouting:  at(12)&1 != 0,
-		InjectCap:        int(at(13)) % 128,
-		MemPipeline:      int(at(14)) % 16,
 		SplitGranularity: int(at(15)) % 33,
 		TagEveryRequest:  at(16)&1 != 0,
 		SampleEvery:      int64(at(17)) * 250,

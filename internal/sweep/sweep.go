@@ -9,12 +9,15 @@
 //   - results are keyed by submission index, never by completion order;
 //   - a panic inside one run is captured and surfaced as that point's
 //     error without tearing down the rest of the grid;
-//   - repeated points — a shared baseline, a grid that revisits an
-//     earlier configuration — are simulated once and served from a
-//     config-fingerprint cache (see Fingerprint), and so are twins:
-//     points whose configs differ only in knobs that cannot act
-//     (system.Config.Canonical), such as Table I's GSS and [4], share
-//     one simulation and each gets the result under its own design.
+//   - which point answers which is planned before anything runs, from
+//     the fingerprints alone (see Fingerprint): points that share a
+//     canonical run (system.Config.Canonical) form one job, so a
+//     repeated point — a shared baseline, a grid that revisits an
+//     earlier configuration — takes its first occurrence's outcome,
+//     and twins, points whose configs differ only in knobs that cannot
+//     act (Table I's GSS and [4]), share one simulation and each gets
+//     the result under its own design. A job runs on one worker, so no
+//     worker waits on another's run.
 package sweep
 
 import (
@@ -29,21 +32,26 @@ import (
 
 // Options configure one Run call.
 type Options struct {
-	// Workers bounds the number of concurrently executing simulations.
+	// Workers bounds the number of concurrently executing jobs (see Run).
 	// Zero or negative selects runtime.GOMAXPROCS(0); 1 restores strictly
-	// serial in-order execution (no goroutines are spawned).
+	// serial in-order execution: no goroutines are spawned, and RunFunc
+	// runs in the order of each job's first point.
 	Workers int
 
-	// Context cancels the grid: points not yet started settle with the
-	// context's error, and the default run function (system.RunContext)
-	// abandons in-flight simulations within one kernel epoch. Nil means
-	// context.Background(). (An explicit RunFunc is responsible for its
-	// own cancellation.)
+	// Context cancels the grid: every point of a job not yet started
+	// settles with the context's error, and the default run function
+	// (system.RunContext) abandons in-flight simulations within one
+	// kernel epoch. A job checks the context once, at its start, so a
+	// started job's later points are still answered from its run (a twin
+	// restamped, a duplicate Cached) when the cancel lands after the run
+	// finished. Nil means context.Background(). (An explicit RunFunc is
+	// responsible for its own cancellation.)
 	Context context.Context
 
-	// DisableCache turns off config-fingerprint deduplication, forcing
-	// every grid point to simulate even when an identical point (or a
-	// twin, see system.Config.Canonical) already ran in this call.
+	// DisableCache leaves every point without a fingerprint, so each is a
+	// job of its own: every grid point simulates even when an identical
+	// point (or a twin, see system.Config.Canonical) already ran in this
+	// call, and the store is never touched.
 	DisableCache bool
 
 	// OnProgress, when non-nil, is invoked after each grid point settles
@@ -57,15 +65,15 @@ type Options struct {
 	// substitute fakes here.
 	RunFunc func(system.Config) (system.Result, error)
 
-	// Store, when non-nil, extends the fingerprint cache to disk:
-	// before simulating a cacheable point the owning worker consults the
-	// store, and after a successful simulation it persists the result
-	// (read-through, write-through). The store sits strictly behind the
-	// in-memory cache, so DisableCache — and any point that is not
-	// cacheable at all — bypasses it entirely, and a result the store
-	// cannot persist (a Put error) degrades to a plain uncached run
-	// rather than failing the point. A store Get error (e.g. a corrupt
-	// entry) is likewise treated as a miss: the point re-simulates.
+	// Store, when non-nil, is read through and written through: every
+	// point with a fingerprint that is not a duplicate within its job
+	// reads the store before its job's run answers it, and every
+	// successful simulated or restamped result is persisted under its
+	// own point's fingerprint. A point without a fingerprint
+	// (DisableCache, or not cacheable at all) bypasses it entirely. A
+	// result the store cannot persist (a Put error) degrades to a plain
+	// uncached run rather than failing the point, and a store Get error
+	// (e.g. a corrupt entry) is treated as a miss.
 	Store ResultStore
 }
 
@@ -86,17 +94,18 @@ type Result struct {
 	Index int
 	Res   system.Result
 	Err   error
-	// Cached marks a point served from the fingerprint cache rather than
-	// its own simulation: a duplicate of an earlier point. A point that
-	// took a twin's run (see Stats.Twins) is not Cached.
+	// Cached marks a duplicate: a point that took the outcome of an
+	// earlier point with its fingerprint rather than its own simulation
+	// or store read. A point that took a twin's run (see Stats.Twins) is
+	// not Cached.
 	Cached bool
 	// Stored marks a point whose result came from the persistent store
 	// (Options.Store) rather than a simulation in this process. A point
 	// can be Cached and Stored at once: a duplicate of a store-served
 	// fingerprint.
 	Stored bool
-	// Fingerprint is the point's canonical config hash — empty when the
-	// point is not cacheable (see Fingerprint) or the cache is disabled.
+	// Fingerprint is the point's own config hash (see Fingerprint) —
+	// empty when the point is not cacheable or the cache is disabled.
 	Fingerprint string
 }
 
@@ -110,12 +119,11 @@ type Stats struct {
 	// simulating: on a cold Tables I-III grid, Table I's nine GSS
 	// points. Runs - Twins simulations were executed.
 	Twins int
-	// CacheHits counts grid points served from the fingerprint cache.
+	// CacheHits counts duplicates (Result.Cached).
 	CacheHits int
-	// StoreHits counts grid points whose owning worker was served from
-	// the persistent store instead of simulating (in-process duplicates
-	// of such a point count as CacheHits, exactly as for simulated
-	// points).
+	// StoreHits counts grid points read from the persistent store
+	// instead of simulating (their duplicates count as CacheHits,
+	// exactly as for simulated points).
 	StoreHits int
 	// Workers is the resolved worker count (after the GOMAXPROCS default
 	// and the clamp to the grid size).
@@ -131,29 +139,27 @@ const (
 	derived                 // a twin's simulation, restamped
 )
 
-// entry is one fingerprint's outcome. The first point to claim a
-// fingerprint owns the entry: it reads the store and, on a miss, either
-// simulates or attaches the entry to a twin already simulating the same
-// canonical run (system.Config.Canonical). Later points with the
-// fingerprint attach to the entry. Nobody waits on a run: whoever
-// finishes an entry settles every point attached to it.
-type entry struct {
-	owner  int // the point that claimed the fingerprint
-	fp     string
-	design system.Design
-
-	done bool
-	r    Result // the owner's outcome, once done
-
-	dups  []int    // later points with this fingerprint
-	twins []*entry // entries whose simulation is this one's
-}
-
 // Run executes every configuration and returns the results in
 // submission order, one per config, together with execution accounting.
 // It never returns an error itself: per-point failures (including
 // panics) land in the corresponding Result.Err so that one bad point
 // cannot disturb the indices of the rest — use FirstErr to surface them.
+//
+// Run plans before it runs. One serial pass chains the points into jobs
+// by canonical run (Fingerprint of system.Config.Canonical), in grid
+// order; a point with no fingerprint (DisableCache, or not cacheable) is
+// a job of its own. Workers then take whole jobs, in the order of their
+// first points, and settle a job's points in grid order:
+//
+//   - a point whose fingerprint an earlier point of the job had takes
+//     that point's outcome, marked Cached;
+//   - any other point reads the store (Options.Store);
+//   - the job's first store miss simulates its own config;
+//   - every later miss takes that run restamped with its own design
+//     (system.Result.Restamp) — a twin.
+//
+// Every successful simulated or restamped result is Put under its own
+// point's fingerprint.
 func Run(cfgs []system.Config, o Options) ([]Result, Stats) {
 	total := len(cfgs)
 	results := make([]Result, total)
@@ -179,16 +185,39 @@ func Run(cfgs []system.Config, o Options) ([]Result, Stats) {
 		}
 	}
 
+	// The plan: each point's fingerprint, the next point of its job (-1
+	// ends the chain), and each job's first point, in grid order.
+	fps := make([]string, total)
+	next := make([]int, total)
+	heads := make([]int, 0, total)
+	tails := make(map[string]int, total) // each job's last point, by canonical key
+	for i := range cfgs {
+		next[i] = -1
+		if !o.DisableCache {
+			fps[i], _ = Fingerprint(cfgs[i])
+		}
+		key := fps[i]
+		if key == "" {
+			heads = append(heads, i)
+			continue
+		}
+		if canon, differs := cfgs[i].Canonical(); differs {
+			key, _ = Fingerprint(canon)
+		}
+		if t, ok := tails[key]; ok {
+			next[t] = i
+		} else {
+			heads = append(heads, i)
+		}
+		tails[key] = i
+	}
+
 	var (
-		mu      sync.Mutex            // guards the maps, every entry, stats, done count, OnProgress
-		entries = map[string]*entry{} // by point fingerprint
-		sims    = map[string]*entry{} // simulating entries, by their canonical config's fingerprint
-		done    int
-		next    int64 = -1
+		mu   sync.Mutex // guards st, done and OnProgress
+		done int
 	)
 	// settle records one point's outcome; how says whether a simulation
-	// answered it (cancelled-before-start points settle unrun and count
-	// nowhere).
+	// answered it (cancelled points settle unrun and count nowhere).
 	settle := func(i int, r Result, how origin) {
 		r.Index = i
 		results[i] = r
@@ -210,126 +239,75 @@ func Run(cfgs []system.Config, o Options) ([]Result, Stats) {
 			o.OnProgress(done, total)
 		}
 	}
-	// derive makes a twin's successful run the point's own and persists
-	// it under the point's fingerprint, as the point's own run would be.
-	derive := func(e *entry, res system.Result, err error) system.Result {
-		if err != nil {
-			return res
-		}
-		res = res.Restamp(e.design)
-		if o.Store != nil {
-			_ = o.Store.Put(e.fp, res)
-		}
-		return res
-	}
-	// finish records e's outcome r and settles its owner, then every
-	// point attached to it: duplicates take the result as it is, twins
-	// restamped with their own design.
-	var finish func(e *entry, r Result, how origin)
-	finish = func(e *entry, r Result, how origin) {
-		r.Fingerprint = e.fp
-		mu.Lock()
-		e.r, e.done = r, true
-		dups, twins := e.dups, e.twins
-		e.dups, e.twins = nil, nil
-		mu.Unlock()
-		settle(e.owner, r, how)
-		r.Cached = true
-		for _, i := range dups {
-			settle(i, r, unrun)
-		}
-		for _, t := range twins {
-			finish(t, Result{Res: derive(t, r.Res, r.Err), Err: r.Err}, derived)
-		}
-	}
-	work := func() {
-		for {
-			i := int(atomic.AddInt64(&next, 1))
-			if i >= total {
-				return
+	// job settles the points chained from head, in grid order.
+	job := func(head int) {
+		if err := ctx.Err(); err != nil {
+			for i := head; i >= 0; i = next[i] {
+				settle(i, Result{Err: err}, unrun)
 			}
-			cfg := cfgs[i]
-			if ctx.Err() != nil {
-				// Cancelled: unstarted points settle immediately instead of
-				// simulating; their Result.Err carries the context error.
-				settle(i, Result{Err: ctx.Err()}, unrun)
-				continue
-			}
-			fp, cacheable := Fingerprint(cfg)
-			if o.DisableCache || !cacheable {
-				// The persistent store sits behind the fingerprint cache, so
-				// this path — disabled cache or uncacheable point — never
-				// touches it either: a plain run, every time.
-				res, err := safeRun(run, cfg)
+			return
+		}
+		ran := -1 // the point whose simulation answers the job's misses
+	points:
+		for i := head; i >= 0; i = next[i] {
+			fp := fps[i]
+			if fp == "" {
+				// No fingerprint, no store: a plain run, every time.
+				res, err := safeRun(run, cfgs[i])
 				settle(i, Result{Res: res, Err: err}, simulated)
 				continue
 			}
-			mu.Lock()
-			if e := entries[fp]; e != nil {
-				if !e.done {
-					// Whoever finishes e settles this point too.
-					e.dups = append(e.dups, i)
-					mu.Unlock()
-					continue
+			for j := head; j != i; j = next[j] {
+				if fps[j] == fp {
+					r := results[j]
+					r.Cached = true
+					settle(i, r, unrun)
+					continue points
 				}
-				r := e.r
-				mu.Unlock()
-				r.Cached = true
-				settle(i, r, unrun)
-				continue
 			}
-			e := &entry{owner: i, fp: fp, design: cfg.Design}
-			entries[fp] = e
-			mu.Unlock()
-			// Owner: read through the persistent store; any store error —
-			// corruption included — is a miss.
+			// Any store error — corruption included — is a miss.
 			if o.Store != nil {
 				if res, ok, err := o.Store.Get(fp); ok && err == nil {
-					finish(e, Result{Res: res, Stored: true}, unrun)
+					settle(i, Result{Res: res, Stored: true, Fingerprint: fp}, unrun)
 					continue
 				}
 			}
-			// A miss simulates once per canonical run: a twin's simulation
-			// in flight or done serves this point restamped.
-			key := fp
-			if canon, differs := cfg.Canonical(); differs {
-				key, _ = Fingerprint(canon)
-			}
-			mu.Lock()
-			if s := sims[key]; s != nil {
-				if !s.done {
-					s.twins = append(s.twins, e)
-					mu.Unlock()
-					continue
+			r, how := Result{Fingerprint: fp}, simulated
+			if ran < 0 {
+				r.Res, r.Err = safeRun(run, cfgs[i])
+				ran = i
+			} else {
+				how, r.Res, r.Err = derived, results[ran].Res, results[ran].Err
+				if r.Err == nil {
+					r.Res = r.Res.Restamp(cfgs[i].Design)
 				}
-				r := s.r
-				mu.Unlock()
-				finish(e, Result{Res: derive(e, r.Res, r.Err), Err: r.Err}, derived)
-				continue
 			}
-			sims[key] = e
-			mu.Unlock()
-			// Simulate, and write the fresh result back. A failed Put is
-			// advisory: the point keeps its in-memory result and merely
-			// loses persistence.
-			res, err := safeRun(run, cfg)
-			if o.Store != nil && err == nil {
-				_ = o.Store.Put(fp, res)
+			// A failed Put is advisory: the point keeps its in-memory
+			// result and merely loses persistence.
+			if o.Store != nil && r.Err == nil {
+				_ = o.Store.Put(fp, r.Res)
 			}
-			finish(e, Result{Res: res, Err: err}, simulated)
+			settle(i, r, how)
 		}
 	}
 
 	if workers == 1 {
-		work()
+		for _, h := range heads {
+			job(h)
+		}
 		return results, st
 	}
-	var wg sync.WaitGroup
+	var (
+		wg    sync.WaitGroup
+		taken atomic.Int64
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			for k := int(taken.Add(1)) - 1; k < len(heads); k = int(taken.Add(1)) - 1 {
+				job(heads[k])
+			}
 		}()
 	}
 	wg.Wait()

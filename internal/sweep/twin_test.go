@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -172,5 +173,134 @@ func TestCancelSettlesAttachedTwins(t *testing.T) {
 			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// paperGrid builds the Tables I-III grid the way the root package's
+// matrix does: per table, application × generation × design, with the
+// table's fixed knobs set on every point.
+func paperGrid() []system.Config {
+	gens := []dram.Generation{dram.DDR1, dram.DDR2, dram.DDR3}
+	tables := []struct {
+		gens    []dram.Generation
+		designs []system.Design
+		set     func(*system.Config)
+	}{
+		{gens, []system.Design{system.Conv, system.SDRAMAware, system.GSS, system.GSSSAGM}, func(*system.Config) {}},
+		{gens, []system.Design{system.ConvPFS, system.SDRAMAwarePFS, system.GSS, system.GSSSAGM},
+			func(c *system.Config) { c.PriorityDemand = true }},
+		{[]dram.Generation{dram.DDR3}, []system.Design{system.GSSSAGM, system.GSSSAGMSTI},
+			func(c *system.Config) { c.PriorityDemand, c.TagEveryRequest = true, true }},
+	}
+	var cfgs []system.Config
+	for _, tb := range tables {
+		for _, app := range appmodel.Apps() {
+			for _, gen := range tb.gens {
+				for _, d := range tb.designs {
+					cfg := system.Config{App: app, Gen: gen, Design: d, Cycles: 5000}
+					tb.set(&cfg)
+					cfgs = append(cfgs, cfg)
+				}
+			}
+		}
+	}
+	return cfgs
+}
+
+// TestPaperGridPlan pins the plan of Tables I-III: 78 rows from 69
+// simulations, Table I's nine GSS points restamped from their [4] twins,
+// each point read from and written to the store once. A second Run over
+// the filled store simulates nothing.
+func TestPaperGridPlan(t *testing.T) {
+	cfgs := paperGrid()
+	if len(cfgs) != 78 {
+		t.Fatalf("paper grid has %d points, want 78", len(cfgs))
+	}
+	for _, workers := range []int{1, 2} {
+		store := newFakeStore()
+		var runs atomic.Int64
+		count := func(cfg system.Config) (system.Result, error) {
+			runs.Add(1)
+			return designRun(cfg), nil
+		}
+		results, st := Run(cfgs, Options{Workers: workers, Store: store, RunFunc: count})
+		if err := FirstErr(results); err != nil {
+			t.Fatal(err)
+		}
+		if want := (Stats{Runs: 78, Twins: 9, Workers: workers}); runs.Load() != 69 || st != want || store.gets != 78 || store.puts != 78 {
+			t.Fatalf("workers=%d: %d RunFunc calls, stats %+v, %d gets / %d puts; want 69 calls, %+v, 78 gets / 78 puts",
+				workers, runs.Load(), st, store.gets, store.puts, want)
+		}
+		runs.Store(0)
+		results, st = Run(cfgs, Options{Workers: workers, Store: store, RunFunc: count})
+		if err := FirstErr(results); err != nil {
+			t.Fatal(err)
+		}
+		if want := (Stats{StoreHits: 78, Workers: workers}); runs.Load() != 0 || st != want {
+			t.Fatalf("workers=%d, warm: %d RunFunc calls, stats %+v; want none and %+v", workers, runs.Load(), st, want)
+		}
+	}
+}
+
+// TestCancelAfterRunAnswersItsJob: a job whose run finished before the
+// cancel still answers its later points from that run — the twin
+// restamped, the duplicate Cached — while every point of a job that had
+// not started settles with the context's error.
+func TestCancelAfterRunAnswersItsJob(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g := twinGrid()
+	// Jobs: [4], GSS, GSS again; then CONV twice.
+	cfgs := []system.Config{g[0], g[2], g[1], g[1], g[2]}
+	var runs atomic.Int64
+	results, st := Run(cfgs, Options{
+		Workers: 1,
+		Context: ctx,
+		RunFunc: func(cfg system.Config) (system.Result, error) {
+			runs.Add(1)
+			defer cancel()
+			return designRun(cfg), nil
+		},
+	})
+	if results[0].Err != nil || results[0].Cached || results[0].Res.Design != system.SDRAMAware {
+		t.Fatalf("the simulated point = %+v, want its own [4] result", results[0])
+	}
+	for _, i := range []int{2, 3} {
+		r := results[i]
+		if r.Err != nil || r.Cached != (i == 3) || r.Res.Design != system.GSS || r.Res.Obs.Design != "GSS" {
+			t.Fatalf("point %d = %+v, want [4]'s run restamped GSS (cached only for the duplicate)", i, r)
+		}
+	}
+	for _, i := range []int{1, 4} {
+		if !errors.Is(results[i].Err, context.Canceled) {
+			t.Fatalf("point %d of the unstarted job: err %v, want context.Canceled", i, results[i].Err)
+		}
+	}
+	if want := (Stats{Runs: 2, Twins: 1, CacheHits: 1, Workers: 1}); runs.Load() != 1 || st != want {
+		t.Fatalf("%d RunFunc calls, stats %+v; want 1 call and %+v", runs.Load(), st, want)
+	}
+}
+
+// TestSerialRunsJobsInOrder: with one worker, RunFunc runs in the order
+// of each job's first point. [4] is stored, so its job's run is GSS's
+// own, made before the CONV that precedes GSS in the grid.
+func TestSerialRunsJobsInOrder(t *testing.T) {
+	store := newFakeStore()
+	g := twinGrid()
+	fp, _ := Fingerprint(g[0])
+	store.entries[fp] = designRun(g[0])
+	var order []system.Design
+	results, st := Run([]system.Config{g[0], g[2], g[1]}, Options{Workers: 1, Store: store, RunFunc: func(cfg system.Config) (system.Result, error) {
+		order = append(order, cfg.Design) // safe: serial mode
+		return designRun(cfg), nil
+	}})
+	if err := FirstErr(results); err != nil {
+		t.Fatal(err)
+	}
+	if want := []system.Design{system.GSS, system.Conv}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("RunFunc order %v, want %v", order, want)
+	}
+	if want := (Stats{Runs: 2, StoreHits: 1, Workers: 1}); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
 	}
 }

@@ -146,10 +146,10 @@ func New(cfg Config) (*Runner, error) {
 	}
 	r := &Runner{cfg: cfg, timing: timing, chmap: chmap, maxBeats: maxRequestBeats(cfg), parents: parentTable{}}
 	r.newID = func() int64 { r.nextID++; return r.nextID }
-	if r.reqMesh, err = noc.NewMeshVC(cfg.App.Width, cfg.App.Height, cfg.BufFlits, cfg.VirtualChannels); err != nil {
+	if r.reqMesh, err = noc.NewMeshVC(cfg.App.Width, cfg.App.Height, bufFlits, cfg.VirtualChannels); err != nil {
 		return nil, err
 	}
-	if r.respMesh, err = noc.NewMeshVC(cfg.App.Width, cfg.App.Height, cfg.BufFlits, cfg.VirtualChannels); err != nil {
+	if r.respMesh, err = noc.NewMeshVC(cfg.App.Width, cfg.App.Height, bufFlits, cfg.VirtualChannels); err != nil {
 		return nil, err
 	}
 	if cfg.AdaptiveRouting {
@@ -215,7 +215,7 @@ func (r *Runner) buildMemory(ports []noc.Coord) error {
 	}
 	// Sized once: completions and kernel components hold &r.chans[i].
 	r.chans = make([]channel, len(ports))
-	sinks := r.reqMesh.AttachSinks(2*cfg.BufFlits, memReady, ports...)
+	sinks := r.reqMesh.AttachSinks(2*bufFlits, memReady, ports...)
 	injs := r.respMesh.AttachInjectors(ports...)
 	for i, port := range ports {
 		c := &r.chans[i]
@@ -245,12 +245,12 @@ func (r *Runner) newController(dev *dram.Device, policy memctrl.PagePolicy, onDo
 	case memctrl.SchedRegulated:
 		rc := memctrl.DefaultRegulatorConfig(len(cfg.App.Cores))
 		rc.MinBudget = int64(r.maxBeats)
-		rc.PipelineDepth = cfg.MemPipeline
+		rc.PipelineDepth = memPipeline
 		rc.Policy = policy
 		return memctrl.NewRegulator(dev, rc, onDone)
 	case memctrl.SchedStaged:
 		sc := memctrl.DefaultStagedConfig(len(cfg.App.Cores))
-		sc.PipelineDepth = cfg.MemPipeline
+		sc.PipelineDepth = memPipeline
 		sc.Policy = policy
 		return memctrl.NewStaged(dev, sc, onDone)
 	}
@@ -263,7 +263,7 @@ func (r *Runner) newController(dev *dram.Device, policy memctrl.PagePolicy, onDo
 		mm.PipelineDepth = 2
 		return memctrl.NewMemMax(dev, mm, onDone)
 	}
-	return memctrl.NewSimple(dev, policy, cfg.MemPipeline, onDone)
+	return memctrl.NewSimple(dev, policy, memPipeline, onDone)
 }
 
 // buildCores attaches every core's traffic sources and network
@@ -284,7 +284,7 @@ func (r *Runner) buildCores() error {
 			beats += len(s.Beats)
 		}
 	}
-	injs, sinks := r.reqMesh.AttachInjectors(pos...), r.respMesh.AttachSinks(2*cfg.BufFlits, 16, pos...)
+	injs, sinks := r.reqMesh.AttachInjectors(pos...), r.respMesh.AttachSinks(2*bufFlits, 16, pos...)
 	sources := streams
 	if replay != nil {
 		streams, beats, sources = 0, 0, len(specs)

@@ -66,20 +66,21 @@ func (r *Runner) installChecks() {
 // premise of every sleep outside them, at the end of a visited cycle
 // (the skipped ones after it change no state). For a blocked core:
 // settle pays a stall per slept cycle, which is only what the tick would
-// have done if the queue stayed at InjectCap and nothing could launch. A
-// core due later than next cycle has nothing to drain or launch, and,
-// unless it sleeps blocked, no generator due before its wake.
+// have done if the queue stayed at the injection cap and nothing could
+// launch. A core due later than next cycle has nothing to drain or
+// launch, and, unless it sleeps blocked, no generator due before its
+// wake.
 func (r *Runner) auditMeshes(now int64) {
 	r.kern.Audit(func(kind, format string, args ...any) {
 		r.chk.Reportf(now, "sim/kernel", kind, format, args...)
 	})
 	for _, c := range r.cores {
 		blocked, wake := c.sleptFrom != sim.Never, c.h.WakeAt()
-		if blocked && (c.inj.CanLaunch() || c.inj.QueueFlits() < r.cfg.InjectCap) ||
+		if blocked && (c.inj.CanLaunch() || c.inj.QueueFlits() < injectCap) ||
 			wake > now+1 && (c.sink.CanDrain() || c.inj.CanLaunch() || !blocked && c.nextArrival() < wake) {
 			r.chk.Reportf(now, "ni/"+c.spec.Name, "ni-sleep",
 				"core due at %d, blocked: %t with %d of %d flits queued, flits to drain: %t, to launch: %t, next arrival %d",
-				wake, blocked, c.inj.QueueFlits(), r.cfg.InjectCap, c.sink.CanDrain(), c.inj.CanLaunch(), c.nextArrival())
+				wake, blocked, c.inj.QueueFlits(), injectCap, c.sink.CanDrain(), c.inj.CanLaunch(), c.nextArrival())
 		}
 	}
 	// The memory side's sleeps. A head the controller accepts must be

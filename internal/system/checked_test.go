@@ -79,22 +79,22 @@ func TestCheckedPropertyRandomConfigs(t *testing.T) {
 	designs := Designs()
 	for i := 0; i < 12; i++ {
 		cfg := Config{
-			App:             apps[rng.Intn(len(apps))],
-			Gen:             gens[rng.Intn(len(gens))],
-			Subarrays:       []int{0, 0, 2, 4}[rng.Intn(4)],
-			Design:          designs[rng.Intn(len(designs))],
-			PCT:             1 + rng.Intn(5),
-			Cycles:          2_000 + int64(rng.Intn(2_000)),
-			Seed:            rng.Uint64(),
-			BufFlits:        []int{4, 8}[rng.Intn(2)],
-			VirtualChannels: 1 + rng.Intn(2),
-			PriorityDemand:  rng.Intn(2) == 0,
-			TagEveryRequest: rng.Intn(2) == 0,
-			AdaptiveRouting: rng.Intn(2) == 0,
-			SampleEvery:     int64(rng.Intn(2)) * 500,
-			Scheduler:       memctrl.Scheduler(rng.Intn(4)),
-			Checked:         true,
+			App:       apps[rng.Intn(len(apps))],
+			Gen:       gens[rng.Intn(len(gens))],
+			Subarrays: []int{0, 0, 2, 4}[rng.Intn(4)],
+			Design:    designs[rng.Intn(len(designs))],
+			PCT:       1 + rng.Intn(5),
+			Cycles:    2_000 + int64(rng.Intn(2_000)),
+			Seed:      rng.Uint64(),
+			Checked:   true,
 		}
+		_ = rng.Intn(2) // the draw of BufFlits, now a constant, so the later fields keep their values
+		cfg.VirtualChannels = 1 + rng.Intn(2)
+		cfg.PriorityDemand = rng.Intn(2) == 0
+		cfg.TagEveryRequest = rng.Intn(2) == 0
+		cfg.AdaptiveRouting = rng.Intn(2) == 0
+		cfg.SampleEvery = int64(rng.Intn(2)) * 500
+		cfg.Scheduler = memctrl.Scheduler(rng.Intn(4))
 		t.Run(cfg.Design.String()+"/"+cfg.App.Name, func(t *testing.T) {
 			res, err := Run(cfg)
 			if err != nil {

@@ -115,7 +115,7 @@ func (c *coreNI) Tick(now int64) {
 	}
 	r.settle(c, now)
 	c.sleptFrom = sim.Never
-	blocked := c.inj.QueueFlits() >= r.cfg.InjectCap
+	blocked := c.inj.QueueFlits() >= injectCap
 	if blocked {
 		// The injection backpressure point: this core's generators lose
 		// the cycle. Counted once per core per cycle, here or — for the
@@ -140,7 +140,7 @@ func (c *coreNI) NextWake(now int64) int64 {
 	if c.sink.CanDrain() || c.inj.CanLaunch() {
 		return now + 1
 	}
-	if c.inj.QueueFlits() >= c.r.cfg.InjectCap {
+	if c.inj.QueueFlits() >= injectCap {
 		c.sleptFrom = now + 1
 		return sim.Never
 	}

@@ -76,9 +76,6 @@ type Config struct {
 	// so "seed zero" itself is not expressible; every run is seeded.
 	Seed uint64
 
-	// BufFlits sizes router input buffers (default 8 flits per virtual
-	// channel).
-	BufFlits int
 	// VirtualChannels selects the buffer organisation of both meshes:
 	// 1 (default) is the paper's wormhole implementation; 2 adds a
 	// priority virtual channel so priority packets overtake long
@@ -90,14 +87,6 @@ type Config struct {
 	// paths take the least congested one (the paper's output-scheduler
 	// discussion for adaptive routers).
 	AdaptiveRouting bool
-	// InjectCap is the NI injection backlog in flits beyond which the
-	// traffic source stalls (default 64).
-	InjectCap int
-	// MemPipeline is the command pipeline depth of the lightweight
-	// controller (default 8, pinned by TestWithDefaultsPinned — the
-	// sweep fingerprint cache keys on the resolved value, so the default
-	// must not drift silently).
-	MemPipeline int
 	// SplitGranularity overrides the SAGM split size in beats (ablation);
 	// 0 uses the paper's per-generation value.
 	SplitGranularity int
@@ -249,17 +238,8 @@ func (c Config) Resolved() Config {
 	if c.Seed == 0 {
 		c.Seed = 0xA11CE
 	}
-	if c.BufFlits == 0 {
-		c.BufFlits = 8
-	}
 	if c.VirtualChannels == 0 {
 		c.VirtualChannels = 1
-	}
-	if c.InjectCap == 0 {
-		c.InjectCap = 64
-	}
-	if c.MemPipeline == 0 {
-		c.MemPipeline = 8
 	}
 	if c.Channels == 0 {
 		c.Channels = 1
@@ -270,6 +250,14 @@ func (c Config) Resolved() Config {
 // defaultPCT is the hybrid priority control token a zero Config.PCT
 // resolves to.
 const defaultPCT = 3
+
+// The platform's fixed sizes. sweep.Fingerprint writes them into every
+// key (buf=8, cap=64, pipe=8), so changing one must rotate the store.
+const (
+	bufFlits    = 8  // router input buffer depth, flits per virtual channel
+	injectCap   = 64 // NI injection backlog in flits beyond which a core stalls
+	memPipeline = 8  // command pipeline depth of the lightweight controllers
+)
 
 // Canonical returns the configuration whose simulation equals this one's
 // up to the identity fields Result.Design and Obs.Design, and whether it
@@ -356,12 +344,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("system: %w: GSS router count %d (want -1 for none, 0 for all, or a count)", ErrInvalid, c.GSSRouters)
 	case c.VirtualChannels < 1 || c.VirtualChannels > 4:
 		return fmt.Errorf("system: %w: virtual channels must be 1..4, got %d", ErrInvalid, c.VirtualChannels)
-	case c.BufFlits < 1:
-		return fmt.Errorf("system: %w: router buffers need at least 1 flit, got %d", ErrInvalid, c.BufFlits)
-	case c.InjectCap < 1:
-		return fmt.Errorf("system: %w: injection cap must be at least 1 flit, got %d", ErrInvalid, c.InjectCap)
-	case c.MemPipeline < 1:
-		return fmt.Errorf("system: %w: memory pipeline depth must be at least 1, got %d", ErrInvalid, c.MemPipeline)
 	case c.Cycles < 0:
 		return fmt.Errorf("system: %w: negative cycle count %d", ErrInvalid, c.Cycles)
 	case c.SampleEvery < 0:

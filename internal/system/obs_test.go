@@ -27,11 +27,12 @@ func TestWithDefaultsPinned(t *testing.T) {
 		{"Cycles", c.Cycles, 200_000},
 		{"Warmup", c.Warmup, 20_000}, // Cycles/10
 		{"Seed", int64(c.Seed), 0xA11CE},
-		{"BufFlits", int64(c.BufFlits), 8},
 		{"VirtualChannels", int64(c.VirtualChannels), 1},
-		{"InjectCap", int64(c.InjectCap), 64},
-		{"MemPipeline", int64(c.MemPipeline), 8},
 		{"SampleEvery", c.SampleEvery, 0}, // sampling stays opt-in
+		// The fixed sizes sweep.Fingerprint writes as buf=8, cap=64, pipe=8.
+		{"bufFlits", bufFlits, 8},
+		{"injectCap", injectCap, 64},
+		{"memPipeline", memPipeline, 8},
 	}
 	for _, ch := range checks {
 		if ch.got != ch.want {
@@ -82,7 +83,7 @@ func TestWarmupSentinel(t *testing.T) {
 func TestReplayBackpressureConservation(t *testing.T) {
 	app := appmodel.BluRay()
 	loaded := app.Cores[0].Name
-	const m, steps, capFlits = 500, 200, 8
+	const m, steps = 500, 200
 	recs := make([]trace.Record, m)
 	for i := range recs {
 		// All at cycle 0: the replayer wants to issue every cycle, so only
@@ -94,7 +95,7 @@ func TestReplayBackpressureConservation(t *testing.T) {
 	}
 	r, err := New(Config{
 		App: app, Gen: dram.DDR2, Design: GSS,
-		Cycles: steps, Seed: 7, InjectCap: capFlits, Replay: recs,
+		Cycles: steps, Seed: 7, Replay: recs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,10 +113,10 @@ func TestReplayBackpressureConservation(t *testing.T) {
 			met.Stalled, met.Generated, met.Stalled+met.Generated, steps)
 	}
 	if met.Stalled == 0 {
-		t.Error("no stalls despite a saturating burst and InjectCap 8")
+		t.Errorf("no stalls despite a saturating burst and a %d-flit injection cap", injectCap)
 	}
-	if got := r.cores[0].inj.QueueFlitsHWM(); got < capFlits {
-		t.Errorf("injector HWM %d never reached InjectCap %d", got, capFlits)
+	if got := r.cores[0].inj.QueueFlitsHWM(); got < injectCap {
+		t.Errorf("injector HWM %d never reached the injection cap %d", got, injectCap)
 	}
 
 	rep := r.Finish().Obs
