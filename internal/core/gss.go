@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"aanoc/internal/noc"
+	"aanoc/internal/sim"
 )
 
 // STIParams configures the short turn-around bank interleaving extension
@@ -77,16 +78,34 @@ func (c Config) Validate() error {
 }
 
 // entry is the per-resident-packet token state (t_i in Algorithm 1).
-// Entries live in a small ordered slice rather than a map: resident
-// counts are bounded by the router's input buffering (a handful), so a
-// linear scan beats hashing on the per-cycle path, removal keeps the
-// arrival order, and the slice's backing array is recycled — no
-// steady-state allocation.
+// A controller's entries form a list in arrival order rather than a map:
+// resident counts are bounded by the router's input buffering (a
+// handful), so a linear scan beats hashing on the per-cycle path, and
+// unlinking keeps the arrival order. Entries are leased from the slab's
+// pool at arrival and returned at grant, so a controller that never sees
+// traffic holds none and the steady state allocates nothing.
 type entry struct {
 	pkt       *noc.Packet
 	tokens    int
 	seq       int64 // arrival order, used as the FIFO tiebreak
 	arrivedAt int64
+	next      *entry // the next resident in arrival order
+}
+
+// slab is what the controllers of one NewSlab share: the pool their
+// entries come from and Select's per-candidate scratch. The controllers
+// of a slab serve one simulation, which consults them one at a time.
+type slab struct {
+	pool sim.Pool[entry]
+
+	// excluded/eidx hold one element per candidate of the Select in
+	// progress. They start on the arrays below, enough for a router
+	// (one candidate per input port); only a direct caller offering more
+	// candidates grows them.
+	excluded []bool
+	eidx     []*entry
+	exclArr  [noc.NumPorts]bool
+	eidxArr  [noc.NumPorts]*entry
 }
 
 // GSS is one guaranteed-SDRAM-service flow controller. It implements
@@ -94,8 +113,10 @@ type entry struct {
 type GSS struct {
 	cfg     Config
 	nextSeq int64
+	slab    *slab
 
-	entries []entry
+	// head/tail are the resident entries, oldest first.
+	head, tail *entry
 	// last is a value copy of h(n), the most recently granted packet —
 	// a copy because the original may be recycled through the system's
 	// packet pool after it completes.
@@ -107,12 +128,6 @@ type GSS struct {
 	// bankIdleAt[b] is the absolute cycle bank b is estimated to accept a
 	// new activation; armed when a scheduled packet carries an AP tag.
 	bankIdleAt []int64
-
-	// excluded/eidx are reusable scratch for Select (grown on demand —
-	// routers pass at most one candidate per input port, but direct
-	// callers may pass more).
-	excluded []bool
-	eidx     []int
 
 	// Scheduled counts grants, used by the activity-based power model.
 	Scheduled int64
@@ -128,28 +143,31 @@ func New(cfg Config) (*GSS, error) {
 }
 
 // NewSlab constructs n GSS flow controllers of one configuration in one
-// slab, their per-bank state carved from one backing slice.
+// slab, their per-bank state carved from one backing slice and their
+// resident entries drawn from one pool.
 func NewSlab(cfg Config, n int) ([]GSS, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	gs := make([]GSS, n)
 	idle := make([]int64, n*cfg.Banks)
+	sl := &slab{}
+	sl.excluded, sl.eidx = sl.exclArr[:], sl.eidxArr[:]
 	for i := range gs {
 		lo, hi := i*cfg.Banks, (i+1)*cfg.Banks
-		gs[i] = GSS{cfg: cfg, bankIdleAt: idle[lo:hi:hi]}
+		gs[i] = GSS{cfg: cfg, slab: sl, bankIdleAt: idle[lo:hi:hi]}
 	}
 	return gs, nil
 }
 
-// find returns the index of a resident packet's entry, or -1.
-func (g *GSS) find(p *noc.Packet) int {
-	for i := range g.entries {
-		if g.entries[i].pkt == p {
-			return i
+// find returns a resident packet's entry, or nil.
+func (g *GSS) find(p *noc.Packet) *entry {
+	for e := g.head; e != nil; e = e.next {
+		if e.pkt == p {
+			return e
 		}
 	}
-	return -1
+	return nil
 }
 
 // MustNew is New but panics on invalid configuration.
@@ -167,8 +185,8 @@ func (g *GSS) Config() Config { return g.cfg }
 // Tokens reports the current token count of a resident packet (0 if the
 // packet is unknown); exported for tests and introspection.
 func (g *GSS) Tokens(p *noc.Packet) int {
-	if i := g.find(p); i >= 0 {
-		return g.entries[i].tokens
+	if e := g.find(p); e != nil {
+		return e.tokens
 	}
 	return 0
 }
@@ -184,9 +202,9 @@ func (g *GSS) Tokens(p *noc.Packet) int {
 // precisely in the SAGM configurations.
 func (g *GSS) OnPacketArrival(p *noc.Packet, now int64) {
 	if p.ParentID != g.lastArrivalParent {
-		for i := range g.entries {
-			if g.entries[i].arrivedAt < now {
-				g.entries[i].tokens++
+		for e := g.head; e != nil; e = e.next {
+			if e.arrivedAt < now {
+				e.tokens++
 			}
 		}
 	}
@@ -196,7 +214,14 @@ func (g *GSS) OnPacketArrival(p *noc.Packet, now int64) {
 		tok = g.cfg.PCT
 	}
 	g.nextSeq++
-	g.entries = append(g.entries, entry{pkt: p, tokens: tok, seq: g.nextSeq, arrivedAt: now})
+	e := g.slab.pool.Get()
+	*e = entry{pkt: p, tokens: tok, seq: g.nextSeq, arrivedAt: now}
+	if g.tail == nil {
+		g.head = e
+	} else {
+		g.tail.next = e
+	}
+	g.tail = e
 }
 
 // conds are the Fig. 4 conditions of one candidate against h(n).
@@ -296,26 +321,25 @@ func (g *GSS) Select(cands []noc.Candidate, now int64) int {
 	if len(cands) == 0 {
 		return -1
 	}
-	if cap(g.excluded) < len(cands) {
-		n := max(len(cands), noc.NumPorts) // a full router at once, not one candidate count at a time
-		g.excluded = make([]bool, n)
-		g.eidx = make([]int, n)
+	sl := g.slab
+	if len(cands) > len(sl.eidx) {
+		sl.excluded, sl.eidx = make([]bool, len(cands)), make([]*entry, len(cands))
 	}
 	// Robustness: adopt candidates the allocator was not told about
 	// (e.g. after reconfiguration). eidx caches each candidate's entry
-	// index so the inner loops avoid repeated scans.
-	eidx := g.eidx[:len(cands)]
+	// so the inner loops avoid repeated scans.
+	eidx := sl.eidx[:len(cands)]
 	for i, c := range cands {
-		j := g.find(c.Pkt)
-		if j < 0 {
+		e := g.find(c.Pkt)
+		if e == nil {
 			g.OnPacketArrival(c.Pkt, now)
-			j = len(g.entries) - 1
+			e = g.tail
 		}
-		eidx[i] = j
+		eidx[i] = e
 	}
 	// Line 5: exclude best-effort candidates targeting the same bank as a
 	// competing priority candidate.
-	excluded := g.excluded[:len(cands)]
+	excluded := sl.excluded[:len(cands)]
 	anyIncluded := false
 	for i, c := range cands {
 		excluded[i] = false
@@ -341,7 +365,7 @@ func (g *GSS) Select(cands []noc.Candidate, now int64) int {
 			if excluded[i] {
 				continue
 			}
-			e := &g.entries[eidx[i]]
+			e := eidx[i]
 			t := e.tokens + extra
 			if t > maxTok {
 				t = maxTok
@@ -350,7 +374,7 @@ func (g *GSS) Select(cands []noc.Candidate, now int64) int {
 			if passesFilter(g.cfg.STI.Enabled, t, cc) {
 				best = g.betterOf(cands, eidx, best, i)
 			}
-			if cc.sibling && (bestT0 < 0 || e.seq < g.entries[eidx[bestT0]].seq) {
+			if cc.sibling && (bestT0 < 0 || e.seq < eidx[bestT0].seq) {
 				bestT0 = i
 			}
 		}
@@ -369,11 +393,11 @@ func (g *GSS) Select(cands []noc.Candidate, now int64) int {
 // betterOf ranks two passing candidates: more tokens first, then priority,
 // then earlier arrival. Raw token counts order identically to the
 // extra-aged counts because the aging increment is common to both.
-func (g *GSS) betterOf(cands []noc.Candidate, eidx []int, cur, alt int) int {
+func (g *GSS) betterOf(cands []noc.Candidate, eidx []*entry, cur, alt int) int {
 	if cur < 0 {
 		return alt
 	}
-	ce, ae := &g.entries[eidx[cur]], &g.entries[eidx[alt]]
+	ce, ae := eidx[cur], eidx[alt]
 	if ae.tokens > ce.tokens {
 		return alt
 	}
@@ -404,14 +428,34 @@ func (g *GSS) AuditTokens(report func(kind, format string, args ...any)) {
 	if g.cfg.PCT < 1 || g.cfg.PCT > g.cfg.MaxTokens() {
 		report("pct-bound", "PCT %d outside [1,%d]", g.cfg.PCT, g.cfg.MaxTokens())
 	}
-	for i := range g.entries {
-		e := &g.entries[i]
+	for e := g.head; e != nil; e = e.next {
 		if e.tokens < 1 {
 			report("token-bound", "resident packet %d holds %d tokens", e.pkt.ID, e.tokens)
 		}
 		if e.seq <= 0 || e.seq > g.nextSeq {
 			report("token-bound", "resident packet %d carries sequence %d outside (0,%d]", e.pkt.ID, e.seq, g.nextSeq)
 		}
+	}
+}
+
+// unlink drops a resident packet's entry, keeping the others' arrival
+// order, and returns it to the slab's pool.
+func (g *GSS) unlink(p *noc.Packet) {
+	var prev *entry
+	for e := g.head; e != nil; prev, e = e, e.next {
+		if e.pkt != p {
+			continue
+		}
+		if prev == nil {
+			g.head = e.next
+		} else {
+			prev.next = e.next
+		}
+		if g.tail == e {
+			g.tail = prev
+		}
+		g.slab.pool.Put(e)
+		return
 	}
 }
 
@@ -422,13 +466,7 @@ func (g *GSS) AuditTokens(report func(kind, format string, args ...any)) {
 // for reads).
 func (g *GSS) OnScheduled(p *noc.Packet, now int64) {
 	g.Scheduled++
-	if i := g.find(p); i >= 0 {
-		// Copy-shift removal keeps arrival order and recycles the
-		// backing array.
-		copy(g.entries[i:], g.entries[i+1:])
-		g.entries[len(g.entries)-1] = entry{}
-		g.entries = g.entries[:len(g.entries)-1]
-	}
+	g.unlink(p)
 	g.last = *p
 	g.hasLast = true
 	if g.cfg.STI.Enabled && p.APTag {

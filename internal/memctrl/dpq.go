@@ -87,7 +87,7 @@ func (d *DPQ) Offer(p *noc.Packet, now int64) bool {
 		d.Stats.MaxBacklog = d.backlog
 	}
 	if d.OnAdmit != nil {
-		occ := len(d.eng.inflight) + len(d.eng.draining)
+		occ := d.eng.occupancy()
 		d.OnAdmit(p.ID, p.Beats, len(d.queues[q]), occ, now)
 	}
 	return true

@@ -72,8 +72,42 @@ type Completion struct {
 // reqState tracks one request inside the command pipeline.
 type reqState struct {
 	pkt       *noc.Packet
-	beatsDone int   // device beats already covered by issued CAS commands
-	lastEnd   int64 // data-window end of the most recent CAS
+	beatsDone int       // device beats already covered by issued CAS commands
+	lastEnd   int64     // data-window end of the most recent CAS
+	next      *reqState // the next draining request, once all CAS issued
+}
+
+// drainList is the engine's draining requests in the order their last
+// CAS issued, linked through reqState.next: how many drain at once is set
+// by the device's data latency, not by the window, so the list needs no
+// bound and no storage of its own.
+type drainList struct {
+	head, tail *reqState
+	n          int
+}
+
+func (l *drainList) push(r *reqState) {
+	if l.tail == nil {
+		l.head = r
+	} else {
+		l.tail.next = r
+	}
+	l.tail = r
+	l.n++
+}
+
+// unlink removes r, whose predecessor is prev (nil at the head).
+func (l *drainList) unlink(prev, r *reqState) {
+	if prev == nil {
+		l.head = r.next
+	} else {
+		prev.next = r.next
+	}
+	if l.tail == r {
+		l.tail = prev
+	}
+	r.next = nil
+	l.n--
 }
 
 // engine is the shared command pipeline: it turns an ordered stream of
@@ -95,8 +129,8 @@ type engine struct {
 	// thread arbiter instead, and DPQ's bound needs the fixed order.
 	ooo bool
 
-	inflight []*reqState
-	draining []*reqState // all CAS issued; awaiting data-window end
+	inflight []*reqState // in admission order; carved at depth
+	draining drainList   // all CAS issued; awaiting data-window end
 	lastKind noc.Kind    // direction of the most recent column command
 
 	// refresh bookkeeping
@@ -118,6 +152,7 @@ func newEngine(dev *dram.Device, policy PagePolicy, depth int, onDone func(Compl
 		t:           t,
 		policy:      policy,
 		depth:       depth,
+		inflight:    make([]*reqState, 0, depth),
 		nextRefresh: t.TREFI,
 		onDone:      onDone,
 	}
@@ -169,15 +204,17 @@ func (e *engine) useAP(r *reqState, lastCAS bool) bool {
 func (e *engine) tick(now int64) {
 	e.dev.Sync(now)
 	// Retire transfers whose data windows have closed.
-	for i := 0; i < len(e.draining); {
-		r := e.draining[i]
+	var prev *reqState
+	for r := e.draining.head; r != nil; {
+		next := r.next
 		if now >= r.lastEnd {
-			e.draining = append(e.draining[:i], e.draining[i+1:]...)
+			e.draining.unlink(prev, r)
 			e.onDone(Completion{Pkt: r.pkt, At: r.lastEnd})
 			e.reqs.Put(r)
-			continue
+		} else {
+			prev = r
 		}
-		i++
+		r = next
 	}
 	if e.maybeRefresh(now) {
 		return
@@ -210,7 +247,7 @@ func (e *engine) maybeRefresh(now int64) bool {
 		e.refreshing = true
 	}
 	// Wait for outstanding column traffic to finish.
-	if len(e.inflight) > 0 || len(e.draining) > 0 {
+	if e.busy() {
 		// Let normal command flow continue draining the pipeline;
 		// canAdmit keeps new work out meanwhile.
 		e.issueOne(now)
@@ -318,7 +355,7 @@ func (e *engine) issueCASFor(r *reqState, i int, now int64) bool {
 	if last {
 		e.dev.AddUsefulBeats(int64(r.pkt.Beats))
 		e.inflight = append(e.inflight[:i], e.inflight[i+1:]...)
-		e.draining = append(e.draining, r)
+		e.draining.push(r)
 	}
 	return true
 }
@@ -397,7 +434,10 @@ func (e *engine) mustIssue(cmd dram.Command, now int64) {
 }
 
 // busy reports whether any request is inflight or draining.
-func (e *engine) busy() bool { return len(e.inflight) > 0 || len(e.draining) > 0 }
+func (e *engine) busy() bool { return e.occupancy() > 0 }
+
+// occupancy counts the requests admitted and not yet retired.
+func (e *engine) occupancy() int { return len(e.inflight) + e.draining.n }
 
 // nextEvent returns the next cycle tick can possibly act, judged from
 // the pipeline's own state — a true event queue, not a per-cycle poll:
@@ -443,7 +483,7 @@ func (e *engine) nextEvent(now int64) int64 {
 			next = at
 		}
 	}
-	for _, r := range e.draining {
+	for r := e.draining.head; r != nil; r = r.next {
 		if r.lastEnd < next {
 			next = r.lastEnd
 		}

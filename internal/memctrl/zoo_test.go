@@ -396,7 +396,7 @@ func TestQueuedProtocol(t *testing.T) {
 				if due && q.Backlog() == backlog && throttled() == lost {
 					t.Fatalf("cycle %d: a grant was possible and the tick neither granted nor counted a throttle", now)
 				}
-				granted := completed + len(q.eng.inflight) + len(q.eng.draining)
+				granted := completed + q.eng.occupancy()
 				if q.Backlog() != offered-granted {
 					t.Fatalf("cycle %d: Backlog() = %d, want %d offered - %d granted", now, q.Backlog(), offered, granted)
 				}

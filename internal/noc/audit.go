@@ -14,6 +14,8 @@ package noc
 //     flits (wormhole ordering);
 //   - transfer validity: an output VC's active wormhole transfer always
 //     references the head packet of its input buffer;
+//   - injection backlog: each injector's queuedFlits equals the unsent
+//     flits of the packets linked into its queues;
 //   - flit conservation: every flit injectors launched is either resident
 //     (in a buffer or on a link) or was drained by a sink — injected
 //     flits are delivered exactly once, none duplicated or lost.
@@ -68,6 +70,7 @@ func (m *Mesh) Audit(report func(kind, format string, args ...any)) {
 		}
 		if inj, ok := l.creditTo.(*Injector); ok {
 			launched += inj.launched
+			inj.audit(report)
 		}
 		if s := l.sink; s != nil {
 			for vc := range s.port.bufs {
@@ -84,6 +87,22 @@ func (m *Mesh) Audit(report func(kind, format string, args ...any)) {
 			launched, resident, inFlight, drained)
 	}
 	m.auditActivity(report)
+}
+
+// audit recomputes the injection backlog from the linked queues: every
+// packet's flits, less those the head of its VC already launched.
+func (inj *Injector) audit(report func(kind, format string, args ...any)) {
+	n := 0
+	for vc := range inj.queues {
+		for p := inj.queues[vc].head; p != nil; p = p.next {
+			n += p.Flits
+		}
+		n -= inj.sent[vc]
+	}
+	if n != inj.queuedFlits {
+		report("inject-backlog", "injector at %v: %d unsent flits queued but queuedFlits %d",
+			inj.link.m.Routers[inj.link.dstRouter].Pos, n, inj.queuedFlits)
+	}
 }
 
 // auditActivity recomputes the incremental activity state (the

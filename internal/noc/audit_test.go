@@ -131,6 +131,51 @@ func TestAuditCatchesLostFlit(t *testing.T) {
 	}
 }
 
+// TestAuditCatchesInjectBacklogDrift: the injector's backlog counter is
+// kept incrementally beside its linked queues; checked mode recounts the
+// queues, so a counter that drifts from them is a violation.
+func TestAuditCatchesInjectBacklogDrift(t *testing.T) {
+	m, _ := NewMeshVC(2, 2, 4, 2)
+	src, dst := Coord{1, 1}, Coord{0, 0}
+	inj := m.AttachInjector(src)
+	m.AttachSink(dst, 8, 4)
+	inj.Enqueue(mkPacket(1, src, dst, 4))
+	pri := mkPacket(2, src, dst, 3)
+	pri.Priority = true
+	inj.Enqueue(pri)
+	inj.Enqueue(mkPacket(3, src, dst, 2))
+	inj.Step(0)
+	if vs := collectViolations(m); len(vs) != 0 {
+		t.Fatalf("healthy queues flagged: %v", vs)
+	}
+	inj.queuedFlits++
+	vs := collectViolations(m)
+	if len(vs) != 1 || !strings.HasPrefix(vs[0], "inject-backlog") {
+		t.Fatalf("backlog drift not flagged as inject-backlog: %v", vs)
+	}
+}
+
+// TestEnqueueTwicePanics: a packet links into one injection queue at a
+// time, so queueing it again while it waits would corrupt the FIFO.
+func TestEnqueueTwicePanics(t *testing.T) {
+	m, _ := NewMesh(2, 1, 4)
+	src, dst := Coord{0, 0}, Coord{1, 0}
+	inj := m.AttachInjector(src)
+	a, b := mkPacket(1, src, dst, 2), mkPacket(2, src, dst, 2)
+	inj.Enqueue(a)
+	inj.Enqueue(b)
+	for _, p := range []*Packet{a, b} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("packet %d enqueued twice without a panic", p.ID)
+				}
+			}()
+			inj.Enqueue(p)
+		}()
+	}
+}
+
 // TestAuditCatchesWormholeReorder marks a non-head packet as partially
 // forwarded.
 func TestAuditCatchesWormholeReorder(t *testing.T) {

@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 
 	"aanoc/internal/sim"
 )
@@ -14,7 +15,13 @@ type Coord struct {
 }
 
 // String renders the coordinate as (x,y).
-func (c Coord) String() string { return fmt.Sprintf("(%d,%d)", c.X, c.Y) }
+func (c Coord) String() string { return string(c.Append(nil)) }
+
+// Append appends the coordinate's String form to b.
+func (c Coord) Append(b []byte) []byte {
+	b = strconv.AppendInt(append(b, '('), int64(c.X), 10)
+	return append(strconv.AppendInt(append(b, ','), int64(c.Y), 10), ')')
+}
 
 // Port directions of a 5-port 2-D mesh router. Local connects to the
 // node's network interface.
@@ -244,7 +251,7 @@ func (m *Mesh) AttachInjector(c Coord) *Injector { return &m.AttachInjectors(c)[
 func (m *Mesh) AttachInjectors(at ...Coord) []Injector {
 	injs := make([]Injector, len(at))
 	ints := make([]int, 2*len(at)*m.vcs)
-	queues := make([][]*Packet, len(at)*m.vcs)
+	queues := make([]packetFIFO, len(at)*m.vcs)
 	for i, c := range at {
 		inj := &injs[i]
 		inj.credits, inj.sent, inj.queues = sim.Carve(&ints, m.vcs), sim.Carve(&ints, m.vcs), sim.Carve(&queues, m.vcs)

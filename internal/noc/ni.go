@@ -1,6 +1,10 @@
 package noc
 
-import "aanoc/internal/sim"
+import (
+	"fmt"
+
+	"aanoc/internal/sim"
+)
 
 // Injector is the sending half of a network interface: it queues packets
 // per virtual channel and streams their flits into the local input port
@@ -11,7 +15,7 @@ type Injector struct {
 	link    *Link
 	credits []int
 
-	queues [][]*Packet
+	queues []packetFIFO
 	sent   []int // flits of each VC's queue head already launched
 
 	queuedFlits int   // unsent flits across VCs, maintained incrementally
@@ -29,9 +33,35 @@ type Injector struct {
 	Producer *sim.Handle
 }
 
+// packetFIFO is one VC's injection queue, linked through Packet.next: a
+// packet sits in at most one injection queue at a time, so queueing needs
+// no storage of its own and a pop is O(1).
+type packetFIFO struct{ head, tail *Packet }
+
+func (q *packetFIFO) push(p *Packet) {
+	if p.next != nil || p == q.tail {
+		panic(fmt.Sprintf("noc: packet %d enqueued while already queued", p.ID))
+	}
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
+	}
+	q.tail = p
+}
+
+// pop unlinks the head, so a popped packet carries no queue pointer.
+func (q *packetFIFO) pop() {
+	p := q.head
+	q.head, p.next = p.next, nil
+	if q.head == nil {
+		q.tail = nil
+	}
+}
+
 func (inj *Injector) addCredits(vc, n int, now int64) {
 	inj.credits[vc] += n
-	if inj.Producer != nil && len(inj.queues[vc]) > 0 {
+	if inj.Producer != nil && inj.queues[vc].head != nil {
 		inj.Producer.Wake(now)
 	}
 }
@@ -44,9 +74,10 @@ func (inj *Injector) creditBalance(vc int) int { return inj.credits[vc] }
 func (inj *Injector) LaunchedFlits() int64 { return inj.launched }
 
 // Enqueue appends a packet to the injection queue of its virtual channel.
+// The packet must not sit in any injection queue already; it leaves this
+// one as its last flit launches.
 func (inj *Injector) Enqueue(p *Packet) {
-	vc := vcOf(p, len(inj.queues))
-	inj.queues[vc] = append(inj.queues[vc], p)
+	inj.queues[vcOf(p, len(inj.queues))].push(p)
 	inj.queuedFlits += p.Flits
 	if inj.queuedFlits > inj.flitsHWM {
 		inj.flitsHWM = inj.queuedFlits
@@ -65,8 +96,8 @@ func (inj *Injector) QueueFlitsHWM() int { return inj.flitsHWM }
 // a queued packet and a credit. While false, Step is a no-op and stays
 // one until an Enqueue or a credit's return.
 func (inj *Injector) CanLaunch() bool {
-	for vc, q := range inj.queues {
-		if len(q) > 0 && inj.credits[vc] > 0 {
+	for vc := range inj.queues {
+		if inj.queues[vc].head != nil && inj.credits[vc] > 0 {
 			return true
 		}
 	}
@@ -77,11 +108,11 @@ func (inj *Injector) CanLaunch() bool {
 // at most once per cycle, after the mesh's Cycle.
 func (inj *Injector) Step(now int64) {
 	for vc := len(inj.queues) - 1; vc >= 0; vc-- {
-		q := inj.queues[vc]
-		if len(q) == 0 || inj.credits[vc] <= 0 {
+		q := &inj.queues[vc]
+		if q.head == nil || inj.credits[vc] <= 0 {
 			continue
 		}
-		p := q[0]
+		p := q.head
 		head := inj.sent[vc] == 0
 		inj.link.launch(p, head, vc)
 		if head && inj.OnFirstFlit != nil {
@@ -92,11 +123,7 @@ func (inj *Injector) Step(now int64) {
 		inj.queuedFlits--
 		inj.launched++
 		if inj.sent[vc] == p.Flits {
-			// Copy-shift pop keeps the queue's backing array (re-slicing
-			// q[1:] would creep and force a reallocation per packet).
-			copy(q, q[1:])
-			q[len(q)-1] = nil
-			inj.queues[vc] = q[:len(q)-1]
+			q.pop()
 			inj.sent[vc] = 0
 		}
 		return

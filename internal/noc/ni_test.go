@@ -7,8 +7,8 @@ import "testing"
 // incremental counter must track exactly.
 func slowQueueFlits(inj *Injector) int {
 	n := 0
-	for vc, q := range inj.queues {
-		for _, p := range q {
+	for vc := range inj.queues {
+		for p := inj.queues[vc].head; p != nil; p = p.next {
 			n += p.Flits
 		}
 		n -= inj.sent[vc]

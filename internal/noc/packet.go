@@ -135,6 +135,9 @@ type Packet struct {
 
 	// Response marks packets on the response network.
 	Response bool
+
+	// next links the packet into its injector's queue (nil outside one).
+	next *Packet
 }
 
 // String gives a compact debug rendering.

@@ -20,13 +20,17 @@ type Candidate struct {
 //
 // The cands slice passed to Select is scratch storage owned by the router
 // and overwritten on the next allocation — implementations must not
-// retain it across calls.
+// retain it across calls. Select may reorder cands in place (PriorityFirst
+// partitions it); the index it returns refers to the slice as Select left
+// it, and the router finds the winner's input buffer through that
+// candidate's Port.
 type Allocator interface {
 	// OnPacketArrival is invoked once when a packet arrives in an input
 	// buffer of this router and will request this output.
 	OnPacketArrival(p *Packet, now int64)
 	// Select picks the winner among the candidate buffer heads, returning
-	// an index into cands, or -1 to leave the channel idle this cycle.
+	// an index into cands as reordered by Select, or -1 to leave the
+	// channel idle this cycle.
 	Select(cands []Candidate, now int64) int
 	// OnScheduled is invoked when the selected packet is granted the
 	// channel.
@@ -110,10 +114,9 @@ type Router struct {
 	// router the cycle the flit lands.
 	want [NumPorts]int32
 
-	// cands/candBufs are scratch storage for allocate, sized for the
-	// worst case of one candidate per input port.
-	cands    [NumPorts]Candidate
-	candBufs [NumPorts]*InputBuffer
+	// cands is scratch storage for allocate, sized for the worst case of
+	// one candidate per input port.
+	cands [NumPorts]Candidate
 }
 
 // init wires one router of a mesh, carving one run per port off the
@@ -226,7 +229,6 @@ func (r *Router) allocate(out, vc int, now int64) bool {
 			continue
 		}
 		r.cands[n] = Candidate{Pkt: pp.Pkt, Port: in}
-		r.candBufs[n] = b
 		n++
 	}
 	if n == 0 {
@@ -237,7 +239,7 @@ func (r *Router) allocate(out, vc int, now int64) bool {
 	if idx < 0 {
 		return true
 	}
-	buf := r.candBufs[idx]
+	buf := &r.In[r.cands[idx].Port].bufs[vc]
 	o.active[vc] = activeXfer{buf: buf, pp: buf.head()}
 	o.Grants++
 	o.alloc.OnScheduled(r.cands[idx].Pkt, now)

@@ -50,13 +50,9 @@ func (r *RoundRobin) OnScheduled(p *noc.Packet, _ int64) {
 // PriorityFirst wraps another policy: priority packets always win over
 // best-effort packets; ties within a class fall through to the inner
 // policy. With a RoundRobin inner policy this is the paper's PFS service.
+// The zero value with Inner set is ready to use; it keeps no scratch.
 type PriorityFirst struct {
 	Inner noc.Allocator
-
-	// pri/idx are reusable scratch for Select, grown on demand so the
-	// per-cycle filtering allocates nothing in steady state.
-	pri []noc.Candidate
-	idx []int
 }
 
 // OnPacketArrival forwards to the inner policy.
@@ -65,30 +61,23 @@ func (p *PriorityFirst) OnPacketArrival(pkt *noc.Packet, now int64) {
 }
 
 // Select restricts the candidate set to priority packets when any are
-// present, then delegates.
+// present, then delegates. It moves the priority candidates to the front
+// of cands by a stable partition (both classes keep their relative
+// order), so the inner policy sees them in the order they were offered
+// and the returned index refers to the partitioned slice.
 func (p *PriorityFirst) Select(cands []noc.Candidate, now int64) int {
-	if cap(p.pri) < len(cands) {
-		n := max(len(cands), noc.NumPorts) // a full router at once, not one candidate count at a time
-		p.pri = make([]noc.Candidate, n)
-		p.idx = make([]int, n)
-	}
-	pri, idx := p.pri[:len(cands)], p.idx[:len(cands)]
 	n := 0
 	for i, c := range cands {
 		if c.Pkt.Priority {
-			pri[n] = c
-			idx[n] = i
+			copy(cands[n+1:i+1], cands[n:i])
+			cands[n] = c
 			n++
 		}
 	}
 	if n == 0 {
 		return p.Inner.Select(cands, now)
 	}
-	w := p.Inner.Select(pri[:n], now)
-	if w < 0 {
-		return -1
-	}
-	return idx[w]
+	return p.Inner.Select(cands[:n], now)
 }
 
 // OnScheduled forwards to the inner policy.

@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"aanoc/internal/dram"
-	"aanoc/internal/noc"
 	"aanoc/internal/system"
 	"aanoc/internal/trace"
 	"aanoc/internal/traffic"
@@ -53,9 +52,9 @@ func Fingerprint(cfg system.Config) (string, bool) {
 	b = append(b, "/mem"...)
 	for i, p := range c.App.Ports() {
 		if i == 0 {
-			b = append(appendCoord(b, p), '|')
+			b = append(p.Append(b), '|')
 		}
-		b = append(appendCoord(append(b, "port="...), p), '|')
+		b = append(p.Append(append(b, "port="...)), '|')
 	}
 	b = appendInt(append(b, "chan="...), c.Channels)
 	b = append(appendInt(append(b, " scheme="...), int(c.Scheme)), '|')
@@ -65,7 +64,7 @@ func Fingerprint(cfg system.Config) (string, bool) {
 	}
 	for _, core := range c.App.Cores {
 		b = append(append(b, "core="...), core.Name...)
-		b = append(appendCoord(append(b, '@'), core.Pos), '|')
+		b = append(core.Pos.Append(append(b, '@')), '|')
 		for i := range core.Streams {
 			b = append(appendStream(append(b, "stream="...), &core.Streams[i]), '|')
 			flush()
@@ -119,12 +118,6 @@ func Fingerprint(cfg system.Config) (string, bool) {
 }
 
 func appendInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
-
-// appendCoord writes c as noc.Coord's String does: (x,y).
-func appendCoord(b []byte, c noc.Coord) []byte {
-	b = appendInt(append(b, '('), c.X)
-	return append(appendInt(append(b, ','), c.Y), ')')
-}
 
 // appendStream writes s as %+v prints it: the class by its String, the
 // pattern as a number, floats in the shortest 'g' form.

@@ -1,6 +1,8 @@
 package system
 
 import (
+	"strings"
+
 	"aanoc/internal/dram"
 	"aanoc/internal/memctrl"
 	"aanoc/internal/noc"
@@ -297,17 +299,31 @@ func eachLink(m *noc.Mesh, visit func(rt *noc.Router, port int, o *noc.OutputPor
 }
 
 // meshStats flattens one mesh's connected output ports and totals their
-// activity.
+// activity. The link list is sized once, and every router's "(x,y)"
+// label is a slice of one string: a strings.Builder never rewrites the
+// bytes it has already handed out.
 func meshStats(m *noc.Mesh, cycles int64) obs.MeshStats {
-	var ms obs.MeshStats
+	n := 0
+	eachLink(m, func(*noc.Router, int, *noc.OutputPort) { n++ })
+	ms := obs.MeshStats{Links: make([]obs.LinkStat, 0, n)}
+	var labels strings.Builder
+	labels.Grow(len(m.Routers) * len("(10,10)"))
+	var num [24]byte
+	var labelled *noc.Router
+	label := ""
 	eachLink(m, func(rt *noc.Router, p int, o *noc.OutputPort) {
+		if rt != labelled {
+			start := labels.Len()
+			labels.Write(rt.Pos.Append(num[:0]))
+			label, labelled = labels.String()[start:], rt
+		}
 		util := 0.0
 		if cycles > 0 {
 			util = float64(o.BusyCycles) / float64(cycles)
 		}
 		ms.BusyCycles += o.BusyCycles
 		ms.Links = append(ms.Links, obs.LinkStat{
-			Router:      rt.Pos.String(),
+			Router:      label,
 			Port:        noc.PortName(p),
 			BusyCycles:  o.BusyCycles,
 			Grants:      o.Grants,
