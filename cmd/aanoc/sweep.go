@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -91,9 +92,15 @@ func sweepCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 			add("sched="+sched.String(), system.GSSSAGM, func(c *system.Config) { c.Scheduler = sched })
 		}
 	case "channels":
-		// One point per supported channel count: how much bandwidth each
-		// additional channel buys the scaled apps.
+		// One point per channel count the app's ports and the scheme
+		// accept (chan-bank-xor takes powers of two only): how much
+		// bandwidth each additional channel buys the scaled apps.
 		for k := 1; k <= len(app.Ports()); k++ {
+			cfg := base
+			cfg.Channels = k
+			if errors.Is(cfg.Validate(), system.ErrBadChannels) {
+				continue
+			}
 			add(fmt.Sprintf("chan=%d", k), system.GSSSAGM, func(c *system.Config) { c.Channels = k })
 		}
 	}

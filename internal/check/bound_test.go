@@ -142,24 +142,24 @@ func TestDPQMonitorFlushOrdersStragglers(t *testing.T) {
 }
 
 // TestRegulatorMonitorCatchesDisabledGate is the behavioural mutation:
-// a real regulator with its eligibility gate broken (DisableGate) admits
-// past the budget under single-bank pressure, and the monitor — built
-// from the same resolved config a correct controller would honour —
-// must flag it.
+// a real regulator gating on a budget above the monitor's admits past
+// the monitor's budget under single-bank pressure — the breach a broken
+// eligibility gate makes — and the monitor, auditing the budget a
+// correct controller would honour, must flag it.
 func TestRegulatorMonitorCatchesDisabledGate(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR2, 333)
 	dev := dram.MustNewDevice(tm)
+	const budget = 64
 	cfg := memctrl.RegulatorConfig{
-		Cores: 2, QueueDepth: 16, Window: 100_000, Budget: 64,
-		PipelineDepth: 4, Policy: memctrl.OpenPage, DisableGate: true,
+		Cores: 2, QueueDepth: 16, Window: 100_000, Budget: 2 * budget,
+		PipelineDepth: 4, Policy: memctrl.OpenPage,
 	}
 	var c Checker
 	reg := memctrl.NewRegulator(dev, cfg, func(memctrl.Completion) {})
-	rc := reg.Config()
-	mon := NewRegulatorMonitor(&c, rc.Window, rc.Budget, "")
+	mon := NewRegulatorMonitor(&c, reg.Config().Window, budget, "")
 	reg.OnAdmit = mon.Admit
 	// One core hammers one bank: 16 requests x 8 beats = 128 beats,
-	// double the 64-beat window budget.
+	// all within the regulator's budget and double the monitor's.
 	var pkts []*noc.Packet
 	for i := int64(0); i < 16; i++ {
 		pkts = append(pkts, &noc.Packet{
@@ -179,7 +179,7 @@ func TestRegulatorMonitorCatchesDisabledGate(t *testing.T) {
 		}
 	}
 	if c.Count() == 0 {
-		t.Fatal("monitor missed a gate-disabled regulator exceeding its budget")
+		t.Fatal("monitor missed a regulator admitting past the monitored budget")
 	}
 	if v := c.Violations()[0]; v.Kind != "regulation-window" {
 		t.Errorf("kind = %q", v.Kind)

@@ -28,12 +28,6 @@ type RegulatorConfig struct {
 	PipelineDepth int
 	// Policy is the page policy of the command pipeline.
 	Policy PagePolicy
-
-	// DisableGate bypasses the eligibility check while still charging
-	// usage — admissions can then exceed the budget. Test-only: it exists
-	// so the mutation harness can prove the checked-mode regulation
-	// monitor detects a broken regulator.
-	DisableGate bool
 }
 
 // DefaultRegulatorConfig mirrors the MemMax buffer sizing with a
@@ -135,9 +129,9 @@ func (r *Regulator) rollWindow(now int64) {
 }
 
 // pickCore returns the next backlogged core in round-robin order whose
-// head fits its per-bank budget in the current window (DisableGate skips
-// the budget test). Something is queued whenever it runs, so finding no
-// such core means every backlogged head is over budget.
+// head fits its per-bank budget in the current window. Something is
+// queued whenever it runs, so finding no such core means every
+// backlogged head is over budget.
 func (r *Regulator) pickCore() int {
 	for i := 0; i < r.cfg.Cores; i++ {
 		c := (r.rotate + i) % r.cfg.Cores
@@ -145,7 +139,7 @@ func (r *Regulator) pickCore() int {
 			continue
 		}
 		p := r.queues[c][0]
-		if r.cfg.DisableGate || r.usage[c][p.Addr.Bank]+int64(p.Beats) <= r.cfg.Budget {
+		if r.usage[c][p.Addr.Bank]+int64(p.Beats) <= r.cfg.Budget {
 			return c
 		}
 	}

@@ -230,33 +230,6 @@ func TestRegulatorEnforcesBudget(t *testing.T) {
 	}
 }
 
-func TestRegulatorDisableGateExceedsBudget(t *testing.T) {
-	tm := dram.MustSpeed(dram.DDR2, 333)
-	dev := dram.MustNewDevice(tm)
-	cfg := RegulatorConfig{
-		Cores: 1, QueueDepth: 32, Window: 100000, Budget: 8, MinBudget: 8,
-		PipelineDepth: 4, Policy: OpenPage, DisableGate: true,
-	}
-	var done []Completion
-	r := NewRegulator(dev, cfg, func(c Completion) { done = append(done, c) })
-	over := false
-	var charged int64
-	r.OnAdmit = func(core, bank, beats int, now int64) {
-		charged += int64(beats)
-		if charged > cfg.Budget {
-			over = true
-		}
-	}
-	var pkts []*noc.Packet
-	for i := int64(0); i < 4; i++ {
-		pkts = append(pkts, req(i+1, 0, 1, int(i)*8, noc.Read, 8, false))
-	}
-	drive(t, r, pkts, &done, 20000)
-	if !over {
-		t.Error("DisableGate should allow the budget to be exceeded (mutation hook)")
-	}
-}
-
 func TestRegulatorBudgetClampedToMinBudget(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR2, 333)
 	dev := dram.MustNewDevice(tm)

@@ -276,13 +276,12 @@ func (m *Mesh) AttachSink(c Coord, queueFlits, maxReady int) *Sink {
 // like AttachInjectors; each sink's ready list is carved at its bound.
 func (m *Mesh) AttachSinks(queueFlits, maxReady int, at ...Coord) []Sink {
 	sinks := make([]Sink, len(at))
-	partial := make([]int, len(at)*m.vcs)
 	bufs := make([]InputBuffer, len(at)*m.vcs)
 	fifos := make([]*PacketProgress, len(at)*m.vcs*queueFlits)
 	ready := make([]*Packet, len(at)*maxReady)
 	for i, c := range at {
 		s := &sinks[i]
-		s.maxReady, s.partial, s.ready = maxReady, sim.Carve(&partial, m.vcs), sim.Carve(&ready, maxReady)[:0]
+		s.maxReady, s.ready = maxReady, sim.Carve(&ready, maxReady)[:0]
 		s.port.init(sim.Carve(&bufs, m.vcs), queueFlits, sim.Carve(&fifos, m.vcs*queueFlits))
 		out := &m.RouterAt(c).Out[PortLocal]
 		l := m.newLink(&s.port, out, -1, m.index(c))

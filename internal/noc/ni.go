@@ -141,7 +141,6 @@ func (inj *Injector) Step(now int64) {
 type Sink struct {
 	port     inputPort
 	maxReady int
-	partial  []int // flits of each VC's head packet already drained
 	ready    []*Packet
 	readyHWM int   // high-water mark of the ready list over the run
 	drained  int64 // cumulative flits drained out of the credit buffers
@@ -170,29 +169,22 @@ func (s *Sink) drainVC(vc int) {
 		if pp == nil {
 			return
 		}
-		drained := false
 		for pp.Arrived > pp.Sent {
 			pp.Sent++
-			s.partial[vc]++
 			s.drained++
 			buf.occupied--
 			if buf.feed != nil {
 				buf.feed.returnCredit(vc)
 			}
-			drained = true
-			if pp.Sent == pp.Pkt.Flits {
-				s.ready = append(s.ready, pp.Pkt)
-				buf.pop()
-				buf.releaseProgress(pp)
-				if len(s.ready) > s.readyHWM {
-					s.readyHWM = len(s.ready)
-				}
-				s.partial[vc] = 0
-				break
-			}
 		}
-		if !drained || s.partial[vc] > 0 {
-			return
+		if pp.Sent < pp.Pkt.Flits {
+			return // the head still misses a flit: the packets behind it wait
+		}
+		s.ready = append(s.ready, pp.Pkt)
+		buf.pop()
+		buf.releaseProgress(pp)
+		if len(s.ready) > s.readyHWM {
+			s.readyHWM = len(s.ready)
 		}
 	}
 }

@@ -158,7 +158,6 @@ func TestAttachedNIsAreCarvedExactly(t *testing.T) {
 		exact("queues", i, len(inj.queues), cap(inj.queues))
 	}
 	for i, s := range m.AttachSinks(8, 3, at...) {
-		exact("partial", i, len(s.partial), cap(s.partial))
 		exact("bufs", i, len(s.port.bufs), cap(s.port.bufs))
 		for vc := range s.port.bufs {
 			if b := &s.port.bufs[vc]; cap(b.packets) != b.capacity {

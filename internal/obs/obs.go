@@ -430,6 +430,13 @@ func (r *Report) Validate() error {
 	case !r.Checked && len(r.Violations) > 0:
 		return fmt.Errorf("obs: violations recorded outside checked mode")
 	}
+	for _, links := range [...][]LinkStat{r.Network.Request.Links, r.Network.Response.Links} {
+		for _, l := range links {
+			if l.BusyCycles < 0 || l.BusyCycles > r.Cycles {
+				return fmt.Errorf("obs: link %s %s busy %d cycles of a %d-cycle run", l.Router, l.Port, l.BusyCycles, r.Cycles)
+			}
+		}
+	}
 	for _, s := range r.Samples {
 		if s.Cycle <= 0 || s.Cycle > r.Cycles {
 			return fmt.Errorf("obs: sample cycle %d outside run (0,%d]", s.Cycle, r.Cycles)

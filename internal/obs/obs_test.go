@@ -105,6 +105,9 @@ func TestValidateRejects(t *testing.T) {
 		{"utilization above one", func(r *Report) { r.Utilization = 1.5 }, "outside [0,1]"},
 		{"completed exceeds generated", func(r *Report) { r.Completed = r.Generated + 1 }, "exceeds"},
 		{"no links", func(r *Report) { r.Network.Request.Links = nil }, "links"},
+		{"link busy beyond run", func(r *Report) {
+			r.Network.Response.Links = []LinkStat{{Router: "(1,0)", Port: "local", BusyCycles: r.Cycles + 1}}
+		}, "busy 1001 cycles of a 1000-cycle run"},
 		{"no banks", func(r *Report) { r.Memory.Banks = nil }, "per-bank"},
 		{"samples without interval", func(r *Report) {
 			r.Samples = []Sample{{Cycle: 10}}

@@ -71,8 +71,6 @@ const Never = int64(math.MaxInt64)
 // cycle is always correct — idle-skip is then just never applied — so
 // components opt into skipping only where idleness is provably a no-op.
 type Component interface {
-	// Name identifies the component in diagnostics.
-	Name() string
 	// Phase declares the intra-cycle slot the component ticks in.
 	Phase() Phase
 	// Tick performs one cycle of work.
@@ -204,7 +202,7 @@ func (k *Kernel) Register(cs ...Component) []Handle {
 	for i, c := range cs {
 		p := c.Phase()
 		if p < 0 || int(p) >= NumPhases {
-			panic(fmt.Sprintf("sim: component %q has invalid phase %d", c.Name(), p))
+			panic(fmt.Sprintf("sim: component %T has invalid phase %d", c, p))
 		}
 		at := k.phaseEnd[p]
 		hs[i] = Handle{k: k, slot: at}

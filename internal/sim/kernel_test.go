@@ -15,7 +15,6 @@ type probe struct {
 	ticks []int64
 }
 
-func (p *probe) Name() string { return p.name }
 func (p *probe) Phase() Phase { return p.phase }
 func (p *probe) Tick(now int64) {
 	p.ticks = append(p.ticks, now)

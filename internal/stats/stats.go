@@ -140,7 +140,10 @@ type Metrics struct {
 	SourceLatency Latency
 
 	Generated int64 // logical requests generated
-	Completed int64 // logical requests completed inside the window
+	// Completed counts logical requests completed over the whole run,
+	// warmup included: Record counts those the latencies sample, and the
+	// system counts a warmup completion directly.
+	Completed int64
 	// Stalled counts generator cycles lost to injection backpressure: one
 	// per core per cycle in which its network interface refused new work
 	// because the injection backlog was at its cap. The system counts it

@@ -61,12 +61,12 @@ func TestRunToSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			r.RunTo(l.warm)
-			generated := r.Metrics().Generated
+			generated := settledMetrics(r).Generated
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			r.RunTo(l.cfg.Cycles)
 			runtime.ReadMemStats(&after)
-			generated = r.Metrics().Generated - generated
+			generated = settledMetrics(r).Generated - generated
 			allocs := int64(after.Mallocs - before.Mallocs)
 			if generated < 1000 {
 				t.Fatalf("window generated only %d requests: too few to judge", generated)
@@ -83,7 +83,7 @@ func TestRunToSteadyStateAllocs(t *testing.T) {
 // scratch slice and list inside RunTo is fixed at New or drawn from a
 // pool, so a run from cycle 0 allocates only pool slabs (packets, split
 // records, packet progress, controller requests, GSS entries) and the
-// parent map's growth — a count set by the run's high-water marks, not
+// parent table's growth — a count set by the run's high-water marks, not
 // by its length. The pins are the counts measured at seed 5 over
 // 200,000 cycles plus 10%. With the NI queues, allocator scratch, GSS
 // entry tables and the engine's lists growing per object, the same runs

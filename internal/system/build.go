@@ -23,7 +23,7 @@ import (
 // it. A single-channel run is the one-element case of the same wiring.
 // It is the channel's kernel component (components.go).
 type channel struct {
-	sfx     string // names its component and monitors: /chN, empty single-channel
+	sfx     string // names its monitors: /chN, empty single-channel
 	port    noc.Coord
 	dev     *dram.Device
 	ctrl    memctrl.Controller
@@ -144,7 +144,7 @@ func New(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{cfg: cfg, timing: timing, chmap: chmap, maxBeats: maxRequestBeats(cfg), parents: parentTable{}}
+	r := &Runner{cfg: cfg, timing: timing, chmap: chmap, maxBeats: maxRequestBeats(cfg)}
 	r.newID = func() int64 { r.nextID++; return r.nextID }
 	if r.reqMesh, err = noc.NewMeshVC(cfg.App.Width, cfg.App.Height, bufFlits, cfg.VirtualChannels); err != nil {
 		return nil, err
@@ -292,8 +292,8 @@ func (r *Runner) buildCores() error {
 	gens, rngs, srcs := make([]traffic.Gen, streams), make([]sim.RNG, streams), make([]traffic.Source, sources)
 	counts := make([]int64, beats)
 	onFirstFlit := func(p *noc.Packet, now int64) {
-		if l := r.parents[p.ParentID]; l != nil && l.entry < 0 {
-			l.entry = now
+		if e := r.parents.find(p.ParentID); e != nil && e.rec.entry < 0 {
+			e.rec.entry = now
 		}
 	}
 	nis := make([]coreNI, len(specs))

@@ -168,7 +168,7 @@ func TestMemoryAggregateIsFoldOfChannels(t *testing.T) {
 			if bytes.Contains(buf.Bytes(), []byte(`"channels"`)) || bytes.Contains(buf.Bytes(), []byte(`"imbalance"`)) {
 				t.Errorf("%s: one-channel report serialises multi-channel fields", cfg.App.Name)
 			}
-			for i, b := range r.Device().BankCounters() {
+			for i, b := range r.chans[0].dev.BankCounters() {
 				want := obs.BankStat{Bank: i, Activates: b.Activates, Reads: b.Reads, Writes: b.Writes,
 					RowHits: b.RowHits, Precharges: b.Precharges, AutoPre: b.AutoPre}
 				if mem.Banks[i] != want {

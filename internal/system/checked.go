@@ -119,7 +119,7 @@ func (r *Runner) finalChecks(rep *obs.Report, devices dram.Stats) {
 
 	// Logical request conservation: every generated request is completed
 	// or still outstanding in the parents table.
-	outstanding := int64(len(r.parents))
+	outstanding := int64(r.parents.live)
 	if r.met.Generated != r.met.Completed+outstanding {
 		c.Reportf(-1, "runner", "request-accounting",
 			"generated %d != completed %d + outstanding %d",
@@ -171,16 +171,15 @@ func (r *Runner) finalChecks(rep *obs.Report, devices dram.Stats) {
 	rep.Violations = c.Violations()
 }
 
-// checkReport cross-checks the assembled observability report against
-// the device counters it claims to summarise (devices: their sum).
+// checkReport holds the assembled observability report to the rules
+// every report obeys (obs.Report.Validate) and cross-checks it against
+// the live structures it summarises: each link's grants against the
+// packets its port has yet to launch, and the per-bank breakdowns
+// against the devices (devices: their sum).
 func (r *Runner) checkReport(rep *obs.Report, devices dram.Stats) {
 	c := r.chk
-	if rep.Utilization < 0 || rep.Utilization > 1 {
-		c.Reportf(-1, "obs", "utilization-bound", "utilization %v outside [0,1]", rep.Utilization)
-	}
-	if rep.Generated < rep.Completed {
-		c.Reportf(-1, "obs", "request-accounting",
-			"report completed %d exceeds generated %d", rep.Completed, rep.Generated)
+	if err := rep.Validate(); err != nil {
+		c.Reportf(-1, "obs", "report-invalid", "%v", err)
 	}
 	// A fixed order, request mesh first: which violations survive the
 	// checker's limit, and in what sequence, must not vary between runs.
@@ -193,11 +192,6 @@ func (r *Runner) checkReport(rep *obs.Report, devices dram.Stats) {
 		eachLink(m.mesh, func(_ *noc.Router, _ int, o *noc.OutputPort) {
 			l := m.links[i]
 			i++
-			if l.BusyCycles < 0 || l.BusyCycles > rep.Cycles {
-				c.Reportf(-1, "obs", "link-busy-bound",
-					"%s mesh %s %s busy %d cycles of a %d-cycle run",
-					m.name, l.Router, l.Port, l.BusyCycles, rep.Cycles)
-			}
 			// Grants count at allocation, busy cycles at launch: every
 			// granted packet has launched a flit except the winners (at
 			// most one per VC) still waiting to send their first.

@@ -121,9 +121,9 @@ func TestCheckedMutationCatchesSkippedTRCD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Device().InjectFault(dram.FaultSkipTRCD)
+	r.chans[0].dev.InjectFault(dram.FaultSkipTRCD)
 	for i := int64(0); i < 6_000; i++ {
-		r.Step()
+		r.kern.Step()
 	}
 	res := r.Finish()
 	found := false
@@ -139,7 +139,8 @@ func TestCheckedMutationCatchesSkippedTRCD(t *testing.T) {
 }
 
 // TestCheckReportViolationOrderIsStable: with out-of-bound links in both
-// meshes, the sequence of violations — and so which ones survive the
+// meshes (a negative grant count, which only the live cross-check
+// reads), the sequence of violations — and so which ones survive the
 // checker's limit — must not depend on map iteration order. The request
 // mesh reports first, then the response mesh, every time.
 func TestCheckReportViolationOrderIsStable(t *testing.T) {
@@ -155,7 +156,7 @@ func TestCheckReportViolationOrderIsStable(t *testing.T) {
 	}
 	for _, links := range [][]obs.LinkStat{rep.Network.Request.Links, rep.Network.Response.Links} {
 		for i := range links {
-			links[i].BusyCycles = rep.Cycles + 1
+			links[i].Grants = -1
 		}
 	}
 	var first []obs.Violation
@@ -173,5 +174,32 @@ func TestCheckReportViolationOrderIsStable(t *testing.T) {
 		} else if !reflect.DeepEqual(got, first) {
 			t.Fatalf("repetition %d: violations %v, first run had %v", i, got, first)
 		}
+	}
+}
+
+// TestCheckReportHoldsReportToValidate: checked mode holds the report to
+// obs.Report.Validate's whole rule list, not a copy of some of it. A
+// report doctored to break a rule only Validate has — a sample past the
+// run's end — is flagged, once, as report-invalid.
+func TestCheckReportHoldsReportToValidate(t *testing.T) {
+	r, err := New(Config{
+		App: appmodel.BluRay(), Gen: dram.DDR2, Design: GSSSAGM,
+		Cycles: 2_000, SampleEvery: 500, Checked: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.RunTo(2_000)
+	res := r.Finish()
+	rep := res.Obs
+	if len(rep.Violations) != 0 || len(rep.Samples) == 0 {
+		t.Fatalf("clean sampled run: %d samples, violations %v", len(rep.Samples), rep.Violations)
+	}
+	rep.Samples[len(rep.Samples)-1].Cycle = rep.Cycles + 1
+	r.chk = &check.Checker{}
+	r.checkReport(rep, res.Device)
+	if vs := r.chk.Violations(); len(vs) != 1 || vs[0].Kind != "report-invalid" ||
+		!strings.Contains(vs[0].Detail, "outside run") {
+		t.Fatalf("a sample past the run's end reported as %v, want one report-invalid", vs)
 	}
 }

@@ -36,7 +36,7 @@ import (
 func (r *Runner) buildKernel() {
 	k := sim.NewKernel()
 	r.kern = k
-	r.meshes = [2]meshComp{{r.reqMesh, "req"}, {r.respMesh, "resp"}}
+	r.meshes = [2]meshComp{{r.reqMesh}, {r.respMesh}}
 	// One registration, phase by phase: the kernel sizes its arrays and
 	// draws the handles from one slab.
 	ch, co := 2, 2+len(r.chans) // where the channels and the cores start
@@ -80,12 +80,8 @@ func (r *Runner) buildKernel() {
 
 // meshComp makes a mesh its own kernel component: a Cycle on every
 // cycle it is Busy.
-type meshComp struct {
-	*noc.Mesh
-	name string
-}
+type meshComp struct{ *noc.Mesh }
 
-func (m *meshComp) Name() string     { return m.name }
 func (m *meshComp) Phase() sim.Phase { return sim.PhaseNetwork }
 func (m *meshComp) Tick(now int64)   { m.Cycle(now) }
 func (m *meshComp) NextWake(now int64) int64 {
@@ -96,7 +92,6 @@ func (m *meshComp) NextWake(now int64) int64 {
 }
 
 // A core's network interface is its one kernel component.
-func (c *coreNI) Name() string     { return "core/" + c.spec.Name }
 func (c *coreNI) Phase() sim.Phase { return sim.PhaseCore }
 
 // Tick is one cycle of the interface: the sink drains and retires every
@@ -160,7 +155,6 @@ func (c *coreNI) nextArrival() int64 {
 // sampler is the observability sampling component (Config.SampleEvery).
 type sampler Runner
 
-func (s *sampler) Name() string     { return "obs-sample" }
 func (s *sampler) Phase() sim.Phase { return sim.PhaseAudit }
 
 func (s *sampler) Tick(now int64) {
@@ -197,8 +191,7 @@ func (r *Runner) settle(c *coreNI, now int64) {
 	c.sleptFrom = now
 }
 
-// Name, Phase, Tick and NextWake make a channel its own kernel component.
-func (c *channel) Name() string     { return "mem" + c.sfx }
+// Phase, Tick and NextWake make a channel its own kernel component.
 func (c *channel) Phase() sim.Phase { return sim.PhaseMemory }
 
 // Tick is one cycle of the channel, request to response: the sink

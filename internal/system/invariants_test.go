@@ -22,9 +22,9 @@ func TestConservationAcrossDesigns(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := int64(0); i < 40_000; i++ {
-				r.Step()
+				r.kern.Step()
 			}
-			inflight := int64(len(r.parents))
+			inflight := int64(r.parents.live)
 			if r.met.Generated != r.met.Completed+inflight {
 				t.Fatalf("conservation broken: generated %d, completed %d, in flight %d",
 					r.met.Generated, r.met.Completed, inflight)
@@ -51,16 +51,16 @@ func TestDrainToQuiescence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := int64(0); i < 20_000; i++ {
-				r.Step()
+				r.kern.Step()
 			}
 			// Silence the sources and drain.
 			for _, c := range r.cores {
 				c.gens = nil
 			}
-			for i := 0; i < 60_000 && len(r.parents) > 0; i++ {
-				r.Step()
+			for i := 0; i < 60_000 && r.parents.live > 0; i++ {
+				r.kern.Step()
 			}
-			if n := len(r.parents); n != 0 {
+			if n := r.parents.live; n != 0 {
 				t.Fatalf("%d requests wedged after drain", n)
 			}
 			if !r.reqMesh.Quiescent() {
@@ -130,7 +130,7 @@ func TestWarmupExcludesEarlySamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 40_000; i++ {
-		r.Step()
+		r.kern.Step()
 	}
 	if r.met.All.Count == 0 {
 		t.Fatal("no samples after warmup")
@@ -173,7 +173,7 @@ func TestPriorityFlagRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 40_000; i++ {
-		r.Step()
+		r.kern.Step()
 	}
 	if r.met.Demand.Count == 0 {
 		t.Fatal("no demand completions")

@@ -101,13 +101,13 @@ func TestReplayBackpressureConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < steps; i++ {
-		r.Step()
+		r.kern.Step()
 	}
 	rp := r.cores[0].gens[0].(*trace.Replayer)
 	if rp.Done() {
 		t.Fatalf("replayer drained %d records in %d cycles; burst too small to saturate", m, steps)
 	}
-	met := r.Metrics()
+	met := settledMetrics(r)
 	if met.Stalled+met.Generated != steps {
 		t.Errorf("Stalled %d + Generated %d = %d, want %d (one outcome per cycle)",
 			met.Stalled, met.Generated, met.Stalled+met.Generated, steps)

@@ -137,9 +137,9 @@ func TestSaturatedWorkIsProportional(t *testing.T) {
 
 // lazyCounters reads the three counters a blocked sleep owes: the run's
 // stalled cycles, each core's, and each stream's blocked cycles.
-// Metrics() settles them first, as every reader must.
+// settledMetrics settles them first, as every reader must.
 func lazyCounters(r *Runner) (stalled int64, perCore []int64, perStream []int64) {
-	stalled = r.Metrics().Stalled
+	stalled = settledMetrics(r).Stalled
 	for _, c := range r.cores {
 		perCore = append(perCore, c.stalls)
 		for _, g := range c.gens {
@@ -189,7 +189,7 @@ func TestMetricsExactMidRun(t *testing.T) {
 			for _, n := range []int64{4_001, 12_345, 29_999} {
 				lazy.RunTo(n)
 				for ref.Now() < n {
-					ref.Step()
+					ref.kern.Step()
 				}
 				ls, lc, lg := lazyCounters(lazy)
 				rs, rc, rg := lazyCounters(ref)
@@ -285,7 +285,7 @@ func TestGrantBoundAllowsUnlaunchedWinner(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r.Now() < r.cfg.Cycles {
-			r.Step()
+			r.kern.Step()
 			var ahead *noc.OutputPort
 			eachLink(r.reqMesh, func(_ *noc.Router, _ int, o *noc.OutputPort) {
 				if ahead == nil && o.Grants > o.BusyCycles {
@@ -327,7 +327,7 @@ func TestCheckedCatchesStaleRefusal(t *testing.T) {
 			if r.Now() == r.cfg.Cycles {
 				t.Fatalf("%s: no cycle ended with a head the controller had just made room for", d)
 			}
-			r.Step()
+			r.kern.Step()
 			if p := c.sink.Peek(); p != nil && !c.refused && c.ctrl.Accepts(p) {
 				break
 			}

@@ -32,7 +32,7 @@ func (r *Runner) sample(cycle, interval int64) {
 	r.samples = append(r.samples, obs.Sample{
 		Cycle:       cycle,
 		Utilization: float64(dc-r.lastSampleD) / float64(interval*int64(len(r.chans))),
-		Outstanding: len(r.parents),
+		Outstanding: r.parents.live,
 		QueueFlits:  queued,
 		MemReady:    ready,
 	})
@@ -167,7 +167,7 @@ func (c *coreNI) appendWorkload(out []obs.StreamWorkload) []obs.StreamWorkload {
 		}
 		w := obs.StreamWorkload{
 			Core: c.spec.Name, Stream: g.Spec.Name,
-			Produced: g.Produced, Reads: g.Reads, Writes: g.Writes,
+			Produced: g.Reads + g.Writes, Reads: g.Reads, Writes: g.Writes,
 			BlockedCycles: g.Blocked,
 		}
 		menu, counts := g.BeatHistogram()

@@ -1,15 +1,14 @@
 package system
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
 
 	"aanoc/internal/core"
-	"aanoc/internal/dram"
 	"aanoc/internal/memctrl"
 	"aanoc/internal/noc"
-	"aanoc/internal/stats"
 	"aanoc/internal/trace"
 	"aanoc/internal/traffic"
 )
@@ -28,19 +27,45 @@ type logical struct {
 }
 
 // parentTable maps logical-request parent IDs to their records. It is
-// simulator bookkeeping, not modelled hardware, so it is the builtin map.
-type parentTable map[int64]*logical
+// simulator bookkeeping, not modelled hardware. Parent IDs are issued
+// rising, so add appends and find binary-searches; a removed record
+// leaves a nil that add sweeps out, in place, once the slab is full and
+// at least half removed. Unlike the builtin map, whose per-map hash seed
+// decides when it grows, what it allocates depends on the run alone.
+type parentTable struct {
+	s    []parentSlot
+	live int // slots with a record
+}
+
+type parentSlot struct {
+	id  int64
+	rec *logical // nil once removed
+}
+
+func (t *parentTable) add(id int64, l *logical) {
+	if len(t.s) == cap(t.s) && 2*t.live <= len(t.s) {
+		t.s = slices.DeleteFunc(t.s, func(e parentSlot) bool { return e.rec == nil })
+	}
+	t.s = append(t.s, parentSlot{id, l})
+	t.live++
+}
+
+// find returns id's slot, or nil when it holds no record.
+func (t *parentTable) find(id int64) *parentSlot {
+	i, ok := slices.BinarySearchFunc(t.s, id, func(e parentSlot, id int64) int { return cmp.Compare(e.id, id) })
+	if !ok || t.s[i].rec == nil {
+		return nil
+	}
+	return &t.s[i]
+}
 
 // each visits every live record in ID order, so what the checked mode
 // reports from the walk comes out in a fixed order.
-func (t parentTable) each(fn func(id int64, l *logical)) {
-	ids := make([]int64, 0, len(t))
-	for id := range t { // order-free: collected, then sorted
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		fn(id, t[id])
+func (t *parentTable) each(fn func(id int64, l *logical)) {
+	for _, e := range t.s {
+		if e.rec != nil {
+			fn(e.id, e.rec)
+		}
 	}
 }
 
@@ -75,15 +100,17 @@ func (r *Runner) onMemDone(c *channel, done memctrl.Completion) {
 // completeSplit retires one split of a logical request; the last one
 // records the latency sample and unblocks a closed-loop stream.
 func (r *Runner) completeSplit(p *noc.Packet, at int64) {
-	l := r.parents[p.ParentID]
-	if l == nil {
+	e := r.parents.find(p.ParentID)
+	if e == nil {
 		return
 	}
+	l := e.rec
 	l.pending--
 	if l.pending > 0 {
 		return
 	}
-	delete(r.parents, p.ParentID)
+	e.rec = nil
+	r.parents.live--
 	c := r.cores[l.core]
 	// The stream's window and think time are about to change: pay the
 	// core's slept cycles at the state they were slept in.
@@ -108,11 +135,6 @@ func (r *Runner) completeSplit(p *noc.Packet, at int64) {
 	c.h.Wake(r.kern.Now() + 1)
 	r.logs.Put(l)
 }
-
-// Step advances the whole system one memory clock cycle: every awake
-// component ticks in kernel phase order. Cycle-stepping callers visit
-// every cycle; RunTo additionally fast-forwards over all-idle spans.
-func (r *Runner) Step() { r.kern.Step() }
 
 // RunTo advances the simulation to the given cycle, skipping spans
 // where every component sleeps (unless idle-skip is disabled).
@@ -164,7 +186,7 @@ func (r *Runner) injectLogical(c *coreNI, g traffic.Source, req *traffic.Request
 		read: req.Kind == noc.Read, pending: len(pkts),
 		core: c.idx, beats: req.Beats,
 	}
-	r.parents[base.ID] = l
+	r.parents.add(base.ID, l)
 	r.met.Generated++
 	c.generated++
 	r.chans[ch].sent += int64(len(pkts))
@@ -179,23 +201,12 @@ func (r *Runner) injectLogical(c *coreNI, g traffic.Source, req *traffic.Request
 	}
 }
 
-// Metrics exposes the accumulating measurements (examples, tests),
-// settled through the last executed cycle.
-func (r *Runner) Metrics() *stats.Metrics {
-	r.settleAll()
-	return &r.met
-}
-
 // settleAll settles every core through the current cycle.
 func (r *Runner) settleAll() {
 	for _, c := range r.cores {
 		r.settle(c, r.kern.Now())
 	}
 }
-
-// Device exposes channel 0's DRAM device (examples, tests; the only
-// device single-channel).
-func (r *Runner) Device() *dram.Device { return r.chans[0].dev }
 
 // Now returns the current cycle.
 func (r *Runner) Now() int64 { return r.kern.Now() }

@@ -5,7 +5,15 @@ import (
 
 	"aanoc/internal/appmodel"
 	"aanoc/internal/dram"
+	"aanoc/internal/stats"
 )
+
+// settledMetrics reads a run's accumulating measurements mid-run, after
+// settling the counters its sleeping cores owe through the current cycle.
+func settledMetrics(r *Runner) *stats.Metrics {
+	r.settleAll()
+	return &r.met
+}
 
 func TestParseDesign(t *testing.T) {
 	for _, d := range Designs() {

@@ -120,9 +120,9 @@ func TestDPQWCETMutationDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Device().InjectFault(dram.FaultSlowCAS)
+	r.chans[0].dev.InjectFault(dram.FaultSlowCAS)
 	for i := int64(0); i < 30_000; i++ {
-		r.Step()
+		r.kern.Step()
 	}
 	res := r.Finish()
 	wcet, dramViol := 0, 0
@@ -171,7 +171,7 @@ func TestRegulatorMutationDetected(t *testing.T) {
 	reg.OnAdmit(0, 0, int(budget), 10)
 	reg.OnAdmit(0, 0, 1, 11)
 	for i := int64(0); i < 1_000; i++ {
-		r.Step()
+		r.kern.Step()
 	}
 	res := r.Finish()
 	found := false

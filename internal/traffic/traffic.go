@@ -197,14 +197,13 @@ type Gen struct {
 
 	req Request // the request Tick returns, refilled by every issue
 
-	// Produced counts generated requests; Blocked counts generation
-	// opportunities lost to backpressure.
-	Produced int64
-	Blocked  int64
-	// Reads/Writes split Produced by direction; beatCounts counts the
-	// draws of each Spec.Beats entry (sized at construction, so counting
-	// stays off the allocator on the hot path), which BeatHistogram folds
-	// into the produced burst-size histogram.
+	// Blocked counts generation opportunities lost to backpressure.
+	Blocked int64
+	// Reads/Writes count generated requests by direction (their sum is
+	// all produced); beatCounts counts the draws of each Spec.Beats entry
+	// (sized at construction, so counting stays off the allocator on the
+	// hot path), which BeatHistogram folds into the produced burst-size
+	// histogram.
 	Reads, Writes int64
 	beatCounts    []int64
 }
@@ -280,7 +279,6 @@ func (g *Gen) Tick(now int64, blocked bool) *Request {
 		return nil
 	}
 	r := g.makeRequest()
-	g.Produced++
 	if g.Spec.ClosedLoop {
 		g.outstanding++
 	} else {

@@ -369,7 +369,7 @@ func TestInitCountsInCallerSlab(t *testing.T) {
 	if len(g.beatCounts) != 3 || cap(g.beatCounts) != 3 {
 		t.Fatalf("counters len %d cap %d, want 3 and 3", len(g.beatCounts), cap(g.beatCounts))
 	}
-	for now := int64(0); g.Produced < 200; now++ {
+	for now := int64(0); g.Reads+g.Writes < 200; now++ {
 		g.Tick(now, false)
 	}
 	menu, counts := g.BeatHistogram()
