@@ -144,6 +144,10 @@ var exits = []leg{
 	// Selectors name their menu instead of printing nothing.
 	{name: "area-unknown-table", args: "area -table 7", code: 1, stderr: "4, 5, all"},
 	{name: "timing-unknown-scenario", args: "timing -scenario zzz", code: 1, stderr: "pre, ap, both"},
+	// A diagram needs a cycle and a write: below 1 both used to print
+	// empty panels, exit 0.
+	{name: "timing-negative-width", args: "timing -width -5", code: 2, stderr: "-width and -n must be at least 1", quiet: true},
+	{name: "timing-zero-n", args: "timing -n 0", code: 2, stderr: "-width and -n must be at least 1", quiet: true},
 	{name: "tables-unknown-table", args: "tables -table 9", code: 1, stderr: "1, 2, 3, sched, all"},
 	{name: "sweep-unknown-sweep", args: "sweep -sweep bogus", code: 1, stderr: "pct, granularity"},
 	{name: "trace-neither-mode", args: "trace", code: 1, stderr: "exactly one of -record or -replay"},

@@ -34,6 +34,10 @@ func timingCmd(_ context.Context, args []string, stdout, stderr io.Writer) error
 	if err := oneOf("scenario", *panels, "pre", "ap", "both"); err != nil {
 		return err
 	}
+	if *width < 1 || *n < 1 {
+		fmt.Fprintf(f.Output(), "timing: -width and -n must be at least 1 (got -width %d, -n %d)\n", *width, *n)
+		return errUsage
+	}
 	if *panels != "ap" {
 		lanes, err := render(memctrl.OpenPage, *width, *n)
 		if err != nil {

@@ -54,15 +54,18 @@ func traceCmd(_ context.Context, args []string, stdout, stderr io.Writer) error 
 		if err != nil {
 			return err
 		}
-		defer out.Close()
 		w := trace.NewWriter(out)
 		base.Design = ds[0]
 		base.Trace = w
 		res, err := system.Run(base)
-		if err != nil {
-			return err
+		if err == nil {
+			err = w.Flush()
 		}
-		if err := w.Flush(); err != nil {
+		// A close can report a write the OS deferred, so it is checked.
+		if cerr := out.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "recorded %d requests from %s on %s/%s (util %.3f) to %s\n",

@@ -45,7 +45,7 @@ func TestDPQBoundHoldsUnderLoad(t *testing.T) {
 		const n, maxBeats = 4, 32
 		var c Checker
 		mon := NewDPQMonitor(&c, NewDPQBound(tm, n, maxBeats), "")
-		d := memctrl.NewDPQ(dev, memctrl.DPQConfig{Requestors: n, QueueDepth: 8},
+		d := memctrl.NewDPQ(dev, memctrl.DPQConfig{Requestors: n},
 			func(memctrl.Completion) {})
 		d.OnAdmit = mon.Admit
 		d.OnComplete = mon.Complete
@@ -142,26 +142,23 @@ func TestDPQMonitorFlushOrdersStragglers(t *testing.T) {
 }
 
 // TestRegulatorMonitorCatchesDisabledGate is the behavioural mutation:
-// a real regulator gating on a budget above the monitor's admits past
-// the monitor's budget under single-bank pressure — the breach a broken
+// a real regulator gating on its 256-beat budget admits past a monitor
+// auditing half that under single-bank pressure — the breach a broken
 // eligibility gate makes — and the monitor, auditing the budget a
 // correct controller would honour, must flag it.
 func TestRegulatorMonitorCatchesDisabledGate(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR2, 333)
 	dev := dram.MustNewDevice(tm)
-	const budget = 64
-	cfg := memctrl.RegulatorConfig{
-		Cores: 2, QueueDepth: 16, Window: 100_000, Budget: 2 * budget,
-		PipelineDepth: 4, Policy: memctrl.OpenPage,
-	}
 	var c Checker
-	reg := memctrl.NewRegulator(dev, cfg, func(memctrl.Completion) {})
-	mon := NewRegulatorMonitor(&c, reg.Config().Window, budget, "")
+	reg := memctrl.NewRegulator(dev, 2, 8, 4, memctrl.OpenPage, func(memctrl.Completion) {})
+	budget := reg.Budget() / 2
+	mon := NewRegulatorMonitor(&c, memctrl.RegulatorWindow, budget, "")
 	reg.OnAdmit = mon.Admit
-	// One core hammers one bank: 16 requests x 8 beats = 128 beats,
-	// all within the regulator's budget and double the monitor's.
+	// One core hammers one bank: 32 requests x 8 beats = 256 beats in the
+	// first window, all within the regulator's budget and double the
+	// monitor's.
 	var pkts []*noc.Packet
-	for i := int64(0); i < 16; i++ {
+	for i := int64(0); i < 32; i++ {
 		pkts = append(pkts, &noc.Packet{
 			ID: i + 1, ParentID: i + 1, Kind: noc.Read, Class: noc.ClassMedia,
 			Addr:  dram.Address{Bank: 0, Row: 1, Col: int(i) * 8},

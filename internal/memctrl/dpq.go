@@ -7,19 +7,17 @@ import (
 
 // DPQConfig sizes the dynamic-priority-queue arbiter.
 type DPQConfig struct {
-	// Requestors is the number of per-requestor FIFO queues; a packet maps
-	// to queue SrcCore mod Requestors.
+	// Requestors is the number of per-requestor FIFO queues (at least
+	// one); a packet maps to queue SrcCore mod Requestors. Each buffers
+	// slotDepth requests, and a full queue backpressures the network (the
+	// WCET clock starts at admission, so refusals never consume bound
+	// budget).
 	Requestors int
-	// QueueDepth is the per-requestor buffer depth; a full queue
-	// backpressures the network (the WCET clock starts at admission, so
-	// refusals never consume bound budget).
-	QueueDepth int
 }
 
-// DefaultDPQConfig mirrors the MemMax sizing: enough queues for the
-// paper's core counts and the same 32-entry buffers.
+// DefaultDPQConfig sizes the arbiter for the given requestor count.
 func DefaultDPQConfig(requestors int) DPQConfig {
-	return DPQConfig{Requestors: requestors, QueueDepth: 32}
+	return DPQConfig{Requestors: requestors}
 }
 
 // DPQ is a dynamic-priority-queue arbiter with analytically bounded
@@ -60,12 +58,11 @@ type DPQ struct {
 // NewDPQ builds the arbiter. The pipeline is fixed at depth 1 with the
 // closed-page policy — both are load-bearing for the analytic bound.
 func NewDPQ(dev *dram.Device, cfg DPQConfig, onDone func(Completion)) *DPQ {
-	atLeastOne(&cfg.Requestors, &cfg.QueueDepth)
 	d := &DPQ{cfg: cfg, order: make([]int, cfg.Requestors)}
 	for i := range d.order {
 		d.order[i] = i
 	}
-	d.queued = newQueued(dev, ClosedPage, cfg.Requestors, cfg.QueueDepth, 1, func(c Completion) {
+	d.queued = newQueued(dev, ClosedPage, cfg.Requestors, 1, func(c Completion) {
 		if d.OnComplete != nil {
 			d.OnComplete(c.Pkt.ID, c.At)
 		}
@@ -116,6 +113,6 @@ func (d *DPQ) grant(q int, _ *noc.Packet, _ int64) {
 	d.order[len(d.order)-1] = q
 }
 
-// Config returns the resolved (clamped) configuration — the WCET bound
-// monitor derives its requestor count from it, so the two cannot drift.
+// Config returns the configuration — the WCET bound monitor derives its
+// requestor count from it, so the two cannot drift.
 func (d *DPQ) Config() DPQConfig { return d.cfg }

@@ -88,7 +88,7 @@ func TestMemMaxDataBufferBound(t *testing.T) {
 	// two; a second request queues only once the first drains.
 	tm := dram.MustSpeed(dram.DDR2, 333)
 	dev := dram.MustNewDevice(tm)
-	m := NewMemMax(dev, MemMaxConfig{Threads: 4, QueueDepth: 32, DataFlits: 32, PipelineDepth: 1}, func(Completion) {})
+	m := NewMemMax(dev, MemMaxConfig{PipelineDepth: 1}, func(Completion) {})
 	long1 := req(1, 0, 1, 0, noc.Write, 128, false)
 	long1.Class = noc.ClassMedia
 	long1.SrcCore = 0

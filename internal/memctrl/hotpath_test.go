@@ -22,27 +22,32 @@ import (
 // backlog behind a full pipeline.
 func TestNextEventEquivalence(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR3, 667)
-	// A tight regulator: two requests per (core, bank) and window, so heads
-	// wait for window rolls with the pipeline empty.
-	regulated := RegulatorConfig{
-		Cores: 3, QueueDepth: 2, Window: 256, Budget: 16, MinBudget: 8,
-		PipelineDepth: 4, Policy: OpenPage,
-	}
 	ctrls := map[string]func(*dram.Device, func(Completion)) Controller{
 		"simple": func(d *dram.Device, done func(Completion)) Controller {
 			return NewSimple(d, PartialOpenPage, 4, done)
 		},
 		"memmax": func(d *dram.Device, done func(Completion)) Controller {
-			return NewMemMax(d, MemMaxConfig{Threads: 4, QueueDepth: 2, DataFlits: 32, PipelineDepth: 4}, done)
+			m := NewMemMax(d, DefaultMemMaxConfig(), done)
+			m.shrink(2)
+			return m
 		},
 		"dpq": func(d *dram.Device, done func(Completion)) Controller {
-			return NewDPQ(d, DPQConfig{Requestors: 3, QueueDepth: 2}, done)
+			q := NewDPQ(d, DefaultDPQConfig(3), done)
+			q.shrink(2)
+			return q
 		},
 		"staged": func(d *dram.Device, done func(Completion)) Controller {
-			return NewStaged(d, StagedConfig{Cores: 3, QueueDepth: 2, Threshold: 4, PipelineDepth: 4, Policy: OpenPage}, done)
+			s := NewStaged(d, 3, 4, OpenPage, done)
+			s.shrink(2)
+			return s
 		},
 		"regulated": func(d *dram.Device, done func(Completion)) Controller {
-			return NewRegulator(d, regulated, done)
+			r := NewRegulator(d, 3, 8, 4, OpenPage, done)
+			r.shrink(2)
+			// A tight budget: two requests per (core, bank) and window, so
+			// heads wait for window rolls with the pipeline empty.
+			r.budget = 16
+			return r
 		},
 	}
 	type completion struct{ id, at int64 }
@@ -230,10 +235,10 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 			return NewDPQ(d, DefaultDPQConfig(3), done)
 		},
 		"staged": func(d *dram.Device, done func(Completion)) Controller {
-			return NewStaged(d, DefaultStagedConfig(3), done)
+			return NewStaged(d, 3, 4, OpenPage, done)
 		},
 		"regulated": func(d *dram.Device, done func(Completion)) Controller {
-			return NewRegulator(d, DefaultRegulatorConfig(3), done)
+			return NewRegulator(d, 3, 1, 4, OpenPage, done)
 		},
 	}
 	for name, mk := range ctrls {
@@ -281,12 +286,12 @@ func TestQueuedPopClearsVacatedEntry(t *testing.T) {
 		pkts = append(pkts, p)
 	}
 	drive(t, m, pkts, &done, 5000)
-	if len(done) != len(pkts) || m.Backlog() != 0 {
-		t.Fatalf("completed %d of %d, backlog %d", len(done), len(pkts), m.Backlog())
+	if len(done) != len(pkts) || m.backlog != 0 {
+		t.Fatalf("completed %d of %d, backlog %d", len(done), len(pkts), m.backlog)
 	}
 	for slot, fifo := range m.queues {
-		if cap(fifo) != m.depth {
-			t.Errorf("slot %d: FIFO capacity %d, want the fixed depth %d", slot, cap(fifo), m.depth)
+		if cap(fifo) != slotDepth {
+			t.Errorf("slot %d: FIFO capacity %d, want the fixed depth %d", slot, cap(fifo), slotDepth)
 		}
 		for i, p := range fifo[:cap(fifo)] {
 			if p != nil {

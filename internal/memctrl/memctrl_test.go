@@ -254,7 +254,7 @@ func TestMemMaxReordersForRowHit(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR2, 333)
 	dev := dram.MustNewDevice(tm)
 	var done []Completion
-	m := NewMemMax(dev, MemMaxConfig{Threads: 4, QueueDepth: 8, DataFlits: 64, PipelineDepth: 2}, func(c Completion) { done = append(done, c) })
+	m := NewMemMax(dev, MemMaxConfig{PipelineDepth: 2}, func(c Completion) { done = append(done, c) })
 	// Thread assignment is class-based: use different classes to land the
 	// requests on different threads.
 	conflict := req(1, 0, 1, 0, noc.Read, 8, false)
@@ -288,7 +288,7 @@ func TestMemMaxPriorityFirst(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR2, 333)
 	dev := dram.MustNewDevice(tm)
 	var done []Completion
-	cfg := MemMaxConfig{Threads: 4, QueueDepth: 8, DataFlits: 64, PipelineDepth: 1, PriorityFirst: true}
+	cfg := MemMaxConfig{PipelineDepth: 1, PriorityFirst: true}
 	m := NewMemMax(dev, cfg, func(c Completion) { done = append(done, c) })
 	be := req(1, 1, 1, 0, noc.Read, 8, false)
 	be.Class = noc.ClassMedia
@@ -309,7 +309,8 @@ func TestMemMaxPriorityFirst(t *testing.T) {
 func TestMemMaxBackpressurePerThread(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR2, 333)
 	dev := dram.MustNewDevice(tm)
-	m := NewMemMax(dev, MemMaxConfig{Threads: 4, QueueDepth: 2, DataFlits: 64, PipelineDepth: 1}, func(Completion) {})
+	m := NewMemMax(dev, MemMaxConfig{PipelineDepth: 1}, func(Completion) {})
+	m.shrink(2)
 	a := req(1, 0, 1, 0, noc.Read, 8, false)
 	b := req(2, 0, 2, 0, noc.Read, 8, false)
 	c := req(3, 0, 3, 0, noc.Read, 8, false)
@@ -323,8 +324,8 @@ func TestMemMaxBackpressurePerThread(t *testing.T) {
 	if m.Offer(c, 0) {
 		t.Fatal("third offer should be refused (queue depth 2)")
 	}
-	if m.Backlog() != 2 {
-		t.Fatalf("backlog = %d, want 2", m.Backlog())
+	if m.backlog != 2 {
+		t.Fatalf("backlog = %d, want 2", m.backlog)
 	}
 }
 

@@ -5,16 +5,15 @@ import (
 	"aanoc/internal/noc"
 )
 
-// MemMaxConfig sizes the conventional subsystem.
+// The paper's MemMax is a 4-thread scheduler; each thread buffers
+// slotDepth requests and memMaxDataFlits flits of payload.
+const (
+	memMaxThreads   = 4
+	memMaxDataFlits = 32
+)
+
+// MemMaxConfig holds what a run decides of the conventional subsystem.
 type MemMaxConfig struct {
-	// Threads is the number of QoS threads (the paper uses 4-thread
-	// MemMax).
-	Threads int
-	// QueueDepth is the per-thread request buffer depth and DataFlits the
-	// per-thread data buffer size in flits (the paper's MemMax uses a
-	// 32-flit request buffer and a 32-flit data buffer per thread).
-	QueueDepth int
-	DataFlits  int
 	// PipelineDepth is the command look-ahead window of the Databahn-style
 	// controller behind the scheduler.
 	PipelineDepth int
@@ -23,10 +22,10 @@ type MemMaxConfig struct {
 	PriorityFirst bool
 }
 
-// DefaultMemMaxConfig matches the paper's description: 4 threads, each
-// with a 32-flit request buffer and a 32-flit data buffer.
+// DefaultMemMaxConfig returns a look-ahead window of 4 without
+// priority-first.
 func DefaultMemMaxConfig() MemMaxConfig {
-	return MemMaxConfig{Threads: 4, QueueDepth: 32, DataFlits: 32, PipelineDepth: 4}
+	return MemMaxConfig{PipelineDepth: 4}
 }
 
 // MemMax models the conventional memory subsystem: a Sonics-MemMax-style
@@ -38,8 +37,8 @@ func DefaultMemMaxConfig() MemMaxConfig {
 // active data transfer (command look-ahead).
 type MemMax struct {
 	queued
-	cfg    MemMaxConfig
-	served []int64 // beats admitted per thread (bandwidth QoS accounting)
+	priorityFirst bool
+	served        [memMaxThreads]int64 // beats admitted per thread (bandwidth QoS accounting)
 	// last is a value copy of the packet most recently admitted into the
 	// pipeline (see Simple.last: the original may be recycled through
 	// the system's packet pool once it completes).
@@ -49,14 +48,9 @@ type MemMax struct {
 
 // NewMemMax builds the conventional subsystem over a device.
 func NewMemMax(dev *dram.Device, cfg MemMaxConfig, onDone func(Completion)) *MemMax {
-	atLeastOne(&cfg.Threads, &cfg.QueueDepth, &cfg.PipelineDepth)
-	if cfg.DataFlits < 1 {
-		cfg.DataFlits = cfg.QueueDepth
-	}
 	m := &MemMax{
-		queued: newQueued(dev, OpenPage, cfg.Threads, cfg.QueueDepth, cfg.PipelineDepth, onDone),
-		cfg:    cfg,
-		served: make([]int64, cfg.Threads),
+		queued:        newQueued(dev, OpenPage, memMaxThreads, cfg.PipelineDepth, onDone),
+		priorityFirst: cfg.PriorityFirst,
 	}
 	m.pick, m.granted = m.pickThread, m.grant
 	return m
@@ -70,14 +64,11 @@ func (m *MemMax) threadOf(p *noc.Packet) int {
 	case noc.ClassDemand:
 		return 0
 	case noc.ClassPrefetch:
-		return 1 % m.cfg.Threads
+		return 1
 	case noc.ClassMedia:
-		if m.cfg.Threads < 3 {
-			return m.cfg.Threads - 1
-		}
-		return 2 + p.SrcCore%(m.cfg.Threads-2)
+		return 2 + p.SrcCore%(memMaxThreads-2)
 	default:
-		return m.cfg.Threads - 1
+		return memMaxThreads - 1
 	}
 }
 
@@ -86,7 +77,7 @@ func (m *MemMax) threadOf(p *noc.Packet) int {
 // thread has room and the thread's data buffer can hold the payload.
 func (m *MemMax) Accepts(p *noc.Packet) bool {
 	th := m.threadOf(p)
-	if len(m.queues[th]) > 0 && m.dataOccupancy(th)+p.Flits > m.cfg.DataFlits {
+	if len(m.queues[th]) > 0 && m.dataOccupancy(th)+p.Flits > memMaxDataFlits {
 		return false
 	}
 	return m.hasRoom(th)
@@ -129,11 +120,11 @@ func (m *MemMax) grant(th int, p *noc.Packet, now int64) {
 // Priority-first configurations serve a priority head unconditionally.
 func (m *MemMax) pickThread() int {
 	best := -1
-	for th := 0; th < m.cfg.Threads; th++ {
+	for th := range m.queues {
 		if len(m.queues[th]) == 0 {
 			continue
 		}
-		if m.cfg.PriorityFirst && m.queues[th][0].Priority {
+		if m.priorityFirst && m.queues[th][0].Priority {
 			return th
 		}
 		if best < 0 || m.served[th] < m.served[best] {
@@ -151,7 +142,7 @@ func (m *MemMax) pickThread() int {
 	// alternative — the scheduler reorders across thread heads only, not
 	// within threads.
 	alt := -1
-	for th := 0; th < m.cfg.Threads; th++ {
+	for th := range m.queues {
 		if th == best || len(m.queues[th]) == 0 {
 			continue
 		}

@@ -8,15 +8,14 @@ import (
 // queued is the front-end every scheduling controller shares: bounded
 // per-slot FIFOs in front of the command pipeline, and the grant loop
 // that moves one head at a time into the pipeline while it has room.
-// Each FIFO is a fixed buffer of depth entries, carved at construction
-// and never reallocated: enqueue refuses past depth and the grant pops
-// by copy-shift, so the backing array does not creep.
+// Each FIFO is a fixed buffer of slotDepth entries, carved at
+// construction and never reallocated: enqueue refuses past its capacity
+// and the grant pops by copy-shift, so the backing array does not creep.
 // What makes each embedder a scheduler stays with it: its Offer (which
 // slot a packet joins and its own admission rule), pick and granted.
 type queued struct {
 	eng     *engine
 	queues  [][]*noc.Packet
-	depth   int // per-slot FIFO capacity
 	backlog int // requests queued across all slots
 
 	// pick names the slot whose head is granted next, or -1 when no head
@@ -28,29 +27,22 @@ type queued struct {
 	granted func(slot int, p *noc.Packet, now int64)
 }
 
-// newQueued builds the shared front-end; slots, depth and pipeline are
-// already clamped by the caller (atLeastOne), whose Config() reports them.
-func newQueued(dev *dram.Device, policy PagePolicy, slots, depth, pipeline int, onDone func(Completion)) queued {
+// slotDepth is every slot FIFO's capacity: the paper's MemMax buffers 32
+// requests per thread, and the related-work schedulers mirror it.
+const slotDepth = 32
+
+// newQueued builds the shared front-end over slots FIFOs (at least one)
+// and a pipeline of the given depth.
+func newQueued(dev *dram.Device, policy PagePolicy, slots, pipeline int, onDone func(Completion)) queued {
 	q := queued{
 		eng:    newEngine(dev, policy, pipeline, onDone),
 		queues: make([][]*noc.Packet, slots),
-		depth:  depth,
 	}
-	buf := make([]*noc.Packet, slots*depth)
+	buf := make([]*noc.Packet, slots*slotDepth)
 	for i := range q.queues {
-		q.queues[i] = buf[i*depth : i*depth : (i+1)*depth]
+		q.queues[i] = buf[i*slotDepth : i*slotDepth : (i+1)*slotDepth]
 	}
 	return q
-}
-
-// atLeastOne raises every sizing below 1 to 1, in place, so a front-end's
-// stored configuration is the one that runs.
-func atLeastOne[T int | int64](sizes ...*T) {
-	for _, s := range sizes {
-		if *s < 1 {
-			*s = 1
-		}
-	}
 }
 
 // slotOf folds a packet's source core onto the slots.
@@ -64,7 +56,7 @@ func (q *queued) slotOf(p *noc.Packet) int {
 
 // hasRoom reports whether a slot's FIFO can take another request; a full
 // slot refuses, which backpressures the network.
-func (q *queued) hasRoom(slot int) bool { return len(q.queues[slot]) < q.depth }
+func (q *queued) hasRoom(slot int) bool { return len(q.queues[slot]) < cap(q.queues[slot]) }
 
 // Accepts implements Controller for the front-ends that fold the source
 // core onto the slots: the core's FIFO has room.
@@ -118,6 +110,3 @@ func (q *queued) NextEvent(now int64) int64 {
 	}
 	return q.eng.nextEvent(now)
 }
-
-// Backlog reports the total queued requests across slots.
-func (q *queued) Backlog() int { return q.backlog }

@@ -5,40 +5,16 @@ import (
 	"aanoc/internal/noc"
 )
 
-// RegulatorConfig sizes the per-bank bandwidth regulator.
-type RegulatorConfig struct {
-	// Cores is the number of regulated requestors; a packet maps to
-	// regulator slot SrcCore mod Cores.
-	Cores int
-	// QueueDepth is the per-core request buffer depth.
-	QueueDepth int
-	// Window is the regulation window in memory cycles; per-(core,bank)
-	// usage clears at every multiple of it.
-	Window int64
-	// Budget is the beat budget each (core, bank) pair may consume per
-	// window. A head that would exceed it waits for the next window. The
-	// constructor clamps Budget to at least MinBudget so a single request
-	// can always fit in a fresh window (otherwise it could never become
-	// eligible and the controller would deadlock).
-	Budget int64
-	// MinBudget is the largest single-request beat count the workload can
-	// present (the system computes it from the resolved app model).
-	MinBudget int64
-	// PipelineDepth is the command-pipeline window behind the regulator.
-	PipelineDepth int
-	// Policy is the page policy of the command pipeline.
-	Policy PagePolicy
-}
-
-// DefaultRegulatorConfig mirrors the MemMax buffer sizing with a
-// regulation window long enough to amortize a refresh.
-func DefaultRegulatorConfig(cores int) RegulatorConfig {
-	return RegulatorConfig{
-		Cores: cores, QueueDepth: 32,
-		Window: 1024, Budget: 256, MinBudget: 1,
-		PipelineDepth: 4, Policy: OpenPage,
-	}
-}
+const (
+	// RegulatorWindow is the regulation window in memory cycles, long
+	// enough to amortize a refresh: per-(core, bank) usage clears at every
+	// multiple of it.
+	RegulatorWindow = 1024
+	// regulatorBudget is the beat budget each (core, bank) pair may
+	// consume per window; a head that would exceed it waits for the next
+	// window.
+	regulatorBudget = 256
+)
 
 // Regulator is a per-bank bandwidth regulator after Sullivan et al.:
 // every (core, bank) pair holds a beat budget per fixed window, charged
@@ -51,7 +27,8 @@ func DefaultRegulatorConfig(cores int) RegulatorConfig {
 // (check.RegulatorMonitor).
 type Regulator struct {
 	queued
-	cfg RegulatorConfig
+	// budget is regulatorBudget, raised to the largest request.
+	budget int64
 	// usage[core][bank] counts beats charged in the current window.
 	usage     [][]int64
 	curWindow int64
@@ -74,16 +51,17 @@ type Regulator struct {
 	}
 }
 
-// NewRegulator builds the regulator over a device. Budget is clamped to
-// MinBudget (and both to 1) so admission can always make progress.
-func NewRegulator(dev *dram.Device, cfg RegulatorConfig, onDone func(Completion)) *Regulator {
-	atLeastOne(&cfg.Cores, &cfg.QueueDepth, &cfg.PipelineDepth)
-	atLeastOne(&cfg.Window, &cfg.MinBudget)
-	cfg.Budget = max(cfg.Budget, cfg.MinBudget)
+// NewRegulator builds the regulator over a device for cores requestors
+// (a packet maps to slot SrcCore mod cores), with a command pipeline of
+// the given depth and page policy. The budget is raised to maxBeats, the
+// largest request the workload presents, so a single request always fits
+// a fresh window (otherwise it could never become eligible and the
+// controller would deadlock).
+func NewRegulator(dev *dram.Device, cores, maxBeats, pipeline int, policy PagePolicy, onDone func(Completion)) *Regulator {
 	r := &Regulator{
-		queued: newQueued(dev, cfg.Policy, cfg.Cores, cfg.QueueDepth, cfg.PipelineDepth, onDone),
-		cfg:    cfg,
-		usage:  make([][]int64, cfg.Cores),
+		queued: newQueued(dev, policy, cores, pipeline, onDone),
+		budget: max(regulatorBudget, int64(maxBeats)),
+		usage:  make([][]int64, cores),
 	}
 	r.eng.ooo = true
 	for i := range r.usage {
@@ -112,11 +90,11 @@ func (r *Regulator) Tick(now int64) {
 }
 
 // rollWindow clears per-(core,bank) usage at window boundaries. The
-// number of windows a run opened is a function of its length and Window
-// alone, so the report derives it; counting here would count only the
+// number of windows a run opened is a function of its length and
+// RegulatorWindow alone, so the report derives it; counting here would count only the
 // boundaries the kernel happened to tick the controller across.
 func (r *Regulator) rollWindow(now int64) {
-	w := now / r.cfg.Window
+	w := now / RegulatorWindow
 	if w == r.curWindow {
 		return
 	}
@@ -133,13 +111,13 @@ func (r *Regulator) rollWindow(now int64) {
 // queued whenever it runs, so finding no such core means every
 // backlogged head is over budget.
 func (r *Regulator) pickCore() int {
-	for i := 0; i < r.cfg.Cores; i++ {
-		c := (r.rotate + i) % r.cfg.Cores
+	for i := range r.queues {
+		c := (r.rotate + i) % len(r.queues)
 		if len(r.queues[c]) == 0 {
 			continue
 		}
 		p := r.queues[c][0]
-		if r.usage[c][p.Addr.Bank]+int64(p.Beats) <= r.cfg.Budget {
+		if r.usage[c][p.Addr.Bank]+int64(p.Beats) <= r.budget {
 			return c
 		}
 	}
@@ -155,10 +133,9 @@ func (r *Regulator) grant(c int, p *noc.Packet, now int64) {
 		r.OnAdmit(c, p.Addr.Bank, p.Beats, now)
 	}
 	r.Stats.Grants++
-	r.rotate = (c + 1) % r.cfg.Cores
+	r.rotate = (c + 1) % len(r.queues)
 }
 
-// Config returns the resolved (clamped) configuration — the regulation
-// monitor derives its window and budget from it, so the two cannot
-// drift.
-func (r *Regulator) Config() RegulatorConfig { return r.cfg }
+// Budget returns the per-(core, bank) beat budget in force — the
+// regulation monitor audits against it, so the two cannot drift.
+func (r *Regulator) Budget() int64 { return r.budget }

@@ -5,35 +5,14 @@ import (
 	"aanoc/internal/noc"
 )
 
-// StagedConfig sizes the staged heterogeneous scheduler.
-type StagedConfig struct {
-	// Cores is the number of classified requestors; a packet maps to slot
-	// SrcCore mod Cores.
-	Cores int
-	// QueueDepth is the per-core request buffer depth.
-	QueueDepth int
-	// Threshold is the outstanding-request count above which a core is
-	// classified bandwidth-intensive ("heavy"). Outstanding counts
-	// requests admitted but not yet completed at the device.
-	Threshold int
-	// PipelineDepth is the command-pipeline window behind the scheduler.
-	PipelineDepth int
-	// Policy is the page policy of the command pipeline.
-	Policy PagePolicy
-}
-
-// DefaultStagedConfig mirrors the MemMax buffer sizing with the SMS-style
-// intensity threshold.
-func DefaultStagedConfig(cores int) StagedConfig {
-	return StagedConfig{
-		Cores: cores, QueueDepth: 32, Threshold: 4,
-		PipelineDepth: 4, Policy: OpenPage,
-	}
-}
+// stagedThreshold is the outstanding-request count above which a core is
+// classified bandwidth-intensive ("heavy"), SMS-style. Outstanding counts
+// requests admitted but not yet completed at the device.
+const stagedThreshold = 4
 
 // Staged is a staged heterogeneous scheduler in the spirit of SMS
 // (Ausavarungnirun et al.): requestors are classified by their
-// outstanding-request intensity — a core with more than Threshold
+// outstanding-request intensity — a core with more than stagedThreshold
 // requests in flight is bandwidth-intensive ("heavy"), the rest are
 // latency-sensitive ("light") — and the grant stage serves light heads
 // round-robin before any heavy head. Heavy cores still drain round-robin
@@ -41,7 +20,6 @@ func DefaultStagedConfig(cores int) StagedConfig {
 // heavy core's backlog completing moves it back to the light class.
 type Staged struct {
 	queued
-	cfg StagedConfig
 	// outstanding[c] counts core c's requests admitted but not completed.
 	outstanding []int
 	heavy       []bool
@@ -55,15 +33,15 @@ type Staged struct {
 	}
 }
 
-// NewStaged builds the staged scheduler over a device.
-func NewStaged(dev *dram.Device, cfg StagedConfig, onDone func(Completion)) *Staged {
-	atLeastOne(&cfg.Cores, &cfg.QueueDepth, &cfg.Threshold, &cfg.PipelineDepth)
+// NewStaged builds the staged scheduler over a device for cores
+// requestors (a packet maps to slot SrcCore mod cores), with a command
+// pipeline of the given depth and page policy.
+func NewStaged(dev *dram.Device, cores, pipeline int, policy PagePolicy, onDone func(Completion)) *Staged {
 	s := &Staged{
-		cfg:         cfg,
-		outstanding: make([]int, cfg.Cores),
-		heavy:       make([]bool, cfg.Cores),
+		outstanding: make([]int, cores),
+		heavy:       make([]bool, cores),
 	}
-	s.queued = newQueued(dev, cfg.Policy, cfg.Cores, cfg.QueueDepth, cfg.PipelineDepth, func(c Completion) {
+	s.queued = newQueued(dev, policy, cores, pipeline, func(c Completion) {
 		// The packet is still valid here; the downstream callback may
 		// recycle it.
 		core := s.slotOf(c.Pkt)
@@ -81,7 +59,7 @@ func NewStaged(dev *dram.Device, cfg StagedConfig, onDone func(Completion)) *Sta
 // reclassify re-derives a core's intensity class from its outstanding
 // count, counting flips.
 func (s *Staged) reclassify(c int) {
-	h := s.outstanding[c] > s.cfg.Threshold
+	h := s.outstanding[c] > stagedThreshold
 	if h != s.heavy[c] {
 		s.heavy[c] = h
 		s.Stats.Reclassifications++
@@ -105,8 +83,8 @@ func (s *Staged) Offer(p *noc.Packet, now int64) bool {
 // or failing that the next backlogged heavy one, or -1.
 func (s *Staged) pickCore() int {
 	heavy := -1
-	for i := 0; i < s.cfg.Cores; i++ {
-		c := (s.rotate + i) % s.cfg.Cores
+	for i := range s.queues {
+		c := (s.rotate + i) % len(s.queues)
 		if len(s.queues[c]) == 0 {
 			continue
 		}
@@ -128,5 +106,5 @@ func (s *Staged) grant(c int, _ *noc.Packet, _ int64) {
 	} else {
 		s.Stats.LightGrants++
 	}
-	s.rotate = (c + 1) % s.cfg.Cores
+	s.rotate = (c + 1) % len(s.queues)
 }

@@ -29,7 +29,7 @@ func TestDPQDrainsAndRotates(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR2, 333)
 	dev := dram.MustNewDevice(tm)
 	var done []Completion
-	d := NewDPQ(dev, DPQConfig{Requestors: 4, QueueDepth: 8}, func(c Completion) { done = append(done, c) })
+	d := NewDPQ(dev, DPQConfig{Requestors: 4}, func(c Completion) { done = append(done, c) })
 	var pkts []*noc.Packet
 	for i := int64(0); i < 16; i++ {
 		p := req(i+1, int(i)%4, int(i/4), 0, noc.Kind(i%2), 8, false)
@@ -56,7 +56,7 @@ func TestDPQRotationBoundsInterference(t *testing.T) {
 	dev := dram.MustNewDevice(tm)
 	const n = 4
 	var grants []int64
-	d := NewDPQ(dev, DPQConfig{Requestors: n, QueueDepth: 8}, func(c Completion) {
+	d := NewDPQ(dev, DPQConfig{Requestors: n}, func(c Completion) {
 		grants = append(grants, c.Pkt.ID)
 	})
 	// Flood cores 0..2 with 4 requests each, then one request from core 3.
@@ -95,7 +95,7 @@ func TestDPQRotationBoundsInterference(t *testing.T) {
 func TestDPQAdmitHookReportsFacts(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR2, 333)
 	dev := dram.MustNewDevice(tm)
-	d := NewDPQ(dev, DPQConfig{Requestors: 2, QueueDepth: 4}, func(Completion) {})
+	d := NewDPQ(dev, DPQConfig{Requestors: 2}, func(Completion) {})
 	type admit struct {
 		id         int64
 		beats, pos int
@@ -138,7 +138,8 @@ func TestDPQAdmitHookReportsFacts(t *testing.T) {
 func TestDPQBackpressureAndNextEvent(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR2, 333)
 	dev := dram.MustNewDevice(tm)
-	d := NewDPQ(dev, DPQConfig{Requestors: 1, QueueDepth: 2}, func(Completion) {})
+	d := NewDPQ(dev, DPQConfig{Requestors: 1}, func(Completion) {})
+	d.shrink(2)
 	if d.NextEvent(10) <= 10 {
 		t.Fatal("idle NextEvent must be in the future")
 	}
@@ -156,8 +157,8 @@ func TestDPQBackpressureAndNextEvent(t *testing.T) {
 	if !d.Accepts(third) {
 		t.Fatal("the grant popped a slot but the third offer is still refused")
 	}
-	if d.Backlog() != 1 || d.CanGrant() {
-		t.Fatalf("after the first grant: backlog %d, CanGrant %v", d.Backlog(), d.CanGrant())
+	if d.backlog != 1 || d.CanGrant() {
+		t.Fatalf("after the first grant: backlog %d, CanGrant %v", d.backlog, d.CanGrant())
 	}
 	// Pipeline full: the engine's bound decides, and following it must
 	// reach the cycle the slot frees, with the grant in the very next tick.
@@ -176,33 +177,33 @@ func TestDPQBackpressureAndNextEvent(t *testing.T) {
 		t.Fatalf("slot freed at %d: NextEvent = %d, want now+1", now, d.NextEvent(now))
 	}
 	d.Tick(now + 1)
-	if d.Stats.Grants != 2 || d.Backlog() != 0 {
-		t.Fatalf("first tick after the slot freed: %d grants, backlog %d", d.Stats.Grants, d.Backlog())
+	if d.Stats.Grants != 2 || d.backlog != 0 {
+		t.Fatalf("first tick after the slot freed: %d grants, backlog %d", d.Stats.Grants, d.backlog)
 	}
 }
 
 func TestRegulatorEnforcesBudget(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR2, 333)
 	dev := dram.MustNewDevice(tm)
-	cfg := RegulatorConfig{
-		Cores: 2, QueueDepth: 32, Window: 2000, Budget: 16, MinBudget: 8,
-		PipelineDepth: 4, Policy: OpenPage,
-	}
 	var done []Completion
-	r := NewRegulator(dev, cfg, func(c Completion) { done = append(done, c) })
+	r := NewRegulator(dev, 2, 8, 4, OpenPage, func(c Completion) { done = append(done, c) })
+	// A 16-beat budget: two requests per (core, bank) and window, so the
+	// hammering core needs several windows.
+	const budget = 16
+	r.budget = budget
 	// Shadow-audit the invariant through the hook.
 	usage := map[[2]int]int64{}
 	window := int64(0)
 	r.OnAdmit = func(core, bank, beats int, now int64) {
-		if w := now / cfg.Window; w != window {
+		if w := now / RegulatorWindow; w != window {
 			window = w
 			usage = map[[2]int]int64{}
 		}
 		k := [2]int{core, bank}
 		usage[k] += int64(beats)
-		if usage[k] > cfg.Budget {
+		if usage[k] > budget {
 			t.Errorf("core %d bank %d used %d beats in window %d, budget %d",
-				core, bank, usage[k], window, cfg.Budget)
+				core, bank, usage[k], window, budget)
 		}
 	}
 	// Core 0 hammers bank 0 (same row: no conflict cost), core 1 spreads.
@@ -230,27 +231,33 @@ func TestRegulatorEnforcesBudget(t *testing.T) {
 	}
 }
 
-func TestRegulatorBudgetClampedToMinBudget(t *testing.T) {
+// TestRegulatorBudgetRaisedToLargestRequest: a workload whose largest
+// request is 512 beats raises the 256-beat budget to 512, and such a
+// request, which would never fit the fixed budget, completes.
+func TestRegulatorBudgetRaisedToLargestRequest(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR2, 333)
 	dev := dram.MustNewDevice(tm)
-	cfg := RegulatorConfig{Cores: 1, QueueDepth: 4, Window: 1000, Budget: 4, MinBudget: 32, PipelineDepth: 2}
+	if got := NewRegulator(dev, 1, 8, 2, OpenPage, func(Completion) {}).Budget(); got != regulatorBudget {
+		t.Fatalf("budget with 8-beat requests = %d, want the fixed %d", got, regulatorBudget)
+	}
 	var done []Completion
-	r := NewRegulator(dev, cfg, func(c Completion) { done = append(done, c) })
-	// A 32-beat request would deadlock against the raw budget of 4.
-	p := req(1, 0, 1, 0, noc.Read, 32, false)
+	r := NewRegulator(dev, 1, 512, 2, OpenPage, func(c Completion) { done = append(done, c) })
+	if got := r.Budget(); got != 512 {
+		t.Fatalf("budget with 512-beat requests = %d, want 512", got)
+	}
+	p := req(1, 0, 1, 0, noc.Read, 512, false)
 	drive(t, r, []*noc.Packet{p}, &done, 20000)
 	if len(done) != 1 {
-		t.Fatalf("oversized request never completed: budget clamp broken")
+		t.Fatalf("oversized request never completed: budget not raised")
 	}
 }
 
 func TestStagedServesLightBeforeHeavy(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR2, 333)
 	dev := dram.MustNewDevice(tm)
-	cfg := StagedConfig{Cores: 2, QueueDepth: 32, Threshold: 2, PipelineDepth: 1, Policy: OpenPage}
 	var done []Completion
-	s := NewStaged(dev, cfg, func(c Completion) { done = append(done, c) })
-	// Core 0 is heavy (6 outstanding > threshold 2); core 1 offers one.
+	s := NewStaged(dev, 2, 1, OpenPage, func(c Completion) { done = append(done, c) })
+	// Core 0 is heavy (6 outstanding > threshold 4); core 1 offers one.
 	var pkts []*noc.Packet
 	for i := int64(0); i < 6; i++ {
 		p := req(i+1, int(i)%4, 1, 0, noc.Read, 8, false)
@@ -289,7 +296,7 @@ func TestStagedDrainsMixedTraffic(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR3, 667)
 	dev := dram.MustNewDevice(tm)
 	var done []Completion
-	s := NewStaged(dev, DefaultStagedConfig(7), func(c Completion) { done = append(done, c) })
+	s := NewStaged(dev, 7, 4, OpenPage, func(c Completion) { done = append(done, c) })
 	var pkts []*noc.Packet
 	for i := int64(0); i < 40; i++ {
 		p := req(i+1, int(i)%8, int(i%5), 0, noc.Kind(i%2), 8, false)
@@ -308,7 +315,7 @@ func TestStagedDrainsMixedTraffic(t *testing.T) {
 }
 
 // TestQueuedProtocol pins what the four scheduling front-ends share: a
-// full slot refuses Offer, Backlog is exactly the offered requests not
+// full slot refuses Offer, the backlog is exactly the offered requests not
 // yet granted into the pipeline, and while it is non-zero the controller
 // is Busy. A backlog with room in the pipeline asks to be ticked next
 // cycle, and that tick grants (unless every head is over budget, which
@@ -320,19 +327,20 @@ func TestQueuedProtocol(t *testing.T) {
 	none := func() int64 { return 0 }
 	ctrls := map[string]func(*dram.Device, func(Completion)) (Controller, *queued, func() int64){
 		"memmax": func(d *dram.Device, done func(Completion)) (Controller, *queued, func() int64) {
-			m := NewMemMax(d, MemMaxConfig{Threads: 4, QueueDepth: depth, DataFlits: 64, PipelineDepth: 2}, done)
+			m := NewMemMax(d, MemMaxConfig{PipelineDepth: 2}, done)
 			return m, &m.queued, none
 		},
 		"dpq": func(d *dram.Device, done func(Completion)) (Controller, *queued, func() int64) {
-			q := NewDPQ(d, DPQConfig{Requestors: 4, QueueDepth: depth}, done)
+			q := NewDPQ(d, DPQConfig{Requestors: 4}, done)
 			return q, &q.queued, none
 		},
 		"staged": func(d *dram.Device, done func(Completion)) (Controller, *queued, func() int64) {
-			s := NewStaged(d, StagedConfig{Cores: 4, QueueDepth: depth, Threshold: 1, PipelineDepth: 2}, done)
+			s := NewStaged(d, 4, 2, OpenPage, done)
 			return s, &s.queued, none
 		},
 		"regulated": func(d *dram.Device, done func(Completion)) (Controller, *queued, func() int64) {
-			r := NewRegulator(d, RegulatorConfig{Cores: 4, QueueDepth: depth, Window: 128, Budget: 8, PipelineDepth: 2}, done)
+			r := NewRegulator(d, 4, 8, 2, OpenPage, done)
+			r.budget = 8 // one request per (core, bank) and window
 			return r, &r.queued, func() int64 { return r.Stats.Throttled }
 		},
 	}
@@ -341,6 +349,7 @@ func TestQueuedProtocol(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			completed := 0
 			ctrl, q, throttled := mk(dram.MustNewDevice(tm), func(Completion) { completed++ })
+			q.shrink(depth)
 			// Twelve media reads from cores 2 and 3 (MemMax threads 2 and
 			// 3), offered as fast as the depth-2 slots take them.
 			var pkts []*noc.Packet
@@ -364,16 +373,16 @@ func TestQueuedProtocol(t *testing.T) {
 				for offered < len(pkts) && ctrl.Offer(pkts[offered], now) {
 					offered++
 				}
-				due, backlog, lost := ctrl.CanGrant(), q.Backlog(), throttled()
+				due, backlog, lost := ctrl.CanGrant(), q.backlog, throttled()
 				ctrl.Tick(now)
-				if due && q.Backlog() == backlog && throttled() == lost {
+				if due && q.backlog == backlog && throttled() == lost {
 					t.Fatalf("cycle %d: a grant was possible and the tick neither granted nor counted a throttle", now)
 				}
 				granted := completed + q.eng.occupancy()
-				if q.Backlog() != offered-granted {
-					t.Fatalf("cycle %d: Backlog() = %d, want %d offered - %d granted", now, q.Backlog(), offered, granted)
+				if q.backlog != offered-granted {
+					t.Fatalf("cycle %d: backlog = %d, want %d offered - %d granted", now, q.backlog, offered, granted)
 				}
-				if q.Backlog() == 0 {
+				if q.backlog == 0 {
 					continue
 				}
 				want := now + 1
@@ -383,15 +392,52 @@ func TestQueuedProtocol(t *testing.T) {
 				}
 				if !ctrl.Busy() || ctrl.CanGrant() != q.eng.canAdmit() || ctrl.NextEvent(now) != want {
 					t.Fatalf("cycle %d: backlog %d, pipeline admits %v: Busy() = %v, CanGrant() = %v, NextEvent = %d, want %d",
-						now, q.Backlog(), q.eng.canAdmit(), ctrl.Busy(), ctrl.CanGrant(), ctrl.NextEvent(now), want)
+						now, q.backlog, q.eng.canAdmit(), ctrl.Busy(), ctrl.CanGrant(), ctrl.NextEvent(now), want)
 				}
 			}
 			if fullPipeline == 0 {
 				t.Error("no cycle had a backlog behind a full pipeline: the sleep went unexercised")
 			}
-			if q.Backlog() != 0 || ctrl.Busy() {
-				t.Fatalf("drained controller reports backlog %d, busy %v", q.Backlog(), ctrl.Busy())
+			if q.backlog != 0 || ctrl.Busy() {
+				t.Fatalf("drained controller reports backlog %d, busy %v", q.backlog, ctrl.Busy())
 			}
 		})
+	}
+}
+
+// shrink re-slices every slot FIFO to depth entries: hasRoom compares
+// against the carved capacity, so a test fills a slot in depth offers
+// instead of slotDepth.
+func (q *queued) shrink(depth int) {
+	for i := range q.queues {
+		q.queues[i] = q.queues[i][:0:depth]
+	}
+}
+
+// TestFixedSizes pins the controllers' fixed sizes, as constants and as
+// the controllers build them. None of them is in sweep.Fingerprint, so a
+// change moves simulated results under unchanged store keys: whoever
+// changes one must bump store.formatVersion.
+func TestFixedSizes(t *testing.T) {
+	dev := dram.MustNewDevice(dram.MustSpeed(dram.DDR2, 333))
+	done := func(Completion) {}
+	checks := []struct {
+		name      string
+		got, want int64
+	}{
+		{"slotDepth", slotDepth, 32},
+		{"DPQ slot capacity", int64(cap(NewDPQ(dev, DefaultDPQConfig(3), done).queues[2])), 32},
+		{"RegulatorWindow", RegulatorWindow, 1024},
+		{"regulatorBudget", regulatorBudget, 256},
+		{"Regulator budget", NewRegulator(dev, 3, 8, 4, OpenPage, done).Budget(), 256},
+		{"stagedThreshold", stagedThreshold, 4},
+		{"memMaxThreads", memMaxThreads, 4},
+		{"MemMax threads", int64(len(NewMemMax(dev, DefaultMemMaxConfig(), done).queues)), 4},
+		{"memMaxDataFlits", memMaxDataFlits, 32},
+	}
+	for _, ch := range checks {
+		if ch.got != ch.want {
+			t.Errorf("%s = %d, want %d", ch.name, ch.got, ch.want)
+		}
 	}
 }

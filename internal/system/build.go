@@ -243,24 +243,15 @@ func (r *Runner) newController(dev *dram.Device, policy memctrl.PagePolicy, onDo
 	case memctrl.SchedDPQ:
 		return memctrl.NewDPQ(dev, memctrl.DefaultDPQConfig(len(cfg.App.Cores)), onDone)
 	case memctrl.SchedRegulated:
-		rc := memctrl.DefaultRegulatorConfig(len(cfg.App.Cores))
-		rc.MinBudget = int64(r.maxBeats)
-		rc.PipelineDepth = memPipeline
-		rc.Policy = policy
-		return memctrl.NewRegulator(dev, rc, onDone)
+		return memctrl.NewRegulator(dev, len(cfg.App.Cores), r.maxBeats, memPipeline, policy, onDone)
 	case memctrl.SchedStaged:
-		sc := memctrl.DefaultStagedConfig(len(cfg.App.Cores))
-		sc.PipelineDepth = memPipeline
-		sc.Policy = policy
-		return memctrl.NewStaged(dev, sc, onDone)
+		return memctrl.NewStaged(dev, len(cfg.App.Cores), memPipeline, policy, onDone)
 	}
 	if cfg.Design.usesMemMax() {
-		mm := memctrl.DefaultMemMaxConfig()
-		mm.PriorityFirst = cfg.Design == ConvPFS
 		// The bus-level scheduler hands one transaction at a time to the
 		// controller, whose command look-ahead prepares the next page
 		// while the current data transfers (a window of two).
-		mm.PipelineDepth = 2
+		mm := memctrl.MemMaxConfig{PipelineDepth: 2, PriorityFirst: cfg.Design == ConvPFS}
 		return memctrl.NewMemMax(dev, mm, onDone)
 	}
 	return memctrl.NewSimple(dev, policy, memPipeline, onDone)

@@ -55,8 +55,7 @@ func (r *Runner) installChecks() {
 			c.OnAdmit = ch.dpqMon.Admit
 			c.OnComplete = ch.dpqMon.Complete
 		case *memctrl.Regulator:
-			rc := c.Config()
-			c.OnAdmit = check.NewRegulatorMonitor(r.chk, rc.Window, rc.Budget, "memctrl/regulator"+ch.sfx).Admit
+			c.OnAdmit = check.NewRegulatorMonitor(r.chk, memctrl.RegulatorWindow, c.Budget(), "memctrl/regulator"+ch.sfx).Admit
 		}
 	}
 }

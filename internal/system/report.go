@@ -272,7 +272,7 @@ func (r *Runner) schedulerStat(now int64) *obs.SchedulerStat {
 			st.Throttled += c.Stats.Throttled
 			// Windows opened after the first: a function of the run length
 			// alone, whatever cycles the kernel let the controller sleep.
-			st.WindowRolls += (now - 1) / c.Config().Window
+			st.WindowRolls += (now - 1) / memctrl.RegulatorWindow
 		case *memctrl.Staged:
 			st.Grants += c.Stats.LightGrants + c.Stats.HeavyGrants
 			st.LightGrants += c.Stats.LightGrants

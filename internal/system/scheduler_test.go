@@ -167,7 +167,7 @@ func TestRegulatorMutationDetected(t *testing.T) {
 	if reg.OnAdmit == nil {
 		t.Fatal("checked mode left the regulator's admission hook unwired")
 	}
-	budget := reg.Config().Budget
+	budget := reg.Budget()
 	reg.OnAdmit(0, 0, int(budget), 10)
 	reg.OnAdmit(0, 0, 1, 11)
 	for i := int64(0); i < 1_000; i++ {
