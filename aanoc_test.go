@@ -1,6 +1,12 @@
 package aanoc
 
-import "testing"
+import (
+	"errors"
+	"strings"
+	"testing"
+
+	"aanoc/internal/obs"
+)
 
 func TestRunDefaults(t *testing.T) {
 	res, err := Run(Config{Design: GSS, Cycles: 20_000})
@@ -144,6 +150,31 @@ func TestTableIVandV(t *testing.T) {
 		conv, ours := pw[i], pw[i+2]
 		if conv.PowerMW <= ours.PowerMW {
 			t.Errorf("%s: CONV power (%.1f) should exceed ours (%.1f)", conv.App, conv.PowerMW, ours.PowerMW)
+		}
+	}
+}
+
+// TestCheckedErrNamesFirstViolation: the error Fig8, Fig8Spec and TableV
+// return for a checked grid names the first run that recorded a
+// violation, its total and its first entry; a clean grid, checked or
+// not, is no error.
+func TestCheckedErrNamesFirstViolation(t *testing.T) {
+	clean := Result{App: "bluray", Gen: 2, Design: GSS, Obs: &obs.Report{Checked: true}}
+	bad := Result{App: "sdtv", Gen: 1, Design: GSSSAGM, Obs: &obs.Report{Checked: true, Violations: []obs.Violation{
+		{Cycle: 7, Component: "dram", Kind: "tRCD", Detail: "RD to bank 1 at 7"},
+		{Cycle: 9, Component: "dram", Kind: "tRCD", Detail: "RD to bank 2 at 9"},
+		obs.Dropped(5),
+	}}}
+	if err := checkedErr([]Result{clean, {}, clean}); err != nil {
+		t.Fatalf("clean grid: %v", err)
+	}
+	err := checkedErr([]Result{clean, bad, bad})
+	if !errors.Is(err, obs.ErrViolations) {
+		t.Fatalf("err = %v, want obs.ErrViolations", err)
+	}
+	for _, want := range []string{"7 on grid point 1", "sdtv DDR1/GSS+SAGM", "cycle 7: dram: tRCD"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
 }

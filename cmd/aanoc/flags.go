@@ -232,7 +232,7 @@ type violations struct {
 func (v *violations) report(label string, vs []obs.Violation) {
 	if len(vs) > 0 {
 		v.failed = true
-		fmt.Fprintf(v.stderr, "aanoc: %d invariant violation(s) on %s:\n%s", len(vs), label, obs.SummarizeViolations(vs, 20))
+		fmt.Fprintf(v.stderr, "aanoc: %d invariant violation(s) on %s:\n%s", obs.TotalViolations(vs), label, obs.SummarizeViolations(vs, 20))
 	}
 }
 

@@ -30,19 +30,18 @@ func genCmd(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	// -cycles 0 keeps each spec's own default.
 	f := newFlags("gen", genUsage, stderr, scenario.Run{}, "cycles", "checked")
 	var (
-		n        = f.Int("n", 1, "number of scenarios (seeds seed, seed+1, ...)")
-		seed     = f.Uint64("seed", 1, "base generator seed")
-		meshMin  = f.Int("mesh-min", 0, "minimum mesh side length (0: generator default)")
-		meshMax  = f.Int("mesh-max", 0, "maximum mesh side length (0: generator default)")
-		maxPorts = f.Int("max-ports", 0, "maximum memory ports (0: generator default)")
-		outDir   = f.String("out", "", "write specs as <name>.json into this directory (default: stdout)")
-		run      = f.Bool("run", false, "run each scenario and calibrate it instead of emitting specs")
-		design   = f.String("design", "GSS+SAGM", "design under test with -run")
+		n       = f.Int("n", 1, "number of scenarios (seeds seed, seed+1, ...)")
+		seed    = f.Uint64("seed", 1, "base generator seed")
+		meshMin = f.Int("mesh-min", 0, "minimum mesh side length (0: generator default)")
+		meshMax = f.Int("mesh-max", 0, "maximum mesh side length (0: generator default)")
+		outDir  = f.String("out", "", "write specs as <name>.json into this directory (default: stdout)")
+		run     = f.Bool("run", false, "run each scenario and calibrate it instead of emitting specs")
+		design  = f.String("design", "GSS+SAGM", "design under test with -run")
 	)
 	if err := f.parse(args); err != nil {
 		return err
 	}
-	opts := scenario.GenOptions{MeshMin: *meshMin, MeshMax: *meshMax, MaxPorts: *maxPorts}
+	opts := scenario.GenOptions{MeshMin: *meshMin, MeshMax: *meshMax}
 
 	var d system.Design
 	if *run {

@@ -19,6 +19,8 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+
+	"aanoc/internal/obs"
 )
 
 // command is one subcommand. Errors are returned, never exited on: main
@@ -100,7 +102,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	fmt.Fprintf(stderr, "aanoc %s: %v\n", name, err)
-	if errors.Is(err, errViolations) {
+	if errors.Is(err, errViolations) || errors.Is(err, obs.ErrViolations) {
 		return 2
 	}
 	return 1

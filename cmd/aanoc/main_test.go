@@ -120,6 +120,9 @@ var exits = []leg{
 	{name: "dpq-checked-slow-cas", args: "sim -scheduler dpq -checked -cycles 25000 -inject-fault slow-cas", code: 2, stderr: "wcet-bound"},
 	{name: "ddr4-checked-clean", args: "sim -gen 4 -design GSS+SAGM -priority -checked -cycles 25000"},
 	{name: "ddr4-checked-skip-tfaw", args: "sim -gen 4 -design GSS+SAGM -priority -checked -cycles 25000 -inject-fault skip-tfaw", code: 2, stderr: "tFAW"},
+	// A fault that breaks the checker's recording limit: the header
+	// states every violation counted, not only the 100 recorded.
+	{name: "checked-skip-trcd-total", args: "sim -inject-fault skip-trcd -gen 2 -design GSS+SAGM -priority -cycles 100000 -checked", code: 2, stderr: "aanoc: 3722 invariant violation(s) on GSS+SAGM"},
 	{name: "unknown-fault", args: "sim -inject-fault gremlin", code: 1, stderr: "-inject-fault"},
 	// One validation surface: what sim rejects, every subcommand rejects,
 	// before anything simulates.

@@ -25,28 +25,21 @@ import (
 	"aanoc/internal/obs"
 )
 
-// Checker collects invariant violations for one simulation run.
+// Checker collects invariant violations for one simulation run. It
+// records the first DefaultLimit — a systematically broken run would
+// otherwise accumulate one record per cycle — and counts the rest.
 type Checker struct {
-	// Limit caps the collected violations (0 selects DefaultLimit); a
-	// systematically broken run would otherwise accumulate one record
-	// per cycle. Dropped counts the overflow.
-	Limit   int
-	Dropped int64
-
 	violations []obs.Violation
+	dropped    int64
 }
 
-// DefaultLimit bounds collected violations per run.
+// DefaultLimit bounds the violations recorded per run.
 const DefaultLimit = 100
 
 // Reportf records a violation, or only counts it once past the limit.
 func (c *Checker) Reportf(cycle int64, component, kind, format string, args ...any) {
-	limit := c.Limit
-	if limit <= 0 {
-		limit = DefaultLimit
-	}
-	if len(c.violations) >= limit {
-		c.Dropped++
+	if len(c.violations) >= DefaultLimit {
+		c.dropped++
 		return
 	}
 	c.violations = append(c.violations, obs.Violation{
@@ -55,9 +48,15 @@ func (c *Checker) Reportf(cycle int64, component, kind, format string, args ...a
 	})
 }
 
-// Violations returns the collected violations (nil when clean).
-func (c *Checker) Violations() []obs.Violation { return c.violations }
+// Violations returns the recorded violations (nil when clean), ended,
+// when the limit dropped any, by an obs.Dropped entry naming how many.
+func (c *Checker) Violations() []obs.Violation {
+	if c.dropped == 0 {
+		return c.violations
+	}
+	return append(c.violations[:len(c.violations):len(c.violations)], obs.Dropped(c.dropped))
+}
 
-// Count returns the number of violations recorded, including dropped
-// ones.
-func (c *Checker) Count() int64 { return int64(len(c.violations)) + c.Dropped }
+// Count returns the number of violations reported, dropped ones
+// included.
+func (c *Checker) Count() int64 { return int64(len(c.violations)) + c.dropped }

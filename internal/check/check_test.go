@@ -28,30 +28,38 @@ func TestCheckerCollects(t *testing.T) {
 }
 
 func TestCheckerLimit(t *testing.T) {
-	c := Checker{Limit: 3}
-	for i := 0; i < 10; i++ {
+	var c Checker
+	for i := 0; i < DefaultLimit+7; i++ {
 		c.Reportf(int64(i), "dram", "tCCD", "violation %d", i)
 	}
-	if len(c.Violations()) != 3 {
-		t.Fatalf("collected %d violations, want limit 3", len(c.Violations()))
+	vs := c.Violations()
+	if len(vs) != DefaultLimit+1 {
+		t.Fatalf("collected %d violations, want the limit %d and a dropped entry", len(vs), DefaultLimit)
 	}
-	if c.Dropped != 7 {
-		t.Fatalf("Dropped = %d, want 7", c.Dropped)
+	if last := vs[DefaultLimit]; last != obs.Dropped(7) {
+		t.Fatalf("last entry %+v, want %+v", last, obs.Dropped(7))
 	}
-	if c.Count() != 10 {
-		t.Fatalf("Count() = %d, want 10", c.Count())
+	if c.Count() != DefaultLimit+7 || obs.TotalViolations(vs) != DefaultLimit+7 {
+		t.Fatalf("Count() = %d, TotalViolations = %d, want %d", c.Count(), obs.TotalViolations(vs), DefaultLimit+7)
+	}
+	// Asking again does not stack a second dropped entry.
+	if again := c.Violations(); len(again) != DefaultLimit+1 {
+		t.Fatalf("second Violations() has %d entries", len(again))
 	}
 }
 
+// TestCheckerDefaultLimit: a run that reaches the limit exactly records
+// every violation and needs no dropped entry.
 func TestCheckerDefaultLimit(t *testing.T) {
 	var c Checker
-	for i := 0; i < DefaultLimit+5; i++ {
+	for i := 0; i < DefaultLimit; i++ {
 		c.Reportf(int64(i), "dram", "tCCD", "violation")
 	}
-	if len(c.Violations()) != DefaultLimit {
-		t.Fatalf("collected %d, want DefaultLimit %d", len(c.Violations()), DefaultLimit)
+	vs := c.Violations()
+	if len(vs) != DefaultLimit {
+		t.Fatalf("collected %d, want DefaultLimit %d and no dropped entry", len(vs), DefaultLimit)
 	}
-	if c.Dropped != 5 {
-		t.Fatalf("Dropped = %d, want 5", c.Dropped)
+	if obs.TotalViolations(vs) != DefaultLimit {
+		t.Fatalf("TotalViolations = %d, want %d", obs.TotalViolations(vs), DefaultLimit)
 	}
 }

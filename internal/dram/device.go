@@ -72,7 +72,7 @@ type Device struct {
 	writeDataEnd int64    // end cycle of the most recent write burst
 	busBusyUntil int64
 
-	stats   Stats
+	stats   Stats // all but the five command counts perBank holds
 	perBank []BankCounters
 
 	// Observer, when set, is invoked for every accepted command with its
@@ -204,8 +204,19 @@ func MustNewDevice(t Timing) *Device {
 // Timing returns the device's timing parameter set.
 func (d *Device) Timing() Timing { return d.t }
 
-// Stats returns a snapshot of the activity counters.
-func (d *Device) Stats() Stats { return d.stats }
+// Stats returns a snapshot of the activity counters. The command totals
+// are sums of the per-bank breakdown, which is where they are counted.
+func (d *Device) Stats() Stats {
+	s := d.stats
+	for _, b := range d.perBank {
+		s.Activates += b.Activates
+		s.Reads += b.Reads
+		s.Writes += b.Writes
+		s.Precharges += b.Precharges
+		s.AutoPre += b.AutoPre
+	}
+	return s
+}
 
 // BankCounters returns a snapshot of the per-bank command breakdown, one
 // entry per bank in bank order.
@@ -250,7 +261,6 @@ func (d *Device) advance(now int64) {
 			b.apPending = false
 			b.state = BankPrecharging
 			b.readyAt = b.apStartAt + d.t.TRP
-			d.stats.AutoPre++
 			d.perBank[i/d.bufsPerBank].AutoPre++
 		}
 		b.settle(now)
@@ -564,7 +574,6 @@ func (d *Device) Issue(cmd Command, now int64) (DataWindow, error) {
 		d.lastActBank = cmd.Bank
 		copy(d.actTimes[:], d.actTimes[1:])
 		d.actTimes[3] = now
-		d.stats.Activates++
 		d.perBank[cmd.Bank].Activates++
 	case CmdRead, CmdWrite:
 		b := d.buf(cmd.Bank, cmd.Row)
@@ -573,13 +582,11 @@ func (d *Device) Issue(cmd Command, now int64) (DataWindow, error) {
 		if cmd.Kind == CmdRead {
 			w = DataWindow{Start: now + d.t.CL, End: now + d.t.CL + burst}
 			d.readDataEnd = w.End
-			d.stats.Reads++
 			d.perBank[cmd.Bank].Reads++
 			pre = now + d.t.TRTP + burst
 		} else {
 			w = DataWindow{Start: now + d.t.CWL, End: now + d.t.CWL + burst}
 			d.writeDataEnd = w.End
-			d.stats.Writes++
 			d.perBank[cmd.Bank].Writes++
 			pre = w.End + d.t.TWR
 		}
@@ -601,7 +608,6 @@ func (d *Device) Issue(cmd Command, now int64) (DataWindow, error) {
 		b := d.buf(cmd.Bank, cmd.Row)
 		b.state = BankPrecharging
 		b.readyAt = now + d.t.TRP
-		d.stats.Precharges++
 		d.perBank[cmd.Bank].Precharges++
 	case CmdRefresh:
 		for i := range d.bufs {

@@ -17,6 +17,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -110,7 +111,7 @@ type Violation struct {
 	// end-of-run accounting checks that have no single cycle).
 	Cycle int64 `json:"cycle"`
 	// Component names the checked subsystem: "dram", "noc/request",
-	// "noc/response", "gss", "runner", "obs".
+	// "noc/response", "gss", "runner", "obs" ("check" for Dropped).
 	Component string `json:"component"`
 	// Kind is the invariant that broke: a timing parameter ("tFAW",
 	// "tRCD"), a conservation law ("credit-conservation",
@@ -125,8 +126,37 @@ func (v Violation) String() string {
 	return fmt.Sprintf("cycle %d: %s: %s: %s", v.Cycle, v.Component, v.Kind, v.Detail)
 }
 
+// ErrViolations marks the error of a checked run or grid that recorded
+// invariant violations.
+var ErrViolations = errors.New("invariant violations")
+
+// kindDropped is the kind of the entry that ends a violation list whose
+// checker stopped recording at its limit (Dropped).
+const kindDropped = "violations-dropped"
+
+// Dropped is the entry that ends a violation list past which n more
+// violations were counted but not recorded.
+func Dropped(n int64) Violation {
+	return Violation{Cycle: -1, Component: "check", Kind: kindDropped,
+		Detail: fmt.Sprintf("%d more violations counted but not recorded", n)}
+}
+
+// TotalViolations is the number of violations a list stands for: its
+// entries, with a closing Dropped entry counted as the number it names.
+func TotalViolations(vs []Violation) int64 {
+	n := int64(len(vs))
+	if n > 0 && vs[n-1].Kind == kindDropped {
+		// An entry Dropped did not write counts as the one entry it is.
+		var dropped int64
+		if _, err := fmt.Sscan(vs[n-1].Detail, &dropped); err == nil {
+			n += dropped - 1
+		}
+	}
+	return n
+}
+
 // SummarizeViolations renders up to max violations, one per line, with a
-// trailing count when more were recorded — the CLIs' stderr rendering.
+// trailing count of the rest — the CLIs' stderr rendering.
 func SummarizeViolations(vs []Violation, max int) string {
 	if len(vs) == 0 {
 		return ""
@@ -141,7 +171,7 @@ func SummarizeViolations(vs []Violation, max int) string {
 		b = append(b, '\n')
 	}
 	if n < len(vs) {
-		b = append(b, fmt.Sprintf("... and %d more violations\n", len(vs)-n)...)
+		b = append(b, fmt.Sprintf("... and %d more violations\n", TotalViolations(vs)-int64(n))...)
 	}
 	return string(b)
 }

@@ -201,3 +201,26 @@ func TestParseRejectsGarbage(t *testing.T) {
 		t.Error("DecodeJSON accepted an empty-run report")
 	}
 }
+
+// TestSummarizeViolationsCountsDropped: the trailer after the rendered
+// lines counts the violations a closing Dropped entry stands for, not
+// the entry itself.
+func TestSummarizeViolationsCountsDropped(t *testing.T) {
+	vs := []Violation{
+		{Cycle: 3, Component: "dram", Kind: "tRCD", Detail: "early"},
+		{Cycle: 4, Component: "dram", Kind: "tRCD", Detail: "early"},
+		Dropped(40),
+	}
+	if n := TotalViolations(vs); n != 42 {
+		t.Fatalf("TotalViolations = %d, want 42", n)
+	}
+	if got := SummarizeViolations(vs, 1); !strings.HasSuffix(got, "... and 41 more violations\n") {
+		t.Errorf("summary with one line:\n%s", got)
+	}
+	if got := SummarizeViolations(vs, 0); !strings.Contains(got, "violations-dropped: 40 more violations counted but not recorded") {
+		t.Errorf("full summary:\n%s", got)
+	}
+	if n := TotalViolations(vs[:2]); n != 2 {
+		t.Errorf("TotalViolations without a dropped entry = %d, want 2", n)
+	}
+}

@@ -16,9 +16,6 @@ type GenOptions struct {
 	// MeshMin/MeshMax bound the mesh side lengths (defaults 3 and 6;
 	// set both to 16 for the CI's large-mesh leg).
 	MeshMin, MeshMax int
-	// MaxPorts caps the memory-port count (default 4, the corner
-	// placement's maximum).
-	MaxPorts int
 }
 
 const (
@@ -40,9 +37,6 @@ func (o GenOptions) withDefaults() GenOptions {
 	}
 	if o.MeshMax == 0 {
 		o.MeshMax = 6
-	}
-	if o.MaxPorts == 0 {
-		o.MaxPorts = 4
 	}
 	return o
 }
@@ -70,9 +64,6 @@ func Generate(seed uint64, o GenOptions) *Spec {
 	// paper's placement, scaled the way the bluray2/ddtv4 models scale.
 	corners := []noc.Coord{{X: 0, Y: 0}, {X: w - 1, Y: h - 1}, {X: 0, Y: h - 1}, {X: w - 1, Y: 0}}
 	nPorts := sim.Pick(rng, []int{1, 1, 2, 2, 4})
-	if nPorts > o.MaxPorts {
-		nPorts = o.MaxPorts
-	}
 	ports := corners[:nPorts]
 
 	channels := 1 + rng.Intn(nPorts)

@@ -83,18 +83,6 @@ func (l *Latency) Percentile(p float64) int64 {
 	return l.Max
 }
 
-// Merge folds other into l.
-func (l *Latency) Merge(other *Latency) {
-	l.Count += other.Count
-	l.Sum += other.Sum
-	if other.Max > l.Max {
-		l.Max = other.Max
-	}
-	for i := range l.buckets {
-		l.buckets[i] += other.buckets[i]
-	}
-}
-
 // Summary is the serialisable digest of one Latency accumulator: the
 // fields the observability report exports per request class. Percentiles
 // are the accumulator's histogram upper bounds.
@@ -119,13 +107,10 @@ func (l *Latency) Summarize() Summary {
 	}
 }
 
-// Metrics aggregates one simulation run's measurements in the paper's
-// three latency columns plus supporting detail.
+// Metrics holds one simulation run's latency samples in the paper's
+// three latency columns plus supporting detail; the request and stall
+// counts are the system's cores' own.
 type Metrics struct {
-	// Cycles is the simulated run length; the system stamps it when the
-	// run finishes (Runner.Finish).
-	Cycles int64
-
 	All      Latency // every logical request
 	Demand   Latency // ClassDemand requests (the paper's "demand packet" column)
 	Priority Latency // requests flagged priority (== Demand in Table II runs)
@@ -138,24 +123,10 @@ type Metrics struct {
 	// network-interface queue); the primary latencies measure from
 	// network entry, which is what an RTL NoC testbench observes.
 	SourceLatency Latency
-
-	Generated int64 // logical requests generated
-	// Completed counts logical requests completed over the whole run,
-	// warmup included: Record counts those the latencies sample, and the
-	// system counts a warmup completion directly.
-	Completed int64
-	// Stalled counts generator cycles lost to injection backpressure: one
-	// per core per cycle in which its network interface refused new work
-	// because the injection backlog was at its cap. The system counts it
-	// at the backpressure decision point in coreNI.Tick, and in
-	// Runner.settle for the cycles a blocked core sleeps through, over the
-	// whole run (not warmup-gated).
-	Stalled int64
 }
 
-// Record adds one completed logical request.
+// Record adds one completed logical request's latency sample.
 func (m *Metrics) Record(latency int64, demand, priority, read bool) {
-	m.Completed++
 	m.All.Add(latency)
 	if demand {
 		m.Demand.Add(latency)

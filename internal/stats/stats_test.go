@@ -47,17 +47,6 @@ func TestPercentileBoundsSamples(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	var a, b Latency
-	a.Add(10)
-	b.Add(100)
-	b.Add(200)
-	a.Merge(&b)
-	if a.Count != 3 || a.Sum != 310 || a.Max != 200 {
-		t.Fatalf("merged: %+v", a)
-	}
-}
-
 func TestMetricsRecordRouting(t *testing.T) {
 	var m Metrics
 	m.Record(100, true, true, true)   // demand, priority, read
@@ -67,9 +56,6 @@ func TestMetricsRecordRouting(t *testing.T) {
 	}
 	if m.Best.Count != 1 || m.Reads.Count != 1 || m.Writes.Count != 1 {
 		t.Fatalf("class split broken: %+v", m)
-	}
-	if m.Completed != 2 {
-		t.Fatalf("completed = %d", m.Completed)
 	}
 }
 

@@ -61,12 +61,12 @@ func TestRunToSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			r.RunTo(l.warm)
-			generated := settledMetrics(r).Generated
+			generated := settledTotals(r).generated
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			r.RunTo(l.cfg.Cycles)
 			runtime.ReadMemStats(&after)
-			generated = settledMetrics(r).Generated - generated
+			generated = settledTotals(r).generated - generated
 			allocs := int64(after.Mallocs - before.Mallocs)
 			if generated < 1000 {
 				t.Fatalf("window generated only %d requests: too few to judge", generated)

@@ -1,10 +1,7 @@
 package system
 
 import (
-	"fmt"
-
 	"aanoc/internal/check"
-	"aanoc/internal/dram"
 	"aanoc/internal/memctrl"
 	"aanoc/internal/noc"
 	"aanoc/internal/obs"
@@ -30,9 +27,9 @@ import (
 //     to drain, launch or admit, and a controller not due next cycle has
 //     no grant it could make.
 //   - End-of-run accounting: finalChecks in Runner.Finish — logical
-//     request conservation overall and per core, split-chain pending
-//     bounds, GSS token-table bounds, and cross-checks of the assembled
-//     obs report against the device counters.
+//     request conservation per core, the parents table's live count
+//     against its walk, split-chain pending bounds, GSS token-table
+//     bounds, and the assembled obs report's own rules and link grants.
 
 // installChecks arms the invariant layer; called from New when
 // Config.Checked is set.
@@ -112,27 +109,28 @@ func (r *Runner) auditMeshes(now int64) {
 
 // finalChecks performs the end-of-run accounting and attaches the
 // collected violations to the report. Cycle -1 marks whole-run checks.
-func (r *Runner) finalChecks(rep *obs.Report, devices dram.Stats) {
+func (r *Runner) finalChecks(rep *obs.Report) {
 	c := r.chk
 	r.auditMeshes(r.kern.Now())
 
-	// Logical request conservation: every generated request is completed
-	// or still outstanding in the parents table.
-	outstanding := int64(r.parents.live)
-	if r.met.Generated != r.met.Completed+outstanding {
-		c.Reportf(-1, "runner", "request-accounting",
-			"generated %d != completed %d + outstanding %d",
-			r.met.Generated, r.met.Completed, outstanding)
-	}
-	// Split-chain bounds and the per-core ledger.
+	// Split-chain bounds and the per-core ledger: every request a core
+	// generated is completed or still outstanding in the parents table,
+	// and the table's live count is the records its walk finds.
 	perCore := make([]int64, len(r.cores))
+	walked := 0
 	r.parents.each(func(id int64, l *logical) {
 		if l.pending < 1 {
 			c.Reportf(-1, "runner", "split-accounting",
 				"outstanding request %d has %d pending splits", id, l.pending)
 		}
 		perCore[l.core]++
+		walked++
 	})
+	if walked != r.parents.live {
+		c.Reportf(-1, "runner", "request-accounting",
+			"parents table counts %d outstanding requests, its walk finds %d",
+			r.parents.live, walked)
+	}
 	for i, ni := range r.cores {
 		if ni.generated != ni.stats.Completed+perCore[i] {
 			c.Reportf(-1, "runner", "request-accounting",
@@ -164,18 +162,16 @@ func (r *Runner) finalChecks(rep *obs.Report, devices dram.Stats) {
 			m.Flush(r.kern.Now())
 		}
 	}
-	r.checkReport(rep, devices)
+	r.checkReport(rep)
 
 	rep.Checked = true
 	rep.Violations = c.Violations()
 }
 
 // checkReport holds the assembled observability report to the rules
-// every report obeys (obs.Report.Validate) and cross-checks it against
-// the live structures it summarises: each link's grants against the
-// packets its port has yet to launch, and the per-bank breakdowns
-// against the devices (devices: their sum).
-func (r *Runner) checkReport(rep *obs.Report, devices dram.Stats) {
+// every report obeys (obs.Report.Validate) and cross-checks each link's
+// grants against the packets its port has yet to launch.
+func (r *Runner) checkReport(rep *obs.Report) {
 	c := r.chk
 	if err := rep.Validate(); err != nil {
 		c.Reportf(-1, "obs", "report-invalid", "%v", err)
@@ -200,42 +196,5 @@ func (r *Runner) checkReport(rep *obs.Report, devices dram.Stats) {
 					m.name, l.Router, l.Port, l.Grants, l.BusyCycles, o.UnlaunchedGrants())
 			}
 		})
-	}
-	// The per-bank breakdown must sum to the devices' command totals
-	// (every channel's device in aggregate).
-	r.checkBankBreakdown(rep.Memory.Banks, devices, "aggregate")
-	// And each channel's own breakdown must sum to its own device.
-	for _, cs := range rep.Memory.Channels {
-		r.checkBankBreakdown(cs.Banks, r.chans[cs.Channel].dev.Stats(),
-			fmt.Sprintf("channel %d", cs.Channel))
-	}
-}
-
-// checkBankBreakdown verifies one per-bank table against the device
-// stats it claims to decompose.
-func (r *Runner) checkBankBreakdown(banks []obs.BankStat, st dram.Stats, scope string) {
-	var acts, reads, writes, pres, aps int64
-	for _, b := range banks {
-		acts += b.Activates
-		reads += b.Reads
-		writes += b.Writes
-		pres += b.Precharges
-		aps += b.AutoPre
-	}
-	for _, mismatch := range []struct {
-		name       string
-		sum, total int64
-	}{
-		{"activates", acts, st.Activates},
-		{"reads", reads, st.Reads},
-		{"writes", writes, st.Writes},
-		{"precharges", pres, st.Precharges},
-		{"auto-precharges", aps, st.AutoPre},
-	} {
-		if mismatch.sum != mismatch.total {
-			r.chk.Reportf(-1, "obs", "bank-breakdown",
-				"%s per-bank %s sum to %d, device counted %d",
-				scope, mismatch.name, mismatch.sum, mismatch.total)
-		}
 	}
 }

@@ -142,33 +142,39 @@ func TestCheckedMutationCatchesSkippedTRCD(t *testing.T) {
 // meshes (a negative grant count, which only the live cross-check
 // reads), the sequence of violations — and so which ones survive the
 // checker's limit — must not depend on map iteration order. The request
-// mesh reports first, then the response mesh, every time.
+// mesh reports first, then the response mesh, every time. ddtv4's 6x6
+// request mesh has more links than the checker records, so a
+// response-first walk would record different violations, not merely
+// reorder them.
 func TestCheckReportViolationOrderIsStable(t *testing.T) {
-	r, err := New(Config{App: appmodel.BluRay(), Gen: dram.DDR2, Design: GSS, Cycles: 500, Checked: true})
+	r, err := New(Config{App: appmodel.QuadDTV(), Gen: dram.DDR2, Design: GSS, Cycles: 500, Checked: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.RunTo(500)
-	res := r.Finish()
-	rep := res.Obs
+	rep := r.Finish().Obs
 	if len(rep.Violations) != 0 {
 		t.Fatalf("clean run violated: %v", rep.Violations)
 	}
-	for _, links := range [][]obs.LinkStat{rep.Network.Request.Links, rep.Network.Response.Links} {
+	req, resp := rep.Network.Request.Links, rep.Network.Response.Links
+	if len(req) <= check.DefaultLimit {
+		t.Fatalf("request mesh has %d links, want more than the checker's limit %d", len(req), check.DefaultLimit)
+	}
+	for _, links := range [][]obs.LinkStat{req, resp} {
 		for i := range links {
 			links[i].Grants = -1
 		}
 	}
 	var first []obs.Violation
 	for i := 0; i < 64; i++ {
-		// A limit below one mesh's link count: a response-first walk would
-		// fill it with different violations, not merely reorder them.
-		r.chk = &check.Checker{Limit: 8}
-		r.checkReport(rep, res.Device)
+		r.chk = &check.Checker{}
+		r.checkReport(rep)
 		got := r.chk.Violations()
 		if i == 0 {
 			first = got
-			if len(first) != 8 || !strings.HasPrefix(first[0].Detail, "request mesh") {
+			if len(first) != check.DefaultLimit+1 || !strings.HasPrefix(first[0].Detail, "request mesh") ||
+				!strings.HasPrefix(first[check.DefaultLimit-1].Detail, "request mesh") ||
+				obs.TotalViolations(first) != int64(len(req)+len(resp)) {
 				t.Fatalf("fabricated report produced %v", first)
 			}
 		} else if !reflect.DeepEqual(got, first) {
@@ -197,9 +203,37 @@ func TestCheckReportHoldsReportToValidate(t *testing.T) {
 	}
 	rep.Samples[len(rep.Samples)-1].Cycle = rep.Cycles + 1
 	r.chk = &check.Checker{}
-	r.checkReport(rep, res.Device)
+	r.checkReport(rep)
 	if vs := r.chk.Violations(); len(vs) != 1 || vs[0].Kind != "report-invalid" ||
 		!strings.Contains(vs[0].Detail, "outside run") {
 		t.Fatalf("a sample past the run's end reported as %v, want one report-invalid", vs)
+	}
+}
+
+// TestFinalChecksCatchLedgerDrift: the end-of-run accounting catches a
+// parents table whose live count drifts from the records its walk finds,
+// and a core whose ledger gains a request it never tracked — each once,
+// as request-accounting.
+func TestFinalChecksCatchLedgerDrift(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		doctor func(r *Runner)
+		want   string
+	}{
+		{"parents-live", func(r *Runner) { r.parents.live++ }, "parents table counts"},
+		{"core-ledger", func(r *Runner) { r.cores[0].generated++ }, "core " + appmodel.BluRay().Cores[0].Name},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := New(Config{App: appmodel.BluRay(), Gen: dram.DDR2, Design: GSS, Cycles: 2_000, Checked: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.RunTo(2_000)
+			tc.doctor(r)
+			vs := r.Finish().Obs.Violations
+			if len(vs) != 1 || vs[0].Kind != "request-accounting" || !strings.Contains(vs[0].Detail, tc.want) {
+				t.Fatalf("doctored ledger reported as %v, want one request-accounting naming %q", vs, tc.want)
+			}
+		})
 	}
 }

@@ -115,7 +115,6 @@ func (c *coreNI) Tick(now int64) {
 		// The injection backpressure point: this core's generators lose
 		// the cycle. Counted once per core per cycle, here or — for the
 		// cycles a blocked core sleeps through — in settle.
-		r.met.Stalled++
 		c.stalls++
 	}
 	for _, g := range c.gens {
@@ -172,18 +171,17 @@ func (s *sampler) NextWake(now int64) int64 {
 
 // settle brings a core's lazily kept counters up to cycle now
 // (exclusive). While the core sleeps blocked its tick would only have
-// counted the lost cycle — in Metrics.Stalled, the core's stalls and
-// each due stream's Blocked — so the sleep is paid for here, in one
-// step, by whoever is about to read those counters or change what they
-// depend on: the tick itself, completeSplit before it touches a stream,
-// Metrics and Finish. With idle-skip off the core ticks every cycle and
-// there is never anything to pay.
+// counted the lost cycle — in the core's stalls and each due stream's
+// Blocked — so the sleep is paid for here, in one step, by whoever is
+// about to read those counters or change what they depend on: the tick
+// itself, completeSplit before it touches a stream, and Finish. With
+// idle-skip off the core ticks every cycle and there is never anything
+// to pay.
 func (r *Runner) settle(c *coreNI, now int64) {
 	n := now - c.sleptFrom
 	if n <= 0 {
 		return // awake (sleptFrom is Never), or settled through now already
 	}
-	r.met.Stalled += n
 	c.stalls += n
 	for _, g := range c.gens {
 		g.SkipBlocked(c.sleptFrom, now)

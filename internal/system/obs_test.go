@@ -103,16 +103,15 @@ func TestReplayBackpressureConservation(t *testing.T) {
 	for i := 0; i < steps; i++ {
 		r.kern.Step()
 	}
-	rp := r.cores[0].gens[0].(*trace.Replayer)
-	if rp.Done() {
+	tot := settledTotals(r)
+	if tot.generated >= m {
 		t.Fatalf("replayer drained %d records in %d cycles; burst too small to saturate", m, steps)
 	}
-	met := settledMetrics(r)
-	if met.Stalled+met.Generated != steps {
-		t.Errorf("Stalled %d + Generated %d = %d, want %d (one outcome per cycle)",
-			met.Stalled, met.Generated, met.Stalled+met.Generated, steps)
+	if tot.stalled+tot.generated != steps {
+		t.Errorf("stalled %d + generated %d = %d, want %d (one outcome per cycle)",
+			tot.stalled, tot.generated, tot.stalled+tot.generated, steps)
 	}
-	if met.Stalled == 0 {
+	if tot.stalled == 0 {
 		t.Errorf("no stalls despite a saturating burst and a %d-flit injection cap", injectCap)
 	}
 	if got := r.cores[0].inj.QueueFlitsHWM(); got < injectCap {
@@ -127,11 +126,9 @@ func TestReplayBackpressureConservation(t *testing.T) {
 			t.Errorf("idle core %s reports %d stall cycles", ni.Core, ni.StallCycles)
 		}
 	}
-	if stallSum != met.Stalled {
-		t.Errorf("per-NI stalls sum to %d, aggregate Stalled is %d", stallSum, met.Stalled)
-	}
-	if met.Cycles != steps {
-		t.Errorf("Metrics.Cycles = %d, want %d (stamped by Finish)", met.Cycles, steps)
+	if stallSum != tot.stalled || rep.Stalled != tot.stalled {
+		t.Errorf("per-NI stalls sum to %d and the report's Stalled is %d, want the settled %d",
+			stallSum, rep.Stalled, tot.stalled)
 	}
 }
 

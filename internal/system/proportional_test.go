@@ -137,9 +137,9 @@ func TestSaturatedWorkIsProportional(t *testing.T) {
 
 // lazyCounters reads the three counters a blocked sleep owes: the run's
 // stalled cycles, each core's, and each stream's blocked cycles.
-// settledMetrics settles them first, as every reader must.
+// settledTotals settles them first, as every reader must.
 func lazyCounters(r *Runner) (stalled int64, perCore []int64, perStream []int64) {
-	stalled = settledMetrics(r).Stalled
+	stalled = settledTotals(r).stalled
 	for _, c := range r.cores {
 		perCore = append(perCore, c.stalls)
 		for _, g := range c.gens {

@@ -56,7 +56,6 @@ func (r *Runner) Finish() Result {
 		st.Add(d.Stats())
 	}
 	r.settleAll()
-	r.met.Cycles = now
 	rep := r.buildReport(now)
 	res := Result{
 		Design: cfg.Design, App: cfg.App.Name, Gen: cfg.Gen, ClockMHz: cfg.ClockMHz,
@@ -88,7 +87,7 @@ func (r *Runner) Finish() Result {
 	}
 	res.Fairness = jain(res.PerCore)
 	if r.chk != nil {
-		r.finalChecks(rep, st)
+		r.finalChecks(rep)
 	}
 	return res
 }
@@ -114,9 +113,6 @@ func (r *Runner) buildReport(now int64) *obs.Report {
 		Design:        cfg.Design.String(), App: cfg.App.Name, Gen: int(cfg.Gen),
 		ClockMHz: cfg.ClockMHz, Cycles: now, Warmup: max(cfg.Warmup, 0), Seed: cfg.Seed,
 		Scheduler:   sched,
-		Generated:   r.met.Generated,
-		Completed:   r.met.Completed,
-		Stalled:     r.met.Stalled,
 		Utilization: util / float64(len(chans)),
 		Latency: obs.Latencies{
 			All:      r.met.All.Summarize(),
@@ -137,8 +133,12 @@ func (r *Runner) buildReport(now int64) *obs.Report {
 		Samples:     r.samples,
 	}
 	rep.Memory.Scheduler = r.schedulerStat(now)
+	// The run's request and stall counts are folds of the cores' own.
 	for i, c := range r.cores {
 		rep.NIs[i] = c.niStat()
+		rep.Generated += c.generated
+		rep.Completed += c.stats.Completed
+		rep.Stalled += c.stalls
 		if cfg.WorkloadStats {
 			rep.Workload = c.appendWorkload(rep.Workload)
 		}

@@ -125,8 +125,6 @@ func (r *Runner) completeSplit(p *noc.Packet, at int64) {
 		}
 		r.met.Record(at-entry, l.class == noc.ClassDemand, l.priority, l.read)
 		r.met.SourceLatency.Add(at - l.gen)
-	} else {
-		r.met.Completed++
 	}
 	l.stream.OnComplete(at)
 	// The completion refills a closed-loop window: the stream can
@@ -187,7 +185,6 @@ func (r *Runner) injectLogical(c *coreNI, g traffic.Source, req *traffic.Request
 		core: c.idx, beats: req.Beats,
 	}
 	r.parents.add(base.ID, l)
-	r.met.Generated++
 	c.generated++
 	r.chans[ch].sent += int64(len(pkts))
 	// A write split under SAGM replaces the base packet with per-granule

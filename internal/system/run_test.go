@@ -5,14 +5,22 @@ import (
 
 	"aanoc/internal/appmodel"
 	"aanoc/internal/dram"
-	"aanoc/internal/stats"
 )
 
-// settledMetrics reads a run's accumulating measurements mid-run, after
-// settling the counters its sleeping cores owe through the current cycle.
-func settledMetrics(r *Runner) *stats.Metrics {
+// runTotals are the run's request and stall counts: the report's
+// generated, completed and stalled, folded from the cores' own.
+type runTotals struct{ generated, completed, stalled int64 }
+
+// settledTotals reads a run's totals mid-run, after settling the
+// counters its sleeping cores owe through the current cycle.
+func settledTotals(r *Runner) (t runTotals) {
 	r.settleAll()
-	return &r.met
+	for _, c := range r.cores {
+		t.generated += c.generated
+		t.completed += c.stats.Completed
+		t.stalled += c.stalls
+	}
+	return t
 }
 
 func TestParseDesign(t *testing.T) {

@@ -165,11 +165,6 @@ type Replayer struct {
 	records []Record
 	next    int
 	req     traffic.Request // the request Tick returns (valid until the next issue)
-
-	// Issued counts replayed requests; Outstanding tracks completions
-	// for closed-loop accounting (purely informational on replay).
-	Issued      int64
-	Outstanding int64
 }
 
 // NewReplayer builds a replayer over one core's records (must be
@@ -188,18 +183,13 @@ func (rp *Replayer) Tick(now int64, blocked bool) *traffic.Request {
 		return nil
 	}
 	rp.next++
-	rp.Issued++
-	rp.Outstanding++
 	rp.req = rec.toRequest()
 	return &rp.req
 }
 
-// OnComplete implements traffic.Source.
-func (rp *Replayer) OnComplete(now int64) {
-	if rp.Outstanding > 0 {
-		rp.Outstanding--
-	}
-}
+// OnComplete implements traffic.Source: a replay is open-loop, so a
+// completion changes nothing.
+func (rp *Replayer) OnComplete(now int64) {}
 
 // NextArrival implements traffic.Source: the recorded cycle of the next
 // unissued request, or math.MaxInt64 once the trace is exhausted.
@@ -213,9 +203,6 @@ func (rp *Replayer) NextArrival() int64 {
 // SkipBlocked implements traffic.Source: a blocked Tick leaves the
 // replayer untouched, so a blocked span has nothing to account for.
 func (rp *Replayer) SkipBlocked(from, to int64) {}
-
-// Done reports whether every record has been issued.
-func (rp *Replayer) Done() bool { return rp.next >= len(rp.records) }
 
 // SplitByCore partitions records per core, preserving order.
 func SplitByCore(records []Record) map[string][]Record {

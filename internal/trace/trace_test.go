@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -126,13 +127,8 @@ func TestReplayerTiming(t *testing.T) {
 	if rp.Tick(8, false) != nil {
 		t.Fatal("second record replayed early")
 	}
-	if rp.Tick(10, false) == nil || !rp.Done() {
+	if rp.Tick(10, false) == nil || rp.NextArrival() != math.MaxInt64 {
 		t.Fatal("replayer did not drain")
-	}
-	rp.OnComplete(11)
-	rp.OnComplete(12)
-	if rp.Outstanding != 0 {
-		t.Fatalf("outstanding = %d", rp.Outstanding)
 	}
 }
 
@@ -161,8 +157,8 @@ func TestReplayerOwnsReturnedRequest(t *testing.T) {
 		many[i] = rec(0, "a", 8)
 	}
 	rp = NewReplayer(many)
-	if avg := testing.AllocsPerRun(100, func() { rp.Tick(0, false) }); avg != 0 || rp.Issued != 101 {
-		t.Errorf("Tick allocates %.2f per replayed request (%d issued), want 0", avg, rp.Issued)
+	if avg := testing.AllocsPerRun(100, func() { rp.Tick(0, false) }); avg != 0 || rp.next != 101 {
+		t.Errorf("Tick allocates %.2f per replayed request (%d issued), want 0", avg, rp.next)
 	}
 }
 

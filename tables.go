@@ -85,8 +85,10 @@ type TableOptions struct {
 	Progress func(done, total int)
 	// Checked runs every grid point under the internal/check invariant
 	// layer; violations land in each row's Obs.Violations (see
-	// CheckedViolations). Checked runs measure identically to unchecked
-	// runs — the monitors only observe.
+	// CheckedViolations). Fig8, Fig8Spec and TableV, whose points carry
+	// no report, instead return an error naming the first violation.
+	// Checked runs measure identically to unchecked runs — the monitors
+	// only observe.
 	Checked bool
 	// Spec, when set, replaces the paper's application matrix: the table
 	// drivers evaluate the spec's platform — its mesh, cores, clocks and
@@ -153,17 +155,33 @@ func (o TableOptions) collect(cfgs []system.Config) ([]Result, error) {
 	return sweep.Collect(cfgs, SweepOptions{Workers: o.Parallel, OnProgress: o.Progress, Store: o.Store}.internal())
 }
 
-// CheckedViolations counts the invariant violations recorded across the
-// rows' observability reports — zero for a healthy simulator. Only
-// meaningful for grids run with TableOptions.Checked.
+// CheckedViolations counts the invariant violations the rows' checked
+// runs found, those past a run's recording limit included — zero for a
+// healthy simulator. Only meaningful for grids run with
+// TableOptions.Checked.
 func CheckedViolations(rows []Row) int {
 	n := 0
 	for _, r := range rows {
 		if r.Obs != nil {
-			n += len(r.Obs.Violations)
+			n += int(obs.TotalViolations(r.Obs.Violations))
 		}
 	}
 	return n
+}
+
+// checkedErr is the error of a grid whose checked runs recorded
+// invariant violations, naming the first. The drivers whose points carry
+// no report (Fig8Point, PowerRow) return it: their callers could not see
+// the violations otherwise.
+func checkedErr(results []Result) error {
+	for i, res := range results {
+		if res.Obs != nil && len(res.Obs.Violations) > 0 {
+			vs := res.Obs.Violations
+			return fmt.Errorf("%w: %d on grid point %d (%s %s/%s), the first %s",
+				obs.ErrViolations, obs.TotalViolations(vs), i, res.App, res.Gen, res.Design, vs[0])
+		}
+	}
+	return nil
 }
 
 // matrix is the one grid loop behind Tables I-III and the scheduler
@@ -296,6 +314,9 @@ func fig8(app appmodel.App, gen, clockMHz int, o TableOptions) ([]Fig8Point, err
 	if err != nil {
 		return nil, err
 	}
+	if err := checkedErr(results); err != nil {
+		return nil, err
+	}
 	out := make([]Fig8Point, len(results))
 	for k, res := range results {
 		out[k] = Fig8Point{
@@ -379,6 +400,9 @@ func TableV(o TableOptions) ([]PowerRow, error) {
 	o.Spec = nil
 	results, err := o.collect(cfgs)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkedErr(results); err != nil {
 		return nil, err
 	}
 	out := make([]PowerRow, len(results))
