@@ -128,9 +128,6 @@ type GSS struct {
 	// bankIdleAt[b] is the absolute cycle bank b is estimated to accept a
 	// new activation; armed when a scheduled packet carries an AP tag.
 	bankIdleAt []int64
-
-	// Scheduled counts grants, used by the activity-based power model.
-	Scheduled int64
 }
 
 // New constructs a GSS flow controller.
@@ -465,7 +462,6 @@ func (g *GSS) unlink(p *noc.Packet) {
 // can be activated again (data transfer time plus tWR+tRP for writes, tRP
 // for reads).
 func (g *GSS) OnScheduled(p *noc.Packet, now int64) {
-	g.Scheduled++
 	g.unlink(p)
 	g.last = *p
 	g.hasLast = true

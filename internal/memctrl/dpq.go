@@ -47,12 +47,6 @@ type DPQ struct {
 	// OnComplete, when set, observes every completion before the
 	// downstream callback (which may recycle the packet).
 	OnComplete func(id int64, at int64)
-
-	// Stats counts scheduler decisions for the observability report.
-	Stats struct {
-		Grants     int64
-		MaxBacklog int
-	}
 }
 
 // NewDPQ builds the arbiter. The pipeline is fixed at depth 1 with the
@@ -80,9 +74,6 @@ func (d *DPQ) Offer(p *noc.Packet, now int64) bool {
 	}
 	q := d.slotOf(p)
 	d.enqueue(q, p)
-	if d.backlog > d.Stats.MaxBacklog {
-		d.Stats.MaxBacklog = d.backlog
-	}
 	if d.OnAdmit != nil {
 		occ := d.eng.occupancy()
 		d.OnAdmit(p.ID, p.Beats, len(d.queues[q]), occ, now)
@@ -104,7 +95,6 @@ func (d *DPQ) pickQueue() int {
 // grant rotates the served requestor to the list's tail, making it the
 // lowest priority.
 func (d *DPQ) grant(q int, _ *noc.Packet, _ int64) {
-	d.Stats.Grants++
 	gi := 0
 	for d.order[gi] != q {
 		gi++

@@ -83,7 +83,6 @@ type reqState struct {
 // bound and no storage of its own.
 type drainList struct {
 	head, tail *reqState
-	n          int
 }
 
 func (l *drainList) push(r *reqState) {
@@ -93,7 +92,6 @@ func (l *drainList) push(r *reqState) {
 		l.tail.next = r
 	}
 	l.tail = r
-	l.n++
 }
 
 // unlink removes r, whose predecessor is prev (nil at the head).
@@ -107,7 +105,6 @@ func (l *drainList) unlink(prev, r *reqState) {
 		l.tail = prev
 	}
 	r.next = nil
-	l.n--
 }
 
 // engine is the shared command pipeline: it turns an ordered stream of
@@ -434,10 +431,16 @@ func (e *engine) mustIssue(cmd dram.Command, now int64) {
 }
 
 // busy reports whether any request is inflight or draining.
-func (e *engine) busy() bool { return e.occupancy() > 0 }
+func (e *engine) busy() bool { return len(e.inflight) > 0 || e.draining.head != nil }
 
 // occupancy counts the requests admitted and not yet retired.
-func (e *engine) occupancy() int { return len(e.inflight) + e.draining.n }
+func (e *engine) occupancy() int {
+	n := len(e.inflight)
+	for r := e.draining.head; r != nil; r = r.next {
+		n++
+	}
+	return n
+}
 
 // nextEvent returns the next cycle tick can possibly act, judged from
 // the pipeline's own state — a true event queue, not a per-cycle poll:

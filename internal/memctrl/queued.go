@@ -14,9 +14,11 @@ import (
 // What makes each embedder a scheduler stays with it: its Offer (which
 // slot a packet joins and its own admission rule), pick and granted.
 type queued struct {
-	eng     *engine
-	queues  [][]*noc.Packet
-	backlog int // requests queued across all slots
+	eng        *engine
+	queues     [][]*noc.Packet
+	backlog    int   // requests queued across all slots
+	maxBacklog int   // backlog's high-water mark
+	grants     int64 // heads moved into the pipeline, every scheduler's grant count
 
 	// pick names the slot whose head is granted next, or -1 when no head
 	// is eligible this cycle (it runs only while something is queued);
@@ -66,6 +68,7 @@ func (q *queued) Accepts(p *noc.Packet) bool { return q.hasRoom(q.slotOf(p)) }
 func (q *queued) enqueue(slot int, p *noc.Packet) {
 	q.queues[slot] = append(q.queues[slot], p)
 	q.backlog++
+	q.maxBacklog = max(q.maxBacklog, q.backlog)
 }
 
 // Tick implements Controller: grant picked heads into the command
@@ -84,11 +87,18 @@ func (q *queued) Tick(now int64) {
 		fifo[len(fifo)-1] = nil
 		q.queues[slot] = fifo[:len(fifo)-1]
 		q.backlog--
+		q.grants++
 		q.eng.admit(p)
 		q.granted(slot, p, now)
 	}
 	q.eng.tick(now)
 }
+
+// Grants counts the requests granted into the command pipeline.
+func (q *queued) Grants() int64 { return q.grants }
+
+// MaxBacklog is the most requests ever queued across all slots at once.
+func (q *queued) MaxBacklog() int { return q.maxBacklog }
 
 // Busy implements Controller.
 func (q *queued) Busy() bool { return q.backlog > 0 || q.eng.busy() }

@@ -38,9 +38,8 @@ type Regulator struct {
 	// regulation invariant is audited from.
 	OnAdmit func(core, bank, beats int, now int64)
 
-	// Stats counts scheduler decisions for the observability report.
+	// Stats counts scheduler decisions beyond queued's grants.
 	Stats struct {
-		Grants int64
 		// Throttled counts grant opportunities lost to regulation: ticks
 		// with a head backlogged and every backlogged head over budget.
 		// It advances only in ticks where a grant is possible (a head
@@ -132,7 +131,6 @@ func (r *Regulator) grant(c int, p *noc.Packet, now int64) {
 	if r.OnAdmit != nil {
 		r.OnAdmit(c, p.Addr.Bank, p.Beats, now)
 	}
-	r.Stats.Grants++
 	r.rotate = (c + 1) % len(r.queues)
 }
 

@@ -25,9 +25,8 @@ type Staged struct {
 	heavy       []bool
 	rotate      int
 
-	// Stats counts scheduler decisions for the observability report.
+	// Stats counts scheduler decisions beyond queued's grants.
 	Stats struct {
-		LightGrants       int64
 		HeavyGrants       int64
 		Reclassifications int64
 	}
@@ -98,13 +97,11 @@ func (s *Staged) pickCore() int {
 	return heavy
 }
 
-// grant counts the decision by the granted core's class and moves the
-// round-robin pointer past it.
+// grant counts a heavy core's grant and moves the round-robin pointer
+// past the granted core.
 func (s *Staged) grant(c int, _ *noc.Packet, _ int64) {
 	if s.heavy[c] {
 		s.Stats.HeavyGrants++
-	} else {
-		s.Stats.LightGrants++
 	}
 	s.rotate = (c + 1) % len(s.queues)
 }

@@ -40,8 +40,8 @@ func TestDPQDrainsAndRotates(t *testing.T) {
 	if len(done) != 16 {
 		t.Fatalf("completions = %d, want 16", len(done))
 	}
-	if d.Stats.Grants != 16 {
-		t.Errorf("grants = %d, want 16", d.Stats.Grants)
+	if d.Grants() != 16 {
+		t.Errorf("grants = %d, want 16", d.Grants())
 	}
 	// Closed page: every access auto-precharges, no explicit PRE needed.
 	if st := dev.Stats(); st.Precharges != 0 || st.AutoPre == 0 {
@@ -177,8 +177,8 @@ func TestDPQBackpressureAndNextEvent(t *testing.T) {
 		t.Fatalf("slot freed at %d: NextEvent = %d, want now+1", now, d.NextEvent(now))
 	}
 	d.Tick(now + 1)
-	if d.Stats.Grants != 2 || d.backlog != 0 {
-		t.Fatalf("first tick after the slot freed: %d grants, backlog %d", d.Stats.Grants, d.backlog)
+	if d.Grants() != 2 || d.backlog != 0 {
+		t.Fatalf("first tick after the slot freed: %d grants, backlog %d", d.Grants(), d.backlog)
 	}
 }
 
@@ -284,8 +284,8 @@ func TestStagedServesLightBeforeHeavy(t *testing.T) {
 	if done[0].Pkt.ID != 7 {
 		t.Errorf("first completion = %d, want the light core's request 7", done[0].Pkt.ID)
 	}
-	if s.Stats.LightGrants == 0 || s.Stats.HeavyGrants == 0 {
-		t.Errorf("grants = %+v, want both classes exercised", s.Stats)
+	if light := s.Grants() - s.Stats.HeavyGrants; light == 0 || s.Stats.HeavyGrants == 0 {
+		t.Errorf("%d grants, %d heavy: want both classes exercised", s.Grants(), s.Stats.HeavyGrants)
 	}
 	if s.Stats.Reclassifications == 0 {
 		t.Error("core 0 should have been reclassified heavy (and back)")

@@ -112,19 +112,14 @@ func (inj *Injector) audit(report func(kind, format string, args ...any)) {
 // its step could do — no free output VC with a matching buffer head, no
 // transfer with both a credit and an arrived unsent flit. An imbalance
 // means part of the mesh could sleep while work remains — a timing bug
-// the skipping would silently introduce. The per-link credit total and
-// the per-router want counters (the port-skip condition) are recomputed
-// the same way.
+// the skipping would silently introduce. The per-router want counters
+// (the port-skip condition) are recomputed the same way.
 func (m *Mesh) auditActivity(report func(kind, format string, args ...any)) {
 	for i := range m.links {
 		l := &m.links[i]
 		pend := 0
 		for _, n := range l.pendingCredits() {
 			pend += int(n)
-		}
-		if pend != int(l.credPending) {
-			report("active-set", "link %d: %d pending credits but credPending %d",
-				i, pend, l.credPending)
 		}
 		holds := l.flitPkt != nil || pend > 0
 		if marked := m.linkBusy.has(i); marked != holds {

@@ -287,29 +287,6 @@ func TestAuditCatchesWantDrift(t *testing.T) {
 	}
 }
 
-// TestAuditCatchesCreditTotalDrift breaks a link's credit total against
-// its per-VC counters: deliver tests the total, so a total of zero over a
-// queued credit strands it and the sender starves.
-func TestAuditCatchesCreditTotalDrift(t *testing.T) {
-	m, _ := NewMesh(2, 2, 4)
-	src, dst := Coord{1, 1}, Coord{0, 0}
-	inj := m.AttachInjector(src)
-	m.AttachSink(dst, 8, 4)
-	inj.Enqueue(mkPacket(1, src, dst, 4))
-	inj.Step(0)
-	m.Cycle(1) // (1,1) forwards the head flit and returns its credit
-	if inj.link.credPending != 1 {
-		t.Fatalf("injector link holds %d pending credits after one forward, want 1", inj.link.credPending)
-	}
-	if vs := collectViolations(m); len(vs) != 0 {
-		t.Fatalf("mesh with a credit in flight not clean: %v", vs)
-	}
-	inj.link.credPending = 0
-	if vs := activityViolations(m); len(vs) != 1 || !strings.Contains(vs[0], "credPending") {
-		t.Fatalf("credit total behind its per-VC sum reported as %v, want one active-set", vs)
-	}
-}
-
 // TestAuditActiveSetsCleanWhenBlockedAndDrained is the other half: the
 // sets a correct mesh keeps are never flagged, in the two states the
 // sleep rules exist for. Saturated — the sink's consumer never pops, so

@@ -30,10 +30,9 @@ type Link struct {
 	// indices of the router owning the destination input port and of the
 	// one owning the credited output port (-1 for a sink and an
 	// injector): the routers a delivery on this link gives something to
-	// do. The narrow types keep the arena at 72 bytes a link.
+	// do. The narrow types keep the arena at 64 bytes a link.
 	idx                  int32
 	dstRouter, srcRouter int32
-	credPending          int32 // total queued credits across VCs
 	flitVC               int8
 	flitHead             bool
 }
@@ -80,17 +79,16 @@ func (l *Link) launch(p *Packet, head bool, vc int) {
 // applied on the next deliver phase.
 func (l *Link) returnCredit(vc int) {
 	l.pendingCredits()[vc]++
-	l.credPending++
 	l.m.markBusy(int(l.idx))
 }
 
 // deliver moves the in-flight flit into the destination buffer and
 // applies queued credits upstream. A flit landing in a router buffer
 // wakes the router (it must forward it); one landing in a sink's credit
-// buffer wakes the sink's consumer to drain it instead. Either half
-// hands a router something its step can act on — a flit to forward, a
-// credit to spend — so deliver is the one place a router's awake bit is
-// set.
+// buffer wakes the sink's consumer to drain it instead. A credit applied
+// wakes the router it returns to. Either half hands a router something
+// its step can act on — a flit to forward, a credit to spend — so deliver
+// is the one place a router's awake bit is set.
 func (l *Link) deliver(now int64) {
 	m := l.m
 	if l.flitPkt != nil {
@@ -105,17 +103,14 @@ func (l *Link) deliver(now int64) {
 			m.routerAwake.set(int(l.dstRouter))
 		}
 	}
-	if l.credPending > 0 {
-		pending := l.pendingCredits()
-		for vc, n := range pending {
-			if n > 0 {
-				l.creditTo.addCredits(vc, int(n), now)
-				pending[vc] = 0
+	pending := l.pendingCredits()
+	for vc, n := range pending {
+		if n > 0 {
+			l.creditTo.addCredits(vc, int(n), now)
+			pending[vc] = 0
+			if l.srcRouter >= 0 {
+				m.routerAwake.set(int(l.srcRouter))
 			}
-		}
-		l.credPending = 0
-		if l.srcRouter >= 0 {
-			m.routerAwake.set(int(l.srcRouter))
 		}
 	}
 }

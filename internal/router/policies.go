@@ -13,8 +13,6 @@ import "aanoc/internal/noc"
 type RoundRobin struct {
 	next    int
 	granted int
-	// Grants counts channel allocations for the power model.
-	Grants int64
 }
 
 // OnPacketArrival implements noc.Allocator; round-robin keeps no
@@ -43,7 +41,6 @@ func (r *RoundRobin) portKey(port int) int {
 
 // OnScheduled advances the rotating pointer one past the granted port.
 func (r *RoundRobin) OnScheduled(p *noc.Packet, _ int64) {
-	r.Grants++
 	r.next = (r.granted + 1) % noc.NumPorts
 }
 

@@ -54,8 +54,10 @@ func TestRoundRobinSkipsAbsentPorts(t *testing.T) {
 		t.Fatalf("Select = %d, want 0", w)
 	}
 	rr.OnScheduled(cands[0].Pkt, 0)
-	if rr.Grants != 1 {
-		t.Fatalf("Grants = %d, want 1", rr.Grants)
+	// The pointer moved one past the granted port 3, so port 4 leads.
+	cands = []noc.Candidate{cand(2, false), cand(4, false)}
+	if w := rr.Select(cands, 1); w != 1 {
+		t.Fatalf("Select after granting port 3 = %d, want 1 (port 4)", w)
 	}
 }
 

@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"slices"
 
 	"aanoc/internal/appmodel"
 	"aanoc/internal/check"
@@ -116,7 +117,8 @@ type Runner struct {
 	samples     []obs.Sample
 	lastSampleD int64
 
-	gssAllocs []core.GSS // every GSS output's allocator, in router order
+	gssAllocs  []core.GSS    // every GSS output's allocator, in router order
+	gssRouters []*noc.Router // their routers, whose output ports count the grants
 
 	// chk is nil unless Config.Checked.
 	chk *check.Checker
@@ -352,23 +354,23 @@ func maxRequestBeats(cfg Config) int {
 func (r *Runner) installAllocators(ports []noc.Coord) error {
 	cfg := r.cfg
 	n := len(r.reqMesh.Routers)
-	gssSet := make([]bool, n) // by router index
-	nGSS := 0
 	if cfg.Design.usesGSSEngine() {
 		order := mapping.RoutersByPortDistance(cfg.App.Width, cfg.App.Height, ports)
-		nGSS = len(order) // GSSRouters 0 or past the mesh: all of them
-		if k := cfg.GSSRouters; k != 0 && k < nGSS {
-			nGSS = max(k, 0)
+		if k := cfg.GSSRouters; k != 0 && k < len(order) { // 0 or past the mesh: all of them
+			order = order[:max(k, 0)]
 		}
-		for _, c := range order[:nGSS] {
-			gssSet[c.Y*cfg.App.Width+c.X] = true
+		// Router order, the order the allocators are carved in below.
+		slices.SortFunc(order, func(a, b noc.Coord) int { return (a.Y-b.Y)*cfg.App.Width + a.X - b.X })
+		r.gssRouters = make([]*noc.Router, len(order))
+		for i, c := range order {
+			r.gssRouters[i] = r.reqMesh.RouterAt(c)
 		}
 	}
 	// Non-GSS routers in a priority design (and the Fig. 8 baseline
 	// remainder) are priority-first round-robin, the rest plain
 	// round-robin.
 	reqPF := cfg.Design.priorityFirstNet() || cfg.Design.usesGSSEngine()
-	rest := (n - nGSS) * noc.NumPorts
+	rest := (n - len(r.gssRouters)) * noc.NumPorts
 	rrs := make([]router.RoundRobin, n*noc.NumPorts+rest)
 	nPF := n * noc.NumPorts
 	if reqPF {
@@ -389,21 +391,22 @@ func (r *Runner) installAllocators(ports []noc.Coord) error {
 	for _, rt := range r.respMesh.Routers {
 		rt.SetAllAllocators(priorityFirst)
 	}
-	if nGSS > 0 {
+	if len(r.gssRouters) > 0 {
 		gssCfg := core.Config{Banks: r.timing.Banks, Subarrays: r.timing.Subarrays}
 		if cfg.Design.usesSTI() {
 			gssCfg.STI = core.STIParams{Enabled: true, WriteIdle: r.timing.TWR + r.timing.TRP, ReadIdle: r.timing.TRP}
 		}
 		gssCfg.PCT = cfg.Design.pctFor(cfg.PCT, gssCfg.MaxTokens())
 		var err error
-		if r.gssAllocs, err = core.NewSlab(gssCfg, nGSS*noc.NumPorts); err != nil {
+		if r.gssAllocs, err = core.NewSlab(gssCfg, len(r.gssRouters)*noc.NumPorts); err != nil {
 			return err
 		}
 	}
-	gss := r.gssAllocs
-	for i, rt := range r.reqMesh.Routers {
+	gss, gssRts := r.gssAllocs, r.gssRouters
+	for _, rt := range r.reqMesh.Routers {
 		switch {
-		case gssSet[i]:
+		case len(gssRts) > 0 && gssRts[0] == rt:
+			gssRts = gssRts[1:]
 			rt.SetAllAllocators(func(int) noc.Allocator { return &sim.Carve(&gss, 1)[0] })
 		case reqPF:
 			rt.SetAllAllocators(priorityFirst)

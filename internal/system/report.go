@@ -79,8 +79,10 @@ func (r *Runner) Finish() Result {
 	if st.BurstsBL > 0 {
 		res.WasteFrac = float64(st.BurstsBL-st.UsefulBeats) / float64(st.BurstsBL)
 	}
-	for i := range r.gssAllocs {
-		res.GSSGrants += r.gssAllocs[i].Scheduled
+	for _, rt := range r.gssRouters {
+		for p := range rt.Out {
+			res.GSSGrants += rt.Out[p].Grants
+		}
 	}
 	for i, c := range r.cores {
 		res.PerCore[i] = c.stats
@@ -265,17 +267,17 @@ func (r *Runner) schedulerStat(now int64) *obs.SchedulerStat {
 	for i := range r.chans {
 		switch c := r.chans[i].ctrl.(type) {
 		case *memctrl.DPQ:
-			st.Grants += c.Stats.Grants
-			st.MaxBacklog = max(st.MaxBacklog, c.Stats.MaxBacklog)
+			st.Grants += c.Grants()
+			st.MaxBacklog = max(st.MaxBacklog, c.MaxBacklog())
 		case *memctrl.Regulator:
-			st.Grants += c.Stats.Grants
+			st.Grants += c.Grants()
 			st.Throttled += c.Stats.Throttled
 			// Windows opened after the first: a function of the run length
 			// alone, whatever cycles the kernel let the controller sleep.
 			st.WindowRolls += (now - 1) / memctrl.RegulatorWindow
 		case *memctrl.Staged:
-			st.Grants += c.Stats.LightGrants + c.Stats.HeavyGrants
-			st.LightGrants += c.Stats.LightGrants
+			st.Grants += c.Grants()
+			st.LightGrants += c.Grants() - c.Stats.HeavyGrants
 			st.HeavyGrants += c.Stats.HeavyGrants
 			st.Reclassifications += c.Stats.Reclassifications
 		}

@@ -136,6 +136,38 @@ func TestGSSRouterCountSweep(t *testing.T) {
 	}
 }
 
+// TestGSSGrantsPinned pins Result.GSSGrants, the GSS output ports' grant
+// total behind the activity power model, on ddtv/DDR3 with priority
+// demand over 40,000 cycles at the default seed: per GSS design, with
+// every router, the three nearest the memory, and none running GSS. A
+// design without the GSS engine grants nothing through it.
+func TestGSSGrantsPinned(t *testing.T) {
+	want := map[Design][3]int64{ // GSSRouters 0, 3, -1
+		SDRAMAware:    {7598, 4079, 0},
+		SDRAMAwarePFS: {7739, 4124, 0},
+		GSS:           {7651, 4076, 0},
+		GSSSAGM:       {14333, 8993, 0},
+		GSSSAGMSTI:    {14502, 9089, 0},
+		Conv:          {0, 0, 0},
+	}
+	for _, d := range Designs() {
+		w, ok := want[d]
+		if !ok {
+			continue
+		}
+		for i, k := range []int{0, 3, -1} {
+			res, err := Run(Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: d,
+				PriorityDemand: true, GSSRouters: k, Cycles: 40_000})
+			if err != nil {
+				t.Fatalf("%s GSSRouters=%d: %v", d, k, err)
+			}
+			if res.GSSGrants != w[i] {
+				t.Errorf("%s GSSRouters=%d: GSSGrants = %d, want %d", d, k, res.GSSGrants, w[i])
+			}
+		}
+	}
+}
+
 func TestSAGMUsesBL4ModeOnDDR2(t *testing.T) {
 	r, err := New(smokeCfg(GSSSAGM))
 	if err != nil {

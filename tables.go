@@ -369,31 +369,20 @@ func TableV(o TableOptions) ([]PowerRow, error) {
 		{SDRAMAware, area.FCRef4, area.MemSimple, 3},
 		{GSSSAGMSTI, area.FCGSSSTI, area.MemSimpleAP, 3},
 	}
-	// The grid and, aligned by index, the per-point power-model inputs.
-	type powerMeta struct {
-		app   appmodel.App
-		clock int
-		fc    area.FlowController
-		mem   area.MemSubsystem
-		gssN  int
-		name  string
-	}
+	// Point i is case i/len(designs) under design i%len(designs).
 	var cfgs []system.Config
-	var meta []powerMeta
-	for _, c := range cases {
+	apps := make([]appmodel.App, len(cases))
+	for ci, c := range cases {
 		app, err := appmodel.ByName(c.app)
 		if err != nil {
 			return nil, err
 		}
+		apps[ci] = app
 		for _, ds := range designs {
 			cfgs = append(cfgs, system.Config{
 				App: app, Gen: dram.Generation(c.gen), ClockMHz: c.clock,
 				Design: ds.d, PriorityDemand: true,
 				Cycles: o.Cycles, Seed: o.Seed,
-			})
-			meta = append(meta, powerMeta{
-				app: app, clock: c.clock,
-				fc: ds.fc, mem: ds.mem, gssN: ds.gssN, name: ds.d.String(),
 			})
 		}
 	}
@@ -407,11 +396,11 @@ func TableV(o TableOptions) ([]PowerRow, error) {
 	}
 	out := make([]PowerRow, len(results))
 	for i, res := range results {
-		m := meta[i]
-		gates := area.NoCGates(m.app.Width, m.app.Height, 16, m.fc, m.mem, m.gssN)
+		app, clock, ds := apps[i/len(designs)], cases[i/len(designs)].clock, designs[i%len(designs)]
+		gates := area.NoCGates(app.Width, app.Height, 16, ds.fc, ds.mem, ds.gssN)
 		out[i] = PowerRow{
-			App: m.app.Name, ClockMHz: m.clock, Design: m.name,
-			PowerMW: area.Power(gates, m.clock, res.Utilization),
+			App: app.Name, ClockMHz: clock, Design: ds.d.String(),
+			PowerMW: area.Power(gates, clock, res.Utilization),
 		}
 	}
 	return out, nil
