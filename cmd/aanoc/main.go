@@ -47,6 +47,7 @@ var commands = []command{
 	{"area", "regenerate Table IV (gate counts) and Table V (power)", false, areaCmd},
 	{"timing", "render Fig. 5 as textual timing diagrams from the device model", false, timingCmd},
 	{"serve", "serve the simulator as an HTTP/JSON sweep service over the result store", true, serveCmd},
+	{"store", "maintain a result store: gc removes the namespaces of earlier formats", false, storeCmd},
 }
 
 var (

@@ -157,6 +157,11 @@ var exits = []leg{
 	// A trace record of a class nobody defined is an error naming its
 	// line; it used to replay, exit 0, as media traffic.
 	{name: "trace-unknown-class", args: "trace -replay $TMP/bulk.jsonl -cycles 2000", code: 1, stderr: `line 2: trace: noc: invalid syntax: unknown class "bulk"`, quiet: true},
+	// store gc removes the namespace an earlier format left, once.
+	{name: "store-gc", args: "store gc -store $TMP/gc", stdout: "/gc/v2-s2-0123456789ab\n"},
+	{name: "store-gc-again", args: "store gc -store $TMP/gc", quiet: true},
+	{name: "store-gc-without-store", args: "store gc", code: 1, stderr: "-store DIR", quiet: true},
+	{name: "store-unknown-action", args: "store prune -store $TMP/gc", code: 2, stderr: `unknown action "prune"`, quiet: true},
 }
 
 func TestCorpus(t *testing.T) {
@@ -172,7 +177,8 @@ func TestExitCodes(t *testing.T) {
 
 // specFixtures writes the files the flag-rule legs load — a spec whose
 // run block asks for five channels, one whose run block selects DDR3, a
-// trace whose second record has a class nobody defined — into a fresh
+// trace whose second record has a class nobody defined, a store holding
+// a namespace of an earlier format — into a fresh
 // directory, bypassing Validate: the command under test is the one that
 // must reject.
 func specFixtures(t *testing.T) string {
@@ -182,6 +188,13 @@ func specFixtures(t *testing.T) string {
 {"cycle":4,"core":"cpu","kind":"R","class":"bulk","bank":0,"row":0,"col":0,"beats":8}
 `
 	if err := os.WriteFile(filepath.Join(tmp, "bulk.jsonl"), []byte(bulk), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(tmp, "gc", "v2-s2-0123456789ab", "aa")
+	if err := os.MkdirAll(stale, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(stale, strings.Repeat("a", 64)+".bin"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for name, fix := range map[string]struct {

@@ -69,7 +69,7 @@ func FuzzStoreEntry(f *testing.F) {
 		var got system.Result
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := decodePayload(payload, &got)
+		err := resultPlan.Decode(payload, reflect.ValueOf(&got).Elem())
 		runtime.ReadMemStats(&after)
 		// A slice element takes at least one payload byte per 16 bytes of
 		// memory, slices nest at most two deep, and the pointers a
@@ -80,12 +80,12 @@ func FuzzStoreEntry(f *testing.F) {
 		if err != nil {
 			return
 		}
-		e := encoder{buf: []byte{}}
-		if resultPlan.encode(&e, reflect.ValueOf(&got).Elem()); e.err != nil {
-			t.Fatalf("an accepted payload does not re-encode: %v", e.err)
+		again, err := resultPlan.Append(nil, reflect.ValueOf(&got).Elem())
+		if err != nil {
+			t.Fatalf("an accepted payload does not re-encode: %v", err)
 		}
 		var back system.Result
-		if err := decodePayload(e.buf, &back); err != nil || !reflect.DeepEqual(back, got) {
+		if err := resultPlan.Decode(again, reflect.ValueOf(&back).Elem()); err != nil || !reflect.DeepEqual(back, got) {
 			t.Fatalf("re-encoded payload decodes differently (err %v)", err)
 		}
 	})

@@ -12,19 +12,18 @@
 //     plan uses — so a hit is exact by construction: there is nothing
 //     to compare, only to verify.
 //
-//   - Version namespacing. Entries live under a namespace derived from
-//     the store format revision, the obs report schema (obs.Schema) and
-//     the pinned facade surface (api/aanoc.txt's sha256). Any reviewed
-//     API change or schema bump rotates the namespace, so a binary can
-//     never misread an entry written by a build with a different shape
-//     of Result. Stale namespaces are invisible, and nothing reclaims
-//     them: Open, Put and eviction touch only the current namespace's
-//     directory, so an operator deletes a rotated-out <root>/v<n>-*.
+//   - Version namespacing. Entries live under one namespace, "v" and
+//     the store's format revision, which a change to the entry layout,
+//     to the payload's or the key's type tree or to what a run computes
+//     bumps; so a binary never misreads an entry written by a build
+//     with a different shape of Result. Stale namespaces are invisible
+//     to Open, Put and eviction, which touch only the current
+//     namespace's directory; GC removes them.
 //
 //   - Integrity checking. An entry is one header line — namespace,
 //     fingerprint and the sha256 of the payload — then the Result in the
-//     binary form of codec.go, written atomically (temp file + rename).
-//     A torn write, a flipped bit or a truncated file fails
+//     binary form of internal/codec, written atomically (temp file +
+//     rename). A torn write, a flipped bit or a truncated file fails
 //     verification; Get deletes the entry and reports ErrCorrupt, and
 //     the caller re-simulates — corruption costs one redundant run,
 //     never a wrong result.
@@ -48,18 +47,22 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
-	"aanoc/api"
-	"aanoc/internal/obs"
+	"aanoc/internal/codec"
 	"aanoc/internal/system"
 )
 
-// formatVersion is the store's own layout revision: bump it when the
-// entry layout, the directory scheme or the type tree the payload
-// encodes changes (TestPayloadShapePinned catches the last).
-const formatVersion = 2
+// formatVersion is the store's one version: bump it when the entry
+// layout, the directory scheme, the type trees the payload and the key
+// encode (system.Result's and system.Config's; TestPayloadShapePinned
+// catches those) or what a run computes for a config changes.
+const formatVersion = 3
+
+// resultPlan writes and reads an entry's payload.
+var resultPlan = codec.PlanOf(reflect.TypeFor[system.Result]())
 
 // DefaultMaxBytes caps the store at 1 GiB unless Options overrides it —
 // roomy for hundreds of thousands of entries (a full-observability
@@ -114,12 +117,31 @@ type Store struct {
 	st Stats
 }
 
-// Version is the namespace entries are read and written under:
-// "v<format>-s<obs schema>-<api surface hash prefix>". It changes —
-// retiring every existing entry — when the store layout, the report
-// schema, or the pinned facade surface does.
-func Version() string {
-	return fmt.Sprintf("v%d-s%d-%s", formatVersion, obs.Schema, api.Hash()[:12])
+// Version is the namespace entries are read and written under,
+// "v<format>". A new format retires every existing entry.
+func Version() string { return "v" + strconv.Itoa(formatVersion) }
+
+// GC removes the namespaces an earlier format left under the store
+// root dir — every directory named "v" and a digit on, other than
+// Version() — and returns their names. It never touches the current
+// namespace, nor anything not named like a namespace.
+func GC(dir string) ([]string, error) {
+	list, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	var removed []string
+	for _, d := range list {
+		name := d.Name()
+		if !d.IsDir() || name == Version() || len(name) < 2 || name[0] != 'v' || name[1] < '0' || name[1] > '9' {
+			continue
+		}
+		if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
+			return removed, fmt.Errorf("store: %w", err)
+		}
+		removed = append(removed, name)
+	}
+	return removed, nil
 }
 
 // Open creates (if needed) and scans the store rooted at dir. The scan
@@ -214,7 +236,7 @@ func (s *Store) Get(fp string) (system.Result, bool, error) {
 
 // readBufs recycles Get's read buffers: a warm one reads an entry with
 // no allocation and no Stat. Nothing a decode returns points into one:
-// decodePayload copies the payload into the string every decoded string
+// codec's Decode copies the payload into the string every decoded string
 // is cut from.
 var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -236,7 +258,7 @@ func (s *Store) decode(fp string, data []byte) (system.Result, error) {
 			ErrCorrupt, fp, data[:n], s.version)
 	}
 	var res system.Result
-	if err := decodePayload(data[n:], &res); err != nil {
+	if err := resultPlan.Decode(data[n:], reflect.ValueOf(&res).Elem()); err != nil {
 		return system.Result{}, fmt.Errorf("%w: %s: payload: %v", ErrCorrupt, fp, err)
 	}
 	return res, nil
@@ -275,17 +297,16 @@ func (s *Store) put(fp string, res system.Result) (err error) {
 	if err != nil {
 		return err
 	}
-	v, e := reflect.ValueOf(&res).Elem(), encoder{}
-	if resultPlan.encode(&e, v); e.err != nil {
-		return fmt.Errorf("store: result for %s is not serializable: %w", fp, e.err)
+	v := reflect.ValueOf(&res).Elem()
+	n, err := resultPlan.Size(v)
+	if err != nil {
+		return fmt.Errorf("store: result for %s is not serializable: %w", fp, err)
 	}
 	// The header's length is fixed, so the entry is one allocation: the
 	// payload goes after the reserved header, which is filled in once
 	// the payload's hash is known.
 	h := len(s.version) + 1 + len(fp) + 1 + 2*sha256.Size + 1
-	e.buf = make([]byte, h, h+e.n)
-	resultPlan.encode(&e, v)
-	data := e.buf
+	data, _ := resultPlan.Append(make([]byte, h, h+n), v)
 	s.header(data[:0], fp, data[h:])
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)

@@ -144,27 +144,7 @@ func TestRealRunRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPlanRefusesWhatItCannotWrite: a kind the payload form has no
-// encoding for, or an unexported field, panics when the plan is built —
-// at start-up for system.Result — never in the middle of a run.
-func TestPlanRefusesWhatItCannotWrite(t *testing.T) {
-	for name, typ := range map[string]reflect.Type{
-		"map":        reflect.TypeFor[struct{ M map[string]int }](),
-		"unexported": reflect.TypeFor[struct{ n int }](),
-		"array":      reflect.TypeFor[struct{ A [2]int }](),
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: planOf did not panic", name)
-				}
-			}()
-			planOf(typ)
-		}()
-	}
-}
-
-// shape renders the type tree the payload encodes, in the plan's order.
+// shape renders the type tree a codec plan writes, in the plan's order.
 func shape(t reflect.Type) string {
 	switch t.Kind() {
 	case reflect.Pointer:
@@ -174,23 +154,26 @@ func shape(t reflect.Type) string {
 	case reflect.Struct:
 		s := "{"
 		for i := range t.NumField() {
-			s += t.Field(i).Name + " " + shape(t.Field(i).Type) + ";"
+			if t.Field(i).Tag.Get("codec") != "-" {
+				s += t.Field(i).Name + " " + shape(t.Field(i).Type) + ";"
+			}
 		}
 		return s + "}"
 	}
 	return t.Kind().String()
 }
 
-// TestPayloadShapePinned: nothing in an entry names a field, and the
-// namespace's API hash does not cover system.Result's fields, so a
-// change to the type tree the payload encodes would misread every
-// stored entry. Such a change must bump formatVersion, which rotates
-// the namespace, and add its shape hash here.
+// TestPayloadShapePinned: nothing in an entry or a key names a field,
+// so a change to the type tree the payload encodes would misread every
+// stored entry, and one to the key's (system.Config's, reordered say)
+// could serve an entry under another config's key. Such a change must
+// bump formatVersion, which rotates the namespace, and pin its shape
+// hash here.
 func TestPayloadShapePinned(t *testing.T) {
-	pinned := map[int]string{2: "94981294c73d00b3"}
-	sum := sha256.Sum256([]byte(shape(reflect.TypeFor[system.Result]())))
+	pinned := map[int]string{3: "f54ccc117134e278"}
+	sum := sha256.Sum256([]byte(shape(reflect.TypeFor[system.Result]()) + shape(reflect.TypeFor[system.Config]())))
 	if got := hex.EncodeToString(sum[:8]); pinned[formatVersion] != got {
-		t.Errorf("system.Result's type tree hashes to %s, pinned for format v%d as %q: bump formatVersion and pin the new shape",
+		t.Errorf("system.Result's and system.Config's type trees hash to %s, pinned for format v%d as %q: bump formatVersion and pin the new shape",
 			got, formatVersion, pinned[formatVersion])
 	}
 }
@@ -402,7 +385,7 @@ func TestLRUEviction(t *testing.T) {
 // TestEvictionLeavesSiblingNamespaces pins what happens to a rotated-out
 // namespace: nothing. Open, Put and eviction walk only the current
 // namespace, so a sibling's entries stay on disk however far over the
-// cap the current one runs, until an operator deletes them.
+// cap the current one runs, until GC removes them.
 func TestEvictionLeavesSiblingNamespaces(t *testing.T) {
 	root := t.TempDir()
 	stale := filepath.Join(root, "v1-s2-000000000000", "aa", strings.Repeat("a", 64)+".json")
@@ -426,6 +409,51 @@ func TestEvictionLeavesSiblingNamespaces(t *testing.T) {
 	}
 	if _, err := os.Stat(stale); err != nil {
 		t.Errorf("sibling namespace's entry touched: %v", err)
+	}
+}
+
+// TestGCRemovesOnlyStaleNamespaces: GC removes a rotated-out namespace
+// and says so, and leaves the current namespace's entries, a file and a
+// directory not named like a namespace where they are.
+func TestGCRemovesOnlyStaleNamespaces(t *testing.T) {
+	root := t.TempDir()
+	stale := filepath.Join(root, "v2-s2-0123456789ab")
+	if err := os.MkdirAll(filepath.Join(stale, "aa"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(stale, "aa", strings.Repeat("a", 64)+".bin"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, keep := range []string{"notes", "vendor"} {
+		if err := os.Mkdir(filepath.Join(root, keep), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(root, "v1"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(root, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, res := fabricated(1)
+	if err := s.Put(fp, res); err != nil {
+		t.Fatal(err)
+	}
+	removed, err := GC(root)
+	if err != nil || !reflect.DeepEqual(removed, []string{"v2-s2-0123456789ab"}) {
+		t.Fatalf("GC = %q, %v; want the stale namespace alone", removed, err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("stale namespace still there: %v", err)
+	}
+	for _, keep := range []string{"notes", "vendor", "v1"} {
+		if _, err := os.Stat(filepath.Join(root, keep)); err != nil {
+			t.Errorf("%s: %v", keep, err)
+		}
+	}
+	if _, ok, err := s.Get(fp); !ok || err != nil {
+		t.Errorf("live entry after GC: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -518,14 +546,12 @@ func TestReopenSeesEntriesAndSize(t *testing.T) {
 	}
 }
 
-// TestVersionNamespaceShape pins the derivation rule documented in
-// DESIGN.md: format revision, obs schema, and the pinned api surface
-// hash — so changing any of them rotates the namespace.
+// TestVersionNamespaceShape pins the namespace rule documented in
+// DESIGN.md: one version, the store's format revision.
 func TestVersionNamespaceShape(t *testing.T) {
 	v := Version()
-	parts := strings.Split(v, "-")
-	if len(parts) != 3 || parts[0] != "v2" || !strings.HasPrefix(parts[1], "s") || len(parts[2]) != 12 {
-		t.Fatalf("Version() = %q, want v<format>-s<schema>-<12 hex>", v)
+	if v != "v3" {
+		t.Fatalf("Version() = %q, want v3", v)
 	}
 	s := open(t, Options{})
 	if filepath.Base(s.Dir()) != v {

@@ -256,13 +256,14 @@ func TestProgressSerialisedAndComplete(t *testing.T) {
 }
 
 // TestFingerprintPinned holds the store's key bytes still across
-// refactors of the application model: the literal is the parent build's
-// fingerprint of a Table I point (PR 24 replaced App.MemAt and the Clocks
-// map; every populated store stayed warm). A model with no memory ports
-// must hash, not panic — the executor fingerprints before it validates.
+// refactors: the literal is a Table I point's fingerprint in the codec
+// form of store format v3. A change to system.Config's type tree moves
+// it and turns every populated store cold for the keys it touches. A
+// model with no memory ports must hash, not panic — the executor
+// fingerprints before it validates.
 func TestFingerprintPinned(t *testing.T) {
 	cfg := system.Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: system.GSSSAGM, Cycles: 5000}
-	const want = "f1d076b8a284bda75d4f3b7e074997d5adde242b584579db804d5a4704ba8748"
+	const want = "7761aa73c5e1916542f878f9f94b26dcf88de82435312373b231ac68a7caec10"
 	if got, _ := Fingerprint(cfg); got != want {
 		t.Errorf("Table I ddtv/DDR3/GSS+SAGM fingerprint %s, want %s", got, want)
 	}
@@ -377,9 +378,8 @@ func eachLeaf(path string, v reflect.Value, visit func(string, reflect.Value)) {
 // application model's mesh, ports, clocks, cores and streams and into a
 // replay record — must change the fingerprint or make the config
 // uncacheable, unless the field is listed here with the reason it may
-// share an entry. A field added to Config or to a type under it and not
-// to Fingerprint's appenders would otherwise make the store serve one
-// run's row for another's.
+// share an entry. A field tagged `codec:"-"` and not listed here would
+// otherwise make the store serve one run's row for another's.
 func TestFingerprintCoversEveryField(t *testing.T) {
 	exempt := map[string]string{
 		"NoIdleSkip": "changes how the kernel walks the cycles, never a result (TestIdleSkipEquivalence)",

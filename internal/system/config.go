@@ -93,8 +93,9 @@ type Config struct {
 	// Trace, when set, records every generated logical request (capture
 	// mode); Replay, when non-empty, replaces the application's synthetic
 	// generators with the recorded requests (replay mode) — identical
-	// workloads across designs.
-	Trace  *trace.Writer
+	// workloads across designs. A capturing config is never cached, so
+	// the writer is no part of sweep.Fingerprint's key.
+	Trace  *trace.Writer `codec:"-"`
 	Replay []trace.Record
 
 	// SampleEvery, when positive, collects an observability time-series
@@ -137,7 +138,7 @@ type Config struct {
 	// component sleeps — the reference loop the equivalence gates compare
 	// against. Results are identical either way, so sweep.Fingerprint
 	// leaves it out. Only aanoc sim sets it (-no-idle-skip).
-	NoIdleSkip bool
+	NoIdleSkip bool `codec:"-"`
 
 	// TagEveryRequest reverts to the paper's literal partially-open-page
 	// policy: every logical request's last split carries the AP tag, so
@@ -171,7 +172,6 @@ type Result struct {
 	LatDemand   float64
 	LatPriority float64
 	LatBest     float64
-	P95All      int64
 
 	Generated int64
 	Completed int64
@@ -181,12 +181,10 @@ type Result struct {
 	// asked for (access granularity mismatch, Fig. 2).
 	WasteFrac float64
 
-	// NetBusyCycles sums flit transfers over all request-mesh outputs;
 	// GSSGrants counts GSS channel allocations; CmdCycles counts
 	// command-bus activity — inputs to the Table V power model.
-	NetBusyCycles int64
-	GSSGrants     int64
-	CmdCycles     int64
+	GSSGrants int64
+	CmdCycles int64
 
 	// PerCore breaks service down by requesting core; Fairness is Jain's
 	// index over per-core served beats (1 = perfectly proportional
@@ -251,8 +249,9 @@ func (c Config) Resolved() Config {
 // resolves to.
 const defaultPCT = 3
 
-// The platform's fixed sizes. sweep.Fingerprint writes them into every
-// key (buf=8, cap=64, pipe=8), so changing one must rotate the store.
+// The platform's fixed sizes. No store key holds them, so changing one
+// changes what every stored run computed: it must bump the store's
+// formatVersion.
 const (
 	bufFlits    = 8  // router input buffer depth, flits per virtual channel
 	injectCap   = 64 // NI injection backlog in flits beyond which a core stalls

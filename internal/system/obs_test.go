@@ -29,7 +29,8 @@ func TestWithDefaultsPinned(t *testing.T) {
 		{"Seed", int64(c.Seed), 0xA11CE},
 		{"VirtualChannels", int64(c.VirtualChannels), 1},
 		{"SampleEvery", c.SampleEvery, 0}, // sampling stays opt-in
-		// The fixed sizes sweep.Fingerprint writes as buf=8, cap=64, pipe=8.
+		// The fixed sizes: no store key holds them, so a change bumps the
+		// store's formatVersion.
 		{"bufFlits", bufFlits, 8},
 		{"injectCap", injectCap, 64},
 		{"memPipeline", memPipeline, 8},
@@ -159,10 +160,6 @@ func TestObservabilityReport(t *testing.T) {
 	}
 	if rep.Stalled == 0 {
 		t.Error("saturated run reports zero stall cycles")
-	}
-	if rep.Network.Request.BusyCycles != res.NetBusyCycles {
-		t.Errorf("request-mesh busy cycles %d != Result.NetBusyCycles %d",
-			rep.Network.Request.BusyCycles, res.NetBusyCycles)
 	}
 	var grants int64
 	for _, l := range rep.Network.Request.Links {

@@ -59,22 +59,20 @@ func (r *Runner) Finish() Result {
 	rep := r.buildReport(now)
 	res := Result{
 		Design: cfg.Design, App: cfg.App.Name, Gen: cfg.Gen, ClockMHz: cfg.ClockMHz,
-		Scheduler:     cfg.Scheduler,
-		Channels:      cfg.Channels,
-		Cycles:        now,
-		Utilization:   rep.Utilization,
-		LatAll:        rep.Latency.All.Mean,
-		LatDemand:     rep.Latency.Demand.Mean,
-		LatPriority:   rep.Latency.Priority.Mean,
-		LatBest:       rep.Latency.Best.Mean,
-		P95All:        rep.Latency.All.P95,
-		Generated:     rep.Generated,
-		Completed:     rep.Completed,
-		Device:        st,
-		NetBusyCycles: rep.Network.Request.BusyCycles,
-		CmdCycles:     st.Activates + st.Reads + st.Writes + st.Precharges + st.Refreshes,
-		PerCore:       make([]CoreStats, len(r.cores)),
-		Obs:           rep,
+		Scheduler:   cfg.Scheduler,
+		Channels:    cfg.Channels,
+		Cycles:      now,
+		Utilization: rep.Utilization,
+		LatAll:      rep.Latency.All.Mean,
+		LatDemand:   rep.Latency.Demand.Mean,
+		LatPriority: rep.Latency.Priority.Mean,
+		LatBest:     rep.Latency.Best.Mean,
+		Generated:   rep.Generated,
+		Completed:   rep.Completed,
+		Device:      st,
+		CmdCycles:   st.Activates + st.Reads + st.Writes + st.Precharges + st.Refreshes,
+		PerCore:     make([]CoreStats, len(r.cores)),
+		Obs:         rep,
 	}
 	if st.BurstsBL > 0 {
 		res.WasteFrac = float64(st.BurstsBL-st.UsefulBeats) / float64(st.BurstsBL)

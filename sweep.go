@@ -32,10 +32,9 @@ var (
 // Store is the persistent, content-addressed result store: simulation
 // results keyed by the canonical fingerprint of their fully resolved
 // configuration, written atomically with per-entry integrity hashes,
-// bounded by an LRU byte cap, and namespaced by the store format, the
-// report schema and the pinned API surface (so any reviewed API change
-// silently retires stale entries). See DESIGN.md, "Result store &
-// server".
+// bounded by an LRU byte cap, and namespaced by the store's one format
+// version (a new format silently retires stale entries; `aanoc store
+// gc` removes them). See DESIGN.md, "Result store & server".
 type Store = store.Store
 
 // StoreOptions configure OpenStore; the zero value selects the
@@ -54,10 +53,10 @@ func OpenStore(dir string, o StoreOptions) (*Store, error) {
 	return store.Open(dir, o)
 }
 
-// StoreVersion is the namespace entries are stored under — it changes,
-// retiring all existing entries, when the store layout, the
-// observability schema, or the pinned facade surface (api/aanoc.txt)
-// changes.
+// StoreVersion is the namespace entries are stored under, "v" and the
+// store's format version. It changes, retiring all existing entries,
+// when the entry layout, the shape of a stored Result or what a run
+// computes for a configuration does.
 func StoreVersion() string { return store.Version() }
 
 // SweepGrid is a list of simulation points to execute. Points are
