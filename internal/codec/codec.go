@@ -1,5 +1,5 @@
 // Package codec is the binary form of the values the result store keeps:
-// a store entry's payload (one system.Result) and the bytes a sweep
+// a store entry's payload (one obs.Report) and the bytes a sweep
 // fingerprint hashes (one resolved system.Config) are both written by a
 // Plan, built once from the type.
 //
@@ -21,32 +21,33 @@ import (
 	"reflect"
 )
 
-// Plan writes and reads one type.
+// Plan writes and reads one type. Another form may walk the same tree
+// by its exported fields (obs writes a report's JSON from its plan).
 type Plan struct {
-	kind   reflect.Kind
+	Kind   reflect.Kind
 	typ    reflect.Type
-	elem   *Plan   // pointer target or slice element
-	fields []field // struct fields written, in declaration order
+	Elem   *Plan   // pointer target or slice element
+	Fields []Field // struct fields written, in declaration order
 	min    int     // fewest bytes a value takes: bounds a slice's length before it is allocated
 }
 
-// field is one struct field the plan writes: index is its place in the
-// struct, which a skipped field before it shifts.
-type field struct {
+// Field is one struct field a plan writes.
+type Field struct {
 	Plan
-	index int
+	Index int               // its place in the struct, which a skipped field before it shifts
+	Tag   reflect.StructTag // its tag, for a form that names fields
 }
 
 // PlanOf panics on a kind the form does not write or an unexported
 // field: at start-up, never in the middle of a run.
 func PlanOf(t reflect.Type) *Plan {
-	p := &Plan{kind: t.Kind(), typ: t, min: 1}
-	switch p.kind {
+	p := &Plan{Kind: t.Kind(), typ: t, min: 1}
+	switch p.Kind {
 	case reflect.Bool, reflect.Int, reflect.Int64, reflect.Uint64, reflect.String:
 	case reflect.Float64:
 		p.min = 8
 	case reflect.Pointer, reflect.Slice:
-		p.elem = PlanOf(t.Elem())
+		p.Elem = PlanOf(t.Elem())
 	case reflect.Struct:
 		p.min = 0
 		for i := range t.NumField() {
@@ -57,8 +58,8 @@ func PlanOf(t reflect.Type) *Plan {
 			if !f.IsExported() {
 				panic(fmt.Sprintf("codec: %v.%s: the form wants exported fields", t, f.Name))
 			}
-			p.fields = append(p.fields, field{*PlanOf(f.Type), i})
-			p.min += p.fields[len(p.fields)-1].min
+			p.Fields = append(p.Fields, Field{*PlanOf(f.Type), i, f.Tag})
+			p.min += p.Fields[len(p.Fields)-1].min
 		}
 		p.min = max(p.min, 1) // an empty struct still counts a byte against a forged length
 	default:
@@ -110,12 +111,12 @@ func (e *encoder) flag(set bool) bool {
 
 func (p *Plan) encode(e *encoder, v reflect.Value) {
 	var s [binary.MaxVarintLen64]byte
-	switch p.kind {
+	switch p.Kind {
 	case reflect.Bool:
 		e.flag(v.Bool())
 	case reflect.Pointer:
 		if e.flag(!v.IsNil()) {
-			p.elem.encode(e, v.Elem())
+			p.Elem.encode(e, v.Elem())
 		}
 	case reflect.Int, reflect.Int64:
 		e.put(s[:binary.PutVarint(s[:], v.Int())])
@@ -138,11 +139,11 @@ func (p *Plan) encode(e *encoder, v reflect.Value) {
 		}
 		e.put(s[:binary.PutUvarint(s[:], uint64(v.Len())+1)])
 		for i := range v.Len() {
-			p.elem.encode(e, v.Index(i))
+			p.Elem.encode(e, v.Index(i))
 		}
 	case reflect.Struct:
-		for i := range p.fields {
-			p.fields[i].encode(e, v.Field(p.fields[i].index))
+		for i := range p.Fields {
+			p.Fields[i].encode(e, v.Field(p.Fields[i].Index))
 		}
 	}
 }
@@ -171,7 +172,7 @@ type reader struct {
 }
 
 func (p *Plan) decode(r *reader, v reflect.Value) {
-	switch p.kind {
+	switch p.Kind {
 	case reflect.Bool:
 		v.SetBool(r.flag())
 	case reflect.Int, reflect.Int64:
@@ -202,11 +203,11 @@ func (p *Plan) decode(r *reader, v reflect.Value) {
 	case reflect.Pointer:
 		if r.flag() {
 			v.Set(reflect.New(p.typ.Elem()))
-			p.elem.decode(r, v.Elem())
+			p.Elem.decode(r, v.Elem())
 		}
 	case reflect.Slice:
 		if u := r.uvarint(); u > 0 {
-			n := r.count(u-1, p.elem.min)
+			n := r.count(u-1, p.Elem.min)
 			if n == 0 { // empty, not nil: Grow(0) would leave it nil
 				v.Set(reflect.MakeSlice(p.typ, 0, 0))
 				return
@@ -216,12 +217,12 @@ func (p *Plan) decode(r *reader, v reflect.Value) {
 			v.Grow(n)
 			v.SetLen(n)
 			for i := range n {
-				p.elem.decode(r, v.Index(i))
+				p.Elem.decode(r, v.Index(i))
 			}
 		}
 	case reflect.Struct:
-		for i := range p.fields {
-			p.fields[i].decode(r, v.Field(p.fields[i].index))
+		for i := range p.Fields {
+			p.Fields[i].decode(r, v.Field(p.Fields[i].Index))
 		}
 	}
 }

@@ -16,19 +16,6 @@ type Stats struct {
 	UsefulBeats int64 // beats the requester actually asked for (set by controllers)
 }
 
-// Add accumulates another device's counters (multi-channel totals).
-func (s *Stats) Add(o Stats) {
-	s.Activates += o.Activates
-	s.Reads += o.Reads
-	s.Writes += o.Writes
-	s.Precharges += o.Precharges
-	s.AutoPre += o.AutoPre
-	s.Refreshes += o.Refreshes
-	s.DataCycles += o.DataCycles
-	s.BurstsBL += o.BurstsBL
-	s.UsefulBeats += o.UsefulBeats
-}
-
 // BankCounters is the per-bank command breakdown the observability layer
 // exports: where the activates, row hits and conflicts actually landed.
 // A RowHit is a column command to a row that already served one since its

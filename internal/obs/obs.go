@@ -34,9 +34,10 @@ import (
 //
 // Bump it whenever the serialized shape of Report changes in a way a
 // reader must know about (a field renamed, a meaning changed — not a
-// purely additive omitempty field). The persistent result store
-// (internal/store) folds Schema into its on-disk namespace, so a bump
-// also retires every stored entry written under the old schema.
+// purely additive field). Schema 2 has since gained the counts that make
+// the report a run's whole record, and Validate's fold of the NIs'
+// completed counts fails a sidecar written before them. The result
+// store versions its entries itself (internal/store).
 const Schema = 2
 
 // Report is one run's observability export. Serialized as JSON by the
@@ -68,6 +69,9 @@ type Report struct {
 	// its 64-flit cap), counted at the backpressure decision in coreNI.Tick and,
 	// for the cycles a blocked core sleeps through, in Runner.settle.
 	Stalled int64 `json:"stalled"`
+	// GSSGrants counts the GSS routers' channel allocations (Table V's
+	// power model reads it).
+	GSSGrants int64 `json:"gssGrants"`
 
 	// Utilization is the data-bus busy fraction (the paper's headline
 	// memory utilization metric).
@@ -228,6 +232,11 @@ type NI struct {
 	StallCycles   int64 `json:"stallCycles"`
 	// SinkReadyHWM is the response-sink ready-list high-water mark.
 	SinkReadyHWM int `json:"sinkReadyHWM"`
+	// Completed counts the core's finished logical requests, Beats their
+	// useful beats and LatencySum their generation-to-completion latency.
+	Completed  int64 `json:"completed"`
+	Beats      int64 `json:"beats"`
+	LatencySum int64 `json:"latencySum"`
 }
 
 // StreamWorkload is one traffic stream's observed production. The
@@ -289,6 +298,13 @@ type Memory struct {
 	// SinkReadyHWM is the memory-side request sink's ready-list
 	// high-water mark — how hard the network pushed the controller.
 	SinkReadyHWM int `json:"sinkReadyHWM"`
+	// The device totals the banks do not hold: refreshes, data-bus busy
+	// cycles, burst beats moved and the beats the requesters asked for
+	// (the rest is the access-granularity waste of Fig. 2).
+	Refreshes   int64 `json:"refreshes"`
+	DataCycles  int64 `json:"dataCycles"`
+	BurstBeats  int64 `json:"burstBeats"`
+	UsefulBeats int64 `json:"usefulBeats"`
 	// Stream is present for the paper's lightweight controller, which
 	// observes the arrival order the network scheduled.
 	Stream *StreamQuality `json:"stream,omitempty"`
@@ -380,9 +396,9 @@ type Sample struct {
 // (json.MarshalIndent), whose bytes for a report are these by
 // TestEncodeJSONMatchesStdlib — so a report has exactly one byte
 // representation and byte-level comparisons (golden tests, cache-parity
-// tests) are meaningful. The result store is not one of them: it keeps
-// a whole system.Result in a checksummed binary entry of its own, and a
-// report read back from it is re-encoded here.
+// tests) are meaningful. The result store keeps the report in
+// internal/codec's binary form instead, and a report read back from it
+// is re-encoded here.
 func EncodeJSON(w io.Writer, r *Report) error {
 	if r.SchemaVersion == 0 {
 		r.SchemaVersion = Schema
@@ -393,7 +409,7 @@ func EncodeJSON(w io.Writer, r *Report) error {
 	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
 		data = ab.AvailableBuffer()
 	}
-	data, err := appendValue(data, reflect.ValueOf(r).Elem(), 0)
+	data, err := appendValue(data, Plan, reflect.ValueOf(r).Elem(), 0)
 	if err != nil {
 		return fmt.Errorf("obs: encode: %w", err)
 	}
@@ -459,6 +475,13 @@ func (r *Report) Validate() error {
 		return fmt.Errorf("obs: imbalance present without a channel breakdown")
 	case !r.Checked && len(r.Violations) > 0:
 		return fmt.Errorf("obs: violations recorded outside checked mode")
+	}
+	var completed int64
+	for _, ni := range r.NIs {
+		completed += ni.Completed
+	}
+	if completed != r.Completed {
+		return fmt.Errorf("obs: the NIs completed %d requests, the run %d", completed, r.Completed)
 	}
 	for _, links := range [...][]LinkStat{r.Network.Request.Links, r.Network.Response.Links} {
 		for _, l := range links {

@@ -21,7 +21,7 @@ func valid() *Report {
 				BusyCycles: 40, Grants: 5, Utilization: 0.04,
 			}},
 		}},
-		NIs:    []NI{{Core: "cpu", QueueFlitsHWM: 12, StallCycles: 3}},
+		NIs:    []NI{{Core: "cpu", QueueFlitsHWM: 12, StallCycles: 3, Completed: 8, Beats: 64, LatencySum: 800}},
 		Memory: Memory{Banks: []BankStat{{Bank: 0, Activates: 2, Reads: 4, RowHits: 2}}},
 	}
 }
@@ -105,6 +105,9 @@ func TestValidateRejects(t *testing.T) {
 		{"utilization above one", func(r *Report) { r.Utilization = 1.5 }, "outside [0,1]"},
 		{"completed exceeds generated", func(r *Report) { r.Completed = r.Generated + 1 }, "exceeds"},
 		{"no links", func(r *Report) { r.Network.Request.Links = nil }, "links"},
+		{"NI completions do not fold", func(r *Report) {
+			r.NIs = append(r.NIs, NI{Core: "dsp", Completed: 1})
+		}, "the NIs completed 9 requests, the run 8"},
 		{"link busy beyond run", func(r *Report) {
 			r.Network.Response.Links = []LinkStat{{Router: "(1,0)", Port: "local", BusyCycles: r.Cycles + 1}}
 		}, "busy 1001 cycles of a 1000-cycle run"},

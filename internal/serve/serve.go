@@ -475,9 +475,6 @@ func (s *Server) handleResult(w http.ResponseWriter, req *http.Request) {
 	case !ok:
 		httpError(w, http.StatusNotFound, "no stored result for fingerprint")
 		return
-	case res.Obs == nil:
-		httpError(w, http.StatusInternalServerError, "stored result carries no report")
-		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = obs.EncodeJSON(w, res.Obs)

@@ -11,6 +11,7 @@ import (
 	"aanoc/internal/appmodel"
 	"aanoc/internal/dram"
 	"aanoc/internal/memctrl"
+	"aanoc/internal/obs"
 	"aanoc/internal/system"
 )
 
@@ -66,26 +67,26 @@ func FuzzStoreEntry(f *testing.F) {
 		if _, after, ok := bytes.Cut(data, []byte{'\n'}); ok {
 			payload = after
 		}
-		var got system.Result
+		var got obs.Report
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := resultPlan.Decode(payload, reflect.ValueOf(&got).Elem())
+		err := obs.Plan.Decode(payload, reflect.ValueOf(&got).Elem())
 		runtime.ReadMemStats(&after)
 		// A slice element takes at least one payload byte per 16 bytes of
 		// memory, slices nest at most two deep, and the pointers a
-		// one-byte flag allocates (the report among them) are a fixed cost.
+		// one-byte flag allocates are a fixed cost.
 		if n, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(payload)+16<<10); n > bound {
 			t.Fatalf("decoding %d bytes allocated %d (bound %d)", len(payload), n, bound)
 		}
 		if err != nil {
 			return
 		}
-		again, err := resultPlan.Append(nil, reflect.ValueOf(&got).Elem())
+		again, err := obs.Plan.Append(nil, reflect.ValueOf(&got).Elem())
 		if err != nil {
 			t.Fatalf("an accepted payload does not re-encode: %v", err)
 		}
-		var back system.Result
-		if err := resultPlan.Decode(again, reflect.ValueOf(&back).Elem()); err != nil || !reflect.DeepEqual(back, got) {
+		var back obs.Report
+		if err := obs.Plan.Decode(again, reflect.ValueOf(&back).Elem()); err != nil || !reflect.DeepEqual(back, got) {
 			t.Fatalf("re-encoded payload decodes differently (err %v)", err)
 		}
 	})

@@ -7,6 +7,7 @@ import (
 
 	"aanoc/internal/appmodel"
 	"aanoc/internal/dram"
+	"aanoc/internal/obs"
 	"aanoc/internal/system"
 )
 
@@ -55,8 +56,8 @@ func TestGetDoesNotAliasReadBuffer(t *testing.T) {
 }
 
 // TestGetHitAllocs: a hit allocates per decoded object — a string copy
-// of the payload, each slice and pointer of the result — plus the open
-// and the recency touch, not per byte read or twice per slice. Under
+// of the payload, each slice and pointer of the report, the result's
+// per-core list — plus the open and the recency touch, not per byte read or twice per slice. Under
 // the race detector the pool misses at random, so the count is not
 // checked there.
 func TestGetHitAllocs(t *testing.T) {
@@ -97,9 +98,9 @@ func BenchmarkStoreGet(b *testing.B) {
 // has elements; an empty one must still come back empty, not nil.
 func TestNilAndEmptySlicesStayApart(t *testing.T) {
 	s := open(t, Options{})
-	for i, perCore := range [][]system.CoreStats{nil, {}, {{}}} {
+	for i, nis := range [][]obs.NI{nil, {}, {{}}} {
 		fp, res := fabricated(byte(i))
-		res.PerCore = perCore
+		res.Obs.NIs = nis
 		if err := s.Put(fp, res); err != nil {
 			t.Fatal(err)
 		}
@@ -107,8 +108,8 @@ func TestNilAndEmptySlicesStayApart(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("Get: ok=%v err=%v", ok, err)
 		}
-		if (back.PerCore == nil) != (perCore == nil) || len(back.PerCore) != len(perCore) {
-			t.Errorf("PerCore %#v came back as %#v", perCore, back.PerCore)
+		if got := back.Obs.NIs; (got == nil) != (nis == nil) || len(got) != len(nis) {
+			t.Errorf("NIs %#v came back as %#v", nis, got)
 		}
 	}
 }

@@ -16,14 +16,14 @@
 //     the store's format revision, which a change to the entry layout,
 //     to the payload's or the key's type tree or to what a run computes
 //     bumps; so a binary never misreads an entry written by a build
-//     with a different shape of Result. Stale namespaces are invisible
+//     with a different shape of report. Stale namespaces are invisible
 //     to Open, Put and eviction, which touch only the current
 //     namespace's directory; GC removes them.
 //
 //   - Integrity checking. An entry is one header line — namespace,
-//     fingerprint and the sha256 of the payload — then the Result in the
-//     binary form of internal/codec, written atomically (temp file +
-//     rename). A torn write, a flipped bit or a truncated file fails
+//     fingerprint and the sha256 of the payload — then the run's one
+//     record, its obs.Report, in the binary form of internal/codec,
+//     written atomically (temp file + rename). A torn write, a flipped bit or a truncated file fails
 //     verification; Get deletes the entry and reports ErrCorrupt, and
 //     the caller re-simulates — corruption costs one redundant run,
 //     never a wrong result.
@@ -51,29 +51,26 @@ import (
 	"sync"
 	"time"
 
-	"aanoc/internal/codec"
+	"aanoc/internal/obs"
 	"aanoc/internal/system"
 )
 
 // formatVersion is the store's one version: bump it when the entry
 // layout, the directory scheme, the type trees the payload and the key
-// encode (system.Result's and system.Config's; TestPayloadShapePinned
+// encode (obs.Report's and system.Config's; TestPayloadShapePinned
 // catches those) or what a run computes for a config changes.
-const formatVersion = 3
-
-// resultPlan writes and reads an entry's payload.
-var resultPlan = codec.PlanOf(reflect.TypeFor[system.Result]())
+const formatVersion = 4
 
 // DefaultMaxBytes caps the store at 1 GiB unless Options overrides it —
 // roomy for hundreds of thousands of entries (a full-observability
-// Result serializes to a few kilobytes) while bounded on CI runners.
+// report serializes to a few kilobytes) while bounded on CI runners.
 const DefaultMaxBytes = 1 << 30
 
 // ErrCorrupt marks an entry that failed integrity verification: a
-// payload-hash mismatch, a foreign namespace or fingerprint, or an
-// undecodable payload. Get wraps it (and removes the entry) so callers can
-// distinguish "never stored" from "stored and damaged"; both degrade to
-// re-simulation.
+// payload-hash mismatch, a foreign namespace or fingerprint, or a
+// payload that does not decode to a report system.ResultOf reads. Get
+// wraps it (and removes the entry) so callers can distinguish "never
+// stored" from "stored and damaged"; both degrade to re-simulation.
 var ErrCorrupt = errors.New("store: corrupt entry")
 
 // Options configure Open.
@@ -196,10 +193,10 @@ func validFingerprint(fp string) bool {
 	return true
 }
 
-// Get returns the stored result for a fingerprint. ok reports a
-// verified hit. A missing entry is (zero, false, nil); a damaged one is
-// removed and reported as an error wrapping ErrCorrupt — the caller
-// treats both as "simulate it".
+// Get returns the result of the report stored for a fingerprint
+// (system.ResultOf). ok reports a verified hit. A missing entry is
+// (zero, false, nil); a damaged one is removed and reported as an error
+// wrapping ErrCorrupt — the caller treats both as "simulate it".
 func (s *Store) Get(fp string) (system.Result, bool, error) {
 	path, err := s.path(fp)
 	if err != nil {
@@ -249,7 +246,8 @@ func (s *Store) header(b []byte, fp string, payload []byte) []byte {
 }
 
 // decode verifies and unpacks one entry's bytes: the header line must
-// name this namespace, this fingerprint and the payload's hash.
+// name this namespace, this fingerprint and the payload's hash, and the
+// payload must be a report ResultOf reads.
 func (s *Store) decode(fp string, data []byte) (system.Result, error) {
 	var want [192]byte
 	n := bytes.IndexByte(data, '\n') + 1
@@ -257,9 +255,13 @@ func (s *Store) decode(fp string, data []byte) (system.Result, error) {
 		return system.Result{}, fmt.Errorf("%w: %s: header %.160q is not namespace %s, this fingerprint and the payload's hash",
 			ErrCorrupt, fp, data[:n], s.version)
 	}
-	var res system.Result
-	if err := resultPlan.Decode(data[n:], reflect.ValueOf(&res).Elem()); err != nil {
+	rep := new(obs.Report)
+	if err := obs.Plan.Decode(data[n:], reflect.ValueOf(rep).Elem()); err != nil {
 		return system.Result{}, fmt.Errorf("%w: %s: payload: %v", ErrCorrupt, fp, err)
+	}
+	res, err := system.ResultOf(rep)
+	if err != nil {
+		return system.Result{}, fmt.Errorf("%w: %s: report: %v", ErrCorrupt, fp, err)
 	}
 	return res, nil
 }
@@ -277,12 +279,12 @@ func (s *Store) discardCorrupt(path string, size int) {
 	})
 }
 
-// Put persists one result under its fingerprint: encode after a reserved
-// header, hash, fill the header in, write to a temp file in the
-// namespace, fsync-free rename into place. A result that cannot
-// serialize (a NaN metric, say) returns an error and leaves the store
-// unchanged — the caller keeps its in-memory result and simply loses
-// persistence for that point. Every failure counts once, here, as a
+// Put persists one result's report under its fingerprint: encode after
+// a reserved header, hash, fill the header in, write to a temp file in
+// the namespace, fsync-free rename into place. A result without a
+// report, or one that cannot serialize (a NaN metric, say), returns an
+// error and leaves the store unchanged — the caller keeps its in-memory
+// result and simply loses persistence for that point. Every failure counts once, here, as a
 // PutError.
 func (s *Store) Put(fp string, res system.Result) error {
 	err := s.put(fp, res)
@@ -297,8 +299,11 @@ func (s *Store) put(fp string, res system.Result) (err error) {
 	if err != nil {
 		return err
 	}
-	v := reflect.ValueOf(&res).Elem()
-	n, err := resultPlan.Size(v)
+	if res.Obs == nil {
+		return fmt.Errorf("store: result for %s carries no report", fp)
+	}
+	v := reflect.ValueOf(res.Obs).Elem()
+	n, err := obs.Plan.Size(v)
 	if err != nil {
 		return fmt.Errorf("store: result for %s is not serializable: %w", fp, err)
 	}
@@ -306,7 +311,7 @@ func (s *Store) put(fp string, res system.Result) (err error) {
 	// payload goes after the reserved header, which is filled in once
 	// the payload's hash is known.
 	h := len(s.version) + 1 + len(fp) + 1 + 2*sha256.Size + 1
-	data, _ := resultPlan.Append(make([]byte, h, h+n), v)
+	data, _ := obs.Plan.Append(make([]byte, h, h+n), v)
 	s.header(data[:0], fp, data[h:])
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)

@@ -277,9 +277,9 @@ func Run(cfgs []system.Config, o Options) ([]Result, Stats) {
 				r.Res, r.Err = safeRun(run, cfgs[i])
 				ran = i
 			} else {
-				how, r.Res, r.Err = derived, results[ran].Res, results[ran].Err
+				how, r.Err = derived, results[ran].Err
 				if r.Err == nil {
-					r.Res = r.Res.Restamp(cfgs[i].Design)
+					r.Res, r.Err = results[ran].Res.Restamp(cfgs[i].Design)
 				}
 			}
 			// A failed Put is advisory: the point keeps its in-memory

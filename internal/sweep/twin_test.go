@@ -29,7 +29,11 @@ func twinGrid() []system.Config {
 
 // designRun is a fake RunFunc whose result names the design it ran.
 func designRun(cfg system.Config) system.Result {
-	return system.Result{Design: cfg.Design, Completed: int64(cfg.Design) + 1, Obs: &obs.Report{Design: cfg.Design.String()}}
+	res, err := system.ResultOf(&obs.Report{Design: cfg.Design.String(), Completed: int64(cfg.Design) + 1})
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 // gatedGrid orders a twin grid so that the GSS point is examined only
@@ -82,7 +86,10 @@ func TestTwinAttachesWithoutWaiting(t *testing.T) {
 	if runs.Load() != 3 || st.Runs != 4 || st.Twins != 1 || st.CacheHits != 1 {
 		t.Fatalf("RunFunc ran %d times, stats %+v; want 4 runs (1 a twin's) and 1 cache hit", runs.Load(), st)
 	}
-	want := designRun(cfgs[0]).Restamp(system.GSS)
+	want, err := designRun(cfgs[0]).Restamp(system.GSS)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, i := range []int{2, 4} {
 		r := results[i]
 		if r.Cached != (i == 4) || r.Stored || r.Res.Design != system.GSS || r.Res.Obs.Design != "GSS" || r.Res.Completed != want.Completed {

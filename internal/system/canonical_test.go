@@ -72,7 +72,10 @@ func requireCanonicalRunEqual(t *testing.T, name string, cfg system.Config) {
 	if ownErr != nil {
 		return
 	}
-	derived := twin.Restamp(cfg.Design)
+	derived, err := twin.Restamp(cfg.Design)
+	if err != nil {
+		t.Fatalf("%s: Restamp: %v", name, err)
+	}
 	if derived.Obs == twin.Obs {
 		t.Fatalf("%s: Restamp shares the twin's report", name)
 	}
@@ -176,7 +179,11 @@ func TestCanonicalNeedsNoPriority(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(reportBytes(t, gss), reportBytes(t, four.Restamp(system.GSS))) {
+		restamped, err := four.Restamp(system.GSS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reportBytes(t, gss), reportBytes(t, restamped)) {
 			differ = true
 			break
 		}

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -155,7 +156,8 @@ type Config struct {
 	PagePolicy *memctrl.PagePolicy
 }
 
-// Result carries one run's measurements.
+// Result carries one run's measurements, all read off its report, Obs,
+// by ResultOf: for Runner.Finish and the result store alike.
 type Result struct {
 	Design   Design
 	App      string
@@ -193,10 +195,10 @@ type Result struct {
 	Fairness float64
 
 	// Obs is the run-level observability report: per-link utilization
-	// and grants, per-NI backlog high-water marks and stall cycles, the
-	// per-bank DRAM breakdown, and (when Config.SampleEvery is set) the
-	// time series. Always populated by Finish; serialized by the CLI
-	// JSON sidecars.
+	// and grants, per-NI backlog high-water marks, stall cycles and
+	// service, the per-bank DRAM breakdown and device totals, and (when
+	// Config.SampleEvery is set) the time series. Serialized by the CLI
+	// JSON sidecars and, in binary, by the result store.
 	Obs *obs.Report
 }
 
@@ -355,17 +357,57 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Restamp returns r as the run of design d: a twin's result (see
-// Config.Canonical) made the point's own. Only the identity fields
-// change; the report is a fresh copy, so the twin's keeps its name.
-func (r Result) Restamp(d Design) Result {
-	r.Design = d
-	if r.Obs != nil {
-		rep := *r.Obs
-		rep.Design = d.String()
-		r.Obs = &rep
+// ResultOf returns the Result a report records, with rep as its Obs:
+// the identity parsed from its names, the device totals folded from its
+// banks, the per-core service from its NIs. It fails on a nil report and
+// on a design or scheduler name it cannot parse.
+func ResultOf(rep *obs.Report) (Result, error) {
+	if rep == nil {
+		return Result{}, errors.New("system: the result carries no report")
 	}
-	return r
+	d, derr := ParseDesign(rep.Design)
+	sched, serr := memctrl.ParseScheduler(cmp.Or(rep.Scheduler, memctrl.SchedDefault.String()))
+	if err := errors.Join(derr, serr); err != nil {
+		return Result{}, err
+	}
+	mem := &rep.Memory
+	dev := dram.Stats{Refreshes: mem.Refreshes, DataCycles: mem.DataCycles, BurstsBL: mem.BurstBeats, UsefulBeats: mem.UsefulBeats}
+	for _, b := range mem.Banks {
+		dev.Activates += b.Activates
+		dev.Reads += b.Reads
+		dev.Writes += b.Writes
+		dev.Precharges += b.Precharges
+		dev.AutoPre += b.AutoPre
+	}
+	res := Result{
+		Design: d, App: rep.App, Gen: dram.Generation(rep.Gen), ClockMHz: rep.ClockMHz, Cycles: rep.Cycles,
+		Scheduler: sched, Channels: max(1, len(mem.Channels)),
+		Utilization: rep.Utilization, LatAll: rep.Latency.All.Mean, LatDemand: rep.Latency.Demand.Mean,
+		LatPriority: rep.Latency.Priority.Mean, LatBest: rep.Latency.Best.Mean,
+		Generated: rep.Generated, Completed: rep.Completed, GSSGrants: rep.GSSGrants,
+		Device: dev, CmdCycles: dev.Activates + dev.Reads + dev.Writes + dev.Precharges + dev.Refreshes,
+		PerCore: make([]CoreStats, len(rep.NIs)), Obs: rep,
+	}
+	if dev.BurstsBL > 0 {
+		res.WasteFrac = float64(dev.BurstsBL-dev.UsefulBeats) / float64(dev.BurstsBL)
+	}
+	for i, ni := range rep.NIs {
+		res.PerCore[i] = CoreStats{Name: ni.Core, Completed: ni.Completed, Beats: ni.Beats, LatencySum: ni.LatencySum}
+	}
+	res.Fairness = jain(res.PerCore)
+	return res, nil
+}
+
+// Restamp returns r as the run of design d: a twin's result (see
+// Config.Canonical) made the point's own. It renames a fresh copy of
+// the report, so the twin's keeps its name, and reads the result from it.
+func (r Result) Restamp(d Design) (Result, error) {
+	if r.Obs == nil {
+		return ResultOf(nil)
+	}
+	rep := *r.Obs
+	rep.Design = d.String()
+	return ResultOf(&rep)
 }
 
 // CoreStats is the per-core service breakdown of one run.
@@ -382,4 +424,18 @@ func (c CoreStats) MeanLatency() float64 {
 		return 0
 	}
 	return float64(c.LatencySum) / float64(c.Completed)
+}
+
+// jain computes Jain's fairness index over per-core served beats.
+func jain(cs []CoreStats) float64 {
+	var sum, sumSq float64
+	for _, c := range cs {
+		x := float64(c.Beats)
+		sum += x
+		sumSq += x * x
+	}
+	if len(cs) == 0 || sumSq == 0 {
+		return 0
+	}
+	return sum * sum / (float64(len(cs)) * sumSq)
 }

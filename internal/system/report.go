@@ -1,9 +1,9 @@
 package system
 
 import (
+	"fmt"
 	"strings"
 
-	"aanoc/internal/dram"
 	"aanoc/internal/memctrl"
 	"aanoc/internal/noc"
 	"aanoc/internal/obs"
@@ -39,55 +39,26 @@ func (r *Runner) sample(cycle, interval int64) {
 	r.lastSampleD = dc
 }
 
-// Finish assembles the Result after the run. The report is built once;
-// the headline numbers Result duplicates are read back from it.
+// Finish assembles the run's report and returns the Result it records.
 func (r *Runner) Finish() Result {
-	cfg := r.cfg
 	now := r.kern.Now()
 	// Settle each device through the last simulated cycle: the controller
 	// may have slept through the run's tail, leaving auto-precharges
 	// pending that the old every-cycle tick would have retired.
-	var st dram.Stats
-	for i := range r.chans {
-		d := r.chans[i].dev
-		if now > 0 {
-			d.Sync(now - 1)
+	if now > 0 {
+		for i := range r.chans {
+			r.chans[i].dev.Sync(now - 1)
 		}
-		st.Add(d.Stats())
 	}
 	r.settleAll()
 	rep := r.buildReport(now)
-	res := Result{
-		Design: cfg.Design, App: cfg.App.Name, Gen: cfg.Gen, ClockMHz: cfg.ClockMHz,
-		Scheduler:   cfg.Scheduler,
-		Channels:    cfg.Channels,
-		Cycles:      now,
-		Utilization: rep.Utilization,
-		LatAll:      rep.Latency.All.Mean,
-		LatDemand:   rep.Latency.Demand.Mean,
-		LatPriority: rep.Latency.Priority.Mean,
-		LatBest:     rep.Latency.Best.Mean,
-		Generated:   rep.Generated,
-		Completed:   rep.Completed,
-		Device:      st,
-		CmdCycles:   st.Activates + st.Reads + st.Writes + st.Precharges + st.Refreshes,
-		PerCore:     make([]CoreStats, len(r.cores)),
-		Obs:         rep,
-	}
-	if st.BurstsBL > 0 {
-		res.WasteFrac = float64(st.BurstsBL-st.UsefulBeats) / float64(st.BurstsBL)
-	}
-	for _, rt := range r.gssRouters {
-		for p := range rt.Out {
-			res.GSSGrants += rt.Out[p].Grants
-		}
-	}
-	for i, c := range r.cores {
-		res.PerCore[i] = c.stats
-	}
-	res.Fairness = jain(res.PerCore)
 	if r.chk != nil {
 		r.finalChecks(rep)
+	}
+	res, err := ResultOf(rep)
+	if err != nil {
+		// The report names the validated config's design and scheduler.
+		panic(fmt.Sprintf("system: the run's own report does not read back: %v", err))
 	}
 	return res
 }
@@ -133,6 +104,12 @@ func (r *Runner) buildReport(now int64) *obs.Report {
 		Samples:     r.samples,
 	}
 	rep.Memory.Scheduler = r.schedulerStat(now)
+	for i := range r.chans {
+		st := r.chans[i].dev.Stats()
+		rep.Memory.Refreshes += st.Refreshes
+		rep.Memory.BurstBeats += st.BurstsBL
+		rep.Memory.UsefulBeats += st.UsefulBeats
+	}
 	// The run's request and stall counts are folds of the cores' own.
 	for i, c := range r.cores {
 		rep.NIs[i] = c.niStat()
@@ -143,16 +120,19 @@ func (r *Runner) buildReport(now int64) *obs.Report {
 			rep.Workload = c.appendWorkload(rep.Workload)
 		}
 	}
+	for _, rt := range r.gssRouters {
+		for p := range rt.Out {
+			rep.GSSGrants += rt.Out[p].Grants
+		}
+	}
 	return rep
 }
 
 // niStat is the core's network-interface section of the report.
 func (c *coreNI) niStat() obs.NI {
 	return obs.NI{
-		Core:          c.spec.Name,
-		QueueFlitsHWM: c.inj.QueueFlitsHWM(),
-		StallCycles:   c.stalls,
-		SinkReadyHWM:  c.sink.ReadyHWM(),
+		Core: c.spec.Name, QueueFlitsHWM: c.inj.QueueFlitsHWM(), StallCycles: c.stalls, SinkReadyHWM: c.sink.ReadyHWM(),
+		Completed: c.stats.Completed, Beats: c.stats.Beats, LatencySum: c.stats.LatencySum,
 	}
 }
 
@@ -213,7 +193,7 @@ func (c *channel) stat(ch int, now int64) obs.ChannelStat {
 // is more than one.
 func foldChannels(chans []obs.ChannelStat) obs.Memory {
 	mem := obs.Memory{Banks: make([]obs.BankStat, len(chans[0].Banks))}
-	var busiest, total int64
+	var busiest int64
 	for _, cs := range chans {
 		mem.SinkReadyHWM = max(mem.SinkReadyHWM, cs.SinkReadyHWM)
 		for i, b := range cs.Banks {
@@ -236,7 +216,7 @@ func foldChannels(chans []obs.ChannelStat) obs.Memory {
 			mem.Stream.Contentions += s.Contentions
 		}
 		busiest = max(busiest, cs.DataCycles)
-		total += cs.DataCycles
+		mem.DataCycles += cs.DataCycles
 	}
 	if len(chans) == 1 {
 		return mem
@@ -246,7 +226,7 @@ func foldChannels(chans []obs.ChannelStat) obs.Memory {
 	// perfectly balanced and the idle (0) cases, which an omitempty
 	// float64 would drop from the JSON sidecar.
 	var imb float64
-	if total > 0 {
+	if total := mem.DataCycles; total > 0 {
 		mean := float64(total) / float64(len(chans))
 		imb = float64(busiest) / mean
 	}
@@ -331,18 +311,4 @@ func meshStats(m *noc.Mesh, cycles int64) obs.MeshStats {
 		})
 	})
 	return ms
-}
-
-// jain computes Jain's fairness index over per-core served beats.
-func jain(cs []CoreStats) float64 {
-	var sum, sumSq float64
-	for _, c := range cs {
-		x := float64(c.Beats)
-		sum += x
-		sumSq += x * x
-	}
-	if len(cs) == 0 || sumSq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(cs)) * sumSq)
 }

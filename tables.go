@@ -47,18 +47,12 @@ type Row struct {
 	Obs *obs.Report `json:"obs,omitempty"`
 }
 
+// rowFrom reads a row off a result; the report already spells the
+// scheduler and the channel breakdown as a row does.
 func rowFrom(res Result) Row {
-	sched := ""
-	if res.Scheduler != memctrl.SchedDefault {
-		sched = res.Scheduler.String()
-	}
-	channels := 0
-	if res.Channels > 1 {
-		channels = res.Channels
-	}
 	return Row{
 		App: res.App, Gen: int(res.Gen), ClockMHz: res.ClockMHz, Design: res.Design,
-		Scheduler: sched, Channels: channels,
+		Scheduler: res.Obs.Scheduler, Channels: len(res.Obs.Memory.Channels),
 		Utilization:       res.Utilization,
 		UsefulUtilization: res.Utilization * (1 - res.WasteFrac),
 		LatencyAll:        res.LatAll,
