@@ -80,6 +80,9 @@ var corpus = []leg{
 	{name: "sweep-gss-routers", args: "sweep -sweep gss-routers -cycles 20000", golden: "sweep-gss-routers", json: "file"},
 	{name: "sweep-channels", args: "sweep -sweep channels -app bluray2 -cycles 20000", golden: "sweep-channels", json: "file"},
 	{name: "sweep-scheduler", args: "sweep -sweep scheduler -cycles 20000", golden: "sweep-scheduler", json: "file"},
+	// The load-latency curves of EXPERIMENTS.md's "Load–latency" section.
+	{name: "sweep-load", args: "sweep -sweep load -app bluray -gen 2 -priority=false -cycles 20000", golden: "sweep-load", json: "file",
+		stderr: "aanoc sweep: CONV knee: f=0.60 (completed 1447, down from 1454 at f=0.55)\naanoc sweep: [4] knee: f=0.75 (completed 1562, down from 1646 at f=0.70)\naanoc sweep: GSS+SAGM knee: f=0.65 (completed 1675, down from 1678 at f=0.60)\n"},
 	// The same sweep twice against one store: the second run simulates
 	// nothing and prints the same CSV.
 	{name: "sweep-store-cold", args: "sweep -sweep scheduler -cycles 20000 -store $TMP/store", golden: "sweep-scheduler", stderr: "store: 0 hits, 4 simulated"},

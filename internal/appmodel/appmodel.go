@@ -163,6 +163,23 @@ func (a *App) TotalLoad() float64 {
 	return sum
 }
 
+// WithLoad returns a clone of a whose open-loop streams offer f times
+// their load, each capped at 1 (the whole data bus). Closed-loop
+// streams, which are paced by their completions and have no load
+// fraction, are left alone. An f that makes a load NaN or not positive
+// leaves a model Validate refuses.
+func WithLoad(a App, f float64) App {
+	c := a.clone()
+	for i := range c.Cores {
+		for j := range c.Cores[i].Streams {
+			if s := &c.Cores[i].Streams[j]; !s.ClosedLoop {
+				s.LoadFrac = min(s.LoadFrac*f, 1)
+			}
+		}
+	}
+	return c
+}
+
 // rowRegion hands out disjoint 256-row regions so each stream walks its
 // own buffers (cross-stream conflicts then come from bank sharing, as in
 // a real frame-buffer layout).

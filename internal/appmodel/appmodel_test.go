@@ -1,6 +1,7 @@
 package appmodel
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -387,5 +388,37 @@ func TestValidateMemoryIsByPortsAndCores(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, func() { a.Validate() }); got > 3 {
 		t.Errorf("Validate on a %dx%d mesh allocates %.0f times, want at most 3", a.Width, a.Height, got)
+	}
+}
+
+// TestWithLoad: open-loop loads scale by f and cap at the whole bus,
+// closed-loop streams keep their (absent) load, the input model is left
+// as it was, and a NaN factor gives a model Validate refuses.
+func TestWithLoad(t *testing.T) {
+	base := BluRay()
+	for _, f := range []float64{0.5, 1, 3} {
+		scaled := WithLoad(base, f)
+		if err := scaled.Validate(); err != nil {
+			t.Fatalf("f=%v: %v", f, err)
+		}
+		for i, c := range scaled.Cores {
+			for j, s := range c.Streams {
+				was := base.Cores[i].Streams[j]
+				want := min(was.LoadFrac*f, 1)
+				if was.ClosedLoop {
+					want = was.LoadFrac
+				}
+				if s.LoadFrac != want {
+					t.Errorf("f=%v: %s/%s load %v, want %v", f, c.Name, s.Name, s.LoadFrac, want)
+				}
+			}
+		}
+	}
+	if !reflect.DeepEqual(base, BluRay()) {
+		t.Error("WithLoad changed the model it was given")
+	}
+	nan := WithLoad(base, math.NaN())
+	if err := nan.Validate(); err == nil {
+		t.Error("a NaN load factor gives a model that validates")
 	}
 }

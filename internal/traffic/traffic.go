@@ -126,10 +126,12 @@ func (s *Stream) Validate() error {
 			return fmt.Errorf("traffic: stream %q has burst of %d beats", s.Name, b)
 		}
 	}
-	if !s.ClosedLoop && (s.LoadFrac <= 0 || s.LoadFrac > 1) {
+	// Negated ranges, so that a NaN, for which every comparison is
+	// false, fails them.
+	if !s.ClosedLoop && !(s.LoadFrac > 0 && s.LoadFrac <= 1) {
 		return fmt.Errorf("traffic: stream %q load fraction %v outside (0,1]", s.Name, s.LoadFrac)
 	}
-	if s.ReadFrac < 0 || s.ReadFrac > 1 {
+	if !(s.ReadFrac >= 0 && s.ReadFrac <= 1) {
 		return fmt.Errorf("traffic: stream %q read fraction %v", s.Name, s.ReadFrac)
 	}
 	if s.RowRange < 1 {

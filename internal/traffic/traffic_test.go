@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -37,6 +38,22 @@ func TestValidate(t *testing.T) {
 	closed.LoadFrac = 0 // closed loop has no load fraction
 	if err := closed.Validate(); err != nil {
 		t.Errorf("closed loop spec rejected: %v", err)
+	}
+}
+
+// TestValidateRejectsNaN: a NaN load or read fraction fails every
+// comparison, so a range check written as "x < lo || x > hi" lets it
+// through; Validate must refuse it.
+func TestValidateRejectsNaN(t *testing.T) {
+	for name, f := range map[string]func(*Stream){
+		"load": func(s *Stream) { s.LoadFrac = math.NaN() },
+		"read": func(s *Stream) { s.ReadFrac = math.NaN() },
+	} {
+		s := spec()
+		f(&s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("a NaN %s fraction validates", name)
+		}
 	}
 }
 
