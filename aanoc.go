@@ -389,7 +389,6 @@ func (c Config) toInternal() (system.Config, error) {
 			return system.Config{}, fmt.Errorf("aanoc: %w: Config.Spec is mutually exclusive with Model", ErrBadSpec)
 		}
 		app = c.Spec.App
-		knobs.SpecHash = c.Spec.Hash()
 		if c.Spec.Run != nil {
 			over = over.Merge(*c.Spec.Run)
 		}

@@ -67,7 +67,7 @@ func TestEncodeJSONMatchesStdlib(t *testing.T) {
 			fill(rng, reflect.ValueOf(r).Elem())
 		}
 		buf.Reset()
-		if err := EncodeJSON(&buf, r); err != nil { // stamps r.SchemaVersion
+		if err := EncodeJSON(&buf, r); err != nil {
 			t.Fatal(err)
 		}
 		want, err := json.MarshalIndent(r, "", "  ")

@@ -25,27 +25,26 @@ import (
 	"aanoc/internal/stats"
 )
 
-// Schema is the current report schema version, carried by every report
-// in SchemaVersion and stamped by EncodeJSON. The history:
+// Schema is the report schema version, carried by every report in
+// SchemaVersion; a reader accepts exactly this version. The history:
 //
-//	1 — the PR-2..PR-9 sidecar (no version field; decoders treat a
-//	    missing/zero SchemaVersion as 1)
+//	1 — the first sidecar, without a version field
 //	2 — explicit SchemaVersion, canonical EncodeJSON/DecodeJSON pair
+//	3 — the counts that make the report a run's whole record (per-NI
+//	    completed/beats/latencySum, the memory's refreshes and beat
+//	    counts, gssGrants), which Validate folds
 //
-// Bump it whenever the serialized shape of Report changes in a way a
-// reader must know about (a field renamed, a meaning changed — not a
-// purely additive field). Schema 2 has since gained the counts that make
-// the report a run's whole record, and Validate's fold of the NIs'
-// completed counts fails a sidecar written before them. The result
-// store versions its entries itself (internal/store).
-const Schema = 2
+// Bump it whenever the serialized shape of Report changes; an earlier
+// version is refused by name, not misread. The result store versions
+// its entries itself (internal/store).
+const Schema = 3
 
 // Report is one run's observability export. Serialized as JSON by the
 // CLI sidecars (aanoc sim -json, aanoc tables -json, ...) and the
 // aanoc serve results endpoint, always through EncodeJSON.
 type Report struct {
 	// SchemaVersion is the report schema the writer produced (Schema at
-	// the time of writing); zero marks a legacy pre-versioned sidecar.
+	// the time of writing).
 	SchemaVersion int `json:"schemaVersion,omitempty"`
 
 	// Run identity: the resolved configuration the counters belong to.
@@ -389,8 +388,7 @@ type Sample struct {
 }
 
 // EncodeJSON writes the canonical serialization of one report: two-space
-// indented JSON, newline terminated, SchemaVersion stamped to Schema when
-// the report predates stamping. The aanoc serve results endpoint, the
+// indented JSON, newline terminated. The aanoc serve results endpoint, the
 // golden corpus and the benchmark's digests go through this function;
 // the command line's sidecar writer goes through EncodeSidecar
 // (json.MarshalIndent), whose bytes for a report are these by
@@ -400,9 +398,6 @@ type Sample struct {
 // internal/codec's binary form instead, and a report read back from it
 // is re-encoded here.
 func EncodeJSON(w io.Writer, r *Report) error {
-	if r.SchemaVersion == 0 {
-		r.SchemaVersion = Schema
-	}
 	// A bytes.Buffer or bufio.Writer lends its spare capacity, so encoding
 	// into a reused buffer allocates nothing.
 	var data []byte
@@ -417,18 +412,14 @@ func EncodeJSON(w io.Writer, r *Report) error {
 	return err
 }
 
-// DecodeJSON is EncodeJSON's inverse: it decodes one report, rejects
-// schema versions this binary does not know (a sidecar written by a
-// newer build must not be silently misread), and applies the Validate
-// invariants. A zero SchemaVersion is accepted as the legacy
-// pre-versioned schema.
+// DecodeJSON is EncodeJSON's inverse: it decodes one report and applies
+// the Validate invariants, the first of which refuses any schema version
+// but this binary's (a sidecar written by another build must not be
+// silently misread).
 func DecodeJSON(data []byte) (*Report, error) {
 	var r Report
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("obs: %w", err)
-	}
-	if r.SchemaVersion > Schema {
-		return nil, fmt.Errorf("obs: report schema v%d is newer than this binary's v%d", r.SchemaVersion, Schema)
 	}
 	if err := r.Validate(); err != nil {
 		return nil, err
@@ -451,8 +442,8 @@ func EncodeSidecar(v any) ([]byte, error) {
 // Validate checks the invariants every finished run's report satisfies.
 func (r *Report) Validate() error {
 	switch {
-	case r.SchemaVersion < 0 || r.SchemaVersion > Schema:
-		return fmt.Errorf("obs: report schema version %d outside [0,%d]", r.SchemaVersion, Schema)
+	case r.SchemaVersion != Schema:
+		return fmt.Errorf("obs: report schema v%d, this binary reads v%d", r.SchemaVersion, Schema)
 	case r.Cycles <= 0:
 		return fmt.Errorf("obs: report has no cycles (%d)", r.Cycles)
 	case r.Design == "" || r.App == "":

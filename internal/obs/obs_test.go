@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -10,7 +12,8 @@ import (
 // valid returns a minimal report that passes Validate.
 func valid() *Report {
 	return &Report{
-		Design: "GSS", App: "bluray", Gen: 2, ClockMHz: 333,
+		SchemaVersion: Schema,
+		Design:        "GSS", App: "bluray", Gen: 2, ClockMHz: 333,
 		Cycles: 1000, Seed: 7,
 		Generated: 10, Completed: 8, Stalled: 3,
 		Utilization: 0.5,
@@ -149,22 +152,16 @@ func TestValidateRejects(t *testing.T) {
 }
 
 // TestSchemaVersion pins the versioned-schema contract: EncodeJSON
-// stamps the current schema, DecodeJSON accepts the legacy zero and the
-// stamped current version, and rejects a report from a newer writer.
+// writes the version a report carries and changes nothing in it, and
+// DecodeJSON reads the current version back.
 func TestSchemaVersion(t *testing.T) {
 	var buf bytes.Buffer
 	r := valid()
-	if r.SchemaVersion != 0 {
-		t.Fatalf("fixture already versioned: %d", r.SchemaVersion)
-	}
 	if err := EncodeJSON(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	if r.SchemaVersion != Schema {
-		t.Errorf("EncodeJSON stamped %d, want %d", r.SchemaVersion, Schema)
-	}
-	if !strings.Contains(buf.String(), `"schemaVersion": 2`) {
-		t.Error("encoded report does not carry schemaVersion")
+	if !strings.Contains(buf.String(), `"schemaVersion": 3`) {
+		t.Error("encoded report does not carry schemaVersion 3")
 	}
 	back, err := DecodeJSON(buf.Bytes())
 	if err != nil {
@@ -173,25 +170,58 @@ func TestSchemaVersion(t *testing.T) {
 	if back.SchemaVersion != Schema {
 		t.Errorf("decoded schema %d, want %d", back.SchemaVersion, Schema)
 	}
-
-	// Legacy sidecar: no version field at all.
-	legacy := valid()
-	var lbuf bytes.Buffer
-	data, _ := json.MarshalIndent(legacy, "", "  ")
-	lbuf.Write(data)
-	if _, err := DecodeJSON(lbuf.Bytes()); err != nil {
-		t.Errorf("legacy (unversioned) report rejected: %v", err)
+	unversioned := valid()
+	unversioned.SchemaVersion = 0
+	if err := EncodeJSON(&buf, unversioned); err != nil || unversioned.SchemaVersion != 0 {
+		t.Errorf("EncodeJSON stamped the report it wrote: v%d, err %v", unversioned.SchemaVersion, err)
 	}
+}
 
-	// A report from the future must be refused, not misread.
-	future := valid()
-	future.SchemaVersion = Schema + 1
-	fdata, _ := json.Marshal(future)
-	if _, err := DecodeJSON(fdata); err == nil || !strings.Contains(err.Error(), "newer") {
-		t.Errorf("future-schema report not rejected: %v", err)
+// TestDecodeRefusesOtherSchemas: a reader accepts exactly Schema and
+// names both versions on any other. A current golden relabelled v2,
+// one with the version cut out (v0), one from a later writer (v4), and
+// the sidecar an earlier build wrote under v2 before the NI counts
+// existed all get the version error, not a misreading or the NI fold's.
+func TestDecodeRefusesOtherSchemas(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "gss.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := future.Validate(); err == nil {
-		t.Error("Validate accepted a future schema version")
+	if _, err := DecodeJSON(golden); err != nil {
+		t.Fatalf("current golden refused: %v", err)
+	}
+	const current = "\"schemaVersion\": 3,\n"
+	relabel := func(to string) []byte {
+		if !bytes.Contains(golden, []byte(current)) {
+			t.Fatalf("golden does not carry %q", current)
+		}
+		return bytes.Replace(golden, []byte(current), []byte(to), 1)
+	}
+	var before Report // an earlier build's sidecar: v2, no NI counts
+	if err := json.Unmarshal(relabel("\"schemaVersion\": 2,\n"), &before); err != nil {
+		t.Fatal(err)
+	}
+	for i := range before.NIs {
+		before.NIs[i].Completed, before.NIs[i].Beats, before.NIs[i].LatencySum = 0, 0, 0
+	}
+	early, err := json.Marshal(&before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"v2", relabel("\"schemaVersion\": 2,\n"), "v2"},
+		{"absent", relabel(""), "v0"},
+		{"v4", relabel("\"schemaVersion\": 4,\n"), "v4"},
+		{"v2 before NI counts", early, "v2"},
+	} {
+		_, err := DecodeJSON(tc.data)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "v3") {
+			t.Errorf("%s: DecodeJSON error %v, want one naming %s and v3", tc.name, err, tc.want)
+		}
 	}
 }
 

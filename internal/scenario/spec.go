@@ -19,8 +19,6 @@ package scenario
 import (
 	"bytes"
 	"cmp"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -170,21 +168,6 @@ func (s *Spec) Validate() error {
 // FromApp wraps an application model as a spec with no run block.
 func FromApp(a appmodel.App) *Spec { return &Spec{App: a} }
 
-// Hash returns the canonical content hash of the spec: sha256 over its
-// JSON marshalling (deterministic — struct field order, no maps). Two
-// specs with equal content hash alike regardless of how they were
-// loaded or built; the sweep fingerprint keys on it.
-func (s *Spec) Hash() string {
-	data, err := json.Marshal(s)
-	if err != nil {
-		// A Spec is plain data and its enums' MarshalText never fails;
-		// Marshal cannot fail on one.
-		panic(fmt.Sprintf("scenario: hash marshal: %v", err))
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
 // WriteJSON serialises the spec, indented, to w — the aanoc gen output
 // format, accepted back by Parse.
 func (s *Spec) WriteJSON(w io.Writer) error {
@@ -252,12 +235,13 @@ func Resolve(app appmodel.App, r Run, base system.Config) (system.Config, error)
 }
 
 // SystemConfig resolves the spec plus an override block into a runnable
-// system configuration, with the spec's content hash attached so the
-// sweep fingerprint distinguishes spec-driven runs by workload content.
+// system configuration. The spec's model is in the resolved config, so
+// the sweep fingerprint tells spec-driven runs apart by workload content
+// and a spec of a builtin model keys with the builtin's runs.
 func (s *Spec) SystemConfig(over Run) (system.Config, error) {
 	base := Run{}
 	if s.Run != nil {
 		base = *s.Run
 	}
-	return Resolve(s.App, over.Merge(base), system.Config{SpecHash: s.Hash()})
+	return Resolve(s.App, over.Merge(base), system.Config{})
 }

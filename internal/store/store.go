@@ -59,7 +59,7 @@ import (
 // layout, the directory scheme, the type trees the payload and the key
 // encode (obs.Report's and system.Config's; TestPayloadShapePinned
 // catches those) or what a run computes for a config changes.
-const formatVersion = 4
+const formatVersion = 5
 
 // DefaultMaxBytes caps the store at 1 GiB unless Options overrides it —
 // roomy for hundreds of thousands of entries (a full-observability

@@ -40,7 +40,8 @@ func open(t *testing.T, o Options) *Store {
 func fabricated(seed byte) (string, system.Result) {
 	fp := strings.Repeat(string([]byte{'a' + seed%6}), 64)
 	res, err := system.ResultOf(&obs.Report{
-		Design: system.GSSSAGM.String(), App: "bluray", Gen: int(dram.DDR2),
+		SchemaVersion: obs.Schema,
+		Design:        system.GSSSAGM.String(), App: "bluray", Gen: int(dram.DDR2),
 		ClockMHz: 333, Cycles: 1000,
 		Utilization: 0.25 + float64(seed)/1000,
 		Generated:   100 + int64(seed), Completed: 90 + int64(seed),
@@ -255,7 +256,7 @@ func shape(t reflect.Type) string {
 // a change must bump formatVersion, which rotates the namespace, and
 // pin its shape hash here.
 func TestPayloadShapePinned(t *testing.T) {
-	pinned := map[int]string{4: "a2c81ea68afe5a07"}
+	pinned := map[int]string{5: "430e628b1ac302b5"}
 	sum := sha256.Sum256([]byte(shape(reflect.TypeFor[obs.Report]()) + shape(reflect.TypeFor[system.Config]())))
 	if got := hex.EncodeToString(sum[:8]); pinned[formatVersion] != got {
 		t.Errorf("obs.Report's and system.Config's type trees hash to %s, pinned for format v%d as %q: bump formatVersion and pin the new shape",
@@ -641,8 +642,8 @@ func TestReopenSeesEntriesAndSize(t *testing.T) {
 // DESIGN.md: one version, the store's format revision.
 func TestVersionNamespaceShape(t *testing.T) {
 	v := Version()
-	if v != "v4" {
-		t.Fatalf("Version() = %q, want v4", v)
+	if v != "v5" {
+		t.Fatalf("Version() = %q, want v5", v)
 	}
 	s := open(t, Options{})
 	if filepath.Base(s.Dir()) != v {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
@@ -67,7 +68,6 @@ func TestFingerprintMatchesReference(t *testing.T) {
 	sentinel := grid(1)[0]
 	sentinel.Warmup = -1
 	spec := grid(1)[0]
-	spec.SpecHash = "0123abcd"
 	spec.WorkloadStats = true
 	spec.Replay = []trace.Record{
 		{Cycle: 3, Core: "cpu", Kind: "R", Class: "demand", Priority: true, Bank: 1, Row: 2, Col: 8, Beats: 4},
@@ -98,6 +98,46 @@ func TestFingerprintMatchesReference(t *testing.T) {
 
 	for _, cfg := range cfgs {
 		checkKey(t, cfg)
+	}
+}
+
+// TestSpecSharesBuiltinKey: the resolved config names a run, so a spec
+// of a builtin model, written out and parsed back, keys with the
+// builtin's own run and hits its store entries; a spec that differs in
+// one stream's content keys apart.
+func TestSpecSharesBuiltinKey(t *testing.T) {
+	run := scenario.Run{Generation: 2}
+	builtin, err := scenario.Resolve(appmodel.BluRay(), run, system.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := Fingerprint(builtin)
+	reparse := func(a appmodel.App) string {
+		var buf bytes.Buffer
+		if err := scenario.FromApp(a).WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		spec, err := scenario.Parse(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := spec.SystemConfig(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, ok := Fingerprint(cfg)
+		if !ok {
+			t.Fatal("spec-driven config not cacheable")
+		}
+		return fp
+	}
+	if got := reparse(appmodel.BluRay()); got != want {
+		t.Errorf("bluray's spec keys as %s, the builtin run as %s", got, want)
+	}
+	other := appmodel.BluRay()
+	other.Cores[0].Streams[0].LoadFrac /= 2
+	if got := reparse(other); got == want {
+		t.Errorf("a spec with %s's load halved shares the builtin's key %s", other.Cores[0].Streams[0].Name, want)
 	}
 }
 

@@ -257,13 +257,13 @@ func TestProgressSerialisedAndComplete(t *testing.T) {
 
 // TestFingerprintPinned holds the store's key bytes still across
 // refactors: the literal is a Table I point's fingerprint in the codec
-// form of store format v3. A change to system.Config's type tree moves
+// form of store format v5. A change to system.Config's type tree moves
 // it and turns every populated store cold for the keys it touches. A
 // model with no memory ports must hash, not panic — the executor
 // fingerprints before it validates.
 func TestFingerprintPinned(t *testing.T) {
 	cfg := system.Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: system.GSSSAGM, Cycles: 5000}
-	const want = "7761aa73c5e1916542f878f9f94b26dcf88de82435312373b231ac68a7caec10"
+	const want = "015b9b78f0dc566474d9044c03be4fc2fd947fe0d91f08704847bdd9a92f493e"
 	if got, _ := Fingerprint(cfg); got != want {
 		t.Errorf("Table I ddtv/DDR3/GSS+SAGM fingerprint %s, want %s", got, want)
 	}

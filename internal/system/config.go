@@ -107,13 +107,6 @@ type Config struct {
 	// simulation, so it cannot perturb results.
 	SampleEvery int64
 
-	// SpecHash identifies the scenario spec the configuration was
-	// resolved from (scenario.Spec.Hash; empty for builtin app models).
-	// It never perturbs the simulation, but the sweep fingerprint keys
-	// on it so two spec-driven runs with different workload content
-	// never share a cache entry even if their resolved app models
-	// coincide by name.
-	SpecHash string
 	// WorkloadStats includes the per-stream production breakdown
 	// (obs.Report.Workload: read/write split, burst-size histogram,
 	// blocked cycles) in the run report — the input of the scenario

@@ -117,33 +117,29 @@ func checkedApp(s *Spec) (appmodel.App, error) {
 }
 
 // collect is the one path from a grid to its results: it attaches the
-// spec identity (content hash) and its platform channel configuration to
-// every point of a spec-driven grid, arms the invariant layer when the
-// options ask for it, and fans the points across the sweep executor,
-// returning the results in submission order. For grids of your own
-// construction, prefer the typed sweep facade (SweepGrid / SweepOptions
-// / Sweep): it subsumes Parallel, Progress and Store for arbitrary point
-// lists and additionally exposes cancellation and per-point cache
-// provenance — TableOptions keeps these fields only for the fixed
-// paper-table drivers.
+// spec's platform channel configuration to every point of a spec-driven
+// grid, arms the invariant layer when the options ask for it, and fans
+// the points across the sweep executor, returning the results in
+// submission order. For grids of your own construction, prefer the
+// typed sweep facade (SweepGrid / SweepOptions / Sweep): it subsumes
+// Parallel, Progress and Store for arbitrary point lists and
+// additionally exposes cancellation and per-point cache provenance —
+// TableOptions keeps these fields only for the fixed paper-table
+// drivers.
 func (o TableOptions) collect(cfgs []system.Config) ([]Result, error) {
-	var hash string
 	var run SpecRun
+	if o.Spec != nil && o.Spec.Run != nil {
+		run = *o.Spec.Run
+	}
 	scheme := BankThenChannel
-	if o.Spec != nil {
-		hash = o.Spec.Hash()
-		if o.Spec.Run != nil {
-			run = *o.Spec.Run
-		}
-		if run.Scheme != "" {
-			var err error
-			if scheme, err = mapping.ParseChannelScheme(run.Scheme); err != nil {
-				return nil, specErr(fmt.Errorf("%w %q", scenario.ErrBadScheme, run.Scheme))
-			}
+	if run.Scheme != "" {
+		var err error
+		if scheme, err = mapping.ParseChannelScheme(run.Scheme); err != nil {
+			return nil, specErr(fmt.Errorf("%w %q", scenario.ErrBadScheme, run.Scheme))
 		}
 	}
 	for i := range cfgs {
-		cfgs[i].SpecHash, cfgs[i].Channels, cfgs[i].Scheme = hash, run.Channels, scheme
+		cfgs[i].Channels, cfgs[i].Scheme = run.Channels, scheme
 		cfgs[i].Checked = o.Checked
 	}
 	return sweep.Collect(cfgs, SweepOptions{Workers: o.Parallel, OnProgress: o.Progress, Store: o.Store}.internal())
