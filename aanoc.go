@@ -310,7 +310,8 @@ type Config struct {
 	PriorityDemand bool
 	// VirtualChannels selects the router buffer organisation: 1 (default)
 	// is the paper's wormhole implementation, 2 adds a priority virtual
-	// channel (the alternative blocking remedy the paper mentions).
+	// channel (the alternative blocking remedy the paper mentions);
+	// Validate rejects anything else (wrapping ErrBadSpec).
 	VirtualChannels int
 	// AdaptiveRouting replaces XY routing with the west-first adaptive
 	// turn model in both meshes (the paper's adaptive-router variant).

@@ -2,10 +2,13 @@ package aanoc
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"aanoc/internal/appmodel"
 	"aanoc/internal/obs"
+	"aanoc/internal/scenario"
 )
 
 func TestRunDefaults(t *testing.T) {
@@ -128,6 +131,29 @@ func TestFig8Driver(t *testing.T) {
 	}
 }
 
+// TestFig8IgnoresSpec: Fig8 runs the named builtin, so a spec in the
+// options — here one whose run block asks for two channels, which the
+// single-port sdtv platform cannot have — changes nothing.
+func TestFig8IgnoresSpec(t *testing.T) {
+	ddtv4, err := appmodel.ByName("ddtv4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := scenario.FromApp(ddtv4)
+	sp.Run = &SpecRun{Channels: 2}
+	with, err := Fig8("sdtv", 1, 200, TableOptions{Cycles: 2000, Spec: sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := Fig8("sdtv", 1, 200, TableOptions{Cycles: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(with, without) {
+		t.Errorf("Fig8 with a spec = %+v, without = %+v", with, without)
+	}
+}
+
 func TestTableIVandV(t *testing.T) {
 	rows := TableIV()
 	if len(rows) != 3 {
@@ -150,6 +176,32 @@ func TestTableIVandV(t *testing.T) {
 		conv, ours := pw[i], pw[i+2]
 		if conv.PowerMW <= ours.PowerMW {
 			t.Errorf("%s: CONV power (%.1f) should exceed ours (%.1f)", conv.App, conv.PowerMW, ours.PowerMW)
+		}
+	}
+}
+
+// TestCheckedViolations: rows without a report and clean checked rows
+// count nothing, every recorded violation counts one, and a list's
+// closing Dropped(n) entry counts as the n violations it stands for.
+func TestCheckedViolations(t *testing.T) {
+	v := obs.Violation{Cycle: 7, Component: "dram", Kind: "tRCD", Detail: "RD to bank 1 at 7"}
+	clean := Row{Obs: &obs.Report{Checked: true}}
+	two := Row{Obs: &obs.Report{Checked: true, Violations: []obs.Violation{v, v}}}
+	dropped := Row{Obs: &obs.Report{Checked: true, Violations: []obs.Violation{v, v, obs.Dropped(40)}}}
+	for _, tc := range []struct {
+		name string
+		rows []Row
+		want int
+	}{
+		{"none", nil, 0},
+		{"no reports", []Row{{}, {}}, 0},
+		{"clean", []Row{clean, {}, clean}, 0},
+		{"recorded", []Row{clean, two}, 2},
+		{"dropped", []Row{dropped}, 42},
+		{"mixed", []Row{{}, two, clean, dropped}, 44},
+	} {
+		if got := CheckedViolations(tc.rows); got != tc.want {
+			t.Errorf("%s: CheckedViolations = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }

@@ -93,6 +93,7 @@ func TestValidateIsWhatRunRejects(t *testing.T) {
 		facade, scenario error
 	}{
 		{"virtual channels", Config{VirtualChannels: 9}, ErrBadSpec, scenario.ErrSpec},
+		{"virtual channels 3", Config{VirtualChannels: 3}, ErrBadSpec, scenario.ErrSpec},
 		{"pct high", Config{Design: GSS, PCT: 9}, ErrBadSpec, scenario.ErrSpec},
 		{"pct negative", Config{Design: GSS, PCT: -2}, ErrBadSpec, scenario.ErrSpec},
 		{"gss routers", Config{Design: GSS, GSSRouters: -7}, ErrBadSpec, scenario.ErrSpec},

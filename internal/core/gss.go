@@ -98,14 +98,11 @@ type entry struct {
 type slab struct {
 	pool sim.Pool[entry]
 
-	// excluded/eidx hold one element per candidate of the Select in
-	// progress. They start on the arrays below, enough for a router
-	// (one candidate per input port); only a direct caller offering more
-	// candidates grows them.
-	excluded []bool
-	eidx     []*entry
-	exclArr  [noc.NumPorts]bool
-	eidxArr  [noc.NumPorts]*entry
+	// eidx holds each candidate's entry for the Select in progress. It
+	// starts on eidxArr, enough for a router (one candidate per input
+	// port); only a direct caller offering more candidates grows it.
+	eidx    []*entry
+	eidxArr [noc.NumPorts]*entry
 }
 
 // GSS is one guaranteed-SDRAM-service flow controller. It implements
@@ -149,7 +146,7 @@ func NewSlab(cfg Config, n int) ([]GSS, error) {
 	gs := make([]GSS, n)
 	idle := make([]int64, n*cfg.Banks)
 	sl := &slab{}
-	sl.excluded, sl.eidx = sl.exclArr[:], sl.eidxArr[:]
+	sl.eidx = sl.eidxArr[:]
 	for i := range gs {
 		lo, hi := i*cfg.Banks, (i+1)*cfg.Banks
 		gs[i] = GSS{cfg: cfg, slab: sl, bankIdleAt: idle[lo:hi:hi]}
@@ -249,10 +246,11 @@ func (g *GSS) condsFor(p *noc.Packet, now int64) conds {
 	return c
 }
 
-// passesFilter implements the Fig. 4 filter tiers for a packet holding t
-// tokens. Tiers relax monotonically (each admits a superset of the one
-// below) so the Algorithm 1 aging loop (lines 19-24) always terminates:
-// an old packet eventually reaches the always-pass tier.
+// tier returns the lowest token count whose Fig. 4 filter a candidate
+// with these conditions passes. Each tier admits a superset of the one
+// below, so a candidate holding t tokens passes exactly when t >= tier,
+// and Algorithm 1's aging loop (lines 19-24) ends after
+// max(tier - t, 0) rounds for it.
 //
 // Fig. 4(a) (bank conflict + data contention):
 //
@@ -268,36 +266,32 @@ func (g *GSS) condsFor(p *noc.Packet, now int64) conds {
 //	T(3): no bank conflict
 //	T(4): not both
 //	T(5+): always
-func passesFilter(sti bool, t int, c conds) bool {
-	if !sti {
-		switch {
-		case t >= 4:
-			return true
-		case t == 3:
-			return !c.bankConflict || !c.dataContention
-		case t == 2:
-			return !c.bankConflict
-		default:
-			return !c.bankConflict && !c.dataContention
-		}
+func tier(sti bool, c conds) int {
+	t := 1
+	switch {
+	case c.bankConflict && c.dataContention:
+		t = 4
+	case c.bankConflict:
+		t = 3
+	case c.dataContention:
+		t = 2
 	}
 	switch {
-	case t >= 5:
-		return true
-	case t == 4:
-		return !c.bankConflict || !c.dataContention
-	case t == 3:
-		return !c.bankConflict
-	case t == 2:
-		return !c.bankConflict && !c.shortTurn
-	default:
-		return !c.bankConflict && !c.dataContention && !c.shortTurn
+	case !sti:
+	case c.bankConflict:
+		t++ // 4(b) inserts its idle-timer tier below the conflict tiers
+	case c.shortTurn:
+		t = 3
 	}
+	return t
 }
 
 // Select implements the arbitration of Algorithm 1 lines 14-25 plus the
 // priority-packet exclusion of line 5. Candidates are the head packets of
-// the router's input buffers requesting this channel.
+// the router's input buffers requesting this channel. Algorithm 1 ages
+// the candidates a token a round until one passes its tier; a candidate
+// passes after max(tier - tokens, 0) rounds, so one pass finds the
+// winner among those needing the fewest (no token count changes).
 //
 // Two interpretation decisions, recorded in DESIGN.md:
 //
@@ -306,25 +300,23 @@ func passesFilter(sti bool, t int, c conds) bool {
 //     packet still buried behind it in the same FIFO would idle the
 //     channel without helping the priority packet, and can deadlock.
 //
-//   - Selection is token-primary: among candidates passing their filter
-//     tier, the one with the most tokens wins (priority beats best-effort
-//     on a tie, then earlier arrival). This realises the paper's claimed
-//     degenerate cases exactly — PCT=1 gives priority packets no edge
-//     (priority-equal, the [4] scheduler) and PCT=max always wins
-//     (priority-first). The T(0) split-sibling continuation overrides a
-//     best-effort winner but never a priority winner ("a priority packet
-//     is always scheduled without any interference").
+//   - Selection is token-primary: among candidates passing after the
+//     fewest aging rounds, the one with the most tokens wins (priority
+//     beats best-effort on a tie, then earlier arrival). This realises
+//     the paper's claimed degenerate cases exactly — PCT=1 gives
+//     priority packets no edge (priority-equal, the [4] scheduler) and
+//     PCT=max always wins (priority-first). The T(0) split-sibling
+//     continuation overrides a best-effort winner but never a priority
+//     winner ("a priority packet is always scheduled without any
+//     interference").
 func (g *GSS) Select(cands []noc.Candidate, now int64) int {
-	if len(cands) == 0 {
-		return -1
-	}
 	sl := g.slab
 	if len(cands) > len(sl.eidx) {
-		sl.excluded, sl.eidx = make([]bool, len(cands)), make([]*entry, len(cands))
+		sl.eidx = make([]*entry, len(cands))
 	}
 	// Robustness: adopt candidates the allocator was not told about
-	// (e.g. after reconfiguration). eidx caches each candidate's entry
-	// so the inner loops avoid repeated scans.
+	// (e.g. after reconfiguration). Adoption ages the residents, so it
+	// ends before any candidate is ranked.
 	eidx := sl.eidx[:len(cands)]
 	for i, c := range cands {
 		e := g.find(c.Pkt)
@@ -334,62 +326,45 @@ func (g *GSS) Select(cands []noc.Candidate, now int64) int {
 		}
 		eidx[i] = e
 	}
-	// Line 5: exclude best-effort candidates targeting the same bank as a
-	// competing priority candidate.
-	excluded := sl.excluded[:len(cands)]
-	anyIncluded := false
+	best, bestRounds, bestT0 := -1, 0, -1
 	for i, c := range cands {
-		excluded[i] = false
-		if !c.Pkt.Priority {
-			for _, pc := range cands {
-				if pc.Pkt.Priority && pc.Pkt.Addr.Bank == c.Pkt.Addr.Bank {
-					excluded[i] = true
-					break
-				}
-			}
+		// Line 5: a best-effort candidate targeting the bank of a
+		// competing priority candidate is excluded.
+		if !c.Pkt.Priority && priorityOnBank(cands, c.Pkt.Addr.Bank) {
+			continue
 		}
-		if !excluded[i] {
-			anyIncluded = true
+		e := eidx[i]
+		cc := g.condsFor(c.Pkt, now)
+		switch r := max(tier(g.cfg.STI.Enabled, cc)-e.tokens, 0); {
+		case best < 0 || r < bestRounds:
+			best, bestRounds = i, r
+		case r == bestRounds:
+			best = g.betterOf(cands, eidx, best, i)
 		}
-	}
-	if !anyIncluded {
-		return -1 // cannot happen: priority candidates are never excluded
-	}
-	maxTok := g.cfg.MaxTokens()
-	for extra := 0; ; extra++ {
-		best, bestT0 := -1, -1
-		for i, c := range cands {
-			if excluded[i] {
-				continue
-			}
-			e := eidx[i]
-			t := e.tokens + extra
-			if t > maxTok {
-				t = maxTok
-			}
-			cc := g.condsFor(c.Pkt, now)
-			if passesFilter(g.cfg.STI.Enabled, t, cc) {
-				best = g.betterOf(cands, eidx, best, i)
-			}
-			if cc.sibling && (bestT0 < 0 || e.seq < eidx[bestT0].seq) {
-				bestT0 = i
-			}
-		}
-		if best >= 0 {
-			if bestT0 >= 0 && !cands[best].Pkt.Priority {
-				return bestT0
-			}
-			return best
-		}
-		if extra > maxTok {
-			return -1 // unreachable: the deepest tier always passes
+		if cc.sibling && (bestT0 < 0 || e.seq < eidx[bestT0].seq) {
+			bestT0 = i
 		}
 	}
+	if bestT0 >= 0 && !cands[best].Pkt.Priority {
+		return bestT0
+	}
+	return best
 }
 
-// betterOf ranks two passing candidates: more tokens first, then priority,
-// then earlier arrival. Raw token counts order identically to the
-// extra-aged counts because the aging increment is common to both.
+// priorityOnBank reports whether a priority candidate targets bank.
+func priorityOnBank(cands []noc.Candidate, bank int) bool {
+	for _, c := range cands {
+		if c.Pkt.Priority && c.Pkt.Addr.Bank == bank {
+			return true
+		}
+	}
+	return false
+}
+
+// betterOf ranks two candidates that pass after the same number of
+// aging rounds: more tokens first, then priority, then earlier arrival.
+// Raw token counts order identically to the aged counts because the
+// aging increment is common to both.
 func (g *GSS) betterOf(cands []noc.Candidate, eidx []*entry, cur, alt int) int {
 	if cur < 0 {
 		return alt
@@ -418,9 +393,9 @@ func (g *GSS) betterOf(cands []noc.Candidate, eidx []*entry, cur, alt int) int {
 // table: every resident entry must hold at least one token (arrivals
 // start at 1 or PCT and aging only adds), and the configured PCT must
 // sit inside the filter-tree range its Validate accepted. Token counts
-// above MaxTokens are legal — aging is unbounded and Select clamps at
-// the always-pass tier — so they are not flagged. Each violation is
-// reported through the closure.
+// above MaxTokens are legal — aging is unbounded and any count at or
+// above a candidate's tier passes it — so they are not flagged. Each
+// violation is reported through the closure.
 func (g *GSS) AuditTokens(report func(kind, format string, args ...any)) {
 	if g.cfg.PCT < 1 || g.cfg.PCT > g.cfg.MaxTokens() {
 		report("pct-bound", "PCT %d outside [1,%d]", g.cfg.PCT, g.cfg.MaxTokens())

@@ -9,12 +9,14 @@ import (
 	"aanoc/internal/sim"
 )
 
-// refGSS is the GSS token table as it was before entries came from a
-// pool: one ordered slice of entries per controller, removal by
-// copy-shift, Select's scratch grown on demand. It is the oracle the
-// pooled list must agree with. The parts the rewrite left alone — the
-// filter conditions, h(n) and the STI counters — come from an inner
-// controller whose own table stays empty.
+// refGSS is the paper-literal GSS: one ordered slice of entries per
+// controller, removal by copy-shift, Select's scratch grown on demand,
+// and Select running Algorithm 1's aging loop (lines 19-24) round by
+// round through passesFilter until some candidate passes. It is the
+// oracle the pooled list and the one-pass Select must agree with. The
+// parts neither rewrite touched — the filter conditions, h(n) and the
+// STI counters — come from an inner controller whose own table stays
+// empty.
 type refGSS struct {
 	inner             *GSS
 	nextSeq           int64
@@ -29,6 +31,61 @@ type refEntry struct {
 	tokens    int
 	seq       int64
 	arrivedAt int64
+}
+
+// passesFilter is the oracle's Fig. 4 filter for a packet holding t
+// tokens, the tiers spelt out one by one (see tier in gss.go).
+func passesFilter(sti bool, t int, c conds) bool {
+	if !sti {
+		switch {
+		case t >= 4:
+			return true
+		case t == 3:
+			return !c.bankConflict || !c.dataContention
+		case t == 2:
+			return !c.bankConflict
+		default:
+			return !c.bankConflict && !c.dataContention
+		}
+	}
+	switch {
+	case t >= 5:
+		return true
+	case t == 4:
+		return !c.bankConflict || !c.dataContention
+	case t == 3:
+		return !c.bankConflict
+	case t == 2:
+		return !c.bankConflict && !c.shortTurn
+	default:
+		return !c.bankConflict && !c.dataContention && !c.shortTurn
+	}
+}
+
+// TestTierIsLowestPassingTokenCount pins tier to the oracle filter over
+// both trees and every condition set: tier is the lowest token count
+// that passes, and every count from it up to MaxTokens passes too.
+func TestTierIsLowestPassingTokenCount(t *testing.T) {
+	for _, sti := range []bool{false, true} {
+		maxTok := Config{STI: STIParams{Enabled: sti}}.MaxTokens()
+		for bits := 0; bits < 8; bits++ {
+			c := conds{bankConflict: bits&1 != 0, dataContention: bits&2 != 0, shortTurn: bits&4 != 0}
+			lowest := -1
+			for tok := 1; tok <= maxTok && lowest < 0; tok++ {
+				if passesFilter(sti, tok, c) {
+					lowest = tok
+				}
+			}
+			if got := tier(sti, c); got != lowest {
+				t.Errorf("sti=%t %+v: tier %d, lowest passing token count %d", sti, c, got, lowest)
+			}
+			for tok := lowest; tok <= maxTok; tok++ {
+				if !passesFilter(sti, tok, c) {
+					t.Errorf("sti=%t %+v: %d tokens fail above tier %d", sti, c, tok, lowest)
+				}
+			}
+		}
+	}
 }
 
 func (g *refGSS) find(p *noc.Packet) int {
@@ -164,13 +221,13 @@ func (g *refGSS) OnScheduled(p *noc.Packet, now int64) {
 	g.inner.OnScheduled(p, now) // h(n) and the STI counters
 }
 
-// TestGSSMatchesSliceReference drives the pooled controllers and the
-// slice-based reference through the same random arrival / Select /
-// OnScheduled sequences — split chains that age the table once, same-cycle
-// arrivals, candidates nobody announced, sets larger than a router's —
-// with and without STI, on one and four subarrays, and demands the same
-// winner at every Select and the same Tokens for every resident packet
-// after every step. Two controllers of one slab interleave, so they share
+// TestGSSMatchesSliceReference drives the pooled one-pass controllers
+// and the slice-based, aging-loop reference through the same random
+// arrival / Select / OnScheduled sequences — split chains that age the
+// table once, same-cycle arrivals, candidates nobody announced, sets
+// larger than a router's — with and without STI, on one and four
+// subarrays, and demands the same winner at every Select and the same
+// Tokens for every resident packet after every step. Two controllers of one slab interleave, so they share
 // the entry pool and Select's scratch as a router's outputs do.
 func TestGSSMatchesSliceReference(t *testing.T) {
 	for _, sti := range []bool{false, true} {

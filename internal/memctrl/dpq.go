@@ -69,14 +69,11 @@ func NewDPQ(dev *dram.Device, cfg DPQConfig, onDone func(Completion)) *DPQ {
 // Offer implements Controller: enqueue into the requestor's FIFO.
 // Acceptance starts the request's WCET clock.
 func (d *DPQ) Offer(p *noc.Packet, now int64) bool {
-	if !d.Accepts(p) {
+	if !d.queued.Offer(p, now) {
 		return false
 	}
-	q := d.slotOf(p)
-	d.enqueue(q, p)
 	if d.OnAdmit != nil {
-		occ := d.eng.occupancy()
-		d.OnAdmit(p.ID, p.Beats, len(d.queues[q]), occ, now)
+		d.OnAdmit(p.ID, p.Beats, len(d.queues[d.slotOf(p)]), d.eng.occupancy(), now)
 	}
 	return true
 }

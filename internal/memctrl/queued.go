@@ -11,8 +11,8 @@ import (
 // Each FIFO is a fixed buffer of slotDepth entries, carved at
 // construction and never reallocated: enqueue refuses past its capacity
 // and the grant pops by copy-shift, so the backing array does not creep.
-// What makes each embedder a scheduler stays with it: its Offer (which
-// slot a packet joins and its own admission rule), pick and granted.
+// What makes each embedder a scheduler stays with it: pick, granted and
+// whatever it books at admission on top of Offer.
 type queued struct {
 	eng        *engine
 	queues     [][]*noc.Packet
@@ -63,6 +63,17 @@ func (q *queued) hasRoom(slot int) bool { return len(q.queues[slot]) < cap(q.que
 // Accepts implements Controller for the front-ends that fold the source
 // core onto the slots: the core's FIFO has room.
 func (q *queued) Accepts(p *noc.Packet) bool { return q.hasRoom(q.slotOf(p)) }
+
+// Offer implements Controller for the front-ends that fold the source
+// core onto the slots: p joins its core's FIFO while Accepts. MemMax,
+// whose admission rule and thread mapping differ, keeps its own.
+func (q *queued) Offer(p *noc.Packet, now int64) bool {
+	if !q.Accepts(p) {
+		return false
+	}
+	q.enqueue(q.slotOf(p), p)
+	return true
+}
 
 // enqueue appends p to a slot's FIFO, which the caller found to have room.
 func (q *queued) enqueue(slot int, p *noc.Packet) {

@@ -24,7 +24,9 @@ const (
 // heads are served round-robin into the shared command pipeline. The
 // regulation invariant (charged usage never exceeds the budget in any
 // window) is reported through OnAdmit and shadow-audited by checked mode
-// (check.RegulatorMonitor).
+// (check.RegulatorMonitor). Regulation happens at grant time, not
+// admission: the shared queued.Offer enqueues, and a queued request holds
+// no budget until granted.
 type Regulator struct {
 	queued
 	// budget is regulatorBudget, raised to the largest request.
@@ -68,17 +70,6 @@ func NewRegulator(dev *dram.Device, cores, maxBeats, pipeline int, policy PagePo
 	}
 	r.pick, r.granted = r.pickCore, r.grant
 	return r
-}
-
-// Offer implements Controller: enqueue into the core's FIFO. Regulation
-// happens at grant time, not admission — a queued request holds no
-// budget until granted.
-func (r *Regulator) Offer(p *noc.Packet, now int64) bool {
-	if !r.Accepts(p) {
-		return false
-	}
-	r.enqueue(r.slotOf(p), p)
-	return true
 }
 
 // Tick implements Controller: roll the regulation window, then grant

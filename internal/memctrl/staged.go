@@ -68,11 +68,10 @@ func (s *Staged) reclassify(c int) {
 // Offer implements Controller: enqueue into the core's FIFO; admission
 // raises the core's outstanding count (and possibly its class).
 func (s *Staged) Offer(p *noc.Packet, now int64) bool {
-	if !s.Accepts(p) {
+	if !s.queued.Offer(p, now) {
 		return false
 	}
 	c := s.slotOf(p)
-	s.enqueue(c, p)
 	s.outstanding[c]++
 	s.reclassify(c)
 	return true

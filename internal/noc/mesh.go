@@ -157,10 +157,10 @@ func NewMesh(width, height, bufFlits int) (*Mesh, error) {
 }
 
 // NewMeshVC builds a mesh whose input ports carry vcs virtual channels of
-// bufFlits flits each. With vcs > 1, priority packets travel on the
-// highest VC and overtake best-effort wormhole transfers at flit
-// granularity — the buffer organisation the paper names as the
-// alternative to packet splitting.
+// bufFlits flits each: vcs 1 is the paper's wormhole organisation; with
+// vcs 2, priority packets travel on VC 1 and overtake best-effort
+// wormhole transfers at flit granularity — the buffer organisation the
+// paper names as the alternative to packet splitting.
 func NewMeshVC(width, height, bufFlits, vcs int) (*Mesh, error) {
 	if width <= 0 || height <= 0 {
 		return nil, fmt.Errorf("noc: invalid mesh %dx%d", width, height)
@@ -168,8 +168,8 @@ func NewMeshVC(width, height, bufFlits, vcs int) (*Mesh, error) {
 	if bufFlits < 1 {
 		return nil, fmt.Errorf("noc: input buffers need at least 1 flit, got %d", bufFlits)
 	}
-	if vcs < 1 || vcs > 4 {
-		return nil, fmt.Errorf("noc: virtual channels must be 1..4, got %d", vcs)
+	if vcs < 1 || vcs > 2 {
+		return nil, fmt.Errorf("noc: virtual channels must be 1..2, got %d", vcs)
 	}
 	// Every link the mesh can ever hold: both directions between
 	// neighbours, plus an injector and a sink per node.

@@ -151,10 +151,9 @@ func (r *Router) SetAllAllocators(mk func(port int) Allocator) {
 	}
 }
 
-// vcOf returns the virtual channel a packet travels on: with more than
-// one VC, priority packets ride the last (highest) VC and best-effort
-// traffic the rest is assigned VC 0 — the classic QoS arrangement the
-// paper contrasts with SAGM splitting.
+// vcOf returns the virtual channel a packet travels on: with two VCs,
+// priority packets ride VC 1 and best-effort traffic VC 0 — the classic
+// QoS arrangement the paper contrasts with SAGM splitting.
 func vcOf(p *Packet, vcs int) int {
 	if vcs > 1 && p.Priority {
 		return vcs - 1

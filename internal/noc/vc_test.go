@@ -19,6 +19,9 @@ func TestNewMeshVCValidation(t *testing.T) {
 	if _, err := NewMeshVC(3, 3, 8, 0); err == nil {
 		t.Error("0 VCs accepted")
 	}
+	if _, err := NewMeshVC(3, 3, 8, 3); err == nil {
+		t.Error("3 VCs accepted")
+	}
 	if _, err := NewMeshVC(3, 3, 8, 5); err == nil {
 		t.Error("5 VCs accepted")
 	}

@@ -336,8 +336,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("system: %w: PCT must be 1..6, got %d", ErrInvalid, c.PCT)
 	case c.GSSRouters < -1:
 		return fmt.Errorf("system: %w: GSS router count %d (want -1 for none, 0 for all, or a count)", ErrInvalid, c.GSSRouters)
-	case c.VirtualChannels < 1 || c.VirtualChannels > 4:
-		return fmt.Errorf("system: %w: virtual channels must be 1..4, got %d", ErrInvalid, c.VirtualChannels)
+	case c.VirtualChannels < 1 || c.VirtualChannels > 2:
+		return fmt.Errorf("system: %w: virtual channels must be 1..2, got %d", ErrInvalid, c.VirtualChannels)
 	case c.Cycles < 0:
 		return fmt.Errorf("system: %w: negative cycle count %d", ErrInvalid, c.Cycles)
 	case c.SampleEvery < 0:

@@ -45,6 +45,7 @@ func TestValidateRules(t *testing.T) {
 		{"pct-negative", func(c *Config) { c.PCT = -2 }, ErrInvalid},
 		{"gss-routers", func(c *Config) { c.GSSRouters = -7 }, ErrInvalid},
 		{"virtual-channels-high", func(c *Config) { c.VirtualChannels = 9 }, ErrInvalid},
+		{"virtual-channels-3", func(c *Config) { c.VirtualChannels = 3 }, ErrInvalid},
 		{"virtual-channels-negative", func(c *Config) { c.VirtualChannels = -1 }, ErrInvalid},
 		{"cycles", func(c *Config) { c.Cycles = -5 }, ErrInvalid},
 		{"sample-every", func(c *Config) { c.SampleEvery = -1 }, ErrBadSampleEvery},
@@ -124,7 +125,7 @@ func drawConfig(r *rand.Rand) Config {
 	// The three draws of the fields that became constants stay, discarded,
 	// so every other field draws what it always did.
 	_ = pick([]int{0, 1, 4, 16}, []int{-1})
-	cfg.VirtualChannels = pick([]int{0, 1, 2, 4}, []int{-1, 5, 9})
+	cfg.VirtualChannels = pick([]int{0, 1, 2}, []int{-1, 3, 4, 9})
 	cfg.AdaptiveRouting = r.Intn(2) == 0
 	_ = pick([]int{0, 1, 64}, []int{-1})
 	_ = pick([]int{0, 1, 8}, []int{-1})

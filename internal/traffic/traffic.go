@@ -39,10 +39,10 @@ const (
 	Strided
 )
 
-// patternText is the one name table of the address patterns. The sweep
-// fingerprint writes a stream's pattern as a number; a String method on
-// Pattern would change what its fmt-based reference prints, and
-// TestFingerprintMatchesReference would fail.
+// patternText is the one name table of the address patterns, read by
+// MarshalText and UnmarshalText: the names are a spec file's spelling.
+// Sweep keys and store entries hold a pattern as its number, in
+// internal/codec's bytes, so renaming one moves no key.
 var patternText = [...]string{
 	Streaming: "streaming",
 	Random:    "random",

@@ -265,12 +265,15 @@ type Fig8Point struct {
 // Fig8 reproduces one curve of Fig. 8 for an application: memory
 // performance versus the number of GSS routers (0..mesh size). The paper
 // pairs single DTV with DDR I at 200 MHz, Blu-ray with DDR II at 333 MHz
-// and dual DTV with DDR III at 667 MHz; pass gen/clock accordingly.
+// and dual DTV with DDR III at 667 MHz; pass gen/clock accordingly. The
+// named builtin is the platform, so TableOptions.Spec is ignored (its
+// run block included); Fig8Spec sweeps a spec.
 func Fig8(appName string, gen, clockMHz int, o TableOptions) ([]Fig8Point, error) {
 	app, err := appmodel.ByName(appName)
 	if err != nil {
 		return nil, err
 	}
+	o.Spec = nil
 	return fig8(app, gen, clockMHz, o)
 }
 
