@@ -358,16 +358,18 @@ func (c Config) model() string {
 // ErrUnknownScheduler, ErrBadSampleEvery, ErrBadSpec) for errors.Is
 // dispatch.
 func (c Config) Validate() error {
-	_, err := c.toInternal()
+	_, err := c.resolve(appmodel.ByName)
 	return err
 }
 
-// toInternal resolves the public config into the system configuration.
-// The facade owns only the Model/Spec exclusivity and the application
-// lookup; names, rules and defaults are scenario.Resolve's single pass
-// (system.Config.Validate and Resolved) — the path the command line
-// uses — over the run block and the knobs a run block has no field for.
-func (c Config) toInternal() (system.Config, error) {
+// resolve resolves the public config into the system configuration,
+// looking a named model up with byName: appmodel.ByName for a clone of
+// its own, or Sweep's one clone per name. The facade owns only the Model/Spec exclusivity and
+// the application lookup; names, rules and defaults are
+// scenario.Resolve's single pass (system.Config.Validate and Resolved)
+// — the path the command line uses — over the run block and the knobs a
+// run block has no field for.
+func (c Config) resolve(byName func(string) (appmodel.App, error)) (system.Config, error) {
 	over := scenario.Run{
 		Generation: c.Generation, ClockMHz: c.ClockMHz,
 		Channels: c.Channels, Scheduler: string(c.Scheduler),
@@ -393,7 +395,7 @@ func (c Config) toInternal() (system.Config, error) {
 		if c.Spec.Run != nil {
 			over = over.Merge(*c.Spec.Run)
 		}
-	} else if app, err = appmodel.ByName(c.model()); err != nil {
+	} else if app, err = byName(c.model()); err != nil {
 		return system.Config{}, fmt.Errorf("aanoc: %w %q", ErrUnknownApp, c.model())
 	}
 	cfg, err := scenario.Resolve(app, over, knobs)
@@ -411,7 +413,7 @@ func Run(c Config) (Result, error) {
 // (16,384 cycles) and returns the context's error. An uncancelled run
 // is identical to Run.
 func RunContext(ctx context.Context, c Config) (Result, error) {
-	cfg, err := c.toInternal()
+	cfg, err := c.resolve(appmodel.ByName)
 	if err != nil {
 		return Result{}, err
 	}

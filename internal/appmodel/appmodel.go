@@ -104,18 +104,13 @@ func (a *App) Validate() error {
 	case len(a.Cores) == 0:
 		return fmt.Errorf("appmodel: %s has no cores", a.Name)
 	}
-	// seen maps a taken position to its owner: a memory port's index, or
-	// len(MemPorts) plus a core's. Sized by ports and cores, never by the
-	// mesh, whose dimensions a spec may set to anything.
-	seen := make(map[noc.Coord]int, len(a.MemPorts)+len(a.Cores))
 	for i, p := range a.MemPorts {
 		if p.X < 0 || p.X >= a.Width || p.Y < 0 || p.Y >= a.Height {
 			return fmt.Errorf("appmodel: %s memory port %d at %v outside %dx%d", a.Name, i, p, a.Width, a.Height)
 		}
-		if prev, dup := seen[p]; dup {
+		if prev := a.takenBefore(i, p); prev >= 0 {
 			return fmt.Errorf("appmodel: %s memory port %d collides with %s at %v", a.Name, i, a.owner(prev), p)
 		}
-		seen[p] = i
 	}
 	for i, c := range a.Cores {
 		if c.Name == "" {
@@ -127,10 +122,9 @@ func (a *App) Validate() error {
 		if c.Pos.X < 0 || c.Pos.X >= a.Width || c.Pos.Y < 0 || c.Pos.Y >= a.Height {
 			return fmt.Errorf("appmodel: %s core %s at %v outside %dx%d", a.Name, c.Name, c.Pos, a.Width, a.Height)
 		}
-		if prev, dup := seen[c.Pos]; dup {
+		if prev := a.takenBefore(len(a.MemPorts)+i, c.Pos); prev >= 0 {
 			return fmt.Errorf("appmodel: %s cores %s and %s share %v", a.Name, a.owner(prev), c.Name, c.Pos)
 		}
-		seen[c.Pos] = len(a.MemPorts) + i
 		for _, s := range c.Streams {
 			if err := s.Validate(); err != nil {
 				return fmt.Errorf("appmodel: %s core %s: %w", a.Name, c.Name, err)
@@ -140,8 +134,29 @@ func (a *App) Validate() error {
 	return nil
 }
 
-// owner names the holder of Validate's owner index k: only an error
-// message pays for the label.
+// takenBefore returns the owner below index k that holds pos, or -1;
+// owner k is memory port k, or core k-len(MemPorts). The scan allocates
+// nothing and is bounded by ports and cores, never by the mesh, whose
+// dimensions a spec may set to anything: (ports + cores)² compares, small
+// beside a run, which ticks every core every cycle.
+func (a *App) takenBefore(k int, pos noc.Coord) int {
+	for j := range k {
+		if a.pos(j) == pos {
+			return j
+		}
+	}
+	return -1
+}
+
+// pos returns owner k's position.
+func (a *App) pos(k int) noc.Coord {
+	if k < len(a.MemPorts) {
+		return a.MemPorts[k]
+	}
+	return a.Cores[k-len(a.MemPorts)].Pos
+}
+
+// owner names owner k: only an error message pays for the label.
 func (a *App) owner(k int) string {
 	if k < len(a.MemPorts) {
 		return fmt.Sprintf("memory port %d", k)

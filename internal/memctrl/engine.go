@@ -75,6 +75,13 @@ type reqState struct {
 	beatsDone int       // device beats already covered by issued CAS commands
 	lastEnd   int64     // data-window end of the most recent CAS
 	next      *reqState // the next draining request, once all CAS issued
+	// buf is the row buffer the request needs (bank*RowBuffers() plus its
+	// row's subarray): page ownership, and so every order hazard, is per
+	// buffer. shared says an older inflight request needs buf too (no
+	// column command may overtake it), hazard that one needs it for
+	// another row (nor may an activate or precharge); mark keeps both.
+	buf            int
+	shared, hazard bool
 }
 
 // drainList is the engine's draining requests in the order their last
@@ -166,7 +173,27 @@ func (e *engine) admit(p *noc.Packet) {
 	}
 	r := e.reqs.Get()
 	r.pkt = p
+	r.buf = p.Addr.Bank*e.t.RowBuffers() + e.t.SubarrayOf(p.Addr.Row)
 	e.inflight = append(e.inflight, r)
+	e.mark(len(e.inflight) - 1)
+}
+
+// mark sets inflight[i]'s order flags from the older inflight requests.
+// The older set changes only at an admission, which marks the newcomer,
+// and when a request leaves on its last CAS, which re-marks the younger
+// ones on its buffer: the only flags it can clear.
+func (e *engine) mark(i int) {
+	r := e.inflight[i]
+	r.shared, r.hazard = false, false
+	for _, o := range e.inflight[:i] {
+		if o.buf == r.buf {
+			r.shared = true
+			if o.pkt.Addr.Row != r.pkt.Addr.Row {
+				r.hazard = true
+				return
+			}
+		}
+	}
 }
 
 // blFor picks the burst length of the next CAS for a request: the device
@@ -283,40 +310,19 @@ func (e *engine) tryCAS(now int64) bool {
 		}
 		return e.issueCASFor(e.inflight[0], 0, now)
 	}
+	// The first pass tries the current direction, the second the other:
+	// a failed try changes nothing, so the first pass's refusals stand.
+	// A request with an older one on its buffer may not overtake it
+	// (page ownership order); sibling subarrays do not block.
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < len(e.inflight); i++ {
 			r := e.inflight[i]
-			if pass == 0 && r.pkt.Kind != e.lastKind {
-				continue
-			}
-			if e.olderSameBuffer(i) {
+			if (r.pkt.Kind == e.lastKind) != (pass == 0) || r.shared {
 				continue
 			}
 			if e.issueCASFor(r, i, now) {
 				return true
 			}
-		}
-	}
-	return false
-}
-
-// sameBuffer reports whether two requests need the same row buffer: the
-// same bank and rows mapping to the same subarray. Page ownership is per
-// row buffer, so this is the contention test behind every order hazard;
-// on the classic device it is true of every same-bank pair.
-func (e *engine) sameBuffer(a, b *reqState) bool {
-	return a.pkt.Addr.Bank == b.pkt.Addr.Bank &&
-		e.t.SubarrayOf(a.pkt.Addr.Row) == e.t.SubarrayOf(b.pkt.Addr.Row)
-}
-
-// olderSameBuffer reports whether an older inflight request needs the
-// same row buffer as inflight[i] (reordering across it would break the
-// page ownership order). Older requests bound for sibling subarrays of
-// the bank do not block.
-func (e *engine) olderSameBuffer(i int) bool {
-	for _, o := range e.inflight[:i] {
-		if e.sameBuffer(o, e.inflight[i]) {
-			return true
 		}
 	}
 	return false
@@ -352,6 +358,11 @@ func (e *engine) issueCASFor(r *reqState, i int, now int64) bool {
 	if last {
 		e.dev.AddUsefulBeats(int64(r.pkt.Beats))
 		e.inflight = append(e.inflight[:i], e.inflight[i+1:]...)
+		for j := i; j < len(e.inflight); j++ {
+			if e.inflight[j].buf == r.buf {
+				e.mark(j)
+			}
+		}
 		e.draining.push(r)
 	}
 	return true
@@ -362,32 +373,16 @@ func (e *engine) issueCASFor(r *reqState, i int, now int64) bool {
 // older request to the same buffer must own the row first). An open hit
 // is the CAS buffer's job, a conflicting occupant the PRE buffer's.
 func (e *engine) actTarget(now int64) *reqState {
-	for i, r := range e.inflight {
-		if e.dev.RowOpen(r.pkt.Addr.Bank, r.pkt.Addr.Row, now) {
+	for _, r := range e.inflight {
+		if r.hazard || e.dev.RowOpen(r.pkt.Addr.Bank, r.pkt.Addr.Row, now) {
 			continue
 		}
 		if _, blocked := e.dev.BlockingRow(r.pkt.Addr.Bank, r.pkt.Addr.Row, now); blocked {
 			continue
 		}
-		if e.olderHazard(i) {
-			continue
-		}
 		return r
 	}
 	return nil
-}
-
-// olderHazard reports whether any older inflight request needs the same
-// row buffer as inflight[i] for a different row. Different rows in
-// sibling subarrays coexist without a hazard.
-func (e *engine) olderHazard(i int) bool {
-	r := e.inflight[i]
-	for _, o := range e.inflight[:i] {
-		if o.pkt.Addr.Row != r.pkt.Addr.Row && e.sameBuffer(o, r) {
-			return true
-		}
-	}
-	return false
 }
 
 // tryACT serves the RAS buffer.
@@ -408,11 +403,11 @@ func (e *engine) tryACT(now int64) bool {
 // mismatches the first request that needs it (row conflict), respecting
 // order hazards.
 func (e *engine) tryPRE(now int64) bool {
-	for i, r := range e.inflight {
-		if _, blocked := e.dev.BlockingRow(r.pkt.Addr.Bank, r.pkt.Addr.Row, now); !blocked {
+	for _, r := range e.inflight {
+		if r.hazard {
 			continue
 		}
-		if e.olderHazard(i) {
+		if _, blocked := e.dev.BlockingRow(r.pkt.Addr.Bank, r.pkt.Addr.Row, now); !blocked {
 			continue
 		}
 		cmd := dram.Command{Kind: dram.CmdPrecharge, Bank: r.pkt.Addr.Bank, Row: r.pkt.Addr.Row}
@@ -478,10 +473,10 @@ func (e *engine) nextEvent(now int64) int64 {
 	}
 	next := sim.Never
 	for i, r := range e.inflight {
-		if e.olderHazard(i) {
+		if r.hazard {
 			continue
 		}
-		cas := i == 0 || e.ooo && !e.olderSameBuffer(i)
+		cas := i == 0 || e.ooo && !r.shared
 		if at := e.reqReadyAt(r, cas, now); at < next {
 			next = at
 		}

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"aanoc/internal/dram"
@@ -253,5 +254,65 @@ func TestEngineBoundsSkipHeldRequests(t *testing.T) {
 				t.Fatalf("the tick at the bound %d issued %d commands, want 1", want, cmds()-before)
 			}
 		})
+	}
+}
+
+// TestEngineOrderFlagsMatchScan: the order flags mark keeps by hand
+// equal a fresh scan of the older inflight requests after every admit
+// and tick, in order and stage-skipping, on the classic DDR3 bank and on
+// DDR4 with four subarray row buffers. A random stream over few banks
+// and rows fills the window with shared buffers, hazards and subarray
+// siblings, and drains it out of order.
+func TestEngineOrderFlagsMatchScan(t *testing.T) {
+	for _, tm := range []dram.Timing{
+		dram.MustSpeed(dram.DDR3, 800),
+		dram.MustSpeed(dram.DDR4, dram.DefaultClock(dram.DDR4)).WithSubarrays(4),
+	} {
+		for _, ooo := range []bool{false, true} {
+			e := newEngine(dram.MustNewDevice(tm), PartialOpenPage, 8, func(Completion) {})
+			e.ooo = ooo
+			rng := rand.New(rand.NewPCG(7, uint64(tm.Generation)))
+			var shared, hazard int
+			check := func(now int64, what string) {
+				t.Helper()
+				for i, r := range e.inflight {
+					var wantShared, wantHazard bool
+					for _, o := range e.inflight[:i] {
+						if o.pkt.Addr.Bank == r.pkt.Addr.Bank && tm.SubarrayOf(o.pkt.Addr.Row) == tm.SubarrayOf(r.pkt.Addr.Row) {
+							wantShared = true
+							wantHazard = wantHazard || o.pkt.Addr.Row != r.pkt.Addr.Row
+						}
+					}
+					if r.shared != wantShared || r.hazard != wantHazard {
+						t.Fatalf("%s ooo=%v cycle %d after %s: inflight[%d] shared=%v hazard=%v, a scan says %v/%v",
+							tm.Generation, ooo, now, what, i, r.shared, r.hazard, wantShared, wantHazard)
+					}
+					if r.shared {
+						shared++
+					}
+					if r.hazard {
+						hazard++
+					}
+				}
+			}
+			id := int64(0)
+			for now := int64(0); now < 20_000; now++ {
+				for e.canAdmit() && rng.IntN(3) == 0 {
+					id++
+					kind := noc.Read
+					if rng.IntN(3) == 0 {
+						kind = noc.Write
+					}
+					e.admit(req(id, rng.IntN(3), rng.IntN(6), 8*rng.IntN(4), kind, 4+4*rng.IntN(4), rng.IntN(2) == 0))
+					check(now, "admit")
+				}
+				e.tick(now)
+				check(now, "tick")
+			}
+			if shared == 0 || hazard == 0 || id < 500 {
+				t.Errorf("%s ooo=%v: %d requests, %d shared and %d hazard flags seen; the stream does not exercise them",
+					tm.Generation, ooo, id, shared, hazard)
+			}
+		}
 	}
 }

@@ -2,8 +2,10 @@ package aanoc
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 
@@ -29,16 +31,17 @@ var layerSims = []struct {
 	}},
 }
 
-// BenchmarkLayers runs bench's simulating workloads in-process, so a
-// profile of one sub-benchmark is a profile of that workload:
-// scripts/layers.sh groups its CPU samples by package. tables-cold is the
-// facade's Tables I-III at 100,000 cycles a point, two workers, into an
-// empty store.
+// BenchmarkLayers runs bench's workloads in-process, so a profile of one
+// sub-benchmark is a profile of that workload: scripts/layers.sh groups
+// its CPU samples by package. tables-cold is the facade's Tables I-III
+// at 100,000 cycles a point, two workers, into an empty store;
+// serve-warm is the facade's warm Sweep of the 72-point Table I+II grid
+// at 50,000 cycles, one worker, over a store filled in set-up (the
+// server's own layers, the body decode and NDJSON encode, are left out).
 //
 // Under -test.memprofilerate=1 every allocation is recorded with its
 // stack, and each sub-benchmark also reports its allocations per op by
-// phase: inside system.New, Runner.RunTo and Runner.Finish, and the rest
-// (the sweep, the store, report encoding). The profile sees a tiny
+// phase (simPhases, servePhases) and the rest. The profile sees a tiny
 // allocation (pointer-free, under 16 bytes) only when it opens a new
 // 16-byte block, so the tiny ones it misses are reported on their own:
 // the op's count from runtime.MemStats less the profiled ones.
@@ -48,7 +51,7 @@ func BenchmarkLayers(b *testing.B) {
 		cfg.Seed = 1
 		b.Run(w.name, func(b *testing.B) {
 			var buf bytes.Buffer
-			runLayerOps(b, func() {
+			runLayerOps(b, simPhases, func() {
 				r, err := system.New(cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -63,7 +66,7 @@ func BenchmarkLayers(b *testing.B) {
 	}
 	b.Run("tables-cold", func(b *testing.B) {
 		tmp := b.TempDir()
-		runLayerOps(b, func() {
+		runLayerOps(b, simPhases, func() {
 			dir, err := os.MkdirTemp(tmp, "tables-")
 			if err != nil {
 				b.Fatal(err)
@@ -81,31 +84,72 @@ func BenchmarkLayers(b *testing.B) {
 			}
 		})
 	})
+	b.Run("serve-warm", func(b *testing.B) {
+		st, err := OpenStore(b.TempDir(), StoreOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var grid SweepGrid
+		for _, table := range []struct {
+			designs  []Design
+			priority bool
+		}{
+			{[]Design{Conv, SDRAMAware, GSS, GSSSAGM}, false},
+			{[]Design{ConvPFS, SDRAMAwarePFS, GSS, GSSSAGM}, true},
+		} {
+			for _, app := range Apps() {
+				for gen := 1; gen <= 3; gen++ {
+					for _, d := range table.designs {
+						grid.Points = append(grid.Points, Config{
+							Model: App(app), Generation: gen, Design: d,
+							PriorityDemand: table.priority, Cycles: 50_000, Seed: 1,
+						})
+					}
+				}
+			}
+		}
+		if _, _, err := Sweep(grid, SweepOptions{Store: st, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+		runLayerOps(b, servePhases, func() {
+			if _, stats, err := Sweep(grid, SweepOptions{Store: st, Workers: 1}); err != nil || stats.StoreHits != len(grid.Points) {
+				b.Fatalf("warm sweep: %+v, %v", stats, err)
+			}
+		})
+	})
 }
 
 // runLayerOps times b.N ops and, when every allocation is being
-// profiled, reports their split by phase.
-func runLayerOps(b *testing.B, op func()) {
+// profiled, reports their split by phase. The ops carry the profiler
+// label op=timed, so a CPU profile can leave a workload's set-up out.
+func runLayerOps(b *testing.B, phases []phase, op func()) {
 	b.ReportAllocs()
 	split := runtime.MemProfileRate == 1
-	var before [numPhases]int64
+	timed := pprof.WithLabels(context.Background(), pprof.Labels("op", "timed"))
+	var before []int64
 	var m0, m1 runtime.MemStats
 	if split {
-		before = allocsByPhase()
+		before = allocsByPhase(phases)
 		runtime.ReadMemStats(&m0)
 	}
 	b.ResetTimer()
+	pprof.SetGoroutineLabels(timed)
 	for i := 0; i < b.N; i++ {
 		op()
 	}
+	pprof.SetGoroutineLabels(context.Background())
 	b.StopTimer()
 	if !split {
 		return
 	}
 	runtime.ReadMemStats(&m1)
-	after := allocsByPhase()
+	after := allocsByPhase(phases)
 	unprofiled := int64(m1.Mallocs - m0.Mallocs)
-	for p, name := range phaseNames {
+	for p := range after {
+		name := "rest"
+		if p < len(phases) {
+			name = phases[p].name
+		}
 		n := after[p] - before[p]
 		unprofiled -= n
 		b.ReportMetric(float64(n)/float64(b.N), name+"-allocs/op")
@@ -113,28 +157,31 @@ func runLayerOps(b *testing.B, op func()) {
 	b.ReportMetric(float64(unprofiled)/float64(b.N), "tiny-allocs/op")
 }
 
-// The phases of a simulating op, by the outermost system call on an
-// allocation's stack.
-const (
-	phaseNew = iota
-	phaseRunTo
-	phaseFinish
-	phaseRest
-	numPhases
-)
+// A phase is where an allocation goes when fn is the outermost phase
+// function on its stack; one under none of them is the rest.
+type phase struct{ name, fn string }
 
-var phaseNames = [numPhases]string{"new", "runto", "finish", "rest"}
-
-var phaseFuncs = map[string]int{
-	"aanoc/internal/system.New":              phaseNew,
-	"aanoc/internal/system.(*Runner).RunTo":  phaseRunTo,
-	"aanoc/internal/system.(*Runner).Finish": phaseFinish,
+// simPhases split a simulating op by system call: the rest is the sweep,
+// the store and report encoding.
+var simPhases = []phase{
+	{"New", "aanoc/internal/system.New"},
+	{"RunTo", "aanoc/internal/system.(*Runner).RunTo"},
+	{"Finish", "aanoc/internal/system.(*Runner).Finish"},
 }
 
-// allocsByPhase sums the heap profile's allocated objects by phase,
-// leaving out its own. An allocation reaches the profile two completed
-// collections after it was made, so it collects twice first.
-func allocsByPhase() [numPhases]int64 {
+// servePhases split a warm sweep by the step a point's result takes:
+// resolving its Config (the model lookup and validation included), its
+// fingerprint and its store read; the rest is the executor and the rows.
+var servePhases = []phase{
+	{"resolve", "aanoc.Config.resolve"},
+	{"Fingerprint", "aanoc/internal/sweep.Fingerprint"},
+	{"store.Get", "aanoc/internal/store.(*Store).Get"},
+}
+
+// allocsByPhase sums the heap profile's allocated objects by phase, the
+// rest last, leaving out its own. An allocation reaches the profile two
+// completed collections after it was made, so it collects twice first.
+func allocsByPhase(phases []phase) []int64 {
 	runtime.GC()
 	runtime.GC()
 	var recs []runtime.MemProfileRecord
@@ -143,24 +190,27 @@ func allocsByPhase() [numPhases]int64 {
 		recs = make([]runtime.MemProfileRecord, n+64)
 		n, ok = runtime.MemProfile(recs, true)
 	}
-	var sums [numPhases]int64
+	rest := len(phases)
+	sums := make([]int64, rest+1)
 	for _, rec := range recs[:n] {
-		phase := phaseRest
+		at := rest
 		frames := runtime.CallersFrames(rec.Stack())
 		for {
 			f, more := frames.Next()
-			if p, ok := phaseFuncs[f.Function]; ok {
-				phase = p
+			for p := range phases {
+				if phases[p].fn == f.Function {
+					at = p
+				}
 			}
 			if f.Function == "aanoc.allocsByPhase" {
-				phase = -1
+				at = -1
 			}
-			if phase < 0 || !more || strings.HasPrefix(f.Function, "testing.") {
+			if at < 0 || !more || strings.HasPrefix(f.Function, "testing.") {
 				break
 			}
 		}
-		if phase >= 0 {
-			sums[phase] += rec.AllocObjects
+		if at >= 0 {
+			sums[at] += rec.AllocObjects
 		}
 	}
 	return sums

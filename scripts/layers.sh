@@ -4,16 +4,23 @@
 # Usage: scripts/layers.sh [outdir] [workload ...]
 #
 # Drives BenchmarkLayers (layers_test.go): bench's sat-gss, sat-conv,
-# lowutil-skip and scale-ddr4 configurations at seed 1, and tables-cold,
+# lowutil-skip and scale-ddr4 configurations at seed 1; tables-cold,
 # the facade's Tables I-III at 100,000 cycles a point on two workers
-# into an empty store. For each workload it prints
+# into an empty store; and serve-warm, the facade's warm Sweep of the
+# 72-point Table I+II grid at 50,000 cycles on one worker over a store
+# filled in set-up. For each workload it prints
 #
 #   - each layer's share of CPU: the flat samples of a CPU profile of
-#     three ops, grouped by the package of the sampled function (the Go
-#     runtime and collector as one layer, everything unlisted as "other");
-#   - allocations per op by phase: inside system.New, Runner.RunTo and
-#     Runner.Finish, and the rest (sweep, store, encoding), from a run
-#     that records every allocation's stack (-test.memprofilerate=1);
+#     three ops (401 of serve-warm's short ones), set-up left out by the
+#     ops' profiler label, grouped by the package of the sampled function
+#     (internal/codec's plan with the reflect package it walks as one
+#     layer, the Go runtime and collector as another, everything unlisted,
+#     syscalls included, as "other");
+#   - allocations per op by phase, from a run that records every
+#     allocation's stack (-test.memprofilerate=1): for a simulating
+#     workload inside system.New, Runner.RunTo and Runner.Finish; for
+#     serve-warm inside Config.resolve, sweep.Fingerprint and Store.Get;
+#     and the rest;
 #     the tiny allocations the heap profile does not see (those sharing
 #     a 16-byte block) are a row of their own, so the rows sum to the
 #     op's runtime.MemStats count.
@@ -31,7 +38,7 @@ fi
 shift || true
 workloads=("$@")
 if [ ${#workloads[@]} -eq 0 ]; then
-  workloads=(sat-gss sat-conv lowutil-skip scale-ddr4 tables-cold)
+  workloads=(sat-gss sat-conv lowutil-skip scale-ddr4 tables-cold serve-warm)
 fi
 mkdir -p "$out"
 go test -c -o "$out/aanoc.test" .
@@ -43,6 +50,7 @@ function layer(fn,    pkg) {
   sub(/^(type:\.[a-z]+\.)?/, "", pkg)
   match(pkg, /^([A-Za-z0-9_-]+\/)*[A-Za-z0-9_-]+/)
   pkg = substr(pkg, RSTART, RLENGTH)
+  if (pkg ~ /^(internal\/runtime\/)?syscall$/) return "other"
   if (pkg == "runtime" || pkg ~ /^(internal\/)?runtime\//) return "runtime/GC"
   if (pkg == "aanoc/internal/sim") return "sim"
   if (pkg == "aanoc/internal/noc") return "noc"
@@ -52,6 +60,7 @@ function layer(fn,    pkg) {
   if (pkg == "aanoc/internal/traffic") return "traffic"
   if (pkg == "aanoc/internal/system") return "system"
   if (pkg == "aanoc/internal/obs") return "obs"
+  if (pkg == "aanoc/internal/codec" || pkg == "reflect") return "codec"
   if (pkg == "aanoc/internal/sweep" || pkg == "aanoc/internal/store") return "sweep+store"
   return "other"
 }
@@ -59,9 +68,12 @@ function layer(fn,    pkg) {
 
 for w in "${workloads[@]}"; do
   echo "== $w"
-  "$out/aanoc.test" -test.run '^$' -test.bench "^BenchmarkLayers\$/^$w\$" -test.benchtime 2x \
+  ops=2x
+  if [ "$w" = serve-warm ]; then ops=400x; fi
+  "$out/aanoc.test" -test.run '^$' -test.bench "^BenchmarkLayers\$/^$w\$" -test.benchtime "$ops" \
     -test.cpuprofile "$out/$w.cpu" > "$out/$w.cpu.txt"
-  go tool pprof -top -nodecount=1000000 -nodefraction=0 -unit=ms "$out/aanoc.test" "$out/$w.cpu" 2>/dev/null |
+  go tool pprof -top -nodecount=1000000 -nodefraction=0 -unit=ms -tagfocus=op=timed \
+    "$out/aanoc.test" "$out/$w.cpu" 2>/dev/null |
     awk "$layer_awk"'
       started && NF >= 6 {
         v = $1; sub(/ms$/, "", v)
@@ -70,7 +82,7 @@ for w in "${workloads[@]}"; do
       }
       /flat%/ { started = 1 }
       END {
-        n = split("sim noc router+core memctrl dram traffic system obs sweep+store runtime/GC other", order, " ")
+        n = split("sim noc router+core memctrl dram traffic system obs codec sweep+store runtime/GC other", order, " ")
         printf "  %-12s %7s\n", "layer", "cpu %"
         for (i = 1; i <= n; i++) printf "  %-12s %7.1f\n", order[i], 100 * ms[order[i]] / total
         printf "  %-12s %7.1f   (%d ms sampled)\n", "total", 100, total
@@ -80,10 +92,9 @@ for w in "${workloads[@]}"; do
     awk '/^BenchmarkLayers/ {
         for (i = 3; i < NF; i++) a[$(i + 1)] = $i
         printf "  %-20s %9s\n", "phase", "allocs/op"
-        printf "  %-20s %9d\n", "New", a["new-allocs/op"]
-        printf "  %-20s %9d\n", "RunTo", a["runto-allocs/op"]
-        printf "  %-20s %9d\n", "Finish", a["finish-allocs/op"]
-        printf "  %-20s %9d\n", "sweep/store/encode", a["rest-allocs/op"]
+        n = split("New RunTo Finish resolve Fingerprint store.Get rest", order, " ")
+        for (i = 1; i <= n; i++)
+          if ((order[i] "-allocs/op") in a) printf "  %-20s %9d\n", order[i], a[order[i] "-allocs/op"]
         printf "  %-20s %9d\n", "tiny, unprofiled", a["tiny-allocs/op"]
         printf "  %-20s %9d\n", "total", a["allocs/op"]
       }'

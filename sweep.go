@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"aanoc/internal/appmodel"
 	"aanoc/internal/store"
 	"aanoc/internal/sweep"
 	"aanoc/internal/system"
@@ -147,12 +148,18 @@ type SweepStats struct {
 // SweepResult.Err, never in the returned error — use SweepFirstErr to
 // surface them.
 func Sweep(g SweepGrid, o SweepOptions) ([]SweepResult, SweepStats, error) {
+	var models modelClones
+	return sweepWith(g, o, models.byName)
+}
+
+// sweepWith is Sweep with the points' models looked up by byName.
+func sweepWith(g SweepGrid, o SweepOptions, byName func(string) (appmodel.App, error)) ([]SweepResult, SweepStats, error) {
 	if len(g.Points) == 0 {
 		return nil, SweepStats{}, fmt.Errorf("aanoc: %w: no points", ErrBadGrid)
 	}
 	cfgs := make([]system.Config, len(g.Points))
 	for i, c := range g.Points {
-		cfg, err := c.toInternal()
+		cfg, err := c.resolve(byName)
 		if err != nil {
 			return nil, SweepStats{}, fmt.Errorf("aanoc: %w: point %d: %w", ErrBadGrid, i, err)
 		}
@@ -178,6 +185,25 @@ func Sweep(g SweepGrid, o SweepOptions) ([]SweepResult, SweepStats, error) {
 		StoreHits: st.StoreHits,
 		Workers:   st.Workers,
 	}, nil
+}
+
+// modelClones is one Sweep call's clone of each model its points name:
+// the points share it, as the tables' grids share theirs, and no run
+// writes into a model. It is the call's own, never appmodel's table.
+type modelClones []appmodel.App
+
+// byName looks name up in appmodel once per call.
+func (m *modelClones) byName(name string) (appmodel.App, error) {
+	for _, app := range *m {
+		if app.Name == name {
+			return app, nil
+		}
+	}
+	app, err := appmodel.ByName(name)
+	if err == nil {
+		*m = append(*m, app)
+	}
+	return app, err
 }
 
 // SweepFirstErr returns the error of the earliest-submitted failed

@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
+
+	"aanoc/internal/appmodel"
 )
 
 // sweepPoint is a small, fast configuration for facade tests.
@@ -182,9 +185,58 @@ func TestWarmSweepAllocsPerPoint(t *testing.T) {
 			t.Fatalf("warm sweep: %+v, %v", stats, err)
 		}
 	})
-	if per := allocs / float64(len(grid.Points)); per > 30 {
-		t.Errorf("a warm sweep allocates %.1f times per point, want at most 30", per)
+	if per := allocs / float64(len(grid.Points)); per > 17 {
+		t.Errorf("a warm sweep allocates %.1f times per point, want at most 17", per)
 	} else {
 		t.Logf("%d points, %.1f allocations per point", len(grid.Points), per)
+	}
+}
+
+// TestSweepSharedModelsParallel: a grid's points share one clone of each
+// model, so concurrent runs read the same slices. Two workers return the
+// rows one does, byte for byte, and leave every model as appmodel built
+// it (the race job runs this).
+func TestSweepSharedModelsParallel(t *testing.T) {
+	var grid SweepGrid
+	for _, app := range []App{AppBluRay, AppSDTV} {
+		for _, d := range []Design{Conv, GSSSAGM} {
+			for seed := uint64(1); seed <= 2; seed++ {
+				grid.Points = append(grid.Points, Config{Model: app, Design: d, Cycles: driverCycles(), Seed: seed})
+			}
+		}
+	}
+	serial, _, err := Sweep(grid, SweepOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var models modelClones
+	parallel, stats, err := sweepWith(grid, SweepOptions{Workers: 2}, models.byName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SweepFirstErr(parallel); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Runs != len(grid.Points) {
+		t.Fatalf("stats %+v, want every point simulated", stats)
+	}
+	for i := range serial {
+		a, _ := json.Marshal(serial[i].Row)
+		b, _ := json.Marshal(parallel[i].Row)
+		if string(a) != string(b) {
+			t.Errorf("point %d rows differ between one worker and two:\n%s\n%s", i, a, b)
+		}
+	}
+	if len(models) != 2 {
+		t.Fatalf("the grid looked up %d models, want its 2", len(models))
+	}
+	for _, app := range models {
+		want, err := appmodel.ByName(app.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(app, want) {
+			t.Errorf("model %s changed under the sweep", app.Name)
+		}
 	}
 }
