@@ -77,17 +77,17 @@ type App string
 // The application models: the paper's three SoCs plus the scaled
 // multi-channel variants.
 const (
-	// AppBluRay is the paper's Blu-ray player SoC (4x4 mesh, 7 cores).
+	// AppBluRay is the paper's Blu-ray player SoC (3x3 mesh, 8 cores).
 	AppBluRay App = "bluray"
 	// AppSDTV is the paper's SDTV receiver SoC (3x3 mesh, 8 cores).
 	AppSDTV App = "sdtv"
-	// AppDDTV is the paper's dual-decode DTV SoC (4x4 mesh, 12 cores).
+	// AppDDTV is the paper's dual-decode DTV SoC (4x4 mesh, 15 cores).
 	AppDDTV App = "ddtv"
-	// AppBluRay2 is two Blu-ray pipelines on one 4x4 mesh with two
-	// memory ports at opposite corners — sized for Channels=2.
+	// AppBluRay2 is two Blu-ray pipelines on one 4x4 mesh (14 cores) with
+	// two memory ports at opposite corners — sized for Channels=2.
 	AppBluRay2 App = "bluray2"
-	// AppDDTV4 is four SDTV-class decode quadrants on a 6x6 mesh with a
-	// memory port in each corner — sized for Channels=4.
+	// AppDDTV4 is four SDTV-class decode quadrants on a 6x6 mesh (32
+	// cores) with a memory port in each corner — sized for Channels=4.
 	AppDDTV4 App = "ddtv4"
 )
 
@@ -102,16 +102,6 @@ func ParseApp(s string) (App, error) {
 		return "", fmt.Errorf("aanoc: %w %q", ErrUnknownApp, s)
 	}
 	return App(s), nil
-}
-
-// Apps lists the paper's benchmark application names: "bluray", "sdtv",
-// "ddtv".
-func Apps() []string {
-	var out []string
-	for _, a := range appmodel.Apps() {
-		out = append(out, a.Name)
-	}
-	return out
 }
 
 // AllApps lists every application model: the paper's three plus the
@@ -148,7 +138,7 @@ func ParseChannelScheme(s string) (ChannelScheme, error) { return mapping.ParseC
 // constants. The zero value is the paper's default controller for the
 // chosen Design (MemMax behind CONV/PFS, the stream-aware Simple
 // controller elsewhere).
-type Scheduler string
+type Scheduler = memctrl.Scheduler
 
 // The memory-scheduler zoo. Every non-default scheduler replaces the
 // design's controller on each channel; in checked mode its guarantee is
@@ -157,45 +147,37 @@ type Scheduler string
 const (
 	// SchedulerDefault is the design's own controller — byte-identical
 	// behaviour to configs that predate the zoo.
-	SchedulerDefault Scheduler = ""
+	SchedulerDefault = memctrl.SchedDefault
 	// SchedulerDPQ is the dynamic-priority-queue arbiter (after Shah et
 	// al.) with an analytic per-request worst-case completion bound
 	// computed from the DDR timing parameters.
-	SchedulerDPQ Scheduler = "dpq"
+	SchedulerDPQ = memctrl.SchedDPQ
 	// SchedulerRegulated is the per-bank bandwidth regulator (after
 	// Sullivan et al.): each (core, bank) pair holds a beat budget per
 	// fixed window.
-	SchedulerRegulated Scheduler = "regulated"
+	SchedulerRegulated = memctrl.SchedRegulated
 	// SchedulerStaged is the staged heterogeneous scheduler (SMS-style):
 	// requestors classify as light or heavy by outstanding-request
 	// intensity, and light traffic is served first.
-	SchedulerStaged Scheduler = "staged"
+	SchedulerStaged = memctrl.SchedStaged
 )
 
-// String returns the scheduler name ("default" for the zero value).
-func (s Scheduler) String() string {
-	if s == SchedulerDefault {
-		return "default"
-	}
-	return string(s)
-}
-
 // ParseScheduler resolves a scheduler from its name. It accepts the
-// names Schedulers lists plus "default" and "" for the zero value.
+// names Schedulers lists ("default" among them) plus "" for the zero
+// value, the spelling of a wire field left out.
 func ParseScheduler(s string) (Scheduler, error) {
-	if s == "" || s == "default" {
+	if s == "" {
 		return SchedulerDefault, nil
 	}
-	if _, err := memctrl.ParseScheduler(s); err != nil {
-		return "", fmt.Errorf("aanoc: %w %q", ErrUnknownScheduler, s)
+	sc, err := memctrl.ParseScheduler(s)
+	if err != nil {
+		return SchedulerDefault, fmt.Errorf("aanoc: %w %q", ErrUnknownScheduler, s)
 	}
-	return Scheduler(s), nil
+	return sc, nil
 }
 
 // Schedulers lists every scheduler, the default first.
-func Schedulers() []Scheduler {
-	return []Scheduler{SchedulerDefault, SchedulerDPQ, SchedulerRegulated, SchedulerStaged}
-}
+func Schedulers() []Scheduler { return memctrl.Schedulers() }
 
 // Sentinel errors Config.Validate wraps; test with errors.Is. The field
 // sentinels are internal/system's own values (internal/scenario exports
@@ -372,13 +354,15 @@ func (c Config) Validate() error {
 func (c Config) resolve(byName func(string) (appmodel.App, error)) (system.Config, error) {
 	over := scenario.Run{
 		Generation: c.Generation, ClockMHz: c.ClockMHz,
-		Channels: c.Channels, Scheduler: string(c.Scheduler),
-		PriorityDemand: c.PriorityDemand,
-		Cycles:         c.Cycles, Warmup: c.Warmup, Seed: c.Seed,
+		Channels: c.Channels, PriorityDemand: c.PriorityDemand,
+		Cycles: c.Cycles, Warmup: c.Warmup, Seed: c.Seed,
 		SampleEvery: c.SampleEvery, Subarrays: c.Subarrays,
 	}
 	if c.ChannelScheme != BankThenChannel {
 		over.Scheme = c.ChannelScheme.String()
+	}
+	if c.Scheduler != SchedulerDefault {
+		over.Scheduler = c.Scheduler.String()
 	}
 	knobs := system.Config{
 		Design: c.Design, PCT: c.PCT, GSSRouters: c.GSSRouters,

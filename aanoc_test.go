@@ -3,6 +3,7 @@ package aanoc
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,8 +35,8 @@ func TestRunRejectsBadConfig(t *testing.T) {
 }
 
 func TestAppsAndDesigns(t *testing.T) {
-	if len(Apps()) != 3 {
-		t.Fatalf("apps = %v", Apps())
+	if apps := AllApps(); len(apps) != 5 || !slices.Equal(apps[:3], []App{AppBluRay, AppSDTV, AppDDTV}) {
+		t.Fatalf("apps = %v", apps)
 	}
 	if len(Designs()) != 7 {
 		t.Fatalf("designs = %v", Designs())

@@ -64,7 +64,7 @@ func TestValidateSentinels(t *testing.T) {
 		{"negative channels", Config{Channels: -1}, ErrBadChannels},
 		{"too many channels", Config{Model: AppBluRay, Channels: 2}, ErrBadChannels},
 		{"xor non-pow2", Config{Model: AppDDTV4, Channels: 3, ChannelScheme: ChannelThenBankXOR}, ErrBadChannels},
-		{"unknown scheduler", Config{Scheduler: "fcfs"}, ErrUnknownScheduler},
+		{"unknown scheduler", Config{Scheduler: 9}, ErrUnknownScheduler},
 		{"negative sample period", Config{SampleEvery: -1}, ErrBadSampleEvery},
 	}
 	for _, tc := range cases {
@@ -153,7 +153,7 @@ func TestValidateAcceptsRunnableConfigs(t *testing.T) {
 		{Model: AppDDTV4, Channels: 4, ChannelScheme: ChannelThenBankXOR},
 		{Model: AppSDTV, Generation: 1},
 		{Scheduler: SchedulerDPQ, Checked: true},
-		{Scheduler: "default"},
+		{Scheduler: SchedulerStaged},
 	} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v", cfg, err)

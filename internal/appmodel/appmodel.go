@@ -1,6 +1,7 @@
 // Package appmodel defines the three industrial multimedia applications
-// the paper benchmarks — a Blu-ray player model, a single-DTV model (9
-// cores each, 3x3 mesh) and a dual-DTV model (16 cores, 4x4 mesh) — as
+// the paper benchmarks — a Blu-ray player model, a single-DTV model (3x3
+// mesh, 8 cores each) and a dual-DTV model (4x4 mesh, 15 cores); the
+// paper's 9, 9 and 16 count the memory tile — as
 // core/stream specifications for the traffic package, plus the Fig. 7
 // style placement (memory subsystem in the corner, bandwidth-hungry cores
 // adjacent, per A3MAP).
@@ -283,8 +284,8 @@ func Background(name string, pos noc.Coord, region int, beats []int, load, readF
 	}
 }
 
-// BluRay returns the 9-core Blu-ray player model on a 3x3 mesh (memory in
-// the upper-left corner).
+// BluRay returns the Blu-ray player model: a 3x3 mesh, 8 cores and the
+// memory in the upper-left corner (the paper's 9 counts the memory tile).
 func BluRay() App {
 	a := App{
 		Name: "bluray", Mesh: Mesh{Width: 3, Height: 3}, MemPorts: []noc.Coord{{X: 0, Y: 0}},
@@ -304,8 +305,8 @@ func BluRay() App {
 	return a
 }
 
-// SingleDTV returns the 9-core single digital-television model on a 3x3
-// mesh.
+// SingleDTV returns the single digital-television model: a 3x3 mesh and
+// 8 cores (the paper's 9 counts the memory tile).
 func SingleDTV() App {
 	return App{
 		Name: "sdtv", Mesh: Mesh{Width: 3, Height: 3}, MemPorts: []noc.Coord{{X: 0, Y: 0}},
@@ -323,8 +324,9 @@ func SingleDTV() App {
 	}
 }
 
-// DualDTV returns the 16-core dual digital-television model on a 4x4 mesh:
-// two full video pipelines plus shared infrastructure.
+// DualDTV returns the dual digital-television model: a 4x4 mesh and 15
+// cores (the paper's 16 counts the memory tile), two full video
+// pipelines plus shared infrastructure.
 func DualDTV() App {
 	return App{
 		Name: "ddtv", Mesh: Mesh{Width: 4, Height: 4}, MemPorts: []noc.Coord{{X: 0, Y: 0}},

@@ -19,27 +19,33 @@ func TestAllAppsValidate(t *testing.T) {
 	}
 }
 
-func TestCoreCountsMatchPaper(t *testing.T) {
-	// The paper: Blu-ray and single DTV have 9 cores (8 IPs + memory) on
-	// 3x3; dual DTV has 16 cores (15 IPs + memory) on 4x4.
+// TestBuiltinPlatforms pins every builtin's mesh, memory ports and core
+// count. The paper's Blu-ray and single DTV are 9 tiles on 3x3 and its
+// dual DTV 16 on 4x4: each counts the memory tile, so the models carry 8
+// and 15 cores.
+func TestBuiltinPlatforms(t *testing.T) {
 	cases := []struct {
-		app   App
-		cores int
-		w, h  int
+		name         string
+		w, h         int
+		ports, cores int
 	}{
-		{BluRay(), 8, 3, 3},
-		{SingleDTV(), 8, 3, 3},
-		{DualDTV(), 15, 4, 4},
+		{"bluray", 3, 3, 1, 8},
+		{"sdtv", 3, 3, 1, 8},
+		{"ddtv", 4, 4, 1, 15},
+		{"bluray2", 4, 4, 2, 14},
+		{"ddtv4", 6, 6, 4, 32},
 	}
 	for _, c := range cases {
-		if len(c.app.Cores) != c.cores {
-			t.Errorf("%s: %d cores, want %d", c.app.Name, len(c.app.Cores), c.cores)
+		a, err := ByName(c.name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if c.app.Width != c.w || c.app.Height != c.h {
-			t.Errorf("%s: mesh %dx%d, want %dx%d", c.app.Name, c.app.Width, c.app.Height, c.w, c.h)
+		if a.Width != c.w || a.Height != c.h || len(a.MemPorts) != c.ports || len(a.Cores) != c.cores {
+			t.Errorf("%s: %dx%d mesh, %d ports, %d cores; want %dx%d, %d, %d", c.name,
+				a.Width, a.Height, len(a.MemPorts), len(a.Cores), c.w, c.h, c.ports, c.cores)
 		}
-		if len(c.app.MemPorts) != 1 || c.app.MemPorts[0] != (noc.Coord{X: 0, Y: 0}) {
-			t.Errorf("%s: memory subsystem must sit in the corner", c.app.Name)
+		if len(a.MemPorts) == 0 || a.MemPorts[0] != (noc.Coord{X: 0, Y: 0}) {
+			t.Errorf("%s: the first memory port must sit in the corner", c.name)
 		}
 	}
 }

@@ -103,10 +103,12 @@ func (b *DPQBound) refreshCost() int64 {
 // queue, with engineOcc requests already inside the pipeline, moving
 // beats beats. Interference: queuePos*N - 1 grants may precede the
 // request's own grant, plus the engineOcc residents; each is charged
-// Service(MaxBeats). Refresh interruptions fold in by fixed point — the
-// iteration converges because each pass can only grow the interval by
-// whole refresh costs, and three passes over-approximate the limit for
-// any interval shorter than years of simulated time.
+// Service(MaxBeats). Refresh interruptions fold in by fixed point: each
+// pass charges one refresh cost per tREFI window the interval spans (plus
+// two for the partial windows at its ends). The interval climbs from
+// below, so the loop runs until it stops growing; it stops because a
+// refresh costs less than tREFI, and a window's worth of interval
+// therefore adds less than a window.
 func (b *DPQBound) Deadline(admit int64, queuePos, engineOcc, beats int) int64 {
 	if queuePos < 1 {
 		queuePos = 1
@@ -117,11 +119,12 @@ func (b *DPQBound) Deadline(admit int64, queuePos, engineOcc, beats int) int64 {
 	ahead := int64(queuePos*b.Requestors-1) + int64(engineOcc)
 	base := ahead*b.Service(b.MaxBeats) + b.Service(beats) + boundMargin
 	total := base
-	if b.t.TREFI > 0 {
-		for i := 0; i < 3; i++ {
-			refs := total/b.t.TREFI + 2
-			total = base + refs*b.refreshCost()
+	for b.t.TREFI > 0 {
+		next := base + (total/b.t.TREFI+2)*b.refreshCost()
+		if next == total {
+			break
 		}
+		total = next
 	}
 	return admit + total
 }

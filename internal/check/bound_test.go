@@ -32,6 +32,35 @@ func TestDPQBoundShape(t *testing.T) {
 	}
 }
 
+// TestDPQBoundRefreshFixedPoint: the deadline's interval is the refresh
+// fixed point itself, not an iterate short of it, at every speed grade
+// of every generation, and a refresh costs less than tREFI, which is
+// what ends Deadline's loop.
+func TestDPQBoundRefreshFixedPoint(t *testing.T) {
+	for _, g := range dram.Generations() {
+		for _, mhz := range dram.Speeds(g) {
+			tm := dram.MustSpeed(g, mhz)
+			for _, n := range []int{8, 16, 32} {
+				b := NewDPQBound(tm, n, 128)
+				cost := b.refreshCost()
+				if cost >= tm.TREFI {
+					t.Fatalf("%v-%d: refresh cost %d >= tREFI %d", g, mhz, cost, tm.TREFI)
+				}
+				for pos := 1; pos <= 32; pos++ {
+					for occ := 0; occ <= 1; occ++ {
+						base := int64(pos*n-1+occ)*b.Service(128) + b.Service(8) + boundMargin
+						total := b.Deadline(0, pos, occ, 8)
+						if want := base + (total/tm.TREFI+2)*cost; total != want {
+							t.Fatalf("%v-%d N=%d pos=%d occ=%d: interval %d, one more pass gives %d",
+								g, mhz, n, pos, occ, total, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDPQBoundHoldsUnderLoad drives the real arbiter at full tilt and
 // asserts no completion ever crosses its analytic deadline — the bound
 // is sound against the implementation it models.

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"aanoc/internal/dram"
@@ -348,5 +349,72 @@ func TestMemMaxDrainsMixedTraffic(t *testing.T) {
 	}
 	if dev.Utilization(int64(done[len(done)-1].At)) <= 0 {
 		t.Error("utilization should be positive")
+	}
+}
+
+// pickThreadTwoPass is pickThread as two scans: the least-served head,
+// then, when that head is not clean, the least-served clean head among
+// the others. It is the oracle for the one-pass form.
+func (m *MemMax) pickThreadTwoPass() int {
+	best := -1
+	for th := range m.queues {
+		if len(m.queues[th]) == 0 {
+			continue
+		}
+		if m.priorityFirst && m.queues[th][0].Priority {
+			return th
+		}
+		if best < 0 || m.served[th] < m.served[best] {
+			best = th
+		}
+	}
+	if best < 0 {
+		return -1
+	}
+	if m.score(m.queues[best][0]) >= 4 {
+		return best
+	}
+	alt := -1
+	for th := range m.queues {
+		if th == best || len(m.queues[th]) == 0 {
+			continue
+		}
+		if m.score(m.queues[th][0]) >= 4 && (alt < 0 || m.served[th] < m.served[alt]) {
+			alt = th
+		}
+	}
+	if alt >= 0 {
+		return alt
+	}
+	return best
+}
+
+// TestMemMaxPickThreadMatchesTwoPass compares the one-pass arbitration
+// with the two-pass oracle over random thread states: served beats
+// (few distinct values, so ties occur), which threads hold a head and
+// what it is, the last admitted request and priority-first.
+func TestMemMaxPickThreadMatchesTwoPass(t *testing.T) {
+	rng := rand.New(rand.NewPCG(53, 1))
+	m := NewMemMax(dram.MustNewDevice(dram.MustSpeed(dram.DDR2, 333)), DefaultMemMaxConfig(), func(Completion) {})
+	randPkt := func() *noc.Packet {
+		p := req(1, rng.IntN(3), rng.IntN(3), 0, noc.Kind(rng.IntN(2)), 8, false)
+		p.Priority = rng.IntN(4) == 0
+		return p
+	}
+	for i := 0; i < 20000; i++ {
+		m.priorityFirst = rng.IntN(2) == 0
+		m.hasLast = rng.IntN(8) != 0
+		m.last = *randPkt()
+		for th := range m.queues {
+			m.served[th] = int64(rng.IntN(3))
+			m.queues[th] = m.queues[th][:0]
+			if rng.IntN(4) != 0 {
+				m.queues[th] = append(m.queues[th], randPkt())
+			}
+		}
+		if got, want := m.pickThread(), m.pickThreadTwoPass(); got != want {
+			t.Fatalf("state %d: pickThread = %d, two-pass oracle = %d (served %v, priorityFirst %v)",
+				i, got, want, m.served, m.priorityFirst)
+		}
 	}
 }

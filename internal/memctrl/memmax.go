@@ -116,42 +116,29 @@ func (m *MemMax) grant(th int, p *noc.Packet, now int64) {
 // bandwidths allocated to different threads" of the MemMax datasheet) —
 // unless its head would cause a bank conflict or bus turnaround and some
 // other backlogged head would not, in which case the scheduler skips
-// ahead once ("prevents bank conflict and data contention").
+// ahead once ("prevents bank conflict and data contention") to the
+// least-served clean head: it reorders across thread heads only, not
+// within threads. One pass finds both candidates; when the least-served
+// head is clean it is also the first clean head with the fewest beats.
 // Priority-first configurations serve a priority head unconditionally.
 func (m *MemMax) pickThread() int {
-	best := -1
-	for th := range m.queues {
-		if len(m.queues[th]) == 0 {
+	best, clean := -1, -1
+	for th, q := range m.queues {
+		if len(q) == 0 {
 			continue
 		}
-		if m.priorityFirst && m.queues[th][0].Priority {
+		if m.priorityFirst && q[0].Priority {
 			return th
 		}
 		if best < 0 || m.served[th] < m.served[best] {
 			best = th
 		}
-	}
-	if best < 0 {
-		return -1
-	}
-	if m.score(m.queues[best][0]) >= 4 {
-		return best
-	}
-	// The deficit choice is SDRAM-unfriendly; take the cleanest other
-	// backlogged head, if any is clean. The skip is limited to one
-	// alternative — the scheduler reorders across thread heads only, not
-	// within threads.
-	alt := -1
-	for th := range m.queues {
-		if th == best || len(m.queues[th]) == 0 {
-			continue
-		}
-		if m.score(m.queues[th][0]) >= 4 && (alt < 0 || m.served[th] < m.served[alt]) {
-			alt = th
+		if m.score(q[0]) >= 4 && (clean < 0 || m.served[th] < m.served[clean]) {
+			clean = th
 		}
 	}
-	if alt >= 0 {
-		return alt
+	if clean >= 0 {
+		return clean
 	}
 	return best
 }

@@ -213,13 +213,8 @@ type Event struct {
 	Error   string       `json:"error,omitempty"`
 }
 
-// SweepStats mirror aanoc.SweepStats on the wire.
-type SweepStats struct {
-	Runs      int `json:"runs"`
-	CacheHits int `json:"cacheHits"`
-	StoreHits int `json:"storeHits"`
-	Workers   int `json:"workers"`
-}
+// SweepStats are aanoc.SweepStats, whose json tags are the wire form.
+type SweepStats = aanoc.SweepStats
 
 // PointState is one point's outcome in a done event: the fingerprint
 // (the key for GET /v1/results), cache provenance, the headline
@@ -362,8 +357,7 @@ func (s *Server) execute(r *run, grid aanoc.SweepGrid, opts aanoc.SweepOptions) 
 		}
 		states[i] = st
 	}
-	wire := SweepStats(stats)
-	s.finish(r, Event{Type: "done", Total: r.total, Stats: &wire, Results: states})
+	s.finish(r, Event{Type: "done", Total: r.total, Stats: &stats, Results: states})
 }
 
 // finish folds the run's stats into the server totals, publishes its

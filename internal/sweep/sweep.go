@@ -109,25 +109,26 @@ type Result struct {
 	Fingerprint string
 }
 
-// Stats accounts for one Run call.
+// Stats accounts for one Run call. The json tags are the server's
+// wire form of the same totals (a run's done event).
 type Stats struct {
 	// Runs counts grid points answered by a simulation in this call:
 	// their own, or a twin's (see Twins).
-	Runs int
+	Runs int `json:"runs"`
 	// Twins counts the Runs that took a twin's simulation, restamped
 	// with their own design (system.Config.Canonical), instead of
 	// simulating: on a cold Tables I-III grid, Table I's nine GSS
 	// points. Runs - Twins simulations were executed.
-	Twins int
+	Twins int `json:"twins"`
 	// CacheHits counts duplicates (Result.Cached).
-	CacheHits int
+	CacheHits int `json:"cacheHits"`
 	// StoreHits counts grid points read from the persistent store
 	// instead of simulating (their duplicates count as CacheHits,
 	// exactly as for simulated points).
-	StoreHits int
+	StoreHits int `json:"storeHits"`
 	// Workers is the resolved worker count (after the GOMAXPROCS default
 	// and the clamp to the grid size).
-	Workers int
+	Workers int `json:"workers"`
 }
 
 // origin is how a settled point's outcome came about, for Stats.

@@ -1,7 +1,6 @@
 package system
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 
@@ -156,11 +155,6 @@ type Result struct {
 	App      string
 	Gen      dram.Generation
 	ClockMHz int
-	Cycles   int64
-	// Scheduler is the memory scheduler the run used; Channels its SDRAM
-	// channel count (both resolved, so table rows can carry them).
-	Scheduler memctrl.Scheduler
-	Channels  int
 
 	Utilization float64
 	LatAll      float64
@@ -353,14 +347,14 @@ func (c Config) Validate() error {
 // ResultOf returns the Result a report records, with rep as its Obs:
 // the identity parsed from its names, the device totals folded from its
 // banks, the per-core service from its NIs. It fails on a nil report and
-// on a design or scheduler name it cannot parse.
+// on a design name it cannot parse; the scheduler and channel count stay
+// the report's (Obs.Scheduler, Obs.Memory.Channels).
 func ResultOf(rep *obs.Report) (Result, error) {
 	if rep == nil {
 		return Result{}, errors.New("system: the result carries no report")
 	}
-	d, derr := ParseDesign(rep.Design)
-	sched, serr := memctrl.ParseScheduler(cmp.Or(rep.Scheduler, memctrl.SchedDefault.String()))
-	if err := errors.Join(derr, serr); err != nil {
+	d, err := ParseDesign(rep.Design)
+	if err != nil {
 		return Result{}, err
 	}
 	mem := &rep.Memory
@@ -373,8 +367,7 @@ func ResultOf(rep *obs.Report) (Result, error) {
 		dev.AutoPre += b.AutoPre
 	}
 	res := Result{
-		Design: d, App: rep.App, Gen: dram.Generation(rep.Gen), ClockMHz: rep.ClockMHz, Cycles: rep.Cycles,
-		Scheduler: sched, Channels: max(1, len(mem.Channels)),
+		Design: d, App: rep.App, Gen: dram.Generation(rep.Gen), ClockMHz: rep.ClockMHz,
 		Utilization: rep.Utilization, LatAll: rep.Latency.All.Mean, LatDemand: rep.Latency.Demand.Mean,
 		LatPriority: rep.Latency.Priority.Mean, LatBest: rep.Latency.Best.Mean,
 		Generated: rep.Generated, Completed: rep.Completed, GSSGrants: rep.GSSGrants,

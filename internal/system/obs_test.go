@@ -151,9 +151,9 @@ func TestObservabilityReport(t *testing.T) {
 	if err := rep.Validate(); err != nil {
 		t.Fatalf("report invalid: %v", err)
 	}
-	if rep.Design != res.Design.String() || rep.App != res.App || rep.Cycles != res.Cycles {
-		t.Errorf("report identity %s/%s/%d disagrees with result %s/%s/%d",
-			rep.Design, rep.App, rep.Cycles, res.Design, res.App, res.Cycles)
+	if rep.Design != res.Design.String() || rep.App != res.App || rep.Cycles != cfg.Resolved().Cycles {
+		t.Errorf("report identity %s/%s/%d disagrees with result %s/%s and config's %d cycles",
+			rep.Design, rep.App, rep.Cycles, res.Design, res.App, cfg.Resolved().Cycles)
 	}
 	if rep.Utilization != res.Utilization || rep.Generated != res.Generated {
 		t.Error("report headline counters disagree with Result")

@@ -33,9 +33,6 @@ func TestSchedulerCleanCheckedRuns(t *testing.T) {
 			if res.Completed == 0 {
 				t.Errorf("%s/%s: no requests completed", sched, d)
 			}
-			if res.Scheduler != sched {
-				t.Errorf("%s/%s: result carries scheduler %v", sched, d, res.Scheduler)
-			}
 			if res.Obs.Scheduler != sched.String() {
 				t.Errorf("%s/%s: report scheduler %q", sched, d, res.Obs.Scheduler)
 			}

@@ -97,11 +97,11 @@ func BenchmarkLayers(b *testing.B) {
 			{[]Design{Conv, SDRAMAware, GSS, GSSSAGM}, false},
 			{[]Design{ConvPFS, SDRAMAwarePFS, GSS, GSSSAGM}, true},
 		} {
-			for _, app := range Apps() {
+			for _, app := range []App{AppBluRay, AppSDTV, AppDDTV} {
 				for gen := 1; gen <= 3; gen++ {
 					for _, d := range table.designs {
 						grid.Points = append(grid.Points, Config{
-							Model: App(app), Generation: gen, Design: d,
+							Model: app, Generation: gen, Design: d,
 							PriorityDemand: table.priority, Cycles: 50_000, Seed: 1,
 						})
 					}

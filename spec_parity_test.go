@@ -35,7 +35,6 @@ func TestSpecFacadeParity(t *testing.T) {
 				Model:       App(tc.app),
 				Generation:  tc.run.Generation,
 				Channels:    tc.run.Channels,
-				Scheduler:   Scheduler(tc.run.Scheduler),
 				SampleEvery: tc.run.SampleEvery,
 			}
 			if tc.run.Scheme != "" {
@@ -45,7 +44,13 @@ func TestSpecFacadeParity(t *testing.T) {
 				}
 				cfg.ChannelScheme = sch
 			}
-			if err := cfg.Validate(); !errors.Is(err, tc.want) {
+			if tc.run.Scheduler != "" {
+				// A typed Scheduler has no value for an unknown name: the
+				// typed path refuses it where it parses the name.
+				if _, err := ParseScheduler(tc.run.Scheduler); !errors.Is(err, tc.want) {
+					t.Errorf("typed fields: ParseScheduler = %v, want %v", err, tc.want)
+				}
+			} else if err := cfg.Validate(); !errors.Is(err, tc.want) {
 				t.Errorf("typed fields: Validate = %v, want %v", err, tc.want)
 			}
 

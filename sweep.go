@@ -126,19 +126,13 @@ type SweepResult struct {
 	Err error
 }
 
-// SweepStats account for one Sweep call.
-type SweepStats struct {
-	// Runs counts points answered by a simulation in this call — their
-	// own, or a twin's restamped with their design (Table I's GSS points
-	// take their [4] twins' runs); CacheHits points served from the
-	// in-process fingerprint cache; StoreHits points served from the
-	// persistent store.
-	Runs      int
-	CacheHits int
-	StoreHits int
-	// Workers is the resolved worker count.
-	Workers int
-}
+// SweepStats account for one Sweep call. Runs counts points answered by
+// a simulation in this call — their own, or a twin's restamped with
+// their design, which Twins counts (Table I's GSS points take their [4]
+// twins' runs); CacheHits counts points served from the in-process
+// fingerprint cache, StoreHits points served from the persistent store;
+// Workers is the resolved worker count.
+type SweepStats = sweep.Stats
 
 // Sweep executes every point of the grid and returns the results in
 // submission order. The grid is validated up front: an empty grid or
@@ -179,12 +173,7 @@ func sweepWith(g SweepGrid, o SweepOptions, byName func(string) (appmodel.App, e
 			out[i].Row = rowFrom(r.Res)
 		}
 	}
-	return out, SweepStats{
-		Runs:      st.Runs,
-		CacheHits: st.CacheHits,
-		StoreHits: st.StoreHits,
-		Workers:   st.Workers,
-	}, nil
+	return out, st, nil
 }
 
 // modelClones is one Sweep call's clone of each model its points name:
