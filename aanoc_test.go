@@ -212,16 +212,16 @@ func TestCheckedViolations(t *testing.T) {
 // violation, its total and its first entry; a clean grid, checked or
 // not, is no error.
 func TestCheckedErrNamesFirstViolation(t *testing.T) {
-	clean := Result{App: "bluray", Gen: 2, Design: GSS, Obs: &obs.Report{Checked: true}}
-	bad := Result{App: "sdtv", Gen: 1, Design: GSSSAGM, Obs: &obs.Report{Checked: true, Violations: []obs.Violation{
+	clean := SweepResult{Row: Row{App: "bluray", Gen: 2, Design: GSS, Obs: &obs.Report{Checked: true}}}
+	bad := SweepResult{Row: Row{App: "sdtv", Gen: 1, Design: GSSSAGM, Obs: &obs.Report{Checked: true, Violations: []obs.Violation{
 		{Cycle: 7, Component: "dram", Kind: "tRCD", Detail: "RD to bank 1 at 7"},
 		{Cycle: 9, Component: "dram", Kind: "tRCD", Detail: "RD to bank 2 at 9"},
 		obs.Dropped(5),
-	}}}
-	if err := checkedErr([]Result{clean, {}, clean}); err != nil {
+	}}}}
+	if err := checkedErr([]SweepResult{clean, {}, clean}); err != nil {
 		t.Fatalf("clean grid: %v", err)
 	}
-	err := checkedErr([]Result{clean, bad, bad})
+	err := checkedErr([]SweepResult{clean, bad, bad})
 	if !errors.Is(err, obs.ErrViolations) {
 		t.Fatalf("err = %v, want obs.ErrViolations", err)
 	}

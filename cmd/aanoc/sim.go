@@ -100,9 +100,9 @@ func simCmd(ctx context.Context, args []string, stdout, stderr io.Writer) (err e
 			res.Completed, 100*res.WasteFrac)
 		if *perCore {
 			fmt.Fprintf(stdout, "  fairness (Jain over served beats): %.3f\n", res.Fairness)
-			for _, c := range res.PerCore {
-				fmt.Fprintf(stdout, "  %-12s served=%6d beats=%8d lat=%7.0f\n",
-					c.Name, c.Completed, c.Beats, c.MeanLatency())
+			for _, ni := range res.Obs.NIs {
+				fmt.Fprintf(stdout, "  %-12s served=%6d beats=%8d lat=%7.0f\n", ni.Core, ni.Completed, ni.Beats,
+					float64(ni.LatencySum)/float64(max(ni.Completed, 1))) // no completions, no latency
 			}
 		}
 	}

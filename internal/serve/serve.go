@@ -367,10 +367,11 @@ func (s *Server) execute(r *run, grid aanoc.SweepGrid, opts aanoc.SweepOptions) 
 func (s *Server) finish(r *run, done Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if done.Stats != nil {
-		s.stats.Runs += int64(done.Stats.Runs)
-		s.stats.CacheHits += int64(done.Stats.CacheHits)
-		s.stats.StoreHits += int64(done.Stats.StoreHits)
+	if st := done.Stats; st != nil {
+		s.stats.Runs += st.Runs
+		s.stats.Twins += st.Twins
+		s.stats.CacheHits += st.CacheHits
+		s.stats.StoreHits += st.StoreHits
 	}
 	s.stats.ActiveRuns--
 	r.final = &done
@@ -481,13 +482,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // statsz is the /v1/statsz payload, and the server's one copy of its
 // totals (Server.stats, under Server.mu; the store fields are filled in
-// per request).
+// per request). SweepStats sums the done events' stats, Workers left 0.
 type statsz struct {
-	Requests     int64             `json:"requests"`
-	Sweeps       int64             `json:"sweeps"`
-	Runs         int64             `json:"runs"`
-	CacheHits    int64             `json:"cacheHits"`
-	StoreHits    int64             `json:"storeHits"`
+	Requests int64 `json:"requests"`
+	Sweeps   int64 `json:"sweeps"`
+	SweepStats
 	Cancels      int64             `json:"cancels"`
 	ActiveRuns   int               `json:"activeRuns"`
 	Store        *aanoc.StoreStats `json:"store,omitempty"`

@@ -245,6 +245,36 @@ func TestSweepRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestStatszCountsTwins: the server's totals sum the done events'
+// stats, twins included, so statsz tells how many simulations ran
+// (runs - twins). A [4] point and a GSS point of one platform share one
+// canonical run: two runs, one of them a twin's.
+func TestStatszCountsTwins(t *testing.T) {
+	_, ts := fastServer(t, Options{})
+	acc := post(t, ts, `{"points":[
+  {"design":"[4]","model":"bluray","cycles":2000},
+  {"design":"gss","model":"bluray","cycles":2000}
+]}`)
+	if fin := last(t, stream(t, ts, acc.ID)); fin.Stats == nil || fin.Stats.Runs != 2 || fin.Stats.Twins != 1 {
+		t.Fatalf("done stats %+v, want 2 runs, 1 twin", fin.Stats)
+	}
+	resp, err := http.Get(ts.URL + "/v1/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st["runs"] != 2.0 || st["twins"] != 1.0 {
+		t.Errorf("statsz runs %v, twins %v, want 2 and 1", st["runs"], st["twins"])
+	}
+	if w, ok := st["workers"]; ok {
+		t.Errorf("statsz carries a per-call workers %v", w)
+	}
+}
+
 // getStatsz reads /v1/statsz.
 func getStatsz(t *testing.T, ts *httptest.Server) statsz {
 	t.Helper()

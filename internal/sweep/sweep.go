@@ -127,8 +127,9 @@ type Stats struct {
 	// exactly as for simulated points).
 	StoreHits int `json:"storeHits"`
 	// Workers is the resolved worker count (after the GOMAXPROCS default
-	// and the clamp to the grid size).
-	Workers int `json:"workers"`
+	// and the clamp to the grid size): at least 1 for a call, zero, and
+	// off the wire, in a sum of calls such as the server's totals.
+	Workers int `json:"workers,omitempty"`
 }
 
 // origin is how a settled point's outcome came about, for Stats.
@@ -335,19 +336,4 @@ func FirstErr(results []Result) error {
 		}
 	}
 	return nil
-}
-
-// Collect runs the grid and unwraps the raw results in submission
-// order, surfacing the first per-point error — the drop-in replacement
-// for a serial loop over system.Run.
-func Collect(cfgs []system.Config, o Options) ([]system.Result, error) {
-	results, _ := Run(cfgs, o)
-	if err := FirstErr(results); err != nil {
-		return nil, err
-	}
-	out := make([]system.Result, len(results))
-	for i, r := range results {
-		out[i] = r.Res
-	}
-	return out, nil
 }

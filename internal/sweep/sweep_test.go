@@ -41,9 +41,6 @@ func TestEmptyGrid(t *testing.T) {
 	if st.Runs != 0 || st.CacheHits != 0 {
 		t.Fatalf("empty grid accounted work: %+v", st)
 	}
-	if _, err := Collect(nil, Options{RunFunc: markedRun}); err != nil {
-		t.Fatalf("Collect(empty) = %v", err)
-	}
 }
 
 func TestSingleWorkerRunsInSubmissionOrder(t *testing.T) {
@@ -131,14 +128,6 @@ func TestErrorMidGridKeepsRemainingOrdered(t *testing.T) {
 	err := FirstErr(results)
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "point 2") {
 		t.Fatalf("FirstErr = %v, want wrapped boom at point 2", err)
-	}
-	if _, err := Collect(cfgs, Options{Workers: 2, RunFunc: func(cfg system.Config) (system.Result, error) {
-		if cfg.Seed == 3 {
-			return system.Result{}, boom
-		}
-		return markedRun(cfg)
-	}}); !errors.Is(err, boom) {
-		t.Fatalf("Collect error = %v, want boom", err)
 	}
 }
 

@@ -61,9 +61,11 @@ type coreNI struct {
 	inj  *noc.Injector
 	sink *noc.Sink
 
-	stats     CoreStats
-	stalls    int64 // cycles the generators lost to injection backpressure
-	generated int64 // logical requests generated (the per-core ledger)
+	completed  int64 // requests served
+	beats      int64 // their useful beats
+	latencySum int64 // their generation-to-completion latency, summed
+	stalls     int64 // cycles the generators lost to injection backpressure
+	generated  int64 // logical requests generated (the per-core ledger)
 
 	// h is woken when a response flit arrives, a completion refills a
 	// closed-loop window or a credit returns to a backlogged injector.
@@ -294,7 +296,7 @@ func (r *Runner) buildCores() error {
 	for i, spec := range specs {
 		ni := &nis[i]
 		*ni = coreNI{
-			r: r, idx: i, spec: spec, stats: CoreStats{Name: spec.Name}, sleptFrom: sim.Never,
+			r: r, idx: i, spec: spec, sleptFrom: sim.Never,
 			inj: &injs[i], sink: &sinks[i],
 		}
 		ni.inj.OnFirstFlit = onFirstFlit

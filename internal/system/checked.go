@@ -132,10 +132,10 @@ func (r *Runner) finalChecks(rep *obs.Report) {
 			r.parents.live, walked)
 	}
 	for i, ni := range r.cores {
-		if ni.generated != ni.stats.Completed+perCore[i] {
+		if ni.generated != ni.completed+perCore[i] {
 			c.Reportf(-1, "runner", "request-accounting",
 				"core %s generated %d != completed %d + outstanding %d",
-				ni.spec.Name, ni.generated, ni.stats.Completed, perCore[i])
+				ni.spec.Name, ni.generated, ni.completed, perCore[i])
 		}
 	}
 	// Per-channel split conservation: a channel cannot complete more

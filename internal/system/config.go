@@ -175,10 +175,9 @@ type Result struct {
 	GSSGrants int64
 	CmdCycles int64
 
-	// PerCore breaks service down by requesting core; Fairness is Jain's
-	// index over per-core served beats (1 = perfectly proportional
-	// service, 1/n = one core monopolises the memory).
-	PerCore  []CoreStats
+	// Fairness is Jain's index over the per-core served beats of
+	// Obs.NIs (1 = perfectly proportional service, 1/n = one core
+	// monopolises the memory).
 	Fairness float64
 
 	// Obs is the run-level observability report: per-link utilization
@@ -372,15 +371,11 @@ func ResultOf(rep *obs.Report) (Result, error) {
 		LatPriority: rep.Latency.Priority.Mean, LatBest: rep.Latency.Best.Mean,
 		Generated: rep.Generated, Completed: rep.Completed, GSSGrants: rep.GSSGrants,
 		Device: dev, CmdCycles: dev.Activates + dev.Reads + dev.Writes + dev.Precharges + dev.Refreshes,
-		PerCore: make([]CoreStats, len(rep.NIs)), Obs: rep,
+		Fairness: jain(rep.NIs), Obs: rep,
 	}
 	if dev.BurstsBL > 0 {
 		res.WasteFrac = float64(dev.BurstsBL-dev.UsefulBeats) / float64(dev.BurstsBL)
 	}
-	for i, ni := range rep.NIs {
-		res.PerCore[i] = CoreStats{Name: ni.Core, Completed: ni.Completed, Beats: ni.Beats, LatencySum: ni.LatencySum}
-	}
-	res.Fairness = jain(res.PerCore)
 	return res, nil
 }
 
@@ -396,24 +391,8 @@ func (r Result) Restamp(d Design) (Result, error) {
 	return ResultOf(&rep)
 }
 
-// CoreStats is the per-core service breakdown of one run.
-type CoreStats struct {
-	Name       string
-	Completed  int64
-	Beats      int64 // useful beats served
-	LatencySum int64 // generation-to-completion, summed
-}
-
-// MeanLatency returns the core's average request latency.
-func (c CoreStats) MeanLatency() float64 {
-	if c.Completed == 0 {
-		return 0
-	}
-	return float64(c.LatencySum) / float64(c.Completed)
-}
-
 // jain computes Jain's fairness index over per-core served beats.
-func jain(cs []CoreStats) float64 {
+func jain(cs []obs.NI) float64 {
 	var sum, sumSq float64
 	for _, c := range cs {
 		x := float64(c.Beats)

@@ -5,6 +5,7 @@ import (
 
 	"aanoc/internal/appmodel"
 	"aanoc/internal/dram"
+	"aanoc/internal/obs"
 )
 
 func TestPerCoreStatsCoverEveryCore(t *testing.T) {
@@ -15,16 +16,16 @@ func TestPerCoreStatsCoverEveryCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PerCore) != len(appmodel.BluRay().Cores) {
-		t.Fatalf("per-core rows = %d, want %d", len(res.PerCore), len(appmodel.BluRay().Cores))
+	if len(res.Obs.NIs) != len(appmodel.BluRay().Cores) {
+		t.Fatalf("per-core rows = %d, want %d", len(res.Obs.NIs), len(appmodel.BluRay().Cores))
 	}
 	var total int64
-	for _, c := range res.PerCore {
+	for _, c := range res.Obs.NIs {
 		if c.Completed == 0 {
-			t.Errorf("core %s served nothing", c.Name)
+			t.Errorf("core %s served nothing", c.Core)
 		}
-		if c.Completed > 0 && c.MeanLatency() <= 0 {
-			t.Errorf("core %s has completions but no latency", c.Name)
+		if c.Completed > 0 && c.LatencySum <= 0 {
+			t.Errorf("core %s has completions but no latency", c.Core)
 		}
 		total += c.Completed
 	}
@@ -42,7 +43,7 @@ func TestFairnessIndexBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := float64(len(res.PerCore))
+		n := float64(len(res.Obs.NIs))
 		if res.Fairness < 1/n || res.Fairness > 1.0001 {
 			t.Errorf("%s: Jain index %v outside [1/n, 1]", d, res.Fairness)
 		}
@@ -50,11 +51,11 @@ func TestFairnessIndexBounds(t *testing.T) {
 }
 
 func TestJainIndexFormula(t *testing.T) {
-	equal := []CoreStats{{Beats: 10}, {Beats: 10}, {Beats: 10}}
+	equal := []obs.NI{{Beats: 10}, {Beats: 10}, {Beats: 10}}
 	if j := jain(equal); j < 0.999 || j > 1.001 {
 		t.Errorf("equal service Jain = %v, want 1", j)
 	}
-	monopoly := []CoreStats{{Beats: 30}, {Beats: 0}, {Beats: 0}}
+	monopoly := []obs.NI{{Beats: 30}, {Beats: 0}, {Beats: 0}}
 	if j := jain(monopoly); j < 0.332 || j > 0.334 {
 		t.Errorf("monopoly Jain = %v, want 1/3", j)
 	}

@@ -114,7 +114,7 @@ func (r *Runner) buildReport(now int64) *obs.Report {
 	for i, c := range r.cores {
 		rep.NIs[i] = c.niStat()
 		rep.Generated += c.generated
-		rep.Completed += c.stats.Completed
+		rep.Completed += c.completed
 		rep.Stalled += c.stalls
 		if cfg.WorkloadStats {
 			rep.Workload = c.appendWorkload(rep.Workload)
@@ -132,7 +132,7 @@ func (r *Runner) buildReport(now int64) *obs.Report {
 func (c *coreNI) niStat() obs.NI {
 	return obs.NI{
 		Core: c.spec.Name, QueueFlitsHWM: c.inj.QueueFlitsHWM(), StallCycles: c.stalls, SinkReadyHWM: c.sink.ReadyHWM(),
-		Completed: c.stats.Completed, Beats: c.stats.Beats, LatencySum: c.stats.LatencySum,
+		Completed: c.completed, Beats: c.beats, LatencySum: c.latencySum,
 	}
 }
 

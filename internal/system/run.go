@@ -115,9 +115,9 @@ func (r *Runner) completeSplit(p *noc.Packet, at int64) {
 	// The stream's window and think time are about to change: pay the
 	// core's slept cycles at the state they were slept in.
 	r.settle(c, r.kern.Now())
-	c.stats.Completed++
-	c.stats.Beats += int64(l.beats)
-	c.stats.LatencySum += at - l.gen
+	c.completed++
+	c.beats += int64(l.beats)
+	c.latencySum += at - l.gen
 	if l.gen >= r.cfg.Warmup {
 		entry := l.entry
 		if entry < 0 {

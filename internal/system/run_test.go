@@ -17,7 +17,7 @@ func settledTotals(r *Runner) (t runTotals) {
 	r.settleAll()
 	for _, c := range r.cores {
 		t.generated += c.generated
-		t.completed += c.stats.Completed
+		t.completed += c.completed
 		t.stalled += c.stalls
 	}
 	return t
@@ -217,11 +217,12 @@ func sameResult(a, b Result) bool {
 		a.Device != b.Device || a.Fairness != b.Fairness {
 		return false
 	}
-	if len(a.PerCore) != len(b.PerCore) {
+	if len(a.Obs.NIs) != len(b.Obs.NIs) {
 		return false
 	}
-	for i := range a.PerCore {
-		if a.PerCore[i] != b.PerCore[i] {
+	for i, x := range a.Obs.NIs {
+		y := b.Obs.NIs[i]
+		if x.Core != y.Core || x.Completed != y.Completed || x.Beats != y.Beats || x.LatencySum != y.LatencySum {
 			return false
 		}
 	}

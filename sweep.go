@@ -159,6 +159,13 @@ func sweepWith(g SweepGrid, o SweepOptions, byName func(string) (appmodel.App, e
 		}
 		cfgs[i] = cfg
 	}
+	out, st := runPoints(cfgs, o)
+	return out, st, nil
+}
+
+// runPoints is the one path from resolved points to rows: Sweep's and
+// the table drivers'.
+func runPoints(cfgs []system.Config, o SweepOptions) ([]SweepResult, SweepStats) {
 	results, st := sweep.Run(cfgs, o.internal())
 	out := make([]SweepResult, len(results))
 	for i, r := range results {
@@ -173,7 +180,7 @@ func sweepWith(g SweepGrid, o SweepOptions, byName func(string) (appmodel.App, e
 			out[i].Row = rowFrom(r.Res)
 		}
 	}
-	return out, st, nil
+	return out, st
 }
 
 // modelClones is one Sweep call's clone of each model its points name:

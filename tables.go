@@ -11,7 +11,6 @@ import (
 	"aanoc/internal/memctrl"
 	"aanoc/internal/obs"
 	"aanoc/internal/scenario"
-	"aanoc/internal/sweep"
 	"aanoc/internal/system"
 )
 
@@ -116,17 +115,16 @@ func checkedApp(s *Spec) (appmodel.App, error) {
 	return s.App, nil
 }
 
-// collect is the one path from a grid to its results: it attaches the
+// collect runs a driver's grid on Sweep's row path: it attaches the
 // spec's platform channel configuration to every point of a spec-driven
-// grid, arms the invariant layer when the options ask for it, and fans
-// the points across the sweep executor, returning the results in
-// submission order. For grids of your own construction, prefer the
-// typed sweep facade (SweepGrid / SweepOptions / Sweep): it subsumes
-// Parallel, Progress and Store for arbitrary point lists and
-// additionally exposes cancellation and per-point cache provenance —
-// TableOptions keeps these fields only for the fixed paper-table
-// drivers.
-func (o TableOptions) collect(cfgs []system.Config) ([]Result, error) {
+// grid, arms the invariant layer when the options ask for it, and
+// returns the results in submission order, with the first point's
+// error. For grids of your own construction, prefer the typed sweep
+// facade (SweepGrid / SweepOptions / Sweep): it subsumes Parallel,
+// Progress and Store for arbitrary point lists and additionally exposes
+// cancellation and per-point cache provenance — TableOptions keeps these
+// fields only for the fixed paper-table drivers.
+func (o TableOptions) collect(cfgs []system.Config) ([]SweepResult, error) {
 	var run SpecRun
 	if o.Spec != nil && o.Spec.Run != nil {
 		run = *o.Spec.Run
@@ -142,7 +140,8 @@ func (o TableOptions) collect(cfgs []system.Config) ([]Result, error) {
 		cfgs[i].Channels, cfgs[i].Scheme = run.Channels, scheme
 		cfgs[i].Checked = o.Checked
 	}
-	return sweep.Collect(cfgs, SweepOptions{Workers: o.Parallel, OnProgress: o.Progress, Store: o.Store}.internal())
+	results, _ := runPoints(cfgs, SweepOptions{Workers: o.Parallel, OnProgress: o.Progress, Store: o.Store})
+	return results, SweepFirstErr(results)
 }
 
 // CheckedViolations counts the invariant violations the rows' checked
@@ -163,12 +162,12 @@ func CheckedViolations(rows []Row) int {
 // invariant violations, naming the first. The drivers whose points carry
 // no report (Fig8Point, PowerRow) return it: their callers could not see
 // the violations otherwise.
-func checkedErr(results []Result) error {
-	for i, res := range results {
-		if res.Obs != nil && len(res.Obs.Violations) > 0 {
-			vs := res.Obs.Violations
+func checkedErr(results []SweepResult) error {
+	for i, r := range results {
+		if row := r.Row; row.Obs != nil && len(row.Obs.Violations) > 0 {
+			vs := row.Obs.Violations
 			return fmt.Errorf("%w: %d on grid point %d (%s %s/%s), the first %s",
-				obs.ErrViolations, obs.TotalViolations(vs), i, res.App, res.Gen, res.Design, vs[0])
+				obs.ErrViolations, obs.TotalViolations(vs), i, row.App, dram.Generation(row.Gen), row.Design, vs[0])
 		}
 	}
 	return nil
@@ -201,8 +200,8 @@ func matrix(o TableOptions, gens []dram.Generation, designs []Design, scheds []m
 		return nil, err
 	}
 	rows := make([]Row, len(results))
-	for i, res := range results {
-		rows[i] = rowFrom(res)
+	for i, r := range results {
+		rows[i] = r.Row
 	}
 	return rows, nil
 }
@@ -311,12 +310,12 @@ func fig8(app appmodel.App, gen, clockMHz int, o TableOptions) ([]Fig8Point, err
 		return nil, err
 	}
 	out := make([]Fig8Point, len(results))
-	for k, res := range results {
+	for k, r := range results {
 		out[k] = Fig8Point{
 			GSSRouters:      k,
-			Utilization:     res.Utilization,
-			LatencyAll:      res.LatAll,
-			LatencyPriority: res.LatPriority,
+			Utilization:     r.Row.Utilization,
+			LatencyAll:      r.Row.LatencyAll,
+			LatencyPriority: r.Row.LatencyPriority,
 		}
 	}
 	return out, nil
@@ -388,12 +387,12 @@ func TableV(o TableOptions) ([]PowerRow, error) {
 		return nil, err
 	}
 	out := make([]PowerRow, len(results))
-	for i, res := range results {
+	for i, r := range results {
 		app, clock, ds := apps[i/len(designs)], cases[i/len(designs)].clock, designs[i%len(designs)]
 		gates := area.NoCGates(app.Width, app.Height, 16, ds.fc, ds.mem, ds.gssN)
 		out[i] = PowerRow{
 			App: app.Name, ClockMHz: clock, Design: ds.d.String(),
-			PowerMW: area.Power(gates, clock, res.Utilization),
+			PowerMW: area.Power(gates, clock, r.Row.Utilization),
 		}
 	}
 	return out, nil
