@@ -165,20 +165,6 @@ func (a *App) owner(k int) string {
 	return a.Cores[k-len(a.MemPorts)].Name
 }
 
-// TotalLoad sums the open-loop offered load fractions (closed-loop demand
-// traffic adds on top of this).
-func (a *App) TotalLoad() float64 {
-	var sum float64
-	for _, c := range a.Cores {
-		for _, s := range c.Streams {
-			if !s.ClosedLoop {
-				sum += s.LoadFrac
-			}
-		}
-	}
-	return sum
-}
-
 // WithLoad returns a clone of a whose open-loop streams offer f times
 // their load, each capped at 1 (the whole data bus). Closed-loop
 // streams, which are paced by their completions and have no load

@@ -68,6 +68,20 @@ func TestClockPointsMatchPaper(t *testing.T) {
 	}
 }
 
+// TotalLoad sums the open-loop offered load fractions (closed-loop demand
+// traffic adds on top of this).
+func (a *App) TotalLoad() float64 {
+	var sum float64
+	for _, c := range a.Cores {
+		for _, s := range c.Streams {
+			if !s.ClosedLoop {
+				sum += s.LoadFrac
+			}
+		}
+	}
+	return sum
+}
+
 func TestLoadsSaturate(t *testing.T) {
 	// The evaluation regime needs offered load near or above the data-bus
 	// capacity so utilization measures scheduling efficiency.

@@ -8,6 +8,7 @@ import (
 	"aanoc/internal/dram"
 	"aanoc/internal/memctrl"
 	"aanoc/internal/noc"
+	"aanoc/internal/obs"
 )
 
 func TestDPQBoundShape(t *testing.T) {
@@ -37,7 +38,7 @@ func TestDPQBoundShape(t *testing.T) {
 // of every generation, and a refresh costs less than tREFI, which is
 // what ends Deadline's loop.
 func TestDPQBoundRefreshFixedPoint(t *testing.T) {
-	for _, g := range dram.Generations() {
+	for g := dram.DDR1; g <= dram.LPDDR3; g++ {
 		for _, mhz := range dram.Speeds(g) {
 			tm := dram.MustSpeed(g, mhz)
 			for _, n := range []int{8, 16, 32} {
@@ -74,8 +75,9 @@ func TestDPQBoundHoldsUnderLoad(t *testing.T) {
 		const n, maxBeats = 4, 32
 		var c Checker
 		mon := NewDPQMonitor(&c, NewDPQBound(tm, n, maxBeats), "")
+		completed := 0
 		d := memctrl.NewDPQ(dev, memctrl.DPQConfig{Requestors: n},
-			func(memctrl.Completion) {})
+			func(memctrl.Completion) { completed++ })
 		d.OnAdmit = mon.Admit
 		d.OnComplete = mon.Complete
 		// Adversarial stream: every request conflicts in one bank, mixed
@@ -100,11 +102,11 @@ func TestDPQBoundHoldsUnderLoad(t *testing.T) {
 				i++
 			}
 			d.Tick(now)
-			if i == len(pkts) && !d.Busy() {
+			if completed == len(pkts) {
 				break
 			}
 		}
-		if d.Busy() {
+		if completed != len(pkts) {
 			t.Fatalf("%v-%d: arbiter did not drain", gen.g, gen.mhz)
 		}
 		mon.Flush(200000)
@@ -140,7 +142,7 @@ func TestDPQMonitorFlushReportsStragglers(t *testing.T) {
 	mon.Admit(1, 8, 1, 0, 0)
 	mon.Admit(2, 8, 1, 0, 1<<40) // deadline beyond the run: legitimate
 	mon.Flush(1 << 30)
-	if n := c.Count(); n != 1 {
+	if n := obs.TotalViolations(c.Violations()); n != 1 {
 		t.Fatalf("flush violations = %d, want 1 (only the overdue straggler)", n)
 	}
 }
@@ -179,7 +181,8 @@ func TestRegulatorMonitorCatchesDisabledGate(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR2, 333)
 	dev := dram.MustNewDevice(tm)
 	var c Checker
-	reg := memctrl.NewRegulator(dev, 2, 8, 4, memctrl.OpenPage, func(memctrl.Completion) {})
+	completed := 0
+	reg := memctrl.NewRegulator(dev, 2, 8, 4, memctrl.OpenPage, func(memctrl.Completion) { completed++ })
 	budget := reg.Budget() / 2
 	mon := NewRegulatorMonitor(&c, memctrl.RegulatorWindow, budget, "")
 	reg.OnAdmit = mon.Admit
@@ -200,11 +203,11 @@ func TestRegulatorMonitorCatchesDisabledGate(t *testing.T) {
 			i++
 		}
 		reg.Tick(now)
-		if i == len(pkts) && !reg.Busy() {
+		if completed == len(pkts) {
 			break
 		}
 	}
-	if c.Count() == 0 {
+	if obs.TotalViolations(c.Violations()) == 0 {
 		t.Fatal("monitor missed a regulator admitting past the monitored budget")
 	}
 	if v := c.Violations()[0]; v.Kind != "regulation-window" {
@@ -217,11 +220,11 @@ func TestRegulatorMonitorAuditsWindows(t *testing.T) {
 	mon := NewRegulatorMonitor(&c, 1000, 16, "")
 	mon.Admit(0, 0, 8, 10)
 	mon.Admit(0, 0, 8, 20) // exactly at budget: legal
-	if c.Count() != 0 {
+	if obs.TotalViolations(c.Violations()) != 0 {
 		t.Fatalf("within-budget admissions flagged: %v", c.Violations())
 	}
 	mon.Admit(0, 0, 1, 30) // 17 > 16: breach
-	if c.Count() != 1 {
+	if obs.TotalViolations(c.Violations()) != 1 {
 		t.Fatalf("breach not flagged")
 	}
 	if v := c.Violations()[0]; v.Kind != "regulation-window" {
@@ -229,13 +232,13 @@ func TestRegulatorMonitorAuditsWindows(t *testing.T) {
 	}
 	// The next window starts a fresh ledger.
 	mon.Admit(0, 0, 16, 1500)
-	if c.Count() != 1 {
+	if obs.TotalViolations(c.Violations()) != 1 {
 		t.Error("window roll should reset usage")
 	}
 	// Distinct banks and cores hold independent budgets.
 	mon.Admit(1, 0, 16, 1600)
 	mon.Admit(0, 1, 16, 1600)
-	if c.Count() != 1 {
+	if obs.TotalViolations(c.Violations()) != 1 {
 		t.Errorf("independent (core,bank) pairs flagged: %v", c.Violations())
 	}
 }

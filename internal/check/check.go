@@ -56,7 +56,3 @@ func (c *Checker) Violations() []obs.Violation {
 	}
 	return append(c.violations[:len(c.violations):len(c.violations)], obs.Dropped(c.dropped))
 }
-
-// Count returns the number of violations reported, dropped ones
-// included.
-func (c *Checker) Count() int64 { return int64(len(c.violations)) + c.dropped }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"aanoc/internal/dram"
+	"aanoc/internal/obs"
 )
 
 // kinds collects the Kind fields of every violation in c.
@@ -33,7 +34,7 @@ func hasKind(c *Checker, kind string) bool {
 // the classic one-buffer bank (Subarrays 0 and 1) and with 2 and 4
 // subarray row buffers.
 func TestMonitorAcceptsDeviceVettedStream(t *testing.T) {
-	for _, gen := range dram.Generations() {
+	for gen := dram.DDR1; gen <= dram.LPDDR3; gen++ {
 		for _, mhz := range dram.Speeds(gen) {
 			for _, subs := range []int{0, 1, 2, 4} {
 				tm := dram.MustSpeed(gen, mhz).WithSubarrays(subs)
@@ -79,9 +80,9 @@ func TestMonitorAcceptsDeviceVettedStream(t *testing.T) {
 					if total < 100 {
 						t.Fatalf("driver only issued %d commands; stream too thin to validate", total)
 					}
-					if c.Count() != 0 {
+					if obs.TotalViolations(c.Violations()) != 0 {
 						t.Fatalf("monitor flagged %d violations on a device-vetted stream: %v",
-							c.Count(), kinds(&c))
+							obs.TotalViolations(c.Violations()), kinds(&c))
 					}
 				})
 			}

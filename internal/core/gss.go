@@ -164,25 +164,15 @@ func (g *GSS) find(p *noc.Packet) *entry {
 	return nil
 }
 
-// MustNew is New but panics on invalid configuration.
+// MustNew is New but panics on invalid configuration. No product path
+// calls it: it is kept as the test constructor of the core and system
+// tests.
 func MustNew(cfg Config) *GSS {
 	g, err := New(cfg)
 	if err != nil {
 		panic(err)
 	}
 	return g
-}
-
-// Config returns the controller's configuration.
-func (g *GSS) Config() Config { return g.cfg }
-
-// Tokens reports the current token count of a resident packet (0 if the
-// packet is unknown); exported for tests and introspection.
-func (g *GSS) Tokens(p *noc.Packet) int {
-	if e := g.find(p); e != nil {
-		return e.tokens
-	}
-	return 0
 }
 
 // OnPacketArrival implements Algorithm 1 lines 1-13: resident packets age

@@ -69,7 +69,7 @@ func TestSelectAdoptsUnknownCandidates(t *testing.T) {
 	if got := g.Select([]noc.Candidate{{Pkt: stranger, Port: 0}}, 5); got != 0 {
 		t.Fatalf("unknown candidate not granted: %d", got)
 	}
-	if g.Tokens(stranger) == 0 {
+	if tokens(g, stranger) == 0 {
 		t.Fatal("unknown candidate not adopted into the token table")
 	}
 }
@@ -86,7 +86,7 @@ func TestScheduledCounterAdvances(t *testing.T) {
 	p := pkt(1, 0, 0, noc.Read, false)
 	g.OnPacketArrival(p, 0)
 	g.OnScheduled(p, 1)
-	if g.Tokens(p) != 0 {
+	if tokens(g, p) != 0 {
 		t.Fatal("scheduled packet should leave the token table")
 	}
 }

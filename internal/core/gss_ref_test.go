@@ -306,7 +306,7 @@ func TestGSSMatchesSliceReference(t *testing.T) {
 					}
 					for c := range resident {
 						for _, p := range resident[c] {
-							if got, want := gs[c].Tokens(p), refs[c].Tokens(p); got != want {
+							if got, want := tokens(&gs[c], p), refs[c].Tokens(p); got != want {
 								t.Fatalf("cycle %d ctrl %d packet %d: %d tokens, reference %d", now, c, p.ID, got, want)
 							}
 						}

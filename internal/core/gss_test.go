@@ -176,8 +176,8 @@ func TestExclusionBlocksSameBankBestEffort(t *testing.T) {
 	pri := pkt(2, 1, 9, noc.Read, true)
 	g.OnPacketArrival(be, 0)
 	g.OnPacketArrival(pri, 1) // ages be to 2 tokens; pri holds 1 (PCT=1)
-	if g.Tokens(be) != 2 || g.Tokens(pri) != 1 {
-		t.Fatalf("token setup wrong: be=%d pri=%d", g.Tokens(be), g.Tokens(pri))
+	if tokens(g, be) != 2 || tokens(g, pri) != 1 {
+		t.Fatalf("token setup wrong: be=%d pri=%d", tokens(g, be), tokens(g, pri))
 	}
 	w := g.Select([]noc.Candidate{{Pkt: be, Port: 0}, {Pkt: pri, Port: 1}}, 2)
 	if w != 1 {
@@ -249,23 +249,32 @@ func TestSTICounterSteersAwayFromClosingBank(t *testing.T) {
 	}
 }
 
+// tokens reports the current token count of a resident packet (0 if the
+// packet is unknown).
+func tokens(g *GSS, p *noc.Packet) int {
+	if e := g.find(p); e != nil {
+		return e.tokens
+	}
+	return 0
+}
+
 func TestTokensQueryAndConfig(t *testing.T) {
 	g := MustNew(Config{PCT: 3, Banks: 4})
-	if g.Config().PCT != 3 {
+	if g.cfg.PCT != 3 {
 		t.Fatal("Config not preserved")
 	}
 	p := pkt(1, 0, 0, noc.Read, true)
-	if g.Tokens(p) != 0 {
+	if tokens(g, p) != 0 {
 		t.Fatal("unknown packet should have 0 tokens")
 	}
 	g.OnPacketArrival(p, 0)
-	if g.Tokens(p) != 3 {
-		t.Fatalf("priority packet tokens = %d, want PCT=3", g.Tokens(p))
+	if tokens(g, p) != 3 {
+		t.Fatalf("priority packet tokens = %d, want PCT=3", tokens(g, p))
 	}
 	q := pkt(2, 0, 0, noc.Read, false)
 	g.OnPacketArrival(q, 1)
-	if g.Tokens(p) != 4 || g.Tokens(q) != 1 {
-		t.Fatalf("aging broken: p=%d q=%d", g.Tokens(p), g.Tokens(q))
+	if tokens(g, p) != 4 || tokens(g, q) != 1 {
+		t.Fatalf("aging broken: p=%d q=%d", tokens(g, p), tokens(g, q))
 	}
 }
 

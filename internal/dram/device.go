@@ -113,8 +113,9 @@ func ParseFault(name string) (Fault, error) {
 	return FaultNone, fmt.Errorf("dram: unknown fault %q", name)
 }
 
-// InjectFault arms one legality-rule fault. Test-only: it exists so the
-// mutation smoke test can prove the conformance monitor has teeth.
+// InjectFault arms one legality-rule fault, so a run can prove the
+// conformance monitor has teeth: system.New arms Config.Fault with it
+// (aanoc sim -inject-fault), and the mutation tests call it directly.
 func (d *Device) InjectFault(f Fault) { d.fault = f }
 
 // NewDevice constructs a device with all banks idle at cycle 0.
@@ -178,8 +179,9 @@ func (d *Device) rrdFor(bankIdx int) int64 {
 	return d.t.TRRD
 }
 
-// MustNewDevice is NewDevice but panics on invalid timing; for tests and
-// known-good configuration tables.
+// MustNewDevice is NewDevice but panics on invalid timing. No product
+// path calls it: it is kept as the test constructor of the dram,
+// memctrl and check tests.
 func MustNewDevice(t Timing) *Device {
 	d, err := NewDevice(t)
 	if err != nil {

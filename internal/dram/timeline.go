@@ -116,18 +116,6 @@ func (t *Timeline) Render(from int64, width int) string {
 	return sb.String()
 }
 
-// Events returns the number of recorded commands.
-func (t *Timeline) Events() int { return len(t.events) }
-
-// Commands lists the recorded commands with their cycles, for tests.
-func (t *Timeline) Commands() []string {
-	out := make([]string, 0, len(t.events))
-	for _, e := range t.events {
-		out = append(out, fmt.Sprintf("%d:%s", e.now, e.cmd))
-	}
-	return out
-}
-
 func blankLane(width int) []byte {
 	l := make([]byte, width)
 	for i := range l {

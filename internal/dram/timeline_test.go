@@ -12,12 +12,12 @@ func TestTimelineRecordsCommands(t *testing.T) {
 	tl.Attach(d)
 	issueAt(t, d, Command{Kind: CmdActivate, Bank: 0, Row: 1}, 0)
 	issueAt(t, d, Command{Kind: CmdRead, Bank: 0, Row: 1, BL: 8}, tm.TRCD)
-	if tl.Events() != 2 {
-		t.Fatalf("events = %d, want 2", tl.Events())
+	if len(tl.events) != 2 {
+		t.Fatalf("events = %d, want 2", len(tl.events))
 	}
-	cmds := tl.Commands()
-	if !strings.HasPrefix(cmds[0], "0:ACT") || !strings.Contains(cmds[1], "RD") {
-		t.Fatalf("commands = %v", cmds)
+	first, second := tl.events[0], tl.events[1]
+	if first.now != 0 || !strings.HasPrefix(first.cmd.String(), "ACT") || !strings.Contains(second.cmd.String(), "RD") {
+		t.Fatalf("commands = %d:%s %d:%s", first.now, first.cmd, second.now, second.cmd)
 	}
 }
 

@@ -34,11 +34,6 @@ const (
 	LPDDR3
 )
 
-// Generations lists every supported generation in protocol order.
-func Generations() []Generation {
-	return []Generation{DDR1, DDR2, DDR3, DDR4, LPDDR3}
-}
-
 // String returns the conventional name of the generation.
 func (g Generation) String() string {
 	switch g {

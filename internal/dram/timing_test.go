@@ -3,7 +3,7 @@ package dram
 import "testing"
 
 func TestAllPredefinedGradesValidate(t *testing.T) {
-	for _, gen := range Generations() {
+	for gen := DDR1; gen <= LPDDR3; gen++ {
 		speeds := Speeds(gen)
 		if len(speeds) != 3 {
 			t.Fatalf("%s: want 3 predefined speeds, got %v", gen, speeds)
@@ -27,7 +27,7 @@ func TestSpeedUnknownGrade(t *testing.T) {
 }
 
 func TestSpeedsAscending(t *testing.T) {
-	for _, gen := range Generations() {
+	for gen := DDR1; gen <= LPDDR3; gen++ {
 		s := Speeds(gen)
 		if len(s) == 0 {
 			t.Fatalf("%s: no predefined speeds", gen)

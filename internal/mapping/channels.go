@@ -123,21 +123,6 @@ func (m ChannelMap) Route(a dram.Address) (ch int, local dram.Address) {
 	return ch, local
 }
 
-// Invert reconstructs the global address from an owning channel and the
-// local address its device saw — the inverse of Route for in-range
-// inputs, which the property tests pin.
-func (m ChannelMap) Invert(ch int, local dram.Address) dram.Address {
-	a := local
-	switch m.Scheme {
-	case ChannelThenBankXOR:
-		cbits := ch ^ (local.Row & (m.Channels - 1))
-		a.Bank = local.Bank*m.Channels + cbits
-	default: // BankThenChannel
-		a.Bank = ch*m.BanksPerChannel + local.Bank
-	}
-	return a
-}
-
 // RoutersByPortDistance orders all mesh coordinates by hop distance to
 // the nearest memory port (then row-major): the Fig. 8 experiment
 // replaces conventional routers with GSS routers from the memory side

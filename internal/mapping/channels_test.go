@@ -14,6 +14,21 @@ import (
 // local bank is always in range, and Invert reconstructs the global
 // address — for both schemes, across channel counts.
 
+// Invert reconstructs the global address from an owning channel and the
+// local address its device saw: the oracle the property tests hold
+// Route to, its inverse for in-range inputs.
+func (m ChannelMap) Invert(ch int, local dram.Address) dram.Address {
+	a := local
+	switch m.Scheme {
+	case ChannelThenBankXOR:
+		cbits := ch ^ (local.Row & (m.Channels - 1))
+		a.Bank = local.Bank*m.Channels + cbits
+	default: // BankThenChannel
+		a.Bank = ch*m.BanksPerChannel + local.Bank
+	}
+	return a
+}
+
 func geometries() []ChannelMap {
 	var out []ChannelMap
 	for _, c := range []int{1, 2, 4, 8} {

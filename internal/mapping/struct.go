@@ -14,8 +14,8 @@ import (
 // the linear-byte-address interleaving the old dram.Mapper used to do
 // with ad-hoc row/bank arithmetic. Every level is a pure bijection, so
 // traces, fingerprints and the checked-mode accounting stay
-// deterministic, and the property tests can pin Decode∘Encode = id over
-// every generation/channel combination.
+// deterministic, and the property tests pin Encode∘Decode = id (the
+// inverses are test oracles) over every generation/channel combination.
 
 // Interleave selects how a linear byte address is decoded into the
 // global bank/row/column space (absorbed from the retired dram.Mapper).
@@ -43,16 +43,15 @@ type Coord struct {
 	Col      int
 }
 
-// String renders the coordinate outermost level first.
-func (c Coord) String() string {
-	return fmt.Sprintf("ch%d g%d b%d s%d r%d c%d", c.Channel, c.Group, c.Bank, c.Subarray, c.Row, c.Col)
-}
-
 // StructMap decomposes addresses along the device topology. It composes
 // with a ChannelMap: the channel level reuses the ChannelMap bijection
 // verbatim, the inner levels mirror how the dram.Device derives group
 // (bank mod groups) and subarray (row mod subarrays) indices, so the
 // map and the timing model can never disagree about structure.
+//
+// No product path builds one yet: it is kept, with NewStructMap, Split,
+// Route and Decode, for the benchmark's mapping probe (bench/probes.go).
+// Its inverses (Join, Invert, Encode) live with the round-trip tests.
 //
 // The zero value is not usable; construct with NewStructMap.
 type StructMap struct {
@@ -94,9 +93,6 @@ func NewStructMap(cm ChannelMap, t dram.Timing, scheme Interleave, rows, rowByte
 	}, nil
 }
 
-// BanksPerGroup returns the banks each group holds on one channel.
-func (m StructMap) BanksPerGroup() int { return m.Channels.BanksPerChannel / m.Groups }
-
 // Split decomposes a channel-local address (what one channel's device
 // sees) into the inner structural levels. It mirrors the device's own
 // derivations: group = bank mod groups, subarray = row mod subarrays.
@@ -111,30 +107,12 @@ func (m StructMap) Split(ch int, local dram.Address) Coord {
 	}
 }
 
-// Join is the inverse of Split: structural levels back to the owning
-// channel and its local address.
-func (m StructMap) Join(c Coord) (ch int, local dram.Address) {
-	return c.Channel, dram.Address{
-		Bank: c.Bank*m.Groups + c.Group,
-		Row:  c.Row,
-		Col:  c.Col,
-	}
-}
-
 // Route decomposes a global address (global bank space, as carried by
 // NoC packets) into its full structural coordinate: the ChannelMap picks
 // the owning channel, Split derives the inner levels.
 func (m StructMap) Route(a dram.Address) Coord {
 	ch, local := m.Channels.Route(a)
 	return m.Split(ch, local)
-}
-
-// Invert reconstructs the global address from a structural coordinate —
-// the inverse of Route for in-range inputs, property-tested like the
-// ChannelMap bijection.
-func (m StructMap) Invert(c Coord) dram.Address {
-	ch, local := m.Join(c)
-	return m.Channels.Invert(ch, local)
 }
 
 // Decode maps a linear byte address all the way down to a structural
@@ -160,19 +138,4 @@ func (m StructMap) Decode(addr int64) Coord {
 		}
 	}
 	return m.Route(a)
-}
-
-// Encode is the inverse of Decode for in-range coordinates: structural
-// levels back through the channel bijection to the linear byte address.
-func (m StructMap) Encode(c Coord) int64 {
-	a := m.Invert(c)
-	banks := m.Channels.GlobalBanks()
-	var page int64
-	switch m.Scheme {
-	case InterleaveRowBankCol:
-		page = int64(a.Row)*int64(banks) + int64(a.Bank)
-	default:
-		page = int64(a.Bank)*int64(m.Rows) + int64(a.Row)
-	}
-	return page*int64(m.RowBytes) + int64(a.Col)
 }

@@ -103,7 +103,7 @@ func TestNextEventEquivalence(t *testing.T) {
 			} else if refused {
 				slept++
 			}
-			if i == len(pkts) && !s.Busy() {
+			if len(done) == len(pkts) {
 				break
 			}
 		}

@@ -17,7 +17,9 @@ func req(id int64, bank, row, col int, kind noc.Kind, beats int, ap bool) *noc.P
 }
 
 // drive feeds the packets to the controller in order and runs until all
-// complete or maxCycles elapse, returning the completions in order.
+// complete or maxCycles elapse, returning the completions in order. done
+// must be the list the controller's onDone appends to: its length is the
+// drain condition.
 func drive(t *testing.T, ctrl Controller, pkts []*noc.Packet, done *[]Completion, maxCycles int64) {
 	t.Helper()
 	i := 0
@@ -26,7 +28,7 @@ func drive(t *testing.T, ctrl Controller, pkts []*noc.Packet, done *[]Completion
 			i++
 		}
 		ctrl.Tick(now)
-		if i == len(pkts) && !ctrl.Busy() {
+		if len(*done) == len(pkts) {
 			// Settle: let trailing auto-precharges fire.
 			for k := int64(1); k <= 64; k++ {
 				ctrl.Tick(now + k)
@@ -222,7 +224,9 @@ func TestFig5APAvoidsCommandCongestion(t *testing.T) {
 	mk := func(policy PagePolicy) (int64, dram.Stats) {
 		dev := dram.MustNewDevice(tm)
 		var last int64
+		var done []Completion
 		s := NewSimple(dev, policy, 4, func(c Completion) {
+			done = append(done, c)
 			if c.At > last {
 				last = c.At
 			}
@@ -231,7 +235,7 @@ func TestFig5APAvoidsCommandCongestion(t *testing.T) {
 		for i := int64(0); i < 32; i++ {
 			pkts = append(pkts, req(i+1, int(i)%4, int(i), 0, noc.Write, 4, true))
 		}
-		drive(t, s, pkts, done0(), 20000)
+		drive(t, s, pkts, &done, 20000)
 		return last, dev.Stats()
 	}
 	apTime, apStats := mk(ClosedPage)
@@ -246,10 +250,6 @@ func TestFig5APAvoidsCommandCongestion(t *testing.T) {
 		t.Errorf("AP run slower (%d) than open-page (%d)", apTime, opTime)
 	}
 }
-
-// done0 builds a throwaway completion list for helpers that manage their
-// own completion tracking.
-func done0() *[]Completion { v := []Completion{}; return &v }
 
 func TestMemMaxReordersForRowHit(t *testing.T) {
 	tm := dram.MustSpeed(dram.DDR2, 333)

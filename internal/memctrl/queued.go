@@ -111,9 +111,6 @@ func (q *queued) Grants() int64 { return q.grants }
 // MaxBacklog is the most requests ever queued across all slots at once.
 func (q *queued) MaxBacklog() int { return q.maxBacklog }
 
-// Busy implements Controller.
-func (q *queued) Busy() bool { return q.backlog > 0 || q.eng.busy() }
-
 // CanGrant implements Controller.
 func (q *queued) CanGrant() bool { return q.backlog > 0 && q.eng.canAdmit() }
 

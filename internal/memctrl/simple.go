@@ -22,8 +22,6 @@ type Controller interface {
 	Offer(p *noc.Packet, now int64) bool
 	// Tick advances the controller one memory clock cycle.
 	Tick(now int64)
-	// Busy reports whether any admitted request is still in flight.
-	Busy() bool
 	// CanGrant reports whether the next Tick would arbitrate: a request
 	// is queued ahead of the command pipeline and the pipeline has room.
 	// While it holds, NextEvent is now+1.
@@ -104,7 +102,8 @@ func (s *Simple) Offer(p *noc.Packet, now int64) bool {
 // Tick implements Controller.
 func (s *Simple) Tick(now int64) { s.eng.tick(now) }
 
-// Busy implements Controller.
+// Busy reports whether any admitted request is still in flight (the
+// timing command's drain loop asks it).
 func (s *Simple) Busy() bool { return s.eng.busy() }
 
 // CanGrant implements Controller: nothing queues ahead of the pipeline.

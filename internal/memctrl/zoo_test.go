@@ -56,8 +56,10 @@ func TestDPQRotationBoundsInterference(t *testing.T) {
 	dev := dram.MustNewDevice(tm)
 	const n = 4
 	var grants []int64
+	var done []Completion
 	d := NewDPQ(dev, DPQConfig{Requestors: n}, func(c Completion) {
 		grants = append(grants, c.Pkt.ID)
+		done = append(done, c)
 	})
 	// Flood cores 0..2 with 4 requests each, then one request from core 3.
 	var pkts []*noc.Packet
@@ -73,7 +75,6 @@ func TestDPQRotationBoundsInterference(t *testing.T) {
 	victim := req(id, n-1, 0, 0, noc.Read, 8, false)
 	victim.SrcCore = n - 1
 	pkts = append(pkts, victim)
-	var done []Completion
 	drive(t, d, pkts, &done, 40000)
 	pos := -1
 	for i, g := range grants {
@@ -390,16 +391,16 @@ func TestQueuedProtocol(t *testing.T) {
 					want = q.eng.nextEvent(now)
 					fullPipeline++
 				}
-				if !ctrl.Busy() || ctrl.CanGrant() != q.eng.canAdmit() || ctrl.NextEvent(now) != want {
-					t.Fatalf("cycle %d: backlog %d, pipeline admits %v: Busy() = %v, CanGrant() = %v, NextEvent = %d, want %d",
-						now, q.backlog, q.eng.canAdmit(), ctrl.Busy(), ctrl.CanGrant(), ctrl.NextEvent(now), want)
+				if ctrl.CanGrant() != q.eng.canAdmit() || ctrl.NextEvent(now) != want {
+					t.Fatalf("cycle %d: backlog %d, pipeline admits %v: CanGrant() = %v, NextEvent = %d, want %d",
+						now, q.backlog, q.eng.canAdmit(), ctrl.CanGrant(), ctrl.NextEvent(now), want)
 				}
 			}
 			if fullPipeline == 0 {
 				t.Error("no cycle had a backlog behind a full pipeline: the sleep went unexercised")
 			}
-			if q.backlog != 0 || ctrl.Busy() {
-				t.Fatalf("drained controller reports backlog %d, busy %v", q.backlog, ctrl.Busy())
+			if q.backlog != 0 || q.eng.busy() {
+				t.Fatalf("drained controller reports backlog %d, busy %v", q.backlog, q.eng.busy())
 			}
 		})
 	}

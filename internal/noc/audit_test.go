@@ -64,9 +64,9 @@ func TestAuditCleanTraffic(t *testing.T) {
 			}
 			var launched, drained int64
 			for _, inj := range injs {
-				launched += inj.LaunchedFlits()
+				launched += inj.launched
 			}
-			drained = sink.DrainedFlits()
+			drained = sink.drained
 			if launched == 0 || launched != drained {
 				t.Fatalf("launched %d flits, drained %d", launched, drained)
 			}
@@ -344,10 +344,10 @@ func TestAuditActiveSetsCleanWhenBlockedAndDrained(t *testing.T) {
 	}
 	var launched int64
 	for _, inj := range injs {
-		launched += inj.LaunchedFlits()
+		launched += inj.launched
 	}
-	if launched != id*5 || launched != sink.DrainedFlits() {
-		t.Fatalf("launched %d flits of %d, drained %d", launched, id*5, sink.DrainedFlits())
+	if launched != id*5 || launched != sink.drained {
+		t.Fatalf("launched %d flits of %d, drained %d", launched, id*5, sink.drained)
 	}
 }
 

@@ -27,7 +27,11 @@ type InputBuffer struct {
 	occupied int
 	packets  []*PacketProgress
 
-	feed *Link // upstream link; flits forwarded out return credits on it
+	// feed is the upstream link: flits forwarded out return credits on
+	// it, and its mesh's pool holds the packets' progress records. Every
+	// buffer a flit can reach has one (newLink sets it;
+	// TestEveryDeliveringBufferIsFed pins it).
+	feed *Link
 
 	// router owns the buffer (nil in a sink): a packet's head flit
 	// arriving here is registered with it (Router.onNewPacket), which pins
@@ -74,7 +78,8 @@ func (p *inputPort) occupied() int {
 	return n
 }
 
-// empty reports whether no packet occupies any VC of the port.
+// empty reports whether no packet occupies any VC of the port: a part
+// of Mesh.Quiescent, kept with it.
 func (p *inputPort) empty() bool {
 	for i := range p.bufs {
 		if len(p.bufs[i].packets) > 0 {
@@ -82,22 +87,6 @@ func (p *inputPort) empty() bool {
 		}
 	}
 	return true
-}
-
-// leaseProgress allocates a PacketProgress, from the mesh pool when the
-// buffer is wired to one (standalone buffers in unit tests are not).
-func (b *InputBuffer) leaseProgress() *PacketProgress {
-	if b.feed != nil {
-		return b.feed.m.progress.Get()
-	}
-	return &PacketProgress{}
-}
-
-// releaseProgress returns a fully forwarded PacketProgress to the pool.
-func (b *InputBuffer) releaseProgress(pp *PacketProgress) {
-	if b.feed != nil {
-		b.feed.m.progress.Put(pp)
-	}
 }
 
 // pop removes the head entry with a copy-shift so the slice's backing
@@ -120,7 +109,7 @@ func (b *InputBuffer) acceptFlit(p *Packet, head bool, now int64) {
 	}
 	b.occupied++
 	if head {
-		pp := b.leaseProgress()
+		pp := b.feed.m.progress.Get()
 		pp.Pkt = p
 		pp.Arrived = 1
 		b.packets = append(b.packets, pp)
@@ -164,12 +153,10 @@ func (b *InputBuffer) forwardFlit(pp *PacketProgress, now int64) bool {
 	pp.Sent++
 	b.occupied--
 	b.lastForwardCycle = now
-	if b.feed != nil {
-		b.feed.returnCredit(b.vc)
-	}
+	b.feed.returnCredit(b.vc)
 	if pp.Sent == pp.Pkt.Flits {
 		b.pop()
-		b.releaseProgress(pp)
+		b.feed.m.progress.Put(pp)
 		return true
 	}
 	return false

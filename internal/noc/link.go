@@ -115,5 +115,6 @@ func (l *Link) deliver(now int64) {
 	}
 }
 
-// busy reports whether a flit is in flight.
+// busy reports whether a flit is in flight: a part of Mesh.Quiescent,
+// kept with it.
 func (l *Link) busy() bool { return l.flitPkt != nil }

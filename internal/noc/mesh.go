@@ -218,9 +218,6 @@ func NewMeshVC(width, height, bufFlits, vcs int) (*Mesh, error) {
 	return m, nil
 }
 
-// VCs returns the number of virtual channels per input port.
-func (m *Mesh) VCs() int { return m.vcs }
-
 func (m *Mesh) index(c Coord) int { return c.Y*m.Width + c.X }
 
 // RouterAt returns the router at a coordinate.
@@ -332,7 +329,8 @@ func (m *Mesh) arbitrate(now int64) {
 
 // WorkCounts returns how much the mesh has walked so far: links deliver
 // visited and Router.step entries. Pure functions of the traffic, so
-// tests pin them.
+// tests pin them. No product path reads them yet: they are kept as the
+// count gate of system's proportionality test, across packages.
 func (m *Mesh) WorkCounts() (linkVisits, routerSteps int64) {
 	return m.linkVisits, m.routerSteps
 }
@@ -361,7 +359,9 @@ func (m *Mesh) markBusy(i int) {
 }
 
 // Quiescent reports whether no packet occupies any buffer or link in the
-// mesh — used by drain phases and tests.
+// mesh. No product path asks: it is kept as the drain oracle of the noc
+// and system tests, which walks the buffers themselves where the audit
+// reads the active sets.
 func (m *Mesh) Quiescent() bool {
 	for _, r := range m.Routers {
 		for p := range r.In {

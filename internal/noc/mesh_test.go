@@ -208,8 +208,8 @@ func TestBackpressureStallsWithoutLoss(t *testing.T) {
 	if sink.Ready() != 1 {
 		t.Fatalf("sink ready = %d, want 1", sink.Ready())
 	}
-	if sink.Occupied() != 2 {
-		t.Fatalf("sink occupancy = %d, want full (2)", sink.Occupied())
+	if sink.port.occupied() != 2 {
+		t.Fatalf("sink occupancy = %d, want full (2)", sink.port.occupied())
 	}
 	// Phase 2: drain.
 	var got []*Packet
@@ -382,5 +382,64 @@ func TestDecliningAllocatorKeepsRouterAwake(t *testing.T) {
 	}
 	if h.refused != 49 {
 		t.Errorf("policy was asked and refused %d times, want once a cycle over cycles 1-49", h.refused)
+	}
+}
+
+// TestEveryDeliveringBufferIsFed pins the premise the buffer and sink hot
+// paths rest on: every InputBuffer a link delivers into has that link as
+// its feed, so a forwarded or drained flit's credit and its packet's
+// progress record never meet a nil feed. Conversely a buffer no link
+// delivers into (a border port, a local port without an injector) has
+// none, and no buffer is fed by two links.
+func TestEveryDeliveringBufferIsFed(t *testing.T) {
+	for _, side := range []int{3, 4, 6} {
+		for _, vcs := range []int{1, 2} {
+			m, err := NewMeshVC(side, side, 4, vcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var injAt []Coord // every other column: some local ports stay unfed
+			for y := 0; y < side; y++ {
+				for x := 0; x < side; x += 2 {
+					injAt = append(injAt, Coord{x, y})
+				}
+			}
+			m.AttachInjectors(injAt...)
+			sinks := m.AttachSinks(8, 4, Coord{0, 0}, Coord{side - 1, side - 1})
+			if want := 4*side*(side-1) + len(injAt) + len(sinks); len(m.links) != want {
+				t.Fatalf("%dx%d/%d VCs: %d links, want %d", side, side, vcs, len(m.links), want)
+			}
+			fedBy := map[*InputBuffer]*Link{}
+			for i := range m.links {
+				l := &m.links[i]
+				for v := range l.dst.bufs {
+					b := &l.dst.bufs[v]
+					if _, dup := fedBy[b]; dup {
+						t.Fatalf("%dx%d/%d VCs: two links deliver into one VC %d buffer", side, side, vcs, v)
+					}
+					fedBy[b] = l
+					if b.feed != l {
+						t.Errorf("%dx%d/%d VCs: link %d delivers into a VC %d buffer fed by %p", side, side, vcs, i, v, b.feed)
+					}
+				}
+			}
+			for _, r := range m.Routers {
+				for p := range r.In {
+					for v := range r.In[p].bufs {
+						if b := &r.In[p].bufs[v]; fedBy[b] == nil && b.feed != nil {
+							t.Errorf("%dx%d/%d VCs: router %v port %s VC %d has a feed but no link delivers into it",
+								side, side, vcs, r.Pos, PortName(p), v)
+						}
+					}
+				}
+			}
+			for i := range sinks {
+				for v := range sinks[i].port.bufs {
+					if fedBy[&sinks[i].port.bufs[v]] == nil {
+						t.Errorf("%dx%d/%d VCs: sink %d VC %d is fed by no link", side, side, vcs, i, v)
+					}
+				}
+			}
+		}
 	}
 }

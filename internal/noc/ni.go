@@ -68,11 +68,6 @@ func (inj *Injector) addCredits(vc, n int, now int64) {
 
 func (inj *Injector) creditBalance(vc int) int { return inj.credits[vc] }
 
-// LaunchedFlits returns the cumulative number of flits this injector has
-// launched into the mesh — one side of the audit's flit-conservation
-// ledger.
-func (inj *Injector) LaunchedFlits() int64 { return inj.launched }
-
 // Enqueue appends a packet to the injection queue of its virtual channel.
 // The packet must not sit in any injection queue already; it leaves this
 // one as its last flit launches.
@@ -173,16 +168,14 @@ func (s *Sink) drainVC(vc int) {
 			pp.Sent++
 			s.drained++
 			buf.occupied--
-			if buf.feed != nil {
-				buf.feed.returnCredit(vc)
-			}
+			buf.feed.returnCredit(vc)
 		}
 		if pp.Sent < pp.Pkt.Flits {
 			return // the head still misses a flit: the packets behind it wait
 		}
 		s.ready = append(s.ready, pp.Pkt)
 		buf.pop()
-		buf.releaseProgress(pp)
+		buf.feed.m.progress.Put(pp)
 		if len(s.ready) > s.readyHWM {
 			s.readyHWM = len(s.ready)
 		}
@@ -225,9 +218,6 @@ func (s *Sink) Pop(now int64) *Packet {
 	return p
 }
 
-// Occupied reports the flits currently held in the sink's credit buffers.
-func (s *Sink) Occupied() int { return s.port.occupied() }
-
 // Ready reports the number of fully received packets awaiting the
 // consumer.
 func (s *Sink) Ready() int { return len(s.ready) }
@@ -235,8 +225,3 @@ func (s *Sink) Ready() int { return len(s.ready) }
 // ReadyHWM returns the high-water mark of the ready list — how close the
 // consumer came to letting backpressure propagate into the mesh.
 func (s *Sink) ReadyHWM() int { return s.readyHWM }
-
-// DrainedFlits returns the cumulative number of flits drained from the
-// sink's credit buffers — the delivery side of the audit's
-// flit-conservation ledger.
-func (s *Sink) DrainedFlits() int64 { return s.drained }

@@ -148,8 +148,8 @@ func TestAttachedNIsAreCarvedExactly(t *testing.T) {
 	}
 	at := []Coord{{0, 0}, {1, 1}, {2, 2}}
 	exact := func(what string, i, n, c int) {
-		if n != m.VCs() || c != n {
-			t.Errorf("NI %d %s: len %d cap %d, want %d and %d", i, what, n, c, m.VCs(), m.VCs())
+		if n != m.vcs || c != n {
+			t.Errorf("NI %d %s: len %d cap %d, want %d and %d", i, what, n, c, m.vcs, m.vcs)
 		}
 	}
 	for i, inj := range m.AttachInjectors(at...) {

@@ -29,8 +29,8 @@ func TestNewMeshVCValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.VCs() != 2 {
-		t.Fatalf("VCs = %d", m.VCs())
+	if m.vcs != 2 {
+		t.Fatalf("VCs = %d", m.vcs)
 	}
 }
 

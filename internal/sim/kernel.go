@@ -112,7 +112,9 @@ func (h *Handle) Wake(at int64) {
 // while it sleeps on an external Wake.
 func (h *Handle) WakeAt() int64 { return h.k.wake[h.slot] }
 
-// Ticks returns how many times the kernel has ticked this component.
+// Ticks returns how many times the kernel has ticked this component. No
+// product path reads it yet: it is kept as a count gate of system's
+// proportionality test (one share per mesh, channel and core).
 func (h *Handle) Ticks() int64 { return h.k.ticks[h.slot] }
 
 // Kernel owns the simulation clock and the registered components. Step
@@ -178,7 +180,9 @@ func (k *Kernel) Steps() int64 { return k.steps }
 
 // Ticks returns how many component ticks the kernel has made: the
 // simulator's own work, where Steps counts visited cycles. A pure
-// function of the registered components and their wake protocol.
+// function of the registered components and their wake protocol. No
+// product path reads it yet: it is kept as the count gate of system's
+// proportionality test.
 func (k *Kernel) Ticks() int64 {
 	var n int64
 	for _, t := range k.ticks {

@@ -77,8 +77,9 @@ type coreNI struct {
 }
 
 // Runner is a fully wired simulation; Step advances it cycle by cycle.
-// Most callers use Run; Runner is exported for examples and tests that
-// want mid-run visibility.
+// Most callers use Run; Runner is exported for the benchmark (bench/),
+// which times New, RunTo and Finish apart, and for tests that want
+// mid-run visibility.
 type Runner struct {
 	cfg    Config
 	timing dram.Timing

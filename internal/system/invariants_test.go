@@ -69,9 +69,9 @@ func TestDrainToQuiescence(t *testing.T) {
 			if !r.respMesh.Quiescent() {
 				t.Error("response mesh not quiescent after drain")
 			}
-			for ch := range r.chans {
-				if r.chans[ch].ctrl.Busy() {
-					t.Errorf("memory controller %d busy after drain", ch)
+			for ch, c := range r.chans {
+				if c.done != c.sent {
+					t.Errorf("memory channel %d completed %d of its %d splits after drain", ch, c.done, c.sent)
 				}
 			}
 		})

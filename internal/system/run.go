@@ -141,6 +141,9 @@ func (r *Runner) RunTo(cycle int64) { r.kern.RunUntil(cycle) }
 // SetIdleSkip toggles fast-forwarding over all-idle cycles in RunTo.
 // On (the default) and off produce identical results; off is the
 // reference mode the equivalence tests and Config.NoIdleSkip select.
+// New sets the kernel's mode from the Config itself, so no product path
+// calls this: it is kept as the reference mode's switch on a built
+// Runner, for the tests and the benchmark's idle-skip probe.
 func (r *Runner) SetIdleSkip(on bool) { r.kern.SetIdleSkip(on) }
 
 // injectLogical packetises a logical request (splitting under SAGM) and
