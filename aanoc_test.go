@@ -95,7 +95,7 @@ func TestTableDriversSmoke(t *testing.T) {
 		t.Fatalf("Table II rows = %d, want 36", len(t2))
 	}
 	for _, r := range t2 {
-		if r.LatencyPriority <= 0 {
+		if r.LatPriority <= 0 {
 			t.Fatalf("Table II row without priority latency: %+v", r)
 		}
 	}
@@ -122,8 +122,10 @@ func TestFig8Driver(t *testing.T) {
 	if len(pts) != 10 {
 		t.Fatalf("points = %d, want 10 (k=0..9)", len(pts))
 	}
-	if pts[0].GSSRouters != 0 || pts[9].GSSRouters != 9 {
-		t.Fatalf("sweep bounds wrong: %+v", pts)
+	// Row k runs the k routers nearest the memory as GSS: none at k=0,
+	// all nine at k=9.
+	if pts[0].GSSGrants != 0 || pts[9].GSSGrants == 0 {
+		t.Fatalf("sweep bounds wrong: GSS grants %d at k=0, %d at k=9", pts[0].GSSGrants, pts[9].GSSGrants)
 	}
 	// The paper's saturation effect: three GSS routers capture most of
 	// the utilization gain.
@@ -212,16 +214,16 @@ func TestCheckedViolations(t *testing.T) {
 // violation, its total and its first entry; a clean grid, checked or
 // not, is no error.
 func TestCheckedErrNamesFirstViolation(t *testing.T) {
-	clean := SweepResult{Row: Row{App: "bluray", Gen: 2, Design: GSS, Obs: &obs.Report{Checked: true}}}
-	bad := SweepResult{Row: Row{App: "sdtv", Gen: 1, Design: GSSSAGM, Obs: &obs.Report{Checked: true, Violations: []obs.Violation{
+	clean := Row{App: "bluray", Gen: 2, Design: GSS, Obs: &obs.Report{Checked: true}}
+	bad := Row{App: "sdtv", Gen: 1, Design: GSSSAGM, Obs: &obs.Report{Checked: true, Violations: []obs.Violation{
 		{Cycle: 7, Component: "dram", Kind: "tRCD", Detail: "RD to bank 1 at 7"},
 		{Cycle: 9, Component: "dram", Kind: "tRCD", Detail: "RD to bank 2 at 9"},
 		obs.Dropped(5),
-	}}}}
-	if err := checkedErr([]SweepResult{clean, {}, clean}); err != nil {
+	}}}
+	if err := checkedErr([]Row{clean, {}, clean}); err != nil {
 		t.Fatalf("clean grid: %v", err)
 	}
-	err := checkedErr([]SweepResult{clean, bad, bad})
+	err := checkedErr([]Row{clean, bad, bad})
 	if !errors.Is(err, obs.ErrViolations) {
 		t.Fatalf("err = %v, want obs.ErrViolations", err)
 	}

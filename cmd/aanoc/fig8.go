@@ -29,11 +29,11 @@ func fig8Cmd(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	printCurve := func(title string, pts []aanoc.Fig8Point) {
+	printCurve := func(title string, pts []aanoc.Row) {
 		fmt.Fprintf(stdout, "=== Fig. 8 — %s ===\n", title)
 		fmt.Fprintf(stdout, "%4s %8s %10s %10s\n", "#GSS", "util", "lat-all", "lat-pri")
-		for _, p := range pts {
-			fmt.Fprintf(stdout, "%4d %8.3f %10.0f %10.0f\n", p.GSSRouters, p.Utilization, p.LatencyAll, p.LatencyPriority)
+		for k, p := range pts {
+			fmt.Fprintf(stdout, "%4d %8.3f %10.0f %10.0f\n", k, p.Utilization, p.LatAll, p.LatPriority)
 		}
 	}
 	if f.spec != "" {

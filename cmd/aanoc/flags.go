@@ -17,7 +17,6 @@ import (
 
 	"aanoc"
 	"aanoc/internal/appmodel"
-	"aanoc/internal/dram"
 	"aanoc/internal/obs"
 	"aanoc/internal/scenario"
 	"aanoc/internal/store"
@@ -240,7 +239,7 @@ func (v *violations) report(label string, vs []obs.Violation) {
 func (v *violations) reportRows(table string, rows []aanoc.Row) {
 	for _, r := range rows {
 		if r.Obs != nil {
-			v.report(fmt.Sprintf("%s %s/%s/%s", table, r.App, dram.Generation(r.Gen), r.Design), r.Obs.Violations)
+			v.report(fmt.Sprintf("%s %s/%s/%s", table, r.App, r.Gen, r.Design), r.Obs.Violations)
 		}
 	}
 }

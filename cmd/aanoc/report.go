@@ -94,16 +94,16 @@ func comparisonTable(w io.Writer, title string, entries []paperdata.Entry, desig
 			if !ok {
 				continue
 			}
-			dem := r.LatencyDemand
+			dem := r.LatDemand
 			if demandLabel == "lat-pri" {
-				dem = r.LatencyPriority
+				dem = r.LatPriority
 			}
 			fmt.Fprintf(w, "| %s | %d | %s | %.3f | %.3f | %.0f | %.0f | %.0f | %.0f |\n",
 				e.App, e.Gen, d, e.Cells[i].Util, r.Utilization,
-				e.Cells[i].LatAll, r.LatencyAll, e.Cells[i].LatDem, dem)
+				e.Cells[i].LatAll, r.LatAll, e.Cells[i].LatDem, dem)
 			ours[i].u += r.Utilization
 			ours[i].useful += r.UsefulUtilization
-			ours[i].l += r.LatencyAll
+			ours[i].l += r.LatAll
 			ours[i].d += dem
 		}
 	}
@@ -131,8 +131,8 @@ func tableIII(w io.Writer, rows []aanoc.Row) {
 		fmt.Fprintf(w, "| %s | %d | %.1f%% | %.1f%% | %.1f%% | %.1f%% | %.1f%% | %.1f%% |\n",
 			p.App, p.ClockMHz,
 			100*p.UtilImp, 100*(sti.Utilization/base.Utilization-1),
-			100*p.LatAllImp, 100*(1-sti.LatencyAll/base.LatencyAll),
-			100*p.LatPriImp, 100*(1-sti.LatencyPriority/base.LatencyPriority))
+			100*p.LatAllImp, 100*(1-sti.LatAll/base.LatAll),
+			100*p.LatPriImp, 100*(1-sti.LatPriority/base.LatPriority))
 	}
 	fmt.Fprintln(w)
 }
@@ -148,8 +148,8 @@ func reportFig8(w io.Writer, o aanoc.TableOptions) error {
 		fmt.Fprintf(w, "### %s, DDR%d @ %d MHz\n\n", p.App, p.Gen, p.ClockMHz)
 		fmt.Fprintln(w, "| k | util ours | lat-all ours | lat-pri ours |")
 		fmt.Fprintln(w, "|---|---|---|---|")
-		for _, pt := range pts {
-			fmt.Fprintf(w, "| %d | %.3f | %.0f | %.0f |\n", pt.GSSRouters, pt.Utilization, pt.LatencyAll, pt.LatencyPriority)
+		for k, pt := range pts {
+			fmt.Fprintf(w, "| %d | %.3f | %.0f | %.0f |\n", k, pt.Utilization, pt.LatAll, pt.LatPriority)
 		}
 		k0, k3 := pts[0], pts[3]
 		fmt.Fprintf(w, "\nPaper endpoints: util %.2f->%.2f (k=0->3); ours %.3f->%.3f. ",

@@ -160,7 +160,7 @@ func sweepCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		rec := []string{
 			points[i],
 			fmt.Sprintf("%.4f", res.Utilization),
-			fmt.Sprintf("%.4f", res.Utilization*(1-res.WasteFrac)),
+			fmt.Sprintf("%.4f", res.UsefulUtilization),
 			fmt.Sprintf("%.1f", res.LatAll),
 			fmt.Sprintf("%.1f", res.LatPriority),
 			fmt.Sprintf("%.1f", res.LatBest),

@@ -111,9 +111,9 @@ func printRatios(w io.Writer, rows []aanoc.Row) {
 		}
 		a.util += r.Utilization
 		a.useful += r.UsefulUtilization
-		a.lat += r.LatencyAll
-		a.dem += r.LatencyDemand
-		a.pri += r.LatencyPriority
+		a.lat += r.LatAll
+		a.dem += r.LatDemand
+		a.pri += r.LatPriority
 		a.n++
 	}
 	base := byDesign[order[0]]

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -302,5 +303,113 @@ func TestMonitorCatchesInjectedFault(t *testing.T) {
 	}
 	if !hasKind(&c, "tRCD") {
 		t.Fatalf("monitor missed the fault-injected early CAS; got %v", kinds(&c))
+	}
+}
+
+// TestDRAMMonitorKindsTrip is the DRAM monitor's rows of the fault
+// matrix: one row per report site of DRAMMonitor, each a hand-made
+// command stream that breaks that one rule, and each asserting exactly
+// the kinds, in order, that the stream must trip. Every kind the monitor
+// reports has a row. Where one breach implies another (a PRE into a
+// pending auto-precharge is also early for tRAS/tWR/tRTP), the row lists
+// both. Streams run on DDR2-400 (4 banks, CL 6, CWL 5, tRCD 6, tRAS 18,
+// tRP 6, tRC 24, tRRD 4, tCCD 2, tWTR 3, tRTW 2, tRFC 42, BL8 = 4 bus
+// cycles) unless the row names another grade or retunes one value.
+func TestDRAMMonitorKindsTrip(t *testing.T) {
+	ddr2 := dram.MustSpeed(dram.DDR2, 400)
+	ddr3 := dram.MustSpeed(dram.DDR3, 533)
+	tuned := func(tm dram.Timing, set func(*dram.Timing)) dram.Timing {
+		set(&tm)
+		return tm
+	}
+	type step struct {
+		at  int64
+		cmd dram.Command
+		// w, when set, replaces the data window the command's timing
+		// implies (none for ACT/PRE/REF, [at+CL or CWL, +burst) for a CAS).
+		w *dram.DataWindow
+	}
+	act := func(at int64, bank, row int) step {
+		return step{at: at, cmd: dram.Command{Kind: dram.CmdActivate, Bank: bank, Row: row}}
+	}
+	rd := func(at int64, bank, row int) step {
+		return step{at: at, cmd: dram.Command{Kind: dram.CmdRead, Bank: bank, Row: row, BL: 8}}
+	}
+	rda := func(at int64, bank, row int) step {
+		s := rd(at, bank, row)
+		s.cmd.AutoPrecharge = true
+		return s
+	}
+	wr := func(at int64, bank, row int) step {
+		return step{at: at, cmd: dram.Command{Kind: dram.CmdWrite, Bank: bank, Row: row, BL: 8}}
+	}
+	pre := func(at int64, bank int) step {
+		return step{at: at, cmd: dram.Command{Kind: dram.CmdPrecharge, Bank: bank}}
+	}
+	ref := func(at int64) step { return step{at: at, cmd: dram.Command{Kind: dram.CmdRefresh}} }
+	bl := func(s step, n int) step { s.cmd.BL = n; return s }
+	window := func(s step, start, end int64) step { s.w = &dram.DataWindow{Start: start, End: end}; return s }
+
+	for _, tc := range []struct {
+		name   string
+		tm     dram.Timing
+		stream []step
+		want   []string
+	}{
+		{"time-backwards", ddr2, []step{act(0, 0, 1), act(10, 1, 1), pre(100, 0), pre(50, 1)}, []string{"time-backwards"}},
+		{"cmd-bus", ddr2, []step{act(0, 0, 1), act(10, 1, 1), pre(30, 0), pre(30, 1)}, []string{"cmd-bus"}},
+		{"bank-range", ddr2, []step{act(0, 4, 1)}, []string{"bank-range"}},
+		{"unknown-cmd", ddr2, []step{{at: 0, cmd: dram.Command{Kind: dram.CmdRefresh + 1}}}, []string{"unknown-cmd"}},
+		{"data-window/CAS", ddr2, []step{act(0, 0, 1), window(rd(6, 0, 1), 11, 15)}, []string{"data-window"}},
+		{"data-window/ACT", ddr2, []step{window(act(0, 0, 1), 6, 10)}, []string{"data-window"}},
+		{"ACT-state", ddr2, []step{act(0, 0, 1), act(30, 0, 2)}, []string{"ACT-state"}},
+		// A refresh leaves the banks idle until tRFC ends.
+		{"tRP", ddr2, []step{ref(0), act(10, 0, 1)}, []string{"tRP"}},
+		{"tRC", tuned(ddr2, func(tm *dram.Timing) { tm.TRC = 30 }), []step{act(0, 0, 1), pre(18, 0), act(24, 0, 2)}, []string{"tRC"}},
+		{"tRRD", ddr2, []step{act(0, 0, 1), act(2, 1, 1)}, []string{"tRRD"}},
+		{"tFAW", tuned(ddr3, func(tm *dram.Timing) { tm.TFAW, tm.TRRD = 20, 2 }),
+			[]step{act(0, 0, 1), act(2, 1, 1), act(4, 2, 1), act(6, 3, 1), act(8, 4, 1)}, []string{"tFAW"}},
+		{"BL/fixed", ddr2, []step{act(0, 0, 1), bl(rd(6, 0, 1), 4)}, []string{"BL"}},
+		{"BL/OTF", ddr3, []step{act(0, 0, 1), bl(rd(7, 0, 1), 2)}, []string{"BL"}},
+		{"CAS-state", ddr2, []step{rd(10, 0, 1)}, []string{"CAS-state"}},
+		{"subarray-row", ddr2, []step{act(0, 0, 3), rd(6, 0, 4)}, []string{"subarray-row"}},
+		{"AP-pending/CAS", ddr2, []step{act(0, 0, 1), rda(6, 0, 1), rd(10, 0, 1)}, []string{"AP-pending"}},
+		// The auto-precharge starts at the PRE horizon, so a PRE before it
+		// is early too.
+		{"AP-pending/PRE", ddr2, []step{act(0, 0, 1), rda(6, 0, 1), pre(12, 0)}, []string{"AP-pending", "tRAS/tWR/tRTP"}},
+		{"tRCD", ddr2, []step{act(0, 0, 1), rd(5, 0, 1)}, []string{"tRCD"}},
+		{"tCCD", tuned(ddr2, func(tm *dram.Timing) { tm.TCCD = 6 }), []step{act(0, 0, 1), rd(6, 0, 1), rd(10, 0, 1)}, []string{"tCCD"}},
+		{"tWTR", ddr2, []step{act(0, 0, 1), wr(6, 0, 1), rd(16, 0, 1)}, []string{"tWTR"}},
+		{"bus-collision/RD", ddr2, []step{act(0, 0, 1), rd(6, 0, 1), rd(8, 0, 1)}, []string{"bus-collision"}},
+		{"bus-collision/WR", ddr2, []step{act(0, 0, 1), wr(6, 0, 1), wr(8, 0, 1)}, []string{"bus-collision"}},
+		{"tRTW", ddr2, []step{act(0, 0, 1), rd(6, 0, 1), wr(11, 0, 1)}, []string{"tRTW"}},
+		{"PRE-state", ddr2, []step{pre(0, 0)}, []string{"PRE-state"}},
+		{"tRAS/tWR/tRTP", ddr2, []step{act(0, 0, 1), pre(10, 0)}, []string{"tRAS/tWR/tRTP"}},
+		{"REF-not-idle/state", ddr2, []step{act(0, 0, 1), ref(30)}, []string{"REF-not-idle"}},
+		// A pending auto-precharge leaves its bank active: both counts.
+		{"REF-not-idle/AP", ddr2, []step{act(0, 0, 1), rda(6, 0, 1), ref(10)}, []string{"REF-not-idle", "REF-not-idle"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var c Checker
+			mon := NewDRAMMonitor(&c, tc.tm)
+			for _, s := range tc.stream {
+				var w dram.DataWindow
+				switch {
+				case s.w != nil:
+					w = *s.w
+				case s.cmd.Kind == dram.CmdRead:
+					w.Start = s.at + tc.tm.CL
+				case s.cmd.Kind == dram.CmdWrite:
+					w.Start = s.at + tc.tm.CWL
+				}
+				if s.w == nil && s.cmd.IsCAS() {
+					w.End = w.Start + dram.BurstCycles(s.cmd.BL)
+				}
+				mon.Observe(s.at, s.cmd, w)
+			}
+			if got := kinds(&c); !slices.Equal(got, tc.want) {
+				t.Fatalf("kinds = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }

@@ -351,9 +351,9 @@ func (s *Server) execute(r *run, grid aanoc.SweepGrid, opts aanoc.SweepOptions) 
 		if res.Err != nil {
 			st.Error = res.Err.Error()
 		} else {
-			st.Utilization = res.Row.Utilization
-			st.LatencyAll = res.Row.LatencyAll
-			st.Completed = res.Row.Completed
+			st.Utilization = res.Res.Utilization
+			st.LatencyAll = res.Res.LatAll
+			st.Completed = res.Res.Completed
 		}
 		states[i] = st
 	}

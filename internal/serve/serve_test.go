@@ -132,6 +132,20 @@ func TestSweepLifecycle(t *testing.T) {
 		}
 		fp = r.Fingerprint
 	}
+	// The done line's headline numbers are the runs' own: those a direct
+	// aanoc.Sweep of the same wire grid returns.
+	want := directSweep(t, tinyGrid)
+	sameHeadlines := func(sweep string, got []PointState) {
+		t.Helper()
+		for i, r := range got {
+			w := want[i].Res
+			if r.Utilization != w.Utilization || r.LatencyAll != w.LatAll || r.Completed != w.Completed {
+				t.Errorf("%s sweep, point %d: utilization %v, latencyAll %v, completed %d; aanoc.Sweep has %v, %v, %d",
+					sweep, i, r.Utilization, r.LatencyAll, r.Completed, w.Utilization, w.LatAll, w.Completed)
+			}
+		}
+	}
+	sameHeadlines("first", fin.Results)
 
 	// Same grid again: everything must come from the store, nothing
 	// simulates.
@@ -145,6 +159,7 @@ func TestSweepLifecycle(t *testing.T) {
 			t.Fatalf("second-sweep point not stored: %+v", r)
 		}
 	}
+	sameHeadlines("store-served", fin.Results)
 
 	// The stored observability report is retrievable by fingerprint.
 	resp, err := http.Get(ts.URL + "/v1/results/" + fp)
@@ -171,6 +186,32 @@ func TestSweepLifecycle(t *testing.T) {
 	if fin2 := last(t, stream(t, ts, acc.ID)); fin2.Stats.StoreHits != fin.Stats.StoreHits {
 		t.Error("replayed stream diverges")
 	}
+}
+
+// directSweep runs a wire grid through aanoc.Sweep without the server
+// or a store: the points decoded as handleSweep decodes them.
+func directSweep(t *testing.T, body string) []aanoc.SweepResult {
+	t.Helper()
+	var req SweepRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	var grid aanoc.SweepGrid
+	for _, p := range req.Points {
+		c, err := p.config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid.Points = append(grid.Points, c)
+	}
+	results, _, err := aanoc.Sweep(grid, aanoc.SweepOptions{})
+	if err == nil {
+		err = aanoc.SweepFirstErr(results)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
 }
 
 // strictBodies are sweep bodies that are not exactly one request: a

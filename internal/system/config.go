@@ -149,43 +149,53 @@ type Config struct {
 }
 
 // Result carries one run's measurements, all read off its report, Obs,
-// by ResultOf: for Runner.Finish and the result store alike.
+// by ResultOf: for Runner.Finish and the result store alike. It is also
+// the one row of the tables, the sweeps and Fig. 8: the json tags are the
+// machine-readable sidecars' (aanoc tables -json, aanoc report -json),
+// and the report-only fields travel inside obs.
 type Result struct {
-	Design   Design
-	App      string
-	Gen      dram.Generation
-	ClockMHz int
+	App      string          `json:"app"`
+	Gen      dram.Generation `json:"gen"`
+	ClockMHz int             `json:"clockMHz"`
+	Design   Design          `json:"design"`
+	// Scheduler names the memory scheduler when a zoo member replaced
+	// the design's controller (Obs.Scheduler: empty for the default, so
+	// paper-table sidecars are unchanged).
+	Scheduler string `json:"scheduler,omitempty"`
+	// Channels is the SDRAM channel count when the run has more than the
+	// paper's single channel (len(Obs.Memory.Channels): 0 on one).
+	Channels int `json:"channels,omitempty"`
 
-	Utilization float64
-	LatAll      float64
-	LatDemand   float64
-	LatPriority float64
-	LatBest     float64
-
-	Generated int64
-	Completed int64
-
-	Device dram.Stats
+	Utilization float64 `json:"utilization"`
+	// UsefulUtilization excludes over-fetched (discarded) beats — the
+	// access-granularity waste of Fig. 2: Utilization*(1-WasteFrac).
+	UsefulUtilization float64 `json:"usefulUtilization"`
+	LatAll            float64 `json:"latencyAll"`
+	LatDemand         float64 `json:"latencyDemand"`
+	LatPriority       float64 `json:"latencyPriority"`
+	Completed         int64   `json:"completed"`
 	// WasteFrac is the fraction of transferred beats the requester never
 	// asked for (access granularity mismatch, Fig. 2).
-	WasteFrac float64
-
-	// GSSGrants counts GSS channel allocations; CmdCycles counts
-	// command-bus activity — inputs to the Table V power model.
-	GSSGrants int64
-	CmdCycles int64
-
-	// Fairness is Jain's index over the per-core served beats of
-	// Obs.NIs (1 = perfectly proportional service, 1/n = one core
-	// monopolises the memory).
-	Fairness float64
+	WasteFrac float64 `json:"wasteFrac"`
 
 	// Obs is the run-level observability report: per-link utilization
 	// and grants, per-NI backlog high-water marks, stall cycles and
 	// service, the per-bank DRAM breakdown and device totals, and (when
 	// Config.SampleEvery is set) the time series. Serialized by the CLI
 	// JSON sidecars and, in binary, by the result store.
-	Obs *obs.Report
+	Obs *obs.Report `json:"obs,omitempty"`
+
+	LatBest   float64    `json:"-"`
+	Generated int64      `json:"-"`
+	Device    dram.Stats `json:"-"`
+	// GSSGrants counts GSS channel allocations; CmdCycles counts
+	// command-bus activity — inputs to the Table V power model.
+	GSSGrants int64 `json:"-"`
+	CmdCycles int64 `json:"-"`
+	// Fairness is Jain's index over the per-core served beats of
+	// Obs.NIs (1 = perfectly proportional service, 1/n = one core
+	// monopolises the memory).
+	Fairness float64 `json:"-"`
 }
 
 // Resolved returns the configuration with every defaulted field filled
@@ -346,8 +356,7 @@ func (c Config) Validate() error {
 // ResultOf returns the Result a report records, with rep as its Obs:
 // the identity parsed from its names, the device totals folded from its
 // banks, the per-core service from its NIs. It fails on a nil report and
-// on a design name it cannot parse; the scheduler and channel count stay
-// the report's (Obs.Scheduler, Obs.Memory.Channels).
+// on a design name it cannot parse.
 func ResultOf(rep *obs.Report) (Result, error) {
 	if rep == nil {
 		return Result{}, errors.New("system: the result carries no report")
@@ -367,6 +376,7 @@ func ResultOf(rep *obs.Report) (Result, error) {
 	}
 	res := Result{
 		Design: d, App: rep.App, Gen: dram.Generation(rep.Gen), ClockMHz: rep.ClockMHz,
+		Scheduler: rep.Scheduler, Channels: len(mem.Channels),
 		Utilization: rep.Utilization, LatAll: rep.Latency.All.Mean, LatDemand: rep.Latency.Demand.Mean,
 		LatPriority: rep.Latency.Priority.Mean, LatBest: rep.Latency.Best.Mean,
 		Generated: rep.Generated, Completed: rep.Completed, GSSGrants: rep.GSSGrants,
@@ -376,6 +386,7 @@ func ResultOf(rep *obs.Report) (Result, error) {
 	if dev.BurstsBL > 0 {
 		res.WasteFrac = float64(dev.BurstsBL-dev.UsefulBeats) / float64(dev.BurstsBL)
 	}
+	res.UsefulUtilization = res.Utilization * (1 - res.WasteFrac)
 	return res, nil
 }
 

@@ -105,26 +105,17 @@ func (o SweepOptions) internal() sweep.Options {
 	return opts
 }
 
-// SweepResult is one grid point's outcome, at its submission index.
-type SweepResult struct {
-	Index int
-	// Fingerprint is the point's canonical configuration hash — the key
-	// under which its result is (or would be) stored. Empty when the
-	// point was not cacheable or the cache was disabled.
-	Fingerprint string
-	// Cached marks a duplicate served from the in-process cache; Stored
-	// marks a result that came from the persistent store rather than a
-	// simulation in this process. A duplicate of a store-served point
-	// carries both.
-	Cached bool
-	Stored bool
-	// Row is the point's measurements (zero when Err is set); its Obs
-	// field carries the full observability report.
-	Row Row
-	// Err is the point's failure, if any — a cancelled context, a
-	// simulation error. One failed point does not disturb the others.
-	Err error
-}
+// SweepResult is one grid point's outcome, at its submission index:
+// Res is the point's run (zero when Err is set), whose Obs carries the
+// full observability report; Err is its failure, if any — a cancelled
+// context, a simulation error — and one failed point does not disturb
+// the others. Fingerprint is the point's canonical configuration hash,
+// the key under which its result is (or would be) stored, empty when the
+// point was not cacheable or the cache was disabled. Cached marks a
+// duplicate served from the in-process cache; Stored marks a result that
+// came from the persistent store rather than a simulation in this
+// process. A duplicate of a store-served point carries both.
+type SweepResult = sweep.Result
 
 // SweepStats account for one Sweep call. Runs counts points answered by
 // a simulation in this call — their own, or a twin's restamped with
@@ -159,28 +150,8 @@ func sweepWith(g SweepGrid, o SweepOptions, byName func(string) (appmodel.App, e
 		}
 		cfgs[i] = cfg
 	}
-	out, st := runPoints(cfgs, o)
+	out, st := sweep.Run(cfgs, o.internal())
 	return out, st, nil
-}
-
-// runPoints is the one path from resolved points to rows: Sweep's and
-// the table drivers'.
-func runPoints(cfgs []system.Config, o SweepOptions) ([]SweepResult, SweepStats) {
-	results, st := sweep.Run(cfgs, o.internal())
-	out := make([]SweepResult, len(results))
-	for i, r := range results {
-		out[i] = SweepResult{
-			Index:       r.Index,
-			Fingerprint: r.Fingerprint,
-			Cached:      r.Cached,
-			Stored:      r.Stored,
-			Err:         r.Err,
-		}
-		if r.Err == nil {
-			out[i].Row = rowFrom(r.Res)
-		}
-	}
-	return out, st
 }
 
 // modelClones is one Sweep call's clone of each model its points name:

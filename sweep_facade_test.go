@@ -46,9 +46,9 @@ func TestSweepMatchesRun(t *testing.T) {
 		results[0].Fingerprint != results[1].Fingerprint {
 		t.Fatalf("cache provenance wrong: %+v / %+v", results[0], results[1])
 	}
-	if results[0].Row.Utilization != want.Utilization ||
-		results[0].Row.Obs == nil {
-		t.Errorf("sweep row diverges from Run: %+v", results[0].Row)
+	if results[0].Res.Utilization != want.Utilization ||
+		results[0].Res.Obs == nil {
+		t.Errorf("sweep row diverges from Run: %+v", results[0].Res)
 	}
 }
 
@@ -87,8 +87,8 @@ func TestSweepStoreSecondRunSimulatesNothing(t *testing.T) {
 		if !second[i].Stored {
 			t.Errorf("second-pass point %d not marked stored", i)
 		}
-		a, _ := json.Marshal(first[i].Row)
-		b, _ := json.Marshal(second[i].Row)
+		a, _ := json.Marshal(first[i].Res)
+		b, _ := json.Marshal(second[i].Res)
 		if string(a) != string(b) {
 			t.Errorf("point %d rows differ between simulated and stored:\n%s\n%s", i, a, b)
 		}
@@ -171,7 +171,7 @@ func TestTableOptionsStore(t *testing.T) {
 	}
 	var grid SweepGrid
 	for _, r := range table {
-		grid.Points = append(grid.Points, Config{Model: App(r.App), Generation: r.Gen, Design: r.Design, Cycles: 2000})
+		grid.Points = append(grid.Points, Config{Model: App(r.App), Generation: int(r.Gen), Design: r.Design, Cycles: 2000})
 	}
 	results, stats, err := Sweep(grid, SweepOptions{Store: fresh})
 	if err != nil {
@@ -182,7 +182,7 @@ func TestTableOptionsStore(t *testing.T) {
 	}
 	for i, r := range results {
 		a, _ := json.Marshal(table[i])
-		b, _ := json.Marshal(r.Row)
+		b, _ := json.Marshal(r.Res)
 		if !r.Stored || string(a) != string(b) {
 			t.Errorf("point %d (stored %v) diverges from Table I:\n%s\n%s", i, r.Stored, a, b)
 		}
@@ -251,8 +251,8 @@ func TestSweepSharedModelsParallel(t *testing.T) {
 		t.Fatalf("stats %+v, want every point simulated", stats)
 	}
 	for i := range serial {
-		a, _ := json.Marshal(serial[i].Row)
-		b, _ := json.Marshal(parallel[i].Row)
+		a, _ := json.Marshal(serial[i].Res)
+		b, _ := json.Marshal(parallel[i].Res)
 		if string(a) != string(b) {
 			t.Errorf("point %d rows differ between one worker and two:\n%s\n%s", i, a, b)
 		}

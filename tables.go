@@ -11,57 +11,17 @@ import (
 	"aanoc/internal/memctrl"
 	"aanoc/internal/obs"
 	"aanoc/internal/scenario"
+	"aanoc/internal/sweep"
 	"aanoc/internal/system"
 )
 
-// Row is one cell group of Tables I-III: an application at one clock
-// point, measured under one design. JSON tags serve the machine-readable
+// Row is one cell group of Tables I-III, one point of a sweep or one
+// point of Fig. 8: an application at one clock point, measured under one
+// design — the run's Result. Its json tags serve the machine-readable
 // sidecars (aanoc tables -json, aanoc report -json); the human-readable
 // text tables ignore Obs entirely, so sidecar support cannot move a byte
 // of the default output.
-type Row struct {
-	App      string `json:"app"`
-	Gen      int    `json:"gen"`
-	ClockMHz int    `json:"clockMHz"`
-	Design   Design `json:"design"`
-	// Scheduler names the memory scheduler when a zoo member replaced
-	// the design's controller (empty for the default, so paper-table
-	// sidecars are unchanged).
-	Scheduler string `json:"scheduler,omitempty"`
-	// Channels is the SDRAM channel count when it exceeds the paper's
-	// single channel.
-	Channels int `json:"channels,omitempty"`
-
-	Utilization float64 `json:"utilization"`
-	// UsefulUtilization excludes over-fetched (discarded) beats — the
-	// access-granularity waste of Fig. 2.
-	UsefulUtilization float64 `json:"usefulUtilization"`
-	LatencyAll        float64 `json:"latencyAll"`
-	LatencyDemand     float64 `json:"latencyDemand"`
-	LatencyPriority   float64 `json:"latencyPriority"`
-	Completed         int64   `json:"completed"`
-	WasteFrac         float64 `json:"wasteFrac"`
-
-	// Obs is the run's observability report (see internal/obs).
-	Obs *obs.Report `json:"obs,omitempty"`
-}
-
-// rowFrom reads a row off a result; the report already spells the
-// scheduler and the channel breakdown as a row does.
-func rowFrom(res Result) Row {
-	return Row{
-		App: res.App, Gen: int(res.Gen), ClockMHz: res.ClockMHz, Design: res.Design,
-		Scheduler: res.Obs.Scheduler, Channels: len(res.Obs.Memory.Channels),
-		Utilization:       res.Utilization,
-		UsefulUtilization: res.Utilization * (1 - res.WasteFrac),
-		LatencyAll:        res.LatAll,
-		LatencyDemand:     res.LatDemand,
-		LatencyPriority:   res.LatPriority,
-		Completed:         res.Completed,
-		WasteFrac:         res.WasteFrac,
-		Obs:               res.Obs,
-	}
-}
+type Row = Result
 
 // TableOptions control the table drivers.
 type TableOptions struct {
@@ -78,8 +38,9 @@ type TableOptions struct {
 	Progress func(done, total int)
 	// Checked runs every grid point under the internal/check invariant
 	// layer; violations land in each row's Obs.Violations (see
-	// CheckedViolations). Fig8, Fig8Spec and TableV, whose points carry
-	// no report, instead return an error naming the first violation.
+	// CheckedViolations). Fig8, Fig8Spec and TableV also return an error
+	// naming the first violation, as the callers that print only their
+	// numbers would not see it otherwise.
 	// Checked runs measure identically to unchecked runs — the monitors
 	// only observe.
 	Checked bool
@@ -115,16 +76,16 @@ func checkedApp(s *Spec) (appmodel.App, error) {
 	return s.App, nil
 }
 
-// collect runs a driver's grid on Sweep's row path: it attaches the
+// collect runs a driver's grid on Sweep's executor: it attaches the
 // spec's platform channel configuration to every point of a spec-driven
 // grid, arms the invariant layer when the options ask for it, and
-// returns the results in submission order, with the first point's
+// returns the points' runs in submission order, or the first point's
 // error. For grids of your own construction, prefer the typed sweep
 // facade (SweepGrid / SweepOptions / Sweep): it subsumes Parallel,
 // Progress and Store for arbitrary point lists and additionally exposes
 // cancellation and per-point cache provenance — TableOptions keeps these
 // fields only for the fixed paper-table drivers.
-func (o TableOptions) collect(cfgs []system.Config) ([]SweepResult, error) {
+func (o TableOptions) collect(cfgs []system.Config) ([]Row, error) {
 	var run SpecRun
 	if o.Spec != nil && o.Spec.Run != nil {
 		run = *o.Spec.Run
@@ -140,8 +101,15 @@ func (o TableOptions) collect(cfgs []system.Config) ([]SweepResult, error) {
 		cfgs[i].Channels, cfgs[i].Scheme = run.Channels, scheme
 		cfgs[i].Checked = o.Checked
 	}
-	results, _ := runPoints(cfgs, SweepOptions{Workers: o.Parallel, OnProgress: o.Progress, Store: o.Store})
-	return results, SweepFirstErr(results)
+	results, _ := sweep.Run(cfgs, SweepOptions{Workers: o.Parallel, OnProgress: o.Progress, Store: o.Store}.internal())
+	if err := SweepFirstErr(results); err != nil {
+		return nil, err
+	}
+	rows := make([]Row, len(results))
+	for i, r := range results {
+		rows[i] = r.Res
+	}
+	return rows, nil
 }
 
 // CheckedViolations counts the invariant violations the rows' checked
@@ -159,15 +127,15 @@ func CheckedViolations(rows []Row) int {
 }
 
 // checkedErr is the error of a grid whose checked runs recorded
-// invariant violations, naming the first. The drivers whose points carry
-// no report (Fig8Point, PowerRow) return it: their callers could not see
-// the violations otherwise.
-func checkedErr(results []SweepResult) error {
-	for i, r := range results {
-		if row := r.Row; row.Obs != nil && len(row.Obs.Violations) > 0 {
+// invariant violations, naming the first. Fig8, Fig8Spec and TableV
+// return it: their callers print only the points' numbers (PowerRow
+// carries no report at all) and could not see the violations otherwise.
+func checkedErr(rows []Row) error {
+	for i, row := range rows {
+		if row.Obs != nil && len(row.Obs.Violations) > 0 {
 			vs := row.Obs.Violations
 			return fmt.Errorf("%w: %d on grid point %d (%s %s/%s), the first %s",
-				obs.ErrViolations, obs.TotalViolations(vs), i, row.App, dram.Generation(row.Gen), row.Design, vs[0])
+				obs.ErrViolations, obs.TotalViolations(vs), i, row.App, row.Gen, row.Design, vs[0])
 		}
 	}
 	return nil
@@ -177,8 +145,8 @@ func checkedErr(results []SweepResult) error {
 // table: every application under generation x design x scheduler, in
 // that nesting order (a driver holds the axes it does not vary to one
 // value, which leaves the order of the others as written), with set
-// applying the driver's fixed knobs to each point. The results map, in
-// submission order, to table rows.
+// applying the driver's fixed knobs to each point. The runs, in
+// submission order, are the table's rows.
 func matrix(o TableOptions, gens []dram.Generation, designs []Design, scheds []memctrl.Scheduler, set func(*system.Config)) ([]Row, error) {
 	apps, err := o.apps()
 	if err != nil {
@@ -195,15 +163,7 @@ func matrix(o TableOptions, gens []dram.Generation, designs []Design, scheds []m
 			}
 		}
 	}
-	results, err := o.collect(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Row, len(results))
-	for i, r := range results {
-		rows[i] = r.Row
-	}
-	return rows, nil
+	return o.collect(cfgs)
 }
 
 // The axes and knobs the paper's matrices share.
@@ -252,22 +212,15 @@ func TableSchedulers(o TableOptions) ([]Row, error) {
 	return matrix(o, []dram.Generation{dram.DDR2, dram.DDR4, dram.LPDDR3}, []Design{GSSSAGM}, memctrl.Schedulers(), priority)
 }
 
-// Fig8Point is one point of the Fig. 8 sweep: k GSS routers substituted
-// for conventional routers, nearest the memory subsystem first.
-type Fig8Point struct {
-	GSSRouters      int
-	Utilization     float64
-	LatencyAll      float64
-	LatencyPriority float64
-}
-
 // Fig8 reproduces one curve of Fig. 8 for an application: memory
-// performance versus the number of GSS routers (0..mesh size). The paper
-// pairs single DTV with DDR I at 200 MHz, Blu-ray with DDR II at 333 MHz
-// and dual DTV with DDR III at 667 MHz; pass gen/clock accordingly. The
-// named builtin is the platform, so TableOptions.Spec is ignored (its
-// run block included); Fig8Spec sweeps a spec.
-func Fig8(appName string, gen, clockMHz int, o TableOptions) ([]Fig8Point, error) {
+// performance versus the number of GSS routers (0..mesh size), where
+// row k is the run with the k routers nearest the memory running GSS
+// and the rest conventional. The paper pairs single DTV with DDR I at
+// 200 MHz, Blu-ray with DDR II at 333 MHz and dual DTV with DDR III at
+// 667 MHz; pass gen/clock accordingly. The named builtin is the
+// platform, so TableOptions.Spec is ignored (its run block included);
+// Fig8Spec sweeps a spec.
+func Fig8(appName string, gen, clockMHz int, o TableOptions) ([]Row, error) {
 	app, err := appmodel.ByName(appName)
 	if err != nil {
 		return nil, err
@@ -279,7 +232,7 @@ func Fig8(appName string, gen, clockMHz int, o TableOptions) ([]Fig8Point, error
 // Fig8Spec sweeps the GSS-router count over a spec-driven platform: the
 // Fig. 8 curve for a declarative scenario instead of a named builtin.
 // clockMHz 0 selects the spec's clock for the generation.
-func Fig8Spec(spec *Spec, gen, clockMHz int, o TableOptions) ([]Fig8Point, error) {
+func Fig8Spec(spec *Spec, gen, clockMHz int, o TableOptions) ([]Row, error) {
 	app, err := checkedApp(spec)
 	if err != nil {
 		return nil, err
@@ -288,7 +241,7 @@ func Fig8Spec(spec *Spec, gen, clockMHz int, o TableOptions) ([]Fig8Point, error
 	return fig8(app, gen, clockMHz, o)
 }
 
-func fig8(app appmodel.App, gen, clockMHz int, o TableOptions) ([]Fig8Point, error) {
+func fig8(app appmodel.App, gen, clockMHz int, o TableOptions) ([]Row, error) {
 	var cfgs []system.Config
 	for k := 0; k <= app.Width*app.Height; k++ {
 		n := k
@@ -302,23 +255,14 @@ func fig8(app appmodel.App, gen, clockMHz int, o TableOptions) ([]Fig8Point, err
 			Cycles:         o.Cycles, Seed: o.Seed,
 		})
 	}
-	results, err := o.collect(cfgs)
+	rows, err := o.collect(cfgs)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkedErr(results); err != nil {
+	if err := checkedErr(rows); err != nil {
 		return nil, err
 	}
-	out := make([]Fig8Point, len(results))
-	for k, r := range results {
-		out[k] = Fig8Point{
-			GSSRouters:      k,
-			Utilization:     r.Row.Utilization,
-			LatencyAll:      r.Row.LatencyAll,
-			LatencyPriority: r.Row.LatencyPriority,
-		}
-	}
-	return out, nil
+	return rows, nil
 }
 
 // AreaRow is one line of Table IV (gate counts at 400 MHz).
@@ -379,20 +323,20 @@ func TableV(o TableOptions) ([]PowerRow, error) {
 		}
 	}
 	o.Spec = nil
-	results, err := o.collect(cfgs)
+	rows, err := o.collect(cfgs)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkedErr(results); err != nil {
+	if err := checkedErr(rows); err != nil {
 		return nil, err
 	}
-	out := make([]PowerRow, len(results))
-	for i, r := range results {
+	out := make([]PowerRow, len(rows))
+	for i, r := range rows {
 		app, clock, ds := apps[i/len(designs)], cases[i/len(designs)].clock, designs[i%len(designs)]
 		gates := area.NoCGates(app.Width, app.Height, 16, ds.fc, ds.mem, ds.gssN)
 		out[i] = PowerRow{
 			App: app.Name, ClockMHz: clock, Design: ds.d.String(),
-			PowerMW: area.Power(gates, clock, r.Row.Utilization),
+			PowerMW: area.Power(gates, clock, r.Utilization),
 		}
 	}
 	return out, nil
@@ -411,8 +355,8 @@ func FormatSchedulerRows(rows []Row) string {
 			sched = "default"
 		}
 		fmt.Fprintf(&b, "%-8s %-4s %5d  %-14s %-10s %.3f %8.0f %8.0f %8.0f\n",
-			r.App, dram.Generation(r.Gen), r.ClockMHz, r.Design, sched, r.Utilization,
-			r.LatencyAll, r.LatencyDemand, r.LatencyPriority)
+			r.App, r.Gen, r.ClockMHz, r.Design, sched, r.Utilization,
+			r.LatAll, r.LatDemand, r.LatPriority)
 	}
 	return b.String()
 }
@@ -425,8 +369,8 @@ func FormatRows(rows []Row) string {
 		"app", "gen", "MHz", "design", "util", "useful", "lat-all", "lat-dem", "lat-pri", "waste")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-8s %-4s %5d  %-14s %.3f  %.3f %8.0f %8.0f %8.0f %6.1f%%\n",
-			r.App, dram.Generation(r.Gen), r.ClockMHz, r.Design, r.Utilization, r.UsefulUtilization,
-			r.LatencyAll, r.LatencyDemand, r.LatencyPriority, 100*r.WasteFrac)
+			r.App, r.Gen, r.ClockMHz, r.Design, r.Utilization, r.UsefulUtilization,
+			r.LatAll, r.LatDemand, r.LatPriority, 100*r.WasteFrac)
 	}
 	return b.String()
 }

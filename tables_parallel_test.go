@@ -88,8 +88,8 @@ func TestTableVParallelByteIdentical(t *testing.T) {
 func TestFormatRowsGolden(t *testing.T) {
 	rows := []Row{{
 		App: "bluray", Gen: 2, ClockMHz: 333, Design: GSSSAGM,
-		Utilization: 0.8125, UsefulUtilization: 0.75, LatencyAll: 123.4,
-		LatencyDemand: 56.7, LatencyPriority: 89.1, WasteFrac: 0.0625,
+		Utilization: 0.8125, UsefulUtilization: 0.75, LatAll: 123.4,
+		LatDemand: 56.7, LatPriority: 89.1, WasteFrac: 0.0625,
 	}}
 	want := "app      gen    MHz  design           util  useful  lat-all  lat-dem  lat-pri   waste\n" +
 		"bluray   DDR2   333  GSS+SAGM       0.812  0.750      123       57       89    6.2%\n"
