@@ -61,8 +61,12 @@ func NewDRAMMonitor(c *Checker, t dram.Timing) *DRAMMonitor {
 		lastCASBank: -1,
 		lastActAt:   farPast,
 		lastActBank: -1,
-		subarrays:   subs,
-		banks:       make([]shadowBank, t.Banks*subs),
+		// No read or write data before the stream: a first RD or WR
+		// owes no turnaround.
+		readDataEnd:  farPast,
+		writeDataEnd: farPast,
+		subarrays:    subs,
+		banks:        make([]shadowBank, t.Banks*subs),
 	}
 	for i := range m.banks {
 		m.banks[i].actAt = farPast

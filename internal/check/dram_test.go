@@ -372,6 +372,8 @@ func TestDRAMMonitorKindsTrip(t *testing.T) {
 		{"BL/fixed", ddr2, []step{act(0, 0, 1), bl(rd(6, 0, 1), 4)}, []string{"BL"}},
 		{"BL/OTF", ddr3, []step{act(0, 0, 1), bl(rd(7, 0, 1), 2)}, []string{"BL"}},
 		{"CAS-state", ddr2, []step{rd(10, 0, 1)}, []string{"CAS-state"}},
+		// No write came before it, so a RD at cycle 0 owes no tWTR.
+		{"CAS-state/no-write-yet", ddr2, []step{rd(0, 0, 1)}, []string{"CAS-state"}},
 		{"subarray-row", ddr2, []step{act(0, 0, 3), rd(6, 0, 4)}, []string{"subarray-row"}},
 		{"AP-pending/CAS", ddr2, []step{act(0, 0, 1), rda(6, 0, 1), rd(10, 0, 1)}, []string{"AP-pending"}},
 		// The auto-precharge starts at the PRE horizon, so a PRE before it

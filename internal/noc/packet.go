@@ -108,9 +108,8 @@ type Packet struct {
 	SrcCore  int   // index of the generating core (for stats)
 	Src, Dst Coord
 
-	Kind     Kind
-	Class    Class
-	Priority bool
+	Kind  Kind
+	Class Class
 
 	Addr  dram.Address
 	Beats int // useful data beats requested by this packet
@@ -120,11 +119,6 @@ type Packet struct {
 	// are a single command flit; read responses carry the data.
 	Flits int
 
-	// APTag marks the last split of a logical request (or an unsplit
-	// packet); the memory subsystem's partially-open-page policy issues
-	// the column command with auto-precharge when it sees the tag.
-	APTag bool
-
 	// Splits is the number of packets the logical request was split into
 	// (1 for unsplit packets).
 	Splits int
@@ -133,11 +127,24 @@ type Packet struct {
 	// latency is measured from it.
 	Gen int64
 
-	// Response marks packets on the response network.
-	Response bool
-
 	// next links the packet into its injector's queue (nil outside one).
 	next *Packet
+
+	// Req is the slot of the logical request in the system's table of
+	// outstanding requests, shared by all of its splits and by a read's
+	// response; 0 names no request. It is simulator bookkeeping, not a
+	// modelled wire. It and the three flags below share one word.
+	Req int32
+
+	Priority bool
+
+	// APTag marks the last split of a logical request (or an unsplit
+	// packet); the memory subsystem's partially-open-page policy issues
+	// the column command with auto-precharge when it sees the tag.
+	APTag bool
+
+	// Response marks packets on the response network.
+	Response bool
 }
 
 // String gives a compact debug rendering.

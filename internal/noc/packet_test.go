@@ -3,6 +3,7 @@ package noc
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestClassText: the one name table serves both directions — every class
@@ -29,5 +30,14 @@ func TestClassText(t *testing.T) {
 		if c != ClassMedia {
 			t.Errorf("UnmarshalText(%q) failed but stored %v", name, c)
 		}
+	}
+}
+
+// TestPacketSize: the three flags and the request slot share one word,
+// so a packet is 144 bytes on a 64-bit host (160 when each flag padded
+// to its own word).
+func TestPacketSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Packet{}) != 144 {
+		t.Errorf("Packet is %d bytes, want 144", unsafe.Sizeof(Packet{}))
 	}
 }

@@ -81,20 +81,26 @@ func TestRunToSteadyStateAllocs(t *testing.T) {
 
 // TestRunToAllocs pins whole runs, warm-up included: every queue,
 // scratch slice and list inside RunTo is fixed at New or drawn from a
-// pool, so a run from cycle 0 allocates only pool slabs (packets, split
-// records, packet progress, controller requests, GSS entries) and the
-// parent table's growth — a count set by the run's high-water marks, not
-// by its length. The pins are the counts measured at seed 5 over
-// 200,000 cycles plus 10%. With the NI queues, allocator scratch, GSS
-// entry tables and the engine's lists growing per object, the same runs
-// made 194-323 allocations on the 4x4 mesh and 1,107 on the scale-ddr4
-// shape. The pins are not checked under the race detector, whose
-// runtime grows the pools' free lists in more steps.
+// pool, so a run from cycle 0 allocates only pool slabs (packets,
+// packet progress, controller requests, GSS entries) and the slot
+// table's slabs of logical-request records — a count set by the run's
+// high-water marks, not by its length. The pins are the counts measured
+// at seed 5 over 200,000 cycles plus 10%: 28-34 on the 4x4 mesh, 69 on
+// the scale-ddr4 shape (38-43 and 79 while the records came from a pool
+// and a parent table grew by doubling beside it). With the NI queues,
+// allocator scratch, GSS entry tables and the engine's lists growing per
+// object, the same runs made 194-323 allocations on the 4x4 mesh and
+// 1,107 on the scale-ddr4 shape. The process-wide counter now and then
+// sees up to five allocations made outside the run (a leg read 44 where
+// its run makes 39), so each leg runs twice and the lower count is the
+// run's: the run itself is the same both times. The pins are not checked
+// under the race detector, whose runtime grows the pools' free lists in
+// more steps.
 func TestRunToAllocs(t *testing.T) {
 	const cycles = 200_000
 	pins := map[Design]int64{
-		Conv: 48, ConvPFS: 47, SDRAMAware: 50, SDRAMAwarePFS: 49,
-		GSS: 49, GSSSAGM: 53, GSSSAGMSTI: 53,
+		Conv: 32, ConvPFS: 31, SDRAMAware: 34, SDRAMAwarePFS: 33,
+		GSS: 33, GSSSAGM: 37, GSSSAGMSTI: 37,
 	}
 	type leg struct {
 		name string
@@ -106,15 +112,20 @@ func TestRunToAllocs(t *testing.T) {
 		legs = append(legs, leg{"ddr3/" + d.String(),
 			Config{App: appmodel.DualDTV(), Gen: dram.DDR3, Design: d, PriorityDemand: true}, pins[d]})
 	}
-	legs = append(legs, leg{"scale-ddr4", scaleDDR4(), 97})
+	legs = append(legs, leg{"scale-ddr4", scaleDDR4(), 76})
 	for _, l := range legs {
 		t.Run(l.name, func(t *testing.T) {
 			l.cfg.Cycles, l.cfg.Seed = cycles, 5
-			r, err := New(l.cfg)
-			if err != nil {
-				t.Fatal(err)
+			allocs := int64(-1)
+			for range 2 {
+				r, err := New(l.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := countMallocs(func() { r.RunTo(cycles) }); allocs < 0 || n < allocs {
+					allocs = n
+				}
 			}
-			allocs := countMallocs(func() { r.RunTo(cycles) })
 			if !raceEnabled && (l.max == 0 || allocs > l.max) {
 				t.Errorf("RunTo over %d cycles made %d allocations, want at most %d", cycles, allocs, l.max)
 			}

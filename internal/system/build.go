@@ -96,22 +96,20 @@ type Runner struct {
 	// The simulation kernel owns the clock.
 	kern *sim.Kernel
 
-	parents parentTable
-	split   *core.Splitter // nil when the design does not split
-	splits  []*noc.Packet  // injectLogical's split list, reused per request
-	nextID  int64
-	newID   func() int64 // draws the next packet ID (bound once, for Split)
+	reqs   slotTable      // the outstanding logical requests, freed at their completion
+	split  *core.Splitter // nil when the design does not split
+	splits []*noc.Packet  // injectLogical's split list, reused per request
+	nextID int64
+	newID  func() int64 // draws the next packet ID (bound once, for Split)
 
-	// Free-lists for the per-request objects: packets cycle
+	// The free-list for packets: they cycle
 	// core→mesh→controller→(response mesh)→core and are recycled at their
 	// completion points (the caller asserts nothing holds the pointer any
-	// more), split-chain records at the logical completion, so steady
-	// state allocates nothing per request. Everything downstream that
-	// outlives a packet (controller `last` state, GSS history) holds value
-	// copies, never pointers, so recycling is safe. A leased object is
-	// overwritten whole by its taker.
+	// more), so steady state allocates nothing per request. Everything
+	// downstream that outlives a packet (controller `last` state, GSS
+	// history) holds value copies, never pointers, so recycling is safe. A
+	// leased packet is overwritten whole by its taker.
 	pkts sim.Pool[noc.Packet]
-	logs sim.Pool[logical]
 
 	met stats.Metrics
 
@@ -288,8 +286,8 @@ func (r *Runner) buildCores() error {
 	gens, rngs, srcs := make([]traffic.Gen, streams), make([]sim.RNG, streams), make([]traffic.Source, sources)
 	counts := make([]int64, beats)
 	onFirstFlit := func(p *noc.Packet, now int64) {
-		if e := r.parents.find(p.ParentID); e != nil && e.rec.entry < 0 {
-			e.rec.entry = now
+		if l := r.reqs.at(p.Req); l.entry < 0 {
+			l.entry = now
 		}
 	}
 	nis := make([]coreNI, len(specs))

@@ -27,9 +27,11 @@ import (
 //     to drain, launch or admit, and a controller not due next cycle has
 //     no grant it could make.
 //   - End-of-run accounting: finalChecks in Runner.Finish — logical
-//     request conservation per core, the parents table's live count
+//     request conservation per core, the slot table's live count
 //     against its walk, split-chain pending bounds, GSS token-table
 //     bounds, and the assembled obs report's own rules and link grants.
+//   - Split handles: at every split completion, the packet's Req names
+//     the slot whose record has the packet's ParentID.
 
 // installChecks arms the invariant layer; called from New when
 // Config.Checked is set.
@@ -114,22 +116,22 @@ func (r *Runner) finalChecks(rep *obs.Report) {
 	r.auditMeshes(r.kern.Now())
 
 	// Split-chain bounds and the per-core ledger: every request a core
-	// generated is completed or still outstanding in the parents table,
-	// and the table's live count is the records its walk finds.
+	// generated is completed or still outstanding in the slot table, and
+	// the table's live count is the records its walk finds.
 	perCore := make([]int64, len(r.cores))
 	walked := 0
-	r.parents.each(func(id int64, l *logical) {
+	r.reqs.each(func(l *logical) {
 		if l.pending < 1 {
 			c.Reportf(-1, "runner", "split-accounting",
-				"outstanding request %d has %d pending splits", id, l.pending)
+				"outstanding request %d has %d pending splits", l.id, l.pending)
 		}
 		perCore[l.core]++
 		walked++
 	})
-	if walked != r.parents.live {
+	if walked != r.reqs.live {
 		c.Reportf(-1, "runner", "request-accounting",
 			"parents table counts %d outstanding requests, its walk finds %d",
-			r.parents.live, walked)
+			r.reqs.live, walked)
 	}
 	for i, ni := range r.cores {
 		if ni.generated != ni.completed+perCore[i] {

@@ -210,7 +210,7 @@ func TestCheckReportHoldsReportToValidate(t *testing.T) {
 }
 
 // TestFinalChecksCatchLedgerDrift: the end-of-run accounting catches a
-// parents table whose live count drifts from the records its walk finds,
+// slot table whose live count drifts from the records its walk finds,
 // and a core whose ledger gains a request it never tracked — each once,
 // as request-accounting.
 func TestFinalChecksCatchLedgerDrift(t *testing.T) {
@@ -219,7 +219,7 @@ func TestFinalChecksCatchLedgerDrift(t *testing.T) {
 		doctor func(r *Runner)
 		want   string
 	}{
-		{"parents-live", func(r *Runner) { r.parents.live++ }, "parents table counts"},
+		{"parents-live", func(r *Runner) { r.reqs.live++ }, "parents table counts"},
 		{"core-ledger", func(r *Runner) { r.cores[0].generated++ }, "core " + appmodel.BluRay().Cores[0].Name},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -24,7 +24,7 @@ func TestConservationAcrossDesigns(t *testing.T) {
 			for i := int64(0); i < 40_000; i++ {
 				r.kern.Step()
 			}
-			inflight := int64(r.parents.live)
+			inflight := int64(r.reqs.live)
 			if tot := settledTotals(r); tot.generated != tot.completed+inflight {
 				t.Fatalf("conservation broken: generated %d, completed %d, in flight %d",
 					tot.generated, tot.completed, inflight)
@@ -57,10 +57,10 @@ func TestDrainToQuiescence(t *testing.T) {
 			for _, c := range r.cores {
 				c.gens = nil
 			}
-			for i := 0; i < 60_000 && r.parents.live > 0; i++ {
+			for i := 0; i < 60_000 && r.reqs.live > 0; i++ {
 				r.kern.Step()
 			}
-			if n := r.parents.live; n != 0 {
+			if n := r.reqs.live; n != 0 {
 				t.Fatalf("%d requests wedged after drain", n)
 			}
 			if !r.reqMesh.Quiescent() {

@@ -15,57 +15,84 @@ import (
 
 // logical tracks an outstanding logical request across its splits.
 type logical struct {
+	id       int64 // the request's parent ID; 0 while the slot is free
 	gen      int64 // generation cycle at the core
 	entry    int64 // cycle the first flit entered the request mesh (-1 until then)
 	stream   traffic.Source
 	class    noc.Class
 	priority bool
 	read     bool
+	free     int32 // while the slot is free: the next free slot, 0 for none
 	pending  int
 	core     int
 	beats    int
 }
 
-// parentTable maps logical-request parent IDs to their records. It is
-// simulator bookkeeping, not modelled hardware. Parent IDs are issued
-// rising, so add appends and find binary-searches; a removed record
-// leaves a nil that add sweeps out, in place, once the slab is full and
-// at least half removed. Unlike the builtin map, whose per-map hash seed
-// decides when it grows, what it allocates depends on the run alone.
-type parentTable struct {
-	s    []parentSlot
-	live int // slots with a record
+// slotSlab is how many records the slot table adds at once.
+const slotSlab = 64
+
+// slotTable holds the outstanding logical requests. It is simulator
+// bookkeeping, not modelled hardware. Each record sits in a slot whose
+// number every packet of the request carries as Packet.Req, so a split's
+// record is two loads away. Slots are 1-based, so a packet's zero Req
+// names none; records live in slabs that never move, and a freed slot
+// links the free list through its own record.
+type slotTable struct {
+	slabs []*[slotSlab]logical
+	free  int32 // first free slot, 0 for none
+	live  int   // slots with a record
 }
 
-type parentSlot struct {
-	id  int64
-	rec *logical // nil once removed
-}
-
-func (t *parentTable) add(id int64, l *logical) {
-	if len(t.s) == cap(t.s) && 2*t.live <= len(t.s) {
-		t.s = slices.DeleteFunc(t.s, func(e parentSlot) bool { return e.rec == nil })
+// add takes a free slot, growing the table by a slab when none is free,
+// and returns it and its record, which the caller overwrites whole: a
+// live record's id is its request's parent ID, never 0.
+func (t *slotTable) add() (int32, *logical) {
+	if t.free == 0 {
+		base := int32(len(t.slabs)) * slotSlab
+		slab := new([slotSlab]logical)
+		for i := range slab {
+			slab[i].free = base + int32(i) + 2
+		}
+		slab[slotSlab-1].free = 0
+		t.slabs = append(t.slabs, slab)
+		t.free = base + 1
 	}
-	t.s = append(t.s, parentSlot{id, l})
+	slot := t.free
+	l := t.at(slot)
+	t.free = l.free
 	t.live++
+	return slot, l
 }
 
-// find returns id's slot, or nil when it holds no record.
-func (t *parentTable) find(id int64) *parentSlot {
-	i, ok := slices.BinarySearchFunc(t.s, id, func(e parentSlot, id int64) int { return cmp.Compare(e.id, id) })
-	if !ok || t.s[i].rec == nil {
-		return nil
-	}
-	return &t.s[i]
+// at returns slot's record; the caller holds the slot.
+func (t *slotTable) at(slot int32) *logical {
+	i := uint32(slot - 1)
+	return &t.slabs[i/slotSlab][i%slotSlab]
+}
+
+// remove frees slot; its record is zeroed, so a stale handle finds id 0.
+func (t *slotTable) remove(slot int32) {
+	l := t.at(slot)
+	*l = logical{free: t.free}
+	t.free = slot
+	t.live--
 }
 
 // each visits every live record in ID order, so what the checked mode
-// reports from the walk comes out in a fixed order.
-func (t *parentTable) each(fn func(id int64, l *logical)) {
-	for _, e := range t.s {
-		if e.rec != nil {
-			fn(e.id, e.rec)
+// reports from the walk comes out in a fixed order. It sorts, so only
+// the end-of-run checks call it.
+func (t *slotTable) each(fn func(l *logical)) {
+	var recs []*logical
+	for _, slab := range t.slabs {
+		for i := range slab {
+			if slab[i].id != 0 {
+				recs = append(recs, &slab[i])
+			}
 		}
+	}
+	slices.SortFunc(recs, func(a, b *logical) int { return cmp.Compare(a.id, b.id) })
+	for _, l := range recs {
+		fn(l)
 	}
 }
 
@@ -84,7 +111,7 @@ func (r *Runner) onMemDone(c *channel, done memctrl.Completion) {
 	r.nextID++
 	resp := r.pkts.Get()
 	*resp = noc.Packet{
-		ID: r.nextID, ParentID: p.ParentID,
+		ID: r.nextID, ParentID: p.ParentID, Req: p.Req,
 		SrcCore: p.SrcCore, Src: c.port, Dst: p.Src,
 		Kind: noc.Read, Class: p.Class, Priority: p.Priority,
 		Addr: p.Addr, Beats: p.Beats,
@@ -100,17 +127,19 @@ func (r *Runner) onMemDone(c *channel, done memctrl.Completion) {
 // completeSplit retires one split of a logical request; the last one
 // records the latency sample and unblocks a closed-loop stream.
 func (r *Runner) completeSplit(p *noc.Packet, at int64) {
-	e := r.parents.find(p.ParentID)
-	if e == nil {
+	if r.chk != nil && (p.Req == 0 || r.reqs.at(p.Req).id != p.ParentID) {
+		r.chk.Reportf(at, "runner", "split-accounting",
+			"packet %d of request %d completes holding slot %d", p.ID, p.ParentID, p.Req)
 		return
 	}
-	l := e.rec
+	if p.Req == 0 {
+		return
+	}
+	l := r.reqs.at(p.Req)
 	l.pending--
 	if l.pending > 0 {
 		return
 	}
-	e.rec = nil
-	r.parents.live--
 	c := r.cores[l.core]
 	// The stream's window and think time are about to change: pay the
 	// core's slept cycles at the state they were slept in.
@@ -131,7 +160,7 @@ func (r *Runner) completeSplit(p *noc.Packet, at int64) {
 	// generate no earlier than next cycle (think time is at least one),
 	// so wake the core then and let its NextWake refine the estimate.
 	c.h.Wake(r.kern.Now() + 1)
-	r.logs.Put(l)
+	r.reqs.remove(p.Req)
 }
 
 // RunTo advances the simulation to the given cycle, skipping spans
@@ -160,9 +189,10 @@ func (r *Runner) injectLogical(c *coreNI, g traffic.Source, req *traffic.Request
 	// owning device decodes. Single-channel routing is the identity.
 	ch, local := r.chmap.Route(req.Addr)
 	r.nextID++
+	slot, l := r.reqs.add()
 	base := r.pkts.Get()
 	*base = noc.Packet{
-		ID: r.nextID, ParentID: r.nextID,
+		ID: r.nextID, ParentID: r.nextID, Req: slot,
 		SrcCore: c.idx, Src: c.spec.Pos, Dst: r.chans[ch].port,
 		Kind: req.Kind, Class: req.Class, Priority: req.Priority,
 		Addr: local, Beats: req.Beats, Gen: now,
@@ -181,18 +211,16 @@ func (r *Runner) injectLogical(c *coreNI, g traffic.Source, req *traffic.Request
 		pkts = append(pkts, base)
 	}
 	r.splits = pkts
-	l := r.logs.Get()
 	*l = logical{
-		gen: now, entry: -1, stream: g, class: req.Class, priority: req.Priority,
+		id: base.ID, gen: now, entry: -1, stream: g, class: req.Class, priority: req.Priority,
 		read: req.Kind == noc.Read, pending: len(pkts),
 		core: c.idx, beats: req.Beats,
 	}
-	r.parents.add(base.ID, l)
 	c.generated++
 	r.chans[ch].sent += int64(len(pkts))
 	// A write split under SAGM replaces the base packet with per-granule
 	// copies; the base itself never enters the mesh, so recycle it now
-	// (its ID lives on as the chain's ParentID key, which is by value).
+	// (its ID and slot live on in the splits, which hold them by value).
 	if len(pkts) > 0 && pkts[0] != base {
 		r.pkts.Put(base)
 	}

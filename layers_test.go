@@ -40,11 +40,12 @@ var layerSims = []struct {
 // server's own layers, the body decode and NDJSON encode, are left out).
 //
 // Under -test.memprofilerate=1 every allocation is recorded with its
-// stack, and each sub-benchmark also reports its allocations per op by
-// phase (simPhases, servePhases) and the rest. The profile sees a tiny
-// allocation (pointer-free, under 16 bytes) only when it opens a new
-// 16-byte block, so the tiny ones it misses are reported on their own:
-// the op's count from runtime.MemStats less the profiled ones.
+// stack, and each sub-benchmark also reports its allocations and bytes
+// per op by phase (simPhases, servePhases) and the rest. The profile
+// sees a tiny allocation (pointer-free, under 16 bytes) only when it
+// opens a new 16-byte block, so the tiny ones it misses are reported on
+// their own: the op's count and bytes from runtime.MemStats less the
+// profiled ones.
 func BenchmarkLayers(b *testing.B) {
 	for _, w := range layerSims {
 		cfg := w.cfg
@@ -126,7 +127,7 @@ func runLayerOps(b *testing.B, phases []phase, op func()) {
 	b.ReportAllocs()
 	split := runtime.MemProfileRate == 1
 	timed := pprof.WithLabels(context.Background(), pprof.Labels("op", "timed"))
-	var before []int64
+	var before []phaseAllocs
 	var m0, m1 runtime.MemStats
 	if split {
 		before = allocsByPhase(phases)
@@ -144,18 +145,26 @@ func runLayerOps(b *testing.B, phases []phase, op func()) {
 	}
 	runtime.ReadMemStats(&m1)
 	after := allocsByPhase(phases)
-	unprofiled := int64(m1.Mallocs - m0.Mallocs)
+	unprofiled := phaseAllocs{int64(m1.Mallocs - m0.Mallocs), int64(m1.TotalAlloc - m0.TotalAlloc)}
+	report := func(name string, a phaseAllocs) {
+		b.ReportMetric(float64(a.objects)/float64(b.N), name+"-allocs/op")
+		b.ReportMetric(float64(a.bytes)/float64(b.N), name+"-B/op")
+	}
 	for p := range after {
 		name := "rest"
 		if p < len(phases) {
 			name = phases[p].name
 		}
-		n := after[p] - before[p]
-		unprofiled -= n
-		b.ReportMetric(float64(n)/float64(b.N), name+"-allocs/op")
+		n := phaseAllocs{after[p].objects - before[p].objects, after[p].bytes - before[p].bytes}
+		unprofiled.objects -= n.objects
+		unprofiled.bytes -= n.bytes
+		report(name, n)
 	}
-	b.ReportMetric(float64(unprofiled)/float64(b.N), "tiny-allocs/op")
+	report("tiny", unprofiled)
 }
+
+// phaseAllocs is what one phase allocated: objects and their bytes.
+type phaseAllocs struct{ objects, bytes int64 }
 
 // A phase is where an allocation goes when fn is the outermost phase
 // function on its stack; one under none of them is the rest.
@@ -178,10 +187,11 @@ var servePhases = []phase{
 	{"store.Get", "aanoc/internal/store.(*Store).Get"},
 }
 
-// allocsByPhase sums the heap profile's allocated objects by phase, the
-// rest last, leaving out its own. An allocation reaches the profile two
-// completed collections after it was made, so it collects twice first.
-func allocsByPhase(phases []phase) []int64 {
+// allocsByPhase sums the heap profile's allocated objects and bytes by
+// phase, the rest last, leaving out its own. An allocation reaches the
+// profile two completed collections after it was made, so it collects
+// twice first.
+func allocsByPhase(phases []phase) []phaseAllocs {
 	runtime.GC()
 	runtime.GC()
 	var recs []runtime.MemProfileRecord
@@ -191,7 +201,7 @@ func allocsByPhase(phases []phase) []int64 {
 		n, ok = runtime.MemProfile(recs, true)
 	}
 	rest := len(phases)
-	sums := make([]int64, rest+1)
+	sums := make([]phaseAllocs, rest+1)
 	for _, rec := range recs[:n] {
 		at := rest
 		frames := runtime.CallersFrames(rec.Stack())
@@ -210,7 +220,8 @@ func allocsByPhase(phases []phase) []int64 {
 			}
 		}
 		if at >= 0 {
-			sums[at] += rec.AllocObjects
+			sums[at].objects += rec.AllocObjects
+			sums[at].bytes += rec.AllocBytes
 		}
 	}
 	return sums

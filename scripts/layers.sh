@@ -16,16 +16,16 @@
 #     (internal/codec's plan with the reflect package it walks as one
 #     layer, the Go runtime and collector as another, everything unlisted,
 #     syscalls included, as "other");
-#   - allocations per op by phase, from a run that records every
-#     allocation's stack (-test.memprofilerate=1): for a simulating
-#     workload inside system.New, Runner.RunTo and Runner.Finish; for
-#     serve-warm inside Config.resolve, sweep.Fingerprint and Store.Get;
-#     and the rest;
+#   - allocations and their bytes per op by phase, from a run that
+#     records every allocation's stack (-test.memprofilerate=1): for a
+#     simulating workload inside system.New, Runner.RunTo and
+#     Runner.Finish; for serve-warm inside Config.resolve,
+#     sweep.Fingerprint and Store.Get; and the rest;
 #     the tiny allocations the heap profile does not see (those sharing
 #     a 16-byte block) are a row of their own, so the rows sum to the
-#     op's runtime.MemStats count.
+#     op's runtime.MemStats count (Mallocs) and bytes (TotalAlloc).
 #
-# Both columns sum to their total by construction. Profiles and the test
+# Every column sums to its total by construction. Profiles and the test
 # binary go to outdir (default: a temporary directory, removed on exit).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -91,11 +91,13 @@ for w in "${workloads[@]}"; do
     -test.memprofilerate 1 | tee "$out/$w.mem.txt" |
     awk '/^BenchmarkLayers/ {
         for (i = 3; i < NF; i++) a[$(i + 1)] = $i
-        printf "  %-20s %9s\n", "phase", "allocs/op"
-        n = split("New RunTo Finish resolve Fingerprint store.Get rest", order, " ")
-        for (i = 1; i <= n; i++)
-          if ((order[i] "-allocs/op") in a) printf "  %-20s %9d\n", order[i], a[order[i] "-allocs/op"]
-        printf "  %-20s %9d\n", "tiny, unprofiled", a["tiny-allocs/op"]
-        printf "  %-20s %9d\n", "total", a["allocs/op"]
+        printf "  %-20s %9s %12s\n", "phase", "allocs/op", "B/op"
+        n = split("New RunTo Finish resolve Fingerprint store.Get rest tiny", order, " ")
+        for (i = 1; i <= n; i++) {
+          name = order[i] == "tiny" ? "tiny, unprofiled" : order[i]
+          if ((order[i] "-allocs/op") in a)
+            printf "  %-20s %9d %12d\n", name, a[order[i] "-allocs/op"], a[order[i] "-B/op"]
+        }
+        printf "  %-20s %9d %12d\n", "total", a["allocs/op"], a["B/op"]
       }'
 done
