@@ -148,8 +148,10 @@ func (p *Plan) encode(e *encoder, v reflect.Value) {
 	}
 }
 
-// Decode fills v (settable, of the plan's type) from b in a single pass;
-// the fields the plan skips are left as they are. A flag byte that is
+// Decode fills v (settable, of the plan's type) from b in a single pass,
+// whatever v held: a nil pointer or slice in b comes out nil, and a slice
+// is built fresh, never in the old one's backing array. The fields the
+// plan skips are left as they are. A flag byte that is
 // not 0 or 1, a non-finite float, a length prefix larger than the bytes
 // left (refused before anything is allocated) or a trailing byte fails
 // it. Strings are cut from one copy of b, so a decode allocates per
@@ -201,24 +203,31 @@ func (p *Plan) decode(r *reader, v reflect.Value) {
 		v.SetString(r.str[r.off : r.off+n])
 		r.off += n
 	case reflect.Pointer:
-		if r.flag() {
-			v.Set(reflect.New(p.typ.Elem()))
-			p.Elem.decode(r, v.Elem())
+		if !r.flag() {
+			v.SetZero()
+			return
 		}
+		v.Set(reflect.New(p.typ.Elem()))
+		p.Elem.decode(r, v.Elem())
 	case reflect.Slice:
-		if u := r.uvarint(); u > 0 {
-			n := r.count(u-1, p.Elem.min)
-			if n == 0 { // empty, not nil: Grow(0) would leave it nil
-				v.Set(reflect.MakeSlice(p.typ, 0, 0))
-				return
-			}
-			// Grow fills the field in place: one allocation, where
-			// MakeSlice would add a second for the slice header.
-			v.Grow(n)
-			v.SetLen(n)
-			for i := range n {
-				p.Elem.decode(r, v.Index(i))
-			}
+		u := r.uvarint()
+		if u == 0 {
+			v.SetZero()
+			return
+		}
+		n := r.count(u-1, p.Elem.min)
+		if n == 0 { // empty, not nil: Grow(0) would leave it nil
+			v.Set(reflect.MakeSlice(p.typ, 0, 0))
+			return
+		}
+		// Grow fills the field in place: one allocation, where MakeSlice
+		// would add a second for the slice header. From nil, so the old
+		// slice's backing array is never written.
+		v.SetZero()
+		v.Grow(n)
+		v.SetLen(n)
+		for i := range n {
+			p.Elem.decode(r, v.Index(i))
 		}
 	case reflect.Struct:
 		for i := range p.Fields {

@@ -57,3 +57,37 @@ func TestSkippedFieldsAreNotWritten(t *testing.T) {
 		t.Fatalf("decoded %+v", out)
 	}
 }
+
+// TestDecodeOverwritesNonZero: a decode writes the value the bytes hold
+// whatever the target held before. A pointer or slice the bytes say is
+// nil comes out nil, and a slice is built fresh, never grown from the old
+// one's backing array.
+func TestDecodeOverwritesNonZero(t *testing.T) {
+	type v struct {
+		P *int
+		L []int
+		E []int
+		N int
+	}
+	p := PlanOf(reflect.TypeFor[v]())
+	b, err := p.Append(nil, reflect.ValueOf(v{E: []int{}, N: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, old := 5, make([]int, 2, 8)
+	out := v{P: &x, L: old, E: []int{9}}
+	if err := p.Decode(b, reflect.ValueOf(&out).Elem()); err != nil {
+		t.Fatal(err)
+	}
+	if out.P != nil || out.L != nil || out.E == nil || len(out.E) != 0 || out.N != 3 || x != 5 {
+		t.Fatalf("decoded into a filled value: %+v (x = %d), want {P:nil L:nil E:[] N:3}", out, x)
+	}
+	b, _ = p.Append(nil, reflect.ValueOf(v{L: []int{7, 8}}))
+	out = v{L: old}
+	if err := p.Decode(b, reflect.ValueOf(&out).Elem()); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.L) != 2 || out.L[0] != 7 || &out.L[0] == &old[0] || old[0] != 0 {
+		t.Fatalf("slice decoded into the old backing array: %v, old %v", out.L, old[:2])
+	}
+}

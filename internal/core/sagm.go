@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"aanoc/internal/noc"
-)
+import "aanoc/internal/noc"
 
 // Splitter implements SAGM: it cuts a logical memory request into short
 // packets whose payload is at most the SDRAM access granularity, so that
@@ -17,18 +13,12 @@ import (
 // devices are run in BL4 mode (4 beats per column command), DDR III in
 // BL8 mode with on-the-fly BC4 chop (8 beats, choppable to 4).
 //
-// Ownership: Split appends into a list the caller owns and reuses (the
-// system keeps one, valid until its next request is packetised), and
-// draws the packets themselves from Alloc — nothing here allocates per
-// request once both are warm.
+// A request is cut on demand, one packet at a time, as the network
+// interface's injector reaches it (Cut): nothing here allocates, and no
+// split exists before it is about to enter the mesh.
 type Splitter struct {
 	// GranularityBeats is the maximum payload of one split packet.
 	GranularityBeats int
-	// Alloc, when set, supplies the packet structs for write splits —
-	// the system passes its recycling pool here so a saturated run's
-	// steady state allocates no packets. Every field of the returned
-	// packet is overwritten. nil falls back to plain allocation.
-	Alloc func() *noc.Packet
 }
 
 // SplitGranularity returns the paper's split granularity in data beats
@@ -41,72 +31,55 @@ func SplitGranularity(gen int) int {
 	return 4
 }
 
-// Split cuts the logical request p into packets of at most
-// GranularityBeats beats and appends them to dst, returning the extended
-// slice: the caller owns the list and reuses its backing array from one
-// request to the next, so splitting allocates nothing once dst has grown
-// to the longest chain. Consecutive splits address consecutive columns
-// of the same row (so their pairwise relation is a row-buffer hit and the
-// GSS T(0) path schedules them back to back); the final split carries the
-// AP tag that drives the memory subsystem's partially-open-page policy —
-// the caller sets p.APTag to indicate whether this request is the
-// application's last access to the row (tag it) or more row hits follow
-// (leave the row open). newID allocates packet IDs. A request that
-// already fits appends a single packet; on error dst is returned as given.
-func (s Splitter) Split(dst []*noc.Packet, p *noc.Packet, newID func() int64) ([]*noc.Packet, error) {
-	if s.GranularityBeats < 1 {
-		return dst, fmt.Errorf("core: invalid split granularity %d", s.GranularityBeats)
+// Size returns how many packets Cut makes of a request of the given kind
+// and beats, and their flits together. A read request is a single command
+// flit whatever its burst length — it cannot block a priority packet — so
+// it travels unsplit and the memory subsystem applies the granularity
+// matching (one BL-sized column command per granule, AP on the last when
+// the request leaves its row). A write travels as one packet per granule.
+func (s Splitter) Size(kind noc.Kind, beats int) (packets, flits int) {
+	if kind == noc.Read {
+		return 1, 1
 	}
-	if p.Beats < 1 {
-		return dst, fmt.Errorf("core: packet %v has no payload", p)
+	g := s.GranularityBeats
+	flits = beats / g * noc.FlitsForBeats(g)
+	if rest := beats % g; rest > 0 {
+		flits += noc.FlitsForBeats(rest)
 	}
-	if p.Kind == noc.Read {
-		// A read request is a single command flit whatever its burst
-		// length — it cannot block a priority packet — so it travels
-		// unsplit and the memory subsystem applies the granularity
-		// matching (one BL-sized column command per granule, AP on the
-		// last when the request leaves its row).
-		p.ParentID = p.ID
-		p.Splits = 1
-		p.Flits = 1
-		return append(dst, p), nil
-	}
-	n := (p.Beats + s.GranularityBeats - 1) / s.GranularityBeats
-	remaining := p.Beats
-	col := p.Addr.Col
-	for i := 0; i < n; i++ {
-		beats := s.GranularityBeats
-		if beats > remaining {
-			beats = remaining
-		}
-		sp := s.allocPkt()
-		*sp = *p // copy shared fields
-		sp.ID = newID()
-		sp.ParentID = p.ID
-		sp.Beats = beats
-		sp.Addr.Col = col
-		sp.Splits = n
-		sp.APTag = p.APTag && i == n-1
-		sp.Flits = noc.FlitsForBeats(beats)
-		dst = append(dst, sp)
-		remaining -= beats
-		col += beats
-	}
-	return dst, nil
+	return (beats + g - 1) / g, flits
 }
 
-// allocPkt draws from the configured pool, or the heap without one.
-func (s Splitter) allocPkt() *noc.Packet {
-	if s.Alloc != nil {
-		return s.Alloc()
+// Cut turns p, which holds a logical request as generated (ID, Beats,
+// Addr and APTag the whole request's), into the request's packet k, for
+// k below Size's count, in place. Consecutive splits address consecutive
+// columns of the same row (so their pairwise relation is a row-buffer hit
+// and the GSS T(0) path schedules them back to back); the final split
+// carries the AP tag that drives the memory subsystem's
+// partially-open-page policy — the caller sets p.APTag to indicate
+// whether this request is the application's last access to the row (tag
+// it) or more row hits follow (leave the row open). A write's split k is
+// numbered ID+1+k: the caller reserves that many IDs after the request's
+// when it generates it. A read stays the request itself.
+func (s Splitter) Cut(p *noc.Packet, k int) {
+	p.ParentID = p.ID
+	if p.Kind == noc.Read {
+		p.Splits, p.Flits = 1, 1
+		return
 	}
-	return new(noc.Packet)
+	g := s.GranularityBeats
+	n := (p.Beats + g - 1) / g
+	p.ID += int64(1 + k)
+	p.Beats = min(g, p.Beats-k*g)
+	p.Addr.Col += k * g
+	p.Splits = n
+	p.APTag = p.APTag && k == n-1
+	p.Flits = noc.FlitsForBeats(p.Beats)
 }
 
 // NoSplit prepares an unsplit request, in place, for designs without
 // SAGM: the packet keeps its identity, is its own parent, and carries no
 // AP tag (the memory subsystem runs a plain open-page policy with
-// explicit precharges). The request's packet list is p alone.
+// explicit precharges). The request travels as p alone.
 func NoSplit(p *noc.Packet) {
 	p.ParentID = p.ID
 	p.Splits = 1

@@ -8,9 +8,17 @@ import (
 	"aanoc/internal/noc"
 )
 
-func idGen() func() int64 {
-	n := int64(1000)
-	return func() int64 { n++; return n }
+// cutAll cuts every packet of the logical request p, as the network
+// interface does one at a time while its injector reaches them.
+func cutAll(s Splitter, p *noc.Packet) []*noc.Packet {
+	n, _ := s.Size(p.Kind, p.Beats)
+	out := make([]*noc.Packet, n)
+	for k := range out {
+		sp := *p
+		s.Cut(&sp, k)
+		out[k] = &sp
+	}
+	return out
 }
 
 func logical(beats int, kind noc.Kind) *noc.Packet {
@@ -40,10 +48,7 @@ func TestSplitPaperExample(t *testing.T) {
 	// splitting into 4,4,4,4,2 beats (five packets) at granularity 4 and
 	// 8,8,2 (three packets) at granularity 8.
 	p := logical(18, noc.Write)
-	five, err := Splitter{GranularityBeats: 4}.Split(nil, p, idGen())
-	if err != nil {
-		t.Fatal(err)
-	}
+	five := cutAll(Splitter{GranularityBeats: 4}, p)
 	if len(five) != 5 {
 		t.Fatalf("DDR1/2 split count = %d, want 5", len(five))
 	}
@@ -53,10 +58,7 @@ func TestSplitPaperExample(t *testing.T) {
 			t.Errorf("split %d beats = %d, want %d", i, sp.Beats, wantBeats[i])
 		}
 	}
-	three, err := Splitter{GranularityBeats: 8}.Split(nil, p, idGen())
-	if err != nil {
-		t.Fatal(err)
-	}
+	three := cutAll(Splitter{GranularityBeats: 8}, p)
 	if len(three) != 3 {
 		t.Fatalf("DDR3 split count = %d, want 3", len(three))
 	}
@@ -64,10 +66,7 @@ func TestSplitPaperExample(t *testing.T) {
 
 func TestSplitInvariants(t *testing.T) {
 	p := logical(18, noc.Write)
-	splits, err := Splitter{GranularityBeats: 4}.Split(nil, p, idGen())
-	if err != nil {
-		t.Fatal(err)
-	}
+	splits := cutAll(Splitter{GranularityBeats: 4}, p)
 	total, col := 0, p.Addr.Col
 	for i, sp := range splits {
 		total += sp.Beats
@@ -101,10 +100,7 @@ func TestSplitReadTravelsUnsplit(t *testing.T) {
 	// flit regardless of burst length), so SAGM leaves it unsplit and the
 	// memory subsystem applies the granularity matching.
 	p := logical(18, noc.Read)
-	splits, err := Splitter{GranularityBeats: 8}.Split(nil, p, idGen())
-	if err != nil {
-		t.Fatal(err)
-	}
+	splits := cutAll(Splitter{GranularityBeats: 8}, p)
 	if len(splits) != 1 {
 		t.Fatalf("read produced %d packets, want 1", len(splits))
 	}
@@ -115,10 +111,7 @@ func TestSplitReadTravelsUnsplit(t *testing.T) {
 
 func TestSplitSmallRequestSingleTagged(t *testing.T) {
 	p := logical(2, noc.Write)
-	splits, err := Splitter{GranularityBeats: 4}.Split(nil, p, idGen())
-	if err != nil {
-		t.Fatal(err)
-	}
+	splits := cutAll(Splitter{GranularityBeats: 4}, p)
 	if len(splits) != 1 || !splits[0].APTag || splits[0].Beats != 2 {
 		t.Fatalf("small request should become one tagged packet, got %+v", splits[0])
 	}
@@ -130,10 +123,7 @@ func TestSplitRowContinuationStaysUntagged(t *testing.T) {
 	// that follow.
 	p := logical(18, noc.Write)
 	p.APTag = false
-	splits, err := Splitter{GranularityBeats: 4}.Split(nil, p, idGen())
-	if err != nil {
-		t.Fatal(err)
-	}
+	splits := cutAll(Splitter{GranularityBeats: 4}, p)
 	for i, sp := range splits {
 		if sp.APTag {
 			t.Errorf("split %d tagged on a row-continuing request", i)
@@ -141,52 +131,19 @@ func TestSplitRowContinuationStaysUntagged(t *testing.T) {
 	}
 }
 
-// TestSplitAppendsIntoCallerScratch pins the split list's ownership
-// contract: Split appends to dst (a non-empty dst keeps its prefix, on
-// the read path too) and allocates nothing once cap(dst) covers the
-// chain and the packets come from a pool.
-func TestSplitAppendsIntoCallerScratch(t *testing.T) {
-	sentinel := &noc.Packet{ID: 77}
-	for _, kind := range []noc.Kind{noc.Write, noc.Read} {
-		out, err := Splitter{GranularityBeats: 4}.Split([]*noc.Packet{sentinel}, logical(18, kind), idGen())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 1 + 5
-		if kind == noc.Read {
-			want = 1 + 1
-		}
-		if len(out) != want || out[0] != sentinel {
-			t.Fatalf("%v: appended list has %d packets (want %d), prefix kept: %v", kind, len(out), want, out[0] == sentinel)
-		}
-		if out[1].ParentID != 1 {
-			t.Errorf("%v: first appended packet has parent %d, want 1", kind, out[1].ParentID)
-		}
-	}
-
-	pool := make([]noc.Packet, 5)
-	next := 0
-	s := Splitter{GranularityBeats: 4, Alloc: func() *noc.Packet { next++; return &pool[next-1] }}
-	p, newID := logical(18, noc.Write), idGen()
-	dst := make([]*noc.Packet, 0, 5)
+// TestCutAllocatesNothing: the network interface cuts each split into a
+// packet it already holds, so cutting a request allocates nothing.
+func TestCutAllocatesNothing(t *testing.T) {
+	s := Splitter{GranularityBeats: 4}
+	req, p := logical(18, noc.Write), new(noc.Packet)
 	avg := testing.AllocsPerRun(100, func() {
-		next = 0
-		out, err := s.Split(dst[:0], p, newID)
-		if err != nil || len(out) != 5 || &out[0] != &dst[:1][0] {
-			t.Fatalf("split into scratch: %d packets, err %v (or the backing array was not reused)", len(out), err)
+		for k := range 5 {
+			*p = *req
+			s.Cut(p, k)
 		}
 	})
 	if avg != 0 {
-		t.Errorf("Split allocates %.2f per request with cap(dst) sufficient, want 0", avg)
-	}
-}
-
-func TestSplitErrors(t *testing.T) {
-	if _, err := (Splitter{GranularityBeats: 0}).Split(nil, logical(8, noc.Write), idGen()); err == nil {
-		t.Error("zero granularity should error")
-	}
-	if _, err := (Splitter{GranularityBeats: 4}).Split(nil, logical(0, noc.Write), idGen()); err == nil {
-		t.Error("empty payload should error")
+		t.Errorf("cutting a request allocates %.2f, want 0", avg)
 	}
 }
 
@@ -214,10 +171,7 @@ func TestPropertySplitConservesBeats(t *testing.T) {
 			kind = noc.Write
 		}
 		p := logical(b, kind)
-		splits, err := Splitter{GranularityBeats: g}.Split(nil, p, idGen())
-		if err != nil {
-			return false
-		}
+		splits := cutAll(Splitter{GranularityBeats: g}, p)
 		if kind == noc.Read {
 			// Reads travel unsplit as one command flit; the memory
 			// subsystem matches the granularity itself.

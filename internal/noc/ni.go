@@ -19,7 +19,6 @@ type Injector struct {
 	sent   []int // flits of each VC's queue head already launched
 
 	queuedFlits int   // unsent flits across VCs, maintained incrementally
-	flitsHWM    int   // high-water mark of queuedFlits over the run
 	launched    int64 // cumulative flits launched into the mesh
 
 	// OnFirstFlit, when set, is invoked as a packet's head flit enters
@@ -72,20 +71,13 @@ func (inj *Injector) creditBalance(vc int) int { return inj.credits[vc] }
 // The packet must not sit in any injection queue already; it leaves this
 // one as its last flit launches.
 func (inj *Injector) Enqueue(p *Packet) {
-	inj.queues[vcOf(p, len(inj.queues))].push(p)
+	inj.queues[VCOf(p.Priority, len(inj.queues))].push(p)
 	inj.queuedFlits += p.Flits
-	if inj.queuedFlits > inj.flitsHWM {
-		inj.flitsHWM = inj.queuedFlits
-	}
 }
 
 // QueueFlits returns the number of unsent flits waiting in the injection
 // queues; network interfaces use it to backpressure their traffic source.
 func (inj *Injector) QueueFlits() int { return inj.queuedFlits }
-
-// QueueFlitsHWM returns the high-water mark of the injection backlog in
-// flits — how close the NI queue came to its cap over the run.
-func (inj *Injector) QueueFlitsHWM() int { return inj.flitsHWM }
 
 // CanLaunch reports whether Step would launch a flit: some VC has both
 // a queued packet and a credit. While false, Step is a no-op and stays
@@ -99,9 +91,10 @@ func (inj *Injector) CanLaunch() bool {
 	return false
 }
 
-// Step launches at most one flit, serving the priority VC first. Call
-// at most once per cycle, after the mesh's Cycle.
-func (inj *Injector) Step(now int64) {
+// Step launches at most one flit, serving the priority VC first, and
+// returns the packet whose last flit that was (it has left the queue),
+// or nil. Call at most once per cycle, after the mesh's Cycle.
+func (inj *Injector) Step(now int64) *Packet {
 	for vc := len(inj.queues) - 1; vc >= 0; vc-- {
 		q := &inj.queues[vc]
 		if q.head == nil || inj.credits[vc] <= 0 {
@@ -120,9 +113,11 @@ func (inj *Injector) Step(now int64) {
 		if inj.sent[vc] == p.Flits {
 			q.pop()
 			inj.sent[vc] = 0
+			return p
 		}
-		return
+		return nil
 	}
+	return nil
 }
 
 // Sink is the receiving half of a network interface. Arriving flits land

@@ -18,8 +18,9 @@ func slowQueueFlits(inj *Injector) int {
 
 // TestInjectorFlitAccounting drives an injector against a hand-computed
 // schedule: the injector launches exactly one flit per cycle while it has
-// credits, so after enqueueing packets of known lengths the backlog and
-// its high-water mark follow directly.
+// credits, so after enqueueing packets of known lengths the backlog
+// follows directly, and Step hands back each packet on the cycle its last
+// flit launches.
 func TestInjectorFlitAccounting(t *testing.T) {
 	m, err := NewMesh(2, 1, 8)
 	if err != nil {
@@ -29,31 +30,32 @@ func TestInjectorFlitAccounting(t *testing.T) {
 	inj := m.AttachInjector(src)
 	sink := m.AttachSink(dst, 8, 16)
 
-	if inj.QueueFlits() != 0 || inj.QueueFlitsHWM() != 0 {
-		t.Fatalf("fresh injector: flits=%d hwm=%d", inj.QueueFlits(), inj.QueueFlitsHWM())
+	if inj.QueueFlits() != 0 {
+		t.Fatalf("fresh injector: flits=%d", inj.QueueFlits())
 	}
-	// Enqueue 3+5+4 = 12 flits before any cycle runs: backlog and HWM
-	// must both read 12.
+	// Enqueue 3+5+4 = 12 flits before any cycle runs.
+	var pkts []*Packet
 	for i, flits := range []int{3, 5, 4} {
-		inj.Enqueue(mkVCPacket(int64(i+1), src, dst, flits, false))
+		pkts = append(pkts, mkVCPacket(int64(i+1), src, dst, flits, false))
+		inj.Enqueue(pkts[i])
 	}
 	if got := inj.QueueFlits(); got != 12 {
 		t.Fatalf("backlog after enqueue = %d, want 12", got)
 	}
-	if got := inj.QueueFlitsHWM(); got != 12 {
-		t.Fatalf("HWM after enqueue = %d, want 12", got)
-	}
 
 	// Each cycle the injector launches exactly one flit (credits permit:
 	// the sink drains continuously), so after k cycles the backlog is
-	// 12-k; the HWM stays at the initial peak.
+	// 12-k, and the packets finish on cycles 3, 8 and 12.
+	finished := map[int]*Packet{3: pkts[0], 8: pkts[1], 12: pkts[2]}
 	now := int64(0)
 	for k := 1; k <= 12; k++ {
 		m.Cycle(now)
 		sink.Step(now)
 		for sink.Pop(now) != nil {
 		}
-		inj.Step(now)
+		if got := inj.Step(now); got != finished[k] {
+			t.Fatalf("cycle %d: Step returned %v, want %v", k, got, finished[k])
+		}
 		now++
 		if got, want := inj.QueueFlits(), 12-k; got != want {
 			t.Fatalf("cycle %d: backlog = %d, want %d", k, got, want)
@@ -62,13 +64,8 @@ func TestInjectorFlitAccounting(t *testing.T) {
 			t.Fatalf("cycle %d: incremental %d != recomputed %d", k, inj.QueueFlits(), got)
 		}
 	}
-	if inj.QueueFlitsHWM() != 12 {
-		t.Errorf("HWM after drain = %d, want 12", inj.QueueFlitsHWM())
-	}
-	// A late enqueue below the old peak must not move the HWM.
-	inj.Enqueue(mkVCPacket(9, src, dst, 2, false))
-	if inj.QueueFlits() != 2 || inj.QueueFlitsHWM() != 12 {
-		t.Errorf("after late enqueue: flits=%d hwm=%d, want 2/12", inj.QueueFlits(), inj.QueueFlitsHWM())
+	if got := inj.Step(now); got != nil {
+		t.Errorf("idle injector's Step returned %v", got)
 	}
 }
 

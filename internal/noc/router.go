@@ -151,11 +151,11 @@ func (r *Router) SetAllAllocators(mk func(port int) Allocator) {
 	}
 }
 
-// vcOf returns the virtual channel a packet travels on: with two VCs,
-// priority packets ride VC 1 and best-effort traffic VC 0 — the classic
-// QoS arrangement the paper contrasts with SAGM splitting.
-func vcOf(p *Packet, vcs int) int {
-	if vcs > 1 && p.Priority {
+// VCOf returns the virtual channel a packet travels on among vcs: with
+// two VCs, priority packets ride VC 1 and best-effort traffic VC 0 — the
+// classic QoS arrangement the paper contrasts with SAGM splitting.
+func VCOf(priority bool, vcs int) int {
+	if vcs > 1 && priority {
 		return vcs - 1
 	}
 	return 0

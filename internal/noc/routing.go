@@ -95,7 +95,7 @@ func (r *Router) outputScore(out int, p *Packet) int {
 	if o.link == nil {
 		return -1 << 29
 	}
-	vc := vcOf(p, r.vcs)
+	vc := VCOf(p.Priority, r.vcs)
 	s := o.credits[vc]
 	if a := &o.active[vc]; a.pp == nil {
 		s += 1000

@@ -35,12 +35,10 @@ func TestNewMeshVCValidation(t *testing.T) {
 }
 
 func TestVCOfAssignsPriorityChannel(t *testing.T) {
-	pri := mkVCPacket(1, Coord{}, Coord{}, 1, true)
-	be := mkVCPacket(2, Coord{}, Coord{}, 1, false)
-	if vcOf(pri, 2) != 1 || vcOf(be, 2) != 0 {
+	if VCOf(true, 2) != 1 || VCOf(false, 2) != 0 {
 		t.Error("2-VC assignment wrong")
 	}
-	if vcOf(pri, 1) != 0 || vcOf(be, 1) != 0 {
+	if VCOf(true, 1) != 0 || VCOf(false, 1) != 0 {
 		t.Error("single-VC assignment must always be 0")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -255,5 +256,49 @@ func TestSummarizeViolationsCountsDropped(t *testing.T) {
 	}
 	if n := TotalViolations(vs[:2]); n != 2 {
 		t.Errorf("TotalViolations without a dropped entry = %d, want 2", n)
+	}
+}
+
+// TestDecodeIntoFilledReport: decoding a report's binary form into a
+// Report that already holds another gives exactly what decoding it into
+// a zero Report gives, for every ordered pair of golden reports, so no
+// pointer, slice or element of the old report survives.
+func TestDecodeIntoFilledReport(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "golden", "*.json"))
+	if err != nil || len(paths) < 2 {
+		t.Fatalf("golden reports: %v, %v", paths, err)
+	}
+	reps := make([]*Report, len(paths))
+	for i, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reps[i], err = DecodeJSON(data); err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+	}
+	for i, a := range reps {
+		bin, err := Plan.Append(nil, reflect.ValueOf(a).Elem())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want Report
+		if err := Plan.Decode(bin, reflect.ValueOf(&want).Elem()); err != nil {
+			t.Fatal(err)
+		}
+		for j, b := range reps {
+			if i == j {
+				continue
+			}
+			got := *b
+			if err := Plan.Decode(bin, reflect.ValueOf(&got).Elem()); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s decoded into %s differs from %s decoded into a zero report",
+					filepath.Base(paths[i]), filepath.Base(paths[j]), filepath.Base(paths[i]))
+			}
+		}
 	}
 }

@@ -67,6 +67,14 @@ type coreNI struct {
 	stalls     int64 // cycles the generators lost to injection backpressure
 	generated  int64 // logical requests generated (the per-core ledger)
 
+	// backlog holds, per virtual channel, the requests whose packets are
+	// not all cut or launched yet; uncut is the flits of the splits not
+	// yet cut, the rest of the NI's backlog (queued) being the injector's,
+	// and queuedHWM that backlog's high-water mark.
+	backlog   [2]backlog
+	uncut     int
+	queuedHWM int
+
 	// h is woken when a response flit arrives, a completion refills a
 	// closed-loop window or a credit returns to a backlogged injector.
 	h *sim.Handle
@@ -98,9 +106,7 @@ type Runner struct {
 
 	reqs   slotTable      // the outstanding logical requests, freed at their completion
 	split  *core.Splitter // nil when the design does not split
-	splits []*noc.Packet  // injectLogical's split list, reused per request
 	nextID int64
-	newID  func() int64 // draws the next packet ID (bound once, for Split)
 
 	// The free-list for packets: they cycle
 	// core→mesh→controller→(response mesh)→core and are recycled at their
@@ -148,7 +154,6 @@ func New(cfg Config) (*Runner, error) {
 		return nil, err
 	}
 	r := &Runner{cfg: cfg, timing: timing, chmap: chmap, maxBeats: maxRequestBeats(cfg)}
-	r.newID = func() int64 { r.nextID++; return r.nextID }
 	if r.reqMesh, err = noc.NewMeshVC(cfg.App.Width, cfg.App.Height, bufFlits, cfg.VirtualChannels); err != nil {
 		return nil, err
 	}
@@ -170,8 +175,7 @@ func New(cfg Config) (*Runner, error) {
 		if g == 0 {
 			g = core.SplitGranularity(int(cfg.Gen))
 		}
-		r.split = &core.Splitter{GranularityBeats: g, Alloc: r.pkts.Get}
-		r.splits = make([]*noc.Packet, 0, (r.maxBeats+g-1)/g) // the longest chain
+		r.split = &core.Splitter{GranularityBeats: g}
 	}
 	if err := r.buildCores(); err != nil {
 		return nil, err

@@ -22,14 +22,19 @@ import (
 //   - NI sleep: at the same point, every core that sleeps blocked really
 //     is blocked and unable to launch, and every sleeping core has nothing
 //     to drain or launch and no generator due before its wake.
+//   - NI backlog: at the same point, each core's uncut flits recounted
+//     from the requests linked in its backlog, by cutting them, equal its
+//     ledger, and a core with uncut flits has a packet on its injector.
 //   - Memory-side sleep: at the same point, a channel's held refusal is
 //     one its controller still stands by, a sleeping channel has nothing
 //     to drain, launch or admit, and a controller not due next cycle has
 //     no grant it could make.
 //   - End-of-run accounting: finalChecks in Runner.Finish — logical
 //     request conservation per core, the slot table's live count
-//     against its walk, split-chain pending bounds, GSS token-table
-//     bounds, and the assembled obs report's own rules and link grants.
+//     against its walk, split-chain pending bounds (uncut splits count
+//     as pending and as routed to their channel, not yet done), GSS
+//     token-table bounds, and the assembled obs report's own rules and
+//     link grants.
 //   - Split handles: at every split completion, the packet's Req names
 //     the slot whose record has the packet's ParentID.
 
@@ -74,11 +79,16 @@ func (r *Runner) auditMeshes(now int64) {
 	})
 	for _, c := range r.cores {
 		blocked, wake := c.sleptFrom != sim.Never, c.h.WakeAt()
-		if blocked && (c.inj.CanLaunch() || c.inj.QueueFlits() < injectCap) ||
+		if blocked && (c.inj.CanLaunch() || c.queued() < injectCap) ||
 			wake > now+1 && (c.sink.CanDrain() || c.inj.CanLaunch() || !blocked && c.nextArrival() < wake) {
 			r.chk.Reportf(now, "ni/"+c.spec.Name, "ni-sleep",
 				"core due at %d, blocked: %t with %d of %d flits queued, flits to drain: %t, to launch: %t, next arrival %d",
-				wake, blocked, c.inj.QueueFlits(), injectCap, c.sink.CanDrain(), c.inj.CanLaunch(), c.nextArrival())
+				wake, blocked, c.queued(), injectCap, c.sink.CanDrain(), c.inj.CanLaunch(), c.nextArrival())
+		}
+		if n := r.uncutFlits(c); n != c.uncut || n > 0 && c.inj.QueueFlits() == 0 {
+			r.chk.Reportf(now, "ni/"+c.spec.Name, "inject-backlog",
+				"%d flits wait uncut in the backlog, the ledger holds %d, the injector %d",
+				n, c.uncut, c.inj.QueueFlits())
 		}
 	}
 	// The memory side's sleeps. A head the controller accepts must be
@@ -109,6 +119,31 @@ func (r *Runner) auditMeshes(now int64) {
 	})
 }
 
+// eachWaiting visits every request in c's backlog with the number of its
+// first split not yet cut.
+func (r *Runner) eachWaiting(c *coreNI, fn func(slot int32, l *logical, first int)) {
+	for vc := range c.backlog {
+		first := int(c.backlog[vc].cut)
+		for slot := c.backlog[vc].head; slot != 0; slot, first = r.reqs.at(slot).next, 0 {
+			fn(slot, r.reqs.at(slot), first)
+		}
+	}
+}
+
+// uncutFlits recounts the flits of c's splits not yet cut, by cutting
+// each into a scratch packet.
+func (r *Runner) uncutFlits(c *coreNI) int {
+	n := 0
+	var p noc.Packet
+	r.eachWaiting(c, func(slot int32, l *logical, k int) {
+		for splits, _ := r.size(l); k < splits; k++ {
+			r.packet(&p, c, slot, l, k)
+			n += p.Flits
+		}
+	})
+	return n
+}
+
 // finalChecks performs the end-of-run accounting and attaches the
 // collected violations to the report. Cycle -1 marks whole-run checks.
 func (r *Runner) finalChecks(rep *obs.Report) {
@@ -117,15 +152,25 @@ func (r *Runner) finalChecks(rep *obs.Report) {
 
 	// Split-chain bounds and the per-core ledger: every request a core
 	// generated is completed or still outstanding in the slot table, and
-	// the table's live count is the records its walk finds.
+	// the table's live count is the records its walk finds. A split not
+	// yet cut is pending, and routed to its channel but not done there.
+	uncut := map[int64]int32{} // by parent ID
+	for _, ni := range r.cores {
+		r.eachWaiting(ni, func(_ int32, l *logical, first int) {
+			splits, _ := r.size(l)
+			uncut[l.id] = int32(splits - first)
+		})
+	}
 	perCore := make([]int64, len(r.cores))
+	inFlight := make([]int64, len(r.chans))
 	walked := 0
 	r.reqs.each(func(l *logical) {
-		if l.pending < 1 {
+		if l.pending < max(1, uncut[l.id]) {
 			c.Reportf(-1, "runner", "split-accounting",
-				"outstanding request %d has %d pending splits", l.id, l.pending)
+				"outstanding request %d has %d pending splits, %d of them uncut", l.id, l.pending, uncut[l.id])
 		}
 		perCore[l.core]++
+		inFlight[l.ch] += int64(uncut[l.id])
 		walked++
 	})
 	if walked != r.reqs.live {
@@ -141,13 +186,13 @@ func (r *Runner) finalChecks(rep *obs.Report) {
 		}
 	}
 	// Per-channel split conservation: a channel cannot complete more
-	// splits than the interleaving policy routed to it, and every split
-	// was routed to exactly one channel.
+	// splits than the interleaving policy routed to it, less those still
+	// uncut, and every split was routed to exactly one channel.
 	for i := range r.chans {
-		if ch := &r.chans[i]; ch.done > ch.sent {
+		if ch := &r.chans[i]; ch.done+inFlight[i] > ch.sent {
 			c.Reportf(-1, "runner", "channel-accounting",
-				"channel %d completed %d splits but only %d were routed to it",
-				i, ch.done, ch.sent)
+				"channel %d completed %d splits with %d uncut but only %d were routed to it",
+				i, ch.done, inFlight[i], ch.sent)
 		}
 	}
 	// GSS token tables.

@@ -236,3 +236,36 @@ func TestFinalChecksCatchLedgerDrift(t *testing.T) {
 		})
 	}
 }
+
+// TestAuditCatchesNILedgerDrift: a core keeps the flits of its splits not
+// yet cut as a ledger beside the requests linked in its backlog, and each
+// audit recounts them by cutting the requests again, so a ledger one flit
+// off is reported, as inject-backlog and as nothing else.
+func TestAuditCatchesNILedgerDrift(t *testing.T) {
+	r, err := New(Config{
+		App: appmodel.DualDTV(), Gen: dram.DDR3, Design: GSSSAGM, PriorityDemand: true,
+		VirtualChannels: 2, Cycles: 5_000, Checked: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.RunTo(5_000)
+	if vs := r.chk.Violations(); len(vs) != 0 {
+		t.Fatalf("clean run reported %v", vs)
+	}
+	var c *coreNI
+	for _, ni := range r.cores {
+		if ni.uncut > 0 {
+			c = ni
+			break
+		}
+	}
+	if c == nil {
+		t.Fatal("no core has a split waiting uncut: the fault would not be exercised")
+	}
+	c.uncut++
+	r.auditMeshes(r.Now())
+	if vs := r.chk.Violations(); len(vs) != 1 || vs[0].Kind != "inject-backlog" {
+		t.Fatalf("ledger one flit off reported as %v, want one inject-backlog", vs)
+	}
+}

@@ -95,7 +95,9 @@ func (m *meshComp) NextWake(now int64) int64 {
 func (c *coreNI) Phase() sim.Phase { return sim.PhaseCore }
 
 // Tick is one cycle of the interface: the sink drains and retires every
-// ready response packet, then the generators tick and the injector launches.
+// ready response packet, then the generators tick and the injector
+// launches; a packet whose last flit that launched makes room for the
+// backlog's next split, cut at once (launched).
 func (c *coreNI) Tick(now int64) {
 	r := c.r
 	c.sink.Step(now)
@@ -110,7 +112,7 @@ func (c *coreNI) Tick(now int64) {
 	}
 	r.settle(c, now)
 	c.sleptFrom = sim.Never
-	blocked := c.inj.QueueFlits() >= injectCap
+	blocked := c.queued() >= injectCap
 	if blocked {
 		// The injection backpressure point: this core's generators lose
 		// the cycle. Counted once per core per cycle, here or — for the
@@ -122,8 +124,14 @@ func (c *coreNI) Tick(now int64) {
 			r.injectLogical(c, g, req, now)
 		}
 	}
-	c.inj.Step(now)
+	if p := c.inj.Step(now); p != nil {
+		r.launched(c, p)
+	}
 }
+
+// queued is the NI's injection backlog in flits: the splits not yet cut
+// and the flits the injector has yet to launch.
+func (c *coreNI) queued() int { return c.uncut + c.inj.QueueFlits() }
 
 // NextWake keeps the interface awake while its sink can still move a
 // flit or its injector launch one. Otherwise it sleeps on a flit's
@@ -134,7 +142,7 @@ func (c *coreNI) NextWake(now int64) int64 {
 	if c.sink.CanDrain() || c.inj.CanLaunch() {
 		return now + 1
 	}
-	if c.inj.QueueFlits() >= injectCap {
+	if c.queued() >= injectCap {
 		c.sleptFrom = now + 1
 		return sim.Never
 	}

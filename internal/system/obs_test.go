@@ -115,8 +115,8 @@ func TestReplayBackpressureConservation(t *testing.T) {
 	if tot.stalled == 0 {
 		t.Errorf("no stalls despite a saturating burst and a %d-flit injection cap", injectCap)
 	}
-	if got := r.cores[0].inj.QueueFlitsHWM(); got < injectCap {
-		t.Errorf("injector HWM %d never reached the injection cap %d", got, injectCap)
+	if got := r.cores[0].queuedHWM; got < injectCap {
+		t.Errorf("NI backlog HWM %d never reached the injection cap %d", got, injectCap)
 	}
 
 	rep := r.Finish().Obs

@@ -19,7 +19,7 @@ import (
 func (r *Runner) sample(cycle, interval int64) {
 	queued := 0
 	for _, c := range r.cores {
-		queued += c.inj.QueueFlits()
+		queued += c.queued()
 	}
 	var dc int64
 	ready := 0
@@ -131,7 +131,7 @@ func (r *Runner) buildReport(now int64) *obs.Report {
 // niStat is the core's network-interface section of the report.
 func (c *coreNI) niStat() obs.NI {
 	return obs.NI{
-		Core: c.spec.Name, QueueFlitsHWM: c.inj.QueueFlitsHWM(), StallCycles: c.stalls, SinkReadyHWM: c.sink.ReadyHWM(),
+		Core: c.spec.Name, QueueFlitsHWM: c.queuedHWM, StallCycles: c.stalls, SinkReadyHWM: c.sink.ReadyHWM(),
 		Completed: c.completed, Beats: c.beats, LatencySum: c.latencySum,
 	}
 }

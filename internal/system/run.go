@@ -7,25 +7,31 @@ import (
 	"slices"
 
 	"aanoc/internal/core"
+	"aanoc/internal/dram"
 	"aanoc/internal/memctrl"
 	"aanoc/internal/noc"
 	"aanoc/internal/trace"
 	"aanoc/internal/traffic"
 )
 
-// logical tracks an outstanding logical request across its splits.
+// logical tracks an outstanding logical request across its splits. It
+// is also the template its packets are cut from: until the last is cut,
+// the request waits in its core's backlog as this record, not as packets.
 type logical struct {
-	id       int64 // the request's parent ID; 0 while the slot is free
-	gen      int64 // generation cycle at the core
-	entry    int64 // cycle the first flit entered the request mesh (-1 until then)
-	stream   traffic.Source
-	class    noc.Class
-	priority bool
-	read     bool
-	free     int32 // while the slot is free: the next free slot, 0 for none
-	pending  int
-	core     int
-	beats    int
+	id     int64 // the request's parent ID; 0 while the slot is free
+	gen    int64 // generation cycle at the core
+	entry  int64 // cycle the first flit entered the request mesh (-1 until then)
+	stream traffic.Source
+	addr   dram.Address // the channel-local address its packets carry
+	// next links the free list while the slot is free, and the core's
+	// backlog while the request waits in it; 0 ends either.
+	next               int32
+	pending            int32 // splits not yet completed, the uncut ones included
+	beats              int32
+	core               int32 // index in Runner.cores
+	ch                 int32 // index in Runner.chans
+	class              uint8 // a noc.Class
+	priority, read, ap bool
 }
 
 // slotSlab is how many records the slot table adds at once.
@@ -51,15 +57,15 @@ func (t *slotTable) add() (int32, *logical) {
 		base := int32(len(t.slabs)) * slotSlab
 		slab := new([slotSlab]logical)
 		for i := range slab {
-			slab[i].free = base + int32(i) + 2
+			slab[i].next = base + int32(i) + 2
 		}
-		slab[slotSlab-1].free = 0
+		slab[slotSlab-1].next = 0
 		t.slabs = append(t.slabs, slab)
 		t.free = base + 1
 	}
 	slot := t.free
 	l := t.at(slot)
-	t.free = l.free
+	t.free = l.next
 	t.live++
 	return slot, l
 }
@@ -73,7 +79,7 @@ func (t *slotTable) at(slot int32) *logical {
 // remove frees slot; its record is zeroed, so a stale handle finds id 0.
 func (t *slotTable) remove(slot int32) {
 	l := t.at(slot)
-	*l = logical{free: t.free}
+	*l = logical{next: t.free}
 	t.free = slot
 	t.live--
 }
@@ -152,7 +158,7 @@ func (r *Runner) completeSplit(p *noc.Packet, at int64) {
 		if entry < 0 {
 			entry = l.gen
 		}
-		r.met.Record(at-entry, l.class == noc.ClassDemand, l.priority, l.read)
+		r.met.Record(at-entry, noc.Class(l.class) == noc.ClassDemand, l.priority, l.read)
 		r.met.SourceLatency.Add(at - l.gen)
 	}
 	l.stream.OnComplete(at)
@@ -175,8 +181,12 @@ func (r *Runner) RunTo(cycle int64) { r.kern.RunUntil(cycle) }
 // Runner, for the tests and the benchmark's idle-skip probe.
 func (r *Runner) SetIdleSkip(on bool) { r.kern.SetIdleSkip(on) }
 
-// injectLogical packetises a logical request (splitting under SAGM) and
-// queues the packets for injection.
+// injectLogical files a logical request in its core's backlog, on the
+// virtual channel its packets will ride. The request's counts move now:
+// its slot and pending splits, its IDs, the channel's routed splits and
+// the core's backlog in flits. Its packets are cut one at a time as the
+// injector reaches them (cut); the first right away if that channel's
+// backlog was empty.
 func (r *Runner) injectLogical(c *coreNI, g traffic.Source, req *traffic.Request, now int64) {
 	if r.cfg.Trace != nil {
 		if err := r.cfg.Trace.Write(trace.FromRequest(now, c.spec.Name, req)); err != nil {
@@ -190,43 +200,96 @@ func (r *Runner) injectLogical(c *coreNI, g traffic.Source, req *traffic.Request
 	ch, local := r.chmap.Route(req.Addr)
 	r.nextID++
 	slot, l := r.reqs.add()
-	base := r.pkts.Get()
-	*base = noc.Packet{
-		ID: r.nextID, ParentID: r.nextID, Req: slot,
-		SrcCore: c.idx, Src: c.spec.Pos, Dst: r.chans[ch].port,
-		Kind: req.Kind, Class: req.Class, Priority: req.Priority,
-		Addr: local, Beats: req.Beats, Gen: now,
-		APTag: req.EndOfRow || r.cfg.TagEveryRequest,
-	}
-	// The split list is scratch: rebuilt here for every request, and
-	// nothing keeps it past the Enqueue loop below.
-	pkts := r.splits[:0]
-	if r.split != nil {
-		var err error
-		if pkts, err = r.split.Split(pkts, base, r.newID); err != nil {
-			panic(fmt.Sprintf("system: split failed: %v", err))
-		}
-	} else {
-		core.NoSplit(base)
-		pkts = append(pkts, base)
-	}
-	r.splits = pkts
 	*l = logical{
-		id: base.ID, gen: now, entry: -1, stream: g, class: req.Class, priority: req.Priority,
-		read: req.Kind == noc.Read, pending: len(pkts),
-		core: c.idx, beats: req.Beats,
+		id: r.nextID, gen: now, entry: -1, stream: g, addr: local,
+		beats: int32(req.Beats), core: int32(c.idx), ch: int32(ch),
+		class: uint8(req.Class), priority: req.Priority, read: req.Kind == noc.Read,
+		ap: req.EndOfRow || r.cfg.TagEveryRequest,
 	}
+	n, flits := r.size(l)
+	if r.split != nil && !l.read {
+		r.nextID += int64(n) // a write's splits are numbered after it (core.Splitter.Cut)
+	}
+	l.pending = int32(n)
 	c.generated++
-	r.chans[ch].sent += int64(len(pkts))
-	// A write split under SAGM replaces the base packet with per-granule
-	// copies; the base itself never enters the mesh, so recycle it now
-	// (its ID and slot live on in the splits, which hold them by value).
-	if len(pkts) > 0 && pkts[0] != base {
-		r.pkts.Put(base)
+	r.chans[ch].sent += int64(n)
+	c.uncut += flits
+	c.queuedHWM = max(c.queuedHWM, c.queued())
+	q := &c.backlog[noc.VCOf(req.Priority, r.cfg.VirtualChannels)]
+	if q.head == 0 {
+		q.head, q.tail = slot, slot
+		r.cut(c, q)
+		return
 	}
-	for _, p := range pkts {
-		c.inj.Enqueue(p)
+	r.reqs.at(q.tail).next = slot
+	q.tail = slot
+}
+
+// backlog is one virtual channel's queue of requests in a core's network
+// interface, oldest first, linked through their records' next: each
+// request stays in it from generation until its last packet has
+// launched. The head's current packet, numbered cut-1, is the one packet
+// the injector holds on that channel, so a non-empty backlog always has
+// its next flit queued.
+type backlog struct{ head, tail, cut int32 }
+
+// size returns how many packets l travels as and their flits together.
+func (r *Runner) size(l *logical) (packets, flits int) {
+	switch {
+	case r.split != nil:
+		return r.split.Size(l.kind(), int(l.beats))
+	case l.read:
+		return 1, 1
 	}
+	return 1, noc.FlitsForBeats(int(l.beats))
+}
+
+// kind is the request's read or write.
+func (l *logical) kind() noc.Kind {
+	if l.read {
+		return noc.Read
+	}
+	return noc.Write
+}
+
+// packet fills p with split k of the request in slot, one of c's.
+func (r *Runner) packet(p *noc.Packet, c *coreNI, slot int32, l *logical, k int) {
+	*p = noc.Packet{
+		ID: l.id, Req: slot, SrcCore: c.idx, Src: c.spec.Pos, Dst: r.chans[l.ch].port,
+		Kind: l.kind(), Class: noc.Class(l.class), Priority: l.priority,
+		Addr: l.addr, Beats: int(l.beats), Gen: l.gen, APTag: l.ap,
+	}
+	if r.split != nil {
+		r.split.Cut(p, k)
+	} else {
+		core.NoSplit(p)
+	}
+}
+
+// cut leases the packet of the next split of q's head request and queues
+// it on c's injector: the packet's lease starts here.
+func (r *Runner) cut(c *coreNI, q *backlog) {
+	p := r.pkts.Get()
+	r.packet(p, c, q.head, r.reqs.at(q.head), int(q.cut))
+	q.cut++
+	c.uncut -= p.Flits
+	c.inj.Enqueue(p)
+}
+
+// launched moves c's backlog on past p, whose last flit the injector has
+// just launched: its request leaves the backlog if p was its last split,
+// and the backlog's next split is cut, so the injector has it next cycle.
+func (r *Runner) launched(c *coreNI, p *noc.Packet) {
+	q := &c.backlog[noc.VCOf(p.Priority, r.cfg.VirtualChannels)]
+	l := r.reqs.at(q.head)
+	if n, _ := r.size(l); int(q.cut) == n {
+		q.head, q.cut, l.next = l.next, 0, 0
+		if q.head == 0 {
+			q.tail = 0
+			return
+		}
+	}
+	r.cut(c, q)
 }
 
 // settleAll settles every core through the current cycle.

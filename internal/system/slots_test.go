@@ -2,6 +2,7 @@ package system
 
 import (
 	"testing"
+	"unsafe"
 
 	"aanoc/internal/appmodel"
 	"aanoc/internal/dram"
@@ -19,13 +20,13 @@ func TestLogicalSlots(t *testing.T) {
 	recs := make([]*logical, n)
 	for i := range slots {
 		slots[i], recs[i] = tab.add()
-		*recs[i] = logical{id: int64(1000 + i), pending: i}
+		*recs[i] = logical{id: int64(1000 + i), pending: int32(i)}
 		if slots[i] < 1 {
 			t.Fatalf("record %d took slot %d, want 1-based", i, slots[i])
 		}
 	}
 	for i := range slots {
-		if l := tab.at(slots[i]); l != recs[i] || l.id != int64(1000+i) || l.pending != i {
+		if l := tab.at(slots[i]); l != recs[i] || l.id != int64(1000+i) || l.pending != int32(i) {
 			t.Fatalf("slot %d moved or changed after growth to %d records: %p %+v, want %p", slots[i], n, l, l, recs[i])
 		}
 	}
@@ -59,6 +60,18 @@ func TestLogicalSlots(t *testing.T) {
 	}
 	if last != 5000 {
 		t.Errorf("walk ends at %d, want the newest request 5000", last)
+	}
+}
+
+// TestLogicalRecordSize pins the slot table's record at 88 bytes on a
+// 64-bit platform. Besides the request's bookkeeping it holds the
+// template its packets are cut from while it waits in its core's
+// backlog, and a saturated run keeps hundreds of records live: a field
+// added here is paid by every one of them, and by runs whose requests
+// never wait at all.
+func TestLogicalRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(logical{}); unsafe.Sizeof(uintptr(0)) == 8 && n > 88 {
+		t.Errorf("logical is %d bytes, want at most 88", n)
 	}
 }
 
