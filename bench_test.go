@@ -1,7 +1,7 @@
 package aanoc
 
-// The in-package benchmarks DESIGN.md's per-experiment index cites:
-// Fig. 8, Tables IV and V, and the ablation benches. Each runs complete
+// The in-package benchmarks DESIGN.md "Per-experiment index" cites (Fig.
+// 8, Tables IV and V) and those of DESIGN.md "Ablations". Each runs complete
 // simulations and reports the paper's metrics through b.ReportMetric
 // (go test -bench=. -benchmem). Tables I-III and raw simulator throughput
 // are bench/'s workloads: go run ./bench -workload tables-cold|sat-gss.

@@ -283,7 +283,7 @@ func tier(sti bool, c conds) int {
 // passes after max(tier - tokens, 0) rounds, so one pass finds the
 // winner among those needing the fewest (no token count changes).
 //
-// Two interpretation decisions, recorded in DESIGN.md:
+// Two interpretation decisions (DESIGN.md "Interpretation decisions"):
 //
 //   - Exclusion is evaluated among the competing candidates rather than
 //     all residents: excluding a best-effort head on behalf of a priority

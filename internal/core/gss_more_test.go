@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"aanoc/internal/noc"
@@ -105,5 +106,36 @@ func TestDataContentionSeparation(t *testing.T) {
 	g.OnPacketArrival(wr, 1)
 	if got := g.Select([]noc.Candidate{{Pkt: rd, Port: 0}, {Pkt: wr, Port: 1}}, 2); got != 1 {
 		t.Fatalf("same-direction write should win, got %d", got)
+	}
+}
+
+// TestAuditTokensKindsTrip is GSS's rows of the fault matrix: one row per
+// report site of AuditTokens, each a token table built out of bounds, and
+// each asserting exactly the kinds, in order, that the table trips.
+func TestAuditTokensKindsTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		doctor func(g *GSS)
+		want   []string
+	}{
+		{"clean", func(*GSS) {}, nil},
+		{"pct-below-one", func(g *GSS) { g.cfg.PCT = 0 }, []string{"pct-bound"}},
+		{"pct-above-tree", func(g *GSS) { g.cfg.PCT = g.cfg.MaxTokens() + 1 }, []string{"pct-bound"}},
+		{"no-tokens", func(g *GSS) { g.head.tokens = 0 }, []string{"token-bound"}},
+		{"sequence-ahead", func(g *GSS) { g.tail.seq = g.nextSeq + 1 }, []string{"token-bound"}},
+		{"sequence-zero", func(g *GSS) { g.head.seq = 0 }, []string{"token-bound"}},
+		{"both-entry-rules", func(g *GSS) { g.head.tokens, g.head.seq = -1, -1 }, []string{"token-bound", "token-bound"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := MustNew(Config{PCT: 3, Banks: 4})
+			g.OnPacketArrival(pkt(1, 0, 0, noc.Read, true), 0)
+			g.OnPacketArrival(pkt(2, 1, 0, noc.Write, false), 1)
+			tc.doctor(g)
+			var got []string
+			g.AuditTokens(func(kind, _ string, _ ...any) { got = append(got, kind) })
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("audit reported %v, want %v", got, tc.want)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -108,26 +109,95 @@ func TestAuditCatchesDuplicatedCredit(t *testing.T) {
 }
 
 // TestAuditCatchesLostFlit decrements a buffer occupancy as if a flit
-// evaporated, and expects both the buffer accounting and the
-// mesh-level flit ledger to complain.
+// evaporated, and expects the buffer accounting and the mesh-level flit
+// ledger to complain — and the link's credit loop, of which the buffered
+// flit is a term too.
 func TestAuditCatchesLostFlit(t *testing.T) {
 	m, _ := NewMesh(2, 2, 4)
 	src, dst := Coord{1, 1}, Coord{0, 0}
 	inj := m.AttachInjector(src)
 	m.AttachSink(dst, 8, 4)
 	inj.Enqueue(mkPacket(1, src, dst, 4))
-	// Launch one flit and deliver it by hand, without stepping the
-	// routers — a full Mesh.Step would forward it onward immediately.
+	// Launch one flit and deliver it, without stepping the routers — a
+	// full Mesh.Cycle would forward it onward immediately.
 	buf := &m.RouterAt(src).In[PortLocal].bufs[0]
 	inj.Step(0)
-	inj.link.deliver(1)
+	m.deliver(1)
 	if buf.occupied == 0 {
 		t.Fatal("no flit reached the router buffer")
 	}
+	if vs := collectViolations(m); len(vs) != 0 {
+		t.Fatalf("healthy mesh flagged: %v", vs)
+	}
 	buf.occupied--
-	vs := collectViolations(m)
-	if len(vs) == 0 {
-		t.Fatal("evaporated flit not flagged")
+	want := []string{"credit-conservation", "buffer-accounting", "flit-conservation"}
+	if got := violationKinds(m); !slices.Equal(got, want) {
+		t.Fatalf("evaporated flit reported as %v, want %v", got, want)
+	}
+}
+
+// violationKinds runs Audit and returns the kind of each report, in order.
+func violationKinds(m *Mesh) []string {
+	var kinds []string
+	m.Audit(func(kind, _ string, _ ...any) { kinds = append(kinds, kind) })
+	return kinds
+}
+
+// TestMeshAuditKindsTrip is the mesh audit's rows of the fault matrix:
+// one row per report site of buffer-bound, buffer-accounting,
+// flit-conservation and transfer-order, each corrupting one buffer,
+// transfer or flit ledger of a built mesh and asserting exactly the
+// kinds, in order, that the audit reports. A buffer's occupancy is also a
+// term of its link's credit loop and of the flit ledger, so a row that
+// moves it lists those kinds too.
+func TestMeshAuditKindsTrip(t *testing.T) {
+	src, dst := Coord{1, 1}, Coord{0, 0}
+	for _, tc := range []struct {
+		name   string
+		doctor func(m *Mesh, head *InputBuffer, sink *Sink)
+		want   []string
+	}{
+		{"clean", func(*Mesh, *InputBuffer, *Sink) {}, nil},
+		{"sent-beyond-arrived", func(_ *Mesh, b *InputBuffer, _ *Sink) { b.packets[0].Sent = 2 },
+			[]string{"buffer-accounting", "buffer-accounting"}},
+		{"arrived-beyond-length", func(_ *Mesh, b *InputBuffer, _ *Sink) { b.packets[0].Arrived = 5 },
+			[]string{"buffer-accounting", "buffer-accounting"}},
+		{"occupancy-above-capacity", func(_ *Mesh, b *InputBuffer, _ *Sink) { b.occupied = b.capacity + 1 },
+			[]string{"credit-conservation", "buffer-bound", "buffer-accounting", "flit-conservation"}},
+		{"flit-drained-twice", func(_ *Mesh, _ *InputBuffer, s *Sink) { s.drained++ },
+			[]string{"flit-conservation"}},
+		{"transfer-not-head", func(m *Mesh, b *InputBuffer, _ *Sink) {
+			m.RouterAt(src).Out[PortWest].active[0] = activeXfer{buf: b, pp: &PacketProgress{Pkt: mkPacket(9, src, dst, 4)}}
+		}, []string{"transfer-order"}},
+		{"transfer-past-tail", func(m *Mesh, _ *InputBuffer, _ *Sink) {
+			// A transfer whose tail has left but that still holds its
+			// output VC and its buffer head.
+			r := m.RouterAt(dst)
+			pp := &PacketProgress{Pkt: mkPacket(9, Coord{1, 0}, dst, 2), Arrived: 2, Sent: 2, route: PortLocal}
+			b := &r.In[PortEast].bufs[0]
+			b.packets = append(b.packets, pp)
+			r.want[PortLocal]++
+			r.Out[PortLocal].active[0] = activeXfer{buf: b, pp: pp}
+		}, []string{"transfer-order"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The router at src holds the first flit of a 4-flit packet
+			// bound west, delivered but not yet arbitrated.
+			m, _ := NewMesh(2, 2, 4)
+			inj := m.AttachInjector(src)
+			sink := m.AttachSink(dst, 8, 4)
+			inj.Enqueue(mkPacket(1, src, dst, 4))
+			inj.Step(0)
+			m.deliver(1)
+			head := &m.RouterAt(src).In[PortLocal].bufs[0]
+			if head.occupied != 1 {
+				t.Fatalf("router buffer holds %d flits, want 1", head.occupied)
+			}
+			tc.doctor(m, head, sink)
+			if got := violationKinds(m); !slices.Equal(got, tc.want) {
+				t.Fatalf("audit reported %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

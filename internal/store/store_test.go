@@ -638,8 +638,8 @@ func TestReopenSeesEntriesAndSize(t *testing.T) {
 	}
 }
 
-// TestVersionNamespaceShape pins the namespace rule documented in
-// DESIGN.md: one version, the store's format revision.
+// TestVersionNamespaceShape pins the namespace rule of DESIGN.md
+// "Versioning rule": one version, the store's format revision.
 func TestVersionNamespaceShape(t *testing.T) {
 	v := Version()
 	if v != "v5" {

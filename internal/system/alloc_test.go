@@ -12,14 +12,15 @@ import (
 	"aanoc/internal/obs"
 )
 
-// TestRunToSteadyStateAllocs is the system-level pin behind DESIGN.md's
-// "steady state allocates nothing per request": once a run is warm, a
-// further window of RunTo may allocate at most one object per thousand
-// generated requests — a free-list or queue reaching a new high-water
-// mark, never anything per request. Allocation counts are deterministic
-// per seed, so the bound does not flake. Covered: every design, every
-// zoo scheduler, the multi-channel DDR4 subarray path, idle-skip over a
-// near-idle run, and trace replay (the other traffic.Source).
+// TestRunToSteadyStateAllocs is the system-level pin behind DESIGN.md
+// "Pooling lifecycle": steady state allocates nothing per request. Once a
+// run is warm, a further window of RunTo may allocate at most one object
+// per thousand generated requests — a free-list or queue reaching a new
+// high-water mark, never anything per request. Allocation counts are
+// deterministic per seed, so the bound does not flake. Covered: every
+// design, every zoo scheduler, the multi-channel DDR4 subarray path,
+// idle-skip over a near-idle run, and trace replay (the other
+// traffic.Source).
 func TestRunToSteadyStateAllocs(t *testing.T) {
 	// The window is as long as the warm-up; queues and free-lists take a
 	// while to find their high-water marks, the near-idle run longest.

@@ -84,7 +84,7 @@ type coreNI struct {
 	sleptFrom int64
 }
 
-// Runner is a fully wired simulation; Step advances it cycle by cycle.
+// Runner is a fully wired simulation; RunTo advances it to a cycle.
 // Most callers use Run; Runner is exported for the benchmark (bench/),
 // which times New, RunTo and Finish apart, and for tests that want
 // mid-run visibility.

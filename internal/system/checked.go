@@ -9,8 +9,8 @@ import (
 )
 
 // This file wires the internal/check invariant layer into the runner.
-// Checking points, mirroring the DESIGN.md observability counting-points
-// note:
+// Checking points (DESIGN.md "Checked mode" lists each kind's fault
+// test):
 //
 //   - DRAM protocol conformance: a check.DRAMMonitor installed as the
 //     device's Observer re-validates every accepted command against
@@ -175,7 +175,7 @@ func (r *Runner) finalChecks(rep *obs.Report) {
 	})
 	if walked != r.reqs.live {
 		c.Reportf(-1, "runner", "request-accounting",
-			"parents table counts %d outstanding requests, its walk finds %d",
+			"slot table counts %d outstanding requests, its walk finds %d",
 			r.reqs.live, walked)
 	}
 	for i, ni := range r.cores {

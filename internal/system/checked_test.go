@@ -209,29 +209,58 @@ func TestCheckReportHoldsReportToValidate(t *testing.T) {
 	}
 }
 
-// TestFinalChecksCatchLedgerDrift: the end-of-run accounting catches a
-// slot table whose live count drifts from the records its walk finds,
-// and a core whose ledger gains a request it never tracked — each once,
-// as request-accounting.
+// TestFinalChecksCatchLedgerDrift is the runner's rows of the fault
+// matrix: each edits one of the run's ledgers — the slot table's live
+// count, a core's generated count, a record's pending splits, a channel's
+// completed splits, a record's parent ID — and asserts exactly the kinds
+// the end-of-run accounting (or, for the parent ID, the split
+// completions after it) reports, and the first one's detail.
 func TestFinalChecksCatchLedgerDrift(t *testing.T) {
+	first := func(r *Runner) *logical {
+		var l *logical
+		r.reqs.each(func(x *logical) {
+			if l == nil {
+				l = x
+			}
+		})
+		if l == nil {
+			t.Fatal("no request is outstanding: the fault would not be exercised")
+		}
+		return l
+	}
 	for _, tc := range []struct {
 		name   string
+		at     int64 // the cycle the ledger is edited at; the run ends at 2,000
 		doctor func(r *Runner)
-		want   string
+		want   []string
+		detail string
 	}{
-		{"parents-live", func(r *Runner) { r.reqs.live++ }, "parents table counts"},
-		{"core-ledger", func(r *Runner) { r.cores[0].generated++ }, "core " + appmodel.BluRay().Cores[0].Name},
+		{"slot-table-live", 2_000, func(r *Runner) { r.reqs.live++ },
+			[]string{"request-accounting"}, "slot table counts"},
+		{"core-ledger", 2_000, func(r *Runner) { r.cores[0].generated++ },
+			[]string{"request-accounting"}, "core " + appmodel.BluRay().Cores[0].Name},
+		{"pending-splits", 2_000, func(r *Runner) { first(r).pending = 0 },
+			[]string{"split-accounting"}, "pending splits"},
+		{"channel-completions", 2_000, func(r *Runner) { r.chans[0].done = r.chans[0].sent + 1 },
+			[]string{"channel-accounting"}, "only"},
+		{"split-handle", 1_000, func(r *Runner) { first(r).id = -1 },
+			[]string{"split-accounting"}, "completes holding slot"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, err := New(Config{App: appmodel.BluRay(), Gen: dram.DDR2, Design: GSS, Cycles: 2_000, Checked: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.RunTo(2_000)
+			r.RunTo(tc.at)
 			tc.doctor(r)
+			r.RunTo(2_000)
 			vs := r.Finish().Obs.Violations
-			if len(vs) != 1 || vs[0].Kind != "request-accounting" || !strings.Contains(vs[0].Detail, tc.want) {
-				t.Fatalf("doctored ledger reported as %v, want one request-accounting naming %q", vs, tc.want)
+			var kinds []string
+			for _, v := range vs {
+				kinds = append(kinds, v.Kind)
+			}
+			if !reflect.DeepEqual(kinds, tc.want) || !strings.Contains(vs[0].Detail, tc.detail) {
+				t.Fatalf("doctored ledger reported as %v, want kinds %v, the first naming %q", vs, tc.want, tc.detail)
 			}
 		})
 	}

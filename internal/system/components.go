@@ -32,7 +32,7 @@ import (
 // wakes them, the counters a blocked core's tick would have bumped
 // meanwhile are settled in arrears (settle), and a channel sleeps on a
 // refused head and its controller's own event bound (channel.NextWake).
-// DESIGN.md "Execution model" has the wake table.
+// DESIGN.md "The wake table" lists who wakes whom.
 func (r *Runner) buildKernel() {
 	k := sim.NewKernel()
 	r.kern = k
